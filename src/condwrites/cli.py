@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 verified, 1 not verified, 2 analysis/parse/config error,
-3 oracle soundness violations.
+Exit codes of `analyze`: 0 verified, 1 not verified, 2 analysis/parse/config
+error or resource limit, 3 oracle soundness violations.
+Exit codes of `bench`: 0 every cell reproduced its frozen verdict, 1 a cell
+errored or its verdict drifted, 2 unknown --case name.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import sys
 
 from .lang import LangError, parse_program
 from .engine import AnalysisConfig, analyse, render_text, to_machine
+from .domains import UniverseTooLarge
 from .interference import FuelExhausted
 from .oracle import Budget, UniverseEscape, check_soundness, explore
 from . import corpus
@@ -48,9 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--ascii", action="store_true",
                    help="use |->, top, bot instead of unicode glyphs")
 
-    b = sub.add_parser("bench", help="run the benchmark corpus")
-    b.add_argument("--repetitions", type=int, default=1)
+    b = sub.add_parser("bench", help="run the benchmark corpus; exit 1 if a "
+                       "cell errors or its verdict drifts")
+    b.add_argument("--repetitions", type=int, default=1,
+                   help="timing repetitions per cell (median reported)")
     b.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
+    b.add_argument("--case", action="append", default=[], metavar="NAME",
+                   help="restrict to a named corpus program (repeatable)")
     return p
 
 
@@ -65,6 +72,14 @@ def _parse_rely_vars(specs: list[str]) -> dict[str, frozenset[str]]:
 
 
 def run_analyze(args) -> int:
+    try:
+        return _analyze(args)
+    except RecursionError:
+        print("error: program nests too deeply", file=sys.stderr)
+        return 2
+
+
+def _analyze(args) -> int:
     try:
         text = open(args.input, encoding="utf-8").read()
     except OSError as exc:
@@ -99,7 +114,7 @@ def run_analyze(args) -> int:
         try:
             report = explore(program, budget=Budget())
             violations = check_soundness(result, report)
-        except UniverseEscape as exc:
+        except (UniverseEscape, UniverseTooLarge) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
@@ -123,12 +138,23 @@ def run_analyze(args) -> int:
 
 
 def run_bench(args) -> int:
-    rows = corpus.run_suite(repetitions=args.repetitions)
+    unknown = sorted(set(args.case) - {c.name for c in corpus.CASES})
+    if unknown:
+        print(f"error: no such case: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    cases = tuple(c for c in corpus.CASES if not args.case or c.name in args.case)
+    rows = corpus.run_suite(cases, repetitions=args.repetitions)
     if args.csv:
         sys.stdout.write(corpus.render_csv(rows))
     else:
         sys.stdout.write(corpus.render_table(rows))
-    return 0
+        cheaper, cells = corpus.nt_cheaper_cells(rows)
+        print(f"\nnon-transitive mode needs fewer lattice ops in "
+              f"{cheaper}/{cells} program/domain cells")
+    drift = corpus.verdict_drift(rows, cases)
+    for line in drift:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if drift else 0
 
 
 def main(argv=None) -> int:

@@ -27,81 +27,26 @@ class BenchCase:
         return parse_program((PROGRAMS_DIR / self.filename).read_text())
 
 
+def _expect(*verdicts: str) -> dict:
+    """Expected verdicts in cell order: const nontransitive, const transitive,
+    const-powerset nontransitive, const-powerset transitive."""
+    cells = [(d, m) for d in DOMAINS for m in MODES]
+    return dict(zip(cells, verdicts, strict=True))
+
+
+V, N = "verified", "notVerified"
+
 CASES = (
-    BenchCase(
-        "flagged_write", "flagged_write.cw",
-        expected={
-            ("const", "nontransitive"): "verified",
-            ("const", "transitive"): "verified",
-            ("const-powerset", "nontransitive"): "verified",
-            ("const-powerset", "transitive"): "verified",
-        },
-    ),
-    BenchCase(
-        "branch_choice", "branch_choice.cw",
-        expected={
-            ("const", "nontransitive"): "notVerified",
-            ("const", "transitive"): "notVerified",
-            ("const-powerset", "nontransitive"): "verified",
-            ("const-powerset", "transitive"): "verified",
-        },
-    ),
-    BenchCase(
-        "reset_race", "reset_race.cw",
-        expected={
-            ("const", "nontransitive"): "notVerified",
-            ("const", "transitive"): "notVerified",
-            ("const-powerset", "nontransitive"): "verified",
-            ("const-powerset", "transitive"): "notVerified",
-        },
-    ),
-    BenchCase(
-        "spin_gate", "spin_gate.cw",
-        expected={
-            ("const", "nontransitive"): "notVerified",
-            ("const", "transitive"): "notVerified",
-            ("const-powerset", "nontransitive"): "verified",
-            ("const-powerset", "transitive"): "notVerified",
-        },
-    ),
-    BenchCase(
-        "mutex_flags", "mutex_flags.cw",
-        # property holds concretely (oracle-checked) but is beyond the
-        # abstraction: write conditions say nothing about written values
-        expected={
-            ("const", "nontransitive"): "notVerified",
-            ("const", "transitive"): "notVerified",
-            ("const-powerset", "nontransitive"): "notVerified",
-            ("const-powerset", "transitive"): "notVerified",
-        },
-    ),
-    BenchCase(
-        "ripple_chain", "ripple_chain.cw",
-        expected={
-            ("const", "nontransitive"): "verified",
-            ("const", "transitive"): "verified",
-            ("const-powerset", "nontransitive"): "verified",
-            ("const-powerset", "transitive"): "verified",
-        },
-    ),
-    BenchCase(
-        "gate_chain", "gate_chain.cw",
-        expected={
-            ("const", "nontransitive"): "notVerified",
-            ("const", "transitive"): "notVerified",
-            ("const-powerset", "nontransitive"): "verified",
-            ("const-powerset", "transitive"): "notVerified",
-        },
-    ),
-    BenchCase(
-        "staged_observer", "staged_observer.cw",
-        expected={
-            ("const", "nontransitive"): "verified",
-            ("const", "transitive"): "verified",
-            ("const-powerset", "nontransitive"): "verified",
-            ("const-powerset", "transitive"): "verified",
-        },
-    ),
+    BenchCase("flagged_write", "flagged_write.cw", _expect(V, V, V, V)),
+    BenchCase("branch_choice", "branch_choice.cw", _expect(N, N, V, V)),
+    BenchCase("reset_race", "reset_race.cw", _expect(N, N, V, N)),
+    BenchCase("spin_gate", "spin_gate.cw", _expect(N, N, V, N)),
+    # property holds concretely (oracle-checked) but is beyond the
+    # abstraction: write conditions say nothing about written values
+    BenchCase("mutex_flags", "mutex_flags.cw", _expect(N, N, N, N)),
+    BenchCase("ripple_chain", "ripple_chain.cw", _expect(V, V, V, V)),
+    BenchCase("gate_chain", "gate_chain.cw", _expect(N, N, V, N)),
+    BenchCase("staged_observer", "staged_observer.cw", _expect(V, V, V, V)),
 )
 
 CSV_COLUMNS = ("name", "domain", "mode", "verdict", "ops", "time_s", "converged")
@@ -113,32 +58,43 @@ def run_suite(cases=CASES, repetitions: int = 1) -> list[dict]:
         program = case.load()
         for domain in DOMAINS:
             for mode in MODES:
+                row = {"name": case.name, "domain": domain, "mode": mode}
                 try:
                     times = []
-                    result = None
                     for _ in range(max(1, repetitions)):
                         result = analyse(program, AnalysisConfig(mode=mode, domain=domain))
                         times.append(result.metrics.time_s)
-                    rows.append({
-                        "name": case.name,
-                        "domain": domain,
-                        "mode": mode,
-                        "verdict": result.verdict,
-                        "ops": result.metrics.ops,
-                        "time_s": statistics.median(times),
-                        "converged": result.converged,
-                    })
+                    row.update(verdict=result.verdict, ops=result.metrics.ops,
+                               time_s=statistics.median(times),
+                               converged=result.converged)
                 except Exception as exc:  # record per-cell failures, don't abort
-                    rows.append({
-                        "name": case.name,
-                        "domain": domain,
-                        "mode": mode,
-                        "verdict": f"error: {exc}",
-                        "ops": -1,
-                        "time_s": -1.0,
-                        "converged": False,
-                    })
+                    row.update(verdict=f"error: {exc}", ops=-1, time_s=-1.0,
+                               converged=False)
+                rows.append(row)
     return rows
+
+
+def nt_cheaper_cells(rows: list[dict]) -> tuple[int, int]:
+    """How many program/domain cells need fewer ops in non-transitive mode
+    than in transitive mode, and how many cells there are."""
+    ops = {(r["name"], r["domain"], r["mode"]): r["ops"] for r in rows}
+    cells = {(n, d) for n, d, _ in ops}
+    cheaper = sum(1 for n, d in cells
+                  if ops[(n, d, "nontransitive")] < ops[(n, d, "transitive")])
+    return cheaper, len(cells)
+
+
+def verdict_drift(rows: list[dict], cases=CASES) -> list[str]:
+    """One message per row whose verdict, or error, differs from the frozen
+    expected verdict of its case."""
+    expected = {c.name: c.expected for c in cases}
+    out = []
+    for r in rows:
+        want = expected[r["name"]][(r["domain"], r["mode"])]
+        if r["verdict"] != want:
+            out.append(f"{r['name']} {r['domain']} {r['mode']}: "
+                       f"expected {want}, got {r['verdict']}")
+    return out
 
 
 def render_table(rows: list[dict]) -> str:

@@ -79,10 +79,12 @@ class OpsCounter:
 
 @dataclass(frozen=True)
 class ConstMap:
-    """Partial map from variables to constants; unbound means unconstrained.
-    The bottom element represents the empty set of states."""
+    """Partial map from variables to constants, as a set of bindings;
+    unbound means unconstrained. The bottom element represents the empty set
+    of states. More bindings means fewer states, so the order is reversed
+    set inclusion: leq is superset, join is intersection, meet is union."""
 
-    items: tuple[tuple[str, int], ...] = ()
+    items: frozenset[tuple[str, int]] = frozenset()
     bottom: bool = False
 
     def get(self, var: str) -> int | None:
@@ -100,7 +102,7 @@ CM_BOT = ConstMap(bottom=True)
 
 
 def cm_make(bindings: dict[str, int]) -> ConstMap:
-    return ConstMap(tuple(sorted(bindings.items())))
+    return ConstMap(frozenset(bindings.items()))
 
 
 def cm_leq(d1: ConstMap, d2: ConstMap) -> bool:
@@ -108,8 +110,7 @@ def cm_leq(d1: ConstMap, d2: ConstMap) -> bool:
         return True
     if d2.bottom:
         return False
-    b1 = d1.as_dict()
-    return all(b1.get(v) == n for v, n in d2.items)
+    return d2.items <= d1.items
 
 
 def cm_join(d1: ConstMap, d2: ConstMap) -> ConstMap:
@@ -117,31 +118,26 @@ def cm_join(d1: ConstMap, d2: ConstMap) -> ConstMap:
         return d2
     if d2.bottom:
         return d1
-    b2 = d2.as_dict()
-    return ConstMap(tuple((v, n) for v, n in d1.items if b2.get(v) == n))
+    return ConstMap(d1.items & d2.items)
 
 
 def cm_meet(d1: ConstMap, d2: ConstMap) -> ConstMap:
     if d1.bottom or d2.bottom:
         return CM_BOT
-    merged = d1.as_dict()
-    for v, n in d2.items:
-        if v in merged and merged[v] != n:
-            return CM_BOT
-        merged[v] = n
-    return cm_make(merged)
+    merged = d1.items | d2.items
+    if len(dict(merged)) != len(merged):  # some variable bound to two values
+        return CM_BOT
+    return ConstMap(merged)
 
 
 def cm_havoc(d: ConstMap, drop: frozenset[str]) -> ConstMap:
     if d.bottom:
         return CM_BOT
-    return ConstMap(tuple((v, n) for v, n in d.items if v not in drop))
+    return ConstMap(frozenset(b for b in d.items if b[0] not in drop))
 
 
 def cm_contains(d: ConstMap, state: dict) -> bool:
-    if d.bottom:
-        return False
-    return all(state[v] == n for v, n in d.items)
+    return not d.bottom and d.items <= state.items()
 
 
 def cm_eval(e: Expr, d: ConstMap) -> int | None:
@@ -166,13 +162,8 @@ def cm_post(a: Assign, d: ConstMap) -> ConstMap:
     if d.bottom:
         return CM_BOT
     values = [cm_eval(e, d) for e in a.exprs]
-    out = d.as_dict()
-    for v in a.targets:
-        out.pop(v, None)
-    for v, n in zip(a.targets, values):
-        if n is not None:
-            out[v] = n
-    return cm_make(out)
+    known = {(v, n) for v, n in zip(a.targets, values) if n is not None}
+    return ConstMap(cm_havoc(d, frozenset(a.targets)).items | known)
 
 
 _CMP_FN = {
@@ -278,7 +269,7 @@ def _fmt_cm(d: ConstMap, ascii_only: bool) -> str:
     if not d.items:
         return "top" if ascii_only else "⊤"
     arrow = "|->" if ascii_only else "↦"
-    return "[" + ", ".join(f"{v}{arrow}{n}" for v, n in d.items) + "]"
+    return "[" + ", ".join(f"{v}{arrow}{n}" for v, n in sorted(d.items)) + "]"
 
 
 class ConstDomain(StateDomain):
@@ -327,16 +318,14 @@ class PowElem:
     """Finite set of pairwise-incomparable non-bottom constant maps;
     the empty set is bottom."""
 
-    disjuncts: tuple[ConstMap, ...]
+    disjuncts: frozenset[ConstMap]
 
 
-def _pw_normalize(maps: Iterable[ConstMap]) -> tuple[ConstMap, ...]:
+def _pw_normalize(maps: Iterable[ConstMap]) -> frozenset[ConstMap]:
+    # keep the maximal maps: those whose bindings strictly contain no other's
     uniq = {m for m in maps if not m.bottom}
-    kept = [
-        m for m in uniq
-        if not any(m2 is not m and m2 != m and cm_leq(m, m2) for m2 in uniq)
-    ]
-    return tuple(sorted(kept, key=lambda m: m.items))
+    return frozenset(
+        m for m in uniq if not any(m2.items < m.items for m2 in uniq))
 
 
 class ConstPowersetDomain(StateDomain):
@@ -348,6 +337,8 @@ class ConstPowersetDomain(StateDomain):
     def __init__(self, variables, ops: OpsCounter | None = None,
                  max_disjuncts: int = 64):
         super().__init__(variables, ops)
+        if max_disjuncts < 1:
+            raise ValueError(f"max_disjuncts must be >= 1, got {max_disjuncts}")
         self.max_disjuncts = max_disjuncts
 
     def make(self, maps: Iterable[ConstMap]) -> PowElem:
@@ -356,16 +347,14 @@ class ConstPowersetDomain(StateDomain):
     def _cap(self, d: PowElem) -> PowElem:
         if len(d.disjuncts) <= self.max_disjuncts:
             return d
-        acc = CM_BOT
-        for m in d.disjuncts:
-            acc = cm_join(acc, m)
-        return PowElem((acc,))
+        flat = frozenset.intersection(*(m.items for m in d.disjuncts))
+        return PowElem(frozenset({ConstMap(flat)}))
 
     def top(self) -> PowElem:
-        return PowElem((CM_TOP,))
+        return PowElem(frozenset({CM_TOP}))
 
     def bot(self) -> PowElem:
-        return PowElem(())
+        return PowElem(frozenset())
 
     def is_bot(self, d: PowElem) -> bool:
         return not d.disjuncts
@@ -378,7 +367,7 @@ class ConstPowersetDomain(StateDomain):
 
     def join(self, d1: PowElem, d2: PowElem) -> PowElem:
         self.ops.bump()
-        return self.make(d1.disjuncts + d2.disjuncts)
+        return self.make(d1.disjuncts | d2.disjuncts)
 
     def meet(self, d1: PowElem, d2: PowElem) -> PowElem:
         self.ops.bump()
@@ -401,9 +390,10 @@ class ConstPowersetDomain(StateDomain):
     def fmt(self, d: PowElem, ascii_only: bool = False) -> str:
         if not d.disjuncts:
             return "bot" if ascii_only else "⊥"
-        if d.disjuncts == (CM_TOP,):
+        if d.disjuncts == {CM_TOP}:
             return "top" if ascii_only else "⊤"
-        return "{" + "; ".join(_fmt_cm(m, ascii_only) for m in d.disjuncts) + "}"
+        maps = sorted(d.disjuncts, key=lambda m: sorted(m.items))
+        return "{" + "; ".join(_fmt_cm(m, ascii_only) for m in maps) + "}"
 
 
 def make_domain(kind: str, variables: tuple[str, ...],
@@ -411,6 +401,6 @@ def make_domain(kind: str, variables: tuple[str, ...],
                 max_disjuncts: int = 64) -> StateDomain:
     if kind == "const":
         return ConstDomain(variables, ops)
-    if kind in ("const-powerset", "constPowerset"):
+    if kind == "const-powerset":
         return ConstPowersetDomain(variables, ops, max_disjuncts)
     raise ValueError(f"unknown domain {kind!r}")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from condwrites import corpus
 from condwrites.cli import main
 from condwrites.corpus import PROGRAMS_DIR
 
@@ -109,3 +110,69 @@ def test_bench_csv(capsys):
     assert header == "name,domain,mode,verdict,ops,time_s,converged"
     # 8 corpus programs x 2 domains x 2 modes
     assert len(out.strip().splitlines()) == 1 + 8 * 4
+
+
+def test_bench_case_filter_and_summary(capsys):
+    code, out, _ = run(capsys, "bench", "--case", "flagged_write",
+                       "--case", "branch_choice")
+    assert code == 0
+    assert {"flagged_write", "branch_choice"} <= set(out.split())
+    assert "ripple_chain" not in out
+    assert "non-transitive mode needs fewer lattice ops in" in out
+    assert out.rstrip().endswith("/4 program/domain cells")
+    code, out, _ = run(capsys, "bench", "--csv", "--case", "flagged_write")
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 4
+    assert "non-transitive" not in out
+
+
+def test_bench_unknown_case(capsys):
+    code, _, err = run(capsys, "bench", "--case", "flagged_write",
+                       "--case", "no_such_program")
+    assert code == 2 and "no_such_program" in err
+
+
+def test_bench_fails_on_verdict_drift(capsys, monkeypatch):
+    case = next(c for c in corpus.CASES if c.name == "flagged_write")
+    monkeypatch.setitem(case.expected, ("const", "transitive"), "notVerified")
+    code, _, err = run(capsys, "bench", "--case", "flagged_write")
+    assert code == 1
+    assert ("flagged_write const transitive: expected notVerified, got verified"
+            in err)
+
+
+def test_bench_fails_on_error_row(capsys, monkeypatch):
+    def boom(program, config):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(corpus, "analyse", boom)
+    code, out, err = run(capsys, "bench", "--case", "flagged_write")
+    assert code == 1
+    assert "error: boom" in out and "got error: boom" in err
+
+
+def test_max_disjuncts_below_one(capsys):
+    code, _, err = run(capsys, "analyze", BRANCH, "--domain", "const-powerset",
+                       "--max-disjuncts", "-1")
+    assert code == 2 and "max_disjuncts" in err
+    code, _, _ = run(capsys, "analyze", BRANCH, "--domain", "const-powerset",
+                     "--max-disjuncts", "1")
+    assert code == 1
+
+
+def test_oracle_universe_too_large(tmp_path, capsys):
+    names = [f"v{i}" for i in range(12)]
+    body = " ".join(f"{v} := {i % 4};" for i, v in enumerate(names))
+    prog = tmp_path / "wide.cw"
+    prog.write_text(f"vars {', '.join(names)}; thread T {{ {body} }}")
+    code, _, err = run(capsys, "analyze", str(prog), "--check-oracle")
+    assert code == 2 and "exceeds cap" in err  # 4^12 oracle states
+
+
+@pytest.mark.parametrize("source", [
+    "vars x; thread T { " + "if (x == 0) { " * 1500 + "x := 1;" + " }" * 1500 + " }",
+    "vars x; thread T { if (" + "(" * 1500 + "x == 0" + ")" * 1500 + ") { x := 1; } }",
+], ids=["nested_if", "nested_parens"])
+def test_deep_nesting_exit_code(tmp_path, capsys, source):
+    prog = tmp_path / "deep.cw"
+    prog.write_text(source)
+    code, _, err = run(capsys, "analyze", str(prog))
+    assert code == 2 and "nests too deeply" in err

@@ -188,10 +188,10 @@ def test_pw_normalization():
     b = cm_make({"x": 0, "y": 1})
     d = dom.make([b, CM_BOT, a, a])
     # bottoms dropped, subsumed disjuncts dropped, duplicates collapsed
-    assert d.disjuncts == (a,)
+    assert d.disjuncts == {a}
     assert dom.make([]) == dom.bot()
     assert dom.is_bot(dom.bot())
-    assert dom.top().disjuncts == (CM_TOP,)
+    assert dom.top().disjuncts == {CM_TOP}
 
 
 def test_pw_gamma_is_union():
@@ -233,8 +233,7 @@ def test_pw_disjunct_cap_collapses_to_flat_join():
           cm_make({"x": 0, "y": 1})]
     d = dom.make(ms)
     # three incomparable disjuncts exceed the cap; they collapse to their join
-    assert len(d.disjuncts) == 1
-    collapsed = d.disjuncts[0]
+    (collapsed,) = d.disjuncts
     for m in ms:
         assert cm_leq(m, collapsed)
 
@@ -243,7 +242,7 @@ def test_pw_filter_keeps_disjunct_precision():
     dom = pw_dom()
     d = dom.make([cm_make({"x": 0}), cm_make({"x": 1, "y": 1})])
     f = dom.filter(Cmp("==", VarRef("x"), Lit(1)), d)
-    assert f.disjuncts == (cm_make({"x": 1, "y": 1}),)
+    assert f.disjuncts == {cm_make({"x": 1, "y": 1})}
 
 
 # -- shared bits ------------------------------------------------------------------
@@ -277,6 +276,10 @@ def test_make_domain():
     assert isinstance(make_domain("const-powerset", VARS), ConstPowersetDomain)
     with pytest.raises(ValueError):
         make_domain("intervals", VARS)
+    with pytest.raises(ValueError):
+        make_domain("constPowerset", VARS)
+    with pytest.raises(ValueError):
+        make_domain("const-powerset", VARS, max_disjuncts=0)
 
 
 @given(st.dictionaries(st.sampled_from(VARS), st.integers(0, 1)),

@@ -1,0 +1,55 @@
+"""Frozen analyzer output for every corpus program in every domain/mode cell.
+
+Compares `to_machine` (without `time_s`) and `render_text` (without its
+`time_s:` line), ops included, against `golden/corpus_outputs.json`. A change
+that alters outlines, relies, guarantees or op accounting must regenerate the
+file on purpose and report the difference:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from condwrites.corpus import CASES, DOMAINS, MODES
+from condwrites.engine import AnalysisConfig, analyse, render_text, to_machine
+
+GOLDEN = Path(__file__).parent / "golden" / "corpus_outputs.json"
+CELLS = [(case, domain, mode)
+         for case in CASES for domain in DOMAINS for mode in MODES]
+
+
+def cell_key(case, domain, mode) -> str:
+    return f"{case.name}/{domain}/{mode}"
+
+
+def cell_output(case, domain, mode) -> dict:
+    result = analyse(case.load(), AnalysisConfig(mode=mode, domain=domain))
+    machine = to_machine(result)
+    del machine["time_s"]
+    text = "".join(line for line in render_text(result).splitlines(keepends=True)
+                   if not line.startswith("time_s:"))
+    return {"machine": machine, "text": text}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_cell(golden):
+    assert set(golden) == {cell_key(*cell) for cell in CELLS}
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: cell_key(*c))
+def test_output_matches_golden(golden, cell):
+    assert cell_output(*cell) == golden[cell_key(*cell)]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    doc = {cell_key(*cell): cell_output(*cell) for cell in CELLS}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False)
+                      + "\n", encoding="utf-8")
