@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from .lang import (
     And, Assign, BinOp, BoolLit, Cmp, Cond, Expr, Lit, Not, Or, VarRef,
-    INT_MAX, INT_MIN, negate,
+    ARITH_OPS, CMP_OPS, INT_MAX, INT_MIN, negate,
 )
 
 
@@ -151,7 +151,7 @@ def cm_eval(e: Expr, d: ConstMap) -> int | None:
         b = cm_eval(e.right, d)
         if a is None or b is None:
             return None
-        r = {"+": a + b, "-": a - b, "*": a * b}[e.op]
+        r = ARITH_OPS[e.op](a, b)
         if r < INT_MIN or r > INT_MAX:
             return None  # fold overflow into "unknown" rather than evaluating it
         return r
@@ -166,23 +166,13 @@ def cm_post(a: Assign, d: ConstMap) -> ConstMap:
     return ConstMap(cm_havoc(d, frozenset(a.targets)).items | known)
 
 
-_CMP_FN = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 def cm_filter_cmp(c: Cmp, d: ConstMap) -> ConstMap:
     if d.bottom:
         return CM_BOT
     lv = cm_eval(c.left, d)
     rv = cm_eval(c.right, d)
     if lv is not None and rv is not None:
-        return d if _CMP_FN[c.op](lv, rv) else CM_BOT
+        return d if CMP_OPS[c.op](lv, rv) else CM_BOT
     if c.op == "==":
         # refine an unbound variable compared against a known constant
         if isinstance(c.left, VarRef) and lv is None and rv is not None:
@@ -254,13 +244,6 @@ class StateDomain(ABC):
         if isinstance(c, Cmp):
             return self._filter_cmp(c, d)
         raise TypeError(c)
-
-    def gamma(self, d, u: Universe) -> frozenset:
-        """Exact concretisation over a finite universe, as hashable states."""
-        order = u.var_order
-        return frozenset(
-            tuple(s[v] for v in order) for s in u.states() if self.contains(d, s)
-        )
 
 
 def _fmt_cm(d: ConstMap, ascii_only: bool) -> str:

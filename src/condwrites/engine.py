@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from .lang import (
-    Assign, BoolLit, Cond, Ite, Program, Seq, Skip, While, negate,
+    Assign, Cond, Ite, Program, Seq, Skip, While, negate,
 )
 from .domains import OpsCounter, StateDomain, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
@@ -65,13 +65,6 @@ class AnalysisResult:
     cw: CondWrites
 
 
-@dataclass
-class Triple:
-    d: object
-    r: Interference
-    g: Interference
-
-
 def reduce_interference(cw: CondWrites, i: Interference,
                         rely_vars: frozenset[str]) -> Interference:
     """Eliminate variables outside rely_vars: their own write-conditions go
@@ -100,82 +93,72 @@ def rely(cw: CondWrites, tid: str, guarantees: dict[str, Interference],
 
 
 class _Collector:
-    """One pass of the collecting semantics over a thread body."""
+    """One pass of the collecting semantics over a thread body under a fixed
+    rely. The value flowing through the body is (state, guarantee), and each
+    labelled point stabilises its incoming state once."""
 
-    def __init__(self, cw: CondWrites, n: int, transitive: bool,
-                 outline: ProofOutline, fuel_inner: int):
+    def __init__(self, cw: CondWrites, r: Interference, n: int,
+                 transitive: bool, outline: ProofOutline, fuel_inner: int):
         self.cw = cw
         self.dom = cw.dom
+        self.r = r
         self.n = n
         self.transitive = transitive
         self.outline = outline
         self.fuel_inner = fuel_inner
 
-    def stab(self, r: Interference, d):
+    def stab(self, d):
         if self.transitive:
-            return self.cw.stabilise(r, d, self.n)
-        return self.cw.stabilise_fix(r, d, self.n)
+            return self.cw.stabilise(self.r, d, self.n)
+        return self.cw.stabilise_fix(self.r, d, self.n)
 
-    def guard(self, b: Cond, x: Triple) -> Triple:
-        return Triple(self.dom.filter(b, self.stab(x.r, x.d)), x.r, x.g)
-
-    def join(self, x1: Triple, x2: Triple) -> Triple:
-        return Triple(
-            self.dom.join(x1.d, x2.d),
-            self.cw.join(x1.r, x2.r),
-            self.cw.join(x1.g, x2.g),
-        )
-
-    def run(self, inst, x: Triple) -> Triple:
+    def run(self, inst, d, g: Interference) -> tuple[object, Interference]:
+        dom, cw, outline = self.dom, self.cw, self.outline
         if isinstance(inst, Seq):
             for item in inst.items:
-                x = self.run(item, x)
-            return x
+                d, g = self.run(item, d, g)
+            return d, g
         if isinstance(inst, Skip):
             if inst.label is not None:
-                d = self.stab(x.r, x.d)
-                self.outline.pre[inst.label] = d
-                self.outline.post[inst.label] = d
-            return x
+                outline.pre[inst.label] = outline.post[inst.label] = self.stab(d)
+            return d, g
         if isinstance(inst, Assign):
-            d = self.stab(x.r, x.d)
-            self.outline.pre[inst.label] = d
-            d2 = self.dom.post(inst, d)
-            self.outline.post[inst.label] = d2
-            return Triple(d2, x.r, self.cw.join(x.g, self.cw.transitions(d, inst)))
+            s = outline.pre[inst.label] = self.stab(d)
+            d2 = outline.post[inst.label] = dom.post(inst, s)
+            return d2, cw.join(g, cw.transitions(s, inst))
         if isinstance(inst, Ite):
-            self.outline.pre[inst.label] = self.stab(x.r, x.d)
-            x1 = self.run(inst.then, self.guard(inst.cond, x))
-            x2 = self.run(inst.els, self.guard(negate(inst.cond), x))
-            out = self.join(x1, x2)
-            self.outline.post[inst.label] = out.d
-            return out
+            s = outline.pre[inst.label] = self.stab(d)
+            d1, g1 = self.run(inst.then, dom.filter(inst.cond, s), g)
+            d2, g2 = self.run(inst.els, dom.filter(negate(inst.cond), s), g)
+            d = outline.post[inst.label] = dom.join(d1, d2)
+            return d, cw.join(g1, g2)
         if isinstance(inst, While):
-            cur = x
-            converged = False
             for _ in range(self.fuel_inner):
-                nxt = self.join(cur, self.run(inst.body, self.guard(inst.cond, cur)))
-                if self.dom.leq(nxt.d, cur.d) and self.cw.leq(nxt.g, cur.g):
-                    converged = True
+                s = self.stab(d)
+                d_body, g_body = self.run(inst.body, dom.filter(inst.cond, s), g)
+                d_next, g_next = dom.join(d, d_body), cw.join(g, g_body)
+                if dom.leq(d_next, d) and cw.leq(g_next, g):
                     break
-                cur = nxt
-            if not converged:
+                d, g = d_next, g_next
+            else:
                 raise FuelExhausted(
                     f"loop at point {inst.label} did not converge in {self.fuel_inner} passes")
-            self.outline.pre[inst.label] = self.stab(cur.r, cur.d)
-            out = self.guard(negate(inst.cond), cur)
-            self.outline.post[inst.label] = out.d
-            return out
+            # the converging pass left d unchanged, so s is its stabilisation
+            outline.pre[inst.label] = s
+            d = outline.post[inst.label] = dom.filter(negate(inst.cond), s)
+            return d, g
         raise TypeError(inst)
 
 
-def collect(cw: CondWrites, body, x: Triple, n: int, transitive: bool,
-            fuel_inner: int = 1000) -> tuple[Triple, ProofOutline]:
+def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
+            fuel_inner: int = 1000) -> tuple[Interference, ProofOutline]:
+    """Run one thread body from state d under rely r; return the guarantee
+    it generates and its proof outline."""
     outline = ProofOutline()
-    coll = _Collector(cw, n, transitive, outline, fuel_inner)
-    out = coll.run(body, x)
-    outline.exit = coll.stab(out.r, out.d)
-    return out, outline
+    coll = _Collector(cw, r, n, transitive, outline, fuel_inner)
+    d, g = coll.run(body, d, cw.bot())
+    outline.exit = coll.stab(d)
+    return g, outline
 
 
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
@@ -193,8 +176,13 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         raise ValueError(f"unknown mode {config.mode!r}")
 
     rvars = {t.tid: t.rely_vars for t in program.threads}
-    if config.rely_vars:
-        rvars.update(config.rely_vars)
+    for tid, names in (config.rely_vars or {}).items():
+        if tid not in rvars:
+            raise ValueError(f"rely_vars for unknown thread {tid!r}")
+        undeclared = sorted(names - frozenset(program.variables))
+        if undeclared:
+            raise ValueError(f"rely_vars names undeclared variable {undeclared[0]!r}")
+        rvars[tid] = names
 
     d_pre = dom.filter(program.pre, dom.top())
     guarantees = {t.tid: cw.bot() for t in program.threads}
@@ -212,11 +200,8 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         new_g: dict[str, Interference] = {}
         outlines = {}
         for t in program.threads:
-            triple, outline = collect(
-                cw, t.body, Triple(d_pre, relies[t.tid], cw.bot()),
-                n, transitive, config.fuel_inner)
-            new_g[t.tid] = triple.g
-            outlines[t.tid] = outline
+            new_g[t.tid], outlines[t.tid] = collect(
+                cw, t.body, d_pre, relies[t.tid], n, transitive, config.fuel_inner)
         if all(cw.eq(new_g[tid], guarantees[tid]) for tid in new_g):
             converged = True
             guarantees = new_g

@@ -8,6 +8,7 @@ synthetic skip that never appears in proof outlines.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
@@ -225,25 +226,15 @@ def program_literals(p: Program) -> set[int]:
             from_cond(c.left)
             from_cond(c.right)
 
-    def from_inst(i: Inst) -> None:
-        if isinstance(i, Seq):
-            for item in i.items:
-                from_inst(item)
-        elif isinstance(i, Assign):
-            for e in i.exprs:
-                from_expr(e)
-        elif isinstance(i, Ite):
-            from_cond(i.cond)
-            from_inst(i.then)
-            from_inst(i.els)
-        elif isinstance(i, While):
-            from_cond(i.cond)
-            from_inst(i.body)
-
     from_cond(p.pre)
     from_cond(p.post)
     for t in p.threads:
-        from_inst(t.body)
+        for st in statements(t.body):
+            if isinstance(st, Assign):
+                for e in st.exprs:
+                    from_expr(e)
+            elif isinstance(st, (Ite, While)):
+                from_cond(st.cond)
     return out
 
 
@@ -259,39 +250,29 @@ def _check(n: int) -> int:
     return n
 
 
+# Operator tables shared by the concrete and the abstract semantics.
+ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+CMP_OPS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def eval_expr(e: Expr, s: State) -> int:
     if isinstance(e, Lit):
         return e.n
     if isinstance(e, VarRef):
         return s[e.name]
     if isinstance(e, BinOp):
-        a = eval_expr(e.left, s)
-        b = eval_expr(e.right, s)
-        if e.op == "+":
-            return _check(a + b)
-        if e.op == "-":
-            return _check(a - b)
-        if e.op == "*":
-            return _check(a * b)
-        raise ValueError(f"unknown operator {e.op}")
+        return _check(ARITH_OPS[e.op](eval_expr(e.left, s), eval_expr(e.right, s)))
     raise TypeError(e)
-
-
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def eval_cond(c: Cond, s: State) -> bool:
     if isinstance(c, BoolLit):
         return c.value
     if isinstance(c, Cmp):
-        return _CMP[c.op](eval_expr(c.left, s), eval_expr(c.right, s))
+        return CMP_OPS[c.op](eval_expr(c.left, s), eval_expr(c.right, s))
     if isinstance(c, Not):
         return not eval_cond(c.inner, s)
     if isinstance(c, And):
@@ -599,7 +580,7 @@ class _Parser:
                 self.pos = save
                 return self.comparison()
             nxt = self.peek()
-            if nxt.kind == "op" and nxt.text in _CMP:
+            if nxt.kind == "op" and nxt.text in CMP_OPS:
                 self.pos = save
                 return self.comparison()
             return inner
@@ -608,7 +589,7 @@ class _Parser:
     def comparison(self) -> Cond:
         left = self.expr()
         t = self.peek()
-        if t.kind != "op" or t.text not in _CMP:
+        if t.kind != "op" or t.text not in CMP_OPS:
             raise self.error("expected a comparison operator")
         op = self.next().text
         right = self.expr()

@@ -83,6 +83,13 @@ def test_rely_vars_bad_syntax(capsys):
     assert code == 2 and "rely-vars" in err
 
 
+def test_rely_vars_unknown_thread_or_variable(capsys):
+    code, _, err = run(capsys, "analyze", FLAGGED, "--rely-vars", "T9=x")
+    assert code == 2 and "unknown thread 'T9'" in err
+    code, _, err = run(capsys, "analyze", FLAGGED, "--rely-vars", "T0=x,nope")
+    assert code == 2 and "undeclared variable 'nope'" in err
+
+
 def test_opt_toggles_do_not_change_verdict(capsys):
     base = run(capsys, "analyze", FLAGGED, "--emit", "machine")[1]
     toggled = run(capsys, "analyze", FLAGGED, "--emit", "machine",

@@ -4,11 +4,11 @@ import pytest
 
 from condwrites.domains import CM_BOT, CM_TOP, ConstDomain, cm_make
 from condwrites.engine import (
-    EXIT, AnalysisConfig, Triple, analyse, check_post, collect,
+    EXIT, AnalysisConfig, analyse, check_post, collect,
     reduce_interference, rely, render_text, to_machine,
 )
 from condwrites.interference import CondWrites
-from condwrites.lang import parse_program
+from condwrites.lang import parse_program, statements
 
 from test_lang import FLAGGED
 
@@ -118,6 +118,44 @@ def test_loop_collecting_semantics():
         assert res.outlines["B"].exit == cm_make({"g": 1})
         assert res.guarantees["B"]["g"] == cm_make({"g": 0})
         assert res.verdict == "verified"
+
+
+def test_collect_stabilises_each_point_once(monkeypatch):
+    stab_calls, assigns = [], []
+    real_fix, real_trans = CondWrites.stabilise_fix, CondWrites.transitions
+
+    def stabilise_fix(self, i, d, n):
+        stab_calls.append(d)
+        return real_fix(self, i, d, n)
+
+    def transitions(self, d, a):
+        assigns.append(a.label)
+        return real_trans(self, d, a)
+
+    monkeypatch.setattr(CondWrites, "stabilise_fix", stabilise_fix)
+    monkeypatch.setattr(CondWrites, "transitions", transitions)
+    for domain in ("const", "const-powerset"):
+        res = analyse_flagged(domain=domain, mode="nontransitive")
+        cw = res.cw
+        for t in res.program.threads:
+            stab_calls.clear()
+            collect(cw, t.body, cw.dom.top(), res.relies[t.tid], 3, False)
+            assert len(stab_calls) == len(list(statements(t.body))) + 1
+
+    p = parse_program("""
+        vars x, g;
+        pre x == 0 && g == 0;
+        thread A { skip; while (g == 0) { x := 1; } }
+    """)
+    cw = CondWrites(ConstDomain(p.variables))
+    stab_calls.clear()
+    assigns.clear()
+    collect(cw, p.threads[0].body, cw.dom.filter(p.pre, CM_TOP), cw.bot(), 2, False)
+    # each pass stabilises the loop head and the body's assignment once;
+    # the skip and the exit add one call each
+    passes = len(assigns)
+    assert passes == 3
+    assert len(stab_calls) == 1 + 2 * passes + 1
 
 
 def test_check_post():

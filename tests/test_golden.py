@@ -48,8 +48,25 @@ def test_output_matches_golden(golden, cell):
     assert cell_output(*cell) == golden[cell_key(*cell)]
 
 
+def without_ops(output: dict) -> dict:
+    machine = {k: v for k, v in output["machine"].items() if k != "ops"}
+    text = "".join(line for line in output["text"].splitlines(keepends=True)
+                   if not line.startswith("ops:"))
+    return {"machine": machine, "text": text}
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     doc = {cell_key(*cell): cell_output(*cell) for cell in CELLS}
+    changed = []
+    for key, output in doc.items():
+        before = old[key]["machine"]["ops"] if key in old else None
+        print(f"{key}: ops {before} -> {output['machine']['ops']}")
+        if key not in old or without_ops(old[key]) != without_ops(output):
+            changed.append(key)
+    print(f"cells whose output changed besides ops: {len(changed)}")
+    for key in changed:
+        print(f"  {key}")
+    GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False)
                       + "\n", encoding="utf-8")
