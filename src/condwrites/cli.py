@@ -3,7 +3,7 @@
 Exit codes of `analyze`: 0 verified, 1 not verified, 2 analysis/parse/config
 error or resource limit, 3 oracle soundness violations.
 Exit codes of `bench`: 0 every cell reproduced its frozen verdict, 1 a cell
-errored or its verdict drifted, 2 unknown --case name.
+errored, its verdict drifted or it did not converge, 2 unknown --case name.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--mode", choices=["transitive", "nontransitive"],
                    default="nontransitive")
     a.add_argument("--n", type=int, default=None,
-                   help="stabilise precision bound (default: number of variables)")
+                   help="stabilise precision bound (default: number of "
+                   "variables); no effect on const, whose stabilise is "
+                   "closed form")
     a.add_argument("--rely-vars", action="append", default=[], metavar="THREAD=v1,v2",
                    help="override the rely variable set of a thread")
     a.add_argument("--emit", choices=["text", "machine"], default="text")
@@ -43,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--fuel-inner", type=int, default=1000)
     a.add_argument("--fuel-outer", type=int, default=1000)
     a.add_argument("--no-opt-b1", action="store_true",
-                   help="disable superset pruning in stabilise")
+                   help="disable superset pruning in stabilise; no effect "
+                   "on const, whose stabilise is closed form")
     a.add_argument("--no-opt-b2a", action="store_true",
                    help="disable the constrained-variables restriction in close")
     a.add_argument("--no-opt-b2b", action="store_true",
@@ -52,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use |->, top, bot instead of unicode glyphs")
 
     b = sub.add_parser("bench", help="run the benchmark corpus; exit 1 if a "
-                       "cell errors or its verdict drifts")
+                       "cell errors, its verdict drifts or it does not "
+                       "converge")
     b.add_argument("--repetitions", type=int, default=1,
                    help="timing repetitions per cell (median reported)")
     b.add_argument("--csv", action="store_true", help="emit CSV instead of a table")

@@ -86,14 +86,17 @@ def nt_cheaper_cells(rows: list[dict]) -> tuple[int, int]:
 
 def verdict_drift(rows: list[dict], cases=CASES) -> list[str]:
     """One message per row whose verdict, or error, differs from the frozen
-    expected verdict of its case."""
+    expected verdict of its case, or whose analysis did not converge (its
+    notVerified is then a fuel cut, not a reproduced verdict)."""
     expected = {c.name: c.expected for c in cases}
     out = []
     for r in rows:
+        cell = f"{r['name']} {r['domain']} {r['mode']}"
         want = expected[r["name"]][(r["domain"], r["mode"])]
         if r["verdict"] != want:
-            out.append(f"{r['name']} {r['domain']} {r['mode']}: "
-                       f"expected {want}, got {r['verdict']}")
+            out.append(f"{cell}: expected {want}, got {r['verdict']}")
+        elif not r["converged"]:
+            out.append(f"{cell}: did not converge")
     return out
 
 

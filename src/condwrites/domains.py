@@ -192,6 +192,10 @@ class StateDomain(ABC):
 
     name: str
 
+    # Optional closed form `stabilise(i, d)` of `CondWrites.stabilise`, equal
+    # to its subset enumeration for every n; None keeps the enumeration.
+    stabilise = None
+
     def __init__(self, variables: tuple[str, ...], ops: OpsCounter | None = None):
         self.variables = tuple(variables)
         self.ops = ops if ops is not None else OpsCounter()
@@ -294,6 +298,17 @@ class ConstDomain(StateDomain):
 
     def fmt(self, d: ConstMap, ascii_only: bool = False) -> str:
         return _fmt_cm(d, ascii_only)
+
+    def stabilise(self, i: dict, d: ConstMap) -> ConstMap:
+        """Drop from d every variable whose write-condition d meets: ⊥ stays
+        ⊥, otherwise one counted meet per variable and one havoc. Equals the
+        subset enumeration of `CondWrites.stabilise` for every n (see
+        `interference`)."""
+        if d.bottom:
+            return d
+        touched = frozenset(u for u in self.variables
+                            if not self.meet(d, i[u]).bottom)
+        return self.havoc(d, touched)
 
 
 @dataclass(frozen=True)

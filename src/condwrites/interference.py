@@ -3,6 +3,23 @@
 An interference element maps every program variable to the abstract state
 under which it may be written (its write-condition). A transition changing
 v is admitted only if its pre-state satisfies v's write-condition.
+
+`CondWrites.stabilise(i, d, n)` joins havoc(d ⊓ wc_S, S) over every feasible
+write set S of at most n variables, where wc_S is the meet of i[v] over v in
+S, and folds the feasible (n+1)-sets into one coarse havoc. The enumeration
+walks up to 2^|V| subsets. For flat constant maps it has a closed form,
+`ConstDomain.stabilise`, equal to it for every n:
+
+    stabilise(i, d, n) = havoc(d, {u | d ⊓ i[u] ≠ ⊥})
+
+Feasibility is downward closed: wc_S only shrinks as S grows, so every
+variable u of a write set with d ⊓ wc_S ≠ ⊥ has d ⊓ i[u] ≠ ⊥, and each such
+u is itself a feasible singleton (exact when n ≥ 1, in the coarse term when
+n = 0). Every term binds what d binds, plus wc_S's bindings, minus S; the
+empty write set contributes d itself, and the flat join intersects bindings.
+So the join keeps exactly the bindings of d whose variable no write set
+feasible with d touches, and ⊥ stays ⊥. The b1 pruning relies on the same
+downward closure.
 """
 
 from __future__ import annotations
@@ -85,8 +102,15 @@ class CondWrites:
 
         Transitions touching at most n variables are handled exactly; larger
         write sets are folded into a single coarse havoc over the variables
-        occurring in any feasible (n+1)-set.
+        occurring in any feasible (n+1)-set. Runs the domain's closed form
+        when it has one, else the subset enumeration.
         """
+        if self.dom.stabilise is not None:
+            return self.dom.stabilise(i, d)
+        return self._stabilise_enum(i, d, n)
+
+    def _stabilise_enum(self, i: Interference, d, n: int):
+        # the generic subset enumeration, and the reference for closed forms
         dom = self.dom
         variables = sorted(dom.variables)
         acc = d

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from condwrites import corpus
 from condwrites.cli import main
 from condwrites.corpus import PROGRAMS_DIR
+from condwrites.engine import AnalysisConfig
 
 FLAGGED = str(PROGRAMS_DIR / "flagged_write.cw")
 BRANCH = str(PROGRAMS_DIR / "branch_choice.cw")
@@ -145,6 +147,19 @@ def test_bench_fails_on_verdict_drift(capsys, monkeypatch):
     assert code == 1
     assert ("flagged_write const transitive: expected notVerified, got verified"
             in err)
+
+
+def test_bench_fails_on_unconverged_row(capsys, monkeypatch):
+    # one outer round is too few for mutex_flags; every cell stops unconverged
+    # with notVerified, which is also each cell's frozen verdict
+    monkeypatch.setattr(corpus, "AnalysisConfig",
+                        functools.partial(AnalysisConfig, fuel_outer=1))
+    code, out, err = run(capsys, "bench", "--case", "mutex_flags")
+    assert code == 1
+    assert "expected" not in err
+    for domain in corpus.DOMAINS:
+        for mode in corpus.MODES:
+            assert f"mutex_flags {domain} {mode}: did not converge" in err
 
 
 def test_bench_fails_on_error_row(capsys, monkeypatch):

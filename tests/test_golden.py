@@ -3,7 +3,8 @@
 Compares `to_machine` (without `time_s`) and `render_text` (without its
 `time_s:` line), ops included, against `golden/corpus_outputs.json`. A change
 that alters outlines, relies, guarantees or op accounting must regenerate the
-file on purpose and report the difference:
+file on purpose and report the difference (every cell's ops, the cells that
+changed besides ops, and the criterion-6 count before and after):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from condwrites.corpus import CASES, DOMAINS, MODES
+from condwrites.corpus import CASES, DOMAINS, MODES, nt_cheaper_cells
 from condwrites.engine import AnalysisConfig, analyse, render_text, to_machine
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus_outputs.json"
@@ -55,6 +56,16 @@ def without_ops(output: dict) -> dict:
     return {"machine": machine, "text": text}
 
 
+def ops_rows(doc: dict) -> list[dict]:
+    """The golden cells as `corpus.run_suite`-style rows carrying ops."""
+    rows = []
+    for key, output in doc.items():
+        name, domain, mode = key.split("/")
+        rows.append({"name": name, "domain": domain, "mode": mode,
+                     "ops": output["machine"]["ops"]})
+    return rows
+
+
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     doc = {cell_key(*cell): cell_output(*cell) for cell in CELLS}
@@ -67,6 +78,9 @@ if __name__ == "__main__":
     print(f"cells whose output changed besides ops: {len(changed)}")
     for key in changed:
         print(f"  {key}")
+    before_nt, after_nt = (nt_cheaper_cells(ops_rows(d)) for d in (old, doc))
+    print("non-transitive mode needs fewer ops (criterion 6): "
+          f"{before_nt[0]}/{before_nt[1]} -> {after_nt[0]}/{after_nt[1]} cells")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False)
                       + "\n", encoding="utf-8")

@@ -188,6 +188,7 @@ def test_close_soundness(mk):
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
 def test_stabilise_pruning_equivalence(mk):
+    # b1 prunes the subset enumeration, which const's public stabilise skips
     rng = random.Random(41)
     base = mk(opt_b1=True)
     plain = mk(opt_b1=False)
@@ -195,7 +196,43 @@ def test_stabilise_pruning_equivalence(mk):
         i = random_interference(rng, base.dom)
         d = random_elem(rng, base.dom)
         n = rng.randint(0, 3)
-        assert base.stabilise(i, d, n) == plain.stabilise(i, d, n)
+        assert base._stabilise_enum(i, d, n) == plain._stabilise_enum(i, d, n)
+
+
+def enumerating(cw: CondWrites) -> CondWrites:
+    """cw with its stabilise, and so its stabilise_fix, bound to the subset
+    enumeration: the reference for a domain's closed form."""
+    cw.stabilise = cw._stabilise_enum
+    return cw
+
+
+def assert_closed_form_matches_enumeration(variables, pairs, opt_b1):
+    fast = CondWrites(ConstDomain(variables), opt_b1=opt_b1)
+    ref = enumerating(CondWrites(ConstDomain(variables), opt_b1=opt_b1))
+    for i, d in pairs:
+        for n in range(len(variables) + 1):
+            assert fast.stabilise(i, d, n) == ref.stabilise(i, d, n)
+            assert fast.stabilise_fix(i, d, n) == ref.stabilise_fix(i, d, n)
+
+
+@pytest.mark.parametrize("opt_b1", [True, False])
+def test_const_closed_form_stabilise_random(opt_b1):
+    rng = random.Random(43)
+    dom = ConstDomain(VARS3)
+    pairs = [(random_interference(rng, dom), random_cm(rng, VARS3))
+             for _ in range(20_000)]
+    assert_closed_form_matches_enumeration(VARS3, pairs, opt_b1)
+
+
+@pytest.mark.parametrize("opt_b1", [True, False])
+def test_const_closed_form_stabilise_exhaustive(opt_b1):
+    # every write-condition map and every d over two {0,1} variables
+    from test_domains import ALL_CMS, VARS
+
+    pairs = [(dict(zip(VARS, wcs)), d)
+             for wcs in itertools.product(ALL_CMS, repeat=len(VARS))
+             for d in ALL_CMS]
+    assert_closed_form_matches_enumeration(VARS, pairs, opt_b1)
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
