@@ -53,6 +53,8 @@ CSV_COLUMNS = ("name", "domain", "mode", "verdict", "ops", "time_s", "converged"
 
 
 def run_suite(cases=CASES, repetitions: int = 1) -> list[dict]:
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     for case in cases:
         program = case.load()
@@ -61,7 +63,7 @@ def run_suite(cases=CASES, repetitions: int = 1) -> list[dict]:
                 row = {"name": case.name, "domain": domain, "mode": mode}
                 try:
                     times = []
-                    for _ in range(max(1, repetitions)):
+                    for _ in range(repetitions):
                         result = analyse(program, AnalysisConfig(mode=mode, domain=domain))
                         times.append(result.metrics.time_s)
                     row.update(verdict=result.verdict, ops=result.metrics.ops,

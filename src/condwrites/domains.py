@@ -322,6 +322,8 @@ class PowElem:
 def _pw_normalize(maps: Iterable[ConstMap]) -> frozenset[ConstMap]:
     # keep the maximal maps: those whose bindings strictly contain no other's
     uniq = {m for m in maps if not m.bottom}
+    if len(uniq) < 2:
+        return frozenset(uniq)
     return frozenset(
         m for m in uniq if not any(m2.items < m.items for m2 in uniq))
 

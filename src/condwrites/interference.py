@@ -20,6 +20,14 @@ empty write set contributes d itself, and the flat join intersects bindings.
 So the join keeps exactly the bindings of d whose variable no write set
 feasible with d touches, and ⊥ stays ⊥. The b1 pruning relies on the same
 downward closure.
+
+Domains without a closed form (`const-powerset`) memoise the enumeration
+per `CondWrites` instance, keyed on (the write-conditions in variable order,
+d, n). The key holds values, not identities: lattice elements are frozen
+and hash by content. The memo is exact because `_stabilise_enum` is a pure
+function of its arguments and of the instance's fixed `dom` and `opt_b1`.
+`analyse` builds one `CondWrites` per call, so the memo lives for one
+analysis. A hit performs no lattice operation and so counts no ops.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ class CondWrites:
         self.opt_b1 = opt_b1    # stabilise: skip supersets of a bottom meet
         self.opt_b2a = opt_b2a  # close: powerset over constrained vars only
         self.opt_b2b = opt_b2b  # close: skip strict supersets once havoc covers meet
+        self._stabilise_memo: dict = {}  # (write-conditions, d, n) -> result
 
     # -- lattice ------------------------------------------------------------
 
@@ -103,11 +112,18 @@ class CondWrites:
         Transitions touching at most n variables are handled exactly; larger
         write sets are folded into a single coarse havoc over the variables
         occurring in any feasible (n+1)-set. Runs the domain's closed form
-        when it has one, else the subset enumeration.
+        when it has one, else the subset enumeration, memoised for the
+        lifetime of this instance on (i's write-conditions in variable
+        order, d, n): a repeated input returns the stored result without
+        lattice operations.
         """
         if self.dom.stabilise is not None:
             return self.dom.stabilise(i, d)
-        return self._stabilise_enum(i, d, n)
+        key = (tuple(i[v] for v in self.dom.variables), d, n)
+        out = self._stabilise_memo.get(key)
+        if out is None:
+            out = self._stabilise_memo[key] = self._stabilise_enum(i, d, n)
+        return out
 
     def _stabilise_enum(self, i: Interference, d, n: int):
         # the generic subset enumeration, and the reference for closed forms

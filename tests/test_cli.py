@@ -140,6 +140,14 @@ def test_bench_unknown_case(capsys):
     assert code == 2 and "no_such_program" in err
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_repetitions_below_one(capsys, reps):
+    code, out, err = run(capsys, "bench", "--case", "flagged_write",
+                         "--repetitions", reps)
+    assert code == 2 and out == ""
+    assert f"repetitions must be >= 1, got {reps}" in err
+
+
 def test_bench_fails_on_verdict_drift(capsys, monkeypatch):
     case = next(c for c in corpus.CASES if c.name == "flagged_write")
     monkeypatch.setitem(case.expected, ("const", "transitive"), "notVerified")

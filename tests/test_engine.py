@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from condwrites.corpus import CASES
 from condwrites.domains import CM_BOT, CM_TOP, ConstDomain, cm_make
 from condwrites.engine import (
     EXIT, AnalysisConfig, analyse, check_post, collect,
@@ -187,6 +188,24 @@ def test_determinism():
     ma, mb = to_machine(a), to_machine(b)
     ma.pop("time_s"), mb.pop("time_s")
     assert ma == mb
+
+
+def test_no_state_leaks_across_analyses():
+    # the stabilise memo lives in one analysis' CondWrites, so a repeated
+    # analysis pays full cost again and its ops do not depend on history
+    other = next(c for c in CASES if c.name == "gate_chain").load()
+
+    def machine(program):
+        res = analyse(program, AnalysisConfig(mode="nontransitive",
+                                              domain="const-powerset"))
+        m = to_machine(res)
+        m.pop("time_s")
+        return m
+
+    first = machine(parse_program(FLAGGED))
+    assert machine(parse_program(FLAGGED)) == first
+    machine(other)
+    assert machine(parse_program(FLAGGED)) == first
 
 
 def test_machine_report_fields():

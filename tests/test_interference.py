@@ -235,6 +235,75 @@ def test_const_closed_form_stabilise_exhaustive(opt_b1):
     assert_closed_form_matches_enumeration(VARS, pairs, opt_b1)
 
 
+@pytest.mark.parametrize("opt_b1", [True, False])
+@pytest.mark.parametrize("max_disjuncts", [64, 2, 1])
+def test_powerset_memoised_stabilise_matches_enumeration(max_disjuncts, opt_b1):
+    # caps 2 and 1 collapse disjuncts inside the enumeration's joins and meets
+    rng = random.Random(44)
+
+    def make():
+        return CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=max_disjuncts),
+                          opt_b1=opt_b1)
+
+    fast, ref = make(), enumerating(make())
+    for _ in range(300):
+        i = random_interference(rng, fast.dom)
+        d = random_elem(rng, fast.dom)
+        for n in range(len(VARS3) + 1):
+            want = ref.stabilise(i, d, n)
+            assert fast.stabilise(i, d, n) == want  # miss
+            assert fast.stabilise(i, d, n) == want  # hit
+            assert fast.stabilise_fix(i, d, n) == ref.stabilise_fix(i, d, n)
+
+
+def count_enumerations(monkeypatch) -> list:
+    calls = []
+    real = CondWrites._stabilise_enum
+
+    def counted(self, i, d, n):
+        calls.append((d, n))
+        return real(self, i, d, n)
+
+    monkeypatch.setattr(CondWrites, "_stabilise_enum", counted)
+    return calls
+
+
+def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    cw = cw_pw()
+
+    def pw(*maps):
+        return cw.dom.make(cm_make(m) for m in maps)
+
+    def inputs():
+        i = {"x": pw({"z": 0}), "z": pw({"x": 1}, {"r": 0}), "r": pw({})}
+        return i, pw({"x": 0, "z": 1}, {"r": 1})
+
+    i, d = inputs()
+    first = cw.stabilise(i, d, 2)
+    ops = cw.dom.ops.count
+    assert len(calls) == 1 and ops > 0
+    # an equal key built from fresh values hits: keys are values, not identities
+    assert cw.stabilise(*inputs(), 2) == first
+    assert len(calls) == 1 and cw.dom.ops.count == ops
+    cw.stabilise(i, d, 1)  # another n is another key
+    assert len(calls) == 2 and cw.dom.ops.count > ops
+    # a fresh instance starts with an empty memo
+    assert cw_pw().stabilise(i, d, 2) == first and len(calls) == 3
+
+
+def test_const_closed_form_bypasses_memo(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    rng = random.Random(46)
+    cw = cw_const()
+    for _ in range(50):
+        i = random_interference(rng, cw.dom)
+        d = random_cm(rng, VARS3)
+        cw.stabilise(i, d, 3)
+        cw.stabilise_fix(i, d, 3)
+    assert calls == [] and cw._stabilise_memo == {}
+
+
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
 def test_close_optimisation_equivalence(mk):
     rng = random.Random(42)
