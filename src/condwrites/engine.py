@@ -7,12 +7,10 @@ import time
 from dataclasses import dataclass, field
 
 from .lang import (
-    Assign, Cond, Ite, Program, Seq, Skip, While, negate,
+    EXIT, Assign, Cond, Ite, Program, Seq, Skip, While, negate,
 )
 from .domains import OpsCounter, StateDomain, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
-
-EXIT = "exit"  # outline key for the thread exit point
 
 
 @dataclass

@@ -167,6 +167,59 @@ def statements(inst: Inst) -> Iterator[Inst]:
         raise TypeError(inst)
 
 
+# ---------------------------------------------------------------------------
+# Control-flow graph
+
+EXIT = "exit"  # the thread exit point, index 0 of every control-flow graph
+
+
+@dataclass(frozen=True)
+class ControlFlow:
+    """A thread body as a graph over dense point indices.
+
+    Index 0 is EXIT; index i > 0 is the i-th labeled statement of
+    `statements` (preorder). Every other point takes one atomic step. An
+    assignment or skip moves to `succ[i]`. A guard (`Ite`/`While`) moves to
+    `succ[i]` when its condition holds and to `succ_false[i]` otherwise.
+    Synthetic skips take no step and get no point."""
+
+    points: tuple  # index -> EXIT or the statement's label
+    stmts: tuple   # index -> the labeled statement; None at EXIT
+    succ: tuple[int, ...]
+    succ_false: tuple[int, ...]
+    entry: int
+
+
+def control_flow(body: Inst) -> ControlFlow:
+    stmts = (None, *statements(body))
+    index = {st.label: i for i, st in enumerate(stmts) if st is not None}
+    succ = [0] * len(stmts)
+    succ_false = [0] * len(stmts)
+
+    def link(inst: Inst, nxt: int) -> int:
+        """Link `inst` to continue at `nxt`; returns its entry point."""
+        if isinstance(inst, Seq):
+            for item in reversed(inst.items):
+                nxt = link(item, nxt)
+            return nxt
+        if isinstance(inst, Skip) and inst.label is None:
+            return nxt
+        i = index[inst.label]
+        if isinstance(inst, Ite):
+            succ[i] = link(inst.then, nxt)
+            succ_false[i] = link(inst.els, nxt)
+        elif isinstance(inst, While):
+            succ[i] = link(inst.body, i)
+            succ_false[i] = nxt
+        else:
+            succ[i] = nxt
+        return i
+
+    entry = link(body, 0)
+    points = tuple(EXIT if st is None else st.label for st in stmts)
+    return ControlFlow(points, stmts, tuple(succ), tuple(succ_false), entry)
+
+
 def negate(c: Cond) -> Cond:
     """One-level negation push (used by condition filtering and verdicts)."""
     if isinstance(c, BoolLit):

@@ -3,19 +3,45 @@
 Ground truth for soundness checks: enumerates every reachable
 (program counters, store) configuration over a finite value universe,
 interleaving atomic steps (one per assignment, skip, or guard evaluation).
+
+Encoding. A store is numbered in mixed radix by the positions of its values
+in the universe, last variable fastest, so store i is the i-th of
+`Universe.states()`; S is the universe size. Each thread's points are the
+dense indices of `lang.control_flow`, with EXIT = 0, and a configuration is
+the one int `store + S * (pc_0 + P_0 * (pc_1 + P_1 * ...))`, where P_k is
+thread k's point count. Exit configurations are exactly those below S.
+
+Successor tables. A thread's step depends only on its own point and the
+store, so each thread keeps a dict from `pc * S + store` to the change its
+step makes to the configuration number (None at EXIT, where it takes no
+step). An entry is filled the first time a configuration with that
+(point, store) pair is visited, by the concrete semantics (`exec_assign`,
+`eval_cond`); every later step from the pair is one lookup and one
+addition. Only reached pairs are ever filled, so no table spans the
+universe, and `UniverseEscape` is raised exactly when a reachable
+assignment writes outside it, at the first step that does.
+
+Reachable sets. Breadth-first order, the thread order within a step and the
+`seen`/`steps` budget checks are those of a search over explicit
+(program counters, store tuple) configurations, so the same configurations
+are discovered, in the same order, and the same exploration is cut by a
+`Budget`. Every discovered configuration is visited, also when the search
+is cut, so a thread's table keys are exactly its (point, store) projection
+of them, in discovery order: `reachable` is read off the keys after the
+search and `exit_states` off the configurations below S. Both equal a
+record made per configuration field for field, `bounded` runs included.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lang import (
-    Assign, Cond, Ite, Program, Seq, Skip, While,
-    eval_cond, exec_assign, program_literals,
+    Assign, Program, Skip, control_flow, eval_cond, exec_assign,
+    program_literals,
 )
 from .domains import Universe
-from .engine import EXIT, AnalysisResult
+from .engine import AnalysisResult
 
 
 class UniverseEscape(Exception):
@@ -53,48 +79,6 @@ class OracleReport:
         }
 
 
-# -- control-flow graphs -----------------------------------------------------
-
-
-@dataclass
-class _Node:
-    kind: str  # 'assign' | 'skip' | 'branch' | 'loop'
-    stmt: object = None
-    cond: Cond | None = None
-    succ: object = None        # next point (assign/skip)
-    succ_true: object = None   # branch/loop
-    succ_false: object = None
-
-
-def _compile(inst, succ, nodes: dict) -> object:
-    """Link a body into nodes keyed by program point; returns the entry point."""
-    if isinstance(inst, Seq):
-        entry = succ
-        for item in reversed(inst.items):
-            entry = _compile(item, entry, nodes)
-        return entry
-    if isinstance(inst, Skip):
-        if inst.label is None:
-            return succ  # synthetic skip: no step, no point
-        nodes[inst.label] = _Node("skip", stmt=inst, succ=succ)
-        return inst.label
-    if isinstance(inst, Assign):
-        nodes[inst.label] = _Node("assign", stmt=inst, succ=succ)
-        return inst.label
-    if isinstance(inst, Ite):
-        t_entry = _compile(inst.then, succ, nodes)
-        f_entry = _compile(inst.els, succ, nodes)
-        nodes[inst.label] = _Node("branch", cond=inst.cond,
-                                  succ_true=t_entry, succ_false=f_entry)
-        return inst.label
-    if isinstance(inst, While):
-        body_entry = _compile(inst.body, inst.label, nodes)
-        nodes[inst.label] = _Node("loop", cond=inst.cond,
-                                  succ_true=body_entry, succ_false=succ)
-        return inst.label
-    raise TypeError(inst)
-
-
 def default_universe(p: Program, extra: tuple[int, ...] = (0, 1)) -> Universe:
     values = sorted(program_literals(p) | set(extra))
     return Universe.of({v: values for v in p.variables})
@@ -108,78 +92,89 @@ def explore(p: Program, universe: Universe | None = None,
         raise ValueError("budgets must be positive")
     u = universe or default_universe(p)
     order = u.var_order
-    allowed = {v: set(u.domain_of(v)) for v in order}
+    domains = [u.domain_of(v) for v in order]
+    position = {v: {n: i for i, n in enumerate(vals)} for v, vals in zip(order, domains)}
+    strides = []
+    size = 1
+    for vals in reversed(domains):
+        strides.append(size)
+        size *= len(vals)
+    strides.reverse()
+    initial = [i for i, s in enumerate(u.states()) if eval_cond(p.pre, s)]
 
-    cfgs = {}
-    entries = {}
-    for t in p.threads:
-        nodes: dict = {}
-        entries[t.tid] = _compile(t.body, EXIT, nodes)
-        cfgs[t.tid] = nodes
-    tids = [t.tid for t in p.threads]
+    store_tuples: dict = {}
 
-    initial = []
-    for s in u.states():
-        if eval_cond(p.pre, s):
-            initial.append(tuple(s[v] for v in order))
+    def store_of(i: int) -> tuple:
+        s = store_tuples.get(i)
+        if s is None:
+            s = store_tuples[i] = tuple(
+                vals[i // stride % len(vals)] for vals, stride in zip(domains, strides))
+        return s
 
-    reachable: dict = {}
-    exit_states: set = set()
+    flows = [control_flow(t.body) for t in p.threads]
+    scales = []  # the weight of each thread's point index in a configuration
+    weight = size
+    for f in flows:
+        scales.append(weight)
+        weight *= len(f.points)
     transitions: set = set()
-    bounded = False
 
-    def record(pcs, store):
-        for tid, pt in zip(tids, pcs):
-            reachable.setdefault((tid, pt), set()).add(store)
-        if all(pt == EXIT for pt in pcs):
-            exit_states.add(store)
+    def step(k: int, key: int) -> int | None:
+        """The change thread k's step from `key` = (pc, store) makes to a
+        configuration; None when the thread is at EXIT and takes no step."""
+        pc, store = divmod(key, size)
+        if pc == 0:
+            return None
+        tid, flow = p.threads[k].tid, flows[k]
+        st = flow.stmts[pc]
+        new, nxt = store, flow.succ[pc]
+        if isinstance(st, Assign):
+            out = exec_assign(st, dict(zip(order, store_of(store))))
+            for v in st.targets:
+                if out[v] not in position[v]:
+                    raise UniverseEscape(
+                        f"{tid}:{flow.points[pc]} wrote {v}={out[v]}, outside the universe")
+            new = sum(position[v][out[v]] * stride for v, stride in zip(order, strides))
+            if collect_transitions and new != store:
+                transitions.add((tid, store_of(store), store_of(new)))
+        elif not isinstance(st, Skip):  # a guard evaluation is one visible step
+            if not eval_cond(st.cond, dict(zip(order, store_of(store)))):
+                nxt = flow.succ_false[pc]
+        return new - store + (nxt - pc) * scales[k]
 
-    start_pcs = tuple(entries[tid] for tid in tids)
-    seen = set()
-    frontier = deque()
-    for store in initial:
-        cfg = (start_pcs, store)
-        if cfg not in seen:
-            seen.add(cfg)
-            record(start_pcs, store)
-            frontier.append(cfg)
-
+    threads = [(k, m, len(f.points), {}) for k, (m, f) in enumerate(zip(scales, flows))]
+    start = sum(f.entry * m for f, m in zip(flows, scales))
+    queue = [start + store for store in initial]  # discovery order
+    seen = set(queue)
     steps = 0
-    while frontier:
-        pcs, store = frontier.popleft()
-        sdict = dict(zip(order, store))
-        for idx, tid in enumerate(tids):
-            pt = pcs[idx]
-            if pt == EXIT:
+    bounded = False
+    for cfg in queue:  # breadth first: the loop also visits what it appends
+        store = cfg % size
+        for k, m, points, table in threads:
+            key = cfg // m % points * size + store
+            if key in table:
+                delta = table[key]
+            else:
+                delta = table[key] = step(k, key)
+            if delta is None:
                 continue
-            node = cfgs[tid][pt]
-            if node.kind == "assign":
-                out = exec_assign(node.stmt, sdict)
-                for v in node.stmt.targets:
-                    if out[v] not in allowed[v]:
-                        raise UniverseEscape(
-                            f"{tid}:{pt} wrote {v}={out[v]}, outside the universe")
-                new_store = tuple(out[v] for v in order)
-                new_pcs = pcs[:idx] + (node.succ,) + pcs[idx + 1:]
-                if collect_transitions and new_store != store:
-                    transitions.add((tid, store, new_store))
-            elif node.kind == "skip":
-                new_store = store
-                new_pcs = pcs[:idx] + (node.succ,) + pcs[idx + 1:]
-            else:  # branch / loop: guard evaluation is one visible step
-                taken = node.succ_true if eval_cond(node.cond, sdict) else node.succ_false
-                new_store = store
-                new_pcs = pcs[:idx] + (taken,) + pcs[idx + 1:]
             steps += 1
-            cfg = (new_pcs, new_store)
-            if cfg not in seen:
+            nxt = cfg + delta
+            if nxt not in seen:
                 if len(seen) >= budget.max_states or steps >= budget.max_steps:
                     bounded = True
                     continue
-                seen.add(cfg)
-                record(new_pcs, new_store)
-                frontier.append(cfg)
+                seen.add(nxt)
+                queue.append(nxt)
 
+    # Every discovered configuration was visited, in discovery order, so each
+    # table's keys are its thread's (point, store) projection of them.
+    reachable: dict = {}
+    for t, flow, (_, _, _, table) in zip(p.threads, flows, threads):
+        for key in table:
+            pc, store = divmod(key, size)
+            reachable.setdefault((t.tid, flow.points[pc]), set()).add(store_of(store))
+    exit_states = {store_of(cfg) for cfg in filter(size.__gt__, queue)}
     return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
                         transitions=transitions, bounded=bounded)
 

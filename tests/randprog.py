@@ -1,6 +1,9 @@
 """Seeded random program generator producing finite-state concurrent
 programs: every assignment writes a literal in {0,1} or copies another
-variable, so exploration over the {0,1} universe never escapes."""
+variable, so exploration over the {0,1} universe never escapes.
+
+By default a program has 2 threads over 1-3 variables; `threads` and
+`nvars` widen it without changing what any seed yields at the defaults."""
 
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from condwrites.lang import (
 )
 
 VALUES = (0, 1)
+VARIABLES = ("x", "y", "z", "w", "v", "u")
 
 
 class _Gen:
@@ -65,17 +69,18 @@ class _Gen:
         return Seq(tuple(items)), used
 
 
-def random_program(seed: int) -> Program:
+def random_program(seed: int, threads: int = 2,
+                   nvars: tuple[int, int] = (1, 3)) -> Program:
+    """`nvars` is the inclusive range the variable count is drawn from."""
     rng = random.Random(seed)
-    nvars = rng.randint(1, 3)
-    variables = tuple("xyz"[:nvars])
-    threads = []
-    for tid in ("T0", "T1"):
+    variables = VARIABLES[:rng.randint(*nvars)]
+    built = []
+    for tid in (f"T{i}" for i in range(threads)):
         g = _Gen(rng, variables)
         body, _ = g.body(budget=6, depth=2)
-        threads.append(Thread(tid, body, frozenset(variables)))
+        built.append(Thread(tid, body, frozenset(variables)))
     pre = BoolLit(True)
     if rng.random() < 0.5:
         pre = Cmp("==", VarRef(rng.choice(variables)), Lit(0))
-    return Program(variables=variables, threads=tuple(threads),
+    return Program(variables=variables, threads=tuple(built),
                    pre=pre, post=BoolLit(True))

@@ -232,6 +232,33 @@ def test_criterion_5_random_programs_vs_oracle():
     report(f"5 end-to-end soundness on 100 random programs ({elapsed:.1f}s)", ok)
 
 
+def test_criterion_5_wide_random_programs_vs_oracle():
+    # 3 threads over 4-5 variables: up to 2^5 stores times the product of
+    # three threads' points, all explored within the default budget
+    started = time.perf_counter()
+    failures = []
+    for seed in range(1, 201):
+        program = random_program(seed, threads=3, nvars=(4, 5))
+        report_ = explore(program)
+        if report_.bounded:
+            failures.append((seed, "exploration cut by the budget"))
+            continue
+        for domain in ("const", "const-powerset"):
+            for mode in ("transitive", "nontransitive"):
+                res = analyse(program, AnalysisConfig(mode=mode, domain=domain))
+                if not res.converged:
+                    failures.append((seed, domain, mode, "did not converge"))
+                    continue
+                bad = check_soundness(res, report_)
+                if bad:
+                    failures.append((seed, domain, mode, bad[:3]))
+    elapsed = time.perf_counter() - started
+    if failures:
+        print(failures[:5], file=sys.stderr)
+    report(f"5 end-to-end soundness on 200 random 3-thread programs over "
+           f"4-5 variables ({elapsed:.1f}s)", not failures)
+
+
 # -- 6: qualitative corpus patterns ----------------------------------------------------
 
 

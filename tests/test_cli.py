@@ -197,6 +197,38 @@ def test_oracle_universe_too_large(tmp_path, capsys):
     assert code == 2 and "exceeds cap" in err  # 4^12 oracle states
 
 
+def test_oracle_reachable_write_escapes(tmp_path, capsys):
+    # the universe is {0, 1} (literals plus 0 and 1), and 1 + 1 leaves it
+    prog = tmp_path / "escape.cw"
+    prog.write_text("vars x; pre x == 1; thread T { x := x + 1; }")
+    code, out, err = run(capsys, "analyze", str(prog), "--check-oracle")
+    assert code == 2 and "outside the universe" in err
+    assert "oracle:" not in out
+
+
+def test_oracle_unreachable_write_does_not_escape(tmp_path, capsys):
+    # x + 9 leaves the universe {0, 1, 5, 9}, but x == 5 never holds
+    prog = tmp_path / "guarded.cw"
+    prog.write_text("vars x; pre x == 0; thread T { if (x == 5) { x := x + 9; } }")
+    code, out, err = run(capsys, "analyze", str(prog), "--check-oracle")
+    assert code == 0 and err == ""
+    assert "oracle: 2 points explored, bounded=False, violations=0" in out
+
+
+def test_outer_fuel_exhausted_exit_code(capsys):
+    code, _, err = run(capsys, "analyze", str(PROGRAMS_DIR / "mutex_flags.cw"),
+                       "--fuel-outer", "1")
+    assert code == 2
+    assert "error: outer fixpoint did not converge within fuel" in err
+
+
+def test_inner_fuel_exhausted_exit_code(capsys):
+    code, _, err = run(capsys, "analyze", str(PROGRAMS_DIR / "spin_gate.cw"),
+                       "--fuel-inner", "1")
+    assert code == 2
+    assert "error: stabilise_fix did not converge in 1 steps" in err
+
+
 @pytest.mark.parametrize("source", [
     "vars x; thread T { " + "if (x == 0) { " * 1500 + "x := 1;" + " }" * 1500 + " }",
     "vars x; thread T { if (" + "(" * 1500 + "x == 0" + ")" * 1500 + ") { x := 1; } }",

@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Not, Or,
     ParseError, Seq, Skip, VarRef, While,
-    INT_MAX, cond_vars, eval_cond, eval_expr, exec_assign, expr_vars,
-    format_program, negate, parse_program, program_literals, statements,
+    EXIT, INT_MAX, cond_vars, control_flow, eval_cond, eval_expr, exec_assign,
+    expr_vars, format_program, negate, parse_program, program_literals,
+    statements,
 )
 
 FLAGGED = """
@@ -56,6 +57,33 @@ def test_parse_relyvars_and_explicit_else():
     assert t.rely_vars == frozenset({"a"})
     ite = t.body
     assert isinstance(ite.els, Skip) and ite.els.label == 3  # explicit skip is a point
+
+
+def test_control_flow_dense_points_and_links():
+    p = parse_program("""
+        vars x;
+        thread T {
+            if (x == 0) { x := 1; }
+            while (x < 2) { skip; x := x + 1; }
+            if (x == 2) { skip; } else { x := 0; }
+        }
+    """)
+    body = p.threads[0].body
+    g = control_flow(body)
+    # index 0 is the exit; the rest follow `statements` preorder
+    assert g.points == (EXIT, *(s.label for s in statements(body)))
+    assert g.points == (EXIT, 1, 2, 3, 4, 5, 6, 7, 8)
+    assert g.stmts[0] is None and g.stmts[1:] == tuple(statements(body))
+    assert g.entry == 1
+    # if without else: the synthetic else-skip falls through to the loop
+    assert (g.succ[1], g.succ_false[1]) == (2, 3)
+    assert g.succ[2] == 3
+    # loop: body on true, the next if on false; the body's end loops back
+    assert (g.succ[3], g.succ_false[3]) == (4, 6)
+    assert (g.succ[4], g.succ[5]) == (5, 3)
+    # both branches of the last if end at the exit
+    assert (g.succ[6], g.succ_false[6]) == (7, 8)
+    assert g.succ[7] == g.succ[8] == 0
 
 
 def test_operator_precedence_and_unary_minus():

@@ -1,5 +1,6 @@
 import pytest
 
+from condwrites import corpus
 from condwrites.domains import CM_BOT, Universe, cm_make
 from condwrites.engine import EXIT, AnalysisConfig, analyse
 from condwrites.lang import parse_program
@@ -7,6 +8,8 @@ from condwrites.oracle import (
     Budget, UniverseEscape, check_soundness, default_universe, explore,
 )
 
+from randprog import random_program
+from reference_oracle import explore as reference_explore
 from test_lang import FLAGGED
 
 
@@ -125,3 +128,64 @@ def test_machine_report_shape():
     assert m["bounded"] is False
     assert m["reachable_counts"]["T0@1"] > 0
     assert all(s[2] == 0 for s in m["exit_states"])
+
+
+# -- differential tests against the reference explorer ---------------------------
+
+# The two budgets each stop most random programs part way; `state_cut`
+# stops every corpus program, `step_cut` all but spin_gate and mutex_flags.
+SETTINGS = {
+    "plain": {},
+    "transitions": {"collect_transitions": True},
+    "state_cut": {"budget": Budget(max_states=10)},
+    "step_cut": {"budget": Budget(max_steps=30)},
+}
+
+
+def assert_same_report(got, want, where):
+    assert got.bounded == want.bounded, where
+    assert got.reachable == want.reachable, where
+    assert got.exit_states == want.exit_states, where
+    assert got.transitions == want.transitions, where
+    # same discovery order per point, so soundness violations list alike
+    for key, states in want.reachable.items():
+        assert list(got.reachable[key]) == list(states), (where, key)
+    for tid in {tid for tid, _ in want.reachable}:
+        assert ([k for k in got.reachable if k[0] == tid]
+                == [k for k in want.reachable if k[0] == tid]), (where, tid)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("case", corpus.CASES, ids=lambda c: c.name)
+def test_explore_matches_reference_on_corpus(case, setting):
+    p = parse_program((corpus.PROGRAMS_DIR / case.filename).read_text())
+    got = explore(p, **SETTINGS[setting])
+    assert_same_report(got, reference_explore(p, **SETTINGS[setting]), case.name)
+    if setting == "state_cut":
+        assert got.bounded
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_explore_matches_reference_on_random_programs(setting):
+    bounded = 0
+    for seed in range(1, 401):
+        p = random_program(seed)
+        got = explore(p, **SETTINGS[setting])
+        assert_same_report(got, reference_explore(p, **SETTINGS[setting]), seed)
+        bounded += got.bounded
+    assert (bounded > 0) == setting.endswith("cut")
+
+
+def test_explore_matches_reference_on_universe_escape():
+    p = parse_program("""
+        vars x, y;
+        pre x == 0 && y == 0;
+        thread A { x := 1; x := x + x; }
+        thread B { y := 1; y := y + y; }
+    """)
+    errors = []
+    for fn in (explore, reference_explore):
+        with pytest.raises(UniverseEscape) as info:
+            fn(p)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "A:2 wrote x=2, outside the universe"
