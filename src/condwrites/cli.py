@@ -120,7 +120,7 @@ def _analyze(args) -> int:
         try:
             report = explore(program, budget=Budget())
             violations = check_soundness(result, report)
-        except (UniverseEscape, UniverseTooLarge) as exc:
+        except (LangError, UniverseEscape, UniverseTooLarge) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -1,5 +1,10 @@
 """Rely-guarantee generation: per-thread collecting semantics, rely
-derivation, the outer fixpoint, and the postcondition verdict."""
+derivation, the outer fixpoint, and the postcondition verdict.
+
+A collecting pass carries only the abstract state through a thread body and
+records its proof outline. The thread's guarantee is read off that outline
+afterwards: the join of the transitions of each assignment from its
+pre-assertion, as in the paper."""
 
 from __future__ import annotations
 
@@ -7,7 +12,8 @@ import time
 from dataclasses import dataclass, field
 
 from .lang import (
-    EXIT, Assign, Cond, Ite, Program, Seq, Skip, While, negate,
+    EXIT, Assign, Cond, Ite, Program, Seq, Skip, While, format_inst, negate,
+    statements,
 )
 from .domains import OpsCounter, StateDomain, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
@@ -90,72 +96,68 @@ def rely(cw: CondWrites, tid: str, guarantees: dict[str, Interference],
     return acc
 
 
-class _Collector:
-    """One pass of the collecting semantics over a thread body under a fixed
-    rely. The value flowing through the body is (state, guarantee), and each
-    labelled point stabilises its incoming state once."""
-
-    def __init__(self, cw: CondWrites, r: Interference, n: int,
-                 transitive: bool, outline: ProofOutline, fuel_inner: int):
-        self.cw = cw
-        self.dom = cw.dom
-        self.r = r
-        self.n = n
-        self.transitive = transitive
-        self.outline = outline
-        self.fuel_inner = fuel_inner
-
-    def stab(self, d):
-        if self.transitive:
-            return self.cw.stabilise(self.r, d, self.n)
-        return self.cw.stabilise_fix(self.r, d, self.n)
-
-    def run(self, inst, d, g: Interference) -> tuple[object, Interference]:
-        dom, cw, outline = self.dom, self.cw, self.outline
-        if isinstance(inst, Seq):
-            for item in inst.items:
-                d, g = self.run(item, d, g)
-            return d, g
-        if isinstance(inst, Skip):
-            if inst.label is not None:
-                outline.pre[inst.label] = outline.post[inst.label] = self.stab(d)
-            return d, g
-        if isinstance(inst, Assign):
-            s = outline.pre[inst.label] = self.stab(d)
-            d2 = outline.post[inst.label] = dom.post(inst, s)
-            return d2, cw.join(g, cw.transitions(s, inst))
-        if isinstance(inst, Ite):
-            s = outline.pre[inst.label] = self.stab(d)
-            d1, g1 = self.run(inst.then, dom.filter(inst.cond, s), g)
-            d2, g2 = self.run(inst.els, dom.filter(negate(inst.cond), s), g)
-            d = outline.post[inst.label] = dom.join(d1, d2)
-            return d, cw.join(g1, g2)
-        if isinstance(inst, While):
-            for _ in range(self.fuel_inner):
-                s = self.stab(d)
-                d_body, g_body = self.run(inst.body, dom.filter(inst.cond, s), g)
-                d_next, g_next = dom.join(d, d_body), cw.join(g, g_body)
-                if dom.leq(d_next, d) and cw.leq(g_next, g):
-                    break
-                d, g = d_next, g_next
-            else:
-                raise FuelExhausted(
-                    f"loop at point {inst.label} did not converge in {self.fuel_inner} passes")
-            # the converging pass left d unchanged, so s is its stabilisation
-            outline.pre[inst.label] = s
-            d = outline.post[inst.label] = dom.filter(negate(inst.cond), s)
-            return d, g
-        raise TypeError(inst)
-
-
 def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
             fuel_inner: int = 1000) -> tuple[Interference, ProofOutline]:
     """Run one thread body from state d under rely r; return the guarantee
-    it generates and its proof outline."""
+    it generates and its proof outline.
+
+    The pass carries the state alone and stabilises each labelled point's
+    incoming state once; a loop stops when its state is stable. The
+    guarantee is the join of `cw.transitions(outline.pre[a.label], a)` over
+    the assignments `a` of the body. That equals joining the transitions of
+    every pass as the pass runs: each pass's pre-assertions are at or below
+    the final ones, since loop states only grow and the semantics is
+    monotone, and `transitions` is monotone too. Stopping a loop once its
+    state is stable loses nothing: one more pass would recompute the same
+    outline."""
+    dom = cw.dom
     outline = ProofOutline()
-    coll = _Collector(cw, r, n, transitive, outline, fuel_inner)
-    d, g = coll.run(body, d, cw.bot())
-    outline.exit = coll.stab(d)
+
+    def stab(d):
+        if transitive:
+            return cw.stabilise(r, d, n)
+        return cw.stabilise_fix(r, d, n)
+
+    def run(inst, d):
+        if isinstance(inst, Seq):
+            for item in inst.items:
+                d = run(item, d)
+            return d
+        if isinstance(inst, Skip):
+            if inst.label is not None:
+                outline.pre[inst.label] = outline.post[inst.label] = stab(d)
+            return d
+        if isinstance(inst, Assign):
+            s = outline.pre[inst.label] = stab(d)
+            d = outline.post[inst.label] = dom.post(inst, s)
+            return d
+        if isinstance(inst, Ite):
+            s = outline.pre[inst.label] = stab(d)
+            d1 = run(inst.then, dom.filter(inst.cond, s))
+            d2 = run(inst.els, dom.filter(negate(inst.cond), s))
+            d = outline.post[inst.label] = dom.join(d1, d2)
+            return d
+        if isinstance(inst, While):
+            for _ in range(fuel_inner):
+                s = stab(d)
+                d_next = dom.join(d, run(inst.body, dom.filter(inst.cond, s)))
+                if dom.leq(d_next, d):
+                    break
+                d = d_next
+            else:
+                raise FuelExhausted(
+                    f"loop at point {inst.label} did not converge in {fuel_inner} passes")
+            # the converging pass left d unchanged, so s is its stabilisation
+            outline.pre[inst.label] = s
+            d = outline.post[inst.label] = dom.filter(negate(inst.cond), s)
+            return d
+        raise TypeError(inst)
+
+    outline.exit = stab(run(body, d))
+    g = cw.bot()
+    for a in statements(body):
+        if isinstance(a, Assign):
+            g = cw.join(g, cw.transitions(outline.pre[a.label], a))
     return g, outline
 
 
@@ -260,50 +262,13 @@ def to_machine(result: AnalysisResult) -> dict:
 
 
 def render_text(result: AnalysisResult, ascii_only: bool = False) -> str:
-    from .lang import format_cond, format_expr  # local import to avoid cycle noise
-
     dom, cw = result.domain, result.cw
     lines: list[str] = []
-
-    def emit_inst(inst, outline: ProofOutline, indent: int) -> None:
-        pad = "    " * indent
-        if isinstance(inst, Seq):
-            for item in inst.items:
-                emit_inst(item, outline, indent)
-            return
-        if isinstance(inst, Skip):
-            if inst.label is None:
-                return
-            lines.append(f"{pad}   {dom.fmt(outline.pre[inst.label], ascii_only)}")
-            lines.append(f"{pad}{inst.label}: skip;")
-            return
-        if isinstance(inst, Assign):
-            lines.append(f"{pad}   {dom.fmt(outline.pre[inst.label], ascii_only)}")
-            lhs = ", ".join(inst.targets)
-            rhs = ", ".join(format_expr(e) for e in inst.exprs)
-            lines.append(f"{pad}{inst.label}: {lhs} := {rhs};")
-            return
-        if isinstance(inst, Ite):
-            lines.append(f"{pad}   {dom.fmt(outline.pre[inst.label], ascii_only)}")
-            lines.append(f"{pad}{inst.label}: if ({format_cond(inst.cond)}) {{")
-            emit_inst(inst.then, outline, indent + 1)
-            if not (isinstance(inst.els, Skip) and inst.els.label is None):
-                lines.append(f"{pad}}} else {{")
-                emit_inst(inst.els, outline, indent + 1)
-            lines.append(f"{pad}}}")
-            return
-        if isinstance(inst, While):
-            lines.append(f"{pad}   {dom.fmt(outline.pre[inst.label], ascii_only)}")
-            lines.append(f"{pad}{inst.label}: while ({format_cond(inst.cond)}) {{")
-            emit_inst(inst.body, outline, indent + 1)
-            lines.append(f"{pad}}}")
-            return
-        raise TypeError(inst)
-
     for t in result.program.threads:
         outline = result.outlines[t.tid]
         lines.append(f"thread {t.tid}:")
-        emit_inst(t.body, outline, 1)
+        lines.append(format_inst(
+            t.body, 1, lambda label: dom.fmt(outline.pre[label], ascii_only)))
         lines.append(f"       {dom.fmt(outline.exit, ascii_only)}  (exit)")
         lines.append(f"    rely      = {cw.fmt(result.relies[t.tid], ascii_only)}")
         lines.append(f"    guarantee = {cw.fmt(result.guarantees[t.tid], ascii_only)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -718,23 +718,31 @@ def format_cond(c: Cond) -> str:
     raise TypeError(c)
 
 
-def format_inst(inst: Inst, indent: int = 0) -> str:
+def format_inst(inst: Inst, indent: int = 0,
+                note: Callable[[int], str] | None = None) -> str:
+    """Print a statement. With `note`, each labelled statement is preceded
+    by a line holding `note(label)` and prefixed with its label."""
     pad = "    " * indent
     if isinstance(inst, Seq):
-        return "\n".join(format_inst(i, indent) for i in inst.items)
+        return "\n".join(format_inst(i, indent, note) for i in inst.items)
+    lead = pad
+    if note is not None and inst.label is not None:
+        lead = f"{pad}   {note(inst.label)}\n{pad}{inst.label}: "
     if isinstance(inst, Skip):
-        return f"{pad}skip;"
+        return f"{lead}skip;"
     if isinstance(inst, Assign):
         lhs = ", ".join(inst.targets)
         rhs = ", ".join(format_expr(e) for e in inst.exprs)
-        return f"{pad}{lhs} := {rhs};"
+        return f"{lead}{lhs} := {rhs};"
     if isinstance(inst, Ite):
-        out = f"{pad}if ({format_cond(inst.cond)}) {{\n{format_inst(inst.then, indent + 1)}\n{pad}}}"
+        out = (f"{lead}if ({format_cond(inst.cond)}) {{\n"
+               f"{format_inst(inst.then, indent + 1, note)}\n{pad}}}")
         if not (isinstance(inst.els, Skip) and inst.els.label is None):
-            out += f" else {{\n{format_inst(inst.els, indent + 1)}\n{pad}}}"
+            out += f" else {{\n{format_inst(inst.els, indent + 1, note)}\n{pad}}}"
         return out
     if isinstance(inst, While):
-        return f"{pad}while ({format_cond(inst.cond)}) {{\n{format_inst(inst.body, indent + 1)}\n{pad}}}"
+        return (f"{lead}while ({format_cond(inst.cond)}) {{\n"
+                f"{format_inst(inst.body, indent + 1, note)}\n{pad}}}")
     raise TypeError(inst)
 
 

@@ -206,6 +206,16 @@ def test_oracle_reachable_write_escapes(tmp_path, capsys):
     assert "oracle:" not in out
 
 
+def test_oracle_overflow_exit_code(tmp_path, capsys):
+    # 2^62 squared leaves the 64-bit integers of the language: the analysis
+    # folds it to an unknown value, the oracle's concrete step raises
+    prog = tmp_path / "overflow.cw"
+    prog.write_text("vars x; pre x == 4611686018427387904; thread T { x := x * x; }")
+    code, out, err = run(capsys, "analyze", str(prog), "--check-oracle")
+    assert code == 2 and "error: integer overflow" in err
+    assert "oracle:" not in out
+
+
 def test_oracle_unreachable_write_does_not_escape(tmp_path, capsys):
     # x + 9 leaves the universe {0, 1, 5, 9}, but x == 5 never holds
     prog = tmp_path / "guarded.cw"

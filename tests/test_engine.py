@@ -122,18 +122,24 @@ def test_loop_collecting_semantics():
 
 
 def test_collect_stabilises_each_point_once(monkeypatch):
-    stab_calls, assigns = [], []
-    real_fix, real_trans = CondWrites.stabilise_fix, CondWrites.transitions
+    stab_calls, posts, assigns = [], [], []
+    real_fix = CondWrites.stabilise_fix
+    real_post, real_trans = ConstDomain.post, CondWrites.transitions
 
     def stabilise_fix(self, i, d, n):
         stab_calls.append(d)
         return real_fix(self, i, d, n)
+
+    def post(self, a, d):
+        posts.append(a.label)
+        return real_post(self, a, d)
 
     def transitions(self, d, a):
         assigns.append(a.label)
         return real_trans(self, d, a)
 
     monkeypatch.setattr(CondWrites, "stabilise_fix", stabilise_fix)
+    monkeypatch.setattr(ConstDomain, "post", post)
     monkeypatch.setattr(CondWrites, "transitions", transitions)
     for domain in ("const", "const-powerset"):
         res = analyse_flagged(domain=domain, mode="nontransitive")
@@ -150,13 +156,17 @@ def test_collect_stabilises_each_point_once(monkeypatch):
     """)
     cw = CondWrites(ConstDomain(p.variables))
     stab_calls.clear()
+    posts.clear()
     assigns.clear()
     collect(cw, p.threads[0].body, cw.dom.filter(p.pre, CM_TOP), cw.bot(), 2, False)
-    # each pass stabilises the loop head and the body's assignment once;
-    # the skip and the exit add one call each
-    passes = len(assigns)
-    assert passes == 3
+    # each pass stabilises the loop head and the body's assignment once and
+    # runs that assignment; the skip and the exit add one call each. The loop
+    # stops once its state is stable, and the guarantee is read off the
+    # outline afterwards, one transitions call per assignment
+    passes = len(posts)
+    assert passes == 2
     assert len(stab_calls) == 1 + 2 * passes + 1
+    assert assigns == [3]
 
 
 def test_check_post():

@@ -1,0 +1,51 @@
+"""Differential test of `engine.collect` against the collecting pass that
+threaded the guarantee through every statement (`reference_engine.collect`).
+
+Deriving each guarantee from the final proof outline must give the same
+outlines, relies, guarantees, verdict, convergence and outer rounds, and it
+never costs more ops."""
+
+import pytest
+
+from condwrites import engine
+from condwrites.corpus import CASES
+from condwrites.engine import AnalysisConfig, analyse
+
+from randprog import random_program
+import reference_engine
+
+CONFIGS = [
+    AnalysisConfig(domain=domain, mode=mode, max_disjuncts=cap)
+    for mode in ("nontransitive", "transitive")
+    for domain, cap in (("const", 64), ("const-powerset", 64),
+                        ("const-powerset", 2), ("const-powerset", 1))
+]
+PROGRAMS = {
+    **{case.name: case.load for case in CASES},
+    **{f"seed{seed}": (lambda seed=seed: random_program(seed))
+       for seed in range(1, 401)},
+}
+
+
+def observed(result) -> dict:
+    return {
+        "outlines": {tid: (o.pre, o.post, o.exit)
+                     for tid, o in result.outlines.items()},
+        "relies": result.relies,
+        "guarantees": result.guarantees,
+        "verdict": result.verdict,
+        "converged": result.converged,
+        "outer_iterations": result.metrics.outer_iterations,
+    }
+
+
+@pytest.mark.parametrize("config", CONFIGS,
+                         ids=lambda c: f"{c.domain}-{c.max_disjuncts}-{c.mode}")
+def test_collect_matches_reference(monkeypatch, config):
+    programs = {name: load() for name, load in PROGRAMS.items()}
+    ours = {name: analyse(p, config) for name, p in programs.items()}
+    monkeypatch.setattr(engine, "collect", reference_engine.collect)
+    for name, p in programs.items():
+        ref = analyse(p, config)
+        assert observed(ours[name]) == observed(ref), name
+        assert ours[name].metrics.ops <= ref.metrics.ops, name

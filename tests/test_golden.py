@@ -3,8 +3,9 @@
 Compares `to_machine` (without `time_s`) and `render_text` (without its
 `time_s:` line), ops included, against `golden/corpus_outputs.json`. A change
 that alters outlines, relies, guarantees or op accounting must regenerate the
-file on purpose and report the difference (every cell's ops, the cells that
-changed besides ops, and the criterion-6 count before and after):
+file on purpose and report the difference (every cell's ops and their
+total, the cells that changed besides ops, and the criterion-6 count before
+and after):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -78,6 +79,9 @@ if __name__ == "__main__":
     print(f"cells whose output changed besides ops: {len(changed)}")
     for key in changed:
         print(f"  {key}")
+    before_ops, after_ops = (sum(row["ops"] for row in ops_rows(d))
+                             for d in (old, doc))
+    print(f"corpus ops total: {before_ops} -> {after_ops}")
     before_nt, after_nt = (nt_cheaper_cells(ops_rows(d)) for d in (old, doc))
     print("non-transitive mode needs fewer ops (criterion 6): "
           f"{before_nt[0]}/{before_nt[1]} -> {after_nt[0]}/{after_nt[1]} cells")
