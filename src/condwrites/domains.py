@@ -53,9 +53,12 @@ class Universe:
             n *= len(vals)
         return n
 
-    def states(self) -> Iterator[dict]:
+    def check_size(self) -> None:
         if self.size() > self.cap:
             raise UniverseTooLarge(f"{self.size()} states exceeds cap {self.cap}")
+
+    def states(self) -> Iterator[dict]:
+        self.check_size()
         names = self.var_order
         for combo in itertools.product(*(vals for _, vals in self.values)):
             yield dict(zip(names, combo))
@@ -320,12 +323,19 @@ class PowElem:
 
 
 def _pw_normalize(maps: Iterable[ConstMap]) -> frozenset[ConstMap]:
-    # keep the maximal maps: those whose bindings strictly contain no other's
+    # keep the maximal maps: those whose bindings strictly contain no other's.
+    # Only a map with fewer bindings can be strictly contained, so a scan by
+    # ascending binding count need only test the maps already kept: a dropped
+    # map's bindings contain a kept map's, and containment is transitive.
     uniq = {m for m in maps if not m.bottom}
     if len(uniq) < 2:
         return frozenset(uniq)
-    return frozenset(
-        m for m in uniq if not any(m2.items < m.items for m2 in uniq))
+    kept: list[ConstMap] = []
+    for m in sorted(uniq, key=lambda m: len(m.items)):
+        items = m.items
+        if not any(k.items < items for k in kept):
+            kept.append(m)
+    return frozenset(kept)
 
 
 class ConstPowersetDomain(StateDomain):
@@ -366,8 +376,18 @@ class ConstPowersetDomain(StateDomain):
         )
 
     def join(self, d1: PowElem, d2: PowElem) -> PowElem:
+        """`make(d1 ∪ d2)` for antichains d1 and d2, by cross comparisons
+        only: no map of an antichain lies strictly below another of it, and
+        a map in both survives."""
         self.ops.bump()
-        return self.make(d1.disjuncts | d2.disjuncts)
+        a, b = d1.disjuncts, d2.disjuncts
+        if a <= b:
+            return d2
+        if b <= a:
+            return d1
+        keep_a = [m for m in a - b if not any(k.items < m.items for k in b)]
+        keep_b = [m for m in b if not any(k.items < m.items for k in a)]
+        return self._cap(PowElem(frozenset(keep_a).union(keep_b)))
 
     def meet(self, d1: PowElem, d2: PowElem) -> PowElem:
         self.ops.bump()

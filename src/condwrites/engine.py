@@ -4,12 +4,17 @@ derivation, the outer fixpoint, and the postcondition verdict.
 A collecting pass carries only the abstract state through a thread body and
 records its proof outline. The thread's guarantee is read off that outline
 afterwards: the join of the transitions of each assignment from its
-pre-assertion, as in the paper."""
+pre-assertion, as in the paper.
+
+Every fold over guarantees, transitions or exit states starts from its first
+operand rather than from bottom or top: `join(bot, x)` and `meet(top, x)`
+are x itself in both domains, so only the op count changes."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .lang import (
     EXIT, Assign, Cond, Ite, Program, Seq, Skip, While, format_inst, negate,
@@ -86,10 +91,8 @@ def reduce_interference(cw: CondWrites, i: Interference,
 
 def rely(cw: CondWrites, tid: str, guarantees: dict[str, Interference],
          rely_vars: frozenset[str], transitive: bool) -> Interference:
-    acc = cw.bot()
-    for other, g in guarantees.items():
-        if other != tid:
-            acc = cw.join(acc, g)
+    others = [g for other, g in guarantees.items() if other != tid]
+    acc = reduce(cw.join, others) if others else cw.bot()
     acc = reduce_interference(cw, acc, rely_vars)
     if transitive:
         acc = cw.close(acc)
@@ -154,11 +157,9 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
         raise TypeError(inst)
 
     outline.exit = stab(run(body, d))
-    g = cw.bot()
-    for a in statements(body):
-        if isinstance(a, Assign):
-            g = cw.join(g, cw.transitions(outline.pre[a.label], a))
-    return g, outline
+    writes = [cw.transitions(outline.pre[a.label], a)
+              for a in statements(body) if isinstance(a, Assign)]
+    return (reduce(cw.join, writes) if writes else cw.bot()), outline
 
 
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
@@ -225,9 +226,8 @@ def check_post(dom: StateDomain, outlines: dict[str, ProofOutline],
                post: Cond) -> str:
     """The postcondition holds if no state in the meet of all thread exit
     assertions can satisfy its negation."""
-    d_final = dom.top()
-    for outline in outlines.values():
-        d_final = dom.meet(d_final, outline.exit)
+    exits = [outline.exit for outline in outlines.values()]
+    d_final = reduce(dom.meet, exits) if exits else dom.top()
     violating = dom.filter(negate(post), d_final)
     return "verified" if dom.is_bot(violating) else "notVerified"
 

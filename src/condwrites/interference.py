@@ -28,6 +28,26 @@ and hash by content. The memo is exact because `_stabilise_enum` is a pure
 function of its arguments and of the instance's fixed `dom` and `opt_b1`.
 `analyse` builds one `CondWrites` per call, so the memo lives for one
 analysis. A hit performs no lattice operation and so counts no ops.
+
+The write-conditions do not depend on d, so the walk is split in two.
+`_write_sets(i, n)` is the plan: the write sets that survive b1 pruning with
+a non-bottom wc_S, in walk order, each with its wc_S. It is built once per
+instance for each (write-conditions in variable order, n), so every
+`stabilise` under one rely shares it, and `_stabilise_enum` only meets d with
+each wc_S, havocs and joins. The walk yields each set after its prefix, the
+set minus its last variable, so wc_S is one meet of the prefix's wc with
+i[last]; a singleton's wc is i[v], and the empty set's term is d itself.
+The coarse term's join starts from its first operand, as ⊥ ⊔ x = x.
+`_close_one` shares its prefix meets the same way within one call.
+
+This is exact also when the powerset cap collapses disjuncts inside a meet,
+where meets no longer associate: the plan computes the same left fold,
+top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-met each set
+from top, because top ⊓ x = x. A set whose prefix was dropped is dropped
+too: with b1 the prefix's bottom wc blocks it, and without b1 its fold
+meets bottom and stays bottom. So every value is unchanged and only the
+ops of the repeated meets fall. The walk that re-meets every set from top is
+kept as the differential reference in `tests/reference_interference.py`.
 """
 
 from __future__ import annotations
@@ -57,6 +77,7 @@ class CondWrites:
         self.opt_b2a = opt_b2a  # close: powerset over constrained vars only
         self.opt_b2b = opt_b2b  # close: skip strict supersets once havoc covers meet
         self._stabilise_memo: dict = {}  # (write-conditions, d, n) -> result
+        self._plans: dict = {}  # (write-conditions, n) -> write-set plan
 
     # -- lattice ------------------------------------------------------------
 
@@ -125,32 +146,57 @@ class CondWrites:
             out = self._stabilise_memo[key] = self._stabilise_enum(i, d, n)
         return out
 
-    def _stabilise_enum(self, i: Interference, d, n: int):
-        # the generic subset enumeration, and the reference for closed forms
+    def _write_sets(self, i: Interference, n: int) -> dict:
+        """The plan of the subset walk under i at precision n: each write set
+        S of at most n + 1 variables that survives b1 pruning and has a
+        non-bottom wc_S, as `combo: (vset, wc_S)` in walk order, starting
+        with the empty set and its wc, top. Built once per instance for each
+        (i's write-conditions in variable order, n). A singleton's wc is
+        i[v]; a larger set's is one meet of its prefix's wc with i[last]."""
+        key = (tuple(i[v] for v in self.dom.variables), n)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
         dom = self.dom
         variables = sorted(dom.variables)
-        acc = d
-        y_acc = dom.bot()
-        y_vars: set[str] = set()
+        plan = self._plans[key] = {}
         blocked: list[frozenset[str]] = []
         for combo in self._subsets(variables, min(n + 1, len(variables))):
             vset = frozenset(combo)
             if self.opt_b1 and any(b <= vset for b in blocked):
                 continue
-            wc = dom.top()
-            for v in combo:
-                wc = dom.meet(wc, i[v])
+            if len(combo) <= 1:
+                wc = i[combo[0]] if combo else dom.top()
+            else:
+                prefix = plan.get(combo[:-1])
+                if prefix is None:
+                    # the prefix's wc is bottom (b1 off), so this one is too
+                    continue
+                wc = dom.meet(prefix[1], i[combo[-1]])
             if dom.is_bot(wc):
                 if self.opt_b1:
                     blocked.append(vset)
                 continue
+            plan[combo] = (vset, wc)
+        return plan
+
+    def _stabilise_enum(self, i: Interference, d, n: int):
+        # the generic subset enumeration over the plan, and the reference for
+        # closed forms; the empty write set's term is d itself, and the
+        # coarse term starts from the first feasible (n+1)-set's meet
+        dom = self.dom
+        acc = d
+        y_acc = None
+        y_vars: set[str] = set()
+        plan = self._write_sets(i, n).items()
+        for combo, (vset, wc) in itertools.islice(plan, 1, None):
             m = dom.meet(d, wc)
             if len(combo) <= n:
                 acc = dom.join(acc, dom.havoc(m, vset))
             elif not dom.is_bot(m):
-                y_acc = dom.join(y_acc, m)
+                y_acc = m if y_acc is None else dom.join(y_acc, m)
                 y_vars |= vset
-        if y_vars:
+        if y_acc is not None:
             acc = dom.join(acc, dom.havoc(y_acc, frozenset(y_vars)))
         return acc
 
@@ -192,6 +238,7 @@ class CondWrites:
             candidates = sorted(dom.variables)
         acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
         dominated: list[frozenset[str]] = []
+        meets: dict[tuple[str, ...], object] = {}
         for combo in self._subsets(candidates, len(candidates)):
             if not combo:
                 continue
@@ -199,9 +246,13 @@ class CondWrites:
             if self.opt_b2b and any(d0 < vset for d0 in dominated):
                 continue
             h = dom.havoc(iv, vset)
-            m = dom.top()
-            for u in combo:
-                m = dom.meet(m, i[u])
+            # a visited set's prefix was visited: a dominated set below the
+            # prefix lies below the set too
+            if len(combo) == 1:
+                m = i[combo[0]]
+            else:
+                m = dom.meet(meets[combo[:-1]], i[combo[-1]])
+            meets[combo] = m
             if self.opt_b2b and dom.leq(m, h):
                 dominated.append(vset)
                 acc = dom.join(acc, m)

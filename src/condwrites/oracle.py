@@ -34,11 +34,12 @@ record made per configuration field for field, `bounded` runs included.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .lang import (
-    Assign, Program, Skip, control_flow, eval_cond, exec_assign,
-    program_literals,
+    And, Assign, Cmp, Cond, Lit, Program, Skip, VarRef, control_flow,
+    eval_cond, exec_assign, program_literals,
 )
 from .domains import Universe
 from .engine import AnalysisResult
@@ -84,6 +85,23 @@ def default_universe(p: Program, extra: tuple[int, ...] = (0, 1)) -> Universe:
     return Universe.of({v: values for v in p.variables})
 
 
+def _pinned_values(c: Cond) -> dict[str, set[int]]:
+    """For each variable that a top-level `v == c` conjunct of c compares with
+    a constant, the values those conjuncts allow: one, or none when two of
+    them disagree."""
+    pins: dict[str, set[int]] = {}
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack += (node.left, node.right)
+        elif isinstance(node, Cmp) and node.op == "==":
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                if isinstance(a, VarRef) and isinstance(b, Lit):
+                    pins[a.name] = pins.get(a.name, {b.n}) & {b.n}
+    return pins
+
+
 def explore(p: Program, universe: Universe | None = None,
             budget: Budget | None = None,
             collect_transitions: bool = False) -> OracleReport:
@@ -100,7 +118,17 @@ def explore(p: Program, universe: Universe | None = None,
         strides.append(size)
         size *= len(vals)
     strides.reverse()
-    initial = [i for i, s in enumerate(u.states()) if eval_cond(p.pre, s)]
+    # The initial stores are those satisfying pre, in ascending store index.
+    # Only stores agreeing with pre's top-level `v == c` conjuncts can, so
+    # only they are enumerated, and pre is still evaluated on each.
+    u.check_size()
+    pins = _pinned_values(p.pre)
+    positions = [[k for k, n in enumerate(vals) if v not in pins or n in pins[v]]
+                 for v, vals in zip(order, domains)]
+    initial = []
+    for combo in itertools.product(*positions):
+        if eval_cond(p.pre, {v: vals[k] for v, vals, k in zip(order, domains, combo)}):
+            initial.append(sum(k * stride for k, stride in zip(combo, strides)))
 
     store_tuples: dict = {}
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
     CM_BOT, CM_TOP, ConstDomain, ConstMap, ConstPowersetDomain, OpsCounter,
-    PowElem, Universe, UniverseTooLarge, cm_leq, cm_make, make_domain,
+    PowElem, Universe, UniverseTooLarge, _pw_normalize, cm_leq, cm_make,
+    make_domain,
 )
 from condwrites.lang import Assign, Cmp, Lit, VarRef, parse_program
 
@@ -225,6 +226,38 @@ def test_pw_lattice_soundness_randomized():
         drop = frozenset(rng.sample(VARS, rng.randint(0, 2)))
         assert dom.leq(d1, dom.havoc(d1, drop))
         assert dom.havoc(dom.havoc(d1, drop), drop) == dom.havoc(d1, drop)
+
+
+def maximal_maps(maps) -> frozenset:
+    """The definition `_pw_normalize` implements: the non-bottom maps whose
+    bindings strictly contain no other's, by comparing every pair."""
+    uniq = {m for m in maps if not m.bottom}
+    return frozenset(m for m in uniq if not any(m2.items < m.items for m2 in uniq))
+
+
+def test_pw_normalize_matches_pairwise_definition():
+    rng = random.Random(6)
+    variables = ("a", "b", "c", "d")
+    for _ in range(3000):
+        maps = [random_cm(rng, variables, values=(0, 1, 2))
+                for _ in range(rng.randint(0, 12))]
+        assert _pw_normalize(maps) == maximal_maps(maps)
+
+
+@pytest.mark.parametrize("max_disjuncts", [64, 2, 1])
+def test_pw_join_of_antichains_is_make_of_union(max_disjuncts):
+    # the cross-comparison join equals renormalising the union, cap included
+    rng = random.Random(7)
+    variables = ("a", "b", "c")
+    dom = ConstPowersetDomain(variables, max_disjuncts=max_disjuncts)
+    for _ in range(3000):
+        d1, d2 = (random_pw(rng, dom, values=(0, 1, 2), max_disjuncts=5)
+                  for _ in range(2))
+        if rng.random() < 0.3:  # antichains sharing maps, or nested ones
+            shared = sorted(d1.disjuncts, key=lambda m: sorted(m.items))
+            d2 = dom.make(shared[:rng.randint(0, len(shared))] + list(d2.disjuncts))
+        assert dom.join(d1, d2) == dom.make(d1.disjuncts | d2.disjuncts)
+        assert dom.join(d2, d1) == dom.join(d1, d2)
 
 
 def test_pw_disjunct_cap_collapses_to_flat_join():

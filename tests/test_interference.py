@@ -5,6 +5,7 @@ import pytest
 
 from condwrites.domains import (
     CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, Universe, cm_make,
+    make_domain,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -13,6 +14,7 @@ from conftest import (
     bf_exec_assign, bf_gamma, bf_gamma_x, bf_is_transitive, bf_states,
     bf_step_image, random_assign, random_cm, random_elem, random_interference,
 )
+import reference_interference
 
 VARS3 = ("x", "z", "r")
 U3 = Universe.of({v: (0, 1) for v in VARS3})
@@ -302,6 +304,78 @@ def test_const_closed_form_bypasses_memo(monkeypatch):
         cw.stabilise(i, d, 3)
         cw.stabilise_fix(i, d, 3)
     assert calls == [] and cw._stabilise_memo == {}
+
+
+# -- the write-set plan against the enumerations it replaced -------------------
+
+
+def with_ops(cw: CondWrites, fn, *args):
+    before = cw.dom.ops.count
+    out = fn(*args)
+    return out, cw.dom.ops.count - before
+
+
+@pytest.mark.parametrize("kind,cap", [
+    ("const", 64), ("const-powerset", 64), ("const-powerset", 4),
+    ("const-powerset", 2), ("const-powerset", 1),
+], ids=lambda x: str(x))
+def test_plan_enumerations_match_reference(kind, cap):
+    # same values, never more ops; caps 4, 2 and 1 collapse disjuncts inside
+    # the meets and joins, so each prefix-shared meet must be the same fold
+    rng = random.Random(48)
+    for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
+        def make(**opts):
+            return CondWrites(make_domain(kind, variables, max_disjuncts=cap), **opts)
+
+        stab = [(make(opt_b1=b1), make(opt_b1=b1)) for b1 in (False, True)]
+        close = [(make(opt_b2a=a, opt_b2b=b), make(opt_b2a=a, opt_b2b=b))
+                 for a in (False, True) for b in (False, True)]
+        dom = stab[0][0].dom
+        for _ in range(60):
+            i = random_interference(rng, dom, values=(0, 1, 2))
+            d = random_elem(rng, dom, values=(0, 1, 2))
+            for new, ref in stab:
+                for n in range(len(variables) + 1):
+                    got, ops = with_ops(new, new._stabilise_enum, i, d, n)
+                    want, ref_ops = with_ops(
+                        ref, reference_interference.stabilise_enum, ref, i, d, n)
+                    assert got == want and ops <= ref_ops
+            for new, ref in close:
+                for v in variables:
+                    got, ops = with_ops(new, new._close_one, i, v)
+                    want, ref_ops = with_ops(
+                        ref, reference_interference.close_one, ref, i, v)
+                    assert got == want and ops <= ref_ops
+
+
+def test_second_stabilise_under_same_rely_reuses_plan():
+    cw = cw_pw()
+
+    def pw(*maps):
+        return cw.dom.make(cm_make(m) for m in maps)
+
+    i = {"x": pw({"z": 0}, {"r": 1}), "z": pw({"x": 1}, {"r": 0}, {"r": 1}),
+         "r": pw({})}
+    n = len(VARS3)
+    cw.stabilise(i, pw({"x": 0, "z": 1}), n)
+    plan = cw._write_sets(i, n)
+    assert next(iter(plan.items())) == ((), (frozenset(), cw.dom.top()))
+    assert any(len(combo) > 1 for combo in plan)  # some wc took a meet
+    meets = []
+    meet = cw.dom.meet
+
+    def recording(d1, d2):
+        meets.append(d1)
+        return meet(d1, d2)
+
+    cw.dom.meet = recording
+    d = pw({"x": 1}, {"r": 0, "z": 0})
+    before = cw.dom.ops.count
+    cw.stabilise(i, d, n)
+    # one meet with d and one join per non-empty write set; no wc is re-met
+    assert meets == [d] * (len(plan) - 1)
+    assert cw.dom.ops.count - before == 2 * (len(plan) - 1)
+    assert cw._write_sets(i, n) is plan
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])

@@ -1,7 +1,7 @@
 import pytest
 
 from condwrites import corpus
-from condwrites.domains import CM_BOT, Universe, cm_make
+from condwrites.domains import CM_BOT, Universe, UniverseTooLarge, cm_make
 from condwrites.engine import EXIT, AnalysisConfig, analyse
 from condwrites.lang import parse_program
 from condwrites.oracle import (
@@ -189,3 +189,51 @@ def test_explore_matches_reference_on_universe_escape():
             fn(p)
         errors.append(str(info.value))
     assert errors[0] == errors[1] == "A:2 wrote x=2, outside the universe"
+
+
+# -- initial stores ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pre", [
+    "x == 1 && y == 0",
+    "0 == y && (x == 1 || x == 0)",
+    "x == 1 && y != x",
+    "x == 0 && x == 1",   # conflicting pins: no initial store
+    "x == 7 && y == 0",   # a pin outside the universe: no initial store
+    "!(x == 1) && y == 1",
+    "x + 0 == 1 && y <= 1",
+    "x == y && true",
+])
+def test_initial_stores_match_reference(pre):
+    p = parse_program(f"vars x, y; pre {pre}; thread A {{ x := y; }} thread B {{ y := 1; }}")
+    u = Universe.of({"x": (0, 1, 2), "y": (0, 1, 2)})
+    assert_same_report(explore(p, u), reference_explore(p, u), pre)
+
+
+def test_initial_stores_enumerate_only_pinned_stores(monkeypatch):
+    # pre pins all 12 variables of a 3^12-store universe: one store is
+    # enumerated and pre is evaluated on it once; no guard is ever evaluated
+    from condwrites import oracle
+
+    names = [f"v{k}" for k in range(12)]
+    p = parse_program(f"vars {', '.join(names)}; "
+                      f"pre {' && '.join(f'{v} == 0' for v in names)}; "
+                      "thread T { v0 := 2; }")
+    u = Universe.of({v: (0, 1, 2) for v in names})
+    calls = []
+    real = oracle.eval_cond
+
+    def counted(c, s):
+        calls.append(c)
+        return real(c, s)
+
+    monkeypatch.setattr(oracle, "eval_cond", counted)
+    rep = explore(p, u)
+    assert calls == [p.pre]
+    assert rep.exit_states == {(2,) + (0,) * 11}
+
+
+def test_initial_stores_keep_the_universe_cap():
+    p = parse_program("vars x, y; pre x == 0 && y == 0; thread T { x := 1; }")
+    with pytest.raises(UniverseTooLarge):
+        explore(p, Universe.of({"x": range(10), "y": range(10)}, cap=50))
