@@ -87,9 +87,13 @@ def run_analyze(args) -> int:
 
 def _analyze(args) -> int:
     try:
-        text = open(args.input, encoding="utf-8").read()
+        with open(args.input, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
     try:
         program = parse_program(text)

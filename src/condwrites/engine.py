@@ -43,6 +43,8 @@ class Metrics:
     ops: int = 0
     time_s: float = 0.0
     outer_iterations: int = 0
+    collects: int = 0   # collecting passes run, one per thread body
+    memo_hits: int = 0  # stabilise and close calls answered from a memo
 
 
 @dataclass
@@ -190,17 +192,28 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     relies: dict[str, Interference] = {}
     outlines: dict[str, ProofOutline] = {}
     converged = False
-    rounds = 0
+    rounds = collects = 0
 
     for _ in range(config.fuel_outer):
         rounds += 1
+        prev_relies = relies
         relies = {
             t.tid: rely(cw, t.tid, guarantees, rvars[t.tid], transitive)
             for t in program.threads
         }
         new_g: dict[str, Interference] = {}
-        outlines = {}
+        prev_outlines, outlines = outlines, {}
         for t in program.threads:
+            # collect is a pure function of (body, d_pre, rely, n, mode,
+            # fuel_inner), and only the rely changes between rounds, so a
+            # thread whose rely equals last round's would get last round's
+            # guarantee and outline again: reuse them. Equality is of values
+            # (lattice elements compare by content), as for the memo keys.
+            # Round order and the convergence test are unchanged.
+            if relies[t.tid] == prev_relies.get(t.tid):
+                new_g[t.tid], outlines[t.tid] = guarantees[t.tid], prev_outlines[t.tid]
+                continue
+            collects += 1
             new_g[t.tid], outlines[t.tid] = collect(
                 cw, t.body, d_pre, relies[t.tid], n, transitive, config.fuel_inner)
         if all(cw.eq(new_g[tid], guarantees[tid]) for tid in new_g):
@@ -214,6 +227,8 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         ops=ops.count,
         time_s=time.perf_counter() - started,
         outer_iterations=rounds,
+        collects=collects,
+        memo_hits=cw.memo_hits,
     )
     return AnalysisResult(
         program=program, config=config, relies=relies, guarantees=guarantees,
@@ -258,6 +273,11 @@ def to_machine(result: AnalysisResult) -> dict:
         "domain": result.config.domain,
         "n": result.config.n if result.config.n is not None else len(result.program.variables),
         "threads": threads,
+        "stats": {
+            "outer_rounds": result.metrics.outer_iterations,
+            "collects": result.metrics.collects,
+            "memo_hits": result.metrics.memo_hits,
+        },
     }
 
 

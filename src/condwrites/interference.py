@@ -21,13 +21,18 @@ So the join keeps exactly the bindings of d whose variable no write set
 feasible with d touches, and ⊥ stays ⊥. The b1 pruning relies on the same
 downward closure.
 
-Domains without a closed form (`const-powerset`) memoise the enumeration
-per `CondWrites` instance, keyed on (the write-conditions in variable order,
-d, n). The key holds values, not identities: lattice elements are frozen
-and hash by content. The memo is exact because `_stabilise_enum` is a pure
-function of its arguments and of the instance's fixed `dom` and `opt_b1`.
-`analyse` builds one `CondWrites` per call, so the memo lives for one
-analysis. A hit performs no lattice operation and so counts no ops.
+`stabilise` is memoised per `CondWrites` instance for every domain, keyed on
+(the write-conditions in variable order, d, n): the closed form or the
+enumeration runs only on a miss. `close` is memoised the same way on the
+write-conditions in variable order, and its fixpoint loop over `_close_one`
+runs only on a miss. The keys hold values, not identities: lattice elements
+are frozen and hash by content. Both memos are exact because the closed
+form, `_stabilise_enum` and `close` are pure functions of their arguments and
+of the instance's fixed `dom`, `opt_b1`, `opt_b2a`, `opt_b2b` and `fuel`; a
+`close` that runs out of fuel raises and stores nothing. `analyse` builds
+one `CondWrites` per call, so the memos live for one analysis. A hit
+performs no lattice operation and so counts no ops; `memo_hits` counts the
+hits of both memos.
 
 The write-conditions do not depend on d, so the walk is split in two.
 `_write_sets(i, n)` is the plan: the write sets that survive b1 pruning with
@@ -77,6 +82,8 @@ class CondWrites:
         self.opt_b2a = opt_b2a  # close: powerset over constrained vars only
         self.opt_b2b = opt_b2b  # close: skip strict supersets once havoc covers meet
         self._stabilise_memo: dict = {}  # (write-conditions, d, n) -> result
+        self._close_memo: dict = {}  # write-conditions -> closed interference
+        self.memo_hits = 0  # stabilise and close calls answered from a memo
         self._plans: dict = {}  # (write-conditions, n) -> write-set plan
 
     # -- lattice ------------------------------------------------------------
@@ -132,18 +139,22 @@ class CondWrites:
 
         Transitions touching at most n variables are handled exactly; larger
         write sets are folded into a single coarse havoc over the variables
-        occurring in any feasible (n+1)-set. Runs the domain's closed form
-        when it has one, else the subset enumeration, memoised for the
-        lifetime of this instance on (i's write-conditions in variable
-        order, d, n): a repeated input returns the stored result without
+        occurring in any feasible (n+1)-set. Memoised for the lifetime of
+        this instance on (i's write-conditions in variable order, d, n); a
+        miss runs the domain's closed form when it has one, else the subset
+        enumeration, and a repeated input returns the stored result without
         lattice operations.
         """
-        if self.dom.stabilise is not None:
-            return self.dom.stabilise(i, d)
         key = (tuple(i[v] for v in self.dom.variables), d, n)
         out = self._stabilise_memo.get(key)
-        if out is None:
-            out = self._stabilise_memo[key] = self._stabilise_enum(i, d, n)
+        if out is not None:
+            self.memo_hits += 1
+            return out
+        if self.dom.stabilise is not None:
+            out = self.dom.stabilise(i, d)
+        else:
+            out = self._stabilise_enum(i, d, n)
+        self._stabilise_memo[key] = out
         return out
 
     def _write_sets(self, i: Interference, n: int) -> dict:
@@ -218,11 +229,20 @@ class CondWrites:
         return out
 
     def close(self, i: Interference) -> Interference:
-        """Weaken write-conditions until the concretisation is transitive."""
+        """Weaken write-conditions until the concretisation is transitive.
+        Memoised for the lifetime of this instance on i's write-conditions in
+        variable order; a repeated input returns the stored result without
+        lattice operations."""
+        key = tuple(i[v] for v in self.dom.variables)
+        out = self._close_memo.get(key)
+        if out is not None:
+            self.memo_hits += 1
+            return out
         cur = i
         for _ in range(self.fuel):
             nxt = {v: self._close_one(cur, v) for v in self.dom.variables}
             if self.leq(nxt, cur):
+                self._close_memo[key] = nxt
                 return nxt
             cur = nxt
         raise FuelExhausted(f"close did not converge in {self.fuel} steps")

@@ -1,16 +1,24 @@
-"""The collecting pass before it was reduced to the state alone, kept
-verbatim as the differential reference for `condwrites.engine.collect`.
+"""Differential references for `condwrites.engine`, kept verbatim.
 
+`collect` is the collecting pass before it was reduced to the state alone.
 It threads (state, guarantee) through every statement, joins the guarantee
 at each assignment, branch merge and loop pass, and runs one more loop pass
-whenever only the guarantee grew. Only `tests/test_engine_reference.py`
-uses it.
+whenever only the guarantee grew.
+
+`analyse` is the outer loop before it skipped unchanged relies: every round
+re-derives every thread's rely and re-runs `collect` (this module's) for
+every thread. Only `tests/test_engine_reference.py` uses them.
 """
 
 from __future__ import annotations
 
-from condwrites.lang import Assign, Ite, Seq, Skip, While, negate
-from condwrites.engine import ProofOutline
+import time
+
+from condwrites.lang import Assign, Ite, Program, Seq, Skip, While, negate
+from condwrites.domains import OpsCounter, make_domain
+from condwrites.engine import (
+    AnalysisConfig, AnalysisResult, Metrics, ProofOutline, check_post, rely,
+)
 from condwrites.interference import CondWrites, FuelExhausted, Interference
 
 
@@ -81,3 +89,63 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
     d, g = coll.run(body, d, cw.bot())
     outline.exit = coll.stab(d)
     return g, outline
+
+
+def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
+    config = config or AnalysisConfig()
+    started = time.perf_counter()
+    ops = OpsCounter()
+    dom = make_domain(config.domain, program.variables, ops, config.max_disjuncts)
+    cw = CondWrites(dom, fuel=config.fuel_inner, opt_b1=config.opt_b1,
+                    opt_b2a=config.opt_b2a, opt_b2b=config.opt_b2b)
+    n = config.n if config.n is not None else len(program.variables)
+    if not 0 <= n <= len(program.variables):
+        raise ValueError(f"n must be within 0..{len(program.variables)}")
+    transitive = config.mode == "transitive"
+    if config.mode not in ("transitive", "nontransitive"):
+        raise ValueError(f"unknown mode {config.mode!r}")
+
+    rvars = {t.tid: t.rely_vars for t in program.threads}
+    for tid, names in (config.rely_vars or {}).items():
+        if tid not in rvars:
+            raise ValueError(f"rely_vars for unknown thread {tid!r}")
+        undeclared = sorted(names - frozenset(program.variables))
+        if undeclared:
+            raise ValueError(f"rely_vars names undeclared variable {undeclared[0]!r}")
+        rvars[tid] = names
+
+    d_pre = dom.filter(program.pre, dom.top())
+    guarantees = {t.tid: cw.bot() for t in program.threads}
+    relies: dict[str, Interference] = {}
+    outlines: dict[str, ProofOutline] = {}
+    converged = False
+    rounds = 0
+
+    for _ in range(config.fuel_outer):
+        rounds += 1
+        relies = {
+            t.tid: rely(cw, t.tid, guarantees, rvars[t.tid], transitive)
+            for t in program.threads
+        }
+        new_g: dict[str, Interference] = {}
+        outlines = {}
+        for t in program.threads:
+            new_g[t.tid], outlines[t.tid] = collect(
+                cw, t.body, d_pre, relies[t.tid], n, transitive, config.fuel_inner)
+        if all(cw.eq(new_g[tid], guarantees[tid]) for tid in new_g):
+            converged = True
+            guarantees = new_g
+            break
+        guarantees = new_g
+
+    verdict = check_post(dom, outlines, program.post) if converged else "notVerified"
+    metrics = Metrics(
+        ops=ops.count,
+        time_s=time.perf_counter() - started,
+        outer_iterations=rounds,
+    )
+    return AnalysisResult(
+        program=program, config=config, relies=relies, guarantees=guarantees,
+        outlines=outlines, metrics=metrics, verdict=verdict,
+        converged=converged, domain=dom, cw=cw,
+    )

@@ -40,6 +40,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cw"
+    bad.write_bytes(b"vars x;\xff\n")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_bad_n_exit_code(capsys):
     code, _, err = run(capsys, "analyze", FLAGGED, "--n", "12")
     assert code == 2 and "error" in err
@@ -51,10 +60,14 @@ def test_machine_output(capsys):
     assert code == 0
     doc = json.loads(out)
     assert {"verdict", "ops", "time_s", "converged", "mode", "domain", "n",
-            "threads", "oracle", "violations"} <= set(doc)
+            "threads", "oracle", "violations", "stats"} <= set(doc)
     assert doc["verdict"] == "verified"
     assert doc["violations"] == []
     assert doc["n"] == 3  # defaults to the variable count
+    assert set(doc["stats"]) == {"outer_rounds", "collects", "memo_hits"}
+    assert doc["stats"]["outer_rounds"] >= 1
+    assert 1 <= doc["stats"]["collects"] <= (
+        doc["stats"]["outer_rounds"] * len(doc["threads"]))
 
 
 def test_machine_matches_text_verdict(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from condwrites import engine
 from condwrites.corpus import CASES
 from condwrites.domains import CM_BOT, CM_TOP, ConstDomain, cm_make
 from condwrites.engine import (
@@ -216,6 +217,38 @@ def test_no_state_leaks_across_analyses():
     assert machine(parse_program(FLAGGED)) == first
     machine(other)
     assert machine(parse_program(FLAGGED)) == first
+
+
+def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
+    # gate_chain needs 3 rounds, and some thread's rely is the same in two
+    # consecutive rounds: that thread keeps last round's guarantee and outline
+    calls = []
+    real = engine.collect
+
+    def counting(cw, body, d, r, *rest):
+        calls.append((body, r))
+        return real(cw, body, d, r, *rest)
+
+    monkeypatch.setattr(engine, "collect", counting)
+    program = next(c for c in CASES if c.name == "gate_chain").load()
+    res = analyse(program, AnalysisConfig(mode="nontransitive", domain="const"))
+    rounds, threads = res.metrics.outer_iterations, len(program.threads)
+    assert res.converged and rounds == 3
+    assert len(calls) == res.metrics.collects < rounds * threads
+    assert to_machine(res)["stats"]["collects"] == len(calls)
+    # no thread is collected again under the rely of its previous collect
+    last = {}
+    for body, r in calls:
+        assert last.get(id(body)) != r
+        last[id(body)] = r
+    # each skipped thread's outline is still the one its final rely gives
+    d_pre = res.domain.filter(program.pre, res.domain.top())
+    for t in program.threads:
+        g, outline = real(res.cw, t.body, d_pre, res.relies[t.tid],
+                          len(program.variables), False)
+        assert g == res.guarantees[t.tid]
+        assert (outline.pre, outline.exit) == (
+            res.outlines[t.tid].pre, res.outlines[t.tid].exit)
 
 
 def test_machine_report_fields():

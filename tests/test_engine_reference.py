@@ -1,13 +1,15 @@
-"""Differential test of `engine.collect` against the collecting pass that
-threaded the guarantee through every statement (`reference_engine.collect`).
+"""Differential test of `engine.analyse` against the outer loop that
+re-collects every thread every round, driving the collecting pass that
+threaded the guarantee through every statement (`reference_engine.analyse`
+and `reference_engine.collect`).
 
-Deriving each guarantee from the final proof outline must give the same
-outlines, relies, guarantees, verdict, convergence and outer rounds, and it
-never costs more ops."""
+Skipping a thread whose rely did not change, and deriving each guarantee
+from the final proof outline, must give the same outlines, relies,
+guarantees, verdict, convergence and outer rounds, and never cost more
+ops."""
 
 import pytest
 
-from condwrites import engine
 from condwrites.corpus import CASES
 from condwrites.engine import AnalysisConfig, analyse
 
@@ -41,11 +43,9 @@ def observed(result) -> dict:
 
 @pytest.mark.parametrize("config", CONFIGS,
                          ids=lambda c: f"{c.domain}-{c.max_disjuncts}-{c.mode}")
-def test_collect_matches_reference(monkeypatch, config):
-    programs = {name: load() for name, load in PROGRAMS.items()}
-    ours = {name: analyse(p, config) for name, p in programs.items()}
-    monkeypatch.setattr(engine, "collect", reference_engine.collect)
-    for name, p in programs.items():
-        ref = analyse(p, config)
-        assert observed(ours[name]) == observed(ref), name
-        assert ours[name].metrics.ops <= ref.metrics.ops, name
+def test_collect_matches_reference(config):
+    for name, load in PROGRAMS.items():
+        p = load()
+        ours, ref = analyse(p, config), reference_engine.analyse(p, config)
+        assert observed(ours) == observed(ref), name
+        assert ours.metrics.ops <= ref.metrics.ops, name

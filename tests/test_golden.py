@@ -1,11 +1,11 @@
 """Frozen analyzer output for every corpus program in every domain/mode cell.
 
 Compares `to_machine` (without `time_s`) and `render_text` (without its
-`time_s:` line), ops included, against `golden/corpus_outputs.json`. A change
-that alters outlines, relies, guarantees or op accounting must regenerate the
-file on purpose and report the difference (every cell's ops and their
-total, the cells that changed besides ops, and the criterion-6 count before
-and after):
+`time_s:` line), ops and stats included, against `golden/corpus_outputs.json`.
+A change that alters outlines, relies, guarantees, op accounting or the run
+counters under `stats` must regenerate the file on purpose and report the
+difference (every cell's ops and their total, the cells that changed besides
+ops and stats, and the criterion-6 count before and after):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -50,8 +50,9 @@ def test_output_matches_golden(golden, cell):
     assert cell_output(*cell) == golden[cell_key(*cell)]
 
 
-def without_ops(output: dict) -> dict:
-    machine = {k: v for k, v in output["machine"].items() if k != "ops"}
+def without_counts(output: dict) -> dict:
+    machine = {k: v for k, v in output["machine"].items()
+               if k not in ("ops", "stats")}
     text = "".join(line for line in output["text"].splitlines(keepends=True)
                    if not line.startswith("ops:"))
     return {"machine": machine, "text": text}
@@ -74,9 +75,9 @@ if __name__ == "__main__":
     for key, output in doc.items():
         before = old[key]["machine"]["ops"] if key in old else None
         print(f"{key}: ops {before} -> {output['machine']['ops']}")
-        if key not in old or without_ops(old[key]) != without_ops(output):
+        if key not in old or without_counts(old[key]) != without_counts(output):
             changed.append(key)
-    print(f"cells whose output changed besides ops: {len(changed)}")
+    print(f"cells whose output changed besides ops and stats: {len(changed)}")
     for key in changed:
         print(f"  {key}")
     before_ops, after_ops = (sum(row["ops"] for row in ops_rows(d))

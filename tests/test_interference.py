@@ -294,7 +294,7 @@ def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
     assert cw_pw().stabilise(i, d, 2) == first and len(calls) == 3
 
 
-def test_const_closed_form_bypasses_memo(monkeypatch):
+def test_const_closed_form_never_enumerates(monkeypatch):
     calls = count_enumerations(monkeypatch)
     rng = random.Random(46)
     cw = cw_const()
@@ -303,7 +303,31 @@ def test_const_closed_form_bypasses_memo(monkeypatch):
         d = random_cm(rng, VARS3)
         cw.stabilise(i, d, 3)
         cw.stabilise_fix(i, d, 3)
-    assert calls == [] and cw._stabilise_memo == {}
+    assert calls == []
+
+
+@pytest.mark.parametrize("mk", [cw_const, cw_pw])
+def test_repeated_input_is_answered_from_memo(mk):
+    # a repeat returns the stored value and performs no lattice operation;
+    # it passes a fresh dict, as the keys hold the write-conditions' values
+    rng = random.Random(47)
+    cw = mk()
+    for _ in range(40):
+        i = random_interference(rng, cw.dom)
+        d = random_elem(rng, cw.dom)
+        for n in range(len(VARS3) + 1):
+            first = cw.stabilise(i, d, n)
+            hits = cw.memo_hits
+            again, ops = with_ops(cw, cw.stabilise, dict(i), d, n)
+            assert again is first and ops == 0 and cw.memo_hits == hits + 1
+            first = cw.stabilise_fix(i, d, n)
+            hits = cw.memo_hits
+            again, ops = with_ops(cw, cw.stabilise_fix, dict(i), d, n)
+            assert again is first and ops == 0 and cw.memo_hits > hits
+        first = cw.close(i)
+        hits = cw.memo_hits
+        again, ops = with_ops(cw, cw.close, dict(i))
+        assert again is first and ops == 0 and cw.memo_hits == hits + 1
 
 
 # -- the write-set plan against the enumerations it replaced -------------------
