@@ -45,13 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--max-disjuncts", type=int, default=64)
     a.add_argument("--fuel-inner", type=int, default=1000)
     a.add_argument("--fuel-outer", type=int, default=1000)
-    a.add_argument("--no-opt-b1", action="store_true",
-                   help="disable superset pruning in stabilise; no effect "
-                   "on const, whose stabilise is closed form")
-    a.add_argument("--no-opt-b2a", action="store_true",
-                   help="disable the constrained-variables restriction in close")
-    a.add_argument("--no-opt-b2b", action="store_true",
-                   help="disable dominated-superset skipping in close")
     a.add_argument("--ascii", action="store_true",
                    help="use |->, top, bot instead of unicode glyphs")
 
@@ -106,9 +99,6 @@ def _analyze(args) -> int:
             max_disjuncts=args.max_disjuncts,
             fuel_inner=args.fuel_inner,
             fuel_outer=args.fuel_outer,
-            opt_b1=not args.no_opt_b1,
-            opt_b2a=not args.no_opt_b2a,
-            opt_b2b=not args.no_opt_b2b,
         )
         result = analyse(program, config)
         if not result.converged:

@@ -18,8 +18,19 @@ u is itself a feasible singleton (exact when n ≥ 1, in the coarse term when
 n = 0). Every term binds what d binds, plus wc_S's bindings, minus S; the
 empty write set contributes d itself, and the flat join intersects bindings.
 So the join keeps exactly the bindings of d whose variable no write set
-feasible with d touches, and ⊥ stays ⊥. The b1 pruning relies on the same
-downward closure.
+feasible with d touches, and ⊥ stays ⊥.
+
+The subset walks always prune. `stabilise`'s skips every superset of a
+write set whose wc is bottom, as the same downward closure makes the
+superset's exact wc bottom too. `close` considers only the variables a
+write-condition constrains, and skips the strict supersets of a set whose
+meet its havoc already covers. Each skipped term's exact value lies below a
+kept term's, so where meets and joins are exact (the flat domain, and the
+powerset while no result exceeds its cap) the pruning changes no value.
+When the cap collapses disjuncts inside a meet or join, `close`'s pruned
+result can differ from the unpruned walk's; on random inputs at caps 2-4
+it then lay below it. The unpruned walks are kept as the differential
+reference in `tests/reference_interference.py`.
 
 `stabilise` is memoised per `CondWrites` instance for every domain, keyed on
 (the write-conditions in variable order, d, n): the closed form or the
@@ -28,31 +39,29 @@ write-conditions in variable order, and its fixpoint loop over `_close_one`
 runs only on a miss. The keys hold values, not identities: lattice elements
 are frozen and hash by content. Both memos are exact because the closed
 form, `_stabilise_enum` and `close` are pure functions of their arguments and
-of the instance's fixed `dom`, `opt_b1`, `opt_b2a`, `opt_b2b` and `fuel`; a
-`close` that runs out of fuel raises and stores nothing. `analyse` builds
-one `CondWrites` per call, so the memos live for one analysis. A hit
-performs no lattice operation and so counts no ops; `memo_hits` counts the
-hits of both memos.
+of the instance's fixed `dom` and `fuel`; a `close` that runs out of fuel
+raises and stores nothing. `analyse` builds one `CondWrites` per call, so the
+memos live for one analysis. A hit performs no lattice operation and so
+counts no ops; `memo_hits` counts the hits of both memos.
 
 The write-conditions do not depend on d, so the walk is split in two.
-`_write_sets(i, n)` is the plan: the write sets that survive b1 pruning with
-a non-bottom wc_S, in walk order, each with its wc_S. It is built once per
+`_write_sets(i, n)` is the plan: the write sets with a non-bottom wc_S that
+the pruning keeps, in walk order, each with its wc_S. It is built once per
 instance for each (write-conditions in variable order, n), so every
 `stabilise` under one rely shares it, and `_stabilise_enum` only meets d with
 each wc_S, havocs and joins. The walk yields each set after its prefix, the
 set minus its last variable, so wc_S is one meet of the prefix's wc with
 i[last]; a singleton's wc is i[v], and the empty set's term is d itself.
-The coarse term's join starts from its first operand, as ⊥ ⊔ x = x.
-`_close_one` shares its prefix meets the same way within one call.
+A kept set's prefix is in the plan: had the prefix been skipped or met
+bottom, the set would have been skipped as a superset. The coarse term's
+join starts from its first operand, as ⊥ ⊔ x = x. `_close_one` shares its
+prefix meets the same way within one call.
 
 This is exact also when the powerset cap collapses disjuncts inside a meet,
 where meets no longer associate: the plan computes the same left fold,
 top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-met each set
-from top, because top ⊓ x = x. A set whose prefix was dropped is dropped
-too: with b1 the prefix's bottom wc blocks it, and without b1 its fold
-meets bottom and stays bottom. So every value is unchanged and only the
-ops of the repeated meets fall. The walk that re-meets every set from top is
-kept as the differential reference in `tests/reference_interference.py`.
+from top, because top ⊓ x = x. So every value equals that of the reference
+walk with the same pruning, and only the ops of the repeated meets fall.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ import itertools
 from typing import Iterator
 
 from .lang import Assign
-from .domains import StateDomain, Universe
+from .domains import StateDomain
 
 # Interference elements are plain dicts var -> domain element, total over
 # the domain's variable set. Treated as immutable.
@@ -73,14 +82,9 @@ class FuelExhausted(Exception):
 
 
 class CondWrites:
-    def __init__(self, dom: StateDomain, fuel: int = 1000,
-                 opt_b1: bool = True, opt_b2a: bool = True,
-                 opt_b2b: bool = True):
+    def __init__(self, dom: StateDomain, fuel: int = 1000):
         self.dom = dom
         self.fuel = fuel
-        self.opt_b1 = opt_b1    # stabilise: skip supersets of a bottom meet
-        self.opt_b2a = opt_b2a  # close: powerset over constrained vars only
-        self.opt_b2b = opt_b2b  # close: skip strict supersets once havoc covers meet
         self._stabilise_memo: dict = {}  # (write-conditions, d, n) -> result
         self._close_memo: dict = {}  # write-conditions -> closed interference
         self.memo_hits = 0  # stabilise and close calls answered from a memo
@@ -106,19 +110,6 @@ class CondWrites:
     def eq(self, i1: Interference, i2: Interference) -> bool:
         return self.leq(i1, i2) and self.leq(i2, i1)
 
-    def gamma_x(self, i: Interference, u: Universe) -> set:
-        """Exact transition-set concretisation over a finite universe."""
-        order = u.var_order
-        states = list(u.states())
-        out = set()
-        for s1 in states:
-            allowed = {v for v in order if self.dom.contains(i[v], s1)}
-            k1 = tuple(s1[v] for v in order)
-            for s2 in states:
-                if all(s2[v] == s1[v] or v in allowed for v in order):
-                    out.add((k1, tuple(s2[v] for v in order)))
-        return out
-
     def fmt(self, i: Interference, ascii_only: bool = False) -> str:
         arrow = "|->" if ascii_only else "↦"
         body = ", ".join(
@@ -130,7 +121,7 @@ class CondWrites:
 
     def _subsets(self, variables, max_card: int) -> Iterator[tuple[str, ...]]:
         # bottom-up, lexicographic within a cardinality: required by the
-        # superset-skipping optimisations and keeps op counts reproducible
+        # superset skipping and keeps op counts reproducible
         for k in range(0, max_card + 1):
             yield from itertools.combinations(variables, k)
 
@@ -159,11 +150,12 @@ class CondWrites:
 
     def _write_sets(self, i: Interference, n: int) -> dict:
         """The plan of the subset walk under i at precision n: each write set
-        S of at most n + 1 variables that survives b1 pruning and has a
-        non-bottom wc_S, as `combo: (vset, wc_S)` in walk order, starting
-        with the empty set and its wc, top. Built once per instance for each
-        (i's write-conditions in variable order, n). A singleton's wc is
-        i[v]; a larger set's is one meet of its prefix's wc with i[last]."""
+        S of at most n + 1 variables with a non-bottom wc_S, as
+        `combo: (vset, wc_S)` in walk order, starting with the empty set and
+        its wc, top. Built once per instance for each (i's write-conditions
+        in variable order, n). A singleton's wc is i[v]; a larger set's is
+        one meet of its prefix's wc with i[last]. A superset of a set with
+        bottom wc is skipped unvisited: its exact wc is bottom too."""
         key = (tuple(i[v] for v in self.dom.variables), n)
         plan = self._plans.get(key)
         if plan is not None:
@@ -174,19 +166,14 @@ class CondWrites:
         blocked: list[frozenset[str]] = []
         for combo in self._subsets(variables, min(n + 1, len(variables))):
             vset = frozenset(combo)
-            if self.opt_b1 and any(b <= vset for b in blocked):
+            if any(b <= vset for b in blocked):
                 continue
             if len(combo) <= 1:
                 wc = i[combo[0]] if combo else dom.top()
             else:
-                prefix = plan.get(combo[:-1])
-                if prefix is None:
-                    # the prefix's wc is bottom (b1 off), so this one is too
-                    continue
-                wc = dom.meet(prefix[1], i[combo[-1]])
+                wc = dom.meet(plan[combo[:-1]][1], i[combo[-1]])
             if dom.is_bot(wc):
-                if self.opt_b1:
-                    blocked.append(vset)
+                blocked.append(vset)
                 continue
             plan[combo] = (vset, wc)
         return plan
@@ -250,12 +237,11 @@ class CondWrites:
     def _close_one(self, i: Interference, v: str):
         dom = self.dom
         iv = i[v]
-        if self.opt_b2a:
-            candidates = sorted(
-                u for u in dom.variables if dom.havoc(iv, frozenset((u,))) != iv
-            )
-        else:
-            candidates = sorted(dom.variables)
+        # only variables iv constrains: adding another to a write set keeps
+        # its havoc and only shrinks its meet, so its term adds nothing
+        candidates = sorted(
+            u for u in dom.variables if dom.havoc(iv, frozenset((u,))) != iv
+        )
         acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
         dominated: list[frozenset[str]] = []
         meets: dict[tuple[str, ...], object] = {}
@@ -263,7 +249,9 @@ class CondWrites:
             if not combo:
                 continue
             vset = frozenset(combo)
-            if self.opt_b2b and any(d0 < vset for d0 in dominated):
+            # a strict superset of a dominated set meets below that set's
+            # meet, which is already joined in whole
+            if any(d0 < vset for d0 in dominated):
                 continue
             h = dom.havoc(iv, vset)
             # a visited set's prefix was visited: a dominated set below the
@@ -273,7 +261,7 @@ class CondWrites:
             else:
                 m = dom.meet(meets[combo[:-1]], i[combo[-1]])
             meets[combo] = m
-            if self.opt_b2b and dom.leq(m, h):
+            if dom.leq(m, h):
                 dominated.append(vset)
                 acc = dom.join(acc, m)
             else:

@@ -139,12 +139,6 @@ class Program:
     post: Cond
     locals: dict[str, tuple[str, ...]] = field(default_factory=dict, hash=False)
 
-    def thread(self, tid: str) -> Thread:
-        for t in self.threads:
-            if t.tid == tid:
-                return t
-        raise KeyError(tid)
-
 
 def statements(inst: Inst) -> Iterator[Inst]:
     """Yield every labeled statement node in preorder."""
@@ -659,9 +653,19 @@ class _Parser:
                 return e
 
     def term(self) -> Expr:
-        e = self.factor()
+        e = self.in_range(self.factor())
         while self.accept("op", "*"):
-            e = BinOp("*", e, self.factor())
+            e = BinOp("*", e, self.in_range(self.factor()))
+        return e
+
+    def in_range(self, e: Expr) -> Expr:
+        # a literal is range-checked once every directly applied unary minus
+        # is folded in, so INT_MIN can be written as -9223372036854775808;
+        # its int token is the last one the factor consumed
+        if isinstance(e, Lit) and not INT_MIN <= e.n <= INT_MAX:
+            t = next(t for t in reversed(self.toks[:self.pos]) if t.kind == "int")
+            raise ParseError(
+                f"integer literal {e.n} is outside the 64-bit range", t.line, t.col)
         return e
 
     def factor(self) -> Expr:

@@ -96,8 +96,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     started = time.perf_counter()
     ops = OpsCounter()
     dom = make_domain(config.domain, program.variables, ops, config.max_disjuncts)
-    cw = CondWrites(dom, fuel=config.fuel_inner, opt_b1=config.opt_b1,
-                    opt_b2a=config.opt_b2a, opt_b2b=config.opt_b2b)
+    cw = CondWrites(dom, fuel=config.fuel_inner)
     n = config.n if config.n is not None else len(program.variables)
     if not 0 <= n <= len(program.variables):
         raise ValueError(f"n must be within 0..{len(program.variables)}")

@@ -21,6 +21,7 @@ from conftest import (
     bf_step_image, random_assign, random_cm, random_elem, random_interference,
 )
 from corpus_helpers import corpus_rows
+import reference_interference
 from test_lang import FLAGGED
 from randprog import random_program
 
@@ -130,25 +131,26 @@ def test_criterion_2c_close_properties():
 
 
 def test_criterion_3_optimisation_equivalence():
+    # the production stabilise and close, which always prune, against the
+    # unpruned reference walks
     mismatches = 0
-    for mk in (lambda **kw: CondWrites(ConstDomain(VARS3), **kw),
-               lambda **kw: CondWrites(ConstPowersetDomain(VARS3), **kw)):
+    for mk in (lambda: CondWrites(ConstDomain(VARS3)),
+               lambda: CondWrites(ConstPowersetDomain(VARS3))):
         rng = random.Random(1004)
-        pruned, plain = mk(opt_b1=True), mk(opt_b1=False)
+        cw, ref = mk(), mk()
         for _ in range(250):  # x2 domains = 500 stabilise inputs
-            i = random_interference(rng, pruned.dom)
-            d = random_elem(rng, pruned.dom)
+            i = random_interference(rng, cw.dom)
+            d = random_elem(rng, cw.dom)
             n = rng.randint(0, len(VARS3))
-            # b1 prunes the subset enumeration, not const's closed form
-            if pruned._stabilise_enum(i, d, n) != plain._stabilise_enum(i, d, n):
+            # the pruned enumeration, and the public path: const's closed
+            # form or powerset's memoised enumeration
+            want = reference_interference.stabilise_enum(ref, i, d, n)
+            if cw._stabilise_enum(i, d, n) != want or cw.stabilise(i, d, n) != want:
                 mismatches += 1
-        closers = [mk(opt_b2a=a, opt_b2b=b)
-                   for a in (False, True) for b in (False, True)]
         rng2 = random.Random(1005)
-        for _ in range(250):  # x2 domains = 500 close inputs, 4 variants each
-            i = random_interference(rng2, closers[0].dom)
-            outs = [c.close(i) for c in closers]
-            if any(not closers[0].eq(o, outs[0]) for o in outs[1:]):
+        for _ in range(250):  # x2 domains = 500 close inputs
+            i = random_interference(rng2, cw.dom)
+            if not cw.eq(cw.close(i), reference_interference.close(ref, i)):
                 mismatches += 1
     report("3 optimisation equivalence (500 stabilise + 500 close inputs)",
            mismatches == 0)

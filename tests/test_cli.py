@@ -40,6 +40,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_out_of_range_literal_exit_code(tmp_path, capsys):
+    # rejected while parsing, before the analysis or the oracle runs
+    prog = tmp_path / "big.cw"
+    prog.write_text("vars x; pre x == 0; thread T { x := 9223372036854775808; }")
+    code, out, err = run(capsys, "analyze", str(prog), "--check-oracle")
+    assert code == 2 and out == ""
+    assert err == ("error: 1:37: integer literal 9223372036854775808 is "
+                   "outside the 64-bit range\n")
+
+
 def test_non_utf8_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cw"
     bad.write_bytes(b"vars x;\xff\n")
@@ -105,13 +115,13 @@ def test_rely_vars_unknown_thread_or_variable(capsys):
     assert code == 2 and "undeclared variable 'nope'" in err
 
 
-def test_opt_toggles_do_not_change_verdict(capsys):
-    base = run(capsys, "analyze", FLAGGED, "--emit", "machine")[1]
-    toggled = run(capsys, "analyze", FLAGGED, "--emit", "machine",
-                  "--no-opt-b1", "--no-opt-b2a", "--no-opt-b2b")[1]
-    a, b = json.loads(base), json.loads(toggled)
-    assert a["verdict"] == b["verdict"] == "verified"
-    assert a["threads"] == b["threads"]
+def test_opt_toggles_are_rejected(capsys):
+    # the pruning inside stabilise and close is always on
+    for flag in ("--no-opt-b1", "--no-opt-b2a", "--no-opt-b2b"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", FLAGGED, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_check_oracle_text_line(capsys):

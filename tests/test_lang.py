@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Not, Or,
     ParseError, Seq, Skip, VarRef, While,
-    EXIT, INT_MAX, cond_vars, control_flow, eval_cond, eval_expr, exec_assign,
+    EXIT, INT_MAX, INT_MIN, cond_vars, control_flow, eval_cond, eval_expr, exec_assign,
     expr_vars, format_program, negate, parse_program, program_literals,
     statements,
 )
@@ -121,6 +121,30 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_program("vars x;\nthread T { x := $; }")
     assert exc.value.line == 2
+
+
+def test_literal_range_bounds():
+    # both bounds parse, the unary minus folded into INT_MIN's literal, and
+    # round-trip through the printer
+    p = parse_program("vars x, y; thread T { x, y := 9223372036854775807, "
+                      "-9223372036854775808; }")
+    (a,) = statements(p.threads[0].body)
+    assert a.exprs == (Lit(INT_MAX), Lit(INT_MIN))
+    assert parse_program(format_program(p)) == p
+
+
+@pytest.mark.parametrize("literal", [
+    "9223372036854775808", "-9223372036854775809", "- -9223372036854775808",
+    "-(9223372036854775808)", "-(-9223372036854775808)",
+    "x * 9223372036854775808",
+])
+def test_literal_out_of_range_is_a_parse_error(literal):
+    # reported at the literal's digits, whatever minus precedes them
+    src = f"vars x; thread T {{ x := {literal}; }}"
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert "outside the 64-bit range" in exc.value.msg
+    assert (exc.value.line, exc.value.col) == (1, src.index("922") + 1)
 
 
 def test_eval_cond_and_negate_agree():
