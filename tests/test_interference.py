@@ -194,49 +194,58 @@ def test_stabilise_pruning_equivalence(mk):
             ref, i, d, n, b1=False)
 
 
-def enumerating(cw: CondWrites) -> CondWrites:
-    """cw with its stabilise, and so its stabilise_fix, bound to the subset
-    enumeration: the reference for a domain's closed form."""
-    cw.stabilise = cw._stabilise_enum
+def enumerating(cw: CondWrites, pruned: bool) -> CondWrites:
+    """cw with its stabilise, and so its stabilise_fix, bound to a subset
+    enumeration: the reference for a domain's closed form. pruned picks the
+    production walk, which skips the supersets of a write set whose wc is
+    bottom; otherwise the unpruned reference walk."""
+    if pruned:
+        cw.stabilise = cw._stabilise_enum
+    else:
+        cw.stabilise = lambda i, d, n: reference_interference.stabilise_enum(
+            cw, i, d, n, b1=False)
     return cw
 
 
-def assert_closed_form_matches_enumeration(variables, pairs):
+def assert_closed_form_matches_enumeration(variables, pairs, pruned):
     fast = CondWrites(ConstDomain(variables))
-    ref = enumerating(CondWrites(ConstDomain(variables)))
+    ref = enumerating(CondWrites(ConstDomain(variables)), pruned)
     for i, d in pairs:
         for n in range(len(variables) + 1):
             assert fast.stabilise(i, d, n) == ref.stabilise(i, d, n)
             assert fast.stabilise_fix(i, d, n) == ref.stabilise_fix(i, d, n)
 
 
-def test_const_closed_form_stabilise_random():
+@pytest.mark.parametrize("pruned", [True, False])
+def test_const_closed_form_stabilise_random(pruned):
     rng = random.Random(43)
     dom = ConstDomain(VARS3)
     pairs = [(random_interference(rng, dom), random_cm(rng, VARS3))
              for _ in range(20_000)]
-    assert_closed_form_matches_enumeration(VARS3, pairs)
+    assert_closed_form_matches_enumeration(VARS3, pairs, pruned)
 
 
-def test_const_closed_form_stabilise_exhaustive():
+@pytest.mark.parametrize("pruned", [True, False])
+def test_const_closed_form_stabilise_exhaustive(pruned):
     # every write-condition map and every d over two {0,1} variables
     from test_domains import ALL_CMS, VARS
 
     pairs = [(dict(zip(VARS, wcs)), d)
              for wcs in itertools.product(ALL_CMS, repeat=len(VARS))
              for d in ALL_CMS]
-    assert_closed_form_matches_enumeration(VARS, pairs)
+    assert_closed_form_matches_enumeration(VARS, pairs, pruned)
 
 
+@pytest.mark.parametrize("pruned", [True, False])
 @pytest.mark.parametrize("max_disjuncts", [64, 2, 1])
-def test_powerset_memoised_stabilise_matches_enumeration(max_disjuncts):
+def test_powerset_memoised_stabilise_matches_enumeration(max_disjuncts, pruned):
     # caps 2 and 1 collapse disjuncts inside the enumeration's joins and meets
     rng = random.Random(44)
 
     def make():
         return CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=max_disjuncts))
 
-    fast, ref = make(), enumerating(make())
+    fast, ref = make(), enumerating(make(), pruned)
     for _ in range(300):
         i = random_interference(rng, fast.dom)
         d = random_elem(rng, fast.dom)
