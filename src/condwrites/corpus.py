@@ -78,9 +78,13 @@ def run_suite(cases=CASES, repetitions: int = 1) -> list[dict]:
 
 def nt_cheaper_cells(rows: list[dict]) -> tuple[int, int]:
     """How many program/domain cells need fewer ops in non-transitive mode
-    than in transitive mode, and how many cells there are."""
-    ops = {(r["name"], r["domain"], r["mode"]): r["ops"] for r in rows}
-    cells = {(n, d) for n, d, _ in ops}
+    than in transitive mode, and how many cells are compared: those whose
+    two modes both ran and converged. An errored row has ops -1 and
+    converged False, so it never counts as cheaper."""
+    ops = {(r["name"], r["domain"], r["mode"]): r["ops"]
+           for r in rows if r["converged"]}
+    cells = {(n, d) for n, d, _ in ops
+             if (n, d, "nontransitive") in ops and (n, d, "transitive") in ops}
     cheaper = sum(1 for n, d in cells
                   if ops[(n, d, "nontransitive")] < ops[(n, d, "transitive")])
     return cheaper, len(cells)

@@ -1,8 +1,14 @@
 """Abstract state domains: the shared contract, the constant-map domain,
 and its disjunctive (powerset) completion.
 
-Elements are immutable values; domain objects carry the variable set and a
-lattice-operation counter shared with the interference layer.
+Elements are bare immutable sets, so every lattice operation is a set
+operation and hashing an element (as the `interference` memo keys do) reads
+a cached hash. A constant map is a frozenset of `(var, value)` bindings:
+`CM_TOP` is the empty frozenset and bottom is the sentinel `CM_BOT`, checked
+by identity. A powerset element is a frozenset of non-bottom constant maps:
+bottom is the empty frozenset and top is `frozenset({CM_TOP})`. Domain
+objects carry the variable set, a lattice-operation counter shared with the
+interference layer, and a count of powerset cap collapses.
 """
 
 from __future__ import annotations
@@ -77,78 +83,76 @@ class OpsCounter:
 
 
 # ---------------------------------------------------------------------------
-# Constant maps (pure value-level operations, uncounted)
+# Constant maps (pure value-level operations, uncounted). An unbound variable
+# is unconstrained. More bindings means fewer states, so the order is reversed
+# set inclusion: leq is superset, join is intersection, meet is union.
 
 
-@dataclass(frozen=True)
-class ConstMap:
-    """Partial map from variables to constants, as a set of bindings;
-    unbound means unconstrained. The bottom element represents the empty set
-    of states. More bindings means fewer states, so the order is reversed
-    set inclusion: leq is superset, join is intersection, meet is union."""
+class _Bottom:
+    """Type of CM_BOT, the constant map of no states. It equals only itself,
+    and copies and pickles resolve to the module's one instance."""
 
-    items: frozenset[tuple[str, int]] = frozenset()
-    bottom: bool = False
+    __slots__ = ()
 
-    def get(self, var: str) -> int | None:
-        for v, n in self.items:
-            if v == var:
-                return n
-        return None
+    def __repr__(self) -> str:
+        return "CM_BOT"
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.items)
+    def __reduce__(self) -> str:
+        return "CM_BOT"
 
 
-CM_TOP = ConstMap()
-CM_BOT = ConstMap(bottom=True)
+CM_TOP = frozenset()
+CM_BOT = _Bottom()
 
 
-def cm_make(bindings: dict[str, int]) -> ConstMap:
-    return ConstMap(frozenset(bindings.items()))
+def cm_make(bindings: dict[str, int]) -> frozenset:
+    return frozenset(bindings.items())
 
 
-def cm_leq(d1: ConstMap, d2: ConstMap) -> bool:
-    if d1.bottom:
+def cm_leq(d1, d2) -> bool:
+    if d1 is CM_BOT:
         return True
-    if d2.bottom:
+    if d2 is CM_BOT:
         return False
-    return d2.items <= d1.items
+    return d2 <= d1
 
 
-def cm_join(d1: ConstMap, d2: ConstMap) -> ConstMap:
-    if d1.bottom:
+def cm_join(d1, d2):
+    if d1 is CM_BOT:
         return d2
-    if d2.bottom:
+    if d2 is CM_BOT:
         return d1
-    return ConstMap(d1.items & d2.items)
+    return d1 & d2
 
 
-def cm_meet(d1: ConstMap, d2: ConstMap) -> ConstMap:
-    if d1.bottom or d2.bottom:
+def cm_meet(d1, d2):
+    if d1 is CM_BOT or d2 is CM_BOT:
         return CM_BOT
-    merged = d1.items | d2.items
+    merged = d1 | d2
     if len(dict(merged)) != len(merged):  # some variable bound to two values
         return CM_BOT
-    return ConstMap(merged)
+    return merged
 
 
-def cm_havoc(d: ConstMap, drop: frozenset[str]) -> ConstMap:
-    if d.bottom:
+def cm_havoc(d, drop: frozenset[str]):
+    if d is CM_BOT:
         return CM_BOT
-    return ConstMap(frozenset(b for b in d.items if b[0] not in drop))
+    return frozenset([b for b in d if b[0] not in drop])
 
 
-def cm_contains(d: ConstMap, state: dict) -> bool:
-    return not d.bottom and d.items <= state.items()
+def cm_contains(d, state: dict) -> bool:
+    return d is not CM_BOT and d <= state.items()
 
 
-def cm_eval(e: Expr, d: ConstMap) -> int | None:
+def cm_eval(e: Expr, d) -> int | None:
     """Abstract expression evaluation: a constant or None (unknown)."""
     if isinstance(e, Lit):
         return e.n
     if isinstance(e, VarRef):
-        return d.get(e.name)
+        for v, n in d:
+            if v == e.name:
+                return n
+        return None
     if isinstance(e, BinOp):
         a = cm_eval(e.left, d)
         b = cm_eval(e.right, d)
@@ -161,16 +165,16 @@ def cm_eval(e: Expr, d: ConstMap) -> int | None:
     raise TypeError(e)
 
 
-def cm_post(a: Assign, d: ConstMap) -> ConstMap:
-    if d.bottom:
+def cm_post(a: Assign, d):
+    if d is CM_BOT:
         return CM_BOT
     values = [cm_eval(e, d) for e in a.exprs]
     known = {(v, n) for v, n in zip(a.targets, values) if n is not None}
-    return ConstMap(cm_havoc(d, frozenset(a.targets)).items | known)
+    return cm_havoc(d, frozenset(a.targets)) | known
 
 
-def cm_filter_cmp(c: Cmp, d: ConstMap) -> ConstMap:
-    if d.bottom:
+def cm_filter_cmp(c: Cmp, d):
+    if d is CM_BOT:
         return CM_BOT
     lv = cm_eval(c.left, d)
     rv = cm_eval(c.right, d)
@@ -202,6 +206,7 @@ class StateDomain(ABC):
     def __init__(self, variables: tuple[str, ...], ops: OpsCounter | None = None):
         self.variables = tuple(variables)
         self.ops = ops if ops is not None else OpsCounter()
+        self.cap_collapses = 0  # elements a disjunct cap collapsed
 
     @abstractmethod
     def top(self): ...
@@ -253,13 +258,13 @@ class StateDomain(ABC):
         raise TypeError(c)
 
 
-def _fmt_cm(d: ConstMap, ascii_only: bool) -> str:
-    if d.bottom:
+def _fmt_cm(d, ascii_only: bool) -> str:
+    if d is CM_BOT:
         return "bot" if ascii_only else "⊥"
-    if not d.items:
+    if not d:
         return "top" if ascii_only else "⊤"
     arrow = "|->" if ascii_only else "↦"
-    return "[" + ", ".join(f"{v}{arrow}{n}" for v, n in sorted(d.items)) + "]"
+    return "[" + ", ".join(f"{v}{arrow}{n}" for v, n in sorted(d)) + "]"
 
 
 class ConstDomain(StateDomain):
@@ -267,80 +272,78 @@ class ConstDomain(StateDomain):
 
     name = "const"
 
-    def top(self) -> ConstMap:
+    def top(self):
         return CM_TOP
 
-    def bot(self) -> ConstMap:
+    def bot(self):
         return CM_BOT
 
-    def is_bot(self, d: ConstMap) -> bool:
-        return d.bottom
+    def is_bot(self, d) -> bool:
+        return d is CM_BOT
 
-    def leq(self, d1: ConstMap, d2: ConstMap) -> bool:
+    def leq(self, d1, d2) -> bool:
         return cm_leq(d1, d2)
 
-    def join(self, d1: ConstMap, d2: ConstMap) -> ConstMap:
+    def join(self, d1, d2):
         self.ops.bump()
         return cm_join(d1, d2)
 
-    def meet(self, d1: ConstMap, d2: ConstMap) -> ConstMap:
+    def meet(self, d1, d2):
         self.ops.bump()
         return cm_meet(d1, d2)
 
-    def havoc(self, d: ConstMap, drop: frozenset[str]) -> ConstMap:
+    def havoc(self, d, drop: frozenset[str]):
         return cm_havoc(d, drop)
 
-    def post(self, a: Assign, d: ConstMap) -> ConstMap:
+    def post(self, a: Assign, d):
         return cm_post(a, d)
 
-    def contains(self, d: ConstMap, state: dict) -> bool:
+    def contains(self, d, state: dict) -> bool:
         return cm_contains(d, state)
 
-    def _filter_cmp(self, c: Cmp, d: ConstMap) -> ConstMap:
+    def _filter_cmp(self, c: Cmp, d):
         return cm_filter_cmp(c, d)
 
-    def fmt(self, d: ConstMap, ascii_only: bool = False) -> str:
+    def fmt(self, d, ascii_only: bool = False) -> str:
         return _fmt_cm(d, ascii_only)
 
-    def stabilise(self, i: dict, d: ConstMap) -> ConstMap:
+    def stabilise(self, i: dict, d):
         """Drop from d every variable whose write-condition d meets: ⊥ stays
         ⊥, otherwise one counted meet per variable and one havoc. Equals the
         subset enumeration of `CondWrites.stabilise` for every n (see
         `interference`)."""
-        if d.bottom:
+        if d is CM_BOT:
             return d
         touched = frozenset(u for u in self.variables
-                            if not self.meet(d, i[u]).bottom)
+                            if self.meet(d, i[u]) is not CM_BOT)
         return self.havoc(d, touched)
 
 
-@dataclass(frozen=True)
-class PowElem:
-    """Finite set of pairwise-incomparable non-bottom constant maps;
-    the empty set is bottom."""
-
-    disjuncts: frozenset[ConstMap]
+# A powerset element is a frozenset of pairwise-incomparable constant maps,
+# none of them CM_BOT; the empty set is bottom.
+PW_BOT = frozenset()
+PW_TOP = frozenset({CM_TOP})
 
 
-def _pw_normalize(maps: Iterable[ConstMap]) -> frozenset[ConstMap]:
+def _pw_normalize(maps: Iterable) -> frozenset:
     # keep the maximal maps: those whose bindings strictly contain no other's.
     # Only a map with fewer bindings can be strictly contained, so a scan by
     # ascending binding count need only test the maps already kept: a dropped
     # map's bindings contain a kept map's, and containment is transitive.
-    uniq = {m for m in maps if not m.bottom}
+    uniq = {m for m in maps if m is not CM_BOT}
     if len(uniq) < 2:
         return frozenset(uniq)
-    kept: list[ConstMap] = []
-    for m in sorted(uniq, key=lambda m: len(m.items)):
-        items = m.items
-        if not any(k.items < items for k in kept):
+    kept: list[frozenset] = []
+    for m in sorted(uniq, key=len):
+        if not any(k < m for k in kept):
             kept.append(m)
     return frozenset(kept)
 
 
 class ConstPowersetDomain(StateDomain):
     """Disjunctive completion of the constant domain, with a disjunct cap:
-    on overflow all disjuncts collapse to their flat join."""
+    on overflow all disjuncts collapse to their flat join, and
+    `cap_collapses` counts one."""
 
     name = "const-powerset"
 
@@ -351,68 +354,63 @@ class ConstPowersetDomain(StateDomain):
             raise ValueError(f"max_disjuncts must be >= 1, got {max_disjuncts}")
         self.max_disjuncts = max_disjuncts
 
-    def make(self, maps: Iterable[ConstMap]) -> PowElem:
-        return self._cap(PowElem(_pw_normalize(maps)))
+    def make(self, maps: Iterable):
+        return self._cap(_pw_normalize(maps))
 
-    def _cap(self, d: PowElem) -> PowElem:
-        if len(d.disjuncts) <= self.max_disjuncts:
+    def _cap(self, d):
+        if len(d) <= self.max_disjuncts:
             return d
-        flat = frozenset.intersection(*(m.items for m in d.disjuncts))
-        return PowElem(frozenset({ConstMap(flat)}))
+        self.cap_collapses += 1
+        return frozenset({frozenset.intersection(*d)})
 
-    def top(self) -> PowElem:
-        return PowElem(frozenset({CM_TOP}))
+    def top(self):
+        return PW_TOP
 
-    def bot(self) -> PowElem:
-        return PowElem(frozenset())
+    def bot(self):
+        return PW_BOT
 
-    def is_bot(self, d: PowElem) -> bool:
-        return not d.disjuncts
+    def is_bot(self, d) -> bool:
+        return not d
 
-    def leq(self, d1: PowElem, d2: PowElem) -> bool:
+    def leq(self, d1, d2) -> bool:
         # Hoare order: sound, possibly incomplete
-        return all(
-            any(cm_leq(m1, m2) for m2 in d2.disjuncts) for m1 in d1.disjuncts
-        )
+        return all(any(m2 <= m1 for m2 in d2) for m1 in d1)
 
-    def join(self, d1: PowElem, d2: PowElem) -> PowElem:
+    def join(self, d1, d2):
         """`make(d1 ∪ d2)` for antichains d1 and d2, by cross comparisons
         only: no map of an antichain lies strictly below another of it, and
         a map in both survives."""
         self.ops.bump()
-        a, b = d1.disjuncts, d2.disjuncts
-        if a <= b:
+        if d1 <= d2:
             return d2
-        if b <= a:
+        if d2 <= d1:
             return d1
-        keep_a = [m for m in a - b if not any(k.items < m.items for k in b)]
-        keep_b = [m for m in b if not any(k.items < m.items for k in a)]
-        return self._cap(PowElem(frozenset(keep_a).union(keep_b)))
+        keep_a = [m for m in d1 - d2 if not any(k < m for k in d2)]
+        keep_b = [m for m in d2 if not any(k < m for k in d1)]
+        return self._cap(frozenset(keep_a).union(keep_b))
 
-    def meet(self, d1: PowElem, d2: PowElem) -> PowElem:
+    def meet(self, d1, d2):
         self.ops.bump()
-        return self.make(
-            cm_meet(m1, m2) for m1 in d1.disjuncts for m2 in d2.disjuncts
-        )
+        return self.make(cm_meet(m1, m2) for m1 in d1 for m2 in d2)
 
-    def havoc(self, d: PowElem, drop: frozenset[str]) -> PowElem:
-        return self.make(cm_havoc(m, drop) for m in d.disjuncts)
+    def havoc(self, d, drop: frozenset[str]):
+        return self.make(cm_havoc(m, drop) for m in d)
 
-    def post(self, a: Assign, d: PowElem) -> PowElem:
-        return self.make(cm_post(a, m) for m in d.disjuncts)
+    def post(self, a: Assign, d):
+        return self.make(cm_post(a, m) for m in d)
 
-    def contains(self, d: PowElem, state: dict) -> bool:
-        return any(cm_contains(m, state) for m in d.disjuncts)
+    def contains(self, d, state: dict) -> bool:
+        return any(cm_contains(m, state) for m in d)
 
-    def _filter_cmp(self, c: Cmp, d: PowElem) -> PowElem:
-        return self.make(cm_filter_cmp(c, m) for m in d.disjuncts)
+    def _filter_cmp(self, c: Cmp, d):
+        return self.make(cm_filter_cmp(c, m) for m in d)
 
-    def fmt(self, d: PowElem, ascii_only: bool = False) -> str:
-        if not d.disjuncts:
+    def fmt(self, d, ascii_only: bool = False) -> str:
+        if not d:
             return "bot" if ascii_only else "⊥"
-        if d.disjuncts == {CM_TOP}:
+        if d == PW_TOP:
             return "top" if ascii_only else "⊤"
-        maps = sorted(d.disjuncts, key=lambda m: sorted(m.items))
+        maps = sorted(d, key=sorted)
         return "{" + "; ".join(_fmt_cm(m, ascii_only) for m in maps) + "}"
 
 

@@ -42,6 +42,7 @@ class Metrics:
     outer_iterations: int = 0
     collects: int = 0   # collecting passes run, one per thread body
     memo_hits: int = 0  # stabilise and close calls answered from a memo
+    cap_collapses: int = 0  # powerset elements collapsed to their flat join
 
 
 @dataclass
@@ -225,6 +226,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         outer_iterations=rounds,
         collects=collects,
         memo_hits=cw.memo_hits,
+        cap_collapses=dom.cap_collapses,
     )
     return AnalysisResult(
         program=program, config=config, relies=relies, guarantees=guarantees,
@@ -273,6 +275,7 @@ def to_machine(result: AnalysisResult) -> dict:
             "outer_rounds": result.metrics.outer_iterations,
             "collects": result.metrics.collects,
             "memo_hits": result.metrics.memo_hits,
+            "cap_collapses": result.metrics.cap_collapses,
         },
     }
 

@@ -37,7 +37,8 @@ reference in `tests/reference_interference.py`.
 enumeration runs only on a miss. `close` is memoised the same way on the
 write-conditions in variable order, and its fixpoint loop over `_close_one`
 runs only on a miss. The keys hold values, not identities: lattice elements
-are frozen and hash by content. Both memos are exact because the closed
+are frozensets (or the const bottom sentinel, equal only to itself), which
+hash by content and cache their hash. Both memos are exact because the closed
 form, `_stabilise_enum` and `close` are pure functions of their arguments and
 of the instance's fixed `dom` and `fuel`; a `close` that runs out of fuel
 raises and stores nothing. `analyse` builds one `CondWrites` per call, so the

@@ -8,7 +8,7 @@ import itertools
 import random
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, ConstMap, ConstPowersetDomain, PowElem, Universe, cm_make,
+    CM_BOT, ConstPowersetDomain, StateDomain, Universe, cm_make,
 )
 from condwrites.lang import Assign, Lit, VarRef, eval_expr
 
@@ -22,31 +22,35 @@ def bf_states(universe: Universe) -> list[tuple]:
         *(vals for _, vals in universe.values))]
 
 
-def bf_gamma_cm(d: ConstMap, universe: Universe) -> set[tuple]:
-    if d.bottom:
+def bf_gamma_cm(d, universe: Universe) -> set[tuple]:
+    """Concretisation of a constant map: a frozenset of bindings, or CM_BOT."""
+    if d is CM_BOT:
         return set()
     order = universe.var_order
-    bind = d.as_dict()
+    bind = dict(d)
     return {
         s for s in bf_states(universe)
         if all(bind.get(v) is None or s[i] == bind[v] for i, v in enumerate(order))
     }
 
 
-def bf_gamma(d, universe: Universe) -> set[tuple]:
-    if isinstance(d, PowElem):
+def bf_gamma(dom: StateDomain, d, universe: Universe) -> set[tuple]:
+    """Concretisation of an element of `dom`. Both domains' elements are
+    frozensets, and the empty one is const's top but powerset's bottom, so
+    the domain says how to read d."""
+    if isinstance(dom, ConstPowersetDomain):
         out: set[tuple] = set()
-        for m in d.disjuncts:
+        for m in d:
             out |= bf_gamma_cm(m, universe)
         return out
     return bf_gamma_cm(d, universe)
 
 
-def bf_gamma_x(i: dict, universe: Universe) -> set[tuple]:
+def bf_gamma_x(dom: StateDomain, i: dict, universe: Universe) -> set[tuple]:
     """Transition concretisation: (s1, s2) is admitted iff every variable
     that changes has s1 inside its write-condition."""
     order = universe.var_order
-    gammas = {v: bf_gamma(i[v], universe) for v in order}
+    gammas = {v: bf_gamma(dom, i[v], universe) for v in order}
     states = bf_states(universe)
     pairs = set()
     for s1 in states:
@@ -76,7 +80,7 @@ def bf_is_transitive(pairs: set[tuple]) -> bool:
 
 
 def random_cm(rng: random.Random, variables, values=(0, 1),
-              p_bot: float = 0.05) -> ConstMap:
+              p_bot: float = 0.05):
     if rng.random() < p_bot:
         return CM_BOT
     bind = {}
@@ -89,7 +93,7 @@ def random_cm(rng: random.Random, variables, values=(0, 1),
 
 
 def random_pw(rng: random.Random, dom: ConstPowersetDomain, values=(0, 1),
-              max_disjuncts: int = 3) -> PowElem:
+              max_disjuncts: int = 3):
     k = rng.randint(0, max_disjuncts)
     return dom.make(random_cm(rng, dom.variables, values) for _ in range(k))
 

@@ -87,9 +87,9 @@ def test_criterion_2a_stabilise_soundness():
         cw = CondWrites(dom)
         for i, d, n in suite_2a_inputs(dom):
             out = cw.stabilise(i, d, n)
-            g_in = bf_gamma(d, U3)
-            reach = g_in | bf_step_image(bf_gamma_x(i, U3), g_in)
-            if not reach <= bf_gamma(out, U3):
+            g_in = bf_gamma(dom, d, U3)
+            reach = g_in | bf_step_image(bf_gamma_x(dom, i, U3), g_in)
+            if not reach <= bf_gamma(dom, out, U3):
                 bad += 1
     report("2a stabilise soundness (500 triples per domain)", bad == 0)
 
@@ -102,8 +102,8 @@ def test_criterion_2b_transitions_soundness():
         for _ in range(500):
             d = random_elem(rng, dom)
             a = random_assign(rng, VARS3)
-            gx = bf_gamma_x(cw.transitions(d, a), U3)
-            for s in bf_gamma(d, U3):
+            gx = bf_gamma_x(dom, cw.transitions(d, a), U3)
+            for s in bf_gamma(dom, d, U3):
                 if (s, bf_exec_assign(a, s, U3.var_order)) not in gx:
                     bad += 1
     report("2b transitions soundness (500 pairs per domain)", bad == 0)
@@ -119,7 +119,7 @@ def test_criterion_2c_close_properties():
             c = cw.close(i)
             if not cw.leq(i, c):
                 bad += 1
-            if not bf_is_transitive(bf_gamma_x(c, U3)):
+            if not bf_is_transitive(bf_gamma_x(dom, c, U3)):
                 bad += 1
             if not cw.eq(cw.close(c), c):
                 bad += 1
@@ -171,9 +171,9 @@ def test_criterion_4_lattice_laws():
         if not (dom.leq(d1, j) and dom.leq(d2, j)
                 and dom.leq(m, d1) and dom.leq(m, d2)):
             bad += 1
-        if bf_gamma(j, U2) < bf_gamma(d1, U2) | bf_gamma(d2, U2):
+        if bf_gamma(dom, j, U2) < bf_gamma(dom, d1, U2) | bf_gamma(dom, d2, U2):
             bad += 1
-        if bf_gamma(m, U2) != bf_gamma(d1, U2) & bf_gamma(d2, U2):
+        if bf_gamma(dom, m, U2) != bf_gamma(dom, d1, U2) & bf_gamma(dom, d2, U2):
             bad += 1
     for d in ALL_CMS:
         for v1 in subsets:
@@ -190,8 +190,8 @@ def test_criterion_4_lattice_laws():
         d1 = pw.make(random_cm(rng, VARS) for _ in range(rng.randint(0, 3)))
         d2 = pw.make(random_cm(rng, VARS) for _ in range(rng.randint(0, 3)))
         j, m = pw.join(d1, d2), pw.meet(d1, d2)
-        g1, g2 = bf_gamma(d1, U2), bf_gamma(d2, U2)
-        if bf_gamma(j, U2) != g1 | g2 or bf_gamma(m, U2) != g1 & g2:
+        g1, g2 = bf_gamma(pw, d1, U2), bf_gamma(pw, d2, U2)
+        if bf_gamma(pw, j, U2) != g1 | g2 or bf_gamma(pw, m, U2) != g1 & g2:
             bad += 1
         if pw.leq(d1, d2) and not g1 <= g2:
             bad += 1

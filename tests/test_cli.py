@@ -74,7 +74,9 @@ def test_machine_output(capsys):
     assert doc["verdict"] == "verified"
     assert doc["violations"] == []
     assert doc["n"] == 3  # defaults to the variable count
-    assert set(doc["stats"]) == {"outer_rounds", "collects", "memo_hits"}
+    assert set(doc["stats"]) == {
+        "outer_rounds", "collects", "memo_hits", "cap_collapses"}
+    assert doc["stats"]["cap_collapses"] == 0  # const has no disjunct cap
     assert doc["stats"]["outer_rounds"] >= 1
     assert 1 <= doc["stats"]["collects"] <= (
         doc["stats"]["outer_rounds"] * len(doc["threads"]))

@@ -1,7 +1,8 @@
 import pytest
 
 from condwrites.corpus import (
-    CASES, CSV_COLUMNS, DOMAINS, MODES, render_csv, render_table, run_suite,
+    CASES, CSV_COLUMNS, DOMAINS, MODES, nt_cheaper_cells, render_csv,
+    render_table, run_suite,
 )
 from condwrites.engine import AnalysisConfig, analyse
 from condwrites.oracle import check_soundness, explore
@@ -50,3 +51,21 @@ def test_renderers():
     csv_text = render_csv(rows)
     assert csv_text.splitlines()[0] == ",".join(CSV_COLUMNS)
     assert len(csv_text.strip().splitlines()) == 5
+
+
+def test_nt_cheaper_cells_skips_errored_and_unconverged_cells():
+    def row(name, mode, ops, converged=True):
+        return {"name": name, "domain": "const", "mode": mode, "ops": ops,
+                "converged": converged}
+
+    rows = [
+        row("cheaper", "nontransitive", 5), row("cheaper", "transitive", 9),
+        row("dearer", "nontransitive", 9), row("dearer", "transitive", 5),
+        # run_suite's row for a cell that raised: ops -1, not converged
+        row("errored", "nontransitive", -1, False),
+        row("errored", "transitive", 9),
+        row("fuel_cut", "nontransitive", 5, False),
+        row("fuel_cut", "transitive", 9),
+        row("one_mode", "nontransitive", 5),
+    ]
+    assert nt_cheaper_cells(rows) == (1, 2)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, ConstDomain, ConstMap, ConstPowersetDomain, OpsCounter,
-    PowElem, Universe, UniverseTooLarge, _pw_normalize, cm_leq, cm_make,
-    make_domain,
+    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, OpsCounter, Universe,
+    UniverseTooLarge, _pw_normalize, cm_leq, cm_make, make_domain,
 )
+from condwrites.interference import CondWrites
 from condwrites.lang import Assign, Cmp, Lit, VarRef, parse_program
 
 from conftest import (
-    bf_exec_assign, bf_gamma, bf_states, random_cm, random_pw,
+    bf_exec_assign, bf_gamma, bf_gamma_cm, bf_states, random_assign, random_cm,
+    random_elem, random_interference, random_pw,
 )
 
 VARS = ("x", "y")
@@ -54,7 +55,7 @@ def test_const_exhaustive_partial_order():
             assert d1 == d2
         # order agrees with concretisation
         if dom.leq(d1, d2):
-            assert bf_gamma(d1, U2) <= bf_gamma(d2, U2)
+            assert bf_gamma(dom, d1, U2) <= bf_gamma(dom, d2, U2)
     for d1, d2, d3 in itertools.product(ALL_CMS, repeat=3):
         if dom.leq(d1, d2) and dom.leq(d2, d3):
             assert dom.leq(d1, d3)
@@ -76,8 +77,9 @@ def test_const_exhaustive_join_meet():
             if dom.leq(lb, d1) and dom.leq(lb, d2):
                 assert dom.leq(lb, m)
         # soundness w.r.t. sets of states; meet is exact for constant maps
-        assert bf_gamma(j, U2) >= bf_gamma(d1, U2) | bf_gamma(d2, U2)
-        assert bf_gamma(m, U2) == bf_gamma(d1, U2) & bf_gamma(d2, U2)
+        g1, g2 = bf_gamma(dom, d1, U2), bf_gamma(dom, d2, U2)
+        assert bf_gamma(dom, j, U2) >= g1 | g2
+        assert bf_gamma(dom, m, U2) == g1 & g2
         # commutativity
         assert j == dom.join(d2, d1)
         assert m == dom.meet(d2, d1)
@@ -95,8 +97,8 @@ def test_const_exhaustive_havoc_axioms():
             for v2 in subsets:
                 assert dom.havoc(h, v2) == dom.havoc(d, v1 | v2)
             # concretisation includes every variation on the havocked vars
-            g = bf_gamma(d, U2)
-            gh = bf_gamma(h, U2)
+            g = bf_gamma(dom, d, U2)
+            gh = bf_gamma(dom, h, U2)
             for s in g:
                 for t in bf_states(U2):
                     if all(t[i] == s[i] or U2.var_order[i] in v1
@@ -107,8 +109,8 @@ def test_const_exhaustive_havoc_axioms():
 def test_const_top_bot():
     dom = ConstDomain(VARS)
     assert dom.is_bot(dom.bot()) and not dom.is_bot(dom.top())
-    assert bf_gamma(dom.bot(), U2) == set()
-    assert bf_gamma(dom.top(), U2) == set(bf_states(U2))
+    assert bf_gamma(dom, dom.bot(), U2) == set()
+    assert bf_gamma(dom, dom.top(), U2) == set(bf_states(U2))
 
 
 # -- post and filter -------------------------------------------------------------
@@ -141,8 +143,8 @@ def test_post_soundness_randomized():
             else VarRef(rng.choice(VARS)) for _ in range(k))
         a = Assign(1, targets, exprs)
         post = dom.post(a, d)
-        for s in bf_gamma(d, U2):
-            assert bf_exec_assign(a, s, U2.var_order) in bf_gamma(post, U2)
+        for s in bf_gamma(dom, d, U2):
+            assert bf_exec_assign(a, s, U2.var_order) in bf_gamma(dom, post, U2)
 
 
 def test_filter_examples():
@@ -170,10 +172,10 @@ def test_filter_soundness_randomized():
         d = random_cm(rng, VARS)
         c = rng.choice(pool)
         f = dom.filter(c, d)
-        kept = {s for s in bf_gamma(d, U2)
+        kept = {s for s in bf_gamma(dom, d, U2)
                 if eval_cond(c, dict(zip(U2.var_order, s)))}
-        assert kept <= bf_gamma(f, U2)
-        assert bf_gamma(f, U2) <= bf_gamma(d, U2)
+        assert kept <= bf_gamma(dom, f, U2)
+        assert bf_gamma(dom, f, U2) <= bf_gamma(dom, d, U2)
 
 
 # -- powerset completion ----------------------------------------------------------
@@ -189,10 +191,10 @@ def test_pw_normalization():
     b = cm_make({"x": 0, "y": 1})
     d = dom.make([b, CM_BOT, a, a])
     # bottoms dropped, subsumed disjuncts dropped, duplicates collapsed
-    assert d.disjuncts == {a}
+    assert d == {a}
     assert dom.make([]) == dom.bot()
     assert dom.is_bot(dom.bot())
-    assert dom.top().disjuncts == {CM_TOP}
+    assert dom.top() == {CM_TOP}
 
 
 def test_pw_gamma_is_union():
@@ -203,8 +205,8 @@ def test_pw_gamma_is_union():
         d = dom.make(ms)
         expect = set()
         for m in ms:
-            expect |= bf_gamma(m, U2)
-        assert bf_gamma(d, U2) == expect
+            expect |= bf_gamma_cm(m, U2)
+        assert bf_gamma(dom, d, U2) == expect
 
 
 def test_pw_lattice_soundness_randomized():
@@ -215,9 +217,9 @@ def test_pw_lattice_soundness_randomized():
         d2 = random_pw(rng, dom)
         j = dom.join(d1, d2)
         m = dom.meet(d1, d2)
-        g1, g2 = bf_gamma(d1, U2), bf_gamma(d2, U2)
-        assert bf_gamma(j, U2) == g1 | g2  # join is exact (set union)
-        assert bf_gamma(m, U2) == g1 & g2  # meets of constant maps are exact
+        g1, g2 = bf_gamma(dom, d1, U2), bf_gamma(dom, d2, U2)
+        assert bf_gamma(dom, j, U2) == g1 | g2  # join is exact (set union)
+        assert bf_gamma(dom, m, U2) == g1 & g2  # meets of constant maps are exact
         if dom.leq(d1, d2):
             assert g1 <= g2
         assert dom.leq(d1, j) and dom.leq(d2, j)
@@ -231,8 +233,8 @@ def test_pw_lattice_soundness_randomized():
 def maximal_maps(maps) -> frozenset:
     """The definition `_pw_normalize` implements: the non-bottom maps whose
     bindings strictly contain no other's, by comparing every pair."""
-    uniq = {m for m in maps if not m.bottom}
-    return frozenset(m for m in uniq if not any(m2.items < m.items for m2 in uniq))
+    uniq = {m for m in maps if m is not CM_BOT}
+    return frozenset(m for m in uniq if not any(m2 < m for m2 in uniq))
 
 
 def test_pw_normalize_matches_pairwise_definition():
@@ -254,9 +256,9 @@ def test_pw_join_of_antichains_is_make_of_union(max_disjuncts):
         d1, d2 = (random_pw(rng, dom, values=(0, 1, 2), max_disjuncts=5)
                   for _ in range(2))
         if rng.random() < 0.3:  # antichains sharing maps, or nested ones
-            shared = sorted(d1.disjuncts, key=lambda m: sorted(m.items))
-            d2 = dom.make(shared[:rng.randint(0, len(shared))] + list(d2.disjuncts))
-        assert dom.join(d1, d2) == dom.make(d1.disjuncts | d2.disjuncts)
+            shared = sorted(d1, key=sorted)
+            d2 = dom.make(shared[:rng.randint(0, len(shared))] + list(d2))
+        assert dom.join(d1, d2) == dom.make(d1 | d2)
         assert dom.join(d2, d1) == dom.join(d1, d2)
 
 
@@ -266,16 +268,28 @@ def test_pw_disjunct_cap_collapses_to_flat_join():
           cm_make({"x": 0, "y": 1})]
     d = dom.make(ms)
     # three incomparable disjuncts exceed the cap; they collapse to their join
-    (collapsed,) = d.disjuncts
+    (collapsed,) = d
     for m in ms:
         assert cm_leq(m, collapsed)
+
+
+def test_pw_cap_collapses_are_counted():
+    dom = pw_dom(max_disjuncts=2)
+    x0, x1, y1 = cm_make({"x": 0}), cm_make({"x": 1}), cm_make({"y": 1})
+    two = dom.make([x0, x1])
+    assert dom.cap_collapses == 0
+    assert dom.join(two, dom.make([y1])) == dom.top()  # three disjuncts
+    assert dom.cap_collapses == 1
+    dom.make([x0, x1, y1])
+    assert dom.cap_collapses == 2
+    assert ConstDomain(VARS).cap_collapses == 0
 
 
 def test_pw_filter_keeps_disjunct_precision():
     dom = pw_dom()
     d = dom.make([cm_make({"x": 0}), cm_make({"x": 1, "y": 1})])
     f = dom.filter(Cmp("==", VarRef("x"), Lit(1)), d)
-    assert f.disjuncts == {cm_make({"x": 1, "y": 1})}
+    assert f == {cm_make({"x": 1, "y": 1})}
 
 
 # -- shared bits ------------------------------------------------------------------
@@ -320,5 +334,84 @@ def test_make_domain():
 def test_cm_join_associates_with_gamma(b1, b2):
     d1, d2 = cm_make(b1), cm_make(b2)
     dom = ConstDomain(VARS)
-    assert bf_gamma(dom.join(d1, d2), U2) >= bf_gamma(d1, U2) | bf_gamma(d2, U2)
+    assert (bf_gamma(dom, dom.join(d1, d2), U2)
+            >= bf_gamma(dom, d1, U2) | bf_gamma(dom, d2, U2))
     assert dom.join(d1, dom.join(d2, d1)) == dom.join(dom.join(d1, d2), d1)
+
+
+# -- representation contract ------------------------------------------------------
+
+CONTRACT_VARS = ("x", "y", "z")
+CONTRACT_CONDS = [
+    parse_program(f"vars x, y, z; pre {src}; thread T {{ skip; }}").pre
+    for src in ("x == 1", "y != z", "x < y || z == 2", "!(x == 0) && y >= 1",
+                "z == x", "true", "false")]
+
+
+def is_cm(d) -> bool:
+    """CM_BOT itself, or a frozenset binding each variable at most once (a
+    variable bound twice would be a second, unrecognised bottom)."""
+    return d is CM_BOT or (type(d) is frozenset and len(dict(d)) == len(d))
+
+
+def is_elem(dom, d) -> bool:
+    if isinstance(dom, ConstPowersetDomain):
+        return (type(d) is frozenset
+                and all(m is not CM_BOT and is_cm(m) for m in d)
+                and len(d) <= dom.max_disjuncts)
+    return is_cm(d)
+
+
+def bottom_only_by_identity(d) -> bool:
+    return (d == CM_BOT) == (d is CM_BOT)
+
+
+@pytest.mark.parametrize("dom", [
+    ConstDomain(CONTRACT_VARS), ConstPowersetDomain(CONTRACT_VARS),
+    ConstPowersetDomain(CONTRACT_VARS, max_disjuncts=2),
+], ids=["const", "powerset", "powerset-cap2"])
+def test_primitives_keep_the_representation(dom):
+    # every result is a frozenset (const: or the CM_BOT sentinel), no result
+    # or disjunct merely equals CM_BOT, and no powerset element holds CM_BOT
+    rng = random.Random(9)
+    values = (0, 1, 2)
+    for _ in range(1500):
+        d1, d2 = (random_elem(rng, dom, values) for _ in range(2))
+        drop = frozenset(rng.sample(CONTRACT_VARS, rng.randint(0, 3)))
+        results = [
+            d1, d2, dom.join(d1, d2), dom.meet(d1, d2), dom.havoc(d1, drop),
+            dom.post(random_assign(rng, CONTRACT_VARS, values), d1),
+            dom.filter(rng.choice(CONTRACT_CONDS), d1), dom.top(), dom.bot(),
+        ]
+        if isinstance(dom, ConstPowersetDomain):
+            maps = [random_cm(rng, CONTRACT_VARS, values)
+                    for _ in range(rng.randint(0, 6))]
+            results.append(dom._cap(_pw_normalize(maps)))
+        for r in results:
+            assert is_elem(dom, r), r
+            assert bottom_only_by_identity(r)
+            if isinstance(dom, ConstPowersetDomain):
+                assert all(bottom_only_by_identity(m) for m in r)
+
+
+def rebuilt(d):
+    """An element equal to d made of new set objects."""
+    if d is CM_BOT:
+        return d
+    return frozenset([rebuilt(m) if isinstance(m, frozenset) else m for m in d])
+
+
+@pytest.mark.parametrize("powerset", [False, True], ids=["const", "powerset"])
+def test_equal_elements_built_apart_share_a_stabilise_memo_entry(powerset):
+    dom = (ConstPowersetDomain if powerset else ConstDomain)(CONTRACT_VARS)
+    cw = CondWrites(dom)
+    i = random_interference(random.Random(10), dom)
+    d = cm_make({"x": 1, "y": 0})
+    if powerset:
+        d = dom.make([d, cm_make({"z": 2})])
+    d2, i2 = rebuilt(d), {v: rebuilt(w) for v, w in i.items()}
+    assert d2 == d and d2 is not d
+    out = cw.stabilise(i, d, 2)
+    hits = cw.memo_hits
+    assert cw.stabilise(i2, d2, 2) is out
+    assert cw.memo_hits == hits + 1

@@ -264,6 +264,33 @@ def test_machine_report_fields():
     assert t0["guarantee"]["x"] == "[r↦0, z↦0]"
 
 
+def test_cap_collapses_are_counted():
+    # no corpus cell collapses at the default cap; at cap 2 the powerset
+    # cells collapse 26 elements in all, and one collapse costs reset_race
+    # its non-transitive powerset verdict. Const has no cap.
+    total = 0
+    for case in CASES:
+        program = case.load()
+        for mode in ("nontransitive", "transitive"):
+            for domain in ("const", "const-powerset"):
+                wide = analyse(program, AnalysisConfig(mode=mode, domain=domain))
+                narrow = analyse(program, AnalysisConfig(
+                    mode=mode, domain=domain, max_disjuncts=2))
+                assert wide.metrics.cap_collapses == 0
+                assert to_machine(narrow)["stats"]["cap_collapses"] == (
+                    narrow.metrics.cap_collapses)
+                if domain == "const":
+                    assert narrow.metrics.cap_collapses == 0
+                total += narrow.metrics.cap_collapses
+    assert total == 26
+    race = next(c for c in CASES if c.name == "reset_race").load()
+    wide, narrow = (analyse(race, AnalysisConfig(domain="const-powerset",
+                                                 max_disjuncts=cap))
+                    for cap in (64, 2))
+    assert (wide.verdict, narrow.verdict) == ("verified", "notVerified")
+    assert narrow.metrics.cap_collapses == 1
+
+
 def test_render_text_mentions_everything():
     txt = render_text(analyse_flagged())
     assert "thread T0:" in txt and "thread T1:" in txt

@@ -64,7 +64,8 @@ def ops_rows(doc: dict) -> list[dict]:
     for key, output in doc.items():
         name, domain, mode = key.split("/")
         rows.append({"name": name, "domain": domain, "mode": mode,
-                     "ops": output["machine"]["ops"]})
+                     "ops": output["machine"]["ops"],
+                     "converged": output["machine"]["converged"]})
     return rows
 
 

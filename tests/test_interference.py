@@ -34,13 +34,17 @@ def cw_pw(**kw) -> CondWrites:
 def test_bot_is_identity_top_is_everything():
     cw = cw_const()
     states = bf_states(U3)
-    assert bf_gamma_x(cw.bot(), U3) == {(s, s) for s in states}
-    assert bf_gamma_x(cw.top(), U3) == {(s1, s2) for s1 in states for s2 in states}
+    assert bf_gamma_x(cw.dom, cw.bot(), U3) == {(s, s) for s in states}
+    assert bf_gamma_x(cw.dom, cw.top(), U3) == {
+        (s1, s2) for s1 in states for s2 in states}
 
 
 def test_join_meet_leq_componentwise():
     rng = random.Random(22)
     cw = cw_const()
+
+    def gx(i):
+        return bf_gamma_x(cw.dom, i, U3)
     for _ in range(100):
         i1 = random_interference(rng, cw.dom)
         i2 = random_interference(rng, cw.dom)
@@ -49,8 +53,8 @@ def test_join_meet_leq_componentwise():
         assert cw.leq(i1, j) and cw.leq(i2, j)
         assert cw.leq(m, i1) and cw.leq(m, i2)
         # the transition concretisation is monotone in the element
-        assert bf_gamma_x(i1, U3) | bf_gamma_x(i2, U3) <= bf_gamma_x(j, U3)
-        assert bf_gamma_x(m, U3) <= bf_gamma_x(i1, U3) & bf_gamma_x(i2, U3)
+        assert gx(i1) | gx(i2) <= gx(j)
+        assert gx(m) <= gx(i1) & gx(i2)
         assert cw.eq(i1, i1) and (not cw.eq(i1, j) or cw.leq(j, i1))
 
 
@@ -122,9 +126,9 @@ def test_stabilise_one_step_soundness(mk):
         d = random_elem(rng, cw.dom)
         n = rng.randint(0, 3)
         out = cw.stabilise(i, d, n)
-        g_in = bf_gamma(d, U3)
-        reach = g_in | bf_step_image(bf_gamma_x(i, U3), g_in)
-        assert reach <= bf_gamma(out, U3)
+        g_in = bf_gamma(cw.dom, d, U3)
+        reach = g_in | bf_step_image(bf_gamma_x(cw.dom, i, U3), g_in)
+        assert reach <= bf_gamma(cw.dom, out, U3)
         assert cw.dom.leq(d, out)  # stabilisation only weakens
 
 
@@ -138,14 +142,14 @@ def test_stabilise_fix_many_step_soundness(mk):
         n = rng.randint(0, 3)
         out = cw.stabilise_fix(i, d, n)
         # concrete reachability closure under any number of steps
-        pairs = bf_gamma_x(i, U3)
-        reach = set(bf_gamma(d, U3))
+        pairs = bf_gamma_x(cw.dom, i, U3)
+        reach = set(bf_gamma(cw.dom, d, U3))
         while True:
             nxt = reach | bf_step_image(pairs, reach)
             if nxt == reach:
                 break
             reach = nxt
-        assert reach <= bf_gamma(out, U3)
+        assert reach <= bf_gamma(cw.dom, out, U3)
         # and the result is a fixpoint of one-step stabilisation
         again = cw.stabilise(i, out, n)
         assert cw.dom.leq(again, out) and cw.dom.leq(out, again)
@@ -159,8 +163,8 @@ def test_transitions_soundness(mk):
         d = random_elem(rng, cw.dom)
         a = random_assign(rng, VARS3)
         t = cw.transitions(d, a)
-        gx = bf_gamma_x(t, U3)
-        for s in bf_gamma(d, U3):
+        gx = bf_gamma_x(cw.dom, t, U3)
+        for s in bf_gamma(cw.dom, d, U3):
             assert (s, bf_exec_assign(a, s, U3.var_order)) in gx
 
 
@@ -172,7 +176,7 @@ def test_close_soundness(mk):
         i = random_interference(rng, cw.dom)
         c = cw.close(i)
         assert cw.leq(i, c)  # inflationary
-        assert bf_is_transitive(bf_gamma_x(c, U3))
+        assert bf_is_transitive(bf_gamma_x(cw.dom, c, U3))
         again = cw.close(c)
         assert cw.eq(again, c)  # idempotent
 
