@@ -199,9 +199,12 @@ class StateDomain(ABC):
 
     name: str
 
-    # Optional closed form `stabilise(i, d)` of `CondWrites.stabilise`, equal
-    # to its subset enumeration for every n; None keeps the enumeration.
+    # Optional closed forms of the interference layer's subset walks; None
+    # keeps the walk. `stabilise(i, d)` equals `CondWrites.stabilise`'s
+    # enumeration for every n, and `close_one(i, v)` equals one step of
+    # `CondWrites.close`, `CondWrites._close_one(i, v)`.
     stabilise = None
+    close_one = None
 
     def __init__(self, variables: tuple[str, ...], ops: OpsCounter | None = None):
         self.variables = tuple(variables)
@@ -317,6 +320,46 @@ class ConstDomain(StateDomain):
         touched = frozenset(u for u in self.variables
                             if self.meet(d, i[u]) is not CM_BOT)
         return self.havoc(d, touched)
+
+    def close_one(self, i: dict, v: str):
+        """Weaken i[v] by the one write set that decides each of its
+        bindings, the least set S ∋ x closed under "u ∈ S and i[u] binds a
+        variable y of i[v] to another value ⇒ y ∈ S". ⊥ and ⊤ stay as they
+        are. Each distinct set costs its wc fold (|S| - 1 counted meets),
+        and, when wc is not ⊥, at most one meet and one join. Equals
+        `CondWrites._close_one` (see `interference`)."""
+        iv = i[v]
+        if iv is CM_BOT or not iv:
+            return iv
+        bound = dict(iv)
+        # the closure rule's edges, uncounted like the walk's candidates
+        clashes = {u: () if i[u] is CM_BOT else
+                   [y for y, c in i[u] if bound.get(y, c) != c]
+                   for u in bound}
+        acc = iv
+        seen: set[frozenset[str]] = set()
+        for x in sorted(bound):
+            least = {x}
+            todo = [x]
+            while todo:
+                for y in clashes[todo.pop()]:
+                    if y not in least:
+                        least.add(y)
+                        todo.append(y)
+            vset = frozenset(least)
+            if vset in seen:
+                continue
+            seen.add(vset)
+            # no short cut at ⊥: the fold's ops must not depend on the names
+            first, *rest = sorted(vset)
+            wc = i[first]
+            for u in rest:
+                wc = self.meet(wc, i[u])
+            if wc is CM_BOT:
+                continue
+            h = cm_havoc(iv, vset)
+            acc = self.join(acc, wc if cm_leq(wc, h) else self.meet(h, wc))
+        return acc
 
 
 # A powerset element is a frozenset of pairwise-incomparable constant maps,

@@ -165,12 +165,15 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
     config = config or AnalysisConfig()
     started = time.perf_counter()
-    ops = OpsCounter()
-    dom = make_domain(config.domain, program.variables, ops, config.max_disjuncts)
-    cw = CondWrites(dom, fuel=config.fuel_inner)
     n = config.n if config.n is not None else len(program.variables)
     if not 0 <= n <= len(program.variables):
         raise ValueError(f"n must be within 0..{len(program.variables)}")
+    for limit in ("max_disjuncts", "fuel_inner", "fuel_outer"):
+        if getattr(config, limit) < 1:
+            raise ValueError(f"{limit} must be >= 1, got {getattr(config, limit)}")
+    ops = OpsCounter()
+    dom = make_domain(config.domain, program.variables, ops, config.max_disjuncts)
+    cw = CondWrites(dom, fuel=config.fuel_inner)
     transitive = config.mode == "transitive"
     if config.mode not in ("transitive", "nontransitive"):
         raise ValueError(f"unknown mode {config.mode!r}")

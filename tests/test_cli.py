@@ -213,6 +213,18 @@ def test_max_disjuncts_below_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("domain", ["const", "const-powerset"])
+@pytest.mark.parametrize("flag", ["--max-disjuncts", "--fuel-inner", "--fuel-outer"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_limit_below_one(capsys, domain, flag, value):
+    # rejected before the analysis runs, in every domain
+    code, out, err = run(capsys, "analyze", BRANCH, "--domain", domain,
+                         flag, value)
+    limit = flag[2:].replace("-", "_")
+    assert code == 2 and out == ""
+    assert err == f"error: {limit} must be >= 1, got {value}\n"
+
+
 def test_oracle_universe_too_large(tmp_path, capsys):
     names = [f"v{i}" for i in range(12)]
     body = " ".join(f"{v} := {i % 4};" for i, v in enumerate(names))

@@ -300,6 +300,29 @@ def test_render_text_mentions_everything():
     assert "|->" in ascii_txt and "↦" not in ascii_txt
 
 
+def chain_text(k: int, threads: int) -> str:
+    # chainK: thread t runs K guarded writes over a ring of K flags,
+    # `if (v[(i+t)%K] == 0) { v[(i+t+1)%K] := 1; }`
+    names = [f"v{j}" for j in range(k)]
+    lines = [f"vars {', '.join(names)};",
+             f"pre {' && '.join(f'{v} == 0' for v in names)};",
+             "post true;"]
+    for t in range(threads):
+        body = " ".join(f"if ({names[(j + t) % k]} == 0) "
+                        f"{{ {names[(j + t + 1) % k]} := 1; }}" for j in range(k))
+        lines.append(f"thread T{t} {{ {body} }}")
+    return "\n".join(lines) + "\n"
+
+
+def test_chain16_const_transitive_ops():
+    # the const close visits one least write set per binding; a walk over
+    # the constrained variables' subsets would need 10,955 ops here
+    result = analyse(parse_program(chain_text(16, 2)),
+                     AnalysisConfig(mode="transitive", domain="const"))
+    assert result.converged and result.verdict == "verified"
+    assert result.metrics.ops == 4_893
+
+
 def test_config_validation():
     p = parse_program(FLAGGED)
     with pytest.raises(ValueError):

@@ -414,6 +414,70 @@ def test_close_optimisation_equivalence(mk):
             assert cw.eq(out, reference_interference.close(cw, i, b2a=a, b2b=b))
 
 
+# -- the closed-form const close against the subset walks ----------------------
+
+
+VARS5 = ("a", "b", "c", "d", "e")
+
+
+def assert_close_one_matches_walks(variables, interferences):
+    # same values as the pruned walk and the unpruned reference walk, and
+    # never more ops than the pruned walk
+    fast, walk, ref = (CondWrites(ConstDomain(variables)) for _ in range(3))
+    for i in interferences:
+        for v in variables:
+            got, ops = with_ops(fast, fast.dom.close_one, i, v)
+            want, walk_ops = with_ops(walk, walk._close_one, i, v)
+            assert got == want and ops <= walk_ops
+            assert got == reference_interference.close_one(ref, i, v)
+
+
+def test_const_close_one_random():
+    rng = random.Random(49)
+    for k in range(1, len(VARS5) + 1):
+        dom = ConstDomain(VARS5[:k])
+        assert_close_one_matches_walks(
+            dom.variables,
+            [random_interference(rng, dom, values=(0, 1, 2)) for _ in range(600)])
+
+
+def test_const_close_one_exhaustive():
+    # every write-condition map over two {0,1} variables
+    from test_domains import ALL_CMS, VARS
+
+    assert_close_one_matches_walks(
+        VARS, [dict(zip(VARS, wcs))
+               for wcs in itertools.product(ALL_CMS, repeat=len(VARS))])
+
+
+def test_const_close_matches_reference():
+    rng = random.Random(50)
+    for k in range(1, len(VARS5) + 1):
+        cw = CondWrites(ConstDomain(VARS5[:k]))
+        for _ in range(150):
+            i = random_interference(rng, cw.dom, values=(0, 1, 2))
+            assert cw.close(i) == reference_interference.close(cw, i)
+
+
+def test_const_close_never_walks(monkeypatch):
+    calls = []
+    real = CondWrites._close_one
+
+    def counted(self, i, v):
+        calls.append(v)
+        return real(self, i, v)
+
+    monkeypatch.setattr(CondWrites, "_close_one", counted)
+    rng = random.Random(51)
+    cw = cw_const()
+    for _ in range(50):
+        cw.close(random_interference(rng, cw.dom))
+    assert calls == []
+    pw = cw_pw()
+    pw.close(random_interference(rng, pw.dom))
+    assert calls  # the powerset close still walks
+
+
 # -- fuel -------------------------------------------------------------------------
 
 

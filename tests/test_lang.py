@@ -182,7 +182,7 @@ def test_var_and_literal_collection():
     FLAGGED,
     "vars x, y; pre x == 0; post x == y; thread A { while (x < y) { x := x + 1; } }",
     "vars a; local T: b; relyvars T: a; thread T { a, b := b, a; if (a > 0) { skip; } else { a := 0 - 1; } }",
-])
+], ids=["flagged_write", "while_loop", "local_relyvars"])
 def test_format_round_trip(src):
     p = parse_program(src)
     assert parse_program(format_program(p)) == p
