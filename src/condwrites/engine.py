@@ -4,7 +4,12 @@ derivation, the outer fixpoint, and the postcondition verdict.
 A collecting pass carries only the abstract state through a thread body and
 records its proof outline. The thread's guarantee is read off that outline
 afterwards: the join of the transitions of each assignment from its
-pre-assertion, as in the paper.
+pre-assertion, as in the paper, in the preorder of the assignments' labels.
+
+The outer fixpoint runs Jacobi rounds and is driven by change: a round
+re-derives the rely of a thread only when another thread's guarantee changed
+in the previous round, and re-collects the thread only when that rely came
+out different. It has converged when a round changes no guarantee.
 
 Every fold over guarantees, transitions or exit states starts from its first
 operand rather than from bottom or top: `join(bot, x)` and `meet(top, x)`
@@ -18,7 +23,6 @@ from functools import reduce
 
 from .lang import (
     EXIT, Assign, Cond, Ite, Program, Seq, Skip, While, format_inst, negate,
-    statements,
 )
 from .domains import OpsCounter, StateDomain, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
@@ -107,7 +111,8 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
     The pass carries the state alone and stabilises each labelled point's
     incoming state once; a loop stops when its state is stable. The
     guarantee is the join of `cw.transitions(outline.pre[a.label], a)` over
-    the assignments `a` of the body. That equals joining the transitions of
+    the assignments `a` of the body, in preorder, which is the order the
+    pass first reaches them in. That equals joining the transitions of
     every pass as the pass runs: each pass's pre-assertions are at or below
     the final ones, since loop states only grow and the semantics is
     monotone, and `transitions` is monotone too. Stopping a loop once its
@@ -115,6 +120,7 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
     outline."""
     dom = cw.dom
     outline = ProofOutline()
+    assigns: dict[int, Assign] = {}
 
     def stab(d):
         if transitive:
@@ -131,6 +137,7 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
                 outline.pre[inst.label] = outline.post[inst.label] = stab(d)
             return d
         if isinstance(inst, Assign):
+            assigns[inst.label] = inst
             s = outline.pre[inst.label] = stab(d)
             d = outline.post[inst.label] = dom.post(inst, s)
             return d
@@ -157,8 +164,7 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
         raise TypeError(inst)
 
     outline.exit = stab(run(body, d))
-    writes = [cw.transitions(outline.pre[a.label], a)
-              for a in statements(body) if isinstance(a, Assign)]
+    writes = [cw.transitions(outline.pre[label], a) for label, a in assigns.items()]
     return (reduce(cw.join, writes) if writes else cw.bot()), outline
 
 
@@ -191,36 +197,35 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     guarantees = {t.tid: cw.bot() for t in program.threads}
     relies: dict[str, Interference] = {}
     outlines: dict[str, ProofOutline] = {}
+    changed = set(guarantees)  # the threads whose guarantee the last round changed
     converged = False
     rounds = collects = 0
 
     for _ in range(config.fuel_outer):
         rounds += 1
-        prev_relies = relies
-        relies = {
-            t.tid: rely(cw, t.tid, guarantees, rvars[t.tid], transitive)
-            for t in program.threads
-        }
-        new_g: dict[str, Interference] = {}
-        prev_outlines, outlines = outlines, {}
+        # A rely is a function of the other threads' guarantees and collect
+        # a pure function of (body, d_pre, rely, n, mode, fuel_inner), so a
+        # thread keeps its rely unless another thread's guarantee changed,
+        # and its guarantee and outline unless its rely changed. Values
+        # compare by content (const maps are sets, powerset elements
+        # antichains), so `==` is `cw.eq`. The round reads only the previous
+        # round's guarantees (Jacobi).
+        new_g = dict(guarantees)
         for t in program.threads:
-            # collect is a pure function of (body, d_pre, rely, n, mode,
-            # fuel_inner), and only the rely changes between rounds, so a
-            # thread whose rely equals last round's would get last round's
-            # guarantee and outline again: reuse them. Equality is of values
-            # (lattice elements compare by content), as for the memo keys.
-            # Round order and the convergence test are unchanged.
-            if relies[t.tid] == prev_relies.get(t.tid):
-                new_g[t.tid], outlines[t.tid] = guarantees[t.tid], prev_outlines[t.tid]
+            if t.tid in relies and not changed - {t.tid}:
                 continue
+            r = rely(cw, t.tid, guarantees, rvars[t.tid], transitive)
+            if r == relies.get(t.tid):
+                continue
+            relies[t.tid] = r
             collects += 1
             new_g[t.tid], outlines[t.tid] = collect(
-                cw, t.body, d_pre, relies[t.tid], n, transitive, config.fuel_inner)
-        if all(cw.eq(new_g[tid], guarantees[tid]) for tid in new_g):
-            converged = True
-            guarantees = new_g
-            break
+                cw, t.body, d_pre, r, n, transitive, config.fuel_inner)
+        changed = {tid for tid, g in new_g.items() if g != guarantees[tid]}
         guarantees = new_g
+        if not changed:
+            converged = True
+            break
 
     verdict = check_post(dom, outlines, program.post) if converged else "notVerified"
     metrics = Metrics(

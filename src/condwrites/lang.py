@@ -2,8 +2,9 @@
 
 Shared by the analyzer and the brute-force interleaving oracle. Programs are
 immutable after parsing. Every statement node carries a program-point label,
-assigned in preorder per thread; desugared else-branches get an unlabeled
-synthetic skip that never appears in proof outlines.
+numbered densely in preorder per thread from 1, so a label is also the
+statement's point in `control_flow`; desugared else-branches get an
+unlabeled synthetic skip that never appears in proof outlines.
 """
 
 from __future__ import annotations
@@ -140,27 +141,6 @@ class Program:
     locals: dict[str, tuple[str, ...]] = field(default_factory=dict, hash=False)
 
 
-def statements(inst: Inst) -> Iterator[Inst]:
-    """Yield every labeled statement node in preorder."""
-    if isinstance(inst, Seq):
-        for item in inst.items:
-            yield from statements(item)
-    elif isinstance(inst, Skip):
-        if inst.label is not None:
-            yield inst
-    elif isinstance(inst, Assign):
-        yield inst
-    elif isinstance(inst, Ite):
-        yield inst
-        yield from statements(inst.then)
-        yield from statements(inst.els)
-    elif isinstance(inst, While):
-        yield inst
-        yield from statements(inst.body)
-    else:
-        raise TypeError(inst)
-
-
 # ---------------------------------------------------------------------------
 # Control-flow graph
 
@@ -169,49 +149,50 @@ EXIT = "exit"  # the thread exit point, index 0 of every control-flow graph
 
 @dataclass(frozen=True)
 class ControlFlow:
-    """A thread body as a graph over dense point indices.
+    """A thread body as a graph whose points are its labels.
 
-    Index 0 is EXIT; index i > 0 is the i-th labeled statement of
-    `statements` (preorder). Every other point takes one atomic step. An
-    assignment or skip moves to `succ[i]`. A guard (`Ite`/`While`) moves to
-    `succ[i]` when its condition holds and to `succ_false[i]` otherwise.
-    Synthetic skips take no step and get no point."""
+    The parser numbers a thread's statements densely in preorder from 1, so
+    label i is point i and point 0 is EXIT. Every other point takes one
+    atomic step. An assignment or skip moves to `succ[i]`. A guard
+    (`Ite`/`While`) moves to `succ[i]` when its condition holds and to
+    `succ_false[i]` otherwise. Synthetic skips take no step and get no
+    point."""
 
-    points: tuple  # index -> EXIT or the statement's label
-    stmts: tuple   # index -> the labeled statement; None at EXIT
+    stmts: tuple   # point -> the statement labelled with it; None at EXIT
     succ: tuple[int, ...]
     succ_false: tuple[int, ...]
     entry: int
 
 
 def control_flow(body: Inst) -> ControlFlow:
-    stmts = (None, *statements(body))
-    index = {st.label: i for i, st in enumerate(stmts) if st is not None}
-    succ = [0] * len(stmts)
-    succ_false = [0] * len(stmts)
+    nodes = {0: (None, 0, 0)}  # point -> (statement, succ, succ_false)
 
     def link(inst: Inst, nxt: int) -> int:
-        """Link `inst` to continue at `nxt`; returns its entry point."""
+        """File `inst` under its label, linked to continue at `nxt`; returns
+        its entry point."""
         if isinstance(inst, Seq):
             for item in reversed(inst.items):
                 nxt = link(item, nxt)
             return nxt
         if isinstance(inst, Skip) and inst.label is None:
             return nxt
-        i = index[inst.label]
         if isinstance(inst, Ite):
-            succ[i] = link(inst.then, nxt)
-            succ_false[i] = link(inst.els, nxt)
+            edges = link(inst.then, nxt), link(inst.els, nxt)
         elif isinstance(inst, While):
-            succ[i] = link(inst.body, i)
-            succ_false[i] = nxt
+            edges = link(inst.body, inst.label), nxt
         else:
-            succ[i] = nxt
-        return i
+            edges = nxt, 0
+        nodes[inst.label] = (inst, *edges)
+        return inst.label
 
     entry = link(body, 0)
-    points = tuple(EXIT if st is None else st.label for st in stmts)
-    return ControlFlow(points, stmts, tuple(succ), tuple(succ_false), entry)
+    stmts, succ, succ_false = zip(*(nodes[i] for i in range(len(nodes))))
+    return ControlFlow(stmts, succ, succ_false, entry)
+
+
+def statements(inst: Inst) -> tuple[Inst, ...]:
+    """Every labelled statement of a thread body, in preorder."""
+    return control_flow(inst).stmts[1:]
 
 
 def negate(c: Cond) -> Cond:
@@ -230,59 +211,40 @@ def negate(c: Cond) -> Cond:
     raise TypeError(c)
 
 
-def cond_vars(c: Cond) -> set[str]:
-    if isinstance(c, BoolLit):
-        return set()
-    if isinstance(c, Cmp):
-        return expr_vars(c.left) | expr_vars(c.right)
-    if isinstance(c, Not):
-        return cond_vars(c.inner)
-    if isinstance(c, (And, Or)):
-        return cond_vars(c.left) | cond_vars(c.right)
-    raise TypeError(c)
+def leaves(node: Expr | Cond) -> Iterator[Lit | VarRef]:
+    """Yield the `Lit` and `VarRef` leaves of an expression or condition,
+    left to right."""
+    if isinstance(node, (Lit, VarRef)):
+        yield node
+    elif isinstance(node, (BinOp, Cmp, And, Or)):
+        yield from leaves(node.left)
+        yield from leaves(node.right)
+    elif isinstance(node, Not):
+        yield from leaves(node.inner)
+    elif not isinstance(node, BoolLit):
+        raise TypeError(node)
 
 
-def expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, Lit):
-        return set()
-    if isinstance(e, VarRef):
-        return {e.name}
-    if isinstance(e, BinOp):
-        return expr_vars(e.left) | expr_vars(e.right)
-    raise TypeError(e)
+def variables_of(node: Expr | Cond) -> set[str]:
+    return {leaf.name for leaf in leaves(node) if isinstance(leaf, VarRef)}
+
+
+def operands(p: Program) -> Iterator[Expr | Cond]:
+    """`pre`, `post`, every assignment's expressions and every guard."""
+    yield p.pre
+    yield p.post
+    for t in p.threads:
+        for st in statements(t.body):
+            if isinstance(st, Assign):
+                yield from st.exprs
+            elif isinstance(st, (Ite, While)):
+                yield st.cond
 
 
 def program_literals(p: Program) -> set[int]:
     """All integer literals appearing anywhere in the program."""
-    out: set[int] = set()
-
-    def from_expr(e: Expr) -> None:
-        if isinstance(e, Lit):
-            out.add(e.n)
-        elif isinstance(e, BinOp):
-            from_expr(e.left)
-            from_expr(e.right)
-
-    def from_cond(c: Cond) -> None:
-        if isinstance(c, Cmp):
-            from_expr(c.left)
-            from_expr(c.right)
-        elif isinstance(c, Not):
-            from_cond(c.inner)
-        elif isinstance(c, (And, Or)):
-            from_cond(c.left)
-            from_cond(c.right)
-
-    from_cond(p.pre)
-    from_cond(p.post)
-    for t in p.threads:
-        for st in statements(t.body):
-            if isinstance(st, Assign):
-                for e in st.exprs:
-                    from_expr(e)
-            elif isinstance(st, (Ite, While)):
-                from_cond(st.cond)
-    return out
+    return {leaf.n for node in operands(p) for leaf in leaves(node)
+            if isinstance(leaf, Lit)}
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +390,11 @@ class _Parser:
     def program(self) -> Program:
         variables: list[str] = []
         locals_: dict[str, list[str]] = {}
-        pre: Cond = BoolLit(True)
-        post: Cond = BoolLit(True)
-        relyvars: dict[str, list[str]] = {}
+        conds: dict[str, Cond] = {}  # "pre" and "post"
+        # declarations checked against the threads, with the keyword token
+        # each is reported at
+        relyvars: dict[str, tuple[list[str], _Tok]] = {}
+        local_decls: dict[str, _Tok] = {}
         threads: list[tuple[str, Inst, _Tok]] = []
 
         while self.peek().kind != "eof":
@@ -447,6 +411,7 @@ class _Parser:
             elif t.text == "local":
                 self.next()
                 tid = self.expect("id").text
+                local_decls.setdefault(tid, t)
                 self.expect("op", ":")
                 names = self.idlist()
                 for name in names:
@@ -455,19 +420,20 @@ class _Parser:
                     variables.append(name)
                 locals_.setdefault(tid, []).extend(names)
                 self.expect("op", ";")
-            elif t.text == "pre":
+            elif t.text in ("pre", "post"):
                 self.next()
-                pre = self.cond()
-                self.expect("op", ";")
-            elif t.text == "post":
-                self.next()
-                post = self.cond()
+                if t.text in conds:
+                    raise ParseError(f"{t.text} declared twice", t.line, t.col)
+                conds[t.text] = self.cond()
                 self.expect("op", ";")
             elif t.text == "relyvars":
                 self.next()
                 tid = self.expect("id").text
+                if tid in relyvars:
+                    raise ParseError(
+                        f"relyvars for thread {tid!r} declared twice", t.line, t.col)
                 self.expect("op", ":")
-                relyvars[tid] = self.idlist()
+                relyvars[tid] = (self.idlist(), t)
                 self.expect("op", ";")
             elif t.text == "thread":
                 tok = self.next()
@@ -485,43 +451,37 @@ class _Parser:
             if tid in seen:
                 raise ParseError(f"duplicate thread id {tid!r}", tok.line, tok.col)
             seen.add(tid)
-
-        allvars = frozenset(variables)
+        for tid, tok in local_decls.items():
+            if tid not in seen:
+                raise ParseError(f"local for unknown thread {tid!r}", tok.line, tok.col)
+        for tid, (names, tok) in relyvars.items():
+            if tid not in seen:
+                raise ParseError(f"relyvars for unknown thread {tid!r}", tok.line, tok.col)
+            for v in names:
+                if v not in variables:
+                    raise ParseError(
+                        f"relyvars names undeclared variable {v!r}", tok.line, tok.col)
         built = []
         for tid, body, _ in threads:
-            rv = frozenset(relyvars.get(tid, variables))
-            built.append(Thread(tid, body, rv))
+            rv = relyvars[tid][0] if tid in relyvars else variables
+            built.append(Thread(tid, body, frozenset(rv)))
         prog = Program(
             variables=tuple(variables),
             threads=tuple(built),
-            pre=pre,
-            post=post,
+            pre=conds.get("pre", BoolLit(True)),
+            post=conds.get("post", BoolLit(True)),
             locals={t: tuple(v) for t, v in locals_.items()},
         )
-        self._validate(prog, allvars, relyvars)
+        self._validate(prog)
         return prog
 
-    def _validate(self, prog: Program, allvars: frozenset[str],
-                  relyvars: dict[str, list[str]]) -> None:
-        tids = {t.tid for t in prog.threads}
-        for tid in relyvars:
-            if tid not in tids:
-                raise ParseError(f"relyvars for unknown thread {tid!r}", 1, 1)
-        for tid, names in relyvars.items():
-            for v in names:
-                if v not in allvars:
-                    raise ParseError(f"relyvars names undeclared variable {v!r}", 1, 1)
-        used = cond_vars(prog.pre) | cond_vars(prog.post)
+    def _validate(self, prog: Program) -> None:
+        used = {v for node in operands(prog) for v in variables_of(node)}
         for t in prog.threads:
             for st in statements(t.body):
                 if isinstance(st, Assign):
-                    for v in st.targets:
-                        used.add(v)
-                    for e in st.exprs:
-                        used |= expr_vars(e)
-                elif isinstance(st, (Ite, While)):
-                    used |= cond_vars(st.cond)
-        missing = sorted(used - allvars)
+                    used.update(st.targets)
+        missing = sorted(used - frozenset(prog.variables))
         if missing:
             raise ParseError(f"undeclared variable {missing[0]!r}", 1, 1)
 

@@ -7,9 +7,10 @@ interleaving atomic steps (one per assignment, skip, or guard evaluation).
 Encoding. A store is numbered in mixed radix by the positions of its values
 in the universe, last variable fastest, so store i is the i-th of
 `Universe.states()`; S is the universe size. Each thread's points are the
-dense indices of `lang.control_flow`, with EXIT = 0, and a configuration is
-the one int `store + S * (pc_0 + P_0 * (pc_1 + P_1 * ...))`, where P_k is
-thread k's point count. Exit configurations are exactly those below S.
+labels of its statements (`lang.control_flow`), with EXIT = 0, and a
+configuration is the one int `store + S * (pc_0 + P_0 * (pc_1 + P_1 * ...))`,
+where P_k is thread k's point count. Exit configurations are exactly those
+below S.
 
 Successor tables. A thread's step depends only on its own point and the
 store, so each thread keeps a dict from `pc * S + store` to the change its
@@ -38,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lang import (
-    And, Assign, Cmp, Cond, Lit, Program, Skip, VarRef, control_flow,
+    EXIT, And, Assign, Cmp, Cond, Lit, Program, Skip, VarRef, control_flow,
     eval_cond, exec_assign, program_literals,
 )
 from .domains import Universe
@@ -144,7 +145,7 @@ def explore(p: Program, universe: Universe | None = None,
     weight = size
     for f in flows:
         scales.append(weight)
-        weight *= len(f.points)
+        weight *= len(f.stmts)
     transitions: set = set()
 
     def step(k: int, key: int) -> int | None:
@@ -161,7 +162,7 @@ def explore(p: Program, universe: Universe | None = None,
             for v in st.targets:
                 if out[v] not in position[v]:
                     raise UniverseEscape(
-                        f"{tid}:{flow.points[pc]} wrote {v}={out[v]}, outside the universe")
+                        f"{tid}:{pc} wrote {v}={out[v]}, outside the universe")
             new = sum(position[v][out[v]] * stride for v, stride in zip(order, strides))
             if collect_transitions and new != store:
                 transitions.add((tid, store_of(store), store_of(new)))
@@ -170,7 +171,7 @@ def explore(p: Program, universe: Universe | None = None,
                 nxt = flow.succ_false[pc]
         return new - store + (nxt - pc) * scales[k]
 
-    threads = [(k, m, len(f.points), {}) for k, (m, f) in enumerate(zip(scales, flows))]
+    threads = [(k, m, len(f.stmts), {}) for k, (m, f) in enumerate(zip(scales, flows))]
     start = sum(f.entry * m for f, m in zip(flows, scales))
     queue = [start + store for store in initial]  # discovery order
     seen = set(queue)
@@ -198,10 +199,10 @@ def explore(p: Program, universe: Universe | None = None,
     # Every discovered configuration was visited, in discovery order, so each
     # table's keys are its thread's (point, store) projection of them.
     reachable: dict = {}
-    for t, flow, (_, _, _, table) in zip(p.threads, flows, threads):
+    for t, (_, _, _, table) in zip(p.threads, threads):
         for key in table:
             pc, store = divmod(key, size)
-            reachable.setdefault((t.tid, flow.points[pc]), set()).add(store_of(store))
+            reachable.setdefault((t.tid, pc or EXIT), set()).add(store_of(store))
     exit_states = {store_of(cfg) for cfg in filter(size.__gt__, queue)}
     return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
                         transitions=transitions, bounded=bounded)

@@ -251,6 +251,28 @@ def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
             res.outlines[t.tid].pre, res.outlines[t.tid].exit)
 
 
+def test_analyse_rederives_a_rely_only_after_another_guarantee_changed(monkeypatch):
+    # gate_chain converges in 3 rounds. Round 1 derives both relies. Under
+    # the empty rely T0 spins forever and guarantees nothing, so only T1's
+    # guarantee changes: round 2 derives T0's rely alone, and round 3 T1's
+    # alone, after T0's guarantee changed. Each of these relies differs
+    # from the last, so each is followed by a collect. Deriving every rely
+    # in every round would take 6 calls
+    calls = []
+    real = engine.rely
+
+    def counting(cw, tid, *rest):
+        calls.append(tid)
+        return real(cw, tid, *rest)
+
+    monkeypatch.setattr(engine, "rely", counting)
+    program = next(c for c in CASES if c.name == "gate_chain").load()
+    res = analyse(program, AnalysisConfig(mode="transitive", domain="const"))
+    assert res.converged and res.metrics.outer_iterations == 3
+    assert calls == ["T0", "T1", "T0", "T1"]
+    assert res.metrics.collects == len(calls)
+
+
 def test_machine_report_fields():
     m = to_machine(analyse_flagged())
     assert m["verdict"] == "verified"

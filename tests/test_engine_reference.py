@@ -3,10 +3,13 @@ re-collects every thread every round, driving the collecting pass that
 threaded the guarantee through every statement (`reference_engine.analyse`
 and `reference_engine.collect`).
 
-Skipping a thread whose rely did not change, and deriving each guarantee
-from the final proof outline, must give the same outlines, relies,
+Re-deriving a thread's rely only after another thread's guarantee changed,
+re-collecting it only when that rely changed, and deriving each guarantee
+from the final proof outline must give the same outlines, relies,
 guarantees, verdict, convergence and outer rounds, and never cost more
-ops."""
+ops. Deriving a rely joins the other threads' guarantees, so only a thread
+with two or more other threads pays lattice operations for it: the 3-thread
+programs are where skipped derivations show in ops."""
 
 import pytest
 
@@ -26,6 +29,9 @@ PROGRAMS = {
     **{case.name: case.load for case in CASES},
     **{f"seed{seed}": (lambda seed=seed: random_program(seed))
        for seed in range(1, 401)},
+    **{f"3threads-seed{seed}":
+       (lambda seed=seed: random_program(seed, threads=3, nvars=(3, 4)))
+       for seed in range(1, 201)},
 }
 
 

@@ -4,8 +4,9 @@ Compares `to_machine` (without `time_s`) and `render_text` (without its
 `time_s:` line), ops and stats included, against `golden/corpus_outputs.json`.
 A change that alters outlines, relies, guarantees, op accounting or the run
 counters under `stats` must regenerate the file on purpose and report the
-difference (every cell's ops and their total, the cells that changed besides
-ops and stats, and the criterion-6 count before and after):
+difference (every cell's ops and their total, every changed `stats` field of
+each cell and each field's total, the cells that changed besides ops and
+stats, and the criterion-6 count before and after):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -69,6 +70,11 @@ def ops_rows(doc: dict) -> list[dict]:
     return rows
 
 
+def stats(doc: dict, key: str) -> dict:
+    """A cell's `stats`; empty when the cell or its stats are missing."""
+    return doc[key]["machine"].get("stats", {}) if key in doc else {}
+
+
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     doc = {cell_key(*cell): cell_output(*cell) for cell in CELLS}
@@ -76,6 +82,9 @@ if __name__ == "__main__":
     for key, output in doc.items():
         before = old[key]["machine"]["ops"] if key in old else None
         print(f"{key}: ops {before} -> {output['machine']['ops']}")
+        for name, after in stats(doc, key).items():
+            if stats(old, key).get(name) != after:
+                print(f"  stats.{name} {stats(old, key).get(name)} -> {after}")
         if key not in old or without_counts(old[key]) != without_counts(output):
             changed.append(key)
     print(f"cells whose output changed besides ops and stats: {len(changed)}")
@@ -84,6 +93,10 @@ if __name__ == "__main__":
     before_ops, after_ops = (sum(row["ops"] for row in ops_rows(d))
                              for d in (old, doc))
     print(f"corpus ops total: {before_ops} -> {after_ops}")
+    for name in stats(doc, next(iter(doc))):
+        before_total, after_total = (sum(stats(d, key).get(name, 0) for key in d)
+                                     for d in (old, doc))
+        print(f"corpus stats.{name} total: {before_total} -> {after_total}")
     before_nt, after_nt = (nt_cheaper_cells(ops_rows(d)) for d in (old, doc))
     print("non-transitive mode needs fewer ops (criterion 6): "
           f"{before_nt[0]}/{before_nt[1]} -> {after_nt[0]}/{after_nt[1]} cells")

@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Not, Or,
     ParseError, Seq, Skip, VarRef, While,
-    EXIT, INT_MAX, INT_MIN, cond_vars, control_flow, eval_cond, eval_expr, exec_assign,
-    expr_vars, format_program, negate, parse_program, program_literals,
-    statements,
+    INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
+    format_program, leaves, negate, parse_program, program_literals,
+    statements, variables_of,
 )
+
+from randprog import random_program
 
 FLAGGED = """
 vars x, z;
@@ -70,10 +72,10 @@ def test_control_flow_dense_points_and_links():
     """)
     body = p.threads[0].body
     g = control_flow(body)
-    # index 0 is the exit; the rest follow `statements` preorder
-    assert g.points == (EXIT, *(s.label for s in statements(body)))
-    assert g.points == (EXIT, 1, 2, 3, 4, 5, 6, 7, 8)
-    assert g.stmts[0] is None and g.stmts[1:] == tuple(statements(body))
+    # point 0 is the exit; label i is point i
+    assert g.stmts[0] is None and len(g.stmts) == 9
+    assert all(g.stmts[i].label == i for i in range(1, 9))
+    assert g.stmts[1:] == statements(body)
     assert g.entry == 1
     # if without else: the synthetic else-skip falls through to the loop
     assert (g.succ[1], g.succ_false[1]) == (2, 3)
@@ -84,6 +86,27 @@ def test_control_flow_dense_points_and_links():
     # both branches of the last if end at the exit
     assert (g.succ[6], g.succ_false[6]) == (7, 8)
     assert g.succ[7] == g.succ[8] == 0
+
+
+def preorder(inst):
+    """The labelled statements of a body by a direct preorder walk."""
+    if isinstance(inst, Seq):
+        return [st for item in inst.items for st in preorder(item)]
+    if isinstance(inst, Skip):
+        return [] if inst.label is None else [inst]
+    if isinstance(inst, Ite):
+        return [inst, *preorder(inst.then), *preorder(inst.els)]
+    if isinstance(inst, While):
+        return [inst, *preorder(inst.body)]
+    return [inst]
+
+
+def test_statements_are_the_preorder_walk():
+    for seed in range(1, 201):
+        for t in random_program(seed).threads:
+            walked = preorder(t.body)
+            assert list(statements(t.body)) == walked, seed
+            assert [st.label for st in walked] == list(range(1, len(walked) + 1)), seed
 
 
 def test_operator_precedence_and_unary_minus():
@@ -115,6 +138,23 @@ def test_parse_errors(src, fragment):
     with pytest.raises(ParseError) as exc:
         parse_program(src)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("src, fragment, pos", [
+    ("vars x;\npre x == 0;\n  pre true;\nthread T { skip; }", "pre declared twice", (3, 3)),
+    ("vars x;\npost true; post x == 0;\nthread T { skip; }", "post declared twice", (2, 12)),
+    ("vars x;\nrelyvars T: x;\n relyvars T: x;\nthread T { skip; }",
+     "relyvars for thread 'T' declared twice", (3, 2)),
+    ("vars x;\n  local U: r;\nthread T { skip; }", "local for unknown thread 'U'", (2, 3)),
+    ("vars x;\n  relyvars U: x;\nthread T { skip; }", "relyvars for unknown thread", (2, 3)),
+    ("vars x;\nthread T { skip; }\nrelyvars T: q;", "undeclared variable 'q'", (3, 1)),
+], ids=["pre_twice", "post_twice", "relyvars_twice", "local_unknown_thread",
+        "relyvars_unknown_thread", "relyvars_undeclared"])
+def test_declaration_errors_at_the_declaration(src, fragment, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert fragment in exc.value.msg
+    assert (exc.value.line, exc.value.col) == pos
 
 
 def test_parse_error_carries_position():
@@ -174,8 +214,18 @@ def test_eval_overflow():
 def test_var_and_literal_collection():
     p = parse_program(FLAGGED)
     assert program_literals(p) == {0, 1}
-    assert expr_vars(BinOp("+", VarRef("a"), Lit(3))) == {"a"}
-    assert cond_vars(p.post) == {"r"}
+    assert variables_of(BinOp("+", VarRef("a"), Lit(3))) == {"a"}
+    assert variables_of(p.post) == {"r"}
+    # leaves come left to right through every node kind
+    c = Or(Not(Cmp("<", BinOp("*", BinOp("-", VarRef("a"), Lit(1)), VarRef("b")), Lit(7))),
+           And(BoolLit(False), Cmp("==", VarRef("a"), Lit(-2))))
+    assert list(leaves(c)) == [VarRef("a"), Lit(1), VarRef("b"), Lit(7),
+                               VarRef("a"), Lit(-2)]
+    assert variables_of(c) == {"a", "b"}
+    assert list(leaves(BoolLit(True))) == [] and variables_of(Not(BoolLit(True))) == set()
+    p = parse_program("vars a; pre !(a == 5) || true; post a > 6;"
+                      "thread T { while (a < 8) { a := (a + 9) * 10; } if (a == 11) { skip; } }")
+    assert program_literals(p) == {5, 6, 8, 9, 10, 11}
 
 
 @pytest.mark.parametrize("src", [
