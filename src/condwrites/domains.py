@@ -7,8 +7,9 @@ a cached hash. A constant map is a frozenset of `(var, value)` bindings:
 `CM_TOP` is the empty frozenset and bottom is the sentinel `CM_BOT`, checked
 by identity. A powerset element is a frozenset of non-bottom constant maps:
 bottom is the empty frozenset and top is `frozenset({CM_TOP})`. Domain
-objects carry the variable set, a lattice-operation counter shared with the
-interference layer, and a count of powerset cap collapses.
+objects carry the variable set and two plain int counters: `ops`, the
+join/meet count (the Ops metric), and `cap_collapses`, the powerset cap
+collapses. Expressions are evaluated by the concrete semantics of `lang`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .lang import (
-    And, Assign, BinOp, BoolLit, Cmp, Cond, Expr, Lit, Not, Or, VarRef,
-    ARITH_OPS, CMP_OPS, INT_MAX, INT_MIN, negate,
+    And, Assign, BoolLit, Cmp, Cond, Expr, Lit, Not, Or, VarRef,
+    CMP_OPS, EvalOverflow, eval_expr, negate,
 )
 
 
@@ -68,18 +69,6 @@ class Universe:
         names = self.var_order
         for combo in itertools.product(*(vals for _, vals in self.values)):
             yield dict(zip(names, combo))
-
-
-class OpsCounter:
-    """Counts state-lattice join/meet invocations (the Ops metric)."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def bump(self) -> None:
-        self.count += 1
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +133,25 @@ def cm_contains(d, state: dict) -> bool:
     return d is not CM_BOT and d <= state.items()
 
 
-def cm_eval(e: Expr, d) -> int | None:
-    """Abstract expression evaluation: a constant or None (unknown)."""
+def cm_eval(e: Expr, s: dict) -> int | None:
+    """Abstract expression evaluation over s, a constant map's bindings as a
+    dict: the concrete value, or None (unknown) when e reads an unbound
+    variable or overflows 64 bits."""
     if isinstance(e, Lit):
         return e.n
     if isinstance(e, VarRef):
-        for v, n in d:
-            if v == e.name:
-                return n
+        return s.get(e.name)
+    try:
+        return eval_expr(e, s)
+    except (KeyError, EvalOverflow):
         return None
-    if isinstance(e, BinOp):
-        a = cm_eval(e.left, d)
-        b = cm_eval(e.right, d)
-        if a is None or b is None:
-            return None
-        r = ARITH_OPS[e.op](a, b)
-        if r < INT_MIN or r > INT_MAX:
-            return None  # fold overflow into "unknown" rather than evaluating it
-        return r
-    raise TypeError(e)
 
 
 def cm_post(a: Assign, d):
     if d is CM_BOT:
         return CM_BOT
-    values = [cm_eval(e, d) for e in a.exprs]
+    s = dict(d)
+    values = [cm_eval(e, s) for e in a.exprs]
     known = {(v, n) for v, n in zip(a.targets, values) if n is not None}
     return cm_havoc(d, frozenset(a.targets)) | known
 
@@ -176,8 +159,9 @@ def cm_post(a: Assign, d):
 def cm_filter_cmp(c: Cmp, d):
     if d is CM_BOT:
         return CM_BOT
-    lv = cm_eval(c.left, d)
-    rv = cm_eval(c.right, d)
+    s = dict(d)
+    lv = cm_eval(c.left, s)
+    rv = cm_eval(c.right, s)
     if lv is not None and rv is not None:
         return d if CMP_OPS[c.op](lv, rv) else CM_BOT
     if c.op == "==":
@@ -206,9 +190,9 @@ class StateDomain(ABC):
     stabilise = None
     close_one = None
 
-    def __init__(self, variables: tuple[str, ...], ops: OpsCounter | None = None):
+    def __init__(self, variables: tuple[str, ...]):
         self.variables = tuple(variables)
-        self.ops = ops if ops is not None else OpsCounter()
+        self.ops = 0  # counted joins and meets (the Ops metric)
         self.cap_collapses = 0  # elements a disjunct cap collapsed
 
     @abstractmethod
@@ -288,11 +272,11 @@ class ConstDomain(StateDomain):
         return cm_leq(d1, d2)
 
     def join(self, d1, d2):
-        self.ops.bump()
+        self.ops += 1
         return cm_join(d1, d2)
 
     def meet(self, d1, d2):
-        self.ops.bump()
+        self.ops += 1
         return cm_meet(d1, d2)
 
     def havoc(self, d, drop: frozenset[str]):
@@ -390,9 +374,8 @@ class ConstPowersetDomain(StateDomain):
 
     name = "const-powerset"
 
-    def __init__(self, variables, ops: OpsCounter | None = None,
-                 max_disjuncts: int = 64):
-        super().__init__(variables, ops)
+    def __init__(self, variables, max_disjuncts: int = 64):
+        super().__init__(variables)
         if max_disjuncts < 1:
             raise ValueError(f"max_disjuncts must be >= 1, got {max_disjuncts}")
         self.max_disjuncts = max_disjuncts
@@ -423,7 +406,7 @@ class ConstPowersetDomain(StateDomain):
         """`make(d1 ∪ d2)` for antichains d1 and d2, by cross comparisons
         only: no map of an antichain lies strictly below another of it, and
         a map in both survives."""
-        self.ops.bump()
+        self.ops += 1
         if d1 <= d2:
             return d2
         if d2 <= d1:
@@ -433,7 +416,7 @@ class ConstPowersetDomain(StateDomain):
         return self._cap(frozenset(keep_a).union(keep_b))
 
     def meet(self, d1, d2):
-        self.ops.bump()
+        self.ops += 1
         return self.make(cm_meet(m1, m2) for m1 in d1 for m2 in d2)
 
     def havoc(self, d, drop: frozenset[str]):
@@ -458,10 +441,9 @@ class ConstPowersetDomain(StateDomain):
 
 
 def make_domain(kind: str, variables: tuple[str, ...],
-                ops: OpsCounter | None = None,
                 max_disjuncts: int = 64) -> StateDomain:
     if kind == "const":
-        return ConstDomain(variables, ops)
+        return ConstDomain(variables)
     if kind == "const-powerset":
-        return ConstPowersetDomain(variables, ops, max_disjuncts)
+        return ConstPowersetDomain(variables, max_disjuncts)
     raise ValueError(f"unknown domain {kind!r}")

@@ -24,7 +24,7 @@ from functools import reduce
 from .lang import (
     EXIT, Assign, Cond, Ite, Program, Seq, Skip, While, format_inst, negate,
 )
-from .domains import OpsCounter, StateDomain, make_domain
+from .domains import StateDomain, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
 
 
@@ -177,8 +177,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     for limit in ("max_disjuncts", "fuel_inner", "fuel_outer"):
         if getattr(config, limit) < 1:
             raise ValueError(f"{limit} must be >= 1, got {getattr(config, limit)}")
-    ops = OpsCounter()
-    dom = make_domain(config.domain, program.variables, ops, config.max_disjuncts)
+    dom = make_domain(config.domain, program.variables, config.max_disjuncts)
     cw = CondWrites(dom, fuel=config.fuel_inner)
     transitive = config.mode == "transitive"
     if config.mode not in ("transitive", "nontransitive"):
@@ -208,8 +207,8 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         # thread keeps its rely unless another thread's guarantee changed,
         # and its guarantee and outline unless its rely changed. Values
         # compare by content (const maps are sets, powerset elements
-        # antichains), so `==` is `cw.eq`. The round reads only the previous
-        # round's guarantees (Jacobi).
+        # antichains), so `==` on interferences is lattice equality. The
+        # round reads only the previous round's guarantees (Jacobi).
         new_g = dict(guarantees)
         for t in program.threads:
             if t.tid in relies and not changed - {t.tid}:
@@ -229,7 +228,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
 
     verdict = check_post(dom, outlines, program.post) if converged else "notVerified"
     metrics = Metrics(
-        ops=ops.count,
+        ops=dom.ops,
         time_s=time.perf_counter() - started,
         outer_iterations=rounds,
         collects=collects,

@@ -106,7 +106,8 @@ from .lang import Assign
 from .domains import StateDomain
 
 # Interference elements are plain dicts var -> domain element, total over
-# the domain's variable set. Treated as immutable.
+# the domain's variable set. Treated as immutable. Both domains' elements
+# compare by content, so `==` on interferences is lattice equality.
 Interference = dict
 
 
@@ -139,9 +140,6 @@ class CondWrites:
 
     def leq(self, i1: Interference, i2: Interference) -> bool:
         return all(self.dom.leq(i1[v], i2[v]) for v in self.dom.variables)
-
-    def eq(self, i1: Interference, i2: Interference) -> bool:
-        return self.leq(i1, i2) and self.leq(i2, i1)
 
     def fmt(self, i: Interference, ascii_only: bool = False) -> str:
         arrow = "|->" if ascii_only else "↦"

@@ -225,10 +225,6 @@ def leaves(node: Expr | Cond) -> Iterator[Lit | VarRef]:
         raise TypeError(node)
 
 
-def variables_of(node: Expr | Cond) -> set[str]:
-    return {leaf.name for leaf in leaves(node) if isinstance(leaf, VarRef)}
-
-
 def operands(p: Program) -> Iterator[Expr | Cond]:
     """`pre`, `post`, every assignment's expressions and every guard."""
     yield p.pre
@@ -359,6 +355,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.label = 0  # reset at each thread
+        self.uses: dict[str, _Tok] = {}  # variable -> its first read or write
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -461,35 +458,32 @@ class _Parser:
                 if v not in variables:
                     raise ParseError(
                         f"relyvars names undeclared variable {v!r}", tok.line, tok.col)
+        undeclared = [t for v, t in self.uses.items() if v not in variables]
+        if undeclared:
+            t = min(undeclared, key=lambda t: (t.line, t.col))
+            raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
         built = []
         for tid, body, _ in threads:
             rv = relyvars[tid][0] if tid in relyvars else variables
             built.append(Thread(tid, body, frozenset(rv)))
-        prog = Program(
+        return Program(
             variables=tuple(variables),
             threads=tuple(built),
             pre=conds.get("pre", BoolLit(True)),
             post=conds.get("post", BoolLit(True)),
             locals={t: tuple(v) for t, v in locals_.items()},
         )
-        self._validate(prog)
-        return prog
-
-    def _validate(self, prog: Program) -> None:
-        used = {v for node in operands(prog) for v in variables_of(node)}
-        for t in prog.threads:
-            for st in statements(t.body):
-                if isinstance(st, Assign):
-                    used.update(st.targets)
-        missing = sorted(used - frozenset(prog.variables))
-        if missing:
-            raise ParseError(f"undeclared variable {missing[0]!r}", 1, 1)
 
     def idlist(self) -> list[str]:
         names = [self.expect("id").text]
         while self.accept("op", ","):
             names.append(self.expect("id").text)
         return names
+
+    def use(self, tok: _Tok) -> str:
+        """Record an identifier token as a read or write of its variable."""
+        self.uses.setdefault(tok.text, tok)
+        return tok.text
 
     # -- statements ----------------------------------------------------------
 
@@ -537,7 +531,9 @@ class _Parser:
             return While(label, c, body)
         if t.kind == "id":
             label = self.fresh_label()
-            targets = self.idlist()
+            targets = [self.use(self.expect("id"))]
+            while self.accept("op", ","):
+                targets.append(self.use(self.expect("id")))
             self.expect("op", ":=")
             exprs = [self.expr()]
             while self.accept("op", ","):
@@ -635,7 +631,7 @@ class _Parser:
             return Lit(int(t.text))
         if t.kind == "id":
             self.next()
-            return VarRef(t.text)
+            return VarRef(self.use(t))
         if t.kind == "op" and t.text == "-":
             self.next()
             inner = self.factor()

@@ -61,8 +61,7 @@ class OracleReport:
     universe: Universe
     reachable: dict  # (tid, point) -> set of store tuples
     exit_states: set  # store tuples with every thread at exit
-    transitions: set  # (tid, pre store tuple, post store tuple) of assign steps
-    bounded: bool = False
+    bounded: bool = False  # whether a Budget cut the exploration
 
     def to_machine(self) -> dict:
         order = self.universe.var_order
@@ -104,8 +103,7 @@ def _pinned_values(c: Cond) -> dict[str, set[int]]:
 
 
 def explore(p: Program, universe: Universe | None = None,
-            budget: Budget | None = None,
-            collect_transitions: bool = False) -> OracleReport:
+            budget: Budget | None = None) -> OracleReport:
     budget = budget or Budget()
     if budget.max_states <= 0 or budget.max_steps <= 0:
         raise ValueError("budgets must be positive")
@@ -146,7 +144,6 @@ def explore(p: Program, universe: Universe | None = None,
     for f in flows:
         scales.append(weight)
         weight *= len(f.stmts)
-    transitions: set = set()
 
     def step(k: int, key: int) -> int | None:
         """The change thread k's step from `key` = (pc, store) makes to a
@@ -164,8 +161,6 @@ def explore(p: Program, universe: Universe | None = None,
                     raise UniverseEscape(
                         f"{tid}:{pc} wrote {v}={out[v]}, outside the universe")
             new = sum(position[v][out[v]] * stride for v, stride in zip(order, strides))
-            if collect_transitions and new != store:
-                transitions.add((tid, store_of(store), store_of(new)))
         elif not isinstance(st, Skip):  # a guard evaluation is one visible step
             if not eval_cond(st.cond, dict(zip(order, store_of(store)))):
                 nxt = flow.succ_false[pc]
@@ -205,7 +200,7 @@ def explore(p: Program, universe: Universe | None = None,
             reachable.setdefault((t.tid, pc or EXIT), set()).add(store_of(store))
     exit_states = {store_of(cfg) for cfg in filter(size.__gt__, queue)}
     return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
-                        transitions=transitions, bounded=bounded)
+                        bounded=bounded)
 
 
 # -- soundness checking --------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 
 from condwrites.lang import Assign, Ite, Program, Seq, Skip, While, negate
-from condwrites.domains import OpsCounter, make_domain
+from condwrites.domains import make_domain
 from condwrites.engine import (
     AnalysisConfig, AnalysisResult, Metrics, ProofOutline, check_post, rely,
 )
@@ -94,8 +94,7 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
     config = config or AnalysisConfig()
     started = time.perf_counter()
-    ops = OpsCounter()
-    dom = make_domain(config.domain, program.variables, ops, config.max_disjuncts)
+    dom = make_domain(config.domain, program.variables, config.max_disjuncts)
     cw = CondWrites(dom, fuel=config.fuel_inner)
     n = config.n if config.n is not None else len(program.variables)
     if not 0 <= n <= len(program.variables):
@@ -131,7 +130,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         for t in program.threads:
             new_g[t.tid], outlines[t.tid] = collect(
                 cw, t.body, d_pre, relies[t.tid], n, transitive, config.fuel_inner)
-        if all(cw.eq(new_g[tid], guarantees[tid]) for tid in new_g):
+        if new_g == guarantees:
             converged = True
             guarantees = new_g
             break
@@ -139,7 +138,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
 
     verdict = check_post(dom, outlines, program.post) if converged else "notVerified"
     metrics = Metrics(
-        ops=ops.count,
+        ops=dom.ops,
         time_s=time.perf_counter() - started,
         outer_iterations=rounds,
     )

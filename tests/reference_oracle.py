@@ -65,8 +65,7 @@ def _compile(inst, succ, nodes: dict) -> object:
 
 
 def explore(p: Program, universe: Universe | None = None,
-            budget: Budget | None = None,
-            collect_transitions: bool = False) -> OracleReport:
+            budget: Budget | None = None) -> OracleReport:
     budget = budget or Budget()
     if budget.max_states <= 0 or budget.max_steps <= 0:
         raise ValueError("budgets must be positive")
@@ -89,7 +88,6 @@ def explore(p: Program, universe: Universe | None = None,
 
     reachable: dict = {}
     exit_states: set = set()
-    transitions: set = set()
     bounded = False
 
     def record(pcs, store):
@@ -125,8 +123,6 @@ def explore(p: Program, universe: Universe | None = None,
                             f"{tid}:{pt} wrote {v}={out[v]}, outside the universe")
                 new_store = tuple(out[v] for v in order)
                 new_pcs = pcs[:idx] + (node.succ,) + pcs[idx + 1:]
-                if collect_transitions and new_store != store:
-                    transitions.add((tid, store, new_store))
             elif node.kind == "skip":
                 new_store = store
                 new_pcs = pcs[:idx] + (node.succ,) + pcs[idx + 1:]
@@ -145,4 +141,4 @@ def explore(p: Program, universe: Universe | None = None,
                 frontier.append(cfg)
 
     return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
-                        transitions=transitions, bounded=bounded)
+                        bounded=bounded)

@@ -40,6 +40,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_undeclared_variable_exit_code(tmp_path, capsys):
+    # reported at the variable's first use, before any analysis runs
+    prog = tmp_path / "undeclared.cw"
+    prog.write_text("vars x;\n\nthread T {\n  y := 1;\n}")
+    code, out, err = run(capsys, "analyze", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: 4:3: undeclared variable 'y'\n"
+
+
 def test_out_of_range_literal_exit_code(tmp_path, capsys):
     # rejected while parsing, before the analysis or the oracle runs
     prog = tmp_path / "big.cw"

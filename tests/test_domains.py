@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, OpsCounter, Universe,
-    UniverseTooLarge, _pw_normalize, cm_leq, cm_make, make_domain,
+    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, Universe,
+    UniverseTooLarge, _pw_normalize, cm_eval, cm_filter_cmp, cm_leq, cm_make,
+    cm_post, make_domain,
 )
 from condwrites.interference import CondWrites
-from condwrites.lang import Assign, Cmp, Lit, VarRef, parse_program
+from condwrites.lang import INT_MAX, Assign, BinOp, Cmp, Lit, VarRef, parse_program
 
 from conftest import (
     bf_exec_assign, bf_gamma, bf_gamma_cm, bf_states, random_assign, random_cm,
@@ -296,14 +297,49 @@ def test_pw_filter_keeps_disjunct_precision():
 
 
 def test_ops_counter_counts_join_meet_only():
-    ops = OpsCounter()
-    dom = ConstDomain(VARS, ops)
+    dom = ConstDomain(VARS)
     d = cm_make({"x": 1})
     dom.join(d, d)
     dom.meet(d, d)
     dom.havoc(d, frozenset({"x"}))
     dom.leq(d, d)
-    assert ops.count == 2
+    assert dom.ops == 2
+
+
+# -- abstract evaluation: the concrete evaluator on the known bindings -----------
+
+# INT_MAX + w overflows 64 bits once w is bound to 1
+OVERFLOW = BinOp("+", Lit(INT_MAX), VarRef("w"))
+
+
+def test_cm_eval_unknown_on_unbound_or_overflow():
+    s = {"w": 1}
+    assert cm_eval(BinOp("*", VarRef("w"), Lit(3)), s) == 3
+    assert cm_eval(VarRef("z"), s) is None
+    assert cm_eval(OVERFLOW, s) is None
+    # an intermediate overflow is unknown even when the final value fits
+    assert cm_eval(BinOp("-", OVERFLOW, Lit(1)), s) is None
+    # no algebraic short cut: x * 0 with x unbound stays unknown
+    assert cm_eval(BinOp("*", VarRef("x"), Lit(0)), s) is None
+
+
+def test_cm_post_drops_only_the_unknown_targets():
+    # x overflows, y reads the unbound z, w is known; all read the pre-state
+    a = Assign(1, ("x", "y", "w"),
+               (OVERFLOW, BinOp("+", VarRef("z"), Lit(1)), BinOp("*", VarRef("w"), Lit(2))))
+    assert cm_post(a, cm_make({"x": 0, "y": 0, "w": 1})) == cm_make({"w": 2})
+    times_zero = Assign(1, ("y",), (BinOp("*", VarRef("x"), Lit(0)),))
+    assert cm_post(times_zero, cm_make({"y": 5})) == CM_TOP
+    assert cm_post(a, CM_BOT) is CM_BOT
+
+
+@pytest.mark.parametrize("op", ["==", "!=", "<", ">="])
+def test_cm_filter_with_an_overflowing_side_keeps_d(op):
+    d = cm_make({"w": 1})
+    for left, right in ((OVERFLOW, Lit(0)), (Lit(0), OVERFLOW), (VarRef("y"), OVERFLOW)):
+        assert cm_filter_cmp(Cmp(op, left, right), d) == d
+    # a known side still refines an unbound variable
+    assert cm_filter_cmp(Cmp("==", VarRef("y"), VarRef("w")), d) == cm_make({"w": 1, "y": 1})
 
 
 def test_fmt():

@@ -55,7 +55,8 @@ def test_join_meet_leq_componentwise():
         # the transition concretisation is monotone in the element
         assert gx(i1) | gx(i2) <= gx(j)
         assert gx(m) <= gx(i1) & gx(i2)
-        assert cw.eq(i1, i1) and (not cw.eq(i1, j) or cw.leq(j, i1))
+        # `==` is lattice equality: both domains' elements compare by content
+        assert (i1 == j) == cw.leq(j, i1) and (m == i1) == cw.leq(i1, m)
 
 
 def test_fmt():
@@ -178,7 +179,7 @@ def test_close_soundness(mk):
         assert cw.leq(i, c)  # inflationary
         assert bf_is_transitive(bf_gamma_x(cw.dom, c, U3))
         again = cw.close(c)
-        assert cw.eq(again, c)  # idempotent
+        assert again == c  # idempotent
 
 
 # -- pruning equivalence ---------------------------------------------------------
@@ -285,13 +286,13 @@ def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
 
     i, d = inputs()
     first = cw.stabilise(i, d, 2)
-    ops = cw.dom.ops.count
+    ops = cw.dom.ops
     assert len(calls) == 1 and ops > 0
     # an equal key built from fresh values hits: keys are values, not identities
     assert cw.stabilise(*inputs(), 2) == first
-    assert len(calls) == 1 and cw.dom.ops.count == ops
+    assert len(calls) == 1 and cw.dom.ops == ops
     cw.stabilise(i, d, 1)  # another n is another key
-    assert len(calls) == 2 and cw.dom.ops.count > ops
+    assert len(calls) == 2 and cw.dom.ops > ops
     # a fresh instance starts with an empty memo
     assert cw_pw().stabilise(i, d, 2) == first and len(calls) == 3
 
@@ -336,9 +337,9 @@ def test_repeated_input_is_answered_from_memo(mk):
 
 
 def with_ops(cw: CondWrites, fn, *args, **kwargs):
-    before = cw.dom.ops.count
+    before = cw.dom.ops
     out = fn(*args, **kwargs)
-    return out, cw.dom.ops.count - before
+    return out, cw.dom.ops - before
 
 
 @pytest.mark.parametrize("kind,cap", [
@@ -394,11 +395,11 @@ def test_second_stabilise_under_same_rely_reuses_plan():
 
     cw.dom.meet = recording
     d = pw({"x": 1}, {"r": 0, "z": 0})
-    before = cw.dom.ops.count
+    before = cw.dom.ops
     cw.stabilise(i, d, n)
     # one meet with d and one join per non-empty write set; no wc is re-met
     assert meets == [d] * (len(plan) - 1)
-    assert cw.dom.ops.count - before == 2 * (len(plan) - 1)
+    assert cw.dom.ops - before == 2 * (len(plan) - 1)
     assert cw._write_sets(i, n) is plan
 
 
@@ -411,7 +412,7 @@ def test_close_optimisation_equivalence(mk):
         i = random_interference(rng, cw.dom)
         out = cw.close(i)
         for a, b in itertools.product((False, True), repeat=2):
-            assert cw.eq(out, reference_interference.close(cw, i, b2a=a, b2b=b))
+            assert out == reference_interference.close(cw, i, b2a=a, b2b=b)
 
 
 # -- the closed-form const close against the subset walks ----------------------

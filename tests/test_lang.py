@@ -6,7 +6,7 @@ from condwrites.lang import (
     ParseError, Seq, Skip, VarRef, While,
     INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
     format_program, leaves, negate, parse_program, program_literals,
-    statements, variables_of,
+    statements,
 )
 
 from randprog import random_program
@@ -148,8 +148,15 @@ def test_parse_errors(src, fragment):
     ("vars x;\n  local U: r;\nthread T { skip; }", "local for unknown thread 'U'", (2, 3)),
     ("vars x;\n  relyvars U: x;\nthread T { skip; }", "relyvars for unknown thread", (2, 3)),
     ("vars x;\nthread T { skip; }\nrelyvars T: q;", "undeclared variable 'q'", (3, 1)),
+    # an undeclared variable is reported at its first read or write
+    ("vars x;\n\nthread T {\n  y := 1;\n}", "undeclared variable 'y'", (4, 3)),
+    ("vars x;\npre x == 0 && q == 1;\nthread T { skip; }", "undeclared variable 'q'", (2, 15)),
+    ("vars x;\nthread T { x, w := 1, x; }", "undeclared variable 'w'", (2, 15)),
+    ("vars x;\nthread T { if ((y) == 1) { skip; } }", "undeclared variable 'y'", (2, 17)),
+    ("vars x; thread T { z := y; }", "undeclared variable 'z'", (1, 20)),
 ], ids=["pre_twice", "post_twice", "relyvars_twice", "local_unknown_thread",
-        "relyvars_unknown_thread", "relyvars_undeclared"])
+        "relyvars_unknown_thread", "relyvars_undeclared", "use_in_body", "use_in_pre",
+        "use_as_target", "use_in_backtracked_cond", "first_use_in_source_order"])
 def test_declaration_errors_at_the_declaration(src, fragment, pos):
     with pytest.raises(ParseError) as exc:
         parse_program(src)
@@ -214,15 +221,14 @@ def test_eval_overflow():
 def test_var_and_literal_collection():
     p = parse_program(FLAGGED)
     assert program_literals(p) == {0, 1}
-    assert variables_of(BinOp("+", VarRef("a"), Lit(3))) == {"a"}
-    assert variables_of(p.post) == {"r"}
+    assert list(leaves(BinOp("+", VarRef("a"), Lit(3)))) == [VarRef("a"), Lit(3)]
+    assert list(leaves(p.post)) == [VarRef("r"), Lit(0)]
     # leaves come left to right through every node kind
     c = Or(Not(Cmp("<", BinOp("*", BinOp("-", VarRef("a"), Lit(1)), VarRef("b")), Lit(7))),
            And(BoolLit(False), Cmp("==", VarRef("a"), Lit(-2))))
     assert list(leaves(c)) == [VarRef("a"), Lit(1), VarRef("b"), Lit(7),
                                VarRef("a"), Lit(-2)]
-    assert variables_of(c) == {"a", "b"}
-    assert list(leaves(BoolLit(True))) == [] and variables_of(Not(BoolLit(True))) == set()
+    assert list(leaves(BoolLit(True))) == list(leaves(Not(BoolLit(True)))) == []
     p = parse_program("vars a; pre !(a == 5) || true; post a > 6;"
                       "thread T { while (a < 8) { a := (a + 9) * 10; } if (a == 11) { skip; } }")
     assert program_literals(p) == {5, 6, 8, 9, 10, 11}

@@ -86,12 +86,6 @@ def test_budget_bounds_exploration():
         explore(p, budget=Budget(max_states=0))
 
 
-def test_transitions_collection():
-    p = parse_program("vars x; pre x == 0; thread T { x := 1; }")
-    rep = explore(p, collect_transitions=True)
-    assert rep.transitions == {("T", (0,), (1,))}
-
-
 def test_exploration_deterministic():
     p = parse_program(FLAGGED)
     a, b = explore(p), explore(p)
@@ -136,7 +130,6 @@ def test_machine_report_shape():
 # stops every corpus program, `step_cut` all but spin_gate and mutex_flags.
 SETTINGS = {
     "plain": {},
-    "transitions": {"collect_transitions": True},
     "state_cut": {"budget": Budget(max_states=10)},
     "step_cut": {"budget": Budget(max_steps=30)},
 }
@@ -146,7 +139,6 @@ def assert_same_report(got, want, where):
     assert got.bounded == want.bounded, where
     assert got.reachable == want.reachable, where
     assert got.exit_states == want.exit_states, where
-    assert got.transitions == want.transitions, where
     # same discovery order per point, so soundness violations list alike
     for key, states in want.reachable.items():
         assert list(got.reachable[key]) == list(states), (where, key)
