@@ -195,6 +195,12 @@ class StateDomain(ABC):
         self.ops = 0  # counted joins and meets (the Ops metric)
         self.cap_collapses = 0  # elements a disjunct cap collapsed
 
+    def stabilise_plan(self, d, plan, n: int):
+        """`CondWrites._stabilise_enum(i, d, n)` computed in one pass over
+        i's write-set plan, or None to run the enumeration: the default, and
+        a domain's answer for inputs it cannot fuse exactly."""
+        return None
+
     @abstractmethod
     def top(self): ...
 
@@ -388,6 +394,38 @@ class ConstPowersetDomain(StateDomain):
             return d
         self.cap_collapses += 1
         return frozenset({frozenset.intersection(*d)})
+
+    def stabilise_plan(self, d, plan, n: int):
+        """The enumeration's result with one normalisation at the end: the
+        non-bottom meets of d's maps with each write set's disjuncts,
+        havocked by the set (the coarse (n+1)-sets' by the union of the
+        feasible ones), pooled with d and normalised once. Counts the
+        enumeration's ops. None, to run the enumeration, when
+        |d| · (1 + plan.width) exceeds the cap, so that no intermediate
+        result of it can collapse (see `interference`)."""
+        if len(d) * (1 + plan.width) > self.max_disjuncts:
+            return None
+        maps = list(d)
+        coarse = []
+        y_vars: set[str] = set()
+        ops = 0
+        for vset, wc in itertools.islice(plan.values(), 1, None):
+            met = [x for m in d for w in wc
+                   if (x := cm_meet(m, w)) is not CM_BOT]
+            if len(vset) <= n:
+                maps += [cm_havoc(x, vset) for x in met]
+                ops += 2  # the meet and the join of an exact write set
+            elif met:
+                coarse += met
+                y_vars |= vset
+                ops += 2  # the meet and the coarse join of a feasible set
+            else:
+                ops += 1
+        if coarse:
+            drop = frozenset(y_vars)
+            maps += [cm_havoc(x, drop) for x in coarse]
+        self.ops += ops
+        return _pw_normalize(maps)
 
     def top(self):
         return PW_TOP

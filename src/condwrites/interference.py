@@ -64,15 +64,16 @@ it then lay below it. The unpruned walks are kept as the differential
 reference in `tests/reference_interference.py`.
 
 `stabilise` is memoised per `CondWrites` instance for every domain, keyed on
-(the write-conditions in variable order, d, n): the closed form or the
-enumeration runs only on a miss. `close` is memoised the same way on the
-write-conditions in variable order, and its fixpoint loop over the closed
-form or `_close_one` runs only on a miss. The keys hold values, not
-identities: lattice elements are frozensets (or the const bottom sentinel,
-equal only to itself), which hash by content and cache their hash. Both
-memos are exact because the closed forms, `_stabilise_enum` and `close` are
-pure functions of their arguments and of the instance's fixed `dom` and
-`fuel`; a `close` that runs out of fuel raises and stores nothing.
+(the write-conditions in variable order, d, n): the closed form, the fused
+pass or the enumeration runs only on a miss. `close` is memoised the same
+way on the write-conditions in variable order, and its fixpoint loop over
+the closed form or `_close_one` runs only on a miss. The keys hold values,
+not identities: lattice elements are frozensets (or the const bottom
+sentinel, equal only to itself), which hash by content and cache their
+hash. Both memos are exact because the closed forms, the fused pass,
+`_stabilise_enum` and `close` are pure functions of their arguments and of
+the instance's fixed `dom` and `fuel`; a `close` that runs out of fuel
+raises and stores nothing.
 `analyse` builds one `CondWrites` per call, so the memos live for one
 analysis. A hit performs no lattice operation and so counts no ops;
 `memo_hits` counts the hits of both memos.
@@ -95,6 +96,33 @@ where meets no longer associate: the plan computes the same left fold,
 top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-met each set
 from top, because top ⊓ x = x. So every value equals that of the reference
 walk with the same pruning, and only the ops of the repeated meets fall.
+
+A powerset miss first asks the domain's `stabilise_plan(d, plan, n)`, a
+fused pass over the plan that normalises once instead of after every meet,
+havoc and join. It pools d's maps with, for each non-empty write set S and
+each pair m ∈ d, w ∈ wc_S whose constant-map meet is not bottom, that meet
+havocked by S; a coarse (n+1)-set's meets are havocked instead by the union
+of the feasible (n+1)-sets. One `_pw_normalize` of the pool is the result.
+This equals the enumeration wherever no cap collapses, for two reasons.
+`_pw_normalize` keeps the ⊆-minimal binding sets, a unique normal form, so
+normalising a part of the pool first changes nothing:
+make(make(A) ∪ B) = make(A ∪ B). And `cm_havoc` is monotone on binding
+sets, so a map the normalisation drops has a havoc containing that of a map
+it keeps: normalising before or after havocking agrees. The meet, havoc and
+join of the enumeration are each `make` of such a pool (the join of two
+antichains is `make` of their union), and so is their composition.
+The fused pass runs only when |d| · (1 + Σ_S |wc_S|) is within the cap,
+with the sum over the plan's non-empty sets, kept by the plan as its
+`width`. No intermediate result of the enumeration can then exceed the cap:
+a meet with wc_S has at most |d| · |wc_S| maps, a havoc no more than its
+argument, and the accumulated join and the coarse term no more than the
+pool. So nothing collapses on either route, apart from the meets that
+built the plan, which both routes share. Past the bound,
+`stabilise_plan` returns None and `_stabilise_enum` runs. The fused pass
+performs no counted operation but counts those of the enumeration: one
+meet per non-empty write set, one join per exact set, and one join per
+feasible (n+1)-set (the coarse fold's joins plus its join into the result).
+So ops do not depend on the route.
 """
 
 from __future__ import annotations
@@ -113,6 +141,15 @@ Interference = dict
 
 class FuelExhausted(Exception):
     pass
+
+
+class WriteSetPlan(dict):
+    """`CondWrites._write_sets`' plan: `combo: (vset, wc_S)` in walk order,
+    starting with the empty set. `width` sums len(wc_S) over the non-empty
+    sets, for a powerset wc_S its disjunct count: the bound that
+    `stabilise_plan` checks against the cap in O(1)."""
+
+    width = 0
 
 
 class CondWrites:
@@ -163,7 +200,8 @@ class CondWrites:
         write sets are folded into a single coarse havoc over the variables
         occurring in any feasible (n+1)-set. Memoised for the lifetime of
         this instance on (i's write-conditions in variable order, d, n); a
-        miss runs the domain's closed form when it has one, else the subset
+        miss runs the domain's closed form when it has one, else its fused
+        pass over the write-set plan when that answers, else the subset
         enumeration, and a repeated input returns the stored result without
         lattice operations.
         """
@@ -175,7 +213,9 @@ class CondWrites:
         if self.dom.stabilise is not None:
             out = self.dom.stabilise(i, d)
         else:
-            out = self._stabilise_enum(i, d, n)
+            out = self.dom.stabilise_plan(d, self._write_sets(i, n), n)
+            if out is None:
+                out = self._stabilise_enum(i, d, n)
         self._stabilise_memo[key] = out
         return out
 
@@ -193,7 +233,7 @@ class CondWrites:
             return plan
         dom = self.dom
         variables = sorted(dom.variables)
-        plan = self._plans[key] = {}
+        plan = self._plans[key] = WriteSetPlan()
         blocked: list[frozenset[str]] = []
         for combo in self._subsets(variables, min(n + 1, len(variables))):
             vset = frozenset(combo)
@@ -207,6 +247,8 @@ class CondWrites:
                 blocked.append(vset)
                 continue
             plan[combo] = (vset, wc)
+            if combo:
+                plan.width += len(wc)
         return plan
 
     def _stabilise_enum(self, i: Interference, d, n: int):

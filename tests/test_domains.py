@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
     CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, Universe,
-    UniverseTooLarge, _pw_normalize, cm_eval, cm_filter_cmp, cm_leq, cm_make,
-    cm_post, make_domain,
+    UniverseTooLarge, _pw_normalize, cm_eval, cm_filter_cmp, cm_havoc, cm_leq,
+    cm_make, cm_post, make_domain,
 )
 from condwrites.interference import CondWrites
 from condwrites.lang import INT_MAX, Assign, BinOp, Cmp, Lit, VarRef, parse_program
@@ -245,6 +245,29 @@ def test_pw_normalize_matches_pairwise_definition():
         maps = [random_cm(rng, variables, values=(0, 1, 2))
                 for _ in range(rng.randint(0, 12))]
         assert _pw_normalize(maps) == maximal_maps(maps)
+
+
+# constant maps over three variables with values (0, 1, 2), and bottom
+CMS3 = st.one_of(
+    st.just(CM_BOT),
+    st.dictionaries(st.sampled_from(("a", "b", "c")), st.integers(0, 2))
+    .map(cm_make))
+
+
+@given(st.lists(CMS3, max_size=10), st.lists(CMS3, max_size=10))
+def test_pw_normalize_of_a_normalized_part(a, b):
+    # the ⊆-minimal maps are a unique normal form, so normalising part of a
+    # pool first changes nothing: the fused powerset stabilise normalises once
+    assert _pw_normalize(list(_pw_normalize(a)) + b) == _pw_normalize(a + b)
+
+
+@given(st.lists(CMS3, max_size=10),
+       st.frozensets(st.sampled_from(("a", "b", "c"))))
+def test_pw_normalize_commutes_with_havoc(a, drop):
+    # cm_havoc is monotone on binding sets: a dropped map's havoc contains a
+    # kept map's havoc, so havocking before or after normalising agrees
+    assert (_pw_normalize(cm_havoc(x, drop) for x in _pw_normalize(a))
+            == _pw_normalize(cm_havoc(x, drop) for x in a))
 
 
 @pytest.mark.parametrize("max_disjuncts", [64, 2, 1])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from condwrites.lang import Assign, Lit, VarRef
 from conftest import (
     bf_exec_assign, bf_gamma, bf_gamma_x, bf_is_transitive, bf_states,
     bf_step_image, random_assign, random_cm, random_elem, random_interference,
+    random_pw,
 )
 import reference_interference
 
@@ -261,20 +263,32 @@ def test_powerset_memoised_stabilise_matches_enumeration(max_disjuncts, pruned):
             assert fast.stabilise_fix(i, d, n) == ref.stabilise_fix(i, d, n)
 
 
-def count_enumerations(monkeypatch) -> list:
+def count_computations(monkeypatch) -> list:
+    """Record each stabilise computation as (route, d, n), whichever route
+    runs it: a `stabilise_plan` that answers ("fused") or `_stabilise_enum`
+    ("enum")."""
     calls = []
-    real = CondWrites._stabilise_enum
+    enum = CondWrites._stabilise_enum
+    fused = ConstPowersetDomain.stabilise_plan
 
-    def counted(self, i, d, n):
-        calls.append((d, n))
-        return real(self, i, d, n)
+    def counted_enum(self, i, d, n):
+        calls.append(("enum", d, n))
+        return enum(self, i, d, n)
 
-    monkeypatch.setattr(CondWrites, "_stabilise_enum", counted)
+    def counted_fused(self, d, plan, n):
+        out = fused(self, d, plan, n)
+        if out is not None:
+            calls.append(("fused", d, n))
+        return out
+
+    monkeypatch.setattr(CondWrites, "_stabilise_enum", counted_enum)
+    monkeypatch.setattr(ConstPowersetDomain, "stabilise_plan", counted_fused)
     return calls
 
 
 def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
-    calls = count_enumerations(monkeypatch)
+    # one computation per distinct (rely, d, n) key, on either route
+    calls = count_computations(monkeypatch)
     cw = cw_pw()
 
     def pw(*maps):
@@ -295,10 +309,15 @@ def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
     assert len(calls) == 2 and cw.dom.ops > ops
     # a fresh instance starts with an empty memo
     assert cw_pw().stabilise(i, d, 2) == first and len(calls) == 3
+    assert {route for route, _, _ in calls} == {"fused"}
+    # past the cap bound the enumeration computes it, still once per key
+    small = CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=2))
+    assert small.stabilise(i, d, 2) == small.stabilise(*inputs(), 2)
+    assert len(calls) == 4 and calls[-1][0] == "enum"
 
 
 def test_const_closed_form_never_enumerates(monkeypatch):
-    calls = count_enumerations(monkeypatch)
+    calls = count_computations(monkeypatch)
     rng = random.Random(46)
     cw = cw_const()
     for _ in range(50):
@@ -394,13 +413,83 @@ def test_second_stabilise_under_same_rely_reuses_plan():
         return meet(d1, d2)
 
     cw.dom.meet = recording
+    # the fused route calls no meet, and counts the enumeration's ops: one
+    # meet with d and one join per non-empty write set
     d = pw({"x": 1}, {"r": 0, "z": 0})
     before = cw.dom.ops
     cw.stabilise(i, d, n)
-    # one meet with d and one join per non-empty write set; no wc is re-met
+    assert meets == []
+    assert cw.dom.ops - before == 2 * (len(plan) - 1)
+    # the enumeration, forced, meets d with each wc; no wc is re-met
+    cw.dom.stabilise_plan = lambda d, plan, n: None
+    d = pw({"x": 0}, {"r": 1, "z": 0})
+    before = cw.dom.ops
+    cw.stabilise(i, d, n)
     assert meets == [d] * (len(plan) - 1)
     assert cw.dom.ops - before == 2 * (len(plan) - 1)
     assert cw._write_sets(i, n) is plan
+
+
+# -- the fused powerset stabilise against the enumeration --------------------
+
+
+def with_counts(cw: CondWrites, fn, *args, **kwargs):
+    collapses = cw.dom.cap_collapses
+    out, ops = with_ops(cw, fn, *args, **kwargs)
+    return out, ops, cw.dom.cap_collapses - collapses
+
+
+@pytest.mark.parametrize("cap", [64, 4, 2, 1])
+def test_fused_stabilise_matches_enumeration(cap):
+    # a miss of `stabilise` on one instance against `_stabilise_enum` on
+    # another: the same value, ops and cap collapses, the plan's included;
+    # and the value of the reference walk with the same pruning. Below the
+    # cap bound the fused route runs, past it the enumeration
+    rng = random.Random(49)
+    routes = collections.Counter()
+    for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
+        for _ in range(60):
+            new, enum, ref = (
+                CondWrites(ConstPowersetDomain(variables, max_disjuncts=cap))
+                for _ in range(3))
+            fused = new.dom.stabilise_plan
+
+            def recording(d, plan, n, fused=fused):
+                out = fused(d, plan, n)
+                routes["enum" if out is None else "fused"] += 1
+                return out
+
+            new.dom.stabilise_plan = recording
+            # up to 6 disjuncts, so that cap 64 too sees both routes
+            i = {v: random_pw(rng, new.dom, (0, 1, 2), 6) for v in variables}
+            d = random_pw(rng, new.dom, (0, 1, 2), 6)
+            for n in range(len(variables) + 1):
+                got = with_counts(new, new.stabilise, i, d, n)
+                assert got == with_counts(enum, enum._stabilise_enum, i, d, n)
+                assert got[0] == reference_interference.stabilise_enum(
+                    ref, i, d, n, b1=True)
+    assert routes["fused"] > 0 and routes["enum"] > 0, routes
+
+
+def test_fused_stabilise_runs_exactly_up_to_the_cap_bound():
+    # d = {[x↦0]} and one feasible write set {x} with two disjuncts: the
+    # pool {[x↦0], [z↦0], [z↦1]} is an antichain of |d| · (1 + width) = 3
+    # maps, so cap 3 fuses and cap 2 falls back to an enumeration whose
+    # last join collapses
+    for cap, fused in ((3, True), (2, False)):
+        cw = CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=cap))
+        pw = cw.dom.make
+        i = {"x": pw([cm_make({"z": 0}), cm_make({"z": 1})]),
+             "z": cw.dom.bot(), "r": cw.dom.bot()}
+        d = pw([cm_make({"x": 0})])
+        plan = cw._write_sets(i, 3)
+        assert plan.width == 2
+        got = cw.dom.stabilise_plan(d, plan, 3)
+        assert (got is not None) == fused
+        want = with_counts(cw, cw._stabilise_enum, i, d, 3)
+        assert want[2] == (0 if fused else 1)
+        if fused:
+            assert got == want[0] and len(got) == 3
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
