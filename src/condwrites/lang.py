@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -225,21 +225,24 @@ def leaves(node: Expr | Cond) -> Iterator[Lit | VarRef]:
         raise TypeError(node)
 
 
-def operands(p: Program) -> Iterator[Expr | Cond]:
-    """`pre`, `post`, every assignment's expressions and every guard."""
+def operands(p: Program, flows: Iterable[ControlFlow] | None = None
+             ) -> Iterator[Expr | Cond]:
+    """`pre`, `post`, every assignment's expressions and every guard.
+    `flows` are the threads' control-flow graphs, when the caller has them."""
     yield p.pre
     yield p.post
-    for t in p.threads:
-        for st in statements(t.body):
+    for f in flows or (control_flow(t.body) for t in p.threads):
+        for st in f.stmts[1:]:
             if isinstance(st, Assign):
                 yield from st.exprs
             elif isinstance(st, (Ite, While)):
                 yield st.cond
 
 
-def program_literals(p: Program) -> set[int]:
+def program_literals(p: Program, flows: Iterable[ControlFlow] | None = None
+                     ) -> set[int]:
     """All integer literals appearing anywhere in the program."""
-    return {leaf.n for node in operands(p) for leaf in leaves(node)
+    return {leaf.n for node in operands(p, flows) for leaf in leaves(node)
             if isinstance(leaf, Lit)}
 
 

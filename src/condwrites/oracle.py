@@ -7,40 +7,69 @@ interleaving atomic steps (one per assignment, skip, or guard evaluation).
 Encoding. A store is numbered in mixed radix by the positions of its values
 in the universe, last variable fastest, so store i is the i-th of
 `Universe.states()`; S is the universe size. Each thread's points are the
-labels of its statements (`lang.control_flow`), with EXIT = 0, and a
-configuration is the one int `store + S * (pc_0 + P_0 * (pc_1 + P_1 * ...))`,
-where P_k is thread k's point count. Exit configurations are exactly those
-below S.
+labels of its statements (`lang.control_flow`), with EXIT = 0. A vector of
+program counters is numbered in mixed radix too, thread 0 fastest: vector
+`v = pc_0 + P_0 * (pc_1 + P_1 * ...)`, where P_k is thread k's point count,
+so W_k = P_0 * ... * P_(k-1) is the weight of thread k's point and vector 0
+has every thread at EXIT. A configuration is the one int `store + S * v`,
+and there are `configs = S * P_0 * P_1 * ...` of them.
 
 Successor tables. A thread's step depends only on its own point and the
 store, so each thread keeps a dict from `pc * S + store` to the change its
 step makes to the configuration number (None at EXIT, where it takes no
-step). An entry is filled the first time a configuration with that
-(point, store) pair is visited, by the concrete semantics (`exec_assign`,
-`eval_cond`); every later step from the pair is one lookup and one
-addition. Only reached pairs are ever filled, so no table spans the
-universe, and `UniverseEscape` is raised exactly when a reachable
-assignment writes outside it, at the first step that does.
+step). An entry is filled the first time the search reaches a configuration
+with that (point, store) pair, by the concrete semantics (`exec_assign`,
+`eval_cond`); every later step from the pair is one lookup. Both searches
+below fill the tables this way, so only reached pairs are evaluated, no
+table spans the universe, and `UniverseEscape` is raised exactly when a
+reachable assignment writes outside the universe. Each table's keys end up
+as its thread's (point, store) projection of the reached configurations.
 
-Reachable sets. Breadth-first order, the thread order within a step and the
-`seen`/`steps` budget checks are those of a search over explicit
-(program counters, store tuple) configurations, so the same configurations
-are discovered, in the same order, and the same exploration is cut by a
-`Budget`. Every discovered configuration is visited, also when the search
-is cut, so a thread's table keys are exactly its (point, store) projection
-of them, in discovery order: `reachable` is read off the keys after the
-search and `exit_states` off the configurations below S. Both equal a
-record made per configuration field for field, `bounded` runs included.
+The guard. A search reaches each configuration at most once and takes at
+most one step per thread from it, so with `configs < Budget.max_states` and
+`configs * threads < Budget.max_steps` no budget check can ever fire: the
+configurations seen never reach `max_states` and the steps taken never
+reach `max_steps`. Only then does `explore` run `_saturate`; otherwise it runs
+`_breadth_first`. The choice depends on the budget and the program alone.
+
+Saturation (`_saturate`) handles many configurations per operation. It keeps
+one int per reached store, whose bit v is set iff vector v is reached with
+that store, and a worklist of stores with new bits, first in first out.
+For each thread k and point pc, a mask holds the vectors with thread k at
+pc: a run of W_k ones repeated every W_k * P_k bits, built by multiplying
+the run by a repunit. A round over a store's new bits X takes `X & mask`
+for each (k, pc) pair, looks the pair's step up once and shifts those bits
+by the point change times W_k; what the round moves into each target store
+is ORed together and merged into that store's int once. Steps that keep
+the store are closed inside it before it is dropped, the local-moves-first
+order of saturation (Ciardo, Luettgen & Siminiceanu, TACAS 2001); steps
+that change it queue the target store. A round whose new vectors are few
+next to the masks steps each vector's bit from its points instead, so a
+long thread does not pay one AND per point for every vector.
+
+Breadth first (`_breadth_first`) visits one configuration at a time, in
+discovery order and thread order, with the budget checks of a search over
+explicit (program counters, store tuple) configurations. It is the only
+search that can honour a cut, and it sets `bounded` when it does.
+
+Canonical order. Both searches return the same report for the same
+reachable configurations. `reachable` lists the threads in program order,
+each thread's points ascending (EXIT first), and each point's set is
+filled with its stores by index: it is read off the sorted table keys.
+`exit_states` is the stores reached with every thread at EXIT (vector 0),
+added by index.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 
 from .lang import (
-    EXIT, And, Assign, Cmp, Cond, Lit, Program, Skip, VarRef, control_flow,
-    eval_cond, exec_assign, program_literals,
+    EXIT, And, Assign, Cmp, Cond, ControlFlow, Lit, Program, Skip, VarRef,
+    control_flow, eval_cond, exec_assign, program_literals,
 )
 from .domains import Universe
 from .engine import AnalysisResult
@@ -80,8 +109,11 @@ class OracleReport:
         }
 
 
-def default_universe(p: Program, extra: tuple[int, ...] = (0, 1)) -> Universe:
-    values = sorted(program_literals(p) | set(extra))
+def default_universe(p: Program, extra: tuple[int, ...] = (0, 1),
+                     flows: list[ControlFlow] | None = None) -> Universe:
+    """Every variable ranges over the program's literals and `extra`.
+    `flows` are the threads' control-flow graphs, when the caller has them."""
+    values = sorted(program_literals(p, flows) | set(extra))
     return Universe.of({v: values for v in p.variables})
 
 
@@ -107,7 +139,8 @@ def explore(p: Program, universe: Universe | None = None,
     budget = budget or Budget()
     if budget.max_states <= 0 or budget.max_steps <= 0:
         raise ValueError("budgets must be positive")
-    u = universe or default_universe(p)
+    flows = [control_flow(t.body) for t in p.threads]
+    u = universe or default_universe(p, flows=flows)
     order = u.var_order
     domains = [u.domain_of(v) for v in order]
     position = {v: {n: i for i, n in enumerate(vals)} for v, vals in zip(order, domains)}
@@ -138,12 +171,12 @@ def explore(p: Program, universe: Universe | None = None,
                 vals[i // stride % len(vals)] for vals, stride in zip(domains, strides))
         return s
 
-    flows = [control_flow(t.body) for t in p.threads]
-    scales = []  # the weight of each thread's point index in a configuration
-    weight = size
-    for f in flows:
-        scales.append(weight)
-        weight *= len(f.stmts)
+    points = [len(f.stmts) for f in flows]
+    weights = []  # W_k, the weight of thread k's point in a vector
+    vectors = 1
+    for n in points:
+        weights.append(vectors)
+        vectors *= n
 
     def step(k: int, key: int) -> int | None:
         """The change thread k's step from `key` = (pc, store) makes to a
@@ -164,18 +197,115 @@ def explore(p: Program, universe: Universe | None = None,
         elif not isinstance(st, Skip):  # a guard evaluation is one visible step
             if not eval_cond(st.cond, dict(zip(order, store_of(store)))):
                 nxt = flow.succ_false[pc]
-        return new - store + (nxt - pc) * scales[k]
+        return new - store + (nxt - pc) * weights[k] * size
 
-    threads = [(k, m, len(f.stmts), {}) for k, (m, f) in enumerate(zip(scales, flows))]
-    start = sum(f.entry * m for f, m in zip(flows, scales))
-    queue = [start + store for store in initial]  # discovery order
+    tables = [{} for _ in flows]
+    start = sum(f.entry * w for f, w in zip(flows, weights))
+    configs = size * vectors
+    if configs < budget.max_states and configs * len(flows) < budget.max_steps:
+        exits = _saturate(initial, start, size, weights, points, tables, step)
+        bounded = False
+    else:
+        exits, bounded = _breadth_first(initial, start, size, weights, points,
+                                        tables, step, budget)
+
+    reachable: dict = {}
+    for t, table in zip(p.threads, tables):
+        for key in sorted(table):
+            pc, store = divmod(key, size)
+            reachable.setdefault((t.tid, pc or EXIT), set()).add(store_of(store))
+    exit_states = {store_of(store) for store in exits}
+    return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
+                        bounded=bounded)
+
+
+def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
+    """Fill `tables` by saturation over per-store bitsets of vectors; return
+    the exit stores in ascending index."""
+    threads = list(zip(tables, weights, points))
+    thread_points = sum(points)  # the masks, one per thread and point
+    # masks[k][pc]: the vectors with thread k at pc. They take sum(P_k) * V
+    # bits for V vectors, which grows with the square of a single thread's
+    # length, so they are built only when a round first needs them.
+    masks = None
+    reached = dict.fromkeys(initial, 1 << start)  # store -> bitset of vectors
+    pending = dict(reached)  # the bits a queued store has not yet stepped
+    work = deque(initial)
+    while work:
+        s = work.popleft()
+        new = pending.pop(s)
+        while new:
+            moved = {}  # target store -> the vectors `new` steps into it
+            # A round with few new vectors steps each of them from its
+            # points, one lookup per vector and thread; else it ANDs `new`
+            # with every mask, one lookup per (thread, point) present.
+            if new.bit_count() * len(threads) * 2 <= thread_points:
+                vs = []
+                rest = new
+                while rest:
+                    v = rest.bit_length() - 1
+                    vs.append(v)
+                    rest ^= 1 << v
+                for k, (table, w, n) in enumerate(threads):
+                    for v in vs:
+                        key = v // w % n * size + s
+                        if key in table:
+                            delta = table[key]
+                        else:
+                            delta = table[key] = step(k, key)
+                        if delta is not None:
+                            shift, target = divmod(s + delta, size)
+                            moved[target] = moved.get(target, 0) | 1 << (v + shift)
+            else:
+                if masks is None:
+                    full = (1 << math.prod(points)) - 1
+                    # a run of W_k ones per point, repeated every W_k * P_k vectors
+                    masks = [[((1 << w) - 1) * (full // ((1 << w * n) - 1)) << w * pc
+                              for pc in range(n)] for _, w, n in threads]
+                for k, (table, w, n) in enumerate(threads):
+                    for key, mask in zip(range(s, s + size * n, size), masks[k]):
+                        x = new & mask
+                        if not x:
+                            continue
+                        if key in table:
+                            delta = table[key]
+                        else:
+                            delta = table[key] = step(k, key)
+                        if delta is not None:
+                            shift, target = divmod(s + delta, size)
+                            x = x << shift if shift >= 0 else x >> -shift
+                            moved[target] = moved.get(target, 0) | x
+            local = moved.pop(s, 0)  # steps that keep the store close inside it
+            for target, x in moved.items():
+                old = reached.get(target, 0)
+                x &= ~old
+                if x:
+                    reached[target] = old | x
+                    if target in pending:
+                        pending[target] |= x
+                    else:
+                        pending[target] = x
+                        work.append(target)
+            new = local & ~reached[s]
+            reached[s] |= new
+    return sorted(s for s, bits in reached.items() if bits & 1)
+
+
+def _breadth_first(initial, start, size, weights, points, tables, step,
+                   budget: Budget) -> tuple[list[int], bool]:
+    """Fill `tables` by a breadth-first search over single configurations,
+    cut by `budget`; return the exit stores in ascending index and whether
+    the budget cut the search."""
+    threads = [(k, w * size, n, table)
+               for k, (w, n, table) in enumerate(zip(weights, points, tables))]
+    queue = [start * size + store for store in initial]  # discovery order
     seen = set(queue)
     steps = 0
     bounded = False
     for cfg in queue:  # breadth first: the loop also visits what it appends
         store = cfg % size
-        for k, m, points, table in threads:
-            key = cfg // m % points * size + store
+        for k, m, n, table in threads:
+            key = cfg // m % n * size + store
             if key in table:
                 delta = table[key]
             else:
@@ -190,17 +320,7 @@ def explore(p: Program, universe: Universe | None = None,
                     continue
                 seen.add(nxt)
                 queue.append(nxt)
-
-    # Every discovered configuration was visited, in discovery order, so each
-    # table's keys are its thread's (point, store) projection of them.
-    reachable: dict = {}
-    for t, (_, _, _, table) in zip(p.threads, threads):
-        for key in table:
-            pc, store = divmod(key, size)
-            reachable.setdefault((t.tid, pc or EXIT), set()).add(store_of(store))
-    exit_states = {store_of(cfg) for cfg in filter(size.__gt__, queue)}
-    return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
-                        bounded=bounded)
+    return sorted(filter(size.__gt__, queue)), bounded
 
 
 # -- soundness checking --------------------------------------------------------
@@ -218,21 +338,25 @@ class Violation:
 
 def check_soundness(result: AnalysisResult, report: OracleReport) -> list[Violation]:
     """Every concretely reachable store at a program point must be captured
-    by the converged proof outline's assertion there."""
+    by the converged proof outline's assertion there. Violations are listed
+    in the report's order: threads, then points, then stores."""
     dom = result.domain
     order = report.universe.var_order
+    outlines = {t.tid: result.outlines[t.tid].points() for t in result.program.threads}
+    envs: dict = {}  # store tuple -> its store dict, built once per call
     violations: list[Violation] = []
-    for t in result.program.threads:
-        outline = result.outlines[t.tid]
-        points = outline.points()
-        for (tid, pt), states in report.reachable.items():
-            if tid != t.tid:
-                continue
-            if pt not in points:
-                # left-over CFG points (none expected): treat as a config bug
-                raise KeyError(f"oracle point {tid}@{pt} missing from outline")
-            d = points[pt]
-            for store in states:
-                if not dom.contains(d, dict(zip(order, store))):
-                    violations.append(Violation(tid, pt, store))
+    for (tid, pt), states in report.reachable.items():
+        points = outlines.get(tid)
+        if points is None:
+            continue
+        if pt not in points:
+            # left-over CFG points (none expected): treat as a config bug
+            raise KeyError(f"oracle point {tid}@{pt} missing from outline")
+        d = points[pt]
+        for store in states:
+            env = envs.get(store)
+            if env is None:
+                env = envs[store] = dict(zip(order, store))
+            if not dom.contains(d, env):
+                violations.append(Violation(tid, pt, store))
     return violations

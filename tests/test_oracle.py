@@ -3,9 +3,9 @@ import pytest
 from condwrites import corpus
 from condwrites.domains import CM_BOT, Universe, UniverseTooLarge, cm_make
 from condwrites.engine import EXIT, AnalysisConfig, analyse
-from condwrites.lang import parse_program
+from condwrites.lang import control_flow, parse_program
 from condwrites.oracle import (
-    Budget, UniverseEscape, check_soundness, default_universe, explore,
+    Budget, OracleReport, UniverseEscape, check_soundness, default_universe, explore,
 )
 
 from randprog import random_program
@@ -115,6 +115,47 @@ def test_check_soundness_flags_corrupted_outline():
     assert any(v.point == EXIT for v in check_soundness(res2, rep))
 
 
+def test_check_soundness_lists_violations_in_report_order():
+    # claims that fail at three points of two threads: the violations list
+    # thread by thread, point by point, as the report lists them
+    p = parse_program(FLAGGED)
+    rep = explore(p)
+    res = analyse(p, AnalysisConfig())
+    res.outlines["T0"].pre[1] = cm_make({"x": 0})
+    res.outlines["T0"].exit = cm_make({"x": 1})
+    res.outlines["T1"].pre[2] = cm_make({"x": 1})
+    assert [(v.tid, v.point, v.state) for v in check_soundness(res, rep)] == [
+        ("T0", EXIT, (0, 0, 0)),
+        ("T0", EXIT, (0, 1, 0)),
+        ("T0", 1, (1, 0, 1)),
+        ("T0", 1, (1, 1, 0)),
+        ("T0", 1, (1, 0, 0)),
+        ("T0", 1, (1, 1, 1)),
+        ("T1", 2, (0, 1, 0)),
+        ("T1", 2, (0, 1, 1)),
+    ]
+
+
+def test_explore_builds_each_graph_once(monkeypatch):
+    # one control-flow graph per thread serves the universe's literals, the
+    # guard and the search
+    from condwrites import lang, oracle
+
+    built = []
+    real = lang.control_flow
+
+    def counted(body):
+        built.append(body)
+        return real(body)
+
+    monkeypatch.setattr(lang, "control_flow", counted)
+    monkeypatch.setattr(oracle, "control_flow", counted)
+    p = parse_program(FLAGGED)
+    assert built == []
+    explore(p)
+    assert built == [t.body for t in p.threads]
+
+
 def test_machine_report_shape():
     rep = explore(parse_program(FLAGGED))
     m = rep.to_machine()["oracle"]
@@ -135,16 +176,43 @@ SETTINGS = {
 }
 
 
-def assert_same_report(got, want, where):
+def canonical(report):
+    """`report` rebuilt in the canonical order: threads in program order
+    (the order in which the reference first records them), points ascending
+    with EXIT first, and stores by index, each set filled in that order."""
+    u = report.universe
+    domains = [u.domain_of(v) for v in u.var_order]
+    tids = list(dict.fromkeys(tid for tid, _ in report.reachable))
+
+    def index(store):
+        return tuple(vals.index(n) for vals, n in zip(domains, store))
+
+    def point_order(item):
+        (tid, pt), _ = item
+        return tids.index(tid), 0 if pt == EXIT else pt
+
+    reachable = {key: set(sorted(states, key=index))
+                 for key, states in sorted(report.reachable.items(), key=point_order)}
+    return OracleReport(u, reachable, set(sorted(report.exit_states, key=index)),
+                        report.bounded)
+
+
+def assert_identical(got, want, where):
+    """Equal fields, and the same order in every dict and set."""
+    assert got.universe == want.universe, where
     assert got.bounded == want.bounded, where
     assert got.reachable == want.reachable, where
     assert got.exit_states == want.exit_states, where
-    # same discovery order per point, so soundness violations list alike
+    # the same order per point, so soundness violations list alike
     for key, states in want.reachable.items():
         assert list(got.reachable[key]) == list(states), (where, key)
-    for tid in {tid for tid, _ in want.reachable}:
-        assert ([k for k in got.reachable if k[0] == tid]
-                == [k for k in want.reachable if k[0] == tid]), (where, tid)
+    assert list(got.reachable) == list(want.reachable), where
+    assert list(got.exit_states) == list(want.exit_states), where
+
+
+def assert_same_report(got, want, where):
+    """`got` is the reference's report `want`, in the canonical order."""
+    assert_identical(got, canonical(want), where)
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
@@ -229,3 +297,88 @@ def test_initial_stores_keep_the_universe_cap():
     p = parse_program("vars x, y; pre x == 0 && y == 0; thread T { x := 1; }")
     with pytest.raises(UniverseTooLarge):
         explore(p, Universe.of({"x": range(10), "y": range(10)}, cap=50))
+
+
+# -- the two searches --------------------------------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The names of the searches that `explore` runs, in call order."""
+    from condwrites import oracle
+
+    ran = []
+    for name in ("_saturate", "_breadth_first"):
+        def spy(*args, _real=getattr(oracle, name), _name=name):
+            ran.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, spy)
+    return ran
+
+
+def configs(p):
+    """The number of (program counters, store) configurations of p."""
+    n = default_universe(p).size()
+    for t in p.threads:
+        n *= len(control_flow(t.body).stmts)
+    return n
+
+
+def test_searches_agree_below_the_guard(searches):
+    # every corpus and random program fits the default budget, so it takes
+    # the bitset search; a budget of exactly `configs` states cannot cut the
+    # breadth-first search either, so the two must report the same
+    programs = [(case.name, parse_program((corpus.PROGRAMS_DIR / case.filename).read_text()))
+                for case in corpus.CASES]
+    programs += [(seed, random_program(seed)) for seed in range(1, 401)]
+    for where, p in programs:
+        searches.clear()
+        fast = explore(p)
+        slow = explore(p, budget=Budget(max_states=configs(p)))
+        assert searches == ["_saturate", "_breadth_first"], where
+        assert not slow.bounded, where
+        assert_identical(fast, slow, where)
+
+
+@pytest.mark.parametrize("field", ["max_states", "max_steps"])
+def test_guard_boundary(searches, field):
+    p = parse_program(FLAGGED)
+    n = configs(p) * (len(p.threads) if field == "max_steps" else 1)
+    reports = [explore(p, budget=Budget(**{field: limit})) for limit in (n + 1, n)]
+    assert searches == ["_saturate", "_breadth_first"]
+    assert_identical(*reports, field)
+
+
+def test_universe_escape_after_another_thread_changes_the_store(searches):
+    # A's write escapes only once B has set y, so the bitset search must
+    # step A from a store that B's step queued
+    p = parse_program("""
+        vars x, y;
+        pre x == 0 && y == 0;
+        thread A { while (y == 0) { skip; } x := x + 2; }
+        thread B { y := 1; }
+    """)
+    u = Universe.of({"x": (0, 1), "y": (0, 1)})
+    errors = []
+    for fn in (explore, reference_explore):
+        with pytest.raises(UniverseEscape) as info:
+            fn(p, u)
+        errors.append(str(info.value))
+    assert searches == ["_saturate"]
+    assert errors[0] == errors[1] == "A:3 wrote x=2, outside the universe"
+
+
+def test_unreachable_universe_escape_is_not_raised(searches):
+    # y stays 0, so A's escaping write is never reached and never evaluated
+    p = parse_program("""
+        vars x, y;
+        pre y == 0;
+        thread A { if (y == 1) { x := x + 2; } }
+        thread B { x := 1; }
+    """)
+    u = Universe.of({"x": (0, 1), "y": (0, 1)})
+    got = explore(p, u)
+    assert searches == ["_saturate"]
+    assert ("A", 2) not in got.reachable
+    assert_same_report(got, reference_explore(p, u), "unreachable escape")
