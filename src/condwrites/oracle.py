@@ -29,8 +29,20 @@ The guard. A search reaches each configuration at most once and takes at
 most one step per thread from it, so with `configs < Budget.max_states` and
 `configs * threads < Budget.max_steps` no budget check can ever fire: the
 configurations seen never reach `max_states` and the steps taken never
-reach `max_steps`. Only then does `explore` run `_saturate`; otherwise it runs
-`_breadth_first`. The choice depends on the budget and the program alone.
+reach `max_steps`. Only then can `explore` run `_saturate`, and it does when
+`_bitsets_pay` also holds: the program has at least three threads, and its
+masks (below) take at most 4 bits per configuration, `sum(P_k) <= 4 * S`.
+Bitset rounds gain by moving, in one operation, every vector that shares a
+thread's point, and with two threads few vectors do. Measured one program
+at a time, breadth first was 1.1 to 1.9 times faster on the corpus, the
+two-thread `chain` programs and random two-thread programs; the bitsets
+were 1.05 to 5 times faster on the three- and four-thread programs of the
+`chain` and `oracle` perfbench workloads, and at most 1.3 times slower on
+small three-thread programs. The mask bound keeps a long thread, whose
+masks grow with the square of its length, on breadth first, and caps the
+masks at 4 * `max_states` bits.
+Every other program runs `_breadth_first`. The choice depends on the budget
+and the program alone.
 
 Saturation (`_saturate`) handles many configurations per operation. It keeps
 one int per reached store, whose bit v is set iff vector v is reached with
@@ -43,9 +55,7 @@ by the point change times W_k; what the round moves into each target store
 is ORed together and merged into that store's int once. Steps that keep
 the store are closed inside it before it is dropped, the local-moves-first
 order of saturation (Ciardo, Luettgen & Siminiceanu, TACAS 2001); steps
-that change it queue the target store. A round whose new vectors are few
-next to the masks steps each vector's bit from its points instead, so a
-long thread does not pay one AND per point for every vector.
+that change it queue the target store.
 
 Breadth first (`_breadth_first`) visits one configuration at a time, in
 discovery order and thread order, with the budget checks of a search over
@@ -202,7 +212,8 @@ def explore(p: Program, universe: Universe | None = None,
     tables = [{} for _ in flows]
     start = sum(f.entry * w for f, w in zip(flows, weights))
     configs = size * vectors
-    if configs < budget.max_states and configs * len(flows) < budget.max_steps:
+    if (configs < budget.max_states and configs * len(flows) < budget.max_steps
+            and _bitsets_pay(size, points)):
         exits = _saturate(initial, start, size, weights, points, tables, step)
         bounded = False
     else:
@@ -219,15 +230,23 @@ def explore(p: Program, universe: Universe | None = None,
                         bounded=bounded)
 
 
+def _bitsets_pay(size: int, points: list[int]) -> bool:
+    """Whether `_saturate` is expected to beat `_breadth_first` on `size`
+    stores and threads of `points` points: at least three threads, and
+    masks of at most 4 bits per configuration."""
+    return len(points) >= 3 and sum(points) <= 4 * size
+
+
 def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
     """Fill `tables` by saturation over per-store bitsets of vectors; return
     the exit stores in ascending index."""
-    threads = list(zip(tables, weights, points))
-    thread_points = sum(points)  # the masks, one per thread and point
-    # masks[k][pc]: the vectors with thread k at pc. They take sum(P_k) * V
-    # bits for V vectors, which grows with the square of a single thread's
-    # length, so they are built only when a round first needs them.
-    masks = None
+    vectors = math.prod(points)
+    full = (1 << vectors) - 1
+    threads = []
+    for table, w, n in zip(tables, weights, points):
+        # a run of W_k ones per point, repeated every W_k * P_k vectors
+        run = ((1 << w) - 1) * (full // ((1 << w * n) - 1))
+        threads.append((table, n, [run << w * pc for pc in range(n)]))
     reached = dict.fromkeys(initial, 1 << start)  # store -> bitset of vectors
     pending = dict(reached)  # the bits a queued store has not yet stepped
     work = deque(initial)
@@ -236,45 +255,19 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
         new = pending.pop(s)
         while new:
             moved = {}  # target store -> the vectors `new` steps into it
-            # A round with few new vectors steps each of them from its
-            # points, one lookup per vector and thread; else it ANDs `new`
-            # with every mask, one lookup per (thread, point) present.
-            if new.bit_count() * len(threads) * 2 <= thread_points:
-                vs = []
-                rest = new
-                while rest:
-                    v = rest.bit_length() - 1
-                    vs.append(v)
-                    rest ^= 1 << v
-                for k, (table, w, n) in enumerate(threads):
-                    for v in vs:
-                        key = v // w % n * size + s
-                        if key in table:
-                            delta = table[key]
-                        else:
-                            delta = table[key] = step(k, key)
-                        if delta is not None:
-                            shift, target = divmod(s + delta, size)
-                            moved[target] = moved.get(target, 0) | 1 << (v + shift)
-            else:
-                if masks is None:
-                    full = (1 << math.prod(points)) - 1
-                    # a run of W_k ones per point, repeated every W_k * P_k vectors
-                    masks = [[((1 << w) - 1) * (full // ((1 << w * n) - 1)) << w * pc
-                              for pc in range(n)] for _, w, n in threads]
-                for k, (table, w, n) in enumerate(threads):
-                    for key, mask in zip(range(s, s + size * n, size), masks[k]):
-                        x = new & mask
-                        if not x:
-                            continue
-                        if key in table:
-                            delta = table[key]
-                        else:
-                            delta = table[key] = step(k, key)
-                        if delta is not None:
-                            shift, target = divmod(s + delta, size)
-                            x = x << shift if shift >= 0 else x >> -shift
-                            moved[target] = moved.get(target, 0) | x
+            for k, (table, n, masks) in enumerate(threads):
+                for key, mask in zip(range(s, s + size * n, size), masks):
+                    x = new & mask
+                    if not x:
+                        continue
+                    if key in table:
+                        delta = table[key]
+                    else:
+                        delta = table[key] = step(k, key)
+                    if delta is not None:
+                        shift, target = divmod(s + delta, size)
+                        x = x << shift if shift >= 0 else x >> -shift
+                        moved[target] = moved.get(target, 0) | x
             local = moved.pop(s, 0)  # steps that keep the store close inside it
             for target, x in moved.items():
                 old = reached.get(target, 0)

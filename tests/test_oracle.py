@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from condwrites import corpus
@@ -227,11 +229,12 @@ def test_explore_matches_reference_on_corpus(case, setting):
 
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_explore_matches_reference_on_random_programs(setting):
+    # uncut, most three-thread programs take the bitset search
     bounded = 0
-    for seed in range(1, 401):
-        p = random_program(seed)
+    for seed, threads in itertools.product(range(1, 401), (2, 3)):
+        p = random_program(seed, threads=threads)
         got = explore(p, **SETTINGS[setting])
-        assert_same_report(got, reference_explore(p, **SETTINGS[setting]), seed)
+        assert_same_report(got, reference_explore(p, **SETTINGS[setting]), (seed, threads))
         bounded += got.bounded
     assert (bounded > 0) == setting.endswith("cut")
 
@@ -325,13 +328,18 @@ def configs(p):
     return n
 
 
-def test_searches_agree_below_the_guard(searches):
-    # every corpus and random program fits the default budget, so it takes
-    # the bitset search; a budget of exactly `configs` states cannot cut the
-    # breadth-first search either, so the two must report the same
+def test_searches_agree_below_the_guard(searches, monkeypatch):
+    # with the shape check forced on, every corpus and random program takes
+    # the bitset search under the default budget; a budget of exactly
+    # `configs` states cannot cut the breadth-first search either, so the
+    # two must report the same
+    from condwrites import oracle
+
+    monkeypatch.setattr(oracle, "_bitsets_pay", lambda size, points: True)
     programs = [(case.name, parse_program((corpus.PROGRAMS_DIR / case.filename).read_text()))
                 for case in corpus.CASES]
     programs += [(seed, random_program(seed)) for seed in range(1, 401)]
+    programs += [((seed, 3), random_program(seed, threads=3)) for seed in range(1, 401)]
     for where, p in programs:
         searches.clear()
         fast = explore(p)
@@ -341,13 +349,45 @@ def test_searches_agree_below_the_guard(searches):
         assert_identical(fast, slow, where)
 
 
+THREE = """
+    vars x, y;
+    pre x == 0 && y == 0;
+    thread A { x := 1; y := x; }
+    thread B { y := 1; }
+    thread C { if (x == 1) { y := 0; } }
+"""
+
+
 @pytest.mark.parametrize("field", ["max_states", "max_steps"])
 def test_guard_boundary(searches, field):
-    p = parse_program(FLAGGED)
+    p = parse_program(THREE)
     n = configs(p) * (len(p.threads) if field == "max_steps" else 1)
     reports = [explore(p, budget=Budget(**{field: limit})) for limit in (n + 1, n)]
     assert searches == ["_saturate", "_breadth_first"]
     assert_identical(*reports, field)
+
+
+def long_thread(n, threads=3):
+    """A thread of n store-keeping writes, next to one that changes the store
+    and, with three threads, one that skips: 4 stores, n + 5 points in all."""
+    body = " ".join(["y := 0;"] * n)
+    third = " thread C { skip; }" if threads == 3 else ""
+    return parse_program(f"vars x, y; pre x == 0 && y == 0; "
+                         f"thread A {{ {body} }} thread B {{ x := 1; }}{third}")
+
+
+def test_search_follows_the_program_shape(searches):
+    # two threads take breadth first, however long they are
+    for case in corpus.CASES:
+        explore(parse_program((corpus.PROGRAMS_DIR / case.filename).read_text()))
+    explore(long_thread(2000, threads=2))
+    assert searches == ["_breadth_first"] * (len(corpus.CASES) + 1)
+    # three threads take the bitsets while the masks take at most 4 bits per
+    # configuration: sum(P_k) = n + 5 points against 4 * 4 stores
+    searches.clear()
+    for n in (11, 12, 2000):
+        explore(long_thread(n))
+    assert searches == ["_saturate", "_breadth_first", "_breadth_first"]
 
 
 def test_universe_escape_after_another_thread_changes_the_store(searches):
@@ -358,6 +398,7 @@ def test_universe_escape_after_another_thread_changes_the_store(searches):
         pre x == 0 && y == 0;
         thread A { while (y == 0) { skip; } x := x + 2; }
         thread B { y := 1; }
+        thread C { skip; }
     """)
     u = Universe.of({"x": (0, 1), "y": (0, 1)})
     errors = []
@@ -376,6 +417,7 @@ def test_unreachable_universe_escape_is_not_raised(searches):
         pre y == 0;
         thread A { if (y == 1) { x := x + 2; } }
         thread B { x := 1; }
+        thread C { skip; }
     """)
     u = Universe.of({"x": (0, 1), "y": (0, 1)})
     got = explore(p, u)
