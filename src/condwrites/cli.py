@@ -3,8 +3,8 @@
 Exit codes of `analyze`: 0 verified, 1 not verified, 2 analysis/parse/config
 error or resource limit, 3 oracle soundness violations.
 Exit codes of `bench`: 0 every cell reproduced its frozen verdict, 1 a cell
-errored, its verdict drifted or it did not converge, 2 unknown --case name
-or --repetitions below 1.
+errored, its verdict drifted or it did not converge, 2 unknown --case name.
+`bench` reports verdicts and ops; timing lives in `perfbench`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run the benchmark corpus; exit 1 if a "
                        "cell errors, its verdict drifts or it does not "
                        "converge")
-    b.add_argument("--repetitions", type=int, default=1,
-                   help="timing repetitions per cell, at least 1 (median "
-                   "reported)")
     b.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     b.add_argument("--case", action="append", default=[], metavar="NAME",
                    help="restrict to a named corpus program (repeatable)")
@@ -143,11 +140,7 @@ def run_bench(args) -> int:
         print(f"error: no such case: {', '.join(unknown)}", file=sys.stderr)
         return 2
     cases = tuple(c for c in corpus.CASES if not args.case or c.name in args.case)
-    try:
-        rows = corpus.run_suite(cases, repetitions=args.repetitions)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = corpus.run_suite(cases)
     if args.csv:
         sys.stdout.write(corpus.render_csv(rows))
     else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,12 +48,10 @@ CASES = (
     BenchCase("staged_observer", "staged_observer.cw", _expect(V, V, V, V)),
 )
 
-CSV_COLUMNS = ("name", "domain", "mode", "verdict", "ops", "time_s", "converged")
+CSV_COLUMNS = ("name", "domain", "mode", "verdict", "ops", "converged")
 
 
-def run_suite(cases=CASES, repetitions: int = 1) -> list[dict]:
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+def run_suite(cases=CASES) -> list[dict]:
     rows = []
     for case in cases:
         program = case.load()
@@ -62,16 +59,11 @@ def run_suite(cases=CASES, repetitions: int = 1) -> list[dict]:
             for mode in MODES:
                 row = {"name": case.name, "domain": domain, "mode": mode}
                 try:
-                    times = []
-                    for _ in range(repetitions):
-                        result = analyse(program, AnalysisConfig(mode=mode, domain=domain))
-                        times.append(result.metrics.time_s)
+                    result = analyse(program, AnalysisConfig(mode=mode, domain=domain))
                     row.update(verdict=result.verdict, ops=result.metrics.ops,
-                               time_s=statistics.median(times),
                                converged=result.converged)
                 except Exception as exc:  # record per-cell failures, don't abort
-                    row.update(verdict=f"error: {exc}", ops=-1, time_s=-1.0,
-                               converged=False)
+                    row.update(verdict=f"error: {exc}", ops=-1, converged=False)
                 rows.append(row)
     return rows
 
@@ -107,12 +99,12 @@ def verdict_drift(rows: list[dict], cases=CASES) -> list[str]:
 
 
 def render_table(rows: list[dict]) -> str:
-    header = f"{'program':<16}{'domain':<16}{'mode':<16}{'verdict':<13}{'ops':>8}{'time_s':>10}  conv"
+    header = f"{'program':<16}{'domain':<16}{'mode':<16}{'verdict':<13}{'ops':>8}  conv"
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r['name']:<16}{r['domain']:<16}{r['mode']:<16}{r['verdict']:<13}"
-            f"{r['ops']:>8}{r['time_s']:>10.4f}  {r['converged']}"
+            f"{r['ops']:>8}  {r['converged']}"
         )
     return "\n".join(lines) + "\n"
 

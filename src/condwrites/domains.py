@@ -183,10 +183,12 @@ class StateDomain(ABC):
 
     name: str
 
-    # Optional closed forms of the interference layer's subset walks; None
-    # keeps the walk. `stabilise(i, d)` equals `CondWrites.stabilise`'s
-    # enumeration for every n, and `close_one(i, v)` equals one step of
-    # `CondWrites.close`, `CondWrites._close_one(i, v)`.
+    # The interference layer's `stabilise` miss: a domain defines either the
+    # closed form `stabilise(i, d)`, equal to the subset enumeration for
+    # every n, or `stabilise_plan(d, plan, n)`, one pass over the write-set
+    # plan of `CondWrites._write_sets`. `close_one(i, v)`, when defined, is
+    # a closed form of one step of `CondWrites.close`, `_close_one(i, v)`;
+    # None keeps the walk.
     stabilise = None
     close_one = None
 
@@ -194,12 +196,6 @@ class StateDomain(ABC):
         self.variables = tuple(variables)
         self.ops = 0  # counted joins and meets (the Ops metric)
         self.cap_collapses = 0  # elements a disjunct cap collapsed
-
-    def stabilise_plan(self, d, plan, n: int):
-        """`CondWrites._stabilise_enum(i, d, n)` computed in one pass over
-        i's write-set plan, or None to run the enumeration: the default, and
-        a domain's answer for inputs it cannot fuse exactly."""
-        return None
 
     @abstractmethod
     def top(self): ...
@@ -396,15 +392,11 @@ class ConstPowersetDomain(StateDomain):
         return frozenset({frozenset.intersection(*d)})
 
     def stabilise_plan(self, d, plan, n: int):
-        """The enumeration's result with one normalisation at the end: the
-        non-bottom meets of d's maps with each write set's disjuncts,
+        """The subset enumeration's result, normalised once and capped once:
+        the non-bottom meets of d's maps with each write set's disjuncts,
         havocked by the set (the coarse (n+1)-sets' by the union of the
-        feasible ones), pooled with d and normalised once. Counts the
-        enumeration's ops. None, to run the enumeration, when
-        |d| · (1 + plan.width) exceeds the cap, so that no intermediate
-        result of it can collapse (see `interference`)."""
-        if len(d) * (1 + plan.width) > self.max_disjuncts:
-            return None
+        feasible ones), pooled with d. Counts the enumeration's ops (see
+        `interference`)."""
         maps = list(d)
         coarse = []
         y_vars: set[str] = set()
@@ -425,7 +417,7 @@ class ConstPowersetDomain(StateDomain):
             drop = frozenset(y_vars)
             maps += [cm_havoc(x, drop) for x in coarse]
         self.ops += ops
-        return _pw_normalize(maps)
+        return self.make(maps)
 
     def top(self):
         return PW_TOP

@@ -257,7 +257,7 @@ def check_post(dom: StateDomain, outlines: dict[str, ProofOutline],
 
 
 def to_machine(result: AnalysisResult) -> dict:
-    dom, cw = result.domain, result.cw
+    dom = result.domain
     threads = {}
     for t in result.program.threads:
         outline = result.outlines.get(t.tid, ProofOutline())

@@ -64,16 +64,15 @@ it then lay below it. The unpruned walks are kept as the differential
 reference in `tests/reference_interference.py`.
 
 `stabilise` is memoised per `CondWrites` instance for every domain, keyed on
-(the write-conditions in variable order, d, n): the closed form, the fused
-pass or the enumeration runs only on a miss. `close` is memoised the same
-way on the write-conditions in variable order, and its fixpoint loop over
-the closed form or `_close_one` runs only on a miss. The keys hold values,
-not identities: lattice elements are frozensets (or the const bottom
-sentinel, equal only to itself), which hash by content and cache their
-hash. Both memos are exact because the closed forms, the fused pass,
-`_stabilise_enum` and `close` are pure functions of their arguments and of
-the instance's fixed `dom` and `fuel`; a `close` that runs out of fuel
-raises and stores nothing.
+(the write-conditions in variable order, d, n): the closed form or the
+fused pass runs only on a miss. `close` is memoised the same way on the
+write-conditions in variable order, and its fixpoint loop over the closed
+form or `_close_one` runs only on a miss. The keys hold values, not
+identities: lattice elements are frozensets (or the const bottom sentinel,
+equal only to itself), which hash by content and cache their hash. Both
+memos are exact because the closed forms, the fused pass and `close` are
+pure functions of their arguments and of the instance's fixed `dom` and
+`fuel`; a `close` that runs out of fuel raises and stores nothing.
 `analyse` builds one `CondWrites` per call, so the memos live for one
 analysis. A hit performs no lattice operation and so counts no ops;
 `memo_hits` counts the hits of both memos.
@@ -82,47 +81,48 @@ The write-conditions do not depend on d, so the walk is split in two.
 `_write_sets(i, n)` is the plan: the write sets with a non-bottom wc_S that
 the pruning keeps, in walk order, each with its wc_S. It is built once per
 instance for each (write-conditions in variable order, n), so every
-`stabilise` under one rely shares it, and `_stabilise_enum` only meets d with
-each wc_S, havocs and joins. The walk yields each set after its prefix, the
-set minus its last variable, so wc_S is one meet of the prefix's wc with
+`stabilise` under one rely shares it, and a miss only meets d with each
+wc_S, havocs and joins. The walk yields each set after its prefix, the set
+minus its last variable, so wc_S is one meet of the prefix's wc with
 i[last]; a singleton's wc is i[v], and the empty set's term is d itself.
 A kept set's prefix is in the plan: had the prefix been skipped or met
-bottom, the set would have been skipped as a superset. The coarse term's
-join starts from its first operand, as ⊥ ⊔ x = x. `_close_one` shares its
-prefix meets the same way within one call.
+bottom, the set would have been skipped as a superset. `_close_one` shares
+its prefix meets the same way within one call. The plan computes the same
+left fold, top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that
+re-meets each set from top, because top ⊓ x = x. So each wc_S equals that
+walk's also where the powerset cap collapses disjuncts inside a meet, and
+meets no longer associate; only the ops of the repeated meets fall.
 
-This is exact also when the powerset cap collapses disjuncts inside a meet,
-where meets no longer associate: the plan computes the same left fold,
-top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-met each set
-from top, because top ⊓ x = x. So every value equals that of the reference
-walk with the same pruning, and only the ops of the repeated meets fall.
-
-A powerset miss first asks the domain's `stabilise_plan(d, plan, n)`, a
-fused pass over the plan that normalises once instead of after every meet,
-havoc and join. It pools d's maps with, for each non-empty write set S and
-each pair m ∈ d, w ∈ wc_S whose constant-map meet is not bottom, that meet
-havocked by S; a coarse (n+1)-set's meets are havocked instead by the union
-of the feasible (n+1)-sets. One `_pw_normalize` of the pool is the result.
-This equals the enumeration wherever no cap collapses, for two reasons.
-`_pw_normalize` keeps the ⊆-minimal binding sets, a unique normal form, so
-normalising a part of the pool first changes nothing:
-make(make(A) ∪ B) = make(A ∪ B). And `cm_havoc` is monotone on binding
-sets, so a map the normalisation drops has a havoc containing that of a map
-it keeps: normalising before or after havocking agrees. The meet, havoc and
-join of the enumeration are each `make` of such a pool (the join of two
-antichains is `make` of their union), and so is their composition.
-The fused pass runs only when |d| · (1 + Σ_S |wc_S|) is within the cap,
-with the sum over the plan's non-empty sets, kept by the plan as its
-`width`. No intermediate result of the enumeration can then exceed the cap:
-a meet with wc_S has at most |d| · |wc_S| maps, a havoc no more than its
-argument, and the accumulated join and the coarse term no more than the
-pool. So nothing collapses on either route, apart from the meets that
-built the plan, which both routes share. Past the bound,
-`stabilise_plan` returns None and `_stabilise_enum` runs. The fused pass
-performs no counted operation but counts those of the enumeration: one
-meet per non-empty write set, one join per exact set, and one join per
-feasible (n+1)-set (the coarse fold's joins plus its join into the result).
-So ops do not depend on the route.
+A powerset miss runs the domain's `stabilise_plan(d, plan, n)`, a fused
+pass over the plan that normalises once instead of after every meet, havoc
+and join, and caps once. It pools d's maps with, for each non-empty write
+set S and each pair m ∈ d, w ∈ wc_S whose constant-map meet is not bottom,
+that meet havocked by S; a coarse (n+1)-set's meets are havocked instead by
+the union of the feasible (n+1)-sets. The result is `make` of the pool:
+`_pw_normalize` once, then the disjunct cap once. Its spec is the subset
+enumeration over the plan's write-conditions in the uncapped disjunctive
+completion, capped once at the end. The pool normalised equals that
+enumeration for two reasons. `_pw_normalize` keeps the ⊆-minimal binding
+sets, a unique normal form, so normalising a part of the pool first
+changes nothing: norm(norm(A) ∪ B) = norm(A ∪ B). And `cm_havoc` is
+monotone on binding sets, so a map the normalisation drops has a havoc
+containing that of a map it keeps: normalising before or after havocking
+agrees. The uncapped meet, havoc and join of the enumeration are each the
+normalisation of such a pool (the join of two antichains is that of their
+union), and so is their composition. The cap is a widening-like loss of
+precision, so it applies to whole powerset results (Bagnara, Hill &
+Zaffanella, STTT 2006), not inside each meet and join of the enumeration:
+once it fires there, meets and joins no longer associate, and the answer
+would depend on the order of the walk. The plan's write-conditions stay
+capped as built, by the counted meets that fold them, so where building
+the plan collapses nothing, a miss equals the unpruned enumeration of i on
+an uncapped copy of the domain, capped once; that is the differential
+reference in `tests/reference_interference.py`. Where no cap fires at all,
+it also equals the enumeration that caps inside every meet and join. The
+pass performs no counted operation but counts those of the enumeration:
+one meet per non-empty write set, one join per exact set, and one join per
+feasible (n+1)-set (the coarse fold's joins plus its join into the
+result). So ops do not depend on whether a collapse fires.
 """
 
 from __future__ import annotations
@@ -141,15 +141,6 @@ Interference = dict
 
 class FuelExhausted(Exception):
     pass
-
-
-class WriteSetPlan(dict):
-    """`CondWrites._write_sets`' plan: `combo: (vset, wc_S)` in walk order,
-    starting with the empty set. `width` sums len(wc_S) over the non-empty
-    sets, for a powerset wc_S its disjunct count: the bound that
-    `stabilise_plan` checks against the cap in O(1)."""
-
-    width = 0
 
 
 class CondWrites:
@@ -201,9 +192,8 @@ class CondWrites:
         occurring in any feasible (n+1)-set. Memoised for the lifetime of
         this instance on (i's write-conditions in variable order, d, n); a
         miss runs the domain's closed form when it has one, else its fused
-        pass over the write-set plan when that answers, else the subset
-        enumeration, and a repeated input returns the stored result without
-        lattice operations.
+        pass over the write-set plan, and a repeated input returns the
+        stored result without lattice operations.
         """
         key = (tuple(i[v] for v in self.dom.variables), d, n)
         out = self._stabilise_memo.get(key)
@@ -214,8 +204,6 @@ class CondWrites:
             out = self.dom.stabilise(i, d)
         else:
             out = self.dom.stabilise_plan(d, self._write_sets(i, n), n)
-            if out is None:
-                out = self._stabilise_enum(i, d, n)
         self._stabilise_memo[key] = out
         return out
 
@@ -233,7 +221,7 @@ class CondWrites:
             return plan
         dom = self.dom
         variables = sorted(dom.variables)
-        plan = self._plans[key] = WriteSetPlan()
+        plan = self._plans[key] = {}
         blocked: list[frozenset[str]] = []
         for combo in self._subsets(variables, min(n + 1, len(variables))):
             vset = frozenset(combo)
@@ -247,29 +235,7 @@ class CondWrites:
                 blocked.append(vset)
                 continue
             plan[combo] = (vset, wc)
-            if combo:
-                plan.width += len(wc)
         return plan
-
-    def _stabilise_enum(self, i: Interference, d, n: int):
-        # the generic subset enumeration over the plan, and the reference for
-        # closed forms; the empty write set's term is d itself, and the
-        # coarse term starts from the first feasible (n+1)-set's meet
-        dom = self.dom
-        acc = d
-        y_acc = None
-        y_vars: set[str] = set()
-        plan = self._write_sets(i, n).items()
-        for combo, (vset, wc) in itertools.islice(plan, 1, None):
-            m = dom.meet(d, wc)
-            if len(combo) <= n:
-                acc = dom.join(acc, dom.havoc(m, vset))
-            elif not dom.is_bot(m):
-                y_acc = m if y_acc is None else dom.join(y_acc, m)
-                y_vars |= vset
-        if y_acc is not None:
-            acc = dom.join(acc, dom.havoc(y_acc, frozenset(y_vars)))
-        return acc
 
     def stabilise_fix(self, i: Interference, d, n: int):
         """Least fixpoint of stabilise: closes d under any number of i-steps."""

@@ -9,10 +9,11 @@ unlabeled synthetic skip that never appears in proof outlines.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -131,6 +132,11 @@ class Thread:
     body: Inst
     rely_vars: frozenset[str]
 
+    @functools.cached_property
+    def flow(self) -> ControlFlow:
+        """The body's control-flow graph, built on first use."""
+        return control_flow(self.body)
+
 
 @dataclass(frozen=True)
 class Program:
@@ -225,24 +231,21 @@ def leaves(node: Expr | Cond) -> Iterator[Lit | VarRef]:
         raise TypeError(node)
 
 
-def operands(p: Program, flows: Iterable[ControlFlow] | None = None
-             ) -> Iterator[Expr | Cond]:
-    """`pre`, `post`, every assignment's expressions and every guard.
-    `flows` are the threads' control-flow graphs, when the caller has them."""
+def operands(p: Program) -> Iterator[Expr | Cond]:
+    """`pre`, `post`, every assignment's expressions and every guard."""
     yield p.pre
     yield p.post
-    for f in flows or (control_flow(t.body) for t in p.threads):
-        for st in f.stmts[1:]:
+    for t in p.threads:
+        for st in t.flow.stmts[1:]:
             if isinstance(st, Assign):
                 yield from st.exprs
             elif isinstance(st, (Ite, While)):
                 yield st.cond
 
 
-def program_literals(p: Program, flows: Iterable[ControlFlow] | None = None
-                     ) -> set[int]:
+def program_literals(p: Program) -> set[int]:
     """All integer literals appearing anywhere in the program."""
-    return {leaf.n for node in operands(p, flows) for leaf in leaves(node)
+    return {leaf.n for node in operands(p) for leaf in leaves(node)
             if isinstance(leaf, Lit)}
 
 

@@ -7,7 +7,7 @@ interleaving atomic steps (one per assignment, skip, or guard evaluation).
 Encoding. A store is numbered in mixed radix by the positions of its values
 in the universe, last variable fastest, so store i is the i-th of
 `Universe.states()`; S is the universe size. Each thread's points are the
-labels of its statements (`lang.control_flow`), with EXIT = 0. A vector of
+labels of its statements (`Thread.flow`), with EXIT = 0. A vector of
 program counters is numbered in mixed radix too, thread 0 fastest: vector
 `v = pc_0 + P_0 * (pc_1 + P_1 * ...)`, where P_k is thread k's point count,
 so W_k = P_0 * ... * P_(k-1) is the weight of thread k's point and vector 0
@@ -78,8 +78,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .lang import (
-    EXIT, And, Assign, Cmp, Cond, ControlFlow, Lit, Program, Skip, VarRef,
-    control_flow, eval_cond, exec_assign, program_literals,
+    EXIT, And, Assign, Cmp, Cond, Lit, Program, Skip, VarRef, eval_cond,
+    exec_assign, program_literals,
 )
 from .domains import Universe
 from .engine import AnalysisResult
@@ -119,11 +119,9 @@ class OracleReport:
         }
 
 
-def default_universe(p: Program, extra: tuple[int, ...] = (0, 1),
-                     flows: list[ControlFlow] | None = None) -> Universe:
-    """Every variable ranges over the program's literals and `extra`.
-    `flows` are the threads' control-flow graphs, when the caller has them."""
-    values = sorted(program_literals(p, flows) | set(extra))
+def default_universe(p: Program, extra: tuple[int, ...] = (0, 1)) -> Universe:
+    """Every variable ranges over the program's literals and `extra`."""
+    values = sorted(program_literals(p) | set(extra))
     return Universe.of({v: values for v in p.variables})
 
 
@@ -149,8 +147,8 @@ def explore(p: Program, universe: Universe | None = None,
     budget = budget or Budget()
     if budget.max_states <= 0 or budget.max_steps <= 0:
         raise ValueError("budgets must be positive")
-    flows = [control_flow(t.body) for t in p.threads]
-    u = universe or default_universe(p, flows=flows)
+    flows = [t.flow for t in p.threads]
+    u = universe or default_universe(p)
     order = u.var_order
     domains = [u.domain_of(v) for v in order]
     position = {v: {n: i for i, n in enumerate(vals)} for v, vals in zip(order, domains)}

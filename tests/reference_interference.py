@@ -1,20 +1,42 @@
-"""The subset enumerations before the per-rely write-set plan, kept as the
-differential reference for `CondWrites._stabilise_enum` and
-`CondWrites._close_one`.
+"""The subset enumerations before the per-rely write-set plan, and the
+placements of the powerset disjunct cap, kept as the differential reference
+for `CondWrites.stabilise` and `CondWrites._close_one`.
 
-Each subset starts its write-condition meet from `dom.top()`, and every
-call re-folds every subset's meets. The prunings are keyword arguments, all
-off by default: `b1` skips the supersets of a write set whose wc is bottom
-in `stabilise_enum`; `b2a` restricts `close_one` to the variables the
-write-condition constrains, and `b2b` skips the strict supersets of a set
-whose meet its havoc covers. The production walks always prune. Only the
-tests use these. They are written as functions of a `CondWrites` instance
-`self`, whose `dom`, `fuel`, `leq` and `_subsets` they read.
+`stabilise_enum` and `close_one` start each subset's write-condition meet
+from `dom.top()`, and every call re-folds every subset's meets. The
+prunings are keyword arguments, all off by default: `b1` skips the
+supersets of a write set whose wc is bottom in `stabilise_enum`; `b2a`
+restricts `close_one` to the variables the write-condition constrains, and
+`b2b` skips the strict supersets of a set whose meet its havoc covers. The
+production walks always prune.
+
+A powerset `stabilise` caps its result once. Its spec is
+`stabilise_cap_once`: the enumeration on an uncapped copy of the domain,
+capped once, which the production pass equals wherever building the
+write-set plan collapsed nothing. `stabilise_over_plan` is the same spec
+over a plan whose write-conditions a collapse has already widened, and
+`stabilise_walk` on the capped domain is the placement before it, which
+capped inside every meet and join: its values are those of `stabilise_enum`
+with `b1` on the capped domain, and its ops those of the production pass.
+
+Only the tests use these. Most are written as functions of a `CondWrites`
+instance `self`, whose `dom`, `fuel`, `leq`, `_subsets` and `_write_sets`
+they read; `stabilise_walk` and `stabilise_over_plan` take a domain, a
+state and a plan, the arguments of a domain's `stabilise_plan`.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
+
+from condwrites.domains import ConstPowersetDomain
 from condwrites.interference import CondWrites, FuelExhausted, Interference
+
+
+def uncapped(dom: ConstPowersetDomain) -> ConstPowersetDomain:
+    """A copy of the powerset domain whose disjunct cap never fires."""
+    return ConstPowersetDomain(dom.variables, max_disjuncts=sys.maxsize)
 
 
 def stabilise_enum(self: CondWrites, i: Interference, d, n: int, *,
@@ -46,6 +68,44 @@ def stabilise_enum(self: CondWrites, i: Interference, d, n: int, *,
     if y_vars:
         acc = dom.join(acc, dom.havoc(y_acc, frozenset(y_vars)))
     return acc
+
+
+def stabilise_cap_once(self: CondWrites, i: Interference, d, n: int, *,
+                       b1: bool = False):
+    """`stabilise_enum` on an uncapped copy of self's powerset domain, then
+    one cap of self's domain. Its ops are added to self's domain."""
+    wide = CondWrites(uncapped(self.dom))
+    out = self.dom._cap(stabilise_enum(wide, i, d, n, b1=b1))
+    self.dom.ops += wide.dom.ops
+    return out
+
+
+def stabilise_walk(dom, d, plan: dict, n: int):
+    """The subset walk over a write-set plan of `CondWrites._write_sets`,
+    through dom's meets, havocs and joins: it meets d with each wc_S, and
+    the coarse join starts from its first operand."""
+    acc = d
+    y_acc = None
+    y_vars: set[str] = set()
+    for combo, (vset, wc) in itertools.islice(plan.items(), 1, None):
+        m = dom.meet(d, wc)
+        if len(combo) <= n:
+            acc = dom.join(acc, dom.havoc(m, vset))
+        elif not dom.is_bot(m):
+            y_acc = m if y_acc is None else dom.join(y_acc, m)
+            y_vars |= vset
+    if y_acc is not None:
+        acc = dom.join(acc, dom.havoc(y_acc, frozenset(y_vars)))
+    return acc
+
+
+def stabilise_over_plan(dom: ConstPowersetDomain, d, plan: dict, n: int):
+    """`stabilise_walk` on an uncapped copy of the powerset domain, then one
+    cap of dom. Its ops are added to dom."""
+    wide = uncapped(dom)
+    out = dom._cap(stabilise_walk(wide, d, plan, n))
+    dom.ops += wide.ops
+    return out
 
 
 def close_one(self: CondWrites, i: Interference, v: str, *,

@@ -144,9 +144,10 @@ def test_criterion_3_optimisation_equivalence():
             d = random_elem(rng, cw.dom)
             n = rng.randint(0, len(VARS3))
             # the pruned enumeration, and the public path: const's closed
-            # form or powerset's memoised enumeration
+            # form or powerset's memoised fused pass
             want = reference_interference.stabilise_enum(ref, i, d, n)
-            if cw._stabilise_enum(i, d, n) != want or cw.stabilise(i, d, n) != want:
+            pruned = reference_interference.stabilise_enum(cw, i, d, n, b1=True)
+            if pruned != want or cw.stabilise(i, d, n) != want:
                 mismatches += 1
         rng2 = random.Random(1005)
         for _ in range(250):  # x2 domains = 500 close inputs

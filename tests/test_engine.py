@@ -288,7 +288,7 @@ def test_machine_report_fields():
 
 def test_cap_collapses_are_counted():
     # no corpus cell collapses at the default cap; at cap 2 the powerset
-    # cells collapse 26 elements in all, and one collapse costs reset_race
+    # cells collapse 16 elements in all, and one collapse costs reset_race
     # its non-transitive powerset verdict. Const has no cap.
     total = 0
     for case in CASES:
@@ -304,7 +304,7 @@ def test_cap_collapses_are_counted():
                 if domain == "const":
                     assert narrow.metrics.cap_collapses == 0
                 total += narrow.metrics.cap_collapses
-    assert total == 26
+    assert total == 16
     race = next(c for c in CASES if c.name == "reset_race").load()
     wide, narrow = (analyse(race, AnalysisConfig(domain="const-powerset",
                                                  max_disjuncts=cap))

@@ -12,11 +12,17 @@ with two or more other threads pays lattice operations for it: the 3-thread
 programs are where skipped derivations show in ops.
 
 The powerset `stabilise` answers a miss by `stabilise_plan`, the fused pass
-over the write-set plan, when the input is within its cap bound, and by
-`_stabilise_enum` otherwise. Whole analyses forced onto the enumeration must
-give the same `--emit machine` output, ops included, at precisions n below
-|V| (where the coarse term runs) and at a cap that sends some misses to the
-enumeration."""
+over the write-set plan, which caps its result once. Whole analyses whose
+misses run the cap-once spec instead, the enumeration over the same plan on
+an uncapped copy of the domain and one cap, must give the same `--emit
+machine` output, ops and collapses included, at precisions n below |V|
+(where the coarse term runs) and at a cap that collapses results.
+
+The cap used to fire inside every meet and join of the enumeration. That
+placement stays as the precision reference: whole analyses whose misses
+walk the plan through the capped domain must give the same outlines,
+relies, guarantees and verdicts, and, where it collapses nothing, the same
+`--emit machine` output, ops included."""
 
 import collections
 
@@ -25,9 +31,12 @@ import pytest
 from condwrites.corpus import CASES
 from condwrites.domains import ConstPowersetDomain
 from condwrites.engine import AnalysisConfig, analyse, to_machine
+from condwrites.lang import parse_program
 
 from randprog import random_program
+from test_engine import chain_text
 import reference_engine
+import reference_interference
 
 CONFIGS = [
     AnalysisConfig(domain=domain, mode=mode, max_disjuncts=cap)
@@ -87,15 +96,13 @@ def machine(program, config) -> dict:
 @pytest.mark.parametrize("n", [None, 1, 0])
 def test_fused_stabilise_matches_enumeration_end_to_end(n, cap, monkeypatch):
     fused = ConstPowersetDomain.stabilise_plan
-    routes = collections.Counter()
+    runs = collections.Counter()
 
     def recording(self, d, plan, n):
+        collapses = self.cap_collapses
         out = fused(self, d, plan, n)
-        if out is None:
-            routes["enum"] += 1
-        else:
-            coarse = any(len(vset) > n for vset, _ in plan.values())
-            routes["fused-coarse" if coarse else "fused"] += 1
+        runs["capped"] += self.cap_collapses - collapses
+        runs["coarse"] += any(len(vset) > n for vset, _ in plan.values())
         return out
 
     configs = [AnalysisConfig(domain="const-powerset", mode=mode, n=n,
@@ -106,10 +113,46 @@ def test_fused_stabilise_matches_enumeration_end_to_end(n, cap, monkeypatch):
     ours = {(name, c.mode): machine(p, c)
             for name, p in programs.items() for c in configs}
     monkeypatch.setattr(ConstPowersetDomain, "stabilise_plan",
-                        lambda self, d, plan, n: None)
+                        reference_interference.stabilise_over_plan)
     for name, p in programs.items():
         for c in configs:
             assert ours[name, c.mode] == machine(p, c), (name, c.mode)
-    # cap 2 sends misses to the enumeration; the coarse term runs at n < |V|
-    assert routes["fused"] > 0 and (cap == 64 or routes["enum"] > 0), routes
-    assert (routes["fused-coarse"] > 0) == (n is not None), routes
+    # cap 2 collapses results in this sample, except at n = 0, where one
+    # coarse havoc over every feasible variable leaves few maps; the coarse
+    # term runs at n < |V|
+    assert (runs["capped"] > 0) == (cap == 2 and n != 0), runs
+    assert (runs["coarse"] > 0) == (n is not None), runs
+
+
+PRECISION_PROGRAMS = {
+    **FUSED_PROGRAMS,
+    **{f"chain{k}x{t}": (lambda k=k, t=t: parse_program(chain_text(k, t)))
+       for k in (5, 6, 7) for t in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("cap", [64, 8, 2])
+def test_cap_once_matches_old_placement(cap, monkeypatch):
+    # the corpus, 100 two-thread and 100 three-thread random programs and
+    # chain K = 5..7 on 2 and 3 threads, in both modes
+    configs = [AnalysisConfig(domain="const-powerset", mode=mode,
+                              max_disjuncts=cap)
+               for mode in ("nontransitive", "transitive")]
+    programs = {name: load() for name, load in PRECISION_PROGRAMS.items()}
+    ours = {(name, c.mode): machine(p, c)
+            for name, p in programs.items() for c in configs}
+    monkeypatch.setattr(ConstPowersetDomain, "stabilise_plan",
+                        reference_interference.stabilise_walk)
+    cells = collections.Counter()
+    for name, p in programs.items():
+        for c in configs:
+            got, want = ours[name, c.mode], machine(p, c)
+            for key in ("verdict", "converged", "threads"):
+                assert got[key] == want[key], (name, c.mode, key)
+            if want["stats"]["cap_collapses"] == 0:
+                cells["no collapse"] += 1
+                assert got == want, (name, c.mode)
+            else:
+                cells["collapsed"] += 1
+    # the old placement collapses in some cells below cap 64, not at it
+    assert (cells["collapsed"] > 0) == (cap < 64), cells

@@ -120,7 +120,18 @@ def test_transitions():
 # -- soundness properties ------------------------------------------------------
 
 
-@pytest.mark.parametrize("mk", [cw_const, cw_pw])
+def cw_pw_cap(cap: int):
+    def mk() -> CondWrites:
+        return CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=cap))
+    mk.__name__ = f"cw_pw_{cap}"
+    return mk
+
+
+# the powerset at caps 2 and 1, where the cap fires on stabilise's results
+STABILISE_DOMAINS = [cw_const, cw_pw, cw_pw_cap(2), cw_pw_cap(1)]
+
+
+@pytest.mark.parametrize("mk", STABILISE_DOMAINS)
 def test_stabilise_one_step_soundness(mk):
     rng = random.Random(31)
     cw = mk()
@@ -135,7 +146,7 @@ def test_stabilise_one_step_soundness(mk):
         assert cw.dom.leq(d, out)  # stabilisation only weakens
 
 
-@pytest.mark.parametrize("mk", [cw_const, cw_pw])
+@pytest.mark.parametrize("mk", STABILISE_DOMAINS)
 def test_stabilise_fix_many_step_soundness(mk):
     rng = random.Random(32)
     cw = mk()
@@ -189,28 +200,31 @@ def test_close_soundness(mk):
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
 def test_stabilise_pruning_equivalence(mk):
-    # the pruned subset enumeration, which const's public stabilise skips,
-    # against the unpruned reference walk
+    # the pruned subset enumerations, the reference walk and the walk over
+    # the production write-set plan, against the unpruned reference walk
     rng = random.Random(41)
     cw, ref = mk(), mk()
     for _ in range(250):
         i = random_interference(rng, cw.dom)
         d = random_elem(rng, cw.dom)
         n = rng.randint(0, 3)
-        assert cw._stabilise_enum(i, d, n) == reference_interference.stabilise_enum(
-            ref, i, d, n, b1=False)
+        want = reference_interference.stabilise_enum(ref, i, d, n, b1=False)
+        assert reference_interference.stabilise_enum(
+            cw, i, d, n, b1=True) == want
+        assert reference_interference.stabilise_walk(
+            cw.dom, d, cw._write_sets(i, n), n) == want
 
 
 def enumerating(cw: CondWrites, pruned: bool) -> CondWrites:
-    """cw with its stabilise, and so its stabilise_fix, bound to a subset
-    enumeration: the reference for a domain's closed form. pruned picks the
-    production walk, which skips the supersets of a write set whose wc is
-    bottom; otherwise the unpruned reference walk."""
-    if pruned:
-        cw.stabilise = cw._stabilise_enum
+    """cw with its stabilise, and so its stabilise_fix, bound to the subset
+    enumeration, the reference for a domain's closed form or fused pass:
+    for the powerset, on an uncapped copy of the domain and capped once.
+    pruned skips the supersets of a write set whose wc is bottom."""
+    if isinstance(cw.dom, ConstPowersetDomain):
+        enum = reference_interference.stabilise_cap_once
     else:
-        cw.stabilise = lambda i, d, n: reference_interference.stabilise_enum(
-            cw, i, d, n, b1=False)
+        enum = reference_interference.stabilise_enum
+    cw.stabilise = lambda i, d, n: enum(cw, i, d, n, b1=pruned)
     return cw
 
 
@@ -243,51 +257,62 @@ def test_const_closed_form_stabilise_exhaustive(pruned):
     assert_closed_form_matches_enumeration(VARS, pairs, pruned)
 
 
+def over_plan(cw: CondWrites) -> CondWrites:
+    """cw with its stabilise bound to the cap-once spec over cw's own
+    write-set plan, whose write-conditions stay capped as built."""
+    cw.stabilise = lambda i, d, n: reference_interference.stabilise_over_plan(
+        cw.dom, d, cw._write_sets(i, n), n)
+    return cw
+
+
 @pytest.mark.parametrize("pruned", [True, False])
 @pytest.mark.parametrize("max_disjuncts", [64, 2, 1])
 def test_powerset_memoised_stabilise_matches_enumeration(max_disjuncts, pruned):
-    # caps 2 and 1 collapse disjuncts inside the enumeration's joins and meets
+    # caps 2 and 1 collapse stabilise's results. Where building the plan
+    # collapsed nothing, the memoised stabilise and its fixpoint, whose
+    # steps share that plan, equal the enumeration on an uncapped copy of
+    # the domain capped once; elsewhere the same spec over the plan
     rng = random.Random(44)
 
     def make():
         return CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=max_disjuncts))
 
-    fast, ref = make(), enumerating(make(), pruned)
+    fast, spec, planned = make(), enumerating(make(), pruned), over_plan(make())
+    inputs = collections.Counter()
     for _ in range(300):
         i = random_interference(rng, fast.dom)
         d = random_elem(rng, fast.dom)
         for n in range(len(VARS3) + 1):
+            collapses = fast.dom.cap_collapses
+            fast._write_sets(i, n)
+            exact = fast.dom.cap_collapses == collapses
+            ref = spec if exact else planned
+            inputs["exact" if exact else "planned"] += 1
             want = ref.stabilise(i, d, n)
             assert fast.stabilise(i, d, n) == want  # miss
             assert fast.stabilise(i, d, n) == want  # hit
             assert fast.stabilise_fix(i, d, n) == ref.stabilise_fix(i, d, n)
+    # cap 2 collapses some plans' write-conditions, caps 64 and 1 none
+    assert inputs["exact"] > 0, inputs
+    assert (inputs["planned"] > 0) == (max_disjuncts == 2), inputs
 
 
 def count_computations(monkeypatch) -> list:
-    """Record each stabilise computation as (route, d, n), whichever route
-    runs it: a `stabilise_plan` that answers ("fused") or `_stabilise_enum`
-    ("enum")."""
+    """Record each stabilise computation of the powerset fused pass as
+    (d, n)."""
     calls = []
-    enum = CondWrites._stabilise_enum
     fused = ConstPowersetDomain.stabilise_plan
 
-    def counted_enum(self, i, d, n):
-        calls.append(("enum", d, n))
-        return enum(self, i, d, n)
-
     def counted_fused(self, d, plan, n):
-        out = fused(self, d, plan, n)
-        if out is not None:
-            calls.append(("fused", d, n))
-        return out
+        calls.append((d, n))
+        return fused(self, d, plan, n)
 
-    monkeypatch.setattr(CondWrites, "_stabilise_enum", counted_enum)
     monkeypatch.setattr(ConstPowersetDomain, "stabilise_plan", counted_fused)
     return calls
 
 
 def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
-    # one computation per distinct (rely, d, n) key, on either route
+    # one computation per distinct (rely, d, n) key
     calls = count_computations(monkeypatch)
     cw = cw_pw()
 
@@ -309,11 +334,11 @@ def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
     assert len(calls) == 2 and cw.dom.ops > ops
     # a fresh instance starts with an empty memo
     assert cw_pw().stabilise(i, d, 2) == first and len(calls) == 3
-    assert {route for route, _, _ in calls} == {"fused"}
-    # past the cap bound the enumeration computes it, still once per key
+    # at cap 2 the same pass computes it, still once per key: the result
+    # fits the cap, so nothing collapses and the value is cap 64's
     small = CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=2))
-    assert small.stabilise(i, d, 2) == small.stabilise(*inputs(), 2)
-    assert len(calls) == 4 and calls[-1][0] == "enum"
+    assert small.stabilise(i, d, 2) == small.stabilise(*inputs(), 2) == first
+    assert len(calls) == 4 and small.dom.cap_collapses == 0
 
 
 def test_const_closed_form_never_enumerates(monkeypatch):
@@ -325,7 +350,7 @@ def test_const_closed_form_never_enumerates(monkeypatch):
         d = random_cm(rng, VARS3)
         cw.stabilise(i, d, 3)
         cw.stabilise_fix(i, d, 3)
-    assert calls == []
+    assert calls == [] and cw._plans == {}  # no fused pass and no plan
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
@@ -361,6 +386,13 @@ def with_ops(cw: CondWrites, fn, *args, **kwargs):
     return out, cw.dom.ops - before
 
 
+def walk_plan(cw: CondWrites, i, d, n: int):
+    """`reference_interference.stabilise_walk` over cw's write-set plan for
+    (i, n), built on the first call, in cw's own domain."""
+    return reference_interference.stabilise_walk(
+        cw.dom, d, cw._write_sets(i, n), n)
+
+
 @pytest.mark.parametrize("kind,cap", [
     ("const", 64), ("const-powerset", 64), ("const-powerset", 4),
     ("const-powerset", 2), ("const-powerset", 1),
@@ -368,9 +400,12 @@ def with_ops(cw: CondWrites, fn, *args, **kwargs):
 def test_plan_enumerations_match_reference(kind, cap):
     # same values, never more ops, against the reference walks with the same
     # pruning; caps 4, 2 and 1 collapse disjuncts inside the meets and joins,
-    # so each prefix-shared meet must be the same fold. A collapse can also
-    # let close's pruning change a value, so the pruning-equivalence tests
-    # compare with the unpruned walks where the lattice stays exact
+    # so each prefix-shared meet must be the same fold. The stabilise walk
+    # is the one over the write-set plan, through the capped domain: the
+    # placement of the powerset cap that the end-to-end tests compare with.
+    # A collapse can also let close's pruning change a value, so the
+    # pruning-equivalence tests compare with the unpruned walks where the
+    # lattice stays exact
     rng = random.Random(48)
     for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
         new, ref = (CondWrites(make_domain(kind, variables, max_disjuncts=cap))
@@ -379,7 +414,7 @@ def test_plan_enumerations_match_reference(kind, cap):
             i = random_interference(rng, new.dom, values=(0, 1, 2))
             d = random_elem(rng, new.dom, values=(0, 1, 2))
             for n in range(len(variables) + 1):
-                got, ops = with_ops(new, new._stabilise_enum, i, d, n)
+                got, ops = with_ops(new, walk_plan, new, i, d, n)
                 want, ref_ops = with_ops(
                     ref, reference_interference.stabilise_enum, ref, i, d, n,
                     b1=True)
@@ -413,20 +448,19 @@ def test_second_stabilise_under_same_rely_reuses_plan():
         return meet(d1, d2)
 
     cw.dom.meet = recording
-    # the fused route calls no meet, and counts the enumeration's ops: one
+    # the fused pass calls no meet, and counts the enumeration's ops: one
     # meet with d and one join per non-empty write set
     d = pw({"x": 1}, {"r": 0, "z": 0})
     before = cw.dom.ops
     cw.stabilise(i, d, n)
     assert meets == []
     assert cw.dom.ops - before == 2 * (len(plan) - 1)
-    # the enumeration, forced, meets d with each wc; no wc is re-met
-    cw.dom.stabilise_plan = lambda d, plan, n: None
+    # the walk over the same plan, which caps inside every meet and join,
+    # meets d with each wc and counts the same ops; no wc is re-met
     d = pw({"x": 0}, {"r": 1, "z": 0})
-    before = cw.dom.ops
-    cw.stabilise(i, d, n)
+    _, ops = with_ops(cw, walk_plan, cw, i, d, n)
     assert meets == [d] * (len(plan) - 1)
-    assert cw.dom.ops - before == 2 * (len(plan) - 1)
+    assert ops == 2 * (len(plan) - 1)
     assert cw._write_sets(i, n) is plan
 
 
@@ -441,55 +475,43 @@ def with_counts(cw: CondWrites, fn, *args, **kwargs):
 
 @pytest.mark.parametrize("cap", [64, 4, 2, 1])
 def test_fused_stabilise_matches_enumeration(cap):
-    # a miss of `stabilise` on one instance against `_stabilise_enum` on
-    # another: the same value, ops and cap collapses, the plan's included;
-    # and the value of the reference walk with the same pruning. Below the
-    # cap bound the fused route runs, past it the enumeration
+    # a miss of `stabilise` on one instance against the cap-once spec on
+    # another: building the plan, then the walk over it on an uncapped copy
+    # of the domain and one cap, with the same value, ops and cap collapses,
+    # the plan's included. Where building the plan collapsed nothing, also
+    # the value of the unpruned enumeration of i on an uncapped copy,
+    # capped once
     rng = random.Random(49)
-    routes = collections.Counter()
+    seen = collections.Counter()
     for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
         for _ in range(60):
-            new, enum, ref = (
+            new, spec, ref = (
                 CondWrites(ConstPowersetDomain(variables, max_disjuncts=cap))
                 for _ in range(3))
-            fused = new.dom.stabilise_plan
-
-            def recording(d, plan, n, fused=fused):
-                out = fused(d, plan, n)
-                routes["enum" if out is None else "fused"] += 1
-                return out
-
-            new.dom.stabilise_plan = recording
-            # up to 6 disjuncts, so that cap 64 too sees both routes
+            # up to 6 disjuncts, so that cap 4 also collapses plans
             i = {v: random_pw(rng, new.dom, (0, 1, 2), 6) for v in variables}
             d = random_pw(rng, new.dom, (0, 1, 2), 6)
             for n in range(len(variables) + 1):
                 got = with_counts(new, new.stabilise, i, d, n)
-                assert got == with_counts(enum, enum._stabilise_enum, i, d, n)
-                assert got[0] == reference_interference.stabilise_enum(
-                    ref, i, d, n, b1=True)
-    assert routes["fused"] > 0 and routes["enum"] > 0, routes
-
-
-def test_fused_stabilise_runs_exactly_up_to_the_cap_bound():
-    # d = {[x↦0]} and one feasible write set {x} with two disjuncts: the
-    # pool {[x↦0], [z↦0], [z↦1]} is an antichain of |d| · (1 + width) = 3
-    # maps, so cap 3 fuses and cap 2 falls back to an enumeration whose
-    # last join collapses
-    for cap, fused in ((3, True), (2, False)):
-        cw = CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=cap))
-        pw = cw.dom.make
-        i = {"x": pw([cm_make({"z": 0}), cm_make({"z": 1})]),
-             "z": cw.dom.bot(), "r": cw.dom.bot()}
-        d = pw([cm_make({"x": 0})])
-        plan = cw._write_sets(i, 3)
-        assert plan.width == 2
-        got = cw.dom.stabilise_plan(d, plan, 3)
-        assert (got is not None) == fused
-        want = with_counts(cw, cw._stabilise_enum, i, d, 3)
-        assert want[2] == (0 if fused else 1)
-        if fused:
-            assert got == want[0] and len(got) == 3
+                plan, plan_ops, plan_collapses = with_counts(
+                    spec, spec._write_sets, i, n)
+                out, ops, collapses = with_counts(
+                    spec, reference_interference.stabilise_over_plan,
+                    spec.dom, d, plan, n)
+                assert got == (out, plan_ops + ops, plan_collapses + collapses)
+                assert collapses <= 1  # the cap fires once, on the result
+                seen["capped"] += collapses
+                if plan_collapses:
+                    seen["plan collapsed"] += 1
+                    continue
+                seen["exact plan"] += 1
+                assert out == reference_interference.stabilise_cap_once(
+                    ref, i, d, n)
+    # caps 4 and 2 collapse results and plans; at cap 1 the random inputs
+    # collapse to single maps, mostly top, and nothing collapses after that
+    assert seen["exact plan"] > 0, seen
+    assert (seen["capped"] > 0) == (cap in (4, 2)), seen
+    assert (seen["plan collapsed"] > 0) == (cap in (4, 2)), seen
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])

@@ -139,9 +139,10 @@ def test_check_soundness_lists_violations_in_report_order():
 
 
 def test_explore_builds_each_graph_once(monkeypatch):
-    # one control-flow graph per thread serves the universe's literals, the
-    # guard and the search
-    from condwrites import lang, oracle
+    # one control-flow graph per thread, `Thread.flow`, serves the
+    # universe's literals, the guard and the search, and a second
+    # exploration of the same program builds none
+    from condwrites import lang
 
     built = []
     real = lang.control_flow
@@ -151,9 +152,9 @@ def test_explore_builds_each_graph_once(monkeypatch):
         return real(body)
 
     monkeypatch.setattr(lang, "control_flow", counted)
-    monkeypatch.setattr(oracle, "control_flow", counted)
     p = parse_program(FLAGGED)
     assert built == []
+    explore(p)
     explore(p)
     assert built == [t.body for t in p.threads]
 
