@@ -63,7 +63,10 @@ def _parse_rely_vars(specs: list[str]) -> dict[str, frozenset[str]]:
         if "=" not in spec:
             raise ValueError(f"bad --rely-vars value {spec!r}, expected THREAD=v1,v2")
         tid, _, names = spec.partition("=")
-        out[tid.strip()] = frozenset(n.strip() for n in names.split(",") if n.strip())
+        tid = tid.strip()
+        if tid in out:
+            raise ValueError(f"--rely-vars for thread {tid!r} given twice")
+        out[tid] = frozenset(n.strip() for n in names.split(",") if n.strip())
     return out
 
 

@@ -177,25 +177,27 @@ def cm_filter_cmp(c: Cmp, d):
 # Domain contract
 
 
+def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
+    # bottom-up, lexicographic within a cardinality: required by the
+    # superset skipping and keeps op counts reproducible
+    for k in range(0, max_card + 1):
+        yield from itertools.combinations(variables, k)
+
+
 class StateDomain(ABC):
     """Lattice over sets of states plus abstract assignment post,
-    condition filter, and havoc."""
+    condition filter, and havoc, and the two steps of the interference
+    layer (see `interference`): `stabilise(i, d, n)` answers a
+    `CondWrites.stabilise` miss and `close_one(i, v)` is one step of
+    `CondWrites.close`."""
 
     name: str
-
-    # The interference layer's `stabilise` miss: a domain defines either the
-    # closed form `stabilise(i, d)`, equal to the subset enumeration for
-    # every n, or `stabilise_plan(d, plan, n)`, one pass over the write-set
-    # plan of `CondWrites._write_sets`. `close_one(i, v)`, when defined, is
-    # a closed form of one step of `CondWrites.close`, `_close_one(i, v)`;
-    # None keeps the walk.
-    stabilise = None
-    close_one = None
 
     def __init__(self, variables: tuple[str, ...]):
         self.variables = tuple(variables)
         self.ops = 0  # counted joins and meets (the Ops metric)
         self.cap_collapses = 0  # elements a disjunct cap collapsed
+        self._plans: dict = {}  # (write-conditions, n) -> write-set plan
 
     @abstractmethod
     def top(self): ...
@@ -245,6 +247,95 @@ class StateDomain(ABC):
         if isinstance(c, Cmp):
             return self._filter_cmp(c, d)
         raise TypeError(c)
+
+    @abstractmethod
+    def stabilise(self, i: dict, d, n: int): ...
+
+    def _write_sets(self, i: dict, n: int) -> dict:
+        """The plan of the subset walk under i at precision n: each write set
+        S of at most n + 1 variables with a non-bottom wc_S, as
+        `combo: (vset, wc_S)` in walk order, starting with the empty set and
+        its wc, top. Built once per domain object for each (i's
+        write-conditions in variable order, n), so every `stabilise` under
+        one rely shares it, and a miss only meets d with each wc_S, havocs
+        and joins. A singleton's wc is i[v]; a larger set's is one meet of
+        its prefix's wc with i[last]. A superset of a set with bottom wc is
+        skipped unvisited: feasibility is downward closed, as wc_S only
+        shrinks as S grows, so its exact wc is bottom too.
+
+        The walk yields each set after its prefix, the set minus its last
+        variable. A kept set's prefix is in the plan: had the prefix been
+        skipped or met bottom, the set would have been skipped as a
+        superset. The plan computes the same left fold,
+        top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-meets
+        each set from top, because top ⊓ x = x. So each wc_S equals that
+        walk's also where the powerset cap collapses disjuncts inside a
+        meet, and meets no longer associate; only the ops of the repeated
+        meets fall."""
+        key = (tuple(i[v] for v in self.variables), n)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        variables = sorted(self.variables)
+        plan = self._plans[key] = {}
+        blocked: list[frozenset[str]] = []
+        for combo in subsets(variables, min(n + 1, len(variables))):
+            vset = frozenset(combo)
+            if any(b <= vset for b in blocked):
+                continue
+            if len(combo) <= 1:
+                wc = i[combo[0]] if combo else self.top()
+            else:
+                wc = self.meet(plan[combo[:-1]][1], i[combo[-1]])
+            if self.is_bot(wc):
+                blocked.append(vset)
+                continue
+            plan[combo] = (vset, wc)
+        return plan
+
+    def close_one(self, i: dict, v: str):
+        """One step of `CondWrites.close` for v by the pruned subset walk: it
+        considers only the variables i[v] constrains, and skips the strict supersets of a set whose meet its
+        havoc already covers. Each skipped term's exact value lies below a
+        kept term's, so where meets and joins are exact (the flat domain,
+        and the powerset while no result exceeds its cap) the pruning
+        changes no value. When the cap collapses disjuncts inside a meet or
+        join, `close`'s pruned result can differ from the unpruned walk's;
+        on random inputs at caps 2-4 it then lay below it. The unpruned walk
+        is kept as the differential reference in
+        `tests/reference_interference.py`. A set's meet is one meet of its
+        prefix's with i[last], as in `_write_sets`."""
+        iv = i[v]
+        # only variables iv constrains: adding another to a write set keeps
+        # its havoc and only shrinks its meet, so its term adds nothing
+        candidates = sorted(
+            u for u in self.variables if self.havoc(iv, frozenset((u,))) != iv
+        )
+        acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
+        dominated: list[frozenset[str]] = []
+        meets: dict[tuple[str, ...], object] = {}
+        for combo in subsets(candidates, len(candidates)):
+            if not combo:
+                continue
+            vset = frozenset(combo)
+            # a strict superset of a dominated set meets below that set's
+            # meet, which is already joined in whole
+            if any(d0 < vset for d0 in dominated):
+                continue
+            h = self.havoc(iv, vset)
+            # a visited set's prefix was visited: a dominated set below the
+            # prefix lies below the set too
+            if len(combo) == 1:
+                m = i[combo[0]]
+            else:
+                m = self.meet(meets[combo[:-1]], i[combo[-1]])
+            meets[combo] = m
+            if self.leq(m, h):
+                dominated.append(vset)
+                acc = self.join(acc, m)
+            else:
+                acc = self.join(acc, self.meet(h, m))
+        return acc
 
 
 def _fmt_cm(d, ascii_only: bool) -> str:
@@ -296,11 +387,22 @@ class ConstDomain(StateDomain):
     def fmt(self, d, ascii_only: bool = False) -> str:
         return _fmt_cm(d, ascii_only)
 
-    def stabilise(self, i: dict, d):
+    def stabilise(self, i: dict, d, n: int):
         """Drop from d every variable whose write-condition d meets: ⊥ stays
         ⊥, otherwise one counted meet per variable and one havoc. Equals the
-        subset enumeration of `CondWrites.stabilise` for every n (see
-        `interference`)."""
+        subset enumeration of `CondWrites.stabilise` for every n, so n is
+        unused:
+
+            stabilise(i, d, n) = havoc(d, {u | d ⊓ i[u] ≠ ⊥})
+
+        Feasibility is downward closed: wc_S only shrinks as S grows, so
+        every variable u of a write set with d ⊓ wc_S ≠ ⊥ has d ⊓ i[u] ≠ ⊥,
+        and each such u is itself a feasible singleton (exact when n ≥ 1, in
+        the coarse term when n = 0). Every term binds what d binds, plus
+        wc_S's bindings, minus S; the empty write set contributes d itself,
+        and the flat join intersects bindings. So the join keeps exactly the
+        bindings of d whose variable no write set feasible with d touches,
+        and ⊥ stays ⊥."""
         if d is CM_BOT:
             return d
         touched = frozenset(u for u in self.variables
@@ -311,9 +413,32 @@ class ConstDomain(StateDomain):
         """Weaken i[v] by the one write set that decides each of its
         bindings, the least set S ∋ x closed under "u ∈ S and i[u] binds a
         variable y of i[v] to another value ⇒ y ∈ S". ⊥ and ⊤ stay as they
-        are. Each distinct set costs its wc fold (|S| - 1 counted meets),
-        and, when wc is not ⊥, at most one meet and one join. Equals
-        `CondWrites._close_one` (see `interference`)."""
+        are. Equals the walk `StateDomain.close_one`.
+
+        Call S closed if y ∈ S whenever some u ∈ S has i[u] binding a
+        variable y of i[v] to a value other than i[v]'s. If S is not closed,
+        h = havoc(i[v], S) keeps i[v]'s binding of such a y, h ⊓ wc_S is ⊥,
+        and the term adds nothing. If S is closed and wc_S ≠ ⊥, the term is
+        the union of the bindings of h and wc_S. The join intersects
+        bindings, so a binding (x, c) of i[v] is dropped iff some closed
+        S ∋ x has wc_S ≠ ⊥ and no u ∈ S binds (x, c) in i[u]. The least
+        closed set S_x ∋ x, a Horn-clause least model, lies inside every
+        closed S ∋ x, and a larger S only shrinks wc_S and adds members:
+        once wc_{S_x} is ⊥ or binds (x, c), so does wc_S. So S_x alone
+        decides (x, c). A term never drops a binding that its own least set
+        keeps: S_x's term drops (y, c') only for y ∈ S_x, where S_y ⊆ S_x,
+        so wc_{S_y} binding (y, c') or being ⊥ would carry over to
+        wc_{S_x}. So the terms of the distinct least sets, joined into
+        i[v], drop exactly what the walk drops.
+
+        Each distinct least set costs |S| - 1 counted meets for wc_S, folded
+        from its first member in sorted order. The fold does not stop at ⊥,
+        so the ops do not depend on the variable names. A set whose wc_S is
+        ⊥ costs nothing more; otherwise its term costs one join, plus one
+        meet when wc_S ⋢ h. The closures, havocs and ⊑ tests are uncounted,
+        like the walk's choice of candidate variables. On random inputs over
+        up to 5 variables it never counts more ops than the pruned walk, and
+        the tests check that."""
         iv = i[v]
         if iv is CM_BOT or not iv:
             return iv
@@ -391,12 +516,44 @@ class ConstPowersetDomain(StateDomain):
         self.cap_collapses += 1
         return frozenset({frozenset.intersection(*d)})
 
+    def stabilise(self, i: dict, d, n: int):
+        return self.stabilise_plan(d, self._write_sets(i, n), n)
+
     def stabilise_plan(self, d, plan, n: int):
         """The subset enumeration's result, normalised once and capped once:
         the non-bottom meets of d's maps with each write set's disjuncts,
         havocked by the set (the coarse (n+1)-sets' by the union of the
-        feasible ones), pooled with d. Counts the enumeration's ops (see
-        `interference`)."""
+        feasible ones), pooled with d. The result is `make` of the pool:
+        `_pw_normalize` once, then the disjunct cap once.
+
+        Its spec is the subset enumeration over the plan's write-conditions
+        in the uncapped disjunctive completion, capped once at the end. The
+        pool normalised equals that enumeration for two reasons.
+        `_pw_normalize` keeps the ⊆-minimal binding sets, a unique normal
+        form, so normalising a part of the pool first changes nothing:
+        norm(norm(A) ∪ B) = norm(A ∪ B). And `cm_havoc` is monotone on
+        binding sets, so a map the normalisation drops has a havoc
+        containing that of a map it keeps: normalising before or after
+        havocking agrees. The uncapped meet, havoc and join of the
+        enumeration are each the normalisation of such a pool (the join of
+        two antichains is that of their union), and so is their
+        composition. The cap is a widening-like loss of precision, so it
+        applies to whole powerset results (Bagnara, Hill & Zaffanella, STTT
+        2006), not inside each meet and join of the enumeration: once it
+        fires there, meets and joins no longer associate, and the answer
+        would depend on the order of the walk. The plan's write-conditions
+        stay capped as built, by the counted meets that fold them, so where
+        building the plan collapses nothing, a miss equals the unpruned
+        enumeration of i on an uncapped copy of the domain, capped once;
+        that is the differential reference in
+        `tests/reference_interference.py`. Where no cap fires at all, it
+        also equals the enumeration that caps inside every meet and join.
+
+        The pass performs no counted operation but counts those of the
+        enumeration: one meet per non-empty write set, one join per exact
+        set, and one join per feasible (n+1)-set (the coarse fold's joins
+        plus its join into the result). So ops do not depend on whether a
+        collapse fires."""
         maps = list(d)
         coarse = []
         y_vars: set[str] = set()

@@ -8,7 +8,8 @@ import itertools
 import random
 
 from condwrites.domains import (
-    CM_BOT, ConstPowersetDomain, StateDomain, Universe, cm_make,
+    CM_BOT, ConstPowersetDomain, StateDomain, Universe, _pw_normalize,
+    cm_make,
 )
 from condwrites.lang import Assign, Lit, VarRef, eval_expr
 
@@ -94,8 +95,11 @@ def random_cm(rng: random.Random, variables, values=(0, 1),
 
 def random_pw(rng: random.Random, dom: ConstPowersetDomain, values=(0, 1),
               max_disjuncts: int = 3):
-    k = rng.randint(0, max_disjuncts)
-    return dom.make(random_cm(rng, dom.variables, values) for _ in range(k))
+    # at most dom's cap of maps, normalised but not capped, so that a low
+    # cap does not collapse the element before the code under test sees it
+    k = rng.randint(0, min(max_disjuncts, dom.max_disjuncts))
+    return _pw_normalize(random_cm(rng, dom.variables, values)
+                         for _ in range(k))
 
 
 def random_elem(rng: random.Random, dom, values=(0, 1)):

@@ -1,6 +1,6 @@
 """The subset enumerations before the per-rely write-set plan, and the
 placements of the powerset disjunct cap, kept as the differential reference
-for `CondWrites.stabilise` and `CondWrites._close_one`.
+for `CondWrites.stabilise` and `StateDomain.close_one`.
 
 `stabilise_enum` and `close_one` start each subset's write-condition meet
 from `dom.top()`, and every call re-folds every subset's meets. The
@@ -20,9 +20,10 @@ capped inside every meet and join: its values are those of `stabilise_enum`
 with `b1` on the capped domain, and its ops those of the production pass.
 
 Only the tests use these. Most are written as functions of a `CondWrites`
-instance `self`, whose `dom`, `fuel`, `leq`, `_subsets` and `_write_sets`
-they read; `stabilise_walk` and `stabilise_over_plan` take a domain, a
-state and a plan, the arguments of a domain's `stabilise_plan`.
+instance `self`, whose `dom`, `fuel` and `leq` they read, and walk
+`domains.subsets`; `stabilise_walk` and `stabilise_over_plan` take a
+domain, a state and a plan of `StateDomain._write_sets`, the arguments of
+the powerset's `stabilise_plan`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import sys
 
-from condwrites.domains import ConstPowersetDomain
+from condwrites.domains import ConstPowersetDomain, subsets
 from condwrites.interference import CondWrites, FuelExhausted, Interference
 
 
@@ -48,7 +49,7 @@ def stabilise_enum(self: CondWrites, i: Interference, d, n: int, *,
     y_acc = dom.bot()
     y_vars: set[str] = set()
     blocked: list[frozenset[str]] = []
-    for combo in self._subsets(variables, min(n + 1, len(variables))):
+    for combo in subsets(variables, min(n + 1, len(variables))):
         vset = frozenset(combo)
         if b1 and any(b <= vset for b in blocked):
             continue
@@ -81,7 +82,7 @@ def stabilise_cap_once(self: CondWrites, i: Interference, d, n: int, *,
 
 
 def stabilise_walk(dom, d, plan: dict, n: int):
-    """The subset walk over a write-set plan of `CondWrites._write_sets`,
+    """The subset walk over a write-set plan of `StateDomain._write_sets`,
     through dom's meets, havocs and joins: it meets d with each wc_S, and
     the coarse join starts from its first operand."""
     acc = d
@@ -120,7 +121,7 @@ def close_one(self: CondWrites, i: Interference, v: str, *,
         candidates = sorted(dom.variables)
     acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
     dominated: list[frozenset[str]] = []
-    for combo in self._subsets(candidates, len(candidates)):
+    for combo in subsets(candidates, len(candidates)):
         if not combo:
             continue
         vset = frozenset(combo)

@@ -119,6 +119,14 @@ def test_rely_vars_bad_syntax(capsys):
     assert code == 2 and "rely-vars" in err
 
 
+def test_rely_vars_repeated_thread(capsys):
+    # like a second `relyvars` for one thread in source, not a silent overwrite
+    code, _, err = run(capsys, "analyze", FLAGGED,
+                       "--rely-vars", "T0=x", "--rely-vars", "T0=z")
+    assert code == 2
+    assert "error: --rely-vars for thread 'T0' given twice" in err
+
+
 def test_rely_vars_unknown_thread_or_variable(capsys):
     code, _, err = run(capsys, "analyze", FLAGGED, "--rely-vars", "T9=x")
     assert code == 2 and "unknown thread 'T9'" in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, Universe,
+    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, StateDomain, Universe,
     UniverseTooLarge, _pw_normalize, cm_eval, cm_filter_cmp, cm_havoc, cm_leq,
     cm_make, cm_post, make_domain,
 )
@@ -386,6 +386,17 @@ def test_make_domain():
         make_domain("constPowerset", VARS)
     with pytest.raises(ValueError):
         make_domain("const-powerset", VARS, max_disjuncts=0)
+
+
+def test_every_domain_defines_stabilise():
+    # a domain answers a `stabilise` miss itself: there is no default route
+    primitives = {name: lambda self, *args: None
+                  for name in StateDomain.__abstractmethods__ - {"stabilise"}}
+    with pytest.raises(TypeError, match="stabilise"):
+        type("NoStabilise", (StateDomain,), primitives)(VARS)
+    full = type("WithStabilise", (StateDomain,),
+                {**primitives, "stabilise": lambda self, i, d, n: d})(VARS)
+    assert full.stabilise({}, CM_TOP, 0) is CM_TOP
 
 
 @given(st.dictionaries(st.sampled_from(VARS), st.integers(0, 1)),

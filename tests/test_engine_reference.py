@@ -11,8 +11,8 @@ ops. Deriving a rely joins the other threads' guarantees, so only a thread
 with two or more other threads pays lattice operations for it: the 3-thread
 programs are where skipped derivations show in ops.
 
-The powerset `stabilise` answers a miss by `stabilise_plan`, the fused pass
-over the write-set plan, which caps its result once. Whole analyses whose
+`ConstPowersetDomain.stabilise` answers a miss by `stabilise_plan`, the
+fused pass over its write-set plan, which caps its result once. Whole analyses whose
 misses run the cap-once spec instead, the enumeration over the same plan on
 an uncapped copy of the domain and one cap, must give the same `--emit
 machine` output, ops and collapses included, at precisions n below |V|

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, Universe, cm_make,
-    make_domain,
+    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, StateDomain, Universe,
+    cm_make, make_domain,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -212,7 +212,7 @@ def test_stabilise_pruning_equivalence(mk):
         assert reference_interference.stabilise_enum(
             cw, i, d, n, b1=True) == want
         assert reference_interference.stabilise_walk(
-            cw.dom, d, cw._write_sets(i, n), n) == want
+            cw.dom, d, cw.dom._write_sets(i, n), n) == want
 
 
 def enumerating(cw: CondWrites, pruned: bool) -> CondWrites:
@@ -261,7 +261,7 @@ def over_plan(cw: CondWrites) -> CondWrites:
     """cw with its stabilise bound to the cap-once spec over cw's own
     write-set plan, whose write-conditions stay capped as built."""
     cw.stabilise = lambda i, d, n: reference_interference.stabilise_over_plan(
-        cw.dom, d, cw._write_sets(i, n), n)
+        cw.dom, d, cw.dom._write_sets(i, n), n)
     return cw
 
 
@@ -284,7 +284,7 @@ def test_powerset_memoised_stabilise_matches_enumeration(max_disjuncts, pruned):
         d = random_elem(rng, fast.dom)
         for n in range(len(VARS3) + 1):
             collapses = fast.dom.cap_collapses
-            fast._write_sets(i, n)
+            fast.dom._write_sets(i, n)
             exact = fast.dom.cap_collapses == collapses
             ref = spec if exact else planned
             inputs["exact" if exact else "planned"] += 1
@@ -350,7 +350,7 @@ def test_const_closed_form_never_enumerates(monkeypatch):
         d = random_cm(rng, VARS3)
         cw.stabilise(i, d, 3)
         cw.stabilise_fix(i, d, 3)
-    assert calls == [] and cw._plans == {}  # no fused pass and no plan
+    assert calls == [] and cw.dom._plans == {}  # no fused pass and no plan
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
@@ -390,7 +390,7 @@ def walk_plan(cw: CondWrites, i, d, n: int):
     """`reference_interference.stabilise_walk` over cw's write-set plan for
     (i, n), built on the first call, in cw's own domain."""
     return reference_interference.stabilise_walk(
-        cw.dom, d, cw._write_sets(i, n), n)
+        cw.dom, d, cw.dom._write_sets(i, n), n)
 
 
 @pytest.mark.parametrize("kind,cap", [
@@ -420,7 +420,7 @@ def test_plan_enumerations_match_reference(kind, cap):
                     b1=True)
                 assert got == want and ops <= ref_ops
             for v in variables:
-                got, ops = with_ops(new, new._close_one, i, v)
+                got, ops = with_ops(new, StateDomain.close_one, new.dom, i, v)
                 want, ref_ops = with_ops(
                     ref, reference_interference.close_one, ref, i, v,
                     b2a=True, b2b=True)
@@ -437,7 +437,7 @@ def test_second_stabilise_under_same_rely_reuses_plan():
          "r": pw({})}
     n = len(VARS3)
     cw.stabilise(i, pw({"x": 0, "z": 1}), n)
-    plan = cw._write_sets(i, n)
+    plan = cw.dom._write_sets(i, n)
     assert next(iter(plan.items())) == ((), (frozenset(), cw.dom.top()))
     assert any(len(combo) > 1 for combo in plan)  # some wc took a meet
     meets = []
@@ -461,7 +461,7 @@ def test_second_stabilise_under_same_rely_reuses_plan():
     _, ops = with_ops(cw, walk_plan, cw, i, d, n)
     assert meets == [d] * (len(plan) - 1)
     assert ops == 2 * (len(plan) - 1)
-    assert cw._write_sets(i, n) is plan
+    assert cw.dom._write_sets(i, n) is plan
 
 
 # -- the fused powerset stabilise against the enumeration --------------------
@@ -494,7 +494,7 @@ def test_fused_stabilise_matches_enumeration(cap):
             for n in range(len(variables) + 1):
                 got = with_counts(new, new.stabilise, i, d, n)
                 plan, plan_ops, plan_collapses = with_counts(
-                    spec, spec._write_sets, i, n)
+                    spec, spec.dom._write_sets, i, n)
                 out, ops, collapses = with_counts(
                     spec, reference_interference.stabilise_over_plan,
                     spec.dom, d, plan, n)
@@ -507,10 +507,10 @@ def test_fused_stabilise_matches_enumeration(cap):
                 seen["exact plan"] += 1
                 assert out == reference_interference.stabilise_cap_once(
                     ref, i, d, n)
-    # caps 4 and 2 collapse results and plans; at cap 1 the random inputs
-    # collapse to single maps, mostly top, and nothing collapses after that
+    # caps 4, 2 and 1 collapse results, caps 4 and 2 also plans: at cap 1
+    # the inputs are single maps, and a meet of single maps is one map
     assert seen["exact plan"] > 0, seen
-    assert (seen["capped"] > 0) == (cap in (4, 2)), seen
+    assert (seen["capped"] > 0) == (cap in (4, 2, 1)), seen
     assert (seen["plan collapsed"] > 0) == (cap in (4, 2)), seen
 
 
@@ -539,7 +539,8 @@ def assert_close_one_matches_walks(variables, interferences):
     for i in interferences:
         for v in variables:
             got, ops = with_ops(fast, fast.dom.close_one, i, v)
-            want, walk_ops = with_ops(walk, walk._close_one, i, v)
+            want, walk_ops = with_ops(
+                walk, StateDomain.close_one, walk.dom, i, v)
             assert got == want and ops <= walk_ops
             assert got == reference_interference.close_one(ref, i, v)
 
@@ -573,13 +574,13 @@ def test_const_close_matches_reference():
 
 def test_const_close_never_walks(monkeypatch):
     calls = []
-    real = CondWrites._close_one
+    real = StateDomain.close_one
 
     def counted(self, i, v):
         calls.append(v)
         return real(self, i, v)
 
-    monkeypatch.setattr(CondWrites, "_close_one", counted)
+    monkeypatch.setattr(StateDomain, "close_one", counted)
     rng = random.Random(51)
     cw = cw_const()
     for _ in range(50):
