@@ -19,7 +19,8 @@ store, so each thread keeps a dict from `pc * S + store` to the change its
 step makes to the configuration number (None at EXIT, where it takes no
 step). An entry is filled the first time the search reaches a configuration
 with that (point, store) pair, by the concrete semantics (`exec_assign`,
-`eval_cond`); every later step from the pair is one lookup. Both searches
+`eval_cond`) on the store's dict, which is built once per store and only
+read; every later step from the pair is one lookup. Both searches
 below fill the tables this way, so only reached pairs are evaluated, no
 table spans the universe, and `UniverseEscape` is raised exactly when a
 reachable assignment writes outside the universe. Each table's keys end up
@@ -34,13 +35,15 @@ reach `max_steps`. Only then can `explore` run `_saturate`, and it does when
 masks (below) take at most 4 bits per configuration, `sum(P_k) <= 4 * S`.
 Bitset rounds gain by moving, in one operation, every vector that shares a
 thread's point, and with two threads few vectors do. Measured one program
-at a time, breadth first was 1.1 to 1.9 times faster on the corpus, the
-two-thread `chain` programs and random two-thread programs; the bitsets
-were 1.05 to 5 times faster on the three- and four-thread programs of the
-`chain` and `oracle` perfbench workloads, and at most 1.3 times slower on
-small three-thread programs. The mask bound keeps a long thread, whose
-masks grow with the square of its length, on breadth first, and caps the
-masks at 4 * `max_states` bits.
+at a time with each search forced, breadth first was 1.1 to 1.4 times
+faster on the corpus, the two-thread `chain` programs and 100 random
+two-thread programs. On 100 random three-thread programs the two were at
+parity in all (from 1.25 times slower to 2 times faster with the bitsets);
+the bitsets were 1.5 to 8 times faster on the three- and four-thread
+programs of the `chain` and `oracle` perfbench workloads, and 2.2 times
+faster in all on 100 random four-thread programs. The mask bound keeps a
+long thread, whose masks grow with the square of its length, on breadth
+first, and caps the masks at 4 * `max_states` bits.
 Every other program runs `_breadth_first`. The choice depends on the budget
 and the program alone.
 
@@ -50,12 +53,17 @@ that store, and a worklist of stores with new bits, first in first out.
 For each thread k and point pc, a mask holds the vectors with thread k at
 pc: a run of W_k ones repeated every W_k * P_k bits, built by multiplying
 the run by a repunit. A round over a store's new bits X takes `X & mask`
-for each (k, pc) pair, looks the pair's step up once and shifts those bits
-by the point change times W_k; what the round moves into each target store
-is ORed together and merged into that store's int once. Steps that keep
-the store are closed inside it before it is dropped, the local-moves-first
-order of saturation (Ciardo, Luettgen & Siminiceanu, TACAS 2001); steps
-that change it queue the target store.
+for each (k, pc) pair, threads in order and points ascending, looks the
+pair's step up once and shifts those bits by the point change times W_k.
+What the round moves into each other store is ORed together, merged into
+that store's int once, and queues that store. Steps that keep the store are
+chained (Roig, Cortadella & Pastor, ICATPN 1995): their unreached bits join
+the store's int and X at once, so the pairs later in the sweep step them in
+the same round, and they are the next round's input, where the earlier pairs
+step them. Preorder labels make most edges forward, so a thread's run of
+store-keeping steps takes one sweep and a loop's back edge the next round.
+A store is dropped once a round adds nothing to it, the local-moves-first
+order of saturation (Ciardo, Luettgen & Siminiceanu, TACAS 2001).
 
 Breadth first (`_breadth_first`) visits one configuration at a time, in
 discovery order and thread order, with the budget checks of a search over
@@ -171,6 +179,7 @@ def explore(p: Program, universe: Universe | None = None,
             initial.append(sum(k * stride for k, stride in zip(combo, strides)))
 
     store_tuples: dict = {}
+    envs: dict = {}  # store index -> its store dict, read by the semantics
 
     def store_of(i: int) -> tuple:
         s = store_tuples.get(i)
@@ -178,6 +187,12 @@ def explore(p: Program, universe: Universe | None = None,
             s = store_tuples[i] = tuple(
                 vals[i // stride % len(vals)] for vals, stride in zip(domains, strides))
         return s
+
+    def env_of(i: int) -> dict:
+        env = envs.get(i)
+        if env is None:
+            env = envs[i] = dict(zip(order, store_of(i)))
+        return env
 
     points = [len(f.stmts) for f in flows]
     weights = []  # W_k, the weight of thread k's point in a vector
@@ -196,14 +211,14 @@ def explore(p: Program, universe: Universe | None = None,
         st = flow.stmts[pc]
         new, nxt = store, flow.succ[pc]
         if isinstance(st, Assign):
-            out = exec_assign(st, dict(zip(order, store_of(store))))
+            out = exec_assign(st, env_of(store))  # returns a copy
             for v in st.targets:
                 if out[v] not in position[v]:
                     raise UniverseEscape(
                         f"{tid}:{pc} wrote {v}={out[v]}, outside the universe")
             new = sum(position[v][out[v]] * stride for v, stride in zip(order, strides))
         elif not isinstance(st, Skip):  # a guard evaluation is one visible step
-            if not eval_cond(st.cond, dict(zip(order, store_of(store)))):
+            if not eval_cond(st.cond, env_of(store)):
                 nxt = flow.succ_false[pc]
         return new - store + (nxt - pc) * weights[k] * size
 
@@ -236,8 +251,8 @@ def _bitsets_pay(size: int, points: list[int]) -> bool:
 
 
 def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
-    """Fill `tables` by saturation over per-store bitsets of vectors; return
-    the exit stores in ascending index."""
+    """Fill `tables` by chained saturation over per-store bitsets of
+    vectors; return the exit stores in ascending index."""
     vectors = math.prod(points)
     full = (1 << vectors) - 1
     threads = []
@@ -251,8 +266,10 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
     while work:
         s = work.popleft()
         new = pending.pop(s)
+        bits = reached[s]  # held here while s is swept
         while new:
-            moved = {}  # target store -> the vectors `new` steps into it
+            moved = {}  # other target store -> the vectors `new` steps into it
+            fresh = 0  # the vectors this round adds to s: the next round's input
             for k, (table, n, masks) in enumerate(threads):
                 for key, mask in zip(range(s, s + size * n, size), masks):
                     x = new & mask
@@ -265,8 +282,13 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
                     if delta is not None:
                         shift, target = divmod(s + delta, size)
                         x = x << shift if shift >= 0 else x >> -shift
-                        moved[target] = moved.get(target, 0) | x
-            local = moved.pop(s, 0)  # steps that keep the store close inside it
+                        if target == s:  # chained: the rest of the sweep reads it
+                            x &= ~bits
+                            bits |= x
+                            new |= x
+                            fresh |= x
+                        else:
+                            moved[target] = moved.get(target, 0) | x
             for target, x in moved.items():
                 old = reached.get(target, 0)
                 x &= ~old
@@ -277,8 +299,8 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
                     else:
                         pending[target] = x
                         work.append(target)
-            new = local & ~reached[s]
-            reached[s] |= new
+            new = fresh
+        reached[s] = bits
     return sorted(s for s, bits in reached.items() if bits & 1)
 
 

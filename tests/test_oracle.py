@@ -341,6 +341,7 @@ def test_searches_agree_below_the_guard(searches, monkeypatch):
                 for case in corpus.CASES]
     programs += [(seed, random_program(seed)) for seed in range(1, 401)]
     programs += [((seed, 3), random_program(seed, threads=3)) for seed in range(1, 401)]
+    programs += [((seed, 4), random_program(seed, threads=4)) for seed in range(1, 101)]
     for where, p in programs:
         searches.clear()
         fast = explore(p)
@@ -348,6 +349,59 @@ def test_searches_agree_below_the_guard(searches, monkeypatch):
         assert searches == ["_saturate", "_breadth_first"], where
         assert not slow.bounded, where
         assert_identical(fast, slow, where)
+
+
+def test_explore_matches_reference_on_four_thread_programs(searches):
+    # the shape of the `oracle` perfbench workload: about two in five of
+    # these programs take the bitsets under the default budget
+    for seed in range(1, 101):
+        p = random_program(seed, threads=4)
+        assert_same_report(explore(p), reference_explore(p), seed)
+    assert 0 < searches.count("_saturate") < len(searches) == 100
+
+
+# A keeps the store through a run of writes and a loop whose body writes
+# nothing new (its back edge is a later round's step), then swaps x and y.
+CHAINED = """
+    vars x, y, z;
+    pre x == 0 && y == 1 && z == 0;
+    thread A { y := 1; z := 0; y := y; while (z == 0) { x := x; } x, y := y, x; }
+    thread B { z := 1; }
+    thread C { if (x == 1) { y := 0; } }
+"""
+
+
+def test_chained_rounds_match_reference(searches):
+    # steps that keep the store are taken in the round that finds them, and
+    # the swap reads each store's cached environment without writing to it
+    p = parse_program(CHAINED)
+    got = explore(p)
+    assert searches == ["_saturate"]
+    assert_same_report(got, reference_explore(p), "chained")
+    assert got.exit_states == {(1, 0, 1)}
+
+
+def test_same_programs_escape_as_the_reference(searches, monkeypatch):
+    # over a one-value universe most writes escape: with the shape check
+    # forced on, the bitset search raises on exactly the programs on which
+    # the reference raises
+    from condwrites import oracle
+
+    monkeypatch.setattr(oracle, "_bitsets_pay", lambda size, points: True)
+    for seed, values in itertools.product(range(1, 101), ((0,), (1,))):
+        p = random_program(seed, threads=3)
+        u = Universe.of({v: values for v in p.variables})
+        reports = []
+        for fn in (explore, reference_explore):
+            try:
+                reports.append(fn(p, u))
+            except UniverseEscape:
+                reports.append(None)
+        if reports[1] is None:
+            assert reports[0] is None, (seed, values)
+        else:
+            assert_same_report(reports[0], reports[1], (seed, values))
+    assert searches == ["_saturate"] * 200
 
 
 THREE = """
