@@ -189,7 +189,12 @@ class StateDomain(ABC):
     condition filter, and havoc, and the two steps of the interference
     layer (see `interference`): `stabilise(i, d, n)` answers a
     `CondWrites.stabilise` miss and `close_one(i, v)` is one step of
-    `CondWrites.close`."""
+    `CondWrites.close`.
+
+    Elements are hashable and compare by content, not identity: an element
+    rebuilt from new objects equals the original and hashes alike. The
+    `CondWrites` memo keys and the grouping of `oracle.check_soundness`
+    rely on this."""
 
     name: str
 

@@ -63,12 +63,27 @@ the same round, and they are the next round's input, where the earlier pairs
 step them. Preorder labels make most edges forward, so a thread's run of
 store-keeping steps takes one sweep and a loop's back edge the next round.
 A store is dropped once a round adds nothing to it, the local-moves-first
-order of saturation (Ciardo, Luettgen & Siminiceanu, TACAS 2001).
+order of saturation (Ciardo, Luettgen & Siminiceanu, TACAS 2001). Bits are
+cleared with `x ^= x & bits`, not `x &= ~bits`: the complement of a positive
+int is a negative one, and ANDing it costs about 4 times a plain AND at the
+6,561 bits of the `oracle` perfbench workload's largest bitsets.
 
 Breadth first (`_breadth_first`) visits one configuration at a time, in
 discovery order and thread order, with the budget checks of a search over
 explicit (program counters, store tuple) configurations. It is the only
 search that can honour a cut, and it sets `bounded` when it does.
+
+Escapes. A step's new store index moves only by its written targets,
+`(position of the new value - position of the old) * stride` each, and the
+targets are checked for escape in their written order. The saturation sweep
+evaluates (point, store) pairs in another order than breadth first, so on a
+program with several reachable escaping writes it may meet another one
+first. On a `UniverseEscape` from `_saturate`, `explore` therefore replays
+`_breadth_first` over the same tables. No filled entry escapes (an escaping
+step raises before its entry is stored), and under the guard nothing can
+cut the replay, so it raises the escape a fresh breadth-first search meets
+first, as the reference explorer does; the original is re-raised only if
+the replay returns.
 
 Canonical order. Both searches return the same report for the same
 reachable configurations. `reachable` lists the threads in program order,
@@ -76,6 +91,16 @@ each thread's points ascending (EXIT first), and each point's set is
 filled with its stores by index: it is read off the sorted table keys.
 `exit_states` is the stores reached with every thread at EXIT (vector 0),
 added by index.
+
+Soundness check. `check_soundness` groups the report's store sets by the
+outline assertion at their point, so each distinct (assertion, store) pair
+runs `dom.contains` once, on a store dict built at most once per call.
+Many points share an assertion: on the `oracle` perfbench workload (seed
+1), a pass's 160 checks cover 82,396 (point, store) pairs but only 2,688
+distinct (assertion, store) pairs. This needs lattice elements to be
+hashable and to compare by content (the `StateDomain` contract). If no pair
+fails, the result is `[]`; otherwise a second walk over `reachable` lists
+every (point, store) whose pair failed, in the report's order.
 """
 
 from __future__ import annotations
@@ -166,6 +191,7 @@ def explore(p: Program, universe: Universe | None = None,
         strides.append(size)
         size *= len(vals)
     strides.reverse()
+    stride_of = dict(zip(order, strides))
     # The initial stores are those satisfying pre, in ascending store index.
     # Only stores agreeing with pre's top-level `v == c` conjuncts can, so
     # only they are enumerated, and pre is still evaluated on each.
@@ -211,12 +237,14 @@ def explore(p: Program, universe: Universe | None = None,
         st = flow.stmts[pc]
         new, nxt = store, flow.succ[pc]
         if isinstance(st, Assign):
-            out = exec_assign(st, env_of(store))  # returns a copy
-            for v in st.targets:
-                if out[v] not in position[v]:
+            env = env_of(store)
+            out = exec_assign(st, env)  # returns a copy
+            for v in st.targets:  # only the targets move the store index
+                at = position[v]
+                if out[v] not in at:
                     raise UniverseEscape(
                         f"{tid}:{pc} wrote {v}={out[v]}, outside the universe")
-            new = sum(position[v][out[v]] * stride for v, stride in zip(order, strides))
+                new += (at[out[v]] - at[env[v]]) * stride_of[v]
         elif not isinstance(st, Skip):  # a guard evaluation is one visible step
             if not eval_cond(st.cond, env_of(store)):
                 nxt = flow.succ_false[pc]
@@ -225,13 +253,21 @@ def explore(p: Program, universe: Universe | None = None,
     tables = [{} for _ in flows]
     start = sum(f.entry * w for f, w in zip(flows, weights))
     configs = size * vectors
+    exits = escape = None
     if (configs < budget.max_states and configs * len(flows) < budget.max_steps
             and _bitsets_pay(size, points)):
-        exits = _saturate(initial, start, size, weights, points, tables, step)
-        bounded = False
-    else:
+        try:
+            exits, bounded = _saturate(initial, start, size, weights, points,
+                                       tables, step), False
+        except UniverseEscape as e:
+            escape = e
+    if exits is None:
+        # After an escape, the replay over the same tables meets the escape
+        # that breadth first meets first (see "Escapes" above).
         exits, bounded = _breadth_first(initial, start, size, weights, points,
                                         tables, step, budget)
+        if escape is not None:
+            raise escape
 
     reachable: dict = {}
     for t, table in zip(p.threads, tables):
@@ -283,7 +319,7 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
                         shift, target = divmod(s + delta, size)
                         x = x << shift if shift >= 0 else x >> -shift
                         if target == s:  # chained: the rest of the sweep reads it
-                            x &= ~bits
+                            x ^= x & bits  # x & ~bits, without a negative int
                             bits |= x
                             new |= x
                             fresh |= x
@@ -291,7 +327,7 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
                             moved[target] = moved.get(target, 0) | x
             for target, x in moved.items():
                 old = reached.get(target, 0)
-                x &= ~old
+                x ^= x & old
                 if x:
                     reached[target] = old | x
                     if target in pending:
@@ -352,12 +388,14 @@ class Violation:
 def check_soundness(result: AnalysisResult, report: OracleReport) -> list[Violation]:
     """Every concretely reachable store at a program point must be captured
     by the converged proof outline's assertion there. Violations are listed
-    in the report's order: threads, then points, then stores."""
+    in the report's order: threads, then points, then stores.
+
+    Each distinct (assertion, store) pair is checked once (see "Soundness
+    check" above)."""
     dom = result.domain
     order = report.universe.var_order
     outlines = {t.tid: result.outlines[t.tid].points() for t in result.program.threads}
-    envs: dict = {}  # store tuple -> its store dict, built once per call
-    violations: list[Violation] = []
+    groups: dict = {}  # assertion -> the store sets of the points asserting it
     for (tid, pt), states in report.reachable.items():
         points = outlines.get(tid)
         if points is None:
@@ -365,11 +403,18 @@ def check_soundness(result: AnalysisResult, report: OracleReport) -> list[Violat
         if pt not in points:
             # left-over CFG points (none expected): treat as a config bug
             raise KeyError(f"oracle point {tid}@{pt} missing from outline")
-        d = points[pt]
-        for store in states:
+        groups.setdefault(points[pt], []).append(states)
+    envs: dict = {}  # store tuple -> its store dict, built once per call
+    failed = set()  # the (assertion, store) pairs that dom.contains rejects
+    for d, sets in groups.items():
+        for store in set().union(*sets):
             env = envs.get(store)
             if env is None:
                 env = envs[store] = dict(zip(order, store))
             if not dom.contains(d, env):
-                violations.append(Violation(tid, pt, store))
-    return violations
+                failed.add((d, store))
+    if not failed:
+        return []
+    return [Violation(tid, pt, store)
+            for (tid, pt), states in report.reachable.items() if tid in outlines
+            for store in states if (outlines[tid][pt], store) in failed]

@@ -1,9 +1,13 @@
 """The interleaving explorer before the table-driven rewrite, kept verbatim as
-the differential reference for `condwrites.oracle.explore`.
+the differential reference for `condwrites.oracle.explore`, and the
+per-point soundness check before the grouped one, the reference for
+`condwrites.oracle.check_soundness`.
 
-It walks (program counters, store tuple) configurations, rebuilds a store
-dict and evaluates the AST at every step, and records the reachable sets per
-configuration as it discovers them. Only `tests/test_oracle.py` uses it.
+The explorer walks (program counters, store tuple) configurations, rebuilds
+a store dict and evaluates the AST at every step, and records the reachable
+sets per configuration as it discovers them. The check runs `dom.contains`
+on every (point, store) pair of the report. Only `tests/test_oracle.py` uses
+them.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from condwrites.lang import (
     eval_cond, exec_assign,
 )
 from condwrites.domains import Universe
-from condwrites.engine import EXIT
+from condwrites.engine import EXIT, AnalysisResult
 from condwrites.oracle import (
-    Budget, OracleReport, UniverseEscape, default_universe,
+    Budget, OracleReport, UniverseEscape, Violation, default_universe,
 )
 
 
@@ -142,3 +146,32 @@ def explore(p: Program, universe: Universe | None = None,
 
     return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
                         bounded=bounded)
+
+
+# -- soundness checking --------------------------------------------------------
+
+
+def check_soundness(result: AnalysisResult, report: OracleReport) -> list[Violation]:
+    """Every concretely reachable store at a program point must be captured
+    by the converged proof outline's assertion there. Violations are listed
+    in the report's order: threads, then points, then stores."""
+    dom = result.domain
+    order = report.universe.var_order
+    outlines = {t.tid: result.outlines[t.tid].points() for t in result.program.threads}
+    envs: dict = {}  # store tuple -> its store dict, built once per call
+    violations: list[Violation] = []
+    for (tid, pt), states in report.reachable.items():
+        points = outlines.get(tid)
+        if points is None:
+            continue
+        if pt not in points:
+            # left-over CFG points (none expected): treat as a config bug
+            raise KeyError(f"oracle point {tid}@{pt} missing from outline")
+        d = points[pt]
+        for store in states:
+            env = envs.get(store)
+            if env is None:
+                env = envs[store] = dict(zip(order, store))
+            if not dom.contains(d, env):
+                violations.append(Violation(tid, pt, store))
+    return violations

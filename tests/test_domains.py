@@ -485,3 +485,23 @@ def test_equal_elements_built_apart_share_a_stabilise_memo_entry(powerset):
     hits = cw.memo_hits
     assert cw.stabilise(i2, d2, 2) is out
     assert cw.memo_hits == hits + 1
+
+
+@pytest.mark.parametrize("domain", ["const", "const-powerset"])
+def test_corpus_outline_values_hash_by_content(domain):
+    # the interference memos and the oracle's grouped soundness check key
+    # dicts on outline values: each must hash, and a copy of it built from
+    # new set objects must hash and compare alike
+    from condwrites.corpus import CASES, PROGRAMS_DIR
+    from condwrites.engine import AnalysisConfig, analyse
+
+    values = 0
+    for case in CASES:
+        p = parse_program((PROGRAMS_DIR / case.filename).read_text())
+        res = analyse(p, AnalysisConfig(domain=domain))
+        for outline in res.outlines.values():
+            for d in [*outline.pre.values(), *outline.post.values(), outline.exit]:
+                copy = rebuilt(d)
+                assert copy == d and hash(copy) == hash(d), (case.name, d)
+                values += 1
+    assert values > 100

@@ -11,7 +11,9 @@ from condwrites.oracle import (
 )
 
 from randprog import random_program
-from reference_oracle import explore as reference_explore
+from reference_oracle import (
+    check_soundness as reference_check_soundness, explore as reference_explore,
+)
 from test_lang import FLAGGED
 
 
@@ -384,24 +386,31 @@ def test_chained_rounds_match_reference(searches):
 def test_same_programs_escape_as_the_reference(searches, monkeypatch):
     # over a one-value universe most writes escape: with the shape check
     # forced on, the bitset search raises on exactly the programs on which
-    # the reference raises
+    # the reference raises, and with the reference's message, which the
+    # breadth-first replay over the same tables finds
     from condwrites import oracle
 
     monkeypatch.setattr(oracle, "_bitsets_pay", lambda size, points: True)
-    for seed, values in itertools.product(range(1, 101), ((0,), (1,))):
-        p = random_program(seed, threads=3)
+    raised = 0
+    for seed, threads, values in itertools.product(range(1, 301), (3, 4), ((0,), (1,))):
+        p = random_program(seed, threads=threads)
         u = Universe.of({v: values for v in p.variables})
-        reports = []
+        where = (seed, threads, values)
+        outcomes = []
         for fn in (explore, reference_explore):
             try:
-                reports.append(fn(p, u))
-            except UniverseEscape:
-                reports.append(None)
-        if reports[1] is None:
-            assert reports[0] is None, (seed, values)
+                outcomes.append(fn(p, u))
+            except UniverseEscape as escape:
+                outcomes.append(str(escape))
+        if isinstance(outcomes[1], str):
+            assert outcomes[0] == outcomes[1], where
+            assert searches == ["_saturate", "_breadth_first"], where
+            raised += 1
         else:
-            assert_same_report(reports[0], reports[1], (seed, values))
-    assert searches == ["_saturate"] * 200
+            assert_same_report(outcomes[0], outcomes[1], where)
+            assert searches == ["_saturate"], where
+        searches.clear()
+    assert 0 < raised < 1200
 
 
 THREE = """
@@ -461,7 +470,7 @@ def test_universe_escape_after_another_thread_changes_the_store(searches):
         with pytest.raises(UniverseEscape) as info:
             fn(p, u)
         errors.append(str(info.value))
-    assert searches == ["_saturate"]
+    assert searches == ["_saturate", "_breadth_first"]
     assert errors[0] == errors[1] == "A:3 wrote x=2, outside the universe"
 
 
@@ -479,3 +488,127 @@ def test_unreachable_universe_escape_is_not_raised(searches):
     assert searches == ["_saturate"]
     assert ("A", 2) not in got.reachable
     assert_same_report(got, reference_explore(p, u), "unreachable escape")
+
+
+# Multi-target writes: the new store index moves by the targets alone. z sits
+# between x and y in the store order, so the two targets have distinct strides.
+MULTI_TARGET = {
+    "swap": ("""
+        vars x, z, y;
+        pre x == 0 && y == 1;
+        thread A { x, y := y, x; x, y := y, x; }
+        thread B { x := 2; }
+        thread C { y := 2; z := 1; }
+    """, None),
+    "keep": ("""
+        vars x, z, y;
+        pre x == 0 && y == 0;
+        thread A { x, y := 1, x; x, y := 1, x; }
+        thread B { x := 0; z := 1; }
+        thread C { y := 1; }
+    """, None),
+    "second_escapes": ("""
+        vars x, z, y;
+        pre x == 1 && y == 0;
+        thread A { x, y := 0, 2; }
+        thread B { z := 1; }
+        thread C { y := 1; }
+    """, {"x": (0, 1), "z": (0, 1), "y": (0, 1)}),
+}
+
+
+@pytest.mark.parametrize("bitsets", [True, False], ids=["saturate", "breadth_first"])
+@pytest.mark.parametrize("case", MULTI_TARGET)
+def test_multi_target_writes_match_reference(searches, monkeypatch, case, bitsets):
+    from condwrites import oracle
+
+    monkeypatch.setattr(oracle, "_bitsets_pay", lambda size, points: bitsets)
+    text, values = MULTI_TARGET[case]
+    p = parse_program(text)
+    u = Universe.of(values) if values else None
+    if case == "second_escapes":
+        errors = []
+        for fn in (explore, reference_explore):
+            with pytest.raises(UniverseEscape) as info:
+                fn(p, u)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "A:1 wrote y=2, outside the universe"
+        assert searches == (["_saturate", "_breadth_first"] if bitsets else ["_breadth_first"])
+    else:
+        assert_same_report(explore(p, u), reference_explore(p, u), case)
+        assert searches == (["_saturate"] if bitsets else ["_breadth_first"])
+
+
+# -- the grouped soundness check ---------------------------------------------------
+
+CELLS = list(itertools.product(("const", "const-powerset"), ("transitive", "nontransitive")))
+
+
+def soundness_programs():
+    """The corpus and 100 random programs each of three and four threads."""
+    programs = [(case.name, parse_program((corpus.PROGRAMS_DIR / case.filename).read_text()))
+                for case in corpus.CASES]
+    programs += [((seed, threads), random_program(seed, threads=threads))
+                 for threads in (3, 4) for seed in range(1, 101)]
+    return programs
+
+
+def corrupt(res, rep, rng):
+    """Set a few outline points, drawn by `rng`, to bottom or to a constant
+    map that pins one variable to one universe value, which most reached
+    stores break; draws repeat values, so corrupted points share them."""
+    dom = res.domain
+    u = rep.universe
+    points = [(tid, pt) for tid, outline in res.outlines.items() for pt in outline.points()]
+    for tid, pt in rng.sample(points, min(len(points), rng.randint(1, 4))):
+        if rng.random() < 0.3:
+            value = dom.bot()
+        else:
+            v = rng.choice(u.var_order)
+            m = cm_make({v: rng.choice(u.domain_of(v))})
+            value = m if dom.name == "const" else dom.make([m])
+        if pt == EXIT:
+            res.outlines[tid].exit = value
+        else:
+            res.outlines[tid].pre[pt] = value
+
+
+@pytest.mark.parametrize("domain,mode", CELLS)
+def test_check_soundness_matches_reference(domain, mode):
+    import random
+
+    rng = random.Random(f"{domain}/{mode}")
+    failing = 0
+    for where, p in soundness_programs():
+        rep = explore(p)
+        res = analyse(p, AnalysisConfig(mode=mode, domain=domain))
+        for stage in ("analysed", "corrupted"):
+            if stage == "corrupted":
+                corrupt(res, rep, rng)
+            got = [(v.tid, v.point, v.state) for v in check_soundness(res, rep)]
+            want = [(v.tid, v.point, v.state) for v in reference_check_soundness(res, rep)]
+            assert got == want, (where, stage)
+            failing += bool(want)
+    assert failing > 100
+
+
+def test_check_soundness_runs_contains_once_per_assertion_and_store(monkeypatch):
+    # the four-thread random programs assert few distinct values at many
+    # points, so grouping must save calls, and no pair may be checked twice
+    saved = 0
+    for seed in range(1, 21):
+        p = random_program(seed, threads=4)
+        rep = explore(p)
+        res = analyse(p, AnalysisConfig(domain="const-powerset"))
+        calls = []
+        real = res.domain.contains
+
+        def spy(d, state, _real=real):
+            calls.append((d, tuple(state.items())))
+            return _real(d, state)
+
+        monkeypatch.setattr(res.domain, "contains", spy)
+        check_soundness(res, rep)
+        assert len(calls) == len(set(calls)), seed
+        saved += sum(map(len, rep.reachable.values())) - len(calls)
+    assert saved > 0
