@@ -18,7 +18,7 @@ are x itself in both domains, so only the op count changes."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 from .lang import (
@@ -49,19 +49,9 @@ class Metrics:
     cap_collapses: int = 0  # powerset elements collapsed to their flat join
 
 
-@dataclass
-class ProofOutline:
-    """Abstract assertion before each labeled statement, that statement's
-    post-assertion, and the joined (stabilised) thread exit."""
-
-    pre: dict[int, object] = field(default_factory=dict)
-    post: dict[int, object] = field(default_factory=dict)
-    exit: object = None
-
-    def points(self) -> dict:
-        out: dict = dict(self.pre)
-        out[EXIT] = self.exit
-        return out
+# A proof outline maps each control-flow point of a thread (its statement
+# labels and EXIT, the keys of `lang.control_flow`) to the assertion there.
+Outline = dict
 
 
 @dataclass
@@ -70,7 +60,7 @@ class AnalysisResult:
     config: AnalysisConfig
     relies: dict[str, Interference]
     guarantees: dict[str, Interference]
-    outlines: dict[str, ProofOutline]
+    outlines: dict[str, Outline]
     metrics: Metrics
     verdict: str  # "verified" | "notVerified"
     converged: bool
@@ -104,13 +94,13 @@ def rely(cw: CondWrites, tid: str, guarantees: dict[str, Interference],
 
 
 def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
-            fuel_inner: int = 1000) -> tuple[Interference, ProofOutline]:
+            fuel_inner: int = 1000) -> tuple[Interference, Outline]:
     """Run one thread body from state d under rely r; return the guarantee
     it generates and its proof outline.
 
     The pass carries the state alone and stabilises each labelled point's
     incoming state once; a loop stops when its state is stable. The
-    guarantee is the join of `cw.transitions(outline.pre[a.label], a)` over
+    guarantee is the join of `cw.transitions(outline[a.label], a)` over
     the assignments `a` of the body, in preorder, which is the order the
     pass first reaches them in. That equals joining the transitions of
     every pass as the pass runs: each pass's pre-assertions are at or below
@@ -119,7 +109,7 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
     state is stable loses nothing: one more pass would recompute the same
     outline."""
     dom = cw.dom
-    outline = ProofOutline()
+    outline: Outline = {}
     assigns: dict[int, Assign] = {}
 
     def stab(d):
@@ -134,19 +124,17 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
             return d
         if isinstance(inst, Skip):
             if inst.label is not None:
-                outline.pre[inst.label] = outline.post[inst.label] = stab(d)
+                outline[inst.label] = stab(d)
             return d
         if isinstance(inst, Assign):
             assigns[inst.label] = inst
-            s = outline.pre[inst.label] = stab(d)
-            d = outline.post[inst.label] = dom.post(inst, s)
-            return d
+            s = outline[inst.label] = stab(d)
+            return dom.post(inst, s)
         if isinstance(inst, Ite):
-            s = outline.pre[inst.label] = stab(d)
+            s = outline[inst.label] = stab(d)
             d1 = run(inst.then, dom.filter(inst.cond, s))
             d2 = run(inst.els, dom.filter(negate(inst.cond), s))
-            d = outline.post[inst.label] = dom.join(d1, d2)
-            return d
+            return dom.join(d1, d2)
         if isinstance(inst, While):
             for _ in range(fuel_inner):
                 s = stab(d)
@@ -158,13 +146,12 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
                 raise FuelExhausted(
                     f"loop at point {inst.label} did not converge in {fuel_inner} passes")
             # the converging pass left d unchanged, so s is its stabilisation
-            outline.pre[inst.label] = s
-            d = outline.post[inst.label] = dom.filter(negate(inst.cond), s)
-            return d
+            outline[inst.label] = s
+            return dom.filter(negate(inst.cond), s)
         raise TypeError(inst)
 
-    outline.exit = stab(run(body, d))
-    writes = [cw.transitions(outline.pre[label], a) for label, a in assigns.items()]
+    outline[EXIT] = stab(run(body, d))
+    writes = [cw.transitions(outline[label], a) for label, a in assigns.items()]
     return (reduce(cw.join, writes) if writes else cw.bot()), outline
 
 
@@ -195,7 +182,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     d_pre = dom.filter(program.pre, dom.top())
     guarantees = {t.tid: cw.bot() for t in program.threads}
     relies: dict[str, Interference] = {}
-    outlines: dict[str, ProofOutline] = {}
+    outlines: dict[str, Outline] = {}
     changed = set(guarantees)  # the threads whose guarantee the last round changed
     converged = False
     rounds = collects = 0
@@ -242,11 +229,11 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     )
 
 
-def check_post(dom: StateDomain, outlines: dict[str, ProofOutline],
+def check_post(dom: StateDomain, outlines: dict[str, Outline],
                post: Cond) -> str:
     """The postcondition holds if no state in the meet of all thread exit
     assertions can satisfy its negation."""
-    exits = [outline.exit for outline in outlines.values()]
+    exits = [outline[EXIT] for outline in outlines.values()]
     d_final = reduce(dom.meet, exits) if exits else dom.top()
     violating = dom.filter(negate(post), d_final)
     return "verified" if dom.is_bot(violating) else "notVerified"
@@ -260,14 +247,10 @@ def to_machine(result: AnalysisResult) -> dict:
     dom = result.domain
     threads = {}
     for t in result.program.threads:
-        outline = result.outlines.get(t.tid, ProofOutline())
         threads[t.tid] = {
             "rely": {v: dom.fmt(result.relies[t.tid][v]) for v in dom.variables},
             "guarantee": {v: dom.fmt(result.guarantees[t.tid][v]) for v in dom.variables},
-            "outline": {
-                **{str(k): dom.fmt(d) for k, d in sorted(outline.pre.items())},
-                EXIT: dom.fmt(outline.exit) if outline.exit is not None else None,
-            },
+            "outline": {str(k): dom.fmt(d) for k, d in result.outlines[t.tid].items()},
         }
     return {
         "verdict": result.verdict,
@@ -294,8 +277,8 @@ def render_text(result: AnalysisResult, ascii_only: bool = False) -> str:
         outline = result.outlines[t.tid]
         lines.append(f"thread {t.tid}:")
         lines.append(format_inst(
-            t.body, 1, lambda label: dom.fmt(outline.pre[label], ascii_only)))
-        lines.append(f"       {dom.fmt(outline.exit, ascii_only)}  (exit)")
+            t.body, 1, lambda label: dom.fmt(outline[label], ascii_only)))
+        lines.append(f"       {dom.fmt(outline[EXIT], ascii_only)}  (exit)")
         lines.append(f"    rely      = {cw.fmt(result.relies[t.tid], ascii_only)}")
         lines.append(f"    guarantee = {cw.fmt(result.guarantees[t.tid], ascii_only)}")
         lines.append("")

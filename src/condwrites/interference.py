@@ -56,17 +56,11 @@ class CondWrites:
 
     # -- lattice ------------------------------------------------------------
 
-    def top(self) -> Interference:
-        return {v: self.dom.top() for v in self.dom.variables}
-
     def bot(self) -> Interference:
         return {v: self.dom.bot() for v in self.dom.variables}
 
     def join(self, i1: Interference, i2: Interference) -> Interference:
         return {v: self.dom.join(i1[v], i2[v]) for v in self.dom.variables}
-
-    def meet(self, i1: Interference, i2: Interference) -> Interference:
-        return {v: self.dom.meet(i1[v], i2[v]) for v in self.dom.variables}
 
     def leq(self, i1: Interference, i2: Interference) -> bool:
         return all(self.dom.leq(i1[v], i2[v]) for v in self.dom.variables)

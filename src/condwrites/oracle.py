@@ -92,15 +92,18 @@ filled with its stores by index: it is read off the sorted table keys.
 `exit_states` is the stores reached with every thread at EXIT (vector 0),
 added by index.
 
-Soundness check. `check_soundness` groups the report's store sets by the
-outline assertion at their point, so each distinct (assertion, store) pair
-runs `dom.contains` once, on a store dict built at most once per call.
-Many points share an assertion: on the `oracle` perfbench workload (seed
-1), a pass's 160 checks cover 82,396 (point, store) pairs but only 2,688
-distinct (assertion, store) pairs. This needs lattice elements to be
-hashable and to compare by content (the `StateDomain` contract). If no pair
-fails, the result is `[]`; otherwise a second walk over `reachable` lists
-every (point, store) whose pair failed, in the report's order.
+Soundness check. `check_soundness` reads the assertion at each reached
+point as `result.outlines[tid][point]`: an outline has the same keys as the
+report (statement labels and EXIT), so a thread or point with no assertion
+raises `KeyError`. It groups the report's store sets by that assertion, so
+each distinct (assertion, store) pair runs `dom.contains` once, on a store
+dict built at most once per call. Many points share an assertion: on the
+`oracle` perfbench workload (seed 1), a pass's 160 checks cover 82,396
+(point, store) pairs but only 2,688 distinct (assertion, store) pairs. This
+needs lattice elements to be hashable and to compare by content (the
+`StateDomain` contract). If no pair fails, the result is `[]`; otherwise a
+second walk over `reachable` lists every (point, store) whose pair failed,
+in the report's order.
 """
 
 from __future__ import annotations
@@ -142,10 +145,7 @@ class OracleReport:
                 "bounded": self.bounded,
                 "vars": list(order),
                 "reachable_counts": {
-                    f"{tid}@{pt}": len(states)
-                    for (tid, pt), states in sorted(
-                        self.reachable.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-                    )
+                    f"{tid}@{pt}": len(states) for (tid, pt), states in self.reachable.items()
                 },
                 "exit_states": sorted(self.exit_states),
             }
@@ -388,22 +388,17 @@ class Violation:
 def check_soundness(result: AnalysisResult, report: OracleReport) -> list[Violation]:
     """Every concretely reachable store at a program point must be captured
     by the converged proof outline's assertion there. Violations are listed
-    in the report's order: threads, then points, then stores.
+    in the report's order: threads, then points, then stores. A reached
+    point with no outline assertion raises `KeyError`.
 
     Each distinct (assertion, store) pair is checked once (see "Soundness
     check" above)."""
     dom = result.domain
     order = report.universe.var_order
-    outlines = {t.tid: result.outlines[t.tid].points() for t in result.program.threads}
+    outlines = result.outlines
     groups: dict = {}  # assertion -> the store sets of the points asserting it
     for (tid, pt), states in report.reachable.items():
-        points = outlines.get(tid)
-        if points is None:
-            continue
-        if pt not in points:
-            # left-over CFG points (none expected): treat as a config bug
-            raise KeyError(f"oracle point {tid}@{pt} missing from outline")
-        groups.setdefault(points[pt], []).append(states)
+        groups.setdefault(outlines[tid][pt], []).append(states)
     envs: dict = {}  # store tuple -> its store dict, built once per call
     failed = set()  # the (assertion, store) pairs that dom.contains rejects
     for d, sets in groups.items():
@@ -416,5 +411,5 @@ def check_soundness(result: AnalysisResult, report: OracleReport) -> list[Violat
     if not failed:
         return []
     return [Violation(tid, pt, store)
-            for (tid, pt), states in report.reachable.items() if tid in outlines
+            for (tid, pt), states in report.reachable.items()
             for store in states if (outlines[tid][pt], store) in failed]

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import time
 
-from condwrites.lang import Assign, Ite, Program, Seq, Skip, While, negate
+from condwrites.lang import EXIT, Assign, Ite, Program, Seq, Skip, While, negate
 from condwrites.domains import make_domain
 from condwrites.engine import (
-    AnalysisConfig, AnalysisResult, Metrics, ProofOutline, check_post, rely,
+    AnalysisConfig, AnalysisResult, Metrics, Outline, check_post, rely,
 )
 from condwrites.interference import CondWrites, FuelExhausted, Interference
 
@@ -28,7 +28,7 @@ class _Collector:
     labelled point stabilises its incoming state once."""
 
     def __init__(self, cw: CondWrites, r: Interference, n: int,
-                 transitive: bool, outline: ProofOutline, fuel_inner: int):
+                 transitive: bool, outline: Outline, fuel_inner: int):
         self.cw = cw
         self.dom = cw.dom
         self.r = r
@@ -50,18 +50,16 @@ class _Collector:
             return d, g
         if isinstance(inst, Skip):
             if inst.label is not None:
-                outline.pre[inst.label] = outline.post[inst.label] = self.stab(d)
+                outline[inst.label] = self.stab(d)
             return d, g
         if isinstance(inst, Assign):
-            s = outline.pre[inst.label] = self.stab(d)
-            d2 = outline.post[inst.label] = dom.post(inst, s)
-            return d2, cw.join(g, cw.transitions(s, inst))
+            s = outline[inst.label] = self.stab(d)
+            return dom.post(inst, s), cw.join(g, cw.transitions(s, inst))
         if isinstance(inst, Ite):
-            s = outline.pre[inst.label] = self.stab(d)
+            s = outline[inst.label] = self.stab(d)
             d1, g1 = self.run(inst.then, dom.filter(inst.cond, s), g)
             d2, g2 = self.run(inst.els, dom.filter(negate(inst.cond), s), g)
-            d = outline.post[inst.label] = dom.join(d1, d2)
-            return d, cw.join(g1, g2)
+            return dom.join(d1, d2), cw.join(g1, g2)
         if isinstance(inst, While):
             for _ in range(self.fuel_inner):
                 s = self.stab(d)
@@ -74,20 +72,19 @@ class _Collector:
                 raise FuelExhausted(
                     f"loop at point {inst.label} did not converge in {self.fuel_inner} passes")
             # the converging pass left d unchanged, so s is its stabilisation
-            outline.pre[inst.label] = s
-            d = outline.post[inst.label] = dom.filter(negate(inst.cond), s)
-            return d, g
+            outline[inst.label] = s
+            return dom.filter(negate(inst.cond), s), g
         raise TypeError(inst)
 
 
 def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
-            fuel_inner: int = 1000) -> tuple[Interference, ProofOutline]:
+            fuel_inner: int = 1000) -> tuple[Interference, Outline]:
     """Run one thread body from state d under rely r; return the guarantee
     it generates and its proof outline."""
-    outline = ProofOutline()
+    outline: Outline = {}
     coll = _Collector(cw, r, n, transitive, outline, fuel_inner)
     d, g = coll.run(body, d, cw.bot())
-    outline.exit = coll.stab(d)
+    outline[EXIT] = coll.stab(d)
     return g, outline
 
 
@@ -115,7 +112,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     d_pre = dom.filter(program.pre, dom.top())
     guarantees = {t.tid: cw.bot() for t in program.threads}
     relies: dict[str, Interference] = {}
-    outlines: dict[str, ProofOutline] = {}
+    outlines: dict[str, Outline] = {}
     converged = False
     rounds = 0
 

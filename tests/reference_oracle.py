@@ -157,17 +157,10 @@ def check_soundness(result: AnalysisResult, report: OracleReport) -> list[Violat
     in the report's order: threads, then points, then stores."""
     dom = result.domain
     order = report.universe.var_order
-    outlines = {t.tid: result.outlines[t.tid].points() for t in result.program.threads}
     envs: dict = {}  # store tuple -> its store dict, built once per call
     violations: list[Violation] = []
     for (tid, pt), states in report.reachable.items():
-        points = outlines.get(tid)
-        if points is None:
-            continue
-        if pt not in points:
-            # left-over CFG points (none expected): treat as a config bug
-            raise KeyError(f"oracle point {tid}@{pt} missing from outline")
-        d = points[pt]
+        d = result.outlines[tid][pt]
         for store in states:
             env = envs.get(store)
             if env is None:

@@ -48,17 +48,22 @@ def test_criterion_1_worked_example_golden():
                   AnalysisConfig(mode="transitive", domain="const", n=3))
     elapsed = time.perf_counter() - started
     o0, o1 = res.outlines["T0"], res.outlines["T1"]
+    t0, t1 = res.program.threads
+
+    def post(t, outline, k):  # the assertion after statement k
+        return res.domain.post(t.flow.stmts[k], outline[k])
+
     ok = (
         res.converged
         and res.verdict == "verified"
-        and [o0.pre[k] for k in (1, 2, 3, 4)] + [o0.post[4]] == [
+        and [o0[k] for k in (1, 2, 3, 4)] + [post(t0, o0, 4)] == [
             CM_TOP,
             cm_make({"r": 0}),
             cm_make({"r": 0, "z": 0}),
             cm_make({"r": 0, "z": 0, "x": 0}),
             cm_make({"r": 0, "z": 0, "x": 0}),
         ]
-        and [o1.pre[1], o1.pre[2], o1.post[2]] == [
+        and [o1[1], o1[2], post(t1, o1, 2)] == [
             CM_TOP, cm_make({"z": 1}), cm_make({"z": 1, "x": 1})]
         and res.guarantees["T0"] == {
             "x": cm_make({"r": 0, "z": 0}), "z": CM_BOT, "r": CM_TOP}

@@ -495,13 +495,15 @@ def test_corpus_outline_values_hash_by_content(domain):
     from condwrites.corpus import CASES, PROGRAMS_DIR
     from condwrites.engine import AnalysisConfig, analyse
 
-    values = 0
+    values = points = 0
     for case in CASES:
         p = parse_program((PROGRAMS_DIR / case.filename).read_text())
         res = analyse(p, AnalysisConfig(domain=domain))
+        points += sum(len(t.flow.stmts) for t in p.threads)
         for outline in res.outlines.values():
-            for d in [*outline.pre.values(), *outline.post.values(), outline.exit]:
+            for d in outline.values():
                 copy = rebuilt(d)
                 assert copy == d and hash(copy) == hash(d), (case.name, d)
                 values += 1
-    assert values > 100
+    # one value per control-flow point of the corpus, 74 in all
+    assert values == points == 74

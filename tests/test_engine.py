@@ -12,6 +12,7 @@ from condwrites.engine import (
 from condwrites.interference import CondWrites
 from condwrites.lang import parse_program, statements
 
+from randprog import random_program
 from test_lang import FLAGGED
 
 
@@ -24,19 +25,20 @@ def analyse_flagged(**kw):
 def test_flagged_write_golden_outlines():
     res = analyse_flagged()
     assert res.converged and res.verdict == "verified"
+    dom, (t0, t1) = res.domain, res.program.threads
     o0 = res.outlines["T0"]
-    assert o0.pre[1] == CM_TOP
-    assert o0.pre[2] == cm_make({"r": 0})
-    assert o0.pre[3] == cm_make({"r": 0, "z": 0})
-    assert o0.pre[4] == cm_make({"r": 0, "z": 0, "x": 0})
-    assert o0.post[4] == cm_make({"r": 0, "z": 0, "x": 0})
+    assert o0[1] == CM_TOP
+    assert o0[2] == cm_make({"r": 0})
+    assert o0[3] == cm_make({"r": 0, "z": 0})
+    assert o0[4] == cm_make({"r": 0, "z": 0, "x": 0})
+    assert dom.post(t0.flow.stmts[4], o0[4]) == cm_make({"r": 0, "z": 0, "x": 0})
     # the branch join forgets z and x; the exit keeps only r
-    assert o0.exit == cm_make({"r": 0})
+    assert o0[EXIT] == cm_make({"r": 0})
     o1 = res.outlines["T1"]
-    assert o1.pre[1] == CM_TOP
-    assert o1.pre[2] == cm_make({"z": 1})
-    assert o1.post[2] == cm_make({"z": 1, "x": 1})
-    assert o1.exit == CM_TOP
+    assert o1[1] == CM_TOP
+    assert o1[2] == cm_make({"z": 1})
+    assert dom.post(t1.flow.stmts[2], o1[2]) == cm_make({"z": 1, "x": 1})
+    assert o1[EXIT] == CM_TOP
 
 
 def test_flagged_write_golden_conditions():
@@ -98,7 +100,7 @@ def test_single_thread_is_plain_constant_propagation():
     """)
     res = analyse(p, AnalysisConfig())
     assert res.verdict == "verified"
-    assert res.outlines["T"].exit == cm_make({"x": 1, "y": 3})
+    assert res.outlines["T"][EXIT] == cm_make({"x": 1, "y": 3})
     assert res.relies["T"] == res.cw.bot()
     assert res.metrics.outer_iterations == 2  # one to build G, one to confirm
 
@@ -116,8 +118,8 @@ def test_loop_collecting_semantics():
         assert res.converged
         # g != 0 is not expressible as a constant map, so A's exit is top;
         # the verdict still holds through the meet with B's exit
-        assert res.outlines["A"].exit == CM_TOP
-        assert res.outlines["B"].exit == cm_make({"g": 1})
+        assert res.outlines["A"][EXIT] == CM_TOP
+        assert res.outlines["B"][EXIT] == cm_make({"g": 1})
         assert res.guarantees["B"]["g"] == cm_make({"g": 0})
         assert res.verdict == "verified"
 
@@ -173,23 +175,26 @@ def test_collect_stabilises_each_point_once(monkeypatch):
 def test_check_post():
     dom = ConstDomain(("x",))
     p = parse_program("vars x; post x == 1; thread T { x := 1; }")
-
-    class O:  # minimal outline stub
-        def __init__(self, exit_):
-            self.exit = exit_
-
-    assert check_post(dom, {"T": O(cm_make({"x": 1}))}, p.post) == "verified"
-    assert check_post(dom, {"T": O(CM_TOP)}, p.post) == "notVerified"
-    assert check_post(dom, {"T": O(CM_BOT)}, p.post) == "verified"  # unreachable exit
+    assert check_post(dom, {"T": {EXIT: cm_make({"x": 1})}}, p.post) == "verified"
+    assert check_post(dom, {"T": {EXIT: CM_TOP}}, p.post) == "notVerified"
+    assert check_post(dom, {"T": {EXIT: CM_BOT}}, p.post) == "verified"  # unreachable exit
     # the meet across threads decides, not any single thread
     assert check_post(
-        dom, {"T": O(CM_TOP), "U": O(cm_make({"x": 1}))}, p.post) == "verified"
+        dom, {"T": {EXIT: CM_TOP}, "U": {EXIT: cm_make({"x": 1})}}, p.post) == "verified"
 
 
 def test_outline_points_include_exit():
-    res = analyse_flagged()
-    pts = res.outlines["T0"].points()
-    assert set(pts) == {1, 2, 3, 4, EXIT}
+    # an outline's keys are the thread's control-flow points: every label
+    # and EXIT, the keys the oracle reports reachable stores under
+    programs = [case.load() for case in CASES]
+    programs += [random_program(seed) for seed in range(1, 101)]
+    for program in programs:
+        for domain in ("const", "const-powerset"):
+            for mode in ("transitive", "nontransitive"):
+                res = analyse(program, AnalysisConfig(mode=mode, domain=domain))
+                for t in program.threads:
+                    assert set(res.outlines[t.tid]) == {
+                        *range(1, len(t.flow.stmts)), EXIT}, (t.tid, domain, mode)
 
 
 def test_determinism():
@@ -247,8 +252,7 @@ def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
         g, outline = real(res.cw, t.body, d_pre, res.relies[t.tid],
                           len(program.variables), False)
         assert g == res.guarantees[t.tid]
-        assert (outline.pre, outline.exit) == (
-            res.outlines[t.tid].pre, res.outlines[t.tid].exit)
+        assert outline == res.outlines[t.tid]
 
 
 def test_analyse_rederives_a_rely_only_after_another_guarantee_changed(monkeypatch):

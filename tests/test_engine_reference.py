@@ -56,8 +56,7 @@ PROGRAMS = {
 
 def observed(result) -> dict:
     return {
-        "outlines": {tid: (o.pre, o.post, o.exit)
-                     for tid, o in result.outlines.items()},
+        "outlines": result.outlines,
         "relies": result.relies,
         "guarantees": result.guarantees,
         "verdict": result.verdict,

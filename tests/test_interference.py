@@ -37,11 +37,12 @@ def test_bot_is_identity_top_is_everything():
     cw = cw_const()
     states = bf_states(U3)
     assert bf_gamma_x(cw.dom, cw.bot(), U3) == {(s, s) for s in states}
-    assert bf_gamma_x(cw.dom, cw.top(), U3) == {
+    top = {v: CM_TOP for v in VARS3}
+    assert bf_gamma_x(cw.dom, top, U3) == {
         (s1, s2) for s1 in states for s2 in states}
 
 
-def test_join_meet_leq_componentwise():
+def test_join_leq_componentwise():
     rng = random.Random(22)
     cw = cw_const()
 
@@ -51,14 +52,11 @@ def test_join_meet_leq_componentwise():
         i1 = random_interference(rng, cw.dom)
         i2 = random_interference(rng, cw.dom)
         j = cw.join(i1, i2)
-        m = cw.meet(i1, i2)
         assert cw.leq(i1, j) and cw.leq(i2, j)
-        assert cw.leq(m, i1) and cw.leq(m, i2)
         # the transition concretisation is monotone in the element
         assert gx(i1) | gx(i2) <= gx(j)
-        assert gx(m) <= gx(i1) & gx(i2)
         # `==` is lattice equality: both domains' elements compare by content
-        assert (i1 == j) == cw.leq(j, i1) and (m == i1) == cw.leq(i1, m)
+        assert (i1 == j) == cw.leq(j, i1)
 
 
 def test_fmt():
@@ -596,7 +594,8 @@ def test_const_close_never_walks(monkeypatch):
 
 def test_fuel_exhaustion_reported():
     cw = cw_const(fuel=0)
+    top = {v: CM_TOP for v in VARS3}
     with pytest.raises(FuelExhausted):
-        cw.stabilise_fix(cw.top(), CM_TOP, 3)
+        cw.stabilise_fix(top, CM_TOP, 3)
     with pytest.raises(FuelExhausted):
-        cw.close(cw.top())
+        cw.close(top)

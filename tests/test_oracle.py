@@ -109,14 +109,30 @@ def test_check_soundness_flags_corrupted_outline():
     p = parse_program(FLAGGED)
     rep = explore(p)
     res = analyse(p, AnalysisConfig())
-    res.outlines["T0"].pre[1] = cm_make({"r": 7})  # claim something false
+    res.outlines["T0"][1] = cm_make({"r": 7})  # claim something false
     bad = check_soundness(res, rep)
     assert bad and all(v.tid == "T0" and v.point == 1 for v in bad)
     assert "outside outline assertion" in str(bad[0])
 
     res2 = analyse(p, AnalysisConfig())
-    res2.outlines["T1"].exit = CM_BOT  # exit is definitely reachable
+    res2.outlines["T1"][EXIT] = CM_BOT  # exit is definitely reachable
     assert any(v.point == EXIT for v in check_soundness(res2, rep))
+
+
+def test_check_soundness_raises_on_a_point_without_assertion():
+    # every reached point needs an outline assertion: a report with a thread
+    # the analysis has no outline for, or a point missing from an outline,
+    # is a mismatch between analysis and report, not a sound result
+    one = parse_program("vars x; thread T0 { x := 1; }")
+    two = parse_program("vars x; thread T0 { x := 1; } thread T9 { x := 0; }")
+    res = analyse(one, AnalysisConfig())
+    with pytest.raises(KeyError, match="T9"):
+        check_soundness(res, explore(two))
+    rep = explore(one)
+    assert check_soundness(res, rep) == []
+    del res.outlines["T0"][1]
+    with pytest.raises(KeyError, match="^1$"):
+        check_soundness(res, rep)
 
 
 def test_check_soundness_lists_violations_in_report_order():
@@ -125,9 +141,9 @@ def test_check_soundness_lists_violations_in_report_order():
     p = parse_program(FLAGGED)
     rep = explore(p)
     res = analyse(p, AnalysisConfig())
-    res.outlines["T0"].pre[1] = cm_make({"x": 0})
-    res.outlines["T0"].exit = cm_make({"x": 1})
-    res.outlines["T1"].pre[2] = cm_make({"x": 1})
+    res.outlines["T0"][1] = cm_make({"x": 0})
+    res.outlines["T0"][EXIT] = cm_make({"x": 1})
+    res.outlines["T1"][2] = cm_make({"x": 1})
     assert [(v.tid, v.point, v.state) for v in check_soundness(res, rep)] == [
         ("T0", EXIT, (0, 0, 0)),
         ("T0", EXIT, (0, 1, 0)),
@@ -559,7 +575,7 @@ def corrupt(res, rep, rng):
     stores break; draws repeat values, so corrupted points share them."""
     dom = res.domain
     u = rep.universe
-    points = [(tid, pt) for tid, outline in res.outlines.items() for pt in outline.points()]
+    points = [(tid, pt) for tid, outline in res.outlines.items() for pt in outline]
     for tid, pt in rng.sample(points, min(len(points), rng.randint(1, 4))):
         if rng.random() < 0.3:
             value = dom.bot()
@@ -567,10 +583,7 @@ def corrupt(res, rep, rng):
             v = rng.choice(u.var_order)
             m = cm_make({v: rng.choice(u.domain_of(v))})
             value = m if dom.name == "const" else dom.make([m])
-        if pt == EXIT:
-            res.outlines[tid].exit = value
-        else:
-            res.outlines[tid].pre[pt] = value
+        res.outlines[tid][pt] = value
 
 
 @pytest.mark.parametrize("domain,mode", CELLS)
