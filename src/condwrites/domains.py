@@ -187,9 +187,9 @@ def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
 class StateDomain(ABC):
     """Lattice over sets of states plus abstract assignment post,
     condition filter, and havoc, and the two steps of the interference
-    layer (see `interference`): `stabilise(i, d, n)` answers a
+    layer (see `interference`): `stabilise(i, d)` answers a
     `CondWrites.stabilise` miss and `close_one(i, v)` is one step of
-    `CondWrites.close`.
+    `CondWrites.close`. Precision parameters are fixed on the domain object.
 
     Elements are hashable and compare by content, not identity: an element
     rebuilt from new objects equals the original and hashes alike. The
@@ -202,7 +202,6 @@ class StateDomain(ABC):
         self.variables = tuple(variables)
         self.ops = 0  # counted joins and meets (the Ops metric)
         self.cap_collapses = 0  # elements a disjunct cap collapsed
-        self._plans: dict = {}  # (write-conditions, n) -> write-set plan
 
     @abstractmethod
     def top(self): ...
@@ -254,49 +253,7 @@ class StateDomain(ABC):
         raise TypeError(c)
 
     @abstractmethod
-    def stabilise(self, i: dict, d, n: int): ...
-
-    def _write_sets(self, i: dict, n: int) -> dict:
-        """The plan of the subset walk under i at precision n: each write set
-        S of at most n + 1 variables with a non-bottom wc_S, as
-        `combo: (vset, wc_S)` in walk order, starting with the empty set and
-        its wc, top. Built once per domain object for each (i's
-        write-conditions in variable order, n), so every `stabilise` under
-        one rely shares it, and a miss only meets d with each wc_S, havocs
-        and joins. A singleton's wc is i[v]; a larger set's is one meet of
-        its prefix's wc with i[last]. A superset of a set with bottom wc is
-        skipped unvisited: feasibility is downward closed, as wc_S only
-        shrinks as S grows, so its exact wc is bottom too.
-
-        The walk yields each set after its prefix, the set minus its last
-        variable. A kept set's prefix is in the plan: had the prefix been
-        skipped or met bottom, the set would have been skipped as a
-        superset. The plan computes the same left fold,
-        top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-meets
-        each set from top, because top ⊓ x = x. So each wc_S equals that
-        walk's also where the powerset cap collapses disjuncts inside a
-        meet, and meets no longer associate; only the ops of the repeated
-        meets fall."""
-        key = (tuple(i[v] for v in self.variables), n)
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        variables = sorted(self.variables)
-        plan = self._plans[key] = {}
-        blocked: list[frozenset[str]] = []
-        for combo in subsets(variables, min(n + 1, len(variables))):
-            vset = frozenset(combo)
-            if any(b <= vset for b in blocked):
-                continue
-            if len(combo) <= 1:
-                wc = i[combo[0]] if combo else self.top()
-            else:
-                wc = self.meet(plan[combo[:-1]][1], i[combo[-1]])
-            if self.is_bot(wc):
-                blocked.append(vset)
-                continue
-            plan[combo] = (vset, wc)
-        return plan
+    def stabilise(self, i: dict, d): ...
 
     def close_one(self, i: dict, v: str):
         """One step of `CondWrites.close` for v by the pruned subset walk: it
@@ -309,7 +266,7 @@ class StateDomain(ABC):
         on random inputs at caps 2-4 it then lay below it. The unpruned walk
         is kept as the differential reference in
         `tests/reference_interference.py`. A set's meet is one meet of its
-        prefix's with i[last], as in `_write_sets`."""
+        prefix's with i[last], as in `ConstPowersetDomain._write_sets`."""
         iv = i[v]
         # only variables iv constrains: adding another to a write set keeps
         # its havoc and only shrinks its meet, so its term adds nothing
@@ -392,13 +349,13 @@ class ConstDomain(StateDomain):
     def fmt(self, d, ascii_only: bool = False) -> str:
         return _fmt_cm(d, ascii_only)
 
-    def stabilise(self, i: dict, d, n: int):
+    def stabilise(self, i: dict, d):
         """Drop from d every variable whose write-condition d meets: ⊥ stays
         ⊥, otherwise one counted meet per variable and one havoc. Equals the
-        subset enumeration of `CondWrites.stabilise` for every n, so n is
-        unused:
+        subset enumeration of `CondWrites.stabilise` for every bound n, so
+        the domain takes none:
 
-            stabilise(i, d, n) = havoc(d, {u | d ⊓ i[u] ≠ ⊥})
+            stabilise(i, d) = havoc(d, {u | d ⊓ i[u] ≠ ⊥})
 
         Feasibility is downward closed: wc_S only shrinks as S grows, so
         every variable u of a write set with d ⊓ wc_S ≠ ⊥ has d ⊓ i[u] ≠ ⊥,
@@ -502,15 +459,18 @@ def _pw_normalize(maps: Iterable) -> frozenset:
 class ConstPowersetDomain(StateDomain):
     """Disjunctive completion of the constant domain, with a disjunct cap:
     on overflow all disjuncts collapse to their flat join, and
-    `cap_collapses` counts one."""
+    `cap_collapses` counts one. `stabilise` is exact for write sets of ≤ n."""
 
     name = "const-powerset"
 
-    def __init__(self, variables, max_disjuncts: int = 64):
+    def __init__(self, variables, max_disjuncts: int = 64,
+                 n: int | None = None):
         super().__init__(variables)
         if max_disjuncts < 1:
             raise ValueError(f"max_disjuncts must be >= 1, got {max_disjuncts}")
         self.max_disjuncts = max_disjuncts
+        self.n = len(self.variables) if n is None else n
+        self._plans: dict = {}  # write-conditions -> write-set plan
 
     def make(self, maps: Iterable):
         return self._cap(_pw_normalize(maps))
@@ -521,10 +481,52 @@ class ConstPowersetDomain(StateDomain):
         self.cap_collapses += 1
         return frozenset({frozenset.intersection(*d)})
 
-    def stabilise(self, i: dict, d, n: int):
-        return self.stabilise_plan(d, self._write_sets(i, n), n)
+    def stabilise(self, i: dict, d):
+        return self.stabilise_plan(d, self._write_sets(i))
 
-    def stabilise_plan(self, d, plan, n: int):
+    def _write_sets(self, i: dict) -> dict:
+        """The plan of the subset walk under i at precision n: each write set
+        S of at most n + 1 variables with a non-bottom wc_S, as
+        `combo: (vset, wc_S)` in walk order, starting with the empty set and
+        its wc, top. Built once per domain object for each tuple of i's
+        write-conditions in variable order, so every `stabilise` under one
+        rely shares it, and a miss only meets d with each wc_S, havocs
+        and joins. A singleton's wc is i[v]; a larger set's is one meet of
+        its prefix's wc with i[last]. A superset of a set with bottom wc is
+        skipped unvisited: feasibility is downward closed, as wc_S only
+        shrinks as S grows, so its exact wc is bottom too.
+
+        The walk yields each set after its prefix, the set minus its last
+        variable. A kept set's prefix is in the plan: had the prefix been
+        skipped or met bottom, the set would have been skipped as a
+        superset. The plan computes the same left fold,
+        top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-meets
+        each set from top, because top ⊓ x = x. So each wc_S equals that
+        walk's also where the powerset cap collapses disjuncts inside a
+        meet, and meets no longer associate; only the ops of the repeated
+        meets fall."""
+        key = tuple(i[v] for v in self.variables)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        variables = sorted(self.variables)
+        plan = self._plans[key] = {}
+        blocked: list[frozenset[str]] = []
+        for combo in subsets(variables, min(self.n + 1, len(variables))):
+            vset = frozenset(combo)
+            if any(b <= vset for b in blocked):
+                continue
+            if len(combo) <= 1:
+                wc = i[combo[0]] if combo else self.top()
+            else:
+                wc = self.meet(plan[combo[:-1]][1], i[combo[-1]])
+            if self.is_bot(wc):
+                blocked.append(vset)
+                continue
+            plan[combo] = (vset, wc)
+        return plan
+
+    def stabilise_plan(self, d, plan):
         """The subset enumeration's result, normalised once and capped once:
         the non-bottom meets of d's maps with each write set's disjuncts,
         havocked by the set (the coarse (n+1)-sets' by the union of the
@@ -566,7 +568,7 @@ class ConstPowersetDomain(StateDomain):
         for vset, wc in itertools.islice(plan.values(), 1, None):
             met = [x for m in d for w in wc
                    if (x := cm_meet(m, w)) is not CM_BOT]
-            if len(vset) <= n:
+            if len(vset) <= self.n:
                 maps += [cm_havoc(x, vset) for x in met]
                 ops += 2  # the meet and the join of an exact write set
             elif met:
@@ -633,9 +635,9 @@ class ConstPowersetDomain(StateDomain):
 
 
 def make_domain(kind: str, variables: tuple[str, ...],
-                max_disjuncts: int = 64) -> StateDomain:
+                max_disjuncts: int = 64, n: int | None = None) -> StateDomain:
     if kind == "const":
         return ConstDomain(variables)
     if kind == "const-powerset":
-        return ConstPowersetDomain(variables, max_disjuncts)
+        return ConstPowersetDomain(variables, max_disjuncts, n)
     raise ValueError(f"unknown domain {kind!r}")

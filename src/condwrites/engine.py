@@ -18,7 +18,7 @@ are x itself in both domains, so only the op count changes."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 from .lang import (
@@ -32,7 +32,7 @@ from .interference import CondWrites, FuelExhausted, Interference
 class AnalysisConfig:
     mode: str = "nontransitive"  # or "transitive"
     domain: str = "const"        # or "const-powerset"
-    n: int | None = None         # stabilise precision bound; default |V|
+    n: int | None = None         # powerset stabilise bound; default |V|
     rely_vars: dict[str, frozenset[str]] | None = None  # overrides program
     max_disjuncts: int = 64
     fuel_inner: int = 1000
@@ -93,8 +93,8 @@ def rely(cw: CondWrites, tid: str, guarantees: dict[str, Interference],
     return acc
 
 
-def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
-            fuel_inner: int = 1000) -> tuple[Interference, Outline]:
+def collect(cw: CondWrites, body, d, r: Interference,
+            transitive: bool) -> tuple[Interference, Outline]:
     """Run one thread body from state d under rely r; return the guarantee
     it generates and its proof outline.
 
@@ -114,8 +114,8 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
 
     def stab(d):
         if transitive:
-            return cw.stabilise(r, d, n)
-        return cw.stabilise_fix(r, d, n)
+            return cw.stabilise(r, d)
+        return cw.stabilise_fix(r, d)
 
     def run(inst, d):
         if isinstance(inst, Seq):
@@ -136,7 +136,7 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
             d2 = run(inst.els, dom.filter(negate(inst.cond), s))
             return dom.join(d1, d2)
         if isinstance(inst, While):
-            for _ in range(fuel_inner):
+            for _ in range(cw.fuel):
                 s = stab(d)
                 d_next = dom.join(d, run(inst.body, dom.filter(inst.cond, s)))
                 if dom.leq(d_next, d):
@@ -144,7 +144,7 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
                 d = d_next
             else:
                 raise FuelExhausted(
-                    f"loop at point {inst.label} did not converge in {fuel_inner} passes")
+                    f"loop at point {inst.label} did not converge in {cw.fuel} passes")
             # the converging pass left d unchanged, so s is its stabilisation
             outline[inst.label] = s
             return dom.filter(negate(inst.cond), s)
@@ -158,13 +158,14 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
     config = config or AnalysisConfig()
     started = time.perf_counter()
-    n = config.n if config.n is not None else len(program.variables)
-    if not 0 <= n <= len(program.variables):
+    # the resolved config, n included, is the one the result reports
+    config = replace(config, n=len(program.variables) if config.n is None else config.n)
+    if not 0 <= config.n <= len(program.variables):
         raise ValueError(f"n must be within 0..{len(program.variables)}")
     for limit in ("max_disjuncts", "fuel_inner", "fuel_outer"):
         if getattr(config, limit) < 1:
             raise ValueError(f"{limit} must be >= 1, got {getattr(config, limit)}")
-    dom = make_domain(config.domain, program.variables, config.max_disjuncts)
+    dom = make_domain(config.domain, program.variables, config.max_disjuncts, config.n)
     cw = CondWrites(dom, fuel=config.fuel_inner)
     transitive = config.mode == "transitive"
     if config.mode not in ("transitive", "nontransitive"):
@@ -190,12 +191,12 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     for _ in range(config.fuel_outer):
         rounds += 1
         # A rely is a function of the other threads' guarantees and collect
-        # a pure function of (body, d_pre, rely, n, mode, fuel_inner), so a
-        # thread keeps its rely unless another thread's guarantee changed,
-        # and its guarantee and outline unless its rely changed. Values
-        # compare by content (const maps are sets, powerset elements
-        # antichains), so `==` on interferences is lattice equality. The
-        # round reads only the previous round's guarantees (Jacobi).
+        # a pure function of (body, d_pre, rely) under one `cw`, so a thread
+        # keeps its rely unless another thread's guarantee changed, and its
+        # guarantee and outline unless its rely changed. Values compare by
+        # content (const maps are sets, powerset elements antichains), so
+        # `==` on interferences is lattice equality. The round reads only
+        # the previous round's guarantees (Jacobi).
         new_g = dict(guarantees)
         for t in program.threads:
             if t.tid in relies and not changed - {t.tid}:
@@ -205,8 +206,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
                 continue
             relies[t.tid] = r
             collects += 1
-            new_g[t.tid], outlines[t.tid] = collect(
-                cw, t.body, d_pre, r, n, transitive, config.fuel_inner)
+            new_g[t.tid], outlines[t.tid] = collect(cw, t.body, d_pre, r, transitive)
         changed = {tid for tid, g in new_g.items() if g != guarantees[tid]}
         guarantees = new_g
         if not changed:
@@ -259,7 +259,7 @@ def to_machine(result: AnalysisResult) -> dict:
         "converged": result.converged,
         "mode": result.config.mode,
         "domain": result.config.domain,
-        "n": result.config.n if result.config.n is not None else len(result.program.variables),
+        "n": result.config.n,
         "threads": threads,
         "stats": {
             "outer_rounds": result.metrics.outer_iterations,

@@ -4,11 +4,12 @@ An interference element maps every program variable to the abstract state
 under which it may be written (its write-condition). A transition changing
 v is admitted only if its pre-state satisfies v's write-condition.
 
-`CondWrites.stabilise(i, d, n)` joins havoc(d ⊓ wc_S, S) over every feasible
+`CondWrites.stabilise(i, d)` joins havoc(d ⊓ wc_S, S) over every feasible
 write set S of at most n variables, where wc_S is the meet of i[v] over v in
-S, and folds the feasible (n+1)-sets into one coarse havoc. The enumeration
-walks up to 2^|V| subsets; a miss runs the domain's `stabilise(i, d, n)`,
-the const closed form or the powerset fused pass over a write-set plan.
+S, and folds the feasible (n+1)-sets into one coarse havoc; n is a precision
+parameter of the domain. The enumeration walks up to 2^|V| subsets; a miss
+runs the domain's `stabilise(i, d)`, the const closed form or the powerset
+fused pass over a write-set plan.
 
 `CondWrites.close(i)` repeats the domain's `close_one(i, v)` for every v
 until nothing grows. `close_one` joins into i[v] one term per write set S
@@ -16,7 +17,7 @@ of the variables i[v] binds: with wc_S the meet of i[u] over S and
 h = havoc(i[v], S), the term is wc_S if wc_S ⊑ h, else h ⊓ wc_S.
 
 `stabilise` is memoised per `CondWrites` instance for every domain, keyed on
-(the write-conditions in variable order, d, n): the domain's `stabilise`
+(the write-conditions in variable order, d): the domain's `stabilise`
 runs only on a miss. `close` is memoised the same way on the
 write-conditions in variable order, and its fixpoint loop over the domain's
 `close_one` runs only on a miss. The keys hold values, not identities:
@@ -50,7 +51,7 @@ class CondWrites:
     def __init__(self, dom: StateDomain, fuel: int = 1000):
         self.dom = dom
         self.fuel = fuel
-        self._stabilise_memo: dict = {}  # (write-conditions, d, n) -> result
+        self._stabilise_memo: dict = {}  # (write-conditions, d) -> result
         self._close_memo: dict = {}  # write-conditions -> closed interference
         self.memo_hits = 0  # stabilise and close calls answered from a memo
 
@@ -74,29 +75,26 @@ class CondWrites:
 
     # -- interference application and derivation ------------------------------
 
-    def stabilise(self, i: Interference, d, n: int):
-        """Weaken d to include every state reachable in one step of i.
-
-        Transitions touching at most n variables are handled exactly; larger
-        write sets are folded into a single coarse havoc over the variables
-        occurring in any feasible (n+1)-set. Memoised for the lifetime of
-        this instance on (i's write-conditions in variable order, d, n); a
-        miss runs the domain's `stabilise`, and a repeated input returns the
-        stored result without lattice operations.
+    def stabilise(self, i: Interference, d):
+        """Weaken d to include every state reachable in one step of i, at
+        the domain's precision (see the module docstring). Memoised for the
+        lifetime of this instance on (i's write-conditions in variable
+        order, d); a miss runs the domain's `stabilise`, and a repeated input
+        returns the stored result without lattice operations.
         """
-        key = (tuple(i[v] for v in self.dom.variables), d, n)
+        key = (tuple(i[v] for v in self.dom.variables), d)
         out = self._stabilise_memo.get(key)
         if out is not None:
             self.memo_hits += 1
             return out
-        out = self._stabilise_memo[key] = self.dom.stabilise(i, d, n)
+        out = self._stabilise_memo[key] = self.dom.stabilise(i, d)
         return out
 
-    def stabilise_fix(self, i: Interference, d, n: int):
+    def stabilise_fix(self, i: Interference, d):
         """Least fixpoint of stabilise: closes d under any number of i-steps."""
         cur = d
         for _ in range(self.fuel):
-            nxt = self.stabilise(i, cur, n)
+            nxt = self.stabilise(i, cur)
             if self.dom.leq(nxt, cur):
                 return nxt
             cur = nxt

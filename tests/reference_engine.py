@@ -1,4 +1,5 @@
-"""Differential references for `condwrites.engine`, kept verbatim.
+"""Differential references for `condwrites.engine`, kept as written apart
+from the current signatures of `CondWrites` and `make_domain`.
 
 `collect` is the collecting pass before it was reduced to the state alone.
 It threads (state, guarantee) through every statement, joins the guarantee
@@ -27,20 +28,18 @@ class _Collector:
     rely. The value flowing through the body is (state, guarantee), and each
     labelled point stabilises its incoming state once."""
 
-    def __init__(self, cw: CondWrites, r: Interference, n: int,
-                 transitive: bool, outline: Outline, fuel_inner: int):
+    def __init__(self, cw: CondWrites, r: Interference, transitive: bool,
+                 outline: Outline):
         self.cw = cw
         self.dom = cw.dom
         self.r = r
-        self.n = n
         self.transitive = transitive
         self.outline = outline
-        self.fuel_inner = fuel_inner
 
     def stab(self, d):
         if self.transitive:
-            return self.cw.stabilise(self.r, d, self.n)
-        return self.cw.stabilise_fix(self.r, d, self.n)
+            return self.cw.stabilise(self.r, d)
+        return self.cw.stabilise_fix(self.r, d)
 
     def run(self, inst, d, g: Interference) -> tuple[object, Interference]:
         dom, cw, outline = self.dom, self.cw, self.outline
@@ -61,7 +60,7 @@ class _Collector:
             d2, g2 = self.run(inst.els, dom.filter(negate(inst.cond), s), g)
             return dom.join(d1, d2), cw.join(g1, g2)
         if isinstance(inst, While):
-            for _ in range(self.fuel_inner):
+            for _ in range(cw.fuel):
                 s = self.stab(d)
                 d_body, g_body = self.run(inst.body, dom.filter(inst.cond, s), g)
                 d_next, g_next = dom.join(d, d_body), cw.join(g, g_body)
@@ -70,19 +69,19 @@ class _Collector:
                 d, g = d_next, g_next
             else:
                 raise FuelExhausted(
-                    f"loop at point {inst.label} did not converge in {self.fuel_inner} passes")
+                    f"loop at point {inst.label} did not converge in {cw.fuel} passes")
             # the converging pass left d unchanged, so s is its stabilisation
             outline[inst.label] = s
             return dom.filter(negate(inst.cond), s), g
         raise TypeError(inst)
 
 
-def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
-            fuel_inner: int = 1000) -> tuple[Interference, Outline]:
+def collect(cw: CondWrites, body, d, r: Interference,
+            transitive: bool) -> tuple[Interference, Outline]:
     """Run one thread body from state d under rely r; return the guarantee
     it generates and its proof outline."""
     outline: Outline = {}
-    coll = _Collector(cw, r, n, transitive, outline, fuel_inner)
+    coll = _Collector(cw, r, transitive, outline)
     d, g = coll.run(body, d, cw.bot())
     outline[EXIT] = coll.stab(d)
     return g, outline
@@ -91,11 +90,11 @@ def collect(cw: CondWrites, body, d, r: Interference, n: int, transitive: bool,
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
     config = config or AnalysisConfig()
     started = time.perf_counter()
-    dom = make_domain(config.domain, program.variables, config.max_disjuncts)
-    cw = CondWrites(dom, fuel=config.fuel_inner)
     n = config.n if config.n is not None else len(program.variables)
     if not 0 <= n <= len(program.variables):
         raise ValueError(f"n must be within 0..{len(program.variables)}")
+    dom = make_domain(config.domain, program.variables, config.max_disjuncts, n)
+    cw = CondWrites(dom, fuel=config.fuel_inner)
     transitive = config.mode == "transitive"
     if config.mode not in ("transitive", "nontransitive"):
         raise ValueError(f"unknown mode {config.mode!r}")
@@ -126,7 +125,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         outlines = {}
         for t in program.threads:
             new_g[t.tid], outlines[t.tid] = collect(
-                cw, t.body, d_pre, relies[t.tid], n, transitive, config.fuel_inner)
+                cw, t.body, d_pre, relies[t.tid], transitive)
         if new_g == guarantees:
             converged = True
             guarantees = new_g

@@ -10,9 +10,11 @@ restricts `close_one` to the variables the write-condition constrains, and
 `b2b` skips the strict supersets of a set whose meet its havoc covers. The
 production walks always prune.
 
-A powerset `stabilise` caps its result once. Its spec is
-`stabilise_cap_once`: the enumeration on an uncapped copy of the domain,
-capped once, which the production pass equals wherever building the
+`stabilise_enum` takes the precision bound n, as the const domain has none
+and its closed form equals the enumeration for every n. A powerset
+`stabilise` runs at its domain's n and caps its result once. Its spec is
+`stabilise_cap_once`: the enumeration at that n on an uncapped copy of the
+domain, capped once, which the production pass equals wherever building the
 write-set plan collapsed nothing. `stabilise_over_plan` is the same spec
 over a plan whose write-conditions a collapse has already widened, and
 `stabilise_walk` on the capped domain is the placement before it, which
@@ -22,8 +24,8 @@ with `b1` on the capped domain, and its ops those of the production pass.
 Only the tests use these. Most are written as functions of a `CondWrites`
 instance `self`, whose `dom`, `fuel` and `leq` they read, and walk
 `domains.subsets`; `stabilise_walk` and `stabilise_over_plan` take a
-domain, a state and a plan of `StateDomain._write_sets`, the arguments of
-the powerset's `stabilise_plan`.
+powerset domain, a state and a plan of its `_write_sets`, the arguments of
+its `stabilise_plan`, and read the domain's n.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from condwrites.interference import CondWrites, FuelExhausted, Interference
 
 
 def uncapped(dom: ConstPowersetDomain) -> ConstPowersetDomain:
-    """A copy of the powerset domain whose disjunct cap never fires."""
-    return ConstPowersetDomain(dom.variables, max_disjuncts=sys.maxsize)
+    """A copy of the powerset domain, n included, whose disjunct cap never
+    fires."""
+    return ConstPowersetDomain(dom.variables, sys.maxsize, dom.n)
 
 
 def stabilise_enum(self: CondWrites, i: Interference, d, n: int, *,
@@ -71,26 +74,27 @@ def stabilise_enum(self: CondWrites, i: Interference, d, n: int, *,
     return acc
 
 
-def stabilise_cap_once(self: CondWrites, i: Interference, d, n: int, *,
+def stabilise_cap_once(self: CondWrites, i: Interference, d, *,
                        b1: bool = False):
-    """`stabilise_enum` on an uncapped copy of self's powerset domain, then
-    one cap of self's domain. Its ops are added to self's domain."""
+    """`stabilise_enum` at the domain's n on an uncapped copy of self's
+    powerset domain, then one cap of self's domain. Its ops are added to
+    self's domain."""
     wide = CondWrites(uncapped(self.dom))
-    out = self.dom._cap(stabilise_enum(wide, i, d, n, b1=b1))
+    out = self.dom._cap(stabilise_enum(wide, i, d, self.dom.n, b1=b1))
     self.dom.ops += wide.dom.ops
     return out
 
 
-def stabilise_walk(dom, d, plan: dict, n: int):
-    """The subset walk over a write-set plan of `StateDomain._write_sets`,
-    through dom's meets, havocs and joins: it meets d with each wc_S, and
-    the coarse join starts from its first operand."""
+def stabilise_walk(dom: ConstPowersetDomain, d, plan: dict):
+    """The subset walk at dom's n over a write-set plan of dom's
+    `_write_sets`, through dom's meets, havocs and joins: it meets d with
+    each wc_S, and the coarse join starts from its first operand."""
     acc = d
     y_acc = None
     y_vars: set[str] = set()
     for combo, (vset, wc) in itertools.islice(plan.items(), 1, None):
         m = dom.meet(d, wc)
-        if len(combo) <= n:
+        if len(combo) <= dom.n:
             acc = dom.join(acc, dom.havoc(m, vset))
         elif not dom.is_bot(m):
             y_acc = m if y_acc is None else dom.join(y_acc, m)
@@ -100,11 +104,11 @@ def stabilise_walk(dom, d, plan: dict, n: int):
     return acc
 
 
-def stabilise_over_plan(dom: ConstPowersetDomain, d, plan: dict, n: int):
+def stabilise_over_plan(dom: ConstPowersetDomain, d, plan: dict):
     """`stabilise_walk` on an uncapped copy of the powerset domain, then one
     cap of dom. Its ops are added to dom."""
     wide = uncapped(dom)
-    out = dom._cap(stabilise_walk(wide, d, plan, n))
+    out = dom._cap(stabilise_walk(wide, d, plan))
     dom.ops += wide.ops
     return out
 

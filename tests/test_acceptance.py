@@ -35,8 +35,15 @@ def report(name: str, ok: bool) -> None:
     assert ok, name
 
 
-def domains():
-    return [ConstDomain(VARS3), ConstPowersetDomain(VARS3)]
+def domains(n: int | None = None):
+    # the const domain takes no n; the powerset's defaults to |V|
+    return [ConstDomain(VARS3), ConstPowersetDomain(VARS3, n=n)]
+
+
+def interferences_per_n() -> list[list[CondWrites]]:
+    """For each of `domains()`, one CondWrites per n in 0..|VARS3|."""
+    per_n = [domains(n) for n in range(len(VARS3) + 1)]
+    return [[CondWrites(doms[k]) for doms in per_n] for k in range(2)]
 
 
 # -- 1: worked-example golden ---------------------------------------------------
@@ -89,10 +96,10 @@ def suite_2a_inputs(dom, count=500):
 
 def test_criterion_2a_stabilise_soundness():
     bad = 0
-    for dom in domains():
-        cw = CondWrites(dom)
+    for cws in interferences_per_n():
+        dom = cws[0].dom
         for i, d, n in suite_2a_inputs(dom):
-            out = cw.stabilise(i, d, n)
+            out = cws[n].stabilise(i, d)
             g_in = bf_gamma(dom, d, U3)
             reach = g_in | bf_step_image(bf_gamma_x(dom, i, U3), g_in)
             if not reach <= bf_gamma(dom, out, U3):
@@ -140,10 +147,9 @@ def test_criterion_3_optimisation_equivalence():
     # the production stabilise and close, which always prune, against the
     # unpruned reference walks
     mismatches = 0
-    for mk in (lambda: CondWrites(ConstDomain(VARS3)),
-               lambda: CondWrites(ConstPowersetDomain(VARS3))):
+    for cws, ref_dom in zip(interferences_per_n(), domains()):
         rng = random.Random(1004)
-        cw, ref = mk(), mk()
+        cw, ref = cws[-1], CondWrites(ref_dom)
         for _ in range(250):  # x2 domains = 500 stabilise inputs
             i = random_interference(rng, cw.dom)
             d = random_elem(rng, cw.dom)
@@ -151,8 +157,9 @@ def test_criterion_3_optimisation_equivalence():
             # the pruned enumeration, and the public path: const's closed
             # form or powerset's memoised fused pass
             want = reference_interference.stabilise_enum(ref, i, d, n)
-            pruned = reference_interference.stabilise_enum(cw, i, d, n, b1=True)
-            if pruned != want or cw.stabilise(i, d, n) != want:
+            pruned = reference_interference.stabilise_enum(
+                cws[n], i, d, n, b1=True)
+            if pruned != want or cws[n].stabilise(i, d) != want:
                 mismatches += 1
         rng2 = random.Random(1005)
         for _ in range(250):  # x2 domains = 500 close inputs
@@ -303,11 +310,11 @@ def test_criterion_6_corpus_patterns():
 
 def test_criterion_7_fixpoint_contracts():
     bad = 0
-    for dom in domains():
-        cw = CondWrites(dom)
+    for cws in interferences_per_n():
+        dom = cws[0].dom
         for i, d, n in suite_2a_inputs(dom):
-            fixed = cw.stabilise_fix(i, d, n)
-            again = cw.stabilise(i, fixed, n)
+            fixed = cws[n].stabilise_fix(i, d)
+            again = cws[n].stabilise(i, fixed)
             if not (dom.leq(again, fixed) and dom.leq(fixed, again)):
                 bad += 1
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -388,6 +390,42 @@ def test_make_domain():
         make_domain("const-powerset", VARS, max_disjuncts=0)
 
 
+def test_n_and_the_write_set_plan_belong_to_the_powerset():
+    # n is a precision parameter of the powerset, fixed when it is built
+    # (default |V|); the const domain's stabilise needs neither n nor a plan
+    vs = ("a", "b", "c")
+    assert make_domain("const-powerset", vs).n == len(vs)
+    for k in range(len(vs) + 1):
+        assert make_domain("const-powerset", vs, n=k).n == k
+    dom = make_domain("const-powerset", vs, 2, 1)
+    assert (dom.max_disjuncts, dom.n) == (2, 1)
+    from condwrites.engine import AnalysisConfig, analyse
+
+    p = parse_program("vars a, b, c; thread T { a := 1; b := a; }")
+    for k in range(len(vs) + 1):
+        res = analyse(p, AnalysisConfig(domain="const-powerset", n=k))
+        assert res.domain.n == k and res.config.n == k
+    assert analyse(p, AnalysisConfig(domain="const")).config.n == len(vs)
+    const = make_domain("const", vs)
+    for name in ("n", "_write_sets", "_plans"):
+        assert not hasattr(const, name) and not hasattr(ConstDomain, name)
+        assert not hasattr(StateDomain, name)
+    assert hasattr(ConstPowersetDomain, "_write_sets")
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_cm_bot_copies_are_cm_bot(clone):
+    # bottom is checked by identity, so a copy of CM_BOT must be CM_BOT
+    # itself, also inside an interference dict
+    assert clone(CM_BOT) is CM_BOT
+    i = {"x": CM_BOT, "y": cm_make({"x": 1}), "z": CM_TOP}
+    out = clone(i)
+    assert out == i and out["x"] is CM_BOT
+    assert ConstDomain(("x", "y", "z")).is_bot(out["x"])
+
+
 def test_every_domain_defines_stabilise():
     # a domain answers a `stabilise` miss itself: there is no default route
     primitives = {name: lambda self, *args: None
@@ -395,8 +433,8 @@ def test_every_domain_defines_stabilise():
     with pytest.raises(TypeError, match="stabilise"):
         type("NoStabilise", (StateDomain,), primitives)(VARS)
     full = type("WithStabilise", (StateDomain,),
-                {**primitives, "stabilise": lambda self, i, d, n: d})(VARS)
-    assert full.stabilise({}, CM_TOP, 0) is CM_TOP
+                {**primitives, "stabilise": lambda self, i, d: d})(VARS)
+    assert full.stabilise({}, CM_TOP) is CM_TOP
 
 
 @given(st.dictionaries(st.sampled_from(VARS), st.integers(0, 1)),
@@ -473,7 +511,8 @@ def rebuilt(d):
 
 @pytest.mark.parametrize("powerset", [False, True], ids=["const", "powerset"])
 def test_equal_elements_built_apart_share_a_stabilise_memo_entry(powerset):
-    dom = (ConstPowersetDomain if powerset else ConstDomain)(CONTRACT_VARS)
+    dom = (ConstPowersetDomain(CONTRACT_VARS, n=2) if powerset
+           else ConstDomain(CONTRACT_VARS))
     cw = CondWrites(dom)
     i = random_interference(random.Random(10), dom)
     d = cm_make({"x": 1, "y": 0})
@@ -481,9 +520,9 @@ def test_equal_elements_built_apart_share_a_stabilise_memo_entry(powerset):
         d = dom.make([d, cm_make({"z": 2})])
     d2, i2 = rebuilt(d), {v: rebuilt(w) for v, w in i.items()}
     assert d2 == d and d2 is not d
-    out = cw.stabilise(i, d, 2)
+    out = cw.stabilise(i, d)
     hits = cw.memo_hits
-    assert cw.stabilise(i2, d2, 2) is out
+    assert cw.stabilise(i2, d2) is out
     assert cw.memo_hits == hits + 1
 
 

@@ -129,9 +129,9 @@ def test_collect_stabilises_each_point_once(monkeypatch):
     real_fix = CondWrites.stabilise_fix
     real_post, real_trans = ConstDomain.post, CondWrites.transitions
 
-    def stabilise_fix(self, i, d, n):
+    def stabilise_fix(self, i, d):
         stab_calls.append(d)
-        return real_fix(self, i, d, n)
+        return real_fix(self, i, d)
 
     def post(self, a, d):
         posts.append(a.label)
@@ -149,7 +149,7 @@ def test_collect_stabilises_each_point_once(monkeypatch):
         cw = res.cw
         for t in res.program.threads:
             stab_calls.clear()
-            collect(cw, t.body, cw.dom.top(), res.relies[t.tid], 3, False)
+            collect(cw, t.body, cw.dom.top(), res.relies[t.tid], False)
             assert len(stab_calls) == len(list(statements(t.body))) + 1
 
     p = parse_program("""
@@ -161,7 +161,7 @@ def test_collect_stabilises_each_point_once(monkeypatch):
     stab_calls.clear()
     posts.clear()
     assigns.clear()
-    collect(cw, p.threads[0].body, cw.dom.filter(p.pre, CM_TOP), cw.bot(), 2, False)
+    collect(cw, p.threads[0].body, cw.dom.filter(p.pre, CM_TOP), cw.bot(), False)
     # each pass stabilises the loop head and the body's assignment once and
     # runs that assignment; the skip and the exit add one call each. The loop
     # stops once its state is stable, and the guarantee is read off the
@@ -249,8 +249,7 @@ def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
     # each skipped thread's outline is still the one its final rely gives
     d_pre = res.domain.filter(program.pre, res.domain.top())
     for t in program.threads:
-        g, outline = real(res.cw, t.body, d_pre, res.relies[t.tid],
-                          len(program.variables), False)
+        g, outline = real(res.cw, t.body, d_pre, res.relies[t.tid], False)
         assert g == res.guarantees[t.tid]
         assert outline == res.outlines[t.tid]
 

@@ -12,11 +12,12 @@ with two or more other threads pays lattice operations for it: the 3-thread
 programs are where skipped derivations show in ops.
 
 `ConstPowersetDomain.stabilise` answers a miss by `stabilise_plan`, the
-fused pass over its write-set plan, which caps its result once. Whole analyses whose
-misses run the cap-once spec instead, the enumeration over the same plan on
-an uncapped copy of the domain and one cap, must give the same `--emit
-machine` output, ops and collapses included, at precisions n below |V|
-(where the coarse term runs) and at a cap that collapses results.
+fused pass over its write-set plan at the domain's n, which caps its result
+once. Whole analyses whose misses run the cap-once spec instead, the
+enumeration over the same plan on an uncapped copy of the domain and one
+cap, must give the same `--emit machine` output, ops and collapses
+included, at precisions n below |V| (where the coarse term runs) and at a
+cap that collapses results.
 
 The cap used to fire inside every meet and join of the enumeration. That
 placement stays as the precision reference: whole analyses whose misses
@@ -97,11 +98,11 @@ def test_fused_stabilise_matches_enumeration_end_to_end(n, cap, monkeypatch):
     fused = ConstPowersetDomain.stabilise_plan
     runs = collections.Counter()
 
-    def recording(self, d, plan, n):
+    def recording(self, d, plan):
         collapses = self.cap_collapses
-        out = fused(self, d, plan, n)
+        out = fused(self, d, plan)
         runs["capped"] += self.cap_collapses - collapses
-        runs["coarse"] += any(len(vset) > n for vset, _ in plan.values())
+        runs["coarse"] += any(len(vset) > self.n for vset, _ in plan.values())
         return out
 
     configs = [AnalysisConfig(domain="const-powerset", mode=mode, n=n,

@@ -1,4 +1,6 @@
-"""Frozen analyzer output for every corpus program in every domain/mode cell.
+"""Frozen analyzer output for every corpus program in every domain/mode cell
+at the default n = |V|, and in the powerset's two modes at n = 0 and n = 1,
+where the coarse term of `stabilise` runs.
 
 Compares `to_machine` (without `time_s`) and `render_text` (without its
 `time_s:` line), ops and stats included, against `golden/corpus_outputs.json`.
@@ -20,16 +22,20 @@ from condwrites.corpus import CASES, DOMAINS, MODES, nt_cheaper_cells
 from condwrites.engine import AnalysisConfig, analyse, render_text, to_machine
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus_outputs.json"
-CELLS = [(case, domain, mode)
-         for case in CASES for domain in DOMAINS for mode in MODES]
+SMALL_N = (0, 1)
+CELLS = ([(case, domain, mode, None)
+          for case in CASES for domain in DOMAINS for mode in MODES]
+         + [(case, "const-powerset", mode, n)
+            for case in CASES for mode in MODES for n in SMALL_N])
 
 
-def cell_key(case, domain, mode) -> str:
-    return f"{case.name}/{domain}/{mode}"
+def cell_key(case, domain, mode, n) -> str:
+    key = f"{case.name}/{domain}/{mode}"
+    return key if n is None else f"{key}/n={n}"
 
 
-def cell_output(case, domain, mode) -> dict:
-    result = analyse(case.load(), AnalysisConfig(mode=mode, domain=domain))
+def cell_output(case, domain, mode, n) -> dict:
+    result = analyse(case.load(), AnalysisConfig(mode=mode, domain=domain, n=n))
     machine = to_machine(result)
     del machine["time_s"]
     text = "".join(line for line in render_text(result).splitlines(keepends=True)
@@ -60,9 +66,12 @@ def without_counts(output: dict) -> dict:
 
 
 def ops_rows(doc: dict) -> list[dict]:
-    """The golden cells as `corpus.run_suite`-style rows carrying ops."""
+    """The golden cells at the default n as `corpus.run_suite`-style rows
+    carrying ops."""
     rows = []
     for key, output in doc.items():
+        if "/n=" in key:
+            continue
         name, domain, mode = key.split("/")
         rows.append({"name": name, "domain": domain, "mode": mode,
                      "ops": output["machine"]["ops"],

@@ -22,12 +22,13 @@ VARS3 = ("x", "z", "r")
 U3 = Universe.of({v: (0, 1) for v in VARS3})
 
 
-def cw_const(**kw) -> CondWrites:
+def cw_const(n: int | None = None, **kw) -> CondWrites:
+    # the const domain takes no n: its stabilise is the same for every n
     return CondWrites(ConstDomain(VARS3), **kw)
 
 
-def cw_pw(**kw) -> CondWrites:
-    return CondWrites(ConstPowersetDomain(VARS3), **kw)
+def cw_pw(n: int | None = None, **kw) -> CondWrites:
+    return CondWrites(ConstPowersetDomain(VARS3, n=n), **kw)
 
 
 # -- lattice structure -------------------------------------------------------
@@ -80,10 +81,10 @@ def test_stabilise_golden():
     i = {"x": cm_make({"z": 0}), "z": CM_BOT, "r": CM_BOT}
     d = cm_make({"r": 0, "z": 0, "x": 0})
     # one environment step may rewrite x (z=0 holds), losing x and r's link
-    assert cw.stabilise(i, d, 3) == cm_make({"z": 0, "r": 0})
+    assert cw.stabilise(i, d) == cm_make({"z": 0, "r": 0})
     # with the write-condition on x unreachable nothing changes
     i2 = {"x": cm_make({"z": 1}), "z": CM_BOT, "r": CM_BOT}
-    assert cw.stabilise(i2, d, 3) == d
+    assert cw.stabilise(i2, d) == d
 
 
 def test_stabilise_fix_golden():
@@ -93,9 +94,9 @@ def test_stabilise_fix_golden():
     # r is writable anywhere, so a first step may set r := 0; after that the
     # write-condition on x holds and a second step may rewrite x. A single
     # stabilise pass misses the chain, the fixpoint does not.
-    one = cw.stabilise(i, d, 3)
+    one = cw.stabilise(i, d)
     assert one == cm_make({"x": 0, "z": 0})
-    assert cw.stabilise_fix(i, d, 3) == cm_make({"z": 0})
+    assert cw.stabilise_fix(i, d) == cm_make({"z": 0})
 
 
 def test_close_golden():
@@ -119,8 +120,8 @@ def test_transitions():
 
 
 def cw_pw_cap(cap: int):
-    def mk() -> CondWrites:
-        return CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=cap))
+    def mk(n: int | None = None) -> CondWrites:
+        return CondWrites(ConstPowersetDomain(VARS3, cap, n))
     mk.__name__ = f"cw_pw_{cap}"
     return mk
 
@@ -129,15 +130,20 @@ def cw_pw_cap(cap: int):
 STABILISE_DOMAINS = [cw_const, cw_pw, cw_pw_cap(2), cw_pw_cap(1)]
 
 
+def per_n(mk) -> list[CondWrites]:
+    """One instance of mk for each n in 0..|VARS3|, indexed by n."""
+    return [mk(n) for n in range(len(VARS3) + 1)]
+
+
 @pytest.mark.parametrize("mk", STABILISE_DOMAINS)
 def test_stabilise_one_step_soundness(mk):
     rng = random.Random(31)
-    cw = mk()
+    cws = per_n(mk)
     for _ in range(250):
-        i = random_interference(rng, cw.dom)
-        d = random_elem(rng, cw.dom)
-        n = rng.randint(0, 3)
-        out = cw.stabilise(i, d, n)
+        i = random_interference(rng, cws[0].dom)
+        d = random_elem(rng, cws[0].dom)
+        cw = cws[rng.randint(0, 3)]
+        out = cw.stabilise(i, d)
         g_in = bf_gamma(cw.dom, d, U3)
         reach = g_in | bf_step_image(bf_gamma_x(cw.dom, i, U3), g_in)
         assert reach <= bf_gamma(cw.dom, out, U3)
@@ -147,12 +153,12 @@ def test_stabilise_one_step_soundness(mk):
 @pytest.mark.parametrize("mk", STABILISE_DOMAINS)
 def test_stabilise_fix_many_step_soundness(mk):
     rng = random.Random(32)
-    cw = mk()
+    cws = per_n(mk)
     for _ in range(100):
-        i = random_interference(rng, cw.dom)
-        d = random_elem(rng, cw.dom)
-        n = rng.randint(0, 3)
-        out = cw.stabilise_fix(i, d, n)
+        i = random_interference(rng, cws[0].dom)
+        d = random_elem(rng, cws[0].dom)
+        cw = cws[rng.randint(0, 3)]
+        out = cw.stabilise_fix(i, d)
         # concrete reachability closure under any number of steps
         pairs = bf_gamma_x(cw.dom, i, U3)
         reach = set(bf_gamma(cw.dom, d, U3))
@@ -163,7 +169,7 @@ def test_stabilise_fix_many_step_soundness(mk):
             reach = nxt
         assert reach <= bf_gamma(cw.dom, out, U3)
         # and the result is a fixpoint of one-step stabilisation
-        again = cw.stabilise(i, out, n)
+        again = cw.stabilise(i, out)
         assert cw.dom.leq(again, out) and cw.dom.leq(out, again)
 
 
@@ -196,43 +202,46 @@ def test_close_soundness(mk):
 # -- pruning equivalence ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("mk", [cw_const, cw_pw])
+@pytest.mark.parametrize("mk", [cw_pw])
 def test_stabilise_pruning_equivalence(mk):
-    # the pruned subset enumerations, the reference walk and the walk over
-    # the production write-set plan, against the unpruned reference walk
+    # the pruned subset enumeration and the walk over the production
+    # write-set plan, against the unpruned reference enumeration
     rng = random.Random(41)
-    cw, ref = mk(), mk()
+    cws, ref = per_n(mk), mk()
     for _ in range(250):
-        i = random_interference(rng, cw.dom)
-        d = random_elem(rng, cw.dom)
+        i = random_interference(rng, ref.dom)
+        d = random_elem(rng, ref.dom)
         n = rng.randint(0, 3)
         want = reference_interference.stabilise_enum(ref, i, d, n, b1=False)
         assert reference_interference.stabilise_enum(
-            cw, i, d, n, b1=True) == want
+            cws[n], i, d, n, b1=True) == want
         assert reference_interference.stabilise_walk(
-            cw.dom, d, cw.dom._write_sets(i, n), n) == want
+            cws[n].dom, d, cws[n].dom._write_sets(i)) == want
 
 
-def enumerating(cw: CondWrites, pruned: bool) -> CondWrites:
+def enumerating(cw: CondWrites, pruned: bool, n: int | None = None) -> CondWrites:
     """cw with its stabilise, and so its stabilise_fix, bound to the subset
     enumeration, the reference for a domain's closed form or fused pass:
-    for the powerset, on an uncapped copy of the domain and capped once.
-    pruned skips the supersets of a write set whose wc is bottom."""
+    for the powerset, at its n on an uncapped copy of the domain and capped
+    once; for the const domain, which takes no n, at bound n. pruned skips
+    the supersets of a write set whose wc is bottom."""
     if isinstance(cw.dom, ConstPowersetDomain):
-        enum = reference_interference.stabilise_cap_once
+        cw.stabilise = lambda i, d: reference_interference.stabilise_cap_once(
+            cw, i, d, b1=pruned)
     else:
-        enum = reference_interference.stabilise_enum
-    cw.stabilise = lambda i, d, n: enum(cw, i, d, n, b1=pruned)
+        cw.stabilise = lambda i, d: reference_interference.stabilise_enum(
+            cw, i, d, n, b1=pruned)
     return cw
 
 
 def assert_closed_form_matches_enumeration(variables, pairs, pruned):
     fast = CondWrites(ConstDomain(variables))
-    ref = enumerating(CondWrites(ConstDomain(variables)), pruned)
+    refs = [enumerating(CondWrites(ConstDomain(variables)), pruned, n)
+            for n in range(len(variables) + 1)]
     for i, d in pairs:
-        for n in range(len(variables) + 1):
-            assert fast.stabilise(i, d, n) == ref.stabilise(i, d, n)
-            assert fast.stabilise_fix(i, d, n) == ref.stabilise_fix(i, d, n)
+        for ref in refs:
+            assert fast.stabilise(i, d) == ref.stabilise(i, d)
+            assert fast.stabilise_fix(i, d) == ref.stabilise_fix(i, d)
 
 
 @pytest.mark.parametrize("pruned", [True, False])
@@ -258,8 +267,8 @@ def test_const_closed_form_stabilise_exhaustive(pruned):
 def over_plan(cw: CondWrites) -> CondWrites:
     """cw with its stabilise bound to the cap-once spec over cw's own
     write-set plan, whose write-conditions stay capped as built."""
-    cw.stabilise = lambda i, d, n: reference_interference.stabilise_over_plan(
-        cw.dom, d, cw.dom._write_sets(i, n), n)
+    cw.stabilise = lambda i, d: reference_interference.stabilise_over_plan(
+        cw.dom, d, cw.dom._write_sets(i))
     return cw
 
 
@@ -271,48 +280,47 @@ def test_powerset_memoised_stabilise_matches_enumeration(max_disjuncts, pruned):
     # steps share that plan, equal the enumeration on an uncapped copy of
     # the domain capped once; elsewhere the same spec over the plan
     rng = random.Random(44)
-
-    def make():
-        return CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=max_disjuncts))
-
-    fast, spec, planned = make(), enumerating(make(), pruned), over_plan(make())
+    make = cw_pw_cap(max_disjuncts)
+    fasts = per_n(make)
+    specs = [enumerating(cw, pruned) for cw in per_n(make)]
+    planned = [over_plan(cw) for cw in per_n(make)]
     inputs = collections.Counter()
     for _ in range(300):
-        i = random_interference(rng, fast.dom)
-        d = random_elem(rng, fast.dom)
-        for n in range(len(VARS3) + 1):
+        i = random_interference(rng, fasts[0].dom)
+        d = random_elem(rng, fasts[0].dom)
+        for n, fast in enumerate(fasts):
             collapses = fast.dom.cap_collapses
-            fast.dom._write_sets(i, n)
+            fast.dom._write_sets(i)
             exact = fast.dom.cap_collapses == collapses
-            ref = spec if exact else planned
+            ref = specs[n] if exact else planned[n]
             inputs["exact" if exact else "planned"] += 1
-            want = ref.stabilise(i, d, n)
-            assert fast.stabilise(i, d, n) == want  # miss
-            assert fast.stabilise(i, d, n) == want  # hit
-            assert fast.stabilise_fix(i, d, n) == ref.stabilise_fix(i, d, n)
+            want = ref.stabilise(i, d)
+            assert fast.stabilise(i, d) == want  # miss
+            assert fast.stabilise(i, d) == want  # hit
+            assert fast.stabilise_fix(i, d) == ref.stabilise_fix(i, d)
     # cap 2 collapses some plans' write-conditions, caps 64 and 1 none
     assert inputs["exact"] > 0, inputs
     assert (inputs["planned"] > 0) == (max_disjuncts == 2), inputs
 
 
 def count_computations(monkeypatch) -> list:
-    """Record each stabilise computation of the powerset fused pass as
-    (d, n)."""
+    """Record the state d of each stabilise computation of the powerset fused
+    pass."""
     calls = []
     fused = ConstPowersetDomain.stabilise_plan
 
-    def counted_fused(self, d, plan, n):
-        calls.append((d, n))
-        return fused(self, d, plan, n)
+    def counted_fused(self, d, plan):
+        calls.append(d)
+        return fused(self, d, plan)
 
     monkeypatch.setattr(ConstPowersetDomain, "stabilise_plan", counted_fused)
     return calls
 
 
 def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
-    # one computation per distinct (rely, d, n) key
+    # one computation per distinct (rely, d) key
     calls = count_computations(monkeypatch)
-    cw = cw_pw()
+    cw = cw_pw(2)
 
     def pw(*maps):
         return cw.dom.make(cm_make(m) for m in maps)
@@ -322,21 +330,19 @@ def test_powerset_repeated_stabilise_enumerates_once(monkeypatch):
         return i, pw({"x": 0, "z": 1}, {"r": 1})
 
     i, d = inputs()
-    first = cw.stabilise(i, d, 2)
+    first = cw.stabilise(i, d)
     ops = cw.dom.ops
     assert len(calls) == 1 and ops > 0
     # an equal key built from fresh values hits: keys are values, not identities
-    assert cw.stabilise(*inputs(), 2) == first
+    assert cw.stabilise(*inputs()) == first
     assert len(calls) == 1 and cw.dom.ops == ops
-    cw.stabilise(i, d, 1)  # another n is another key
-    assert len(calls) == 2 and cw.dom.ops > ops
     # a fresh instance starts with an empty memo
-    assert cw_pw().stabilise(i, d, 2) == first and len(calls) == 3
+    assert cw_pw(2).stabilise(i, d) == first and len(calls) == 2
     # at cap 2 the same pass computes it, still once per key: the result
     # fits the cap, so nothing collapses and the value is cap 64's
-    small = CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=2))
-    assert small.stabilise(i, d, 2) == small.stabilise(*inputs(), 2) == first
-    assert len(calls) == 4 and small.dom.cap_collapses == 0
+    small = CondWrites(ConstPowersetDomain(VARS3, max_disjuncts=2, n=2))
+    assert small.stabilise(i, d) == small.stabilise(*inputs()) == first
+    assert len(calls) == 3 and small.dom.cap_collapses == 0
 
 
 def test_const_closed_form_never_enumerates(monkeypatch):
@@ -346,9 +352,9 @@ def test_const_closed_form_never_enumerates(monkeypatch):
     for _ in range(50):
         i = random_interference(rng, cw.dom)
         d = random_cm(rng, VARS3)
-        cw.stabilise(i, d, 3)
-        cw.stabilise_fix(i, d, 3)
-    assert calls == [] and cw.dom._plans == {}  # no fused pass and no plan
+        cw.stabilise(i, d)
+        cw.stabilise_fix(i, d)
+    assert calls == []  # no fused pass
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
@@ -356,19 +362,20 @@ def test_repeated_input_is_answered_from_memo(mk):
     # a repeat returns the stored value and performs no lattice operation;
     # it passes a fresh dict, as the keys hold the write-conditions' values
     rng = random.Random(47)
-    cw = mk()
+    cws = per_n(mk)
+    cw = cws[-1]
     for _ in range(40):
         i = random_interference(rng, cw.dom)
         d = random_elem(rng, cw.dom)
-        for n in range(len(VARS3) + 1):
-            first = cw.stabilise(i, d, n)
-            hits = cw.memo_hits
-            again, ops = with_ops(cw, cw.stabilise, dict(i), d, n)
-            assert again is first and ops == 0 and cw.memo_hits == hits + 1
-            first = cw.stabilise_fix(i, d, n)
-            hits = cw.memo_hits
-            again, ops = with_ops(cw, cw.stabilise_fix, dict(i), d, n)
-            assert again is first and ops == 0 and cw.memo_hits > hits
+        for each in cws:
+            first = each.stabilise(i, d)
+            hits = each.memo_hits
+            again, ops = with_ops(each, each.stabilise, dict(i), d)
+            assert again is first and ops == 0 and each.memo_hits == hits + 1
+            first = each.stabilise_fix(i, d)
+            hits = each.memo_hits
+            again, ops = with_ops(each, each.stabilise_fix, dict(i), d)
+            assert again is first and ops == 0 and each.memo_hits > hits
         first = cw.close(i)
         hits = cw.memo_hits
         again, ops = with_ops(cw, cw.close, dict(i))
@@ -384,15 +391,15 @@ def with_ops(cw: CondWrites, fn, *args, **kwargs):
     return out, cw.dom.ops - before
 
 
-def walk_plan(cw: CondWrites, i, d, n: int):
+def walk_plan(cw: CondWrites, i, d):
     """`reference_interference.stabilise_walk` over cw's write-set plan for
-    (i, n), built on the first call, in cw's own domain."""
+    i, built on the first call, in cw's own domain."""
     return reference_interference.stabilise_walk(
-        cw.dom, d, cw.dom._write_sets(i, n), n)
+        cw.dom, d, cw.dom._write_sets(i))
 
 
 @pytest.mark.parametrize("kind,cap", [
-    ("const", 64), ("const-powerset", 64), ("const-powerset", 4),
+    ("const-powerset", 64), ("const-powerset", 4),
     ("const-powerset", 2), ("const-powerset", 1),
 ], ids=lambda x: str(x))
 def test_plan_enumerations_match_reference(kind, cap):
@@ -406,13 +413,14 @@ def test_plan_enumerations_match_reference(kind, cap):
     # lattice stays exact
     rng = random.Random(48)
     for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
-        new, ref = (CondWrites(make_domain(kind, variables, max_disjuncts=cap))
-                    for _ in range(2))
+        news = [CondWrites(make_domain(kind, variables, cap, n))
+                for n in range(len(variables) + 1)]
+        new, ref = news[-1], CondWrites(make_domain(kind, variables, cap))
         for _ in range(60):
             i = random_interference(rng, new.dom, values=(0, 1, 2))
             d = random_elem(rng, new.dom, values=(0, 1, 2))
-            for n in range(len(variables) + 1):
-                got, ops = with_ops(new, walk_plan, new, i, d, n)
+            for n, each in enumerate(news):
+                got, ops = with_ops(each, walk_plan, each, i, d)
                 want, ref_ops = with_ops(
                     ref, reference_interference.stabilise_enum, ref, i, d, n,
                     b1=True)
@@ -433,9 +441,8 @@ def test_second_stabilise_under_same_rely_reuses_plan():
 
     i = {"x": pw({"z": 0}, {"r": 1}), "z": pw({"x": 1}, {"r": 0}, {"r": 1}),
          "r": pw({})}
-    n = len(VARS3)
-    cw.stabilise(i, pw({"x": 0, "z": 1}), n)
-    plan = cw.dom._write_sets(i, n)
+    cw.stabilise(i, pw({"x": 0, "z": 1}))
+    plan = cw.dom._write_sets(i)
     assert next(iter(plan.items())) == ((), (frozenset(), cw.dom.top()))
     assert any(len(combo) > 1 for combo in plan)  # some wc took a meet
     meets = []
@@ -450,16 +457,16 @@ def test_second_stabilise_under_same_rely_reuses_plan():
     # meet with d and one join per non-empty write set
     d = pw({"x": 1}, {"r": 0, "z": 0})
     before = cw.dom.ops
-    cw.stabilise(i, d, n)
+    cw.stabilise(i, d)
     assert meets == []
     assert cw.dom.ops - before == 2 * (len(plan) - 1)
     # the walk over the same plan, which caps inside every meet and join,
     # meets d with each wc and counts the same ops; no wc is re-met
     d = pw({"x": 0}, {"r": 1, "z": 0})
-    _, ops = with_ops(cw, walk_plan, cw, i, d, n)
+    _, ops = with_ops(cw, walk_plan, cw, i, d)
     assert meets == [d] * (len(plan) - 1)
     assert ops == 2 * (len(plan) - 1)
-    assert cw.dom._write_sets(i, n) is plan
+    assert cw.dom._write_sets(i) is plan
 
 
 # -- the fused powerset stabilise against the enumeration --------------------
@@ -482,20 +489,21 @@ def test_fused_stabilise_matches_enumeration(cap):
     rng = random.Random(49)
     seen = collections.Counter()
     for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
+        shape = ConstPowersetDomain(variables, max_disjuncts=cap)
         for _ in range(60):
-            new, spec, ref = (
-                CondWrites(ConstPowersetDomain(variables, max_disjuncts=cap))
-                for _ in range(3))
             # up to 6 disjuncts, so that cap 4 also collapses plans
-            i = {v: random_pw(rng, new.dom, (0, 1, 2), 6) for v in variables}
-            d = random_pw(rng, new.dom, (0, 1, 2), 6)
+            i = {v: random_pw(rng, shape, (0, 1, 2), 6) for v in variables}
+            d = random_pw(rng, shape, (0, 1, 2), 6)
             for n in range(len(variables) + 1):
-                got = with_counts(new, new.stabilise, i, d, n)
+                new, spec, ref = (
+                    CondWrites(ConstPowersetDomain(variables, cap, n))
+                    for _ in range(3))
+                got = with_counts(new, new.stabilise, i, d)
                 plan, plan_ops, plan_collapses = with_counts(
-                    spec, spec.dom._write_sets, i, n)
+                    spec, spec.dom._write_sets, i)
                 out, ops, collapses = with_counts(
                     spec, reference_interference.stabilise_over_plan,
-                    spec.dom, d, plan, n)
+                    spec.dom, d, plan)
                 assert got == (out, plan_ops + ops, plan_collapses + collapses)
                 assert collapses <= 1  # the cap fires once, on the result
                 seen["capped"] += collapses
@@ -504,7 +512,7 @@ def test_fused_stabilise_matches_enumeration(cap):
                     continue
                 seen["exact plan"] += 1
                 assert out == reference_interference.stabilise_cap_once(
-                    ref, i, d, n)
+                    ref, i, d)
     # caps 4, 2 and 1 collapse results, caps 4 and 2 also plans: at cap 1
     # the inputs are single maps, and a meet of single maps is one map
     assert seen["exact plan"] > 0, seen
@@ -596,6 +604,6 @@ def test_fuel_exhaustion_reported():
     cw = cw_const(fuel=0)
     top = {v: CM_TOP for v in VARS3}
     with pytest.raises(FuelExhausted):
-        cw.stabilise_fix(top, CM_TOP, 3)
+        cw.stabilise_fix(top, CM_TOP)
     with pytest.raises(FuelExhausted):
         cw.close(top)
