@@ -300,12 +300,16 @@ class StateDomain(ABC):
         return acc
 
 
+# (bottom, top, maps-to) as printed, indexed by `ascii_only`
+GLYPHS = (("⊥", "⊤", "↦"), ("bot", "top", "|->"))
+
+
 def _fmt_cm(d, ascii_only: bool) -> str:
+    bot, top, arrow = GLYPHS[ascii_only]
     if d is CM_BOT:
-        return "bot" if ascii_only else "⊥"
+        return bot
     if not d:
-        return "top" if ascii_only else "⊤"
-    arrow = "|->" if ascii_only else "↦"
+        return top
     return "[" + ", ".join(f"{v}{arrow}{n}" for v, n in sorted(d)) + "]"
 
 
@@ -470,6 +474,8 @@ class ConstPowersetDomain(StateDomain):
             raise ValueError(f"max_disjuncts must be >= 1, got {max_disjuncts}")
         self.max_disjuncts = max_disjuncts
         self.n = len(self.variables) if n is None else n
+        if not 0 <= self.n <= len(self.variables):
+            raise ValueError(f"n must be within 0..{len(self.variables)}, got {self.n}")
         self._plans: dict = {}  # write-conditions -> write-set plan
 
     def make(self, maps: Iterable):
@@ -626,10 +632,11 @@ class ConstPowersetDomain(StateDomain):
         return self.make(cm_filter_cmp(c, m) for m in d)
 
     def fmt(self, d, ascii_only: bool = False) -> str:
+        bot, top, _ = GLYPHS[ascii_only]
         if not d:
-            return "bot" if ascii_only else "⊥"
+            return bot
         if d == PW_TOP:
-            return "top" if ascii_only else "⊤"
+            return top
         maps = sorted(d, key=sorted)
         return "{" + "; ".join(_fmt_cm(m, ascii_only) for m in maps) + "}"
 

@@ -35,7 +35,7 @@ memos.
 from __future__ import annotations
 
 from .lang import Assign
-from .domains import StateDomain
+from .domains import GLYPHS, StateDomain
 
 # Interference elements are plain dicts var -> domain element, total over
 # the domain's variable set. Treated as immutable. Both domains' elements
@@ -67,7 +67,7 @@ class CondWrites:
         return all(self.dom.leq(i1[v], i2[v]) for v in self.dom.variables)
 
     def fmt(self, i: Interference, ascii_only: bool = False) -> str:
-        arrow = "|->" if ascii_only else "↦"
+        arrow = GLYPHS[ascii_only][2]
         body = ", ".join(
             f"{v}{arrow}{self.dom.fmt(i[v], ascii_only)}" for v in self.dom.variables
         )

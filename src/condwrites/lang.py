@@ -356,12 +356,20 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+# Binding power of each binary operator: an operand parsed at power p takes
+# only operators of power >= p, so || < && < comparison < + - < *.
+_POWER = {"||": 0, "&&": 1, **dict.fromkeys(CMP_OPS, 2), "+": 3, "-": 3, "*": 4}
+_CONDS = Cond.__args__  # a tuple: isinstance on it is faster than on the Union
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
         self.label = 0  # reset at each thread
-        self.uses: dict[str, _Tok] = {}  # variable -> its first read or write
+        self.tid: str | None = None  # the thread whose body is being parsed, if any
+        self.uses: dict[tuple, _Tok] = {}  # (tid, variable) -> its first use there
+        self.last_int: _Tok | None = None  # the last integer token consumed
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -391,8 +399,7 @@ class _Parser:
     # -- top level ----------------------------------------------------------
 
     def program(self) -> Program:
-        variables: list[str] = []
-        locals_: dict[str, list[str]] = {}
+        declared: dict[str, str | None] = {}  # variable -> owning thread, if local
         conds: dict[str, Cond] = {}  # "pre" and "post"
         # declarations checked against the threads, with the keyword token
         # each is reported at
@@ -404,33 +411,24 @@ class _Parser:
             t = self.peek()
             if t.kind != "kw":
                 raise self.error("expected a declaration or thread")
-            if t.text == "vars":
-                self.next()
+            self.next()
+            if t.text in ("vars", "local"):
+                owner = None
+                if t.text == "local":
+                    owner = self.expect("id").text
+                    local_decls.setdefault(owner, t)
+                    self.expect("op", ":")
                 for name in self.idlist():
-                    if name in variables:
+                    if name in declared:
                         raise self.error(f"variable {name!r} declared twice")
-                    variables.append(name)
-                self.expect("op", ";")
-            elif t.text == "local":
-                self.next()
-                tid = self.expect("id").text
-                local_decls.setdefault(tid, t)
-                self.expect("op", ":")
-                names = self.idlist()
-                for name in names:
-                    if name in variables:
-                        raise self.error(f"variable {name!r} declared twice")
-                    variables.append(name)
-                locals_.setdefault(tid, []).extend(names)
+                    declared[name] = owner
                 self.expect("op", ";")
             elif t.text in ("pre", "post"):
-                self.next()
                 if t.text in conds:
                     raise ParseError(f"{t.text} declared twice", t.line, t.col)
                 conds[t.text] = self.cond()
                 self.expect("op", ";")
             elif t.text == "relyvars":
-                self.next()
                 tid = self.expect("id").text
                 if tid in relyvars:
                     raise ParseError(
@@ -439,13 +437,12 @@ class _Parser:
                 relyvars[tid] = (self.idlist(), t)
                 self.expect("op", ";")
             elif t.text == "thread":
-                tok = self.next()
-                tid = self.expect("id").text
+                self.tid = self.expect("id").text
                 self.label = 0
-                body = self.block()
-                threads.append((tid, body, tok))
+                threads.append((self.tid, self.block(), t))
+                self.tid = None
             else:
-                raise self.error(f"unexpected keyword {t.text!r}")
+                raise ParseError(f"unexpected keyword {t.text!r}", t.line, t.col)
 
         if not threads:
             raise self.error("program has no threads")
@@ -461,34 +458,43 @@ class _Parser:
             if tid not in seen:
                 raise ParseError(f"relyvars for unknown thread {tid!r}", tok.line, tok.col)
             for v in names:
-                if v not in variables:
+                if v not in declared:
                     raise ParseError(
                         f"relyvars names undeclared variable {v!r}", tok.line, tok.col)
-        undeclared = [t for v, t in self.uses.items() if v not in variables]
-        if undeclared:
-            t = min(undeclared, key=lambda t: (t.line, t.col))
-            raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
-        built = []
-        for tid, body, _ in threads:
-            rv = relyvars[tid][0] if tid in relyvars else variables
-            built.append(Thread(tid, body, frozenset(rv)))
+        misuses = []  # (token, message) of every use that is an error
+        for (tid, v), tok in self.uses.items():
+            if v not in declared:
+                misuses.append((tok, f"undeclared variable {v!r}"))
+            elif tid is not None and declared[v] not in (None, tid):
+                misuses.append((tok, f"variable {v!r} is local to thread {declared[v]!r}"))
+        if misuses:
+            tok, msg = min(misuses, key=lambda m: (m[0].line, m[0].col))
+            raise ParseError(msg, tok.line, tok.col)
+        variables = tuple(declared)
         return Program(
-            variables=tuple(variables),
-            threads=tuple(built),
+            variables=variables,
+            threads=tuple(
+                Thread(tid, body, frozenset(relyvars[tid][0] if tid in relyvars else variables))
+                for tid, body, _ in threads),
             pre=conds.get("pre", BoolLit(True)),
             post=conds.get("post", BoolLit(True)),
-            locals={t: tuple(v) for t, v in locals_.items()},
+            locals={tid: tuple(v for v in variables if declared[v] == tid)
+                    for tid in dict.fromkeys(declared.values()) if tid is not None},
         )
 
-    def idlist(self) -> list[str]:
-        names = [self.expect("id").text]
+    def commas(self, item: Callable) -> list:
+        """One or more `item`s separated by commas."""
+        items = [item()]
         while self.accept("op", ","):
-            names.append(self.expect("id").text)
-        return names
+            items.append(item())
+        return items
+
+    def idlist(self) -> list[str]:
+        return self.commas(lambda: self.expect("id").text)
 
     def use(self, tok: _Tok) -> str:
         """Record an identifier token as a read or write of its variable."""
-        self.uses.setdefault(tok.text, tok)
+        self.uses.setdefault((self.tid, tok.text), tok)
         return tok.text
 
     # -- statements ----------------------------------------------------------
@@ -508,42 +514,31 @@ class _Parser:
             return items[0]
         return Seq(tuple(items))
 
+    def guard(self) -> Cond:
+        """The keyword of an `if` or `while` and its parenthesised condition."""
+        self.next()
+        self.expect("op", "(")
+        c = self.cond()
+        self.expect("op", ")")
+        return c
+
     def stmt(self) -> Inst:
         t = self.peek()
+        label = self.fresh_label()
         if t.kind == "kw" and t.text == "skip":
-            label = self.fresh_label()
             self.next()
             self.expect("op", ";")
             return Skip(label)
         if t.kind == "kw" and t.text == "if":
-            label = self.fresh_label()
-            self.next()
-            self.expect("op", "(")
-            c = self.cond()
-            self.expect("op", ")")
-            then = self.block()
-            if self.accept("kw", "else"):
-                els = self.block()
-            else:
-                els = Skip(None)  # synthetic, no program point
-            return Ite(label, c, then, els)
+            # without else, a synthetic skip with no program point
+            return Ite(label, self.guard(), self.block(),
+                       self.block() if self.accept("kw", "else") else Skip(None))
         if t.kind == "kw" and t.text == "while":
-            label = self.fresh_label()
-            self.next()
-            self.expect("op", "(")
-            c = self.cond()
-            self.expect("op", ")")
-            body = self.block()
-            return While(label, c, body)
+            return While(label, self.guard(), self.block())
         if t.kind == "id":
-            label = self.fresh_label()
-            targets = [self.use(self.expect("id"))]
-            while self.accept("op", ","):
-                targets.append(self.use(self.expect("id")))
+            targets = self.commas(lambda: self.use(self.expect("id")))
             self.expect("op", ":=")
-            exprs = [self.expr()]
-            while self.accept("op", ","):
-                exprs.append(self.expr())
+            exprs = self.commas(self.expr)
             self.expect("op", ";")
             if len(targets) != len(exprs):
                 raise self.error(
@@ -554,102 +549,76 @@ class _Parser:
         raise self.error(f"expected a statement, found {t.text!r}")
 
     # -- conditions and expressions -------------------------------------------
+    #
+    # One precedence climb over `_POWER` parses both kinds of operand. `!`
+    # negates an operand of comparison power, and unary minus binds
+    # tightest. A comparison takes two expressions, && and || two
+    # conditions, and an operator whose left operand has the other kind ends
+    # the climb, so comparisons do not chain. `want` is the kind an operand
+    # must have: "cond", "expr", or None for either inside parentheses. An
+    # expression starts at power 3, so it ends before a comparison.
 
     def cond(self) -> Cond:
-        c = self.conj()
-        while self.accept("op", "||"):
-            c = Or(c, self.conj())
-        return c
-
-    def conj(self) -> Cond:
-        c = self.cond_atom()
-        while self.accept("op", "&&"):
-            c = And(c, self.cond_atom())
-        return c
-
-    def cond_atom(self) -> Cond:
-        t = self.peek()
-        if t.kind == "kw" and t.text == "true":
-            self.next()
-            return BoolLit(True)
-        if t.kind == "kw" and t.text == "false":
-            self.next()
-            return BoolLit(False)
-        if t.kind == "op" and t.text == "!":
-            self.next()
-            return Not(self.cond_atom())
-        if t.kind == "op" and t.text == "(":
-            # '(' may open a nested condition or a parenthesised expression.
-            save = self.pos
-            self.next()
-            try:
-                inner = self.cond()
-                self.expect("op", ")")
-            except ParseError:
-                self.pos = save
-                return self.comparison()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text in CMP_OPS:
-                self.pos = save
-                return self.comparison()
-            return inner
-        return self.comparison()
-
-    def comparison(self) -> Cond:
-        left = self.expr()
-        t = self.peek()
-        if t.kind != "op" or t.text not in CMP_OPS:
-            raise self.error("expected a comparison operator")
-        op = self.next().text
-        right = self.expr()
-        return Cmp(op, left, right)
+        return self.operand(0, "cond")
 
     def expr(self) -> Expr:
-        e = self.term()
+        return self.operand(3, "expr")
+
+    def operand(self, power: int, want: str | None) -> Expr | Cond:
+        first = self.peek()
+        if want != "expr" and first.text in ("!", "true", "false"):
+            self.next()
+            left = (Not(self.operand(2, "cond")) if first.text == "!"
+                    else BoolLit(first.text == "true"))
+        else:
+            left = self.in_range(self.factor())
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in ("+", "-"):
-                self.next()
-                e = BinOp(t.text, e, self.term())
-            else:
-                return e
+            op = self.peek().text
+            p = _POWER.get(op, -1)
+            if p < power or (p < 2) != isinstance(left, _CONDS):
+                break
+            self.next()
+            right = self.operand(p + 1, "cond" if p < 2 else "expr")
+            left = ((Or, And)[p](left, right) if p < 2
+                    else (Cmp if p == 2 else BinOp)(op, left, right))
+        return self.check(left, want, first)
 
-    def term(self) -> Expr:
-        e = self.in_range(self.factor())
-        while self.accept("op", "*"):
-            e = BinOp("*", e, self.in_range(self.factor()))
-        return e
+    def check(self, node: Expr | Cond, want: str | None, first: _Tok) -> Expr | Cond:
+        """`node`, parsed from the token `first` on, if it has the kind
+        `want`: a condition lacking its comparison is reported at the next
+        token, an expression of the wrong kind at its first."""
+        if want == "cond" and not isinstance(node, _CONDS):
+            raise self.error("expected a comparison operator")
+        if want == "expr" and isinstance(node, _CONDS):
+            raise ParseError(
+                f"expected an expression, found {first.text!r}", first.line, first.col)
+        return node
 
-    def in_range(self, e: Expr) -> Expr:
+    def in_range(self, e: Expr | Cond) -> Expr | Cond:
         # a literal is range-checked once every directly applied unary minus
         # is folded in, so INT_MIN can be written as -9223372036854775808;
         # its int token is the last one the factor consumed
         if isinstance(e, Lit) and not INT_MIN <= e.n <= INT_MAX:
-            t = next(t for t in reversed(self.toks[:self.pos]) if t.kind == "int")
-            raise ParseError(
-                f"integer literal {e.n} is outside the 64-bit range", t.line, t.col)
+            raise ParseError(f"integer literal {e.n} is outside the 64-bit range",
+                             self.last_int.line, self.last_int.col)
         return e
 
-    def factor(self) -> Expr:
-        t = self.peek()
+    def factor(self) -> Expr | Cond:
+        t = self.next()
         if t.kind == "int":
-            self.next()
+            self.last_int = t
             return Lit(int(t.text))
         if t.kind == "id":
-            self.next()
             return VarRef(self.use(t))
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            inner = self.factor()
-            if isinstance(inner, Lit):
-                return Lit(-inner.n)
-            return BinOp("-", Lit(0), inner)
-        if t.kind == "op" and t.text == "(":
-            self.next()
-            e = self.expr()
+        if t.text == "-":
+            first = self.peek()
+            inner = self.check(self.factor(), "expr", first)
+            return Lit(-inner.n) if isinstance(inner, Lit) else BinOp("-", Lit(0), inner)
+        if t.text == "(":
+            inner = self.operand(0, None)
             self.expect("op", ")")
-            return e
-        raise self.error(f"expected an expression, found {t.text!r}")
+            return inner
+        raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
 
 
 def parse_program(text: str) -> Program:

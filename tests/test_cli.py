@@ -49,6 +49,14 @@ def test_undeclared_variable_exit_code(tmp_path, capsys):
     assert err == "error: 4:3: undeclared variable 'y'\n"
 
 
+def test_other_threads_local_exit_code(tmp_path, capsys):
+    prog = tmp_path / "local.cw"
+    prog.write_text("vars x; local T0: r; thread T0 { r := 0; } thread T1 { r := 1; }")
+    code, out, err = run(capsys, "analyze", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: 1:56: variable 'r' is local to thread 'T0'\n"
+
+
 def test_out_of_range_literal_exit_code(tmp_path, capsys):
     # rejected while parsing, before the analysis or the oracle runs
     prog = tmp_path / "big.cw"

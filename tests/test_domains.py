@@ -377,6 +377,12 @@ def test_fmt():
     two = pw.make([cm_make({"x": 0}), cm_make({"y": 1})])
     assert pw.fmt(two) == "{[x↦0]; [y↦1]}"
     assert pw.fmt(pw.top()) == "⊤" and pw.fmt(pw.bot(), ascii_only=True) == "bot"
+    assert pw.fmt(pw.top(), ascii_only=True) == "top" and pw.fmt(pw.bot()) == "⊥"
+    assert pw.fmt(two, ascii_only=True) == "{[x|->0]; [y|->1]}"
+    cw = CondWrites(dom)
+    i = {**cw.bot(), "x": cm_make({"y": 1})}
+    assert cw.fmt(i) == "[x↦[y↦1], y↦⊥]"
+    assert cw.fmt(i, ascii_only=True) == "[x|->[y|->1], y|->bot]"
 
 
 def test_make_domain():
@@ -411,6 +417,17 @@ def test_n_and_the_write_set_plan_belong_to_the_powerset():
         assert not hasattr(const, name) and not hasattr(ConstDomain, name)
         assert not hasattr(StateDomain, name)
     assert hasattr(ConstPowersetDomain, "_write_sets")
+
+
+@pytest.mark.parametrize("n", [-1, 4])
+def test_n_outside_zero_to_v_is_rejected(n):
+    # at n = -1 the write-set plan would hold only the empty set, and
+    # stabilise would ignore the rely
+    vs = ("a", "b", "c")
+    with pytest.raises(ValueError, match=r"n must be within 0\.\.3"):
+        ConstPowersetDomain(vs, n=n)
+    with pytest.raises(ValueError, match=r"n must be within 0\.\.3"):
+        make_domain("const-powerset", vs, n=n)
 
 
 @pytest.mark.parametrize("clone", [

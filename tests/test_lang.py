@@ -133,6 +133,12 @@ def test_cond_precedence():
     ("vars x; thread T { x := ; }", "expression"),
     ("pre true;", "no threads"),
     ("vars x; thread T { x := 1 }", "expected"),
+    ("vars x; thread T { if (x) { skip; } }", "1:25: expected a comparison operator"),
+    ("vars x, y; thread T { if (x && y == 1) { skip; } }",
+     "1:29: expected a comparison operator"),
+    ("vars x; thread T { x := 1 + !x; }", "1:29: expected an expression, found '!'"),
+    ("vars x; thread T { x := true; }", "1:25: expected an expression, found 'true'"),
+    ("vars x; thread T { if (x == 1 == 1) { skip; } }", "1:31: expected ')', found '=='"),
 ])
 def test_parse_errors(src, fragment):
     with pytest.raises(ParseError) as exc:
@@ -154,14 +160,41 @@ def test_parse_errors(src, fragment):
     ("vars x;\nthread T { x, w := 1, x; }", "undeclared variable 'w'", (2, 15)),
     ("vars x;\nthread T { if ((y) == 1) { skip; } }", "undeclared variable 'y'", (2, 17)),
     ("vars x; thread T { z := y; }", "undeclared variable 'z'", (1, 20)),
+    # a thread body may not read or write another thread's local
+    ("vars x;\nlocal T0: r;\nthread T0 { r := 0; }\nthread T1 { r := 1; }",
+     "variable 'r' is local to thread 'T0'", (4, 13)),
+    ("vars x;\nlocal T1: r;\nthread T0 { if (x == r) { skip; } }\nthread T1 { r := 1; }",
+     "variable 'r' is local to thread 'T1'", (3, 22)),
+    ("local T0: r;\nthread T0 { skip; }\nthread T1 { if (r == 0) { q := 1; } }",
+     "variable 'r' is local to thread 'T0'", (3, 17)),
 ], ids=["pre_twice", "post_twice", "relyvars_twice", "local_unknown_thread",
         "relyvars_unknown_thread", "relyvars_undeclared", "use_in_body", "use_in_pre",
-        "use_as_target", "use_in_backtracked_cond", "first_use_in_source_order"])
+        "use_as_target", "use_in_backtracked_cond", "first_use_in_source_order",
+        "other_threads_local_written", "other_threads_local_read",
+        "other_threads_local_before_undeclared"])
 def test_declaration_errors_at_the_declaration(src, fragment, pos):
     with pytest.raises(ParseError) as exc:
         parse_program(src)
     assert fragment in exc.value.msg
     assert (exc.value.line, exc.value.col) == pos
+
+
+def test_pre_post_and_relyvars_may_name_a_local():
+    p = parse_program("local T0: r; vars x; pre r == 0; post r == x; relyvars T1: r, x;"
+                      "thread T0 { r := x; } thread T1 { x := 1; }")
+    assert p.locals == {"T0": ("r",)} and p.variables == ("r", "x")
+    assert p.threads[1].rely_vars == frozenset({"r", "x"})
+
+
+def test_deep_parentheses_parse():
+    # the climb recurses twice per parenthesis; the parser it replaced
+    # reached 327 levels in a condition and 329 in an expression
+    k = 320
+    p = parse_program(f"vars x; thread T {{ if ({'(' * k}x == 1{')' * k}) "
+                      f"{{ x := {'(' * k}x{')' * k}; }} }}")
+    ite = p.threads[0].body
+    assert ite.cond == Cmp("==", VarRef("x"), Lit(1))
+    assert ite.then.exprs == (VarRef("x"),)
 
 
 def test_parse_error_carries_position():
