@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .lang import (
-    And, Assign, BoolLit, Cmp, Cond, Expr, Lit, Not, Or, VarRef,
-    CMP_OPS, EvalOverflow, eval_expr, negate,
+    And, Assign, BoolLit, Cmp, Cond, Expr, Lit, Or, VarRef,
+    CMP_OPS, EvalOverflow, eval_expr,
 )
 
 
@@ -29,20 +29,22 @@ class UniverseTooLarge(Exception):
     pass
 
 
+UNIVERSE_CAP = 1_000_000  # the most states a universe may enumerate
+
+
 @dataclass(frozen=True)
 class Universe:
     """Finite per-variable value sets; makes concretisation enumerable."""
 
     values: tuple[tuple[str, tuple[int, ...]], ...]
-    cap: int = 1_000_000
 
     @staticmethod
-    def of(values: dict[str, Iterable[int]], cap: int = 1_000_000) -> "Universe":
+    def of(values: dict[str, Iterable[int]]) -> "Universe":
         items = tuple((v, tuple(sorted(set(vals)))) for v, vals in values.items())
         for v, vals in items:
             if not vals:
                 raise ValueError(f"empty value set for {v!r}")
-        return Universe(items, cap)
+        return Universe(items)
 
     @property
     def var_order(self) -> tuple[str, ...]:
@@ -61,8 +63,8 @@ class Universe:
         return n
 
     def check_size(self) -> None:
-        if self.size() > self.cap:
-            raise UniverseTooLarge(f"{self.size()} states exceeds cap {self.cap}")
+        if self.size() > UNIVERSE_CAP:
+            raise UniverseTooLarge(f"{self.size()} states exceeds cap {UNIVERSE_CAP}")
 
     def states(self) -> Iterator[dict]:
         self.check_size()
@@ -242,8 +244,6 @@ class StateDomain(ABC):
             return self.bot()
         if isinstance(c, BoolLit):
             return d if c.value else self.bot()
-        if isinstance(c, Not):
-            return self.filter(negate(c.inner), d)
         if isinstance(c, And):
             return self.filter(c.right, self.filter(c.left, d))
         if isinstance(c, Or):
@@ -603,17 +603,13 @@ class ConstPowersetDomain(StateDomain):
         return all(any(m2 <= m1 for m2 in d2) for m1 in d1)
 
     def join(self, d1, d2):
-        """`make(d1 ∪ d2)` for antichains d1 and d2, by cross comparisons
-        only: no map of an antichain lies strictly below another of it, and
-        a map in both survives."""
+        """`make(d1 ∪ d2)`, returned as is where one antichain holds the other."""
         self.ops += 1
         if d1 <= d2:
             return d2
         if d2 <= d1:
             return d1
-        keep_a = [m for m in d1 - d2 if not any(k < m for k in d2)]
-        keep_b = [m for m in d2 if not any(k < m for k in d1)]
-        return self._cap(frozenset(keep_a).union(keep_b))
+        return self.make(d1 | d2)
 
     def meet(self, d1, d2):
         self.ops += 1

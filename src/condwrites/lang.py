@@ -4,7 +4,10 @@ Shared by the analyzer and the brute-force interleaving oracle. Programs are
 immutable after parsing. Every statement node carries a program-point label,
 numbered densely in preorder per thread from 1, so a label is also the
 statement's point in `control_flow`; desugared else-branches get an
-unlabeled synthetic skip that never appears in proof outlines.
+unlabeled synthetic skip that never appears in proof outlines. Conditions
+are in negation normal form: the parser pushes each `!` through `&&` and
+`||` with `negate`, so no condition holds a negation node, and `negate` is
+the only code that handles negation.
 """
 
 from __future__ import annotations
@@ -72,11 +75,6 @@ class Cmp:
 
 
 @dataclass(frozen=True)
-class Not:
-    inner: "Cond"
-
-
-@dataclass(frozen=True)
 class And:
     left: "Cond"
     right: "Cond"
@@ -88,7 +86,7 @@ class Or:
     right: "Cond"
 
 
-Cond = Union[BoolLit, Cmp, Not, And, Or]
+Cond = Union[BoolLit, Cmp, And, Or]
 
 
 @dataclass(frozen=True)
@@ -202,15 +200,16 @@ def statements(inst: Inst) -> tuple[Inst, ...]:
 
 
 def negate(c: Cond) -> Cond:
-    """One-level negation push (used by condition filtering and verdicts)."""
+    """The negation of c in negation normal form: De Morgan pushes it
+    through `&&` and `||` down to the comparisons, whose operators flip, and
+    the booleans. The parser applies it to every `!` operand, and the
+    collecting semantics to guards and `post`."""
     if isinstance(c, BoolLit):
         return BoolLit(not c.value)
-    if isinstance(c, Not):
-        return c.inner
     if isinstance(c, And):
-        return Or(Not(c.left), Not(c.right))
+        return Or(negate(c.left), negate(c.right))
     if isinstance(c, Or):
-        return And(Not(c.left), Not(c.right))
+        return And(negate(c.left), negate(c.right))
     if isinstance(c, Cmp):
         flipped = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
         return Cmp(flipped[c.op], c.left, c.right)
@@ -225,8 +224,6 @@ def leaves(node: Expr | Cond) -> Iterator[Lit | VarRef]:
     elif isinstance(node, (BinOp, Cmp, And, Or)):
         yield from leaves(node.left)
         yield from leaves(node.right)
-    elif isinstance(node, Not):
-        yield from leaves(node.inner)
     elif not isinstance(node, BoolLit):
         raise TypeError(node)
 
@@ -284,8 +281,6 @@ def eval_cond(c: Cond, s: State) -> bool:
         return c.value
     if isinstance(c, Cmp):
         return CMP_OPS[c.op](eval_expr(c.left, s), eval_expr(c.right, s))
-    if isinstance(c, Not):
-        return not eval_cond(c.inner, s)
     if isinstance(c, And):
         return eval_cond(c.left, s) and eval_cond(c.right, s)
     if isinstance(c, Or):
@@ -379,8 +374,9 @@ class _Parser:
         self.pos += 1
         return t
 
-    def error(self, msg: str) -> ParseError:
-        t = self.peek()
+    def error(self, msg: str, t: _Tok | None = None) -> ParseError:
+        """A `ParseError` at the token t, by default the next one."""
+        t = t or self.peek()
         return ParseError(msg, t.line, t.col)
 
     def expect(self, kind: str, text: str | None = None) -> _Tok:
@@ -419,22 +415,21 @@ class _Parser:
                     local_decls.setdefault(owner, t)
                     self.expect("op", ":")
                 for name in self.idlist():
-                    if name in declared:
-                        raise self.error(f"variable {name!r} declared twice")
-                    declared[name] = owner
+                    if name.text in declared:
+                        raise self.error(f"variable {name.text!r} declared twice", name)
+                    declared[name.text] = owner
                 self.expect("op", ";")
             elif t.text in ("pre", "post"):
                 if t.text in conds:
-                    raise ParseError(f"{t.text} declared twice", t.line, t.col)
+                    raise self.error(f"{t.text} declared twice", t)
                 conds[t.text] = self.cond()
                 self.expect("op", ";")
             elif t.text == "relyvars":
                 tid = self.expect("id").text
                 if tid in relyvars:
-                    raise ParseError(
-                        f"relyvars for thread {tid!r} declared twice", t.line, t.col)
+                    raise self.error(f"relyvars for thread {tid!r} declared twice", t)
                 self.expect("op", ":")
-                relyvars[tid] = (self.idlist(), t)
+                relyvars[tid] = ([name.text for name in self.idlist()], t)
                 self.expect("op", ";")
             elif t.text == "thread":
                 self.tid = self.expect("id").text
@@ -442,25 +437,24 @@ class _Parser:
                 threads.append((self.tid, self.block(), t))
                 self.tid = None
             else:
-                raise ParseError(f"unexpected keyword {t.text!r}", t.line, t.col)
+                raise self.error(f"unexpected keyword {t.text!r}", t)
 
         if not threads:
             raise self.error("program has no threads")
         seen = set()
         for tid, _, tok in threads:
             if tid in seen:
-                raise ParseError(f"duplicate thread id {tid!r}", tok.line, tok.col)
+                raise self.error(f"duplicate thread id {tid!r}", tok)
             seen.add(tid)
         for tid, tok in local_decls.items():
             if tid not in seen:
-                raise ParseError(f"local for unknown thread {tid!r}", tok.line, tok.col)
+                raise self.error(f"local for unknown thread {tid!r}", tok)
         for tid, (names, tok) in relyvars.items():
             if tid not in seen:
-                raise ParseError(f"relyvars for unknown thread {tid!r}", tok.line, tok.col)
+                raise self.error(f"relyvars for unknown thread {tid!r}", tok)
             for v in names:
                 if v not in declared:
-                    raise ParseError(
-                        f"relyvars names undeclared variable {v!r}", tok.line, tok.col)
+                    raise self.error(f"relyvars names undeclared variable {v!r}", tok)
         misuses = []  # (token, message) of every use that is an error
         for (tid, v), tok in self.uses.items():
             if v not in declared:
@@ -469,7 +463,7 @@ class _Parser:
                 misuses.append((tok, f"variable {v!r} is local to thread {declared[v]!r}"))
         if misuses:
             tok, msg = min(misuses, key=lambda m: (m[0].line, m[0].col))
-            raise ParseError(msg, tok.line, tok.col)
+            raise self.error(msg, tok)
         variables = tuple(declared)
         return Program(
             variables=variables,
@@ -489,8 +483,8 @@ class _Parser:
             items.append(item())
         return items
 
-    def idlist(self) -> list[str]:
-        return self.commas(lambda: self.expect("id").text)
+    def idlist(self) -> list[_Tok]:
+        return self.commas(lambda: self.expect("id"))
 
     def use(self, tok: _Tok) -> str:
         """Record an identifier token as a read or write of its variable."""
@@ -536,23 +530,25 @@ class _Parser:
         if t.kind == "kw" and t.text == "while":
             return While(label, self.guard(), self.block())
         if t.kind == "id":
-            targets = self.commas(lambda: self.use(self.expect("id")))
-            self.expect("op", ":=")
+            targets: list[str] = []
+            for target in self.idlist():
+                if target.text in targets:
+                    raise self.error("assignment targets must be pairwise distinct", target)
+                targets.append(self.use(target))
+            assign = self.expect("op", ":=")
             exprs = self.commas(self.expr)
             self.expect("op", ";")
             if len(targets) != len(exprs):
-                raise self.error(
-                    f"assignment arity mismatch: {len(targets)} targets, {len(exprs)} expressions")
-            if len(set(targets)) != len(targets):
-                raise self.error("assignment targets must be pairwise distinct")
+                raise self.error(f"assignment arity mismatch: {len(targets)} targets, "
+                                 f"{len(exprs)} expressions", assign)
             return Assign(label, tuple(targets), tuple(exprs))
         raise self.error(f"expected a statement, found {t.text!r}")
 
     # -- conditions and expressions -------------------------------------------
     #
     # One precedence climb over `_POWER` parses both kinds of operand. `!`
-    # negates an operand of comparison power, and unary minus binds
-    # tightest. A comparison takes two expressions, && and || two
+    # negates an operand of comparison power by `negate`, and unary minus
+    # binds tightest. A comparison takes two expressions, && and || two
     # conditions, and an operator whose left operand has the other kind ends
     # the climb, so comparisons do not chain. `want` is the kind an operand
     # must have: "cond", "expr", or None for either inside parentheses. An
@@ -568,7 +564,7 @@ class _Parser:
         first = self.peek()
         if want != "expr" and first.text in ("!", "true", "false"):
             self.next()
-            left = (Not(self.operand(2, "cond")) if first.text == "!"
+            left = (negate(self.operand(2, "cond")) if first.text == "!"
                     else BoolLit(first.text == "true"))
         else:
             left = self.in_range(self.factor())
@@ -590,8 +586,7 @@ class _Parser:
         if want == "cond" and not isinstance(node, _CONDS):
             raise self.error("expected a comparison operator")
         if want == "expr" and isinstance(node, _CONDS):
-            raise ParseError(
-                f"expected an expression, found {first.text!r}", first.line, first.col)
+            raise self.error(f"expected an expression, found {first.text!r}", first)
         return node
 
     def in_range(self, e: Expr | Cond) -> Expr | Cond:
@@ -599,8 +594,8 @@ class _Parser:
         # is folded in, so INT_MIN can be written as -9223372036854775808;
         # its int token is the last one the factor consumed
         if isinstance(e, Lit) and not INT_MIN <= e.n <= INT_MAX:
-            raise ParseError(f"integer literal {e.n} is outside the 64-bit range",
-                             self.last_int.line, self.last_int.col)
+            raise self.error(f"integer literal {e.n} is outside the 64-bit range",
+                             self.last_int)
         return e
 
     def factor(self) -> Expr | Cond:
@@ -618,7 +613,7 @@ class _Parser:
             inner = self.operand(0, None)
             self.expect("op", ")")
             return inner
-        raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
+        raise self.error(f"expected an expression, found {t.text!r}", t)
 
 
 def parse_program(text: str) -> Program:
@@ -644,8 +639,6 @@ def format_cond(c: Cond) -> str:
         return "true" if c.value else "false"
     if isinstance(c, Cmp):
         return f"{format_expr(c.left)} {c.op} {format_expr(c.right)}"
-    if isinstance(c, Not):
-        return f"!({format_cond(c.inner)})"
     if isinstance(c, And):
         return f"({format_cond(c.left)}) && ({format_cond(c.right)})"
     if isinstance(c, Or):

@@ -3,14 +3,17 @@ programs: every assignment writes a literal in {0,1} or copies another
 variable, so exploration over the {0,1} universe never escapes.
 
 By default a program has 2 threads over 1-3 variables; `threads` and
-`nvars` widen it without changing what any seed yields at the defaults."""
+`nvars` widen it without changing what any seed yields at the defaults.
+`bang_text` writes a program as text whose conditions use `!`."""
 
 from __future__ import annotations
 
 import random
+import re
 
 from condwrites.lang import (
-    Assign, BoolLit, Cmp, Ite, Lit, Program, Seq, Skip, Thread, VarRef, While,
+    CMP_OPS, Assign, BoolLit, Cmp, Ite, Lit, Program, Seq, Skip, Thread, VarRef, While,
+    format_program,
 )
 
 VALUES = (0, 1)
@@ -84,3 +87,30 @@ def random_program(seed: int, threads: int = 2,
         pre = Cmp("==", VarRef(rng.choice(variables)), Lit(0))
     return Program(variables=variables, threads=tuple(built),
                    pre=pre, post=BoolLit(True))
+
+
+def bang_text(seed: int, threads: int = 2) -> str:
+    """`random_program(seed, threads)` over 2-3 variables, as program text
+    in which every guard, `pre` and `post` is a random negated condition
+    over `!`, `&&`, `||`, `true`, `false` and comparisons of a variable with
+    0, 1 or a variable, drawn from a second stream seeded by `seed`."""
+    p = random_program(seed, threads, (2, 3))
+    rng = random.Random(f"bang-{seed}")
+
+    def cond(depth: int) -> str:
+        r = rng.random()
+        if depth == 0 or r < 0.35:
+            rhs = rng.choice((*map(str, VALUES), *p.variables))
+            cmp = f"{rng.choice(p.variables)} {rng.choice(tuple(CMP_OPS))} {rhs}"
+            return f"!{cmp}" if r < 0.1 else cmp
+        if r < 0.45:
+            return rng.choice(("true", "false", "!true", "!false"))
+        if r < 0.7:
+            return f"!({cond(depth - 1)})"
+        op = rng.choice(("&&", "||"))
+        return f"({cond(depth - 1)}) {op} ({cond(depth - 1)})"
+
+    text = re.sub(r"(if|while) \([^()]*\)", lambda m: f"{m[1]} (!({cond(3)}))",
+                  format_program(p))
+    return re.sub(r"^(pre|post) .*;$", lambda m: f"{m[1]} !({cond(3)});", text,
+                  flags=re.M)

@@ -302,3 +302,18 @@ def test_deep_nesting_exit_code(tmp_path, capsys, source):
     prog.write_text(source)
     code, _, err = run(capsys, "analyze", str(prog))
     assert code == 2 and "nests too deeply" in err
+
+
+@pytest.mark.parametrize("source, line", [
+    # a `!` guard is parsed, and so printed, in its pushed form
+    ("vars x; thread T { if (!(x == 1)) { x := 1; } }", "    1: if (x != 1) {"),
+    # filtering the negated guard takes one stack frame per nesting level
+    ("vars x; thread T { if (" + " && ".join(["x == 0"] * 600) + ") { x := 1; } }",
+     "verdict:   verified"),
+], ids=["bang_guard_prints_pushed", "conjuncts_600"])
+def test_negated_guard_report(tmp_path, capsys, source, line):
+    prog = tmp_path / "negated.cw"
+    prog.write_text(source)
+    code, out, err = run(capsys, "analyze", str(prog))
+    assert code == 0 and err == ""
+    assert line in out.splitlines()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, StateDomain, Universe,
-    UniverseTooLarge, _pw_normalize, cm_eval, cm_filter_cmp, cm_havoc, cm_leq,
-    cm_make, cm_post, make_domain,
+    CM_BOT, CM_TOP, UNIVERSE_CAP, ConstDomain, ConstPowersetDomain, StateDomain,
+    Universe, UniverseTooLarge, _pw_normalize, cm_eval, cm_filter_cmp, cm_havoc,
+    cm_leq, cm_make, cm_post, make_domain,
 )
 from condwrites.interference import CondWrites
 from condwrites.lang import INT_MAX, Assign, BinOp, Cmp, Lit, VarRef, parse_program
@@ -40,8 +40,11 @@ def test_universe_basics():
     assert U2.var_order == ("x", "y")
     assert U2.size() == 4
     assert len(list(U2.states())) == 4
+    # 8^7 states exceed the cap; the size is computed, not enumerated
+    big = Universe.of({f"v{i}": range(8) for i in range(7)})
+    assert big.size() > UNIVERSE_CAP
     with pytest.raises(UniverseTooLarge):
-        list(Universe.of({"x": range(100)}, cap=10).states())
+        list(big.states())
     with pytest.raises(ValueError):
         Universe.of({"x": ()})
 

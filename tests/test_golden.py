@@ -1,9 +1,11 @@
 """Frozen analyzer output for every corpus program in every domain/mode cell
 at the default n = |V|, and in the powerset's two modes at n = 0 and n = 1,
-where the coarse term of `stabilise` runs.
+where the coarse term of `stabilise` runs; and the same cells of 20 seeded
+programs whose guards, `pre` and `post` use `!` (`randprog.bang_text`).
 
-Compares `to_machine` (without `time_s`) and `render_text` (without its
-`time_s:` line), ops and stats included, against `golden/corpus_outputs.json`.
+Compares `to_machine` (without `time_s`) and, for the corpus, `render_text`
+(without its `time_s:` line), ops and stats included, against
+`golden/corpus_outputs.json`.
 A change that alters outlines, relies, guarantees, op accounting or the run
 counters under `stats` must regenerate the file on purpose and report the
 difference (every cell's ops and their total, every changed `stats` field of
@@ -14,19 +16,44 @@ stats, and the criterion-6 count before and after):
 """
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from condwrites.corpus import CASES, DOMAINS, MODES, nt_cheaper_cells
 from condwrites.engine import AnalysisConfig, analyse, render_text, to_machine
+from condwrites.lang import Program, parse_program
+
+from randprog import bang_text
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus_outputs.json"
 SMALL_N = (0, 1)
-CELLS = ([(case, domain, mode, None)
-          for case in CASES for domain in DOMAINS for mode in MODES]
-         + [(case, "const-powerset", mode, n)
-            for case in CASES for mode in MODES for n in SMALL_N])
+
+
+@dataclass(frozen=True)
+class BangCase:
+    """A seeded program whose conditions use `!`; its cells keep the
+    machine output only."""
+
+    seed: int
+
+    @property
+    def name(self) -> str:
+        return f"bang_{self.seed}"
+
+    def load(self) -> Program:
+        return parse_program(bang_text(self.seed, 2 + self.seed % 2))
+
+
+def cells(cases) -> list[tuple]:
+    return ([(case, domain, mode, None)
+             for case in cases for domain in DOMAINS for mode in MODES]
+            + [(case, "const-powerset", mode, n)
+               for case in cases for mode in MODES for n in SMALL_N])
+
+
+CELLS = cells(CASES) + cells([BangCase(seed) for seed in range(1, 21)])
 
 
 def cell_key(case, domain, mode, n) -> str:
@@ -38,6 +65,8 @@ def cell_output(case, domain, mode, n) -> dict:
     result = analyse(case.load(), AnalysisConfig(mode=mode, domain=domain, n=n))
     machine = to_machine(result)
     del machine["time_s"]
+    if isinstance(case, BangCase):
+        return {"machine": machine}
     text = "".join(line for line in render_text(result).splitlines(keepends=True)
                    if not line.startswith("time_s:"))
     return {"machine": machine, "text": text}
@@ -60,17 +89,17 @@ def test_output_matches_golden(golden, cell):
 def without_counts(output: dict) -> dict:
     machine = {k: v for k, v in output["machine"].items()
                if k not in ("ops", "stats")}
-    text = "".join(line for line in output["text"].splitlines(keepends=True)
+    text = "".join(line for line in output.get("text", "").splitlines(keepends=True)
                    if not line.startswith("ops:"))
     return {"machine": machine, "text": text}
 
 
 def ops_rows(doc: dict) -> list[dict]:
-    """The golden cells at the default n as `corpus.run_suite`-style rows
-    carrying ops."""
+    """The corpus's golden cells at the default n as `corpus.run_suite`-style
+    rows carrying ops."""
     rows = []
     for key, output in doc.items():
-        if "/n=" in key:
+        if "/n=" in key or key.startswith("bang_"):
             continue
         name, domain, mode = key.split("/")
         rows.append({"name": name, "domain": domain, "mode": mode,
@@ -105,7 +134,7 @@ if __name__ == "__main__":
     for name in stats(doc, next(iter(doc))):
         before_total, after_total = (sum(stats(d, key).get(name, 0) for key in d)
                                      for d in (old, doc))
-        print(f"corpus stats.{name} total: {before_total} -> {after_total}")
+        print(f"stats.{name} total over all cells: {before_total} -> {after_total}")
     before_nt, after_nt = (nt_cheaper_cells(ops_rows(d)) for d in (old, doc))
     print("non-transitive mode needs fewer ops (criterion 6): "
           f"{before_nt[0]}/{before_nt[1]} -> {after_nt[0]}/{after_nt[1]} cells")

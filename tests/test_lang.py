@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from condwrites.lang import (
-    And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Not, Or,
-    ParseError, Seq, Skip, VarRef, While,
+    And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
+    Seq, Skip, VarRef, While,
     INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
     format_program, leaves, negate, parse_program, program_literals,
     statements,
@@ -121,6 +121,17 @@ def test_cond_precedence():
     assert isinstance(c, Or) and isinstance(c.left, And)
 
 
+def test_bang_parses_into_negation_normal_form():
+    # `!` binds tighter than && and ||, and De Morgan pushes it down to the
+    # comparisons and booleans
+    x, y = VarRef("x"), VarRef("y")
+    p = parse_program("vars x, y; pre !(x == 0 && !(y < 1 || false)) && !!true;"
+                      "post !x <= y; thread T { skip; }")
+    assert p.pre == And(Or(Cmp("!=", x, Lit(0)), Or(Cmp("<", y, Lit(1)), BoolLit(False))),
+                        BoolLit(True))
+    assert p.post == Cmp(">", x, y)
+
+
 @pytest.mark.parametrize("src, fragment", [
     ("vars x; thread T { y := 1; }", "undeclared"),
     ("vars x, x; thread T { skip; }", "declared twice"),
@@ -167,11 +178,22 @@ def test_parse_errors(src, fragment):
      "variable 'r' is local to thread 'T1'", (3, 22)),
     ("local T0: r;\nthread T0 { skip; }\nthread T1 { if (r == 0) { q := 1; } }",
      "variable 'r' is local to thread 'T0'", (3, 17)),
+    # a repeated name, a repeated target and an arity mismatch are reported
+    # at the offending token, not after the construct
+    ("vars x, x;\nthread T { skip; }", "variable 'x' declared twice", (1, 9)),
+    ("vars x, y,\n  x;\nthread T { skip; }", "variable 'x' declared twice", (2, 3)),
+    ("vars x;\nlocal T: r, x;\nthread T { skip; }", "variable 'x' declared twice", (2, 13)),
+    ("vars x, y;\nthread T {\n  x, y, x := 1, 2, 3;\n  skip;\n}",
+     "assignment targets must be pairwise distinct", (3, 9)),
+    ("vars x, y;\nthread T {\n  x, y := 1;\n  skip;\n}",
+     "assignment arity mismatch: 2 targets, 1 expressions", (3, 8)),
 ], ids=["pre_twice", "post_twice", "relyvars_twice", "local_unknown_thread",
         "relyvars_unknown_thread", "relyvars_undeclared", "use_in_body", "use_in_pre",
         "use_as_target", "use_in_backtracked_cond", "first_use_in_source_order",
         "other_threads_local_written", "other_threads_local_read",
-        "other_threads_local_before_undeclared"])
+        "other_threads_local_before_undeclared", "var_declared_twice",
+        "var_declared_twice_on_next_line", "local_declared_twice", "target_repeated",
+        "arity_mismatch"])
 def test_declaration_errors_at_the_declaration(src, fragment, pos):
     with pytest.raises(ParseError) as exc:
         parse_program(src)
@@ -232,12 +254,16 @@ def test_eval_cond_and_negate_agree():
     conds = [
         BoolLit(True),
         Cmp("<", VarRef("x"), VarRef("y")),
-        Not(Cmp(">=", VarRef("x"), Lit(5))),
+        negate(Cmp(">=", VarRef("x"), Lit(5))),
         And(Cmp("!=", VarRef("x"), Lit(0)), Cmp("==", VarRef("y"), Lit(2))),
         Or(Cmp(">", VarRef("x"), Lit(9)), Cmp("<=", VarRef("y"), Lit(2))),
+        And(Or(BoolLit(False), Cmp("==", VarRef("x"), Lit(1))),
+            Or(Cmp(">", VarRef("y"), Lit(2)), And(BoolLit(True), Cmp("<", VarRef("x"), Lit(0))))),
     ]
     for c in conds:
         assert eval_cond(negate(c), s) == (not eval_cond(c, s))
+        # the push is an involution
+        assert negate(negate(c)) == c
 
 
 def test_exec_assign_is_simultaneous():
@@ -257,11 +283,11 @@ def test_var_and_literal_collection():
     assert list(leaves(BinOp("+", VarRef("a"), Lit(3)))) == [VarRef("a"), Lit(3)]
     assert list(leaves(p.post)) == [VarRef("r"), Lit(0)]
     # leaves come left to right through every node kind
-    c = Or(Not(Cmp("<", BinOp("*", BinOp("-", VarRef("a"), Lit(1)), VarRef("b")), Lit(7))),
+    c = Or(negate(Cmp("<", BinOp("*", BinOp("-", VarRef("a"), Lit(1)), VarRef("b")), Lit(7))),
            And(BoolLit(False), Cmp("==", VarRef("a"), Lit(-2))))
     assert list(leaves(c)) == [VarRef("a"), Lit(1), VarRef("b"), Lit(7),
                                VarRef("a"), Lit(-2)]
-    assert list(leaves(BoolLit(True))) == list(leaves(Not(BoolLit(True)))) == []
+    assert list(leaves(BoolLit(True))) == []
     p = parse_program("vars a; pre !(a == 5) || true; post a > 6;"
                       "thread T { while (a < 8) { a := (a + 9) * 10; } if (a == 11) { skip; } }")
     assert program_literals(p) == {5, 6, 8, 9, 10, 11}

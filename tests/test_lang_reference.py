@@ -1,19 +1,26 @@
 """Differential test of the operand parser of `condwrites.lang` against the
 one-method-per-level parser that backtracked over parenthesised operands
-(`reference_lang.ReferenceParser`).
+(`reference_lang.ReferenceParser`), and of its negation rule against the
+`Not` node that parser builds.
 
 On the corpus, on generated programs and on seeded random operands in a
 guard, an assignment and `pre`, both parsers must accept the same inputs
-and build equal `Program`s, and every rejection must be a `ParseError`.
-Rejection messages may differ: the climb reports an operand of the wrong
-kind where it ends, not where a second parse gave up."""
+and build equal `Program`s once the reference's `Not` nodes are pushed in,
+and every rejection must be a `ParseError`. Rejection messages may differ:
+the climb reports an operand of the wrong kind where it ends, not where a
+second parse gave up. On the random conditions both parse, `eval_cond` and
+both domains' `filter` must give what the reference's `Not` handling gave,
+for each condition and its negation: the same value, the same exception
+and the same ops."""
 
+import itertools
 import random
 
 import pytest
 
 from condwrites.corpus import CASES, PROGRAMS_DIR
-from condwrites.lang import ParseError, format_program, parse_program
+from condwrites.domains import PW_TOP, ConstDomain, ConstPowersetDomain, cm_make
+from condwrites.lang import ParseError, eval_cond, format_program, negate, parse_program
 
 from randprog import random_program
 from test_engine import chain_text
@@ -88,7 +95,7 @@ def assert_same(text):
     if isinstance(ref, ParseError):
         assert isinstance(got, ParseError), (text, ref)
         return False
-    assert got == ref, text
+    assert got == reference_lang.push(ref), text
     return True
 
 
@@ -102,9 +109,58 @@ def test_corpus_and_generated_programs_parse_the_same():
 
 @pytest.mark.parametrize("context", sorted(CONTEXTS))
 def test_random_operands_parse_the_same(context):
-    rng = random.Random(f"operands-{context}")
-    program, want = CONTEXTS[context]
-    accepted = sum(assert_same(program.format(random_operand(rng, want)))
-                   for _ in range(OPERANDS))
+    accepted = sum(map(assert_same, operand_texts(context)))
     # both outcomes are well represented
     assert OPERANDS // 5 < accepted < OPERANDS * 4 // 5
+
+
+def operand_texts(context):
+    rng = random.Random(f"operands-{context}")
+    program, want = CONTEXTS[context]
+    return [program.format(random_operand(rng, want)) for _ in range(OPERANDS)]
+
+
+STATES = [dict(zip("xy", values)) for values in itertools.product((0, 1, 7, -3), repeat=2)]
+CMS = [cm_make({}), cm_make({"x": 0}), cm_make({"x": 7, "y": 1}), cm_make({"y": -3})]
+ELEMENTS = [  # (domain, elements)
+    (ConstDomain(("x", "y")), CMS),
+    (ConstPowersetDomain(("x", "y")), [PW_TOP, frozenset(CMS[1:]), frozenset(CMS[2:3])]),
+]
+
+
+def result(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def filtered(f, dom, c, d):
+    """`result(f, dom, c, d)` and the ops it counted on dom."""
+    before = dom.ops
+    return result(f, dom, c, d), dom.ops - before
+
+
+@pytest.mark.parametrize("context", ["guard", "pre"])
+def test_negation_matches_reference(context):
+    checked = 0
+    for text in operand_texts(context):
+        try:
+            ref = reference_lang.parse_program(text)
+        except ParseError:
+            continue
+        got = parse_program(text)
+        if context == "guard":
+            ref, got = ref.threads[0].body.cond, got.threads[0].body.cond
+        else:
+            ref, got = ref.pre, got.pre
+        for r, c in ((ref, got), (reference_lang.negate(ref), negate(got))):
+            for s in STATES:
+                assert result(eval_cond, c, s) == result(reference_lang.eval_cond, r, s), text
+            for dom, elements in ELEMENTS:
+                for d in elements:
+                    assert (filtered(type(dom).filter, dom, c, d)
+                            == filtered(reference_lang.filter, dom, r, d)), text
+        checked += 1
+    assert checked > OPERANDS // 5

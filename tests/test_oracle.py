@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from condwrites import corpus
-from condwrites.domains import CM_BOT, Universe, UniverseTooLarge, cm_make
+from condwrites.domains import CM_BOT, UNIVERSE_CAP, Universe, UniverseTooLarge, cm_make
 from condwrites.engine import EXIT, AnalysisConfig, analyse
 from condwrites.lang import control_flow, parse_program
 from condwrites.oracle import (
@@ -316,9 +316,14 @@ def test_initial_stores_enumerate_only_pinned_stores(monkeypatch):
 
 
 def test_initial_stores_keep_the_universe_cap():
-    p = parse_program("vars x, y; pre x == 0 && y == 0; thread T { x := 1; }")
+    # 8^7 stores exceed the cap, although `pre` pins every variable
+    names = [f"v{i}" for i in range(7)]
+    p = parse_program(f"vars {', '.join(names)}; pre {' && '.join(f'{v} == 0' for v in names)};"
+                      "thread T { v0 := 1; }")
+    u = Universe.of({v: range(8) for v in names})
+    assert u.size() > UNIVERSE_CAP
     with pytest.raises(UniverseTooLarge):
-        explore(p, Universe.of({"x": range(10), "y": range(10)}, cap=50))
+        explore(p, u)
 
 
 # -- the two searches --------------------------------------------------------------
