@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .lang import (
     And, Assign, BoolLit, Cmp, Cond, Expr, Lit, Or, VarRef,
-    CMP_OPS, EvalOverflow, eval_expr,
+    CMP_OPS, EvalOverflow, chain, eval_expr,
 )
 
 
@@ -245,9 +245,15 @@ class StateDomain(ABC):
         if isinstance(c, BoolLit):
             return d if c.value else self.bot()
         if isinstance(c, And):
-            return self.filter(c.right, self.filter(c.left, d))
+            for part in chain(c):
+                d = self.filter(part, d)
+            return d
         if isinstance(c, Or):
-            return self.join(self.filter(c.left, d), self.filter(c.right, d))
+            first, *rest = chain(c)
+            out = self.filter(first, d)
+            for part in rest:
+                out = self.join(out, self.filter(part, d))
+            return out
         if isinstance(c, Cmp):
             return self._filter_cmp(c, d)
         raise TypeError(c)
@@ -562,22 +568,37 @@ class ConstPowersetDomain(StateDomain):
         `tests/reference_interference.py`. Where no cap fires at all, it
         also equals the enumeration that caps inside every meet and join.
 
+        An exact write set S (|S| ≤ n) skips every map m of d that binds no
+        variable of S. Such a term havoc(m ⊓ w, S) keeps all of m's
+        bindings, so it is m or lies below it, and m is in the pool: the
+        normalisation would drop the term. The normal form, the antichain of
+        the disjunctive completion (Cousot & Cousot, POPL 1979), is unique,
+        so the result, and whether the cap fires, do not change; ops count
+        per write set, not per term, so they do not either. The coarse
+        (n+1)-sets skip nothing: their terms are havocked by the union of
+        every feasible coarse set, which can take bindings of m that S does
+        not, so a term of m need not lie below m.
+
         The pass performs no counted operation but counts those of the
         enumeration: one meet per non-empty write set, one join per exact
         set, and one join per feasible (n+1)-set (the coarse fold's joins
         plus its join into the result). So ops do not depend on whether a
         collapse fires."""
         maps = list(d)
+        bound = [(m, {v for v, _ in m}) for m in d]  # each map and its variables
         coarse = []
         y_vars: set[str] = set()
         ops = 0
         for vset, wc in itertools.islice(plan.values(), 1, None):
+            if len(vset) <= self.n:
+                maps += [cm_havoc(x, vset) for m, mv in bound
+                         if not vset.isdisjoint(mv) for w in wc
+                         if (x := cm_meet(m, w)) is not CM_BOT]
+                ops += 2  # the meet and the join of an exact write set
+                continue
             met = [x for m in d for w in wc
                    if (x := cm_meet(m, w)) is not CM_BOT]
-            if len(vset) <= self.n:
-                maps += [cm_havoc(x, vset) for x in met]
-                ops += 2  # the meet and the join of an exact write set
-            elif met:
+            if met:
                 coarse += met
                 y_vars |= vset
                 ops += 2  # the meet and the coarse join of a feasible set

@@ -77,7 +77,8 @@ def reduce_interference(cw: CondWrites, i: Interference,
     out = {}
     for v in dom.variables:
         if v in rely_vars:
-            out[v] = dom.havoc(i[v], drop)
+            # havoc by nothing keeps an element as it is
+            out[v] = dom.havoc(i[v], drop) if drop else i[v]
         else:
             out[v] = dom.top()
     return out
@@ -112,10 +113,7 @@ def collect(cw: CondWrites, body, d, r: Interference,
     outline: Outline = {}
     assigns: dict[int, Assign] = {}
 
-    def stab(d):
-        if transitive:
-            return cw.stabilise(r, d)
-        return cw.stabilise_fix(r, d)
+    stab = cw.stabiliser(r, transitive)
 
     def run(inst, d):
         if isinstance(inst, Seq):

@@ -16,23 +16,30 @@ until nothing grows. `close_one` joins into i[v] one term per write set S
 of the variables i[v] binds: with wc_S the meet of i[u] over S and
 h = havoc(i[v], S), the term is wc_S if wc_S ⊑ h, else h ⊓ wc_S.
 
-`stabilise` is memoised per `CondWrites` instance for every domain, keyed on
-(the write-conditions in variable order, d): the domain's `stabilise`
-runs only on a miss. `close` is memoised the same way on the
-write-conditions in variable order, and its fixpoint loop over the domain's
-`close_one` runs only on a miss. The keys hold values, not identities:
-lattice elements are frozensets (or the const bottom sentinel, equal only
-to itself), which hash by content and cache their hash. Both memos are
-exact because the domain's `stabilise` and `close_one`, and so `close`, are
-pure functions of their arguments and of the instance's fixed `dom` and
-`fuel`; a `close` that runs out of fuel raises and stores nothing.
-`analyse` builds one domain and one `CondWrites` per call, so the memos,
-and the domain's write-set plans, live for one analysis. A hit performs no
-lattice operation and so counts no ops; `memo_hits` counts the hits of both
-memos.
+`stabilise` is memoised per `CondWrites` instance for every domain, in two
+levels: the write-conditions in variable order key one memo per rely, from d
+to the result, and the domain's `stabilise` runs only on a miss.
+`stabilise(i, d)` and `stabilise_fix(i, d)` look up i's memo on every call;
+`stabiliser(i, transitive)` looks it up once and returns the function of d
+that a collecting pass applies at each of its points, all under one rely.
+`close` is memoised on the write-conditions in variable order, and its
+fixpoint loop over the domain's `close_one` runs only on a miss. The keys
+hold values, not identities: lattice elements are frozensets (or the const
+bottom sentinel, equal only to itself), which hash by content and cache
+their hash. Looking up a rely's memo builds nothing in the domain: the
+powerset builds its write-set plan, with counted meets, on the first miss
+under that rely. Both memos are exact because the domain's `stabilise` and
+`close_one`, and so `close`, are pure functions of their arguments and of
+the instance's fixed `dom` and `fuel`; a `close` that runs out of fuel
+raises and stores nothing. `analyse` builds one domain and one `CondWrites`
+per call, so the memos, and the domain's write-set plans, live for one
+analysis. A hit performs no lattice operation and so counts no ops;
+`memo_hits` counts the hits of both memos.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .lang import Assign
 from .domains import GLYPHS, StateDomain
@@ -51,7 +58,7 @@ class CondWrites:
     def __init__(self, dom: StateDomain, fuel: int = 1000):
         self.dom = dom
         self.fuel = fuel
-        self._stabilise_memo: dict = {}  # (write-conditions, d) -> result
+        self._stabilise_memo: dict = {}  # write-conditions -> {d -> result}
         self._close_memo: dict = {}  # write-conditions -> closed interference
         self.memo_hits = 0  # stabilise and close calls answered from a memo
 
@@ -75,6 +82,31 @@ class CondWrites:
 
     # -- interference application and derivation ------------------------------
 
+    def _memo(self, i: Interference) -> dict:
+        """The stabilise memo of i's write-conditions: d -> result."""
+        key = tuple(i[v] for v in self.dom.variables)
+        memo = self._stabilise_memo.get(key)
+        if memo is None:
+            memo = self._stabilise_memo[key] = {}
+        return memo
+
+    def _stabilise(self, i: Interference, memo: dict, d):
+        out = memo.get(d)
+        if out is not None:
+            self.memo_hits += 1
+            return out
+        out = memo[d] = self.dom.stabilise(i, d)
+        return out
+
+    def _fix(self, step, d):
+        cur = d
+        for _ in range(self.fuel):
+            nxt = step(cur)
+            if self.dom.leq(nxt, cur):
+                return nxt
+            cur = nxt
+        raise FuelExhausted(f"stabilise_fix did not converge in {self.fuel} steps")
+
     def stabilise(self, i: Interference, d):
         """Weaken d to include every state reachable in one step of i, at
         the domain's precision (see the module docstring). Memoised for the
@@ -82,23 +114,19 @@ class CondWrites:
         order, d); a miss runs the domain's `stabilise`, and a repeated input
         returns the stored result without lattice operations.
         """
-        key = (tuple(i[v] for v in self.dom.variables), d)
-        out = self._stabilise_memo.get(key)
-        if out is not None:
-            self.memo_hits += 1
-            return out
-        out = self._stabilise_memo[key] = self.dom.stabilise(i, d)
-        return out
+        return self._stabilise(i, self._memo(i), d)
 
     def stabilise_fix(self, i: Interference, d):
         """Least fixpoint of stabilise: closes d under any number of i-steps."""
-        cur = d
-        for _ in range(self.fuel):
-            nxt = self.stabilise(i, cur)
-            if self.dom.leq(nxt, cur):
-                return nxt
-            cur = nxt
-        raise FuelExhausted(f"stabilise_fix did not converge in {self.fuel} steps")
+        return self._fix(lambda cur: self.stabilise(i, cur), d)
+
+    def stabiliser(self, i: Interference, transitive: bool):
+        """`stabilise(i, ·)` if transitive, else `stabilise_fix(i, ·)`, as a
+        function of d that shares the memo of i's write-conditions, looked
+        up once here rather than once per call. A collecting pass under one
+        rely applies it at every point."""
+        step = partial(self._stabilise, i, self._memo(i))
+        return step if transitive else partial(self._fix, step)
 
     def transitions(self, d, a: Assign) -> Interference:
         """Interference induced by one assignment from pre-states in d."""

@@ -199,6 +199,22 @@ def statements(inst: Inst) -> tuple[Inst, ...]:
     return control_flow(inst).stmts[1:]
 
 
+def chain(c: And | Or) -> list[Cond]:
+    """The operands of c's connective, left to right. The parser nests a
+    chain of one connective to the left, `a && b && c` as
+    And(And(a, b), c), and this reads its spine in a loop: every walk over
+    conditions takes a chain through it, so a flat chain of any length
+    costs no stack."""
+    kind = type(c)
+    parts = []
+    while isinstance(c, kind):
+        parts.append(c.right)
+        c = c.left
+    parts.append(c)
+    parts.reverse()
+    return parts
+
+
 def negate(c: Cond) -> Cond:
     """The negation of c in negation normal form: De Morgan pushes it
     through `&&` and `||` down to the comparisons, whose operators flip, and
@@ -206,10 +222,13 @@ def negate(c: Cond) -> Cond:
     collecting semantics to guards and `post`."""
     if isinstance(c, BoolLit):
         return BoolLit(not c.value)
-    if isinstance(c, And):
-        return Or(negate(c.left), negate(c.right))
-    if isinstance(c, Or):
-        return And(negate(c.left), negate(c.right))
+    if isinstance(c, (And, Or)):
+        dual = Or if isinstance(c, And) else And
+        first, *rest = chain(c)
+        out = negate(first)
+        for part in rest:
+            out = dual(out, negate(part))
+        return out
     if isinstance(c, Cmp):
         flipped = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
         return Cmp(flipped[c.op], c.left, c.right)
@@ -221,9 +240,12 @@ def leaves(node: Expr | Cond) -> Iterator[Lit | VarRef]:
     left to right."""
     if isinstance(node, (Lit, VarRef)):
         yield node
-    elif isinstance(node, (BinOp, Cmp, And, Or)):
+    elif isinstance(node, (BinOp, Cmp)):
         yield from leaves(node.left)
         yield from leaves(node.right)
+    elif isinstance(node, (And, Or)):
+        for part in chain(node):
+            yield from leaves(part)
     elif not isinstance(node, BoolLit):
         raise TypeError(node)
 
@@ -281,10 +303,14 @@ def eval_cond(c: Cond, s: State) -> bool:
         return c.value
     if isinstance(c, Cmp):
         return CMP_OPS[c.op](eval_expr(c.left, s), eval_expr(c.right, s))
-    if isinstance(c, And):
-        return eval_cond(c.left, s) and eval_cond(c.right, s)
-    if isinstance(c, Or):
-        return eval_cond(c.left, s) or eval_cond(c.right, s)
+    if isinstance(c, (And, Or)):
+        # short-circuits left to right: stop at the first operand that
+        # decides the chain, false under && and true under ||
+        decides = isinstance(c, Or)
+        for part in chain(c):
+            if eval_cond(part, s) == decides:
+                return decides
+        return not decides
     raise TypeError(c)
 
 
@@ -639,10 +665,11 @@ def format_cond(c: Cond) -> str:
         return "true" if c.value else "false"
     if isinstance(c, Cmp):
         return f"{format_expr(c.left)} {c.op} {format_expr(c.right)}"
-    if isinstance(c, And):
-        return f"({format_cond(c.left)}) && ({format_cond(c.right)})"
-    if isinstance(c, Or):
-        return f"({format_cond(c.left)}) || ({format_cond(c.right)})"
+    if isinstance(c, (And, Or)):
+        # each binary node parenthesises both operands: "((a) && (b)) && (c)"
+        op = "&&" if isinstance(c, And) else "||"
+        first, *rest = map(format_cond, chain(c))
+        return "(" * len(rest) + first + "".join(f") {op} ({part})" for part in rest)
     raise TypeError(c)
 
 

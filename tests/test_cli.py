@@ -307,7 +307,7 @@ def test_deep_nesting_exit_code(tmp_path, capsys, source):
 @pytest.mark.parametrize("source, line", [
     # a `!` guard is parsed, and so printed, in its pushed form
     ("vars x; thread T { if (!(x == 1)) { x := 1; } }", "    1: if (x != 1) {"),
-    # filtering the negated guard takes one stack frame per nesting level
+    # a guard's && chain, and its negation's || chain, take no stack
     ("vars x; thread T { if (" + " && ".join(["x == 0"] * 600) + ") { x := 1; } }",
      "verdict:   verified"),
 ], ids=["bang_guard_prints_pushed", "conjuncts_600"])
@@ -317,3 +317,28 @@ def test_negated_guard_report(tmp_path, capsys, source, line):
     code, out, err = run(capsys, "analyze", str(prog))
     assert code == 0 and err == ""
     assert line in out.splitlines()
+
+
+CHAIN = 5000  # operands of a flat && or || chain, far past the stack's depth
+
+
+@pytest.mark.parametrize("place", ["guard", "pre", "post"])
+@pytest.mark.parametrize("connective", ["&&", "||"])
+@pytest.mark.parametrize("domain", ["const", "const-powerset"])
+def test_flat_chains_analyse(tmp_path, capsys, place, connective, domain):
+    # every walk over a condition (parse, negate, filter, eval_cond, leaves,
+    # format_cond) reads a chain of one connective in a loop; --check-oracle
+    # evaluates pre and the guard on every store
+    value = 0 if connective == "&&" else 1
+    cond = f" {connective} ".join([f"x == {value}"] * CHAIN)
+    source = {
+        "guard": f"vars x; thread T {{ while ({cond}) {{ x := 2; }} }}",
+        "pre": f"vars x; pre {cond}; thread T {{ x := 0; }}",
+        "post": f"vars x; post {cond}; thread T {{ x := {value}; }}",
+    }[place]
+    prog = tmp_path / "chain.cw"
+    prog.write_text(source)
+    code, out, err = run(capsys, "analyze", str(prog), "--domain", domain,
+                         "--check-oracle")
+    assert code == 0 and err == ""
+    assert "verdict:   verified" in out

@@ -67,6 +67,10 @@ def test_reduce_interference():
     out = reduce_interference(cw, i, frozenset({"x", "z"}))
     # r's own condition goes to top; r is havocked from the others
     assert out == {"x": cm_make({"z": 0}), "z": cm_make({"x": 1}), "r": CM_TOP}
+    # with every variable relied on, nothing is havocked: each
+    # write-condition is kept as it is
+    out = reduce_interference(cw, i, frozenset(dom.variables))
+    assert all(out[v] is i[v] for v in dom.variables)
 
 
 def test_rely_joins_other_guarantees_only():
@@ -125,13 +129,20 @@ def test_loop_collecting_semantics():
 
 
 def test_collect_stabilises_each_point_once(monkeypatch):
-    stab_calls, posts, assigns = [], [], []
-    real_fix = CondWrites.stabilise_fix
+    # collect looks up its rely's stabiliser once and applies it at every
+    # point: count the stabiliser's applications, and the look-ups
+    stab_calls, stabilisers, posts, assigns = [], [], [], []
+    real_stabiliser = CondWrites.stabiliser
     real_post, real_trans = ConstDomain.post, CondWrites.transitions
 
-    def stabilise_fix(self, i, d):
-        stab_calls.append(d)
-        return real_fix(self, i, d)
+    def stabiliser(self, i, transitive):
+        stabilisers.append(transitive)
+        stab = real_stabiliser(self, i, transitive)
+
+        def counted(d):
+            stab_calls.append(d)
+            return stab(d)
+        return counted
 
     def post(self, a, d):
         posts.append(a.label)
@@ -141,7 +152,7 @@ def test_collect_stabilises_each_point_once(monkeypatch):
         assigns.append(a.label)
         return real_trans(self, d, a)
 
-    monkeypatch.setattr(CondWrites, "stabilise_fix", stabilise_fix)
+    monkeypatch.setattr(CondWrites, "stabiliser", stabiliser)
     monkeypatch.setattr(ConstDomain, "post", post)
     monkeypatch.setattr(CondWrites, "transitions", transitions)
     for domain in ("const", "const-powerset"):
@@ -149,8 +160,10 @@ def test_collect_stabilises_each_point_once(monkeypatch):
         cw = res.cw
         for t in res.program.threads:
             stab_calls.clear()
+            stabilisers.clear()
             collect(cw, t.body, cw.dom.top(), res.relies[t.tid], False)
             assert len(stab_calls) == len(list(statements(t.body))) + 1
+            assert stabilisers == [False]
 
     p = parse_program("""
         vars x, g;
@@ -159,9 +172,11 @@ def test_collect_stabilises_each_point_once(monkeypatch):
     """)
     cw = CondWrites(ConstDomain(p.variables))
     stab_calls.clear()
+    stabilisers.clear()
     posts.clear()
     assigns.clear()
     collect(cw, p.threads[0].body, cw.dom.filter(p.pre, CM_TOP), cw.bot(), False)
+    assert stabilisers == [False]
     # each pass stabilises the loop head and the body's assignment once and
     # runs that assignment; the skip and the exit add one call each. The loop
     # stops once its state is stable, and the guarantee is read off the

@@ -520,6 +520,52 @@ def test_fused_stabilise_matches_enumeration(cap):
     assert (seen["plan collapsed"] > 0) == (cap in (4, 2)), seen
 
 
+@pytest.mark.parametrize("cap", [64, 3, 2, 1])
+def test_stabilise_plan_skips_only_dominated_terms(cap):
+    # For an exact write set S, `stabilise_plan` skips each map of d that
+    # binds no variable of S: the map's term keeps all its bindings, so the
+    # map itself, already in the pool, dominates it. It must equal the walk
+    # over the same plan, which meets every map with every write set, in
+    # value, ops and cap collapses; where building the plan collapsed
+    # nothing, also the unpruned enumeration of i on an uncapped copy of the
+    # domain, capped once. A coarse (n+1)-set's terms are havocked by the
+    # union of every feasible coarse set, so a map that binds no variable of
+    # one may still lose the bindings of another: the inputs include such
+    # maps at n = 0 and n = 1, where the coarse sets are skipped by none
+    rng = random.Random(52)
+    seen = collections.Counter()
+    for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
+        shape = ConstPowersetDomain(variables, max_disjuncts=cap)
+        for n in sorted({0, 1, len(variables)}):
+            new = CondWrites(ConstPowersetDomain(variables, cap, n))
+            dom = new.dom
+            for _ in range(80):
+                # up to 6 disjuncts, so that cap 3 also collapses plans
+                i = {v: random_pw(rng, shape, (0, 1, 2), 6) for v in variables}
+                d = random_pw(rng, shape, (0, 1, 2), 6)
+                plan, _, plan_collapses = with_counts(new, dom._write_sets, i)
+                got = with_counts(new, dom.stabilise_plan, d, plan)
+                spec, ref = (CondWrites(ConstPowersetDomain(variables, cap, n))
+                             for _ in range(2))
+                assert got == with_counts(
+                    spec, reference_interference.stabilise_over_plan, spec.dom, d, plan)
+                if not plan_collapses:
+                    out, _, collapses = with_counts(
+                        ref, reference_interference.stabilise_cap_once, ref, i, d)
+                    assert (got[0], got[2]) == (out, collapses)
+                    seen["exact plan"] += 1
+                seen["capped"] += got[2]
+                for vset, wc in itertools.islice(plan.values(), 1, None):
+                    for m in d:
+                        if (vset.isdisjoint(v for v, _ in m)
+                                and dom.meet(frozenset({m}), wc)):
+                            kind = "exact" if len(vset) <= n else f"coarse at n={n}"
+                            seen[kind] += 1
+    assert seen["exact plan"] and seen["exact"], seen
+    assert seen["coarse at n=0"] and seen["coarse at n=1"], seen
+    assert (seen["capped"] > 0) == (cap < 64), seen
+
+
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
 def test_close_optimisation_equivalence(mk):
     # the pruned close against the reference fixpoint under every pruning

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
     Seq, Skip, VarRef, While,
-    INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
-    format_program, leaves, negate, parse_program, program_literals,
-    statements,
+    INT_MAX, INT_MIN, chain, control_flow, eval_cond, eval_expr, exec_assign,
+    format_cond, format_program, leaves, negate, parse_program,
+    program_literals, statements,
 )
 
 from randprog import random_program
@@ -264,6 +264,31 @@ def test_eval_cond_and_negate_agree():
         assert eval_cond(negate(c), s) == (not eval_cond(c, s))
         # the push is an involution
         assert negate(negate(c)) == c
+
+
+def test_chains_are_walked_left_to_right():
+    # a chain of one connective nests to the left; every walk reads its
+    # operands in source order, and a chain inside parentheses is one operand
+    x, y = VarRef("x"), VarRef("y")
+    c = parse_program("vars x, y; pre x == 0 && y == 1 && (x < 2 || y > 3 || x == y);"
+                      "thread T { skip; }").pre
+    ors = [Cmp("<", x, Lit(2)), Cmp(">", y, Lit(3)), Cmp("==", x, y)]
+    assert chain(c) == [Cmp("==", x, Lit(0)), Cmp("==", y, Lit(1)), Or(Or(*ors[:2]), ors[2])]
+    assert chain(chain(c)[2]) == ors
+    assert format_cond(c) == "((x == 0) && (y == 1)) && (((x < 2) || (y > 3)) || (x == y))"
+    assert negate(c) == Or(Or(Cmp("!=", x, Lit(0)), Cmp("!=", y, Lit(1))),
+                           And(And(*(negate(o) for o in ors[:2])), negate(ors[2])))
+    assert [leaf for leaf in leaves(c) if isinstance(leaf, Lit)] == [Lit(0), Lit(1), Lit(2), Lit(3)]
+    # evaluation stops at the first operand that decides the chain, before
+    # it reads the unbound y
+    ands = parse_program("vars x, y; pre x == 1 && y == 0 && y == 1; thread T { skip; }").pre
+    ors = parse_program("vars x, y; pre x == 0 || y == 0 || y == 1; thread T { skip; }").pre
+    assert eval_cond(ands, {"x": 0}) is False
+    assert eval_cond(ors, {"x": 0}) is True
+    with pytest.raises(KeyError):
+        eval_cond(ands, {"x": 1})
+    with pytest.raises(KeyError):
+        eval_cond(ors, {"x": 1})
 
 
 def test_exec_assign_is_simultaneous():
