@@ -72,14 +72,6 @@ def _parse_rely_vars(specs: list[str]) -> dict[str, frozenset[str]]:
 
 def run_analyze(args) -> int:
     try:
-        return _analyze(args)
-    except RecursionError:
-        print("error: program nests too deeply", file=sys.stderr)
-        return 2
-
-
-def _analyze(args) -> int:
-    try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:

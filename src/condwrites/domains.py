@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .lang import (
     And, Assign, BoolLit, Cmp, Cond, Expr, Lit, Or, VarRef,
-    CMP_OPS, EvalOverflow, chain, eval_expr,
+    CMP_OPS, EvalOverflow, eval_expr,
 )
 
 
@@ -189,8 +189,8 @@ def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
 class StateDomain(ABC):
     """Lattice over sets of states plus abstract assignment post,
     condition filter, and havoc, and the two steps of the interference
-    layer (see `interference`): `stabilise(i, d)` answers a
-    `CondWrites.stabilise` miss and `close_one(i, v)` is one step of
+    layer (see `interference`): `stabilise(i, d)` answers a miss of the
+    `CondWrites.stabiliser` step and `close_one(i, v)` is one step of
     `CondWrites.close`. Precision parameters are fixed on the domain object.
 
     Elements are hashable and compare by content, not identity: an element
@@ -245,13 +245,12 @@ class StateDomain(ABC):
         if isinstance(c, BoolLit):
             return d if c.value else self.bot()
         if isinstance(c, And):
-            for part in chain(c):
+            for part in c.parts:
                 d = self.filter(part, d)
             return d
         if isinstance(c, Or):
-            first, *rest = chain(c)
-            out = self.filter(first, d)
-            for part in rest:
+            out = self.filter(c.parts[0], d)
+            for part in c.parts[1:]:
                 out = self.join(out, self.filter(part, d))
             return out
         if isinstance(c, Cmp):

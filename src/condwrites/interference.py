@@ -4,12 +4,16 @@ An interference element maps every program variable to the abstract state
 under which it may be written (its write-condition). A transition changing
 v is admitted only if its pre-state satisfies v's write-condition.
 
-`CondWrites.stabilise(i, d)` joins havoc(d ⊓ wc_S, S) over every feasible
-write set S of at most n variables, where wc_S is the meet of i[v] over v in
-S, and folds the feasible (n+1)-sets into one coarse havoc; n is a precision
-parameter of the domain. The enumeration walks up to 2^|V| subsets; a miss
-runs the domain's `stabilise(i, d)`, the const closed form or the powerset
-fused pass over a write-set plan.
+The contract is `CondWrites.stabiliser(i, transitive)`, which
+`engine.collect` applies at each point of a pass under the rely i: one step,
+or in non-transitive mode the step's least fixpoint. The step joins
+havoc(d ⊓ wc_S, S) over every feasible write set S of at most n variables,
+where wc_S is the meet of i[v] over v in S, and folds the feasible
+(n+1)-sets into one coarse havoc; n is a precision parameter of the domain.
+The enumeration walks up to 2^|V| subsets; a miss runs the domain's
+`stabilise(i, d)`, the const closed form or the powerset fused pass over a
+write-set plan. `stabilise` and `stabilise_fix`, the same per call, remain
+only for the tests and for the perfbench tracer, which patches them by name.
 
 `CondWrites.close(i)` repeats the domain's `close_one(i, v)` for every v
 until nothing grows. `close_one` joins into i[v] one term per write set S
@@ -19,22 +23,20 @@ h = havoc(i[v], S), the term is wc_S if wc_S ⊑ h, else h ⊓ wc_S.
 `stabilise` is memoised per `CondWrites` instance for every domain, in two
 levels: the write-conditions in variable order key one memo per rely, from d
 to the result, and the domain's `stabilise` runs only on a miss.
-`stabilise(i, d)` and `stabilise_fix(i, d)` look up i's memo on every call;
-`stabiliser(i, transitive)` looks it up once and returns the function of d
-that a collecting pass applies at each of its points, all under one rely.
-`close` is memoised on the write-conditions in variable order, and its
-fixpoint loop over the domain's `close_one` runs only on a miss. The keys
-hold values, not identities: lattice elements are frozensets (or the const
-bottom sentinel, equal only to itself), which hash by content and cache
-their hash. Looking up a rely's memo builds nothing in the domain: the
-powerset builds its write-set plan, with counted meets, on the first miss
-under that rely. Both memos are exact because the domain's `stabilise` and
-`close_one`, and so `close`, are pure functions of their arguments and of
-the instance's fixed `dom` and `fuel`; a `close` that runs out of fuel
-raises and stores nothing. `analyse` builds one domain and one `CondWrites`
-per call, so the memos, and the domain's write-set plans, live for one
-analysis. A hit performs no lattice operation and so counts no ops;
-`memo_hits` counts the hits of both memos.
+`stabiliser` looks up i's memo once, `stabilise` on every call. `close` is
+memoised on the write-conditions in variable order, and its fixpoint loop
+over the domain's `close_one` runs only on a miss. The keys hold values, not
+identities: lattice elements are frozensets (or the const bottom sentinel,
+equal only to itself), which hash by content and cache their hash. Looking
+up a rely's memo builds nothing in the domain: the powerset builds its
+write-set plan, with counted meets, on the first miss under that rely. Both
+memos are exact because the domain's `stabilise` and `close_one`, and so
+`close`, are pure functions of their arguments and of the instance's fixed
+`dom` and `fuel`; a `close` that runs out of fuel raises and stores nothing.
+`analyse` builds one domain and one `CondWrites` per call, so the memos, and
+the domain's write-set plans, live for one analysis. A hit performs no
+lattice operation and so counts no ops; `memo_hits` counts the hits of both
+memos.
 """
 
 from __future__ import annotations

@@ -8,6 +8,11 @@ unlabeled synthetic skip that never appears in proof outlines. Conditions
 are in negation normal form: the parser pushes each `!` through `&&` and
 `||` with `negate`, so no condition holds a negation node, and `negate` is
 the only code that handles negation.
+
+Each operator chain is one node that every walk reads in a loop, so a flat
+chain takes no stack. The parser refuses nesting past `MAX_DEPTH` levels
+(two per block, one per operand or factor), which keeps every later walk
+within Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Callable, Iterator, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
+MAX_DEPTH = 800  # the parser's nesting bound, in levels (see `_Parser.nest`)
 
 
 class LangError(Exception):
@@ -54,9 +60,8 @@ class VarRef:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - *
-    left: "Expr"
-    right: "Expr"
+    ops: tuple[str, ...]  # each one of + - *, applied left to right
+    args: tuple["Expr", ...]  # one more than ops
 
 
 Expr = Union[Lit, VarRef, BinOp]
@@ -76,14 +81,12 @@ class Cmp:
 
 @dataclass(frozen=True)
 class And:
-    left: "Cond"
-    right: "Cond"
+    parts: tuple["Cond", ...]  # two or more, left to right
 
 
 @dataclass(frozen=True)
 class Or:
-    left: "Cond"
-    right: "Cond"
+    parts: tuple["Cond", ...]  # two or more, left to right
 
 
 Cond = Union[BoolLit, Cmp, And, Or]
@@ -199,22 +202,6 @@ def statements(inst: Inst) -> tuple[Inst, ...]:
     return control_flow(inst).stmts[1:]
 
 
-def chain(c: And | Or) -> list[Cond]:
-    """The operands of c's connective, left to right. The parser nests a
-    chain of one connective to the left, `a && b && c` as
-    And(And(a, b), c), and this reads its spine in a loop: every walk over
-    conditions takes a chain through it, so a flat chain of any length
-    costs no stack."""
-    kind = type(c)
-    parts = []
-    while isinstance(c, kind):
-        parts.append(c.right)
-        c = c.left
-    parts.append(c)
-    parts.reverse()
-    return parts
-
-
 def negate(c: Cond) -> Cond:
     """The negation of c in negation normal form: De Morgan pushes it
     through `&&` and `||` down to the comparisons, whose operators flip, and
@@ -223,12 +210,7 @@ def negate(c: Cond) -> Cond:
     if isinstance(c, BoolLit):
         return BoolLit(not c.value)
     if isinstance(c, (And, Or)):
-        dual = Or if isinstance(c, And) else And
-        first, *rest = chain(c)
-        out = negate(first)
-        for part in rest:
-            out = dual(out, negate(part))
-        return out
+        return (Or if isinstance(c, And) else And)(tuple(map(negate, c.parts)))
     if isinstance(c, Cmp):
         flipped = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
         return Cmp(flipped[c.op], c.left, c.right)
@@ -240,11 +222,11 @@ def leaves(node: Expr | Cond) -> Iterator[Lit | VarRef]:
     left to right."""
     if isinstance(node, (Lit, VarRef)):
         yield node
-    elif isinstance(node, (BinOp, Cmp)):
+    elif isinstance(node, Cmp):
         yield from leaves(node.left)
         yield from leaves(node.right)
-    elif isinstance(node, (And, Or)):
-        for part in chain(node):
+    elif isinstance(node, (BinOp, And, Or)):
+        for part in node.args if isinstance(node, BinOp) else node.parts:
             yield from leaves(part)
     elif not isinstance(node, BoolLit):
         raise TypeError(node)
@@ -294,7 +276,10 @@ def eval_expr(e: Expr, s: State) -> int:
     if isinstance(e, VarRef):
         return s[e.name]
     if isinstance(e, BinOp):
-        return _check(ARITH_OPS[e.op](eval_expr(e.left, s), eval_expr(e.right, s)))
+        n = eval_expr(e.args[0], s)
+        for op, arg in zip(e.ops, e.args[1:]):
+            n = _check(ARITH_OPS[op](n, eval_expr(arg, s)))
+        return n
     raise TypeError(e)
 
 
@@ -307,7 +292,7 @@ def eval_cond(c: Cond, s: State) -> bool:
         # short-circuits left to right: stop at the first operand that
         # decides the chain, false under && and true under ||
         decides = isinstance(c, Or)
-        for part in chain(c):
+        for part in c.parts:
             if eval_cond(part, s) == decides:
                 return decides
         return not decides
@@ -380,6 +365,7 @@ def _tokenize(text: str) -> list[_Tok]:
 # Binding power of each binary operator: an operand parsed at power p takes
 # only operators of power >= p, so || < && < comparison < + - < *.
 _POWER = {"||": 0, "&&": 1, **dict.fromkeys(CMP_OPS, 2), "+": 3, "-": 3, "*": 4}
+_NODE = {"||": Or, "&&": And, **dict.fromkeys(CMP_OPS, Cmp), **dict.fromkeys("+-*", BinOp)}
 _CONDS = Cond.__args__  # a tuple: isinstance on it is faster than on the Union
 
 
@@ -391,6 +377,7 @@ class _Parser:
         self.tid: str | None = None  # the thread whose body is being parsed, if any
         self.uses: dict[tuple, _Tok] = {}  # (tid, variable) -> its first use there
         self.last_int: _Tok | None = None  # the last integer token consumed
+        self.depth = 0  # the level of the statement being parsed: two per block
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -523,11 +510,19 @@ class _Parser:
         self.label += 1
         return self.label
 
+    def nest(self, depth: int) -> int:
+        """`depth`, the level of the next token, if within `MAX_DEPTH`."""
+        if depth > MAX_DEPTH:
+            raise self.error(f"program nests too deeply (over {MAX_DEPTH} levels)")
+        return depth
+
     def block(self) -> Inst:
+        self.depth = self.nest(self.depth + 2)  # the block and the statement in it
         self.expect("op", "{")
         items: list[Inst] = []
         while not self.accept("op", "}"):
             items.append(self.stmt())
+        self.depth -= 2
         if not items:
             return Skip(self.fresh_label())
         if len(items) == 1:
@@ -574,35 +569,39 @@ class _Parser:
     #
     # One precedence climb over `_POWER` parses both kinds of operand. `!`
     # negates an operand of comparison power by `negate`, and unary minus
-    # binds tightest. A comparison takes two expressions, && and || two
-    # conditions, and an operator whose left operand has the other kind ends
-    # the climb, so comparisons do not chain. `want` is the kind an operand
-    # must have: "cond", "expr", or None for either inside parentheses. An
-    # expression starts at power 3, so it ends before a comparison.
+    # binds tightest. The operators of one node kind after an operand are one
+    # spine, read in a loop into one node; a comparison takes two expressions
+    # and does not chain, and an operator whose left operand has the other
+    # kind ends the climb. `want` is the kind an operand must have: "cond",
+    # "expr", or None for either inside parentheses. An expression starts at
+    # power 3, so it ends before a comparison. `depth` is the operand's level.
 
     def cond(self) -> Cond:
-        return self.operand(0, "cond")
+        return self.operand(0, "cond", self.depth + 1)
 
     def expr(self) -> Expr:
-        return self.operand(3, "expr")
+        return self.operand(3, "expr", self.depth + 1)
 
-    def operand(self, power: int, want: str | None) -> Expr | Cond:
+    def operand(self, power: int, want: str | None, depth: int) -> Expr | Cond:
         first = self.peek()
+        self.nest(depth)
         if want != "expr" and first.text in ("!", "true", "false"):
             self.next()
-            left = (negate(self.operand(2, "cond")) if first.text == "!"
+            left = (negate(self.operand(2, "cond", depth + 1)) if first.text == "!"
                     else BoolLit(first.text == "true"))
         else:
-            left = self.in_range(self.factor())
-        while True:
-            op = self.peek().text
-            p = _POWER.get(op, -1)
-            if p < power or (p < 2) != isinstance(left, _CONDS):
-                break
-            self.next()
-            right = self.operand(p + 1, "cond" if p < 2 else "expr")
-            left = ((Or, And)[p](left, right) if p < 2
-                    else (Cmp if p == 2 else BinOp)(op, left, right))
+            left = self.in_range(self.factor(depth + 1))
+        op = self.peek().text
+        while _POWER.get(op, -1) >= power and (_POWER[op] < 2) == isinstance(left, _CONDS):
+            node, ops, args = _NODE[op], [], [left]
+            while _NODE.get(op) is node and _POWER[op] >= power and not (ops and node is Cmp):
+                self.next()
+                ops.append(op)
+                args.append(self.operand(_POWER[op] + 1, "cond" if _POWER[op] < 2 else "expr",
+                                         depth + 1))
+                op = self.peek().text
+            left = (BinOp(tuple(ops), tuple(args)) if node is BinOp else
+                    Cmp(ops[0], *args) if node is Cmp else node(tuple(args)))
         return self.check(left, want, first)
 
     def check(self, node: Expr | Cond, want: str | None, first: _Tok) -> Expr | Cond:
@@ -624,7 +623,8 @@ class _Parser:
                              self.last_int)
         return e
 
-    def factor(self) -> Expr | Cond:
+    def factor(self, depth: int) -> Expr | Cond:
+        self.nest(depth)
         t = self.next()
         if t.kind == "int":
             self.last_int = t
@@ -633,10 +633,10 @@ class _Parser:
             return VarRef(self.use(t))
         if t.text == "-":
             first = self.peek()
-            inner = self.check(self.factor(), "expr", first)
-            return Lit(-inner.n) if isinstance(inner, Lit) else BinOp("-", Lit(0), inner)
+            inner = self.check(self.factor(depth + 1), "expr", first)
+            return Lit(-inner.n) if isinstance(inner, Lit) else BinOp(("-",), (Lit(0), inner))
         if t.text == "(":
-            inner = self.operand(0, None)
+            inner = self.operand(0, None, depth + 1)
             self.expect("op", ")")
             return inner
         raise self.error(f"expected an expression, found {t.text!r}", t)
@@ -656,7 +656,9 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, VarRef):
         return e.name
     if isinstance(e, BinOp):
-        return f"({format_expr(e.left)} {e.op} {format_expr(e.right)})"
+        # each step is parenthesised: "((a + b) * c)"
+        first, *rest = map(format_expr, e.args)
+        return "(" * len(rest) + first + "".join(f" {op} {arg})" for op, arg in zip(e.ops, rest))
     raise TypeError(e)
 
 
@@ -666,9 +668,9 @@ def format_cond(c: Cond) -> str:
     if isinstance(c, Cmp):
         return f"{format_expr(c.left)} {c.op} {format_expr(c.right)}"
     if isinstance(c, (And, Or)):
-        # each binary node parenthesises both operands: "((a) && (b)) && (c)"
+        # each step parenthesises both operands: "((a) && (b)) && (c)"
         op = "&&" if isinstance(c, And) else "||"
-        first, *rest = map(format_cond, chain(c))
+        first, *rest = map(format_cond, c.parts)
         return "(" * len(rest) + first + "".join(f") {op} ({part})" for part in rest)
     raise TypeError(c)
 
@@ -679,7 +681,11 @@ def format_inst(inst: Inst, indent: int = 0,
     by a line holding `note(label)` and prefixed with its label."""
     pad = "    " * indent
     if isinstance(inst, Seq):
-        return "\n".join(format_inst(i, indent, note) for i in inst.items)
+        # a loop, not a generator, so a nested statement costs one frame
+        lines = []
+        for item in inst.items:
+            lines.append(format_inst(item, indent, note))
+        return "\n".join(lines)
     lead = pad
     if note is not None and inst.label is not None:
         lead = f"{pad}   {note(inst.label)}\n{pad}{inst.label}: "

@@ -167,7 +167,7 @@ def _pinned_values(c: Cond) -> dict[str, set[int]]:
     while stack:
         node = stack.pop()
         if isinstance(node, And):
-            stack += (node.left, node.right)
+            stack += node.parts
         elif isinstance(node, Cmp) and node.op == "==":
             for a, b in ((node.left, node.right), (node.right, node.left)):
                 if isinstance(a, VarRef) and isinstance(b, Lit):

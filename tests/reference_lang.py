@@ -9,11 +9,14 @@ following comparison operator, rewinds and parses the same tokens again as
 an expression.
 
 It parses `!` into its own `Not` node, which `condwrites.lang` no longer
-has, and keeps the rules that handled that node before the parser pushed
-every `!` with `lang.negate`, as written: `negate`, which pushes a negation
-one level and leaves `Not` nodes below it, `eval_cond`, and `filter`, the
+has, and `&&`, `||` and `+ - *` into its own binary `And`, `Or` and `BinOp`
+nodes, nested to the left, where `lang` builds one node per chain. It keeps
+the rules that handled these nodes before the parser pushed every `!` with
+`lang.negate`, as written: `negate`, which pushes a negation one level and
+leaves `Not` nodes below it, `eval_cond` and `eval_expr`, and `filter`, the
 `StateDomain.filter` that re-entered `negate` at each `Not`. `push` turns a
-reference condition into the one `lang` parses. Only
+reference condition into the one `lang` parses, up to the grouping of a
+chain's first operand, which binary nodes do not record. Only
 `tests/test_lang_reference.py` uses it.
 """
 
@@ -23,14 +26,43 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 from condwrites import lang
 from condwrites.lang import (
-    CMP_OPS, INT_MAX, INT_MIN, And, BinOp, BoolLit, Cmp, Cond, Expr, Lit,
-    Or, ParseError, Program, VarRef, _Parser, eval_expr,
+    ARITH_OPS, CMP_OPS, INT_MAX, INT_MIN, BoolLit, Cmp, Cond, Expr, Lit,
+    ParseError, Program, VarRef, _check, _Parser,
 )
 
 
 @dataclass(frozen=True)
 class Not:
     inner: Cond
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # one of + - *
+    left: Expr
+    right: Expr
+
+
+@dataclass(frozen=True)
+class And:
+    left: Cond
+    right: Cond
+
+
+@dataclass(frozen=True)
+class Or:
+    left: Cond
+    right: Cond
+
+
+def eval_expr(e, s) -> int:
+    if isinstance(e, Lit):
+        return e.n
+    if isinstance(e, VarRef):
+        return s[e.name]
+    if isinstance(e, BinOp):
+        return _check(ARITH_OPS[e.op](eval_expr(e.left, s), eval_expr(e.right, s)))
+    raise TypeError(e)
 
 
 def negate(c):
@@ -76,18 +108,33 @@ def filter(self, c, d):
     if isinstance(c, Or):
         return self.join(filter(self, c.left, d), filter(self, c.right, d))
     if isinstance(c, Cmp):
-        return self._filter_cmp(c, d)
+        return self._filter_cmp(push(c), d)
     raise TypeError(c)
 
 
 def push(node):
-    """`node`, a program or any part of one, with every `Not` pushed in by
-    `lang.negate`."""
+    """`node`, a program or any part of one, of either parser, in the node
+    shapes of `lang`: every `Not` pushed in by `lang.negate`, and every
+    chain of `&&`, of `||` or of `+ - *` one node, with the operands of a
+    first operand of its kind spliced in. Two programs are equal once pushed
+    if and only if their binary trees were."""
     if isinstance(node, Not):
         return lang.negate(push(node.inner))
+    if isinstance(node, (BinOp, lang.BinOp)):
+        ops, args = (((node.op,), (node.left, node.right)) if isinstance(node, BinOp)
+                     else (node.ops, node.args))
+        first, *rest = map(push, args)
+        if isinstance(first, lang.BinOp):
+            return lang.BinOp(first.ops + ops, (*first.args, *rest))
+        return lang.BinOp(ops, (first, *rest))
+    if isinstance(node, (And, Or, lang.And, lang.Or)):
+        kind = lang.And if isinstance(node, (And, lang.And)) else lang.Or
+        first, *rest = map(push, (node.left, node.right) if isinstance(node, (And, Or))
+                           else node.parts)
+        return kind((*(first.parts if isinstance(first, kind) else (first,)), *rest))
     if isinstance(node, tuple):
         return tuple(push(item) for item in node)
-    if not is_dataclass(node) or isinstance(node, (BoolLit, Cmp, *Expr.__args__)):
+    if not is_dataclass(node) or isinstance(node, (BoolLit, Lit, VarRef)):
         return node
     return replace(node, **{f.name: push(getattr(node, f.name)) for f in fields(node)})
 

@@ -1,9 +1,11 @@
 import functools
 import json
+import random
+import re
 
 import pytest
 
-from condwrites import corpus
+from condwrites import corpus, lang
 from condwrites.cli import main
 from condwrites.corpus import PROGRAMS_DIR
 from condwrites.engine import AnalysisConfig
@@ -320,25 +322,190 @@ def test_negated_guard_report(tmp_path, capsys, source, line):
 
 
 CHAIN = 5000  # operands of a flat && or || chain, far past the stack's depth
+TERMS = 50_000  # terms of a flat + - * chain
 
 
-@pytest.mark.parametrize("place", ["guard", "pre", "post"])
-@pytest.mark.parametrize("connective", ["&&", "||"])
+@pytest.mark.parametrize("connective, place", [
+    *((c, p) for c in ("&&", "||") for p in ("guard", "pre", "post")),
+    ("+", "assign"), ("*", "assign"), ("-+", "assign"),
+])
 @pytest.mark.parametrize("domain", ["const", "const-powerset"])
 def test_flat_chains_analyse(tmp_path, capsys, place, connective, domain):
     # every walk over a condition (parse, negate, filter, eval_cond, leaves,
-    # format_cond) reads a chain of one connective in a loop; --check-oracle
-    # evaluates pre and the guard on every store
-    value = 0 if connective == "&&" else 1
-    cond = f" {connective} ".join([f"x == {value}"] * CHAIN)
-    source = {
-        "guard": f"vars x; thread T {{ while ({cond}) {{ x := 2; }} }}",
-        "pre": f"vars x; pre {cond}; thread T {{ x := 0; }}",
-        "post": f"vars x; post {cond}; thread T {{ x := {value}; }}",
-    }[place]
+    # format_cond) reads a chain of one connective in a loop, and every walk
+    # over an expression (eval_expr, cm_eval, leaves, format_expr) a spine
+    # of + - *; --check-oracle evaluates pre, the guard and the assignment
+    # on every store
+    value = 0 if connective in ("&&", "+", "-+") else 1
+    if place == "assign":
+        terms = ["x"] * TERMS
+        if connective == "-+":
+            # x - x + x - ... is 0 at x == 1 until the middle, where adding
+            # INT_MAX and then x wraps past 64 bits; the rest cancels
+            half = TERMS // 2
+            terms[half:half + 4] = [str(lang.INT_MAX), "x", str(lang.INT_MAX), "x"]
+            ops = ["-" if k % 2 == 0 else "+" for k in range(TERMS - 1)]
+            ops[half - 1:half + 3] = ["+", "+", "-", "-"]
+        else:
+            ops = [connective] * (TERMS - 1)
+        chain = terms[0] + "".join(f" {op} {term}" for op, term in zip(ops, terms[1:]))
+        x = 1 if connective == "-+" else value
+        source = (f"vars x, y; pre x == {x} && y == 0; post y == {value}; "
+                  f"thread T {{ y := {chain}; }}")
+    else:
+        cond = f" {connective} ".join([f"x == {value}"] * CHAIN)
+        source = {
+            "guard": f"vars x; thread T {{ while ({cond}) {{ x := 2; }} }}",
+            "pre": f"vars x; pre {cond}; thread T {{ x := 0; }}",
+            "post": f"vars x; post {cond}; thread T {{ x := {value}; }}",
+        }[place]
     prog = tmp_path / "chain.cw"
     prog.write_text(source)
     code, out, err = run(capsys, "analyze", str(prog), "--domain", domain,
                          "--check-oracle")
-    assert code == 0 and err == ""
-    assert "verdict:   verified" in out
+    if connective == "-+":
+        # y is 0 in exact arithmetic, as post says; the 64-bit step makes
+        # it unknown to the analysis and an error to the oracle
+        assert code == 2 and err.startswith("error: integer overflow")
+        code, out, err = run(capsys, "analyze", str(prog), "--domain", domain)
+        assert code == 1 and err == ""
+        assert "verdict:   notVerified" in out
+    else:
+        assert code == 0 and err == ""
+        assert "verdict:   verified" in out
+
+
+# -- the nesting bound ------------------------------------------------------------
+#
+# Each shape nests its unit n times around a LEAF, the most deeply parsed
+# token. Padding the leaf with unary minuses, each one level, brings a
+# shape to any depth.
+
+SHAPES = {
+    "if": lambda n: "thread T { " + "if (x == 0) { " * n + "x := LEAF;" + " }" * n + " }",
+    "while": lambda n: ("thread T { " + "while (x == 0) { x := 1; " * n + "x := LEAF;"
+                        + " }" * n + " }"),
+    "parens": lambda n: "thread T { if (" + "(" * n + "x == LEAF" + ")" * n + ") { skip; } }",
+    "and_or": lambda n: ("thread T { if (" + "".join(f"x == 0 {('||', '&&')[k % 2]} ("
+                                                    for k in range(n))
+                         + "x == LEAF" + ")" * n + ") { skip; } }"),
+    "bang": lambda n: "thread T { if (" + "!" * n + "x == LEAF) { skip; } }",
+    "minus": lambda n: "thread T { x := " + "- " * n + "LEAF; }",
+    "mixed": lambda n: ("thread T { " + "if (x == 0) { " * n + "if (" + "(" * n + "x == LEAF"
+                        + ")" * n + ") { skip; }" + " }" * n + " }"),
+}
+
+
+def shape_text(shape: str, n: int, pad: int) -> str:
+    return "vars x; pre x == 0; " + SHAPES[shape](n).replace("LEAF", "- " * pad + "x")
+
+
+class DeepestParser(lang._Parser):
+    """The parser, recording the deepest level it reaches."""
+
+    deepest = 0
+
+    def nest(self, depth):
+        self.deepest = max(self.deepest, depth)
+        return super().nest(depth)
+
+
+def deepest(text: str) -> int:
+    parser = DeepestParser(text)
+    parser.program()
+    return parser.deepest
+
+
+@functools.cache
+def at_bound(shape: str) -> tuple[int, int]:
+    """(n, pad) such that `shape_text(shape, n, pad)` nests exactly
+    `lang.MAX_DEPTH` levels deep, with as many units as fit."""
+    base = deepest(shape_text(shape, 0, 0))
+    unit = deepest(shape_text(shape, 1, 0)) - base
+    n = (lang.MAX_DEPTH - base) // unit
+    return n, lang.MAX_DEPTH - base - n * unit
+
+
+PATHS = {
+    "text": [],
+    "machine-oracle": ["--emit", "machine", "--check-oracle"],
+    "powerset-transitive-oracle": ["--domain", "const-powerset", "--mode", "transitive",
+                                   "--check-oracle"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_nesting_bound_analyses(tmp_path, capsys, shape, path):
+    # at the bound every shape parses and runs every walk, the oracle and
+    # the printers included, within Python's default recursion limit
+    n, pad = at_bound(shape)
+    text = shape_text(shape, n, pad)
+    assert deepest(text) == lang.MAX_DEPTH
+    prog = tmp_path / "deep.cw"
+    prog.write_text(text)
+    code, out, err = run(capsys, "analyze", str(prog), *PATHS[path])
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_nesting_bound_rejects_one_more(tmp_path, capsys, shape):
+    # one level past the bound is a parse error at the token that opens it:
+    # with one more minus, the leaf's variable
+    n, pad = at_bound(shape)
+    text = shape_text(shape, n, pad + 1)
+    col = text.rindex("x") + 1
+    prog = tmp_path / "deep.cw"
+    for text, at in ((text, f"1:{col}: "), (shape_text(shape, n + 1, 0), "1:")):
+        prog.write_text(text)
+        code, _, err = run(capsys, "analyze", str(prog))
+        assert code == 2
+        assert err.startswith(f"error: {at}") and "program nests too deeply" in err
+        assert err.count("\n") == 1
+
+
+def mangled_program(rng: random.Random) -> str:
+    """A seeded malformed or oversized program: a shape near the nesting
+    bound, a corpus program with up to three tokens inserted, deleted or
+    replaced, or a program whose oracle universe is too large."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        shape = rng.choice(sorted(SHAPES))
+        n, pad = at_bound(shape)
+        return shape_text(shape, n + rng.randint(-1, 1), max(0, pad + rng.randint(-2, 2)))
+    if kind == 1:
+        names = "abcdefgh"
+        return (f"vars {', '.join(names)}; thread T {{ "
+                + " ".join(f"{v} := {rng.randrange(1000)};" for v in names) + " }")
+    case = rng.choice(corpus.CASES)
+    text = re.sub(r"#.*", "", (PROGRAMS_DIR / case.filename).read_text())
+    toks = re.findall(r":=|==|!=|<=|>=|&&|\|\||\w+|\S", text)
+    vocab = sorted(set(toks)) + ["(", ")", "{", "}", "!", "-", "9223372036854775808"]
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(toks))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del toks[i]
+        elif edit == 1:
+            toks.insert(i, rng.choice(vocab))
+        else:
+            toks[i] = rng.choice(vocab)
+    return " ".join(toks)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_exit_code_contract(tmp_path, capsys, seed):
+    # every input ends in exit 0-3 with output, never a traceback, on every
+    # path
+    rng = random.Random(f"mangled-{seed}")
+    prog = tmp_path / "mangled.cw"
+    codes = set()
+    for _ in range(12):
+        prog.write_text(mangled_program(rng))
+        for args in PATHS.values():
+            code, out, err = run(capsys, "analyze", str(prog), *args)
+            assert code in (0, 1, 2, 3)
+            assert (out if code != 2 else err) and "Traceback" not in err
+            codes.add(code)
+    assert 2 in codes and codes & {0, 1}

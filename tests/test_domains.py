@@ -337,26 +337,29 @@ def test_ops_counter_counts_join_meet_only():
 # -- abstract evaluation: the concrete evaluator on the known bindings -----------
 
 # INT_MAX + w overflows 64 bits once w is bound to 1
-OVERFLOW = BinOp("+", Lit(INT_MAX), VarRef("w"))
+OVERFLOW = BinOp(("+",), (Lit(INT_MAX), VarRef("w")))
 
 
 def test_cm_eval_unknown_on_unbound_or_overflow():
     s = {"w": 1}
-    assert cm_eval(BinOp("*", VarRef("w"), Lit(3)), s) == 3
+    assert cm_eval(BinOp(("*",), (VarRef("w"), Lit(3))), s) == 3
     assert cm_eval(VarRef("z"), s) is None
     assert cm_eval(OVERFLOW, s) is None
     # an intermediate overflow is unknown even when the final value fits
-    assert cm_eval(BinOp("-", OVERFLOW, Lit(1)), s) is None
+    assert cm_eval(BinOp(("-",), (OVERFLOW, Lit(1))), s) is None
+    # and so is one inside a spine, applied left to right
+    assert cm_eval(BinOp(("+", "-"), (Lit(INT_MAX), VarRef("w"), Lit(1))), s) is None
+    assert cm_eval(BinOp(("-", "+"), (Lit(INT_MAX), VarRef("w"), Lit(1))), s) == INT_MAX
     # no algebraic short cut: x * 0 with x unbound stays unknown
-    assert cm_eval(BinOp("*", VarRef("x"), Lit(0)), s) is None
+    assert cm_eval(BinOp(("*",), (VarRef("x"), Lit(0))), s) is None
 
 
 def test_cm_post_drops_only_the_unknown_targets():
     # x overflows, y reads the unbound z, w is known; all read the pre-state
     a = Assign(1, ("x", "y", "w"),
-               (OVERFLOW, BinOp("+", VarRef("z"), Lit(1)), BinOp("*", VarRef("w"), Lit(2))))
+               (OVERFLOW, BinOp(("+",), (VarRef("z"), Lit(1))), BinOp(("*",), (VarRef("w"), Lit(2)))))
     assert cm_post(a, cm_make({"x": 0, "y": 0, "w": 1})) == cm_make({"w": 2})
-    times_zero = Assign(1, ("y",), (BinOp("*", VarRef("x"), Lit(0)),))
+    times_zero = Assign(1, ("y",), (BinOp(("*",), (VarRef("x"), Lit(0))),))
     assert cm_post(times_zero, cm_make({"y": 5})) == CM_TOP
     assert cm_post(a, CM_BOT) is CM_BOT
 

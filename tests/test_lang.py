@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
     Seq, Skip, VarRef, While,
-    INT_MAX, INT_MIN, chain, control_flow, eval_cond, eval_expr, exec_assign,
-    format_cond, format_program, leaves, negate, parse_program,
+    INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
+    format_cond, format_expr, format_program, leaves, negate, parse_program,
     program_literals, statements,
 )
 
@@ -118,7 +118,7 @@ def test_operator_precedence_and_unary_minus():
 def test_cond_precedence():
     c = parse_program(
         "vars x, y; pre x == 0 && y == 0 || x == 1; thread T { skip; }").pre
-    assert isinstance(c, Or) and isinstance(c.left, And)
+    assert isinstance(c, Or) and len(c.parts) == 2 and isinstance(c.parts[0], And)
 
 
 def test_bang_parses_into_negation_normal_form():
@@ -127,8 +127,8 @@ def test_bang_parses_into_negation_normal_form():
     x, y = VarRef("x"), VarRef("y")
     p = parse_program("vars x, y; pre !(x == 0 && !(y < 1 || false)) && !!true;"
                       "post !x <= y; thread T { skip; }")
-    assert p.pre == And(Or(Cmp("!=", x, Lit(0)), Or(Cmp("<", y, Lit(1)), BoolLit(False))),
-                        BoolLit(True))
+    assert p.pre == And((Or((Cmp("!=", x, Lit(0)), Or((Cmp("<", y, Lit(1)), BoolLit(False))))),
+                         BoolLit(True)))
     assert p.post == Cmp(">", x, y)
 
 
@@ -255,10 +255,12 @@ def test_eval_cond_and_negate_agree():
         BoolLit(True),
         Cmp("<", VarRef("x"), VarRef("y")),
         negate(Cmp(">=", VarRef("x"), Lit(5))),
-        And(Cmp("!=", VarRef("x"), Lit(0)), Cmp("==", VarRef("y"), Lit(2))),
-        Or(Cmp(">", VarRef("x"), Lit(9)), Cmp("<=", VarRef("y"), Lit(2))),
-        And(Or(BoolLit(False), Cmp("==", VarRef("x"), Lit(1))),
-            Or(Cmp(">", VarRef("y"), Lit(2)), And(BoolLit(True), Cmp("<", VarRef("x"), Lit(0))))),
+        And((Cmp("!=", VarRef("x"), Lit(0)), Cmp("==", VarRef("y"), Lit(2)))),
+        Or((Cmp(">", VarRef("x"), Lit(9)), Cmp("<=", VarRef("y"), Lit(2)))),
+        And((Or((BoolLit(False), Cmp("==", VarRef("x"), Lit(1)))),
+             Or((Cmp(">", VarRef("y"), Lit(2)),
+                 And((BoolLit(True), Cmp("<", VarRef("x"), Lit(0)))))))),
+        Or((BoolLit(False), Cmp("==", VarRef("x"), Lit(1)), Cmp(">", VarRef("y"), Lit(2)))),
     ]
     for c in conds:
         assert eval_cond(negate(c), s) == (not eval_cond(c, s))
@@ -267,17 +269,34 @@ def test_eval_cond_and_negate_agree():
 
 
 def test_chains_are_walked_left_to_right():
-    # a chain of one connective nests to the left; every walk reads its
-    # operands in source order, and a chain inside parentheses is one operand
+    # a chain of one connective is one node holding its operands in source
+    # order, and every walk reads them so; a chain inside parentheses is one
+    # operand
     x, y = VarRef("x"), VarRef("y")
     c = parse_program("vars x, y; pre x == 0 && y == 1 && (x < 2 || y > 3 || x == y);"
                       "thread T { skip; }").pre
-    ors = [Cmp("<", x, Lit(2)), Cmp(">", y, Lit(3)), Cmp("==", x, y)]
-    assert chain(c) == [Cmp("==", x, Lit(0)), Cmp("==", y, Lit(1)), Or(Or(*ors[:2]), ors[2])]
-    assert chain(chain(c)[2]) == ors
+    ors = (Cmp("<", x, Lit(2)), Cmp(">", y, Lit(3)), Cmp("==", x, y))
+    assert c.parts == (Cmp("==", x, Lit(0)), Cmp("==", y, Lit(1)), Or(ors))
     assert format_cond(c) == "((x == 0) && (y == 1)) && (((x < 2) || (y > 3)) || (x == y))"
-    assert negate(c) == Or(Or(Cmp("!=", x, Lit(0)), Cmp("!=", y, Lit(1))),
-                           And(And(*(negate(o) for o in ors[:2])), negate(ors[2])))
+    assert negate(c) == Or((Cmp("!=", x, Lit(0)), Cmp("!=", y, Lit(1)),
+                            And(tuple(negate(o) for o in ors))))
+    # a parenthesised chain stays a nested node, also as the first operand,
+    # and prints as the flat chain does
+    nested = parse_program("vars x, y; pre (x == 0 && y == 1) && (x < 2 || y > 3) || x == y;"
+                           "thread T { skip; }").pre
+    assert nested == Or((And((And(c.parts[:2]), Or(ors[:2]))), ors[2]))
+    assert format_cond(nested) == "(((x == 0) && (y == 1)) && ((x < 2) || (y > 3))) || (x == y)"
+    assert format_cond(And((And(c.parts[:2]), Or(ors)))) == format_cond(c)
+    # an expression spine mixes + - * left to right; a tighter operator on
+    # the right, or parentheses, make an operand of their own
+    (a,) = statements(parse_program(
+        "vars x, y; thread T { x := x * 2 + y - 3 * y - (x - 1); }").threads[0].body)
+    e = a.exprs[0]
+    assert e == BinOp(("*", "+", "-", "-"),
+                      (x, Lit(2), y, BinOp(("*",), (Lit(3), y)), BinOp(("-",), (x, Lit(1)))))
+    assert format_expr(e) == "((((x * 2) + y) - (3 * y)) - (x - 1))"
+    assert eval_expr(e, {"x": 4, "y": 5}) == 4 * 2 + 5 - 3 * 5 - (4 - 1)
+    assert list(leaves(e)) == [x, Lit(2), y, Lit(3), y, x, Lit(1)]
     assert [leaf for leaf in leaves(c) if isinstance(leaf, Lit)] == [Lit(0), Lit(1), Lit(2), Lit(3)]
     # evaluation stops at the first operand that decides the chain, before
     # it reads the unbound y
@@ -297,7 +316,7 @@ def test_exec_assign_is_simultaneous():
 
 
 def test_eval_overflow():
-    big = BinOp("*", Lit(INT_MAX), Lit(2))
+    big = BinOp(("*",), (Lit(INT_MAX), Lit(2)))
     with pytest.raises(EvalOverflow):
         eval_expr(big, {})
 
@@ -305,11 +324,12 @@ def test_eval_overflow():
 def test_var_and_literal_collection():
     p = parse_program(FLAGGED)
     assert program_literals(p) == {0, 1}
-    assert list(leaves(BinOp("+", VarRef("a"), Lit(3)))) == [VarRef("a"), Lit(3)]
+    assert list(leaves(BinOp(("+",), (VarRef("a"), Lit(3))))) == [VarRef("a"), Lit(3)]
     assert list(leaves(p.post)) == [VarRef("r"), Lit(0)]
     # leaves come left to right through every node kind
-    c = Or(negate(Cmp("<", BinOp("*", BinOp("-", VarRef("a"), Lit(1)), VarRef("b")), Lit(7))),
-           And(BoolLit(False), Cmp("==", VarRef("a"), Lit(-2))))
+    c = Or((negate(Cmp("<", BinOp(("*",), (BinOp(("-",), (VarRef("a"), Lit(1))), VarRef("b"))),
+                            Lit(7))),
+            And((BoolLit(False), Cmp("==", VarRef("a"), Lit(-2))))))
     assert list(leaves(c)) == [VarRef("a"), Lit(1), VarRef("b"), Lit(7),
                                VarRef("a"), Lit(-2)]
     assert list(leaves(BoolLit(True))) == []
@@ -330,5 +350,5 @@ def test_format_round_trip(src):
 
 @given(st.integers(-100, 100), st.integers(-100, 100), st.integers(-100, 100))
 def test_arith_matches_python(a, b, c):
-    e = BinOp("+", BinOp("*", Lit(a), VarRef("v")), Lit(c))
+    e = BinOp(("*", "+"), (Lit(a), VarRef("v"), Lit(c)))
     assert eval_expr(e, {"v": b}) == a * b + c

@@ -5,8 +5,9 @@ one-method-per-level parser that backtracked over parenthesised operands
 
 On the corpus, on generated programs and on seeded random operands in a
 guard, an assignment and `pre`, both parsers must accept the same inputs
-and build equal `Program`s once the reference's `Not` nodes are pushed in,
-and every rejection must be a `ParseError`. Rejection messages may differ:
+and build equal `Program`s once both are brought to one shape by
+`reference_lang.push` (the reference's `Not` nodes pushed in, each chain one
+node), and every rejection must be a `ParseError`. Rejection messages may differ:
 the climb reports an operand of the wrong kind where it ends, not where a
 second parse gave up. On the random conditions both parse, `eval_cond` and
 both domains' `filter` must give what the reference's `Not` handling gave,
@@ -95,7 +96,7 @@ def assert_same(text):
     if isinstance(ref, ParseError):
         assert isinstance(got, ParseError), (text, ref)
         return False
-    assert got == reference_lang.push(ref), text
+    assert reference_lang.push(got) == reference_lang.push(ref), text
     return True
 
 
