@@ -9,7 +9,13 @@ by identity. A powerset element is a frozenset of non-bottom constant maps:
 bottom is the empty frozenset and top is `frozenset({CM_TOP})`. Domain
 objects carry the variable set and two plain int counters: `ops`, the
 join/meet count (the Ops metric), and `cap_collapses`, the powerset cap
-collapses. Expressions are evaluated by the concrete semantics of `lang`.
+collapses. A join with a bottom operand returns the other operand and is not
+performed, so it counts no op; every meet is counted. Expressions are
+evaluated by the concrete semantics of `lang`.
+
+The interference steps take a sparse interference i (see `interference`):
+a variable missing from i has write-condition bottom, read as
+`i.get(v, bottom)`.
 """
 
 from __future__ import annotations
@@ -65,12 +71,6 @@ class Universe:
     def check_size(self) -> None:
         if self.size() > UNIVERSE_CAP:
             raise UniverseTooLarge(f"{self.size()} states exceeds cap {UNIVERSE_CAP}")
-
-    def states(self) -> Iterator[dict]:
-        self.check_size()
-        names = self.var_order
-        for combo in itertools.product(*(vals for _, vals in self.values)):
-            yield dict(zip(names, combo))
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +262,19 @@ class StateDomain(ABC):
 
     def close_one(self, i: dict, v: str):
         """One step of `CondWrites.close` for v by the pruned subset walk: it
-        considers only the variables i[v] constrains, and skips the strict supersets of a set whose meet its
-        havoc already covers. Each skipped term's exact value lies below a
-        kept term's, so where meets and joins are exact (the flat domain,
-        and the powerset while no result exceeds its cap) the pruning
-        changes no value. When the cap collapses disjuncts inside a meet or
+        considers only the variables i[v] constrains, and skips the strict
+        supersets of a set whose meet its havoc already covers (a set whose
+        meet is ⊥ among them; its own term joins nothing and counts no
+        join). Each skipped term's exact value lies below a kept term's, so
+        where meets and joins are exact (the flat domain, and the powerset
+        while no result exceeds its cap) the pruning changes no value. When the cap collapses disjuncts inside a meet or
         join, `close`'s pruned result can differ from the unpruned walk's;
         on random inputs at caps 2-4 it then lay below it. The unpruned walk
         is kept as the differential reference in
         `tests/reference_interference.py`. A set's meet is one meet of its
         prefix's with i[last], as in `ConstPowersetDomain._write_sets`."""
-        iv = i[v]
+        bot = self.bot()
+        iv = i.get(v, bot)
         # only variables iv constrains: adding another to a write set keeps
         # its havoc and only shrinks its meet, so its term adds nothing
         candidates = sorted(
@@ -293,9 +295,9 @@ class StateDomain(ABC):
             # a visited set's prefix was visited: a dominated set below the
             # prefix lies below the set too
             if len(combo) == 1:
-                m = i[combo[0]]
+                m = i.get(combo[0], bot)
             else:
-                m = self.meet(meets[combo[:-1]], i[combo[-1]])
+                m = self.meet(meets[combo[:-1]], i.get(combo[-1], bot))
             meets[combo] = m
             if self.leq(m, h):
                 dominated.append(vset)
@@ -336,7 +338,8 @@ class ConstDomain(StateDomain):
         return cm_leq(d1, d2)
 
     def join(self, d1, d2):
-        self.ops += 1
+        if d1 is not CM_BOT and d2 is not CM_BOT:
+            self.ops += 1  # a join with ⊥ is not performed
         return cm_join(d1, d2)
 
     def meet(self, d1, d2):
@@ -377,7 +380,7 @@ class ConstDomain(StateDomain):
         if d is CM_BOT:
             return d
         touched = frozenset(u for u in self.variables
-                            if self.meet(d, i[u]) is not CM_BOT)
+                            if self.meet(d, i.get(u, CM_BOT)) is not CM_BOT)
         return self.havoc(d, touched)
 
     def close_one(self, i: dict, v: str):
@@ -402,25 +405,29 @@ class ConstDomain(StateDomain):
         wc_{S_x}. So the terms of the distinct least sets, joined into
         i[v], drop exactly what the walk drops.
 
-        Each distinct least set costs |S| - 1 counted meets for wc_S, folded
-        from its first member in sorted order. The fold does not stop at ⊥,
-        so the ops do not depend on the variable names. A set whose wc_S is
-        ⊥ costs nothing more; otherwise its term costs one join, plus one
-        meet when wc_S ⋢ h. The closures, havocs and ⊑ tests are uncounted,
-        like the walk's choice of candidate variables. On random inputs over
-        up to 5 variables it never counts more ops than the pruned walk, and
-        the tests check that."""
-        iv = i[v]
+        The distinct least sets are visited by ascending size, then name,
+        and two kinds are skipped with no op, as the walk skips them. A set
+        with a member whose write-condition is ⊥ has wc_S = ⊥, so its term
+        joins nothing; this depends on membership alone. A strict superset
+        of a set already found dominated (wc ⊑ h, ⊥ included) meets below
+        that set's wc, which is joined in whole. A subset is smaller, so it
+        is visited first, and what is skipped does not depend on the names.
+        Any other set costs |S| - 1 counted meets for wc_S, folded over all
+        its members in sorted order, then its term's join, plus one meet
+        when wc_S ⋢ h; the join is not performed when the term is ⊥. The
+        closures, havocs and ⊑ tests are uncounted, like the walk's choice
+        of candidate variables. On random inputs over up to 5 variables it
+        never counts more ops than the pruned walk, and the tests check
+        that."""
+        iv = i.get(v, CM_BOT)
         if iv is CM_BOT or not iv:
             return iv
         bound = dict(iv)
         # the closure rule's edges, uncounted like the walk's candidates
-        clashes = {u: () if i[u] is CM_BOT else
-                   [y for y, c in i[u] if bound.get(y, c) != c]
+        clashes = {u: [y for y, c in i.get(u, ()) if bound.get(y, c) != c]
                    for u in bound}
-        acc = iv
-        seen: set[frozenset[str]] = set()
-        for x in sorted(bound):
+        least_sets: set[frozenset[str]] = set()
+        for x in bound:
             least = {x}
             todo = [x]
             while todo:
@@ -428,19 +435,24 @@ class ConstDomain(StateDomain):
                     if y not in least:
                         least.add(y)
                         todo.append(y)
-            vset = frozenset(least)
-            if vset in seen:
+            least_sets.add(frozenset(least))
+        acc = iv
+        dominated: list[frozenset[str]] = []
+        for names in sorted((sorted(s) for s in least_sets),
+                            key=lambda names: (len(names), names)):
+            vset = frozenset(names)
+            if not vset <= i.keys() or any(d0 < vset for d0 in dominated):
                 continue
-            seen.add(vset)
-            # no short cut at ⊥: the fold's ops must not depend on the names
-            first, *rest = sorted(vset)
+            first, *rest = names
             wc = i[first]
             for u in rest:
                 wc = self.meet(wc, i[u])
-            if wc is CM_BOT:
-                continue
             h = cm_havoc(iv, vset)
-            acc = self.join(acc, wc if cm_leq(wc, h) else self.meet(h, wc))
+            if cm_leq(wc, h):
+                dominated.append(vset)
+                acc = self.join(acc, wc)
+            else:
+                acc = self.join(acc, self.meet(h, wc))
         return acc
 
 
@@ -499,8 +511,8 @@ class ConstPowersetDomain(StateDomain):
         """The plan of the subset walk under i at precision n: each write set
         S of at most n + 1 variables with a non-bottom wc_S, as
         `combo: (vset, wc_S)` in walk order, starting with the empty set and
-        its wc, top. Built once per domain object for each tuple of i's
-        write-conditions in variable order, so every `stabilise` under one
+        its wc, top. Built once per domain object for each set of i's
+        write-conditions, keyed on i's items, so every `stabilise` under one
         rely shares it, and a miss only meets d with each wc_S, havocs
         and joins. A singleton's wc is i[v]; a larger set's is one meet of
         its prefix's wc with i[last]. A superset of a set with bottom wc is
@@ -516,7 +528,7 @@ class ConstPowersetDomain(StateDomain):
         walk's also where the powerset cap collapses disjuncts inside a
         meet, and meets no longer associate; only the ops of the repeated
         meets fall."""
-        key = tuple(i[v] for v in self.variables)
+        key = frozenset(i.items())
         plan = self._plans.get(key)
         if plan is not None:
             return plan
@@ -528,9 +540,9 @@ class ConstPowersetDomain(StateDomain):
             if any(b <= vset for b in blocked):
                 continue
             if len(combo) <= 1:
-                wc = i[combo[0]] if combo else self.top()
+                wc = i.get(combo[0], PW_BOT) if combo else self.top()
             else:
-                wc = self.meet(plan[combo[:-1]][1], i[combo[-1]])
+                wc = self.meet(plan[combo[:-1]][1], i.get(combo[-1], PW_BOT))
             if self.is_bot(wc):
                 blocked.append(vset)
                 continue
@@ -580,9 +592,17 @@ class ConstPowersetDomain(StateDomain):
 
         The pass performs no counted operation but counts those of the
         enumeration: one meet per non-empty write set, one join per exact
-        set, and one join per feasible (n+1)-set (the coarse fold's joins
-        plus its join into the result). So ops do not depend on whether a
-        collapse fires."""
+        set whose meet with d is not ⊥, and one join per feasible (n+1)-set
+        (the coarse fold's joins plus its join into the result). A join with
+        ⊥ is not performed, so an exact set whose term is ⊥ for every map of
+        d, the skipped maps included, counts its meet alone. So ops do not
+        depend on the skipping or on whether a collapse fires. For d = ⊤ the
+        pass is not run: ⊤ meets every write-condition of the plan, which
+        are all non-⊥, so each write set counts a meet and a join, and every
+        term lies below ⊤, so the result is ⊤."""
+        if d == PW_TOP:
+            self.ops += 2 * (len(plan) - 1)
+            return d
         maps = list(d)
         bound = [(m, {v for v, _ in m}) for m in d]  # each map and its variables
         coarse = []
@@ -590,10 +610,15 @@ class ConstPowersetDomain(StateDomain):
         ops = 0
         for vset, wc in itertools.islice(plan.values(), 1, None):
             if len(vset) <= self.n:
-                maps += [cm_havoc(x, vset) for m, mv in bound
+                terms = [cm_havoc(x, vset) for m, mv in bound
                          if not vset.isdisjoint(mv) for w in wc
                          if (x := cm_meet(m, w)) is not CM_BOT]
-                ops += 2  # the meet and the join of an exact write set
+                maps += terms
+                # the meet, and the join unless every map's term is ⊥
+                feasible = terms or any(
+                    cm_meet(m, w) is not CM_BOT for m, mv in bound
+                    if vset.isdisjoint(mv) for w in wc)
+                ops += 2 if feasible else 1
                 continue
             met = [x for m in d for w in wc
                    if (x := cm_meet(m, w)) is not CM_BOT]
@@ -623,7 +648,12 @@ class ConstPowersetDomain(StateDomain):
         return all(any(m2 <= m1 for m2 in d2) for m1 in d1)
 
     def join(self, d1, d2):
-        """`make(d1 ∪ d2)`, returned as is where one antichain holds the other."""
+        """`make(d1 ∪ d2)`, returned as is where one antichain holds the
+        other; a join with ⊥ is not performed and counts no op."""
+        if not d1:
+            return d2
+        if not d2:
+            return d1
         self.ops += 1
         if d1 <= d2:
             return d2

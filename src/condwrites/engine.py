@@ -13,7 +13,12 @@ out different. It has converged when a round changes no guarantee.
 
 Every fold over guarantees, transitions or exit states starts from its first
 operand rather than from bottom or top: `join(bot, x)` and `meet(top, x)`
-are x itself in both domains, so only the op count changes."""
+are x itself in both domains, so only the op count changes. The same rule
+holds one level down: interferences are sparse (a missing variable's
+write-condition is bottom), so joining guarantees joins only the
+write-conditions both hold, and the domains' `join` returns its other
+operand, uncounted, when one is bottom. A rely holds top for each variable
+outside the thread's rely variables."""
 
 from __future__ import annotations
 
@@ -71,16 +76,16 @@ class AnalysisResult:
 def reduce_interference(cw: CondWrites, i: Interference,
                         rely_vars: frozenset[str]) -> Interference:
     """Eliminate variables outside rely_vars: their own write-conditions go
-    to top and they are havocked out of every remaining write-condition."""
+    to top and they are havocked out of every remaining write-condition.
+    A missing write-condition is bottom, and its havoc too, so it stays
+    missing."""
     dom = cw.dom
     drop = frozenset(dom.variables) - rely_vars
-    out = {}
-    for v in dom.variables:
+    out = {v: dom.top() for v in dom.variables if v in drop}
+    for v, wc in i.items():
         if v in rely_vars:
             # havoc by nothing keeps an element as it is
-            out[v] = dom.havoc(i[v], drop) if drop else i[v]
-        else:
-            out[v] = dom.top()
+            out[v] = dom.havoc(wc, drop) if drop else wc
     return out
 
 
@@ -243,11 +248,13 @@ def check_post(dom: StateDomain, outlines: dict[str, Outline],
 
 def to_machine(result: AnalysisResult) -> dict:
     dom = result.domain
+    bot = dom.bot()
     threads = {}
     for t in result.program.threads:
+        r, g = result.relies[t.tid], result.guarantees[t.tid]
         threads[t.tid] = {
-            "rely": {v: dom.fmt(result.relies[t.tid][v]) for v in dom.variables},
-            "guarantee": {v: dom.fmt(result.guarantees[t.tid][v]) for v in dom.variables},
+            "rely": {v: dom.fmt(r.get(v, bot)) for v in dom.variables},
+            "guarantee": {v: dom.fmt(g.get(v, bot)) for v in dom.variables},
             "outline": {str(k): dom.fmt(d) for k, d in result.outlines[t.tid].items()},
         }
     return {

@@ -705,20 +705,3 @@ def format_inst(inst: Inst, indent: int = 0,
         return (f"{lead}while ({format_cond(inst.cond)}) {{\n"
                 f"{format_inst(inst.body, indent + 1, note)}\n{pad}}}")
     raise TypeError(inst)
-
-
-def format_program(p: Program) -> str:
-    lines = []
-    globals_ = [v for v in p.variables
-                if not any(v in vs for vs in p.locals.values())]
-    if globals_:
-        lines.append(f"vars {', '.join(globals_)};")
-    for tid, vs in p.locals.items():
-        lines.append(f"local {tid}: {', '.join(vs)};")
-    lines.append(f"pre {format_cond(p.pre)};")
-    lines.append(f"post {format_cond(p.post)};")
-    for t in p.threads:
-        lines.append(f"relyvars {t.tid}: {', '.join(sorted(t.rely_vars))};")
-    for t in p.threads:
-        lines.append(f"thread {t.tid} {{\n{format_inst(t.body, 1)}\n}}")
-    return "\n".join(lines) + "\n"

@@ -5,8 +5,9 @@ Ground truth for soundness checks: enumerates every reachable
 interleaving atomic steps (one per assignment, skip, or guard evaluation).
 
 Encoding. A store is numbered in mixed radix by the positions of its values
-in the universe, last variable fastest, so store i is the i-th of
-`Universe.states()`; S is the universe size. Each thread's points are the
+in the universe, last variable fastest, so store i is the i-th tuple of
+`itertools.product` over the universe's value sets in variable order; S is
+the universe size. Each thread's points are the
 labels of its statements (`Thread.flow`), with EXIT = 0. A vector of
 program counters is numbered in mixed radix too, thread 0 fastest: vector
 `v = pc_0 + P_0 * (pc_1 + P_1 * ...)`, where P_k is thread k's point count,

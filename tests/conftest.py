@@ -49,9 +49,10 @@ def bf_gamma(dom: StateDomain, d, universe: Universe) -> set[tuple]:
 
 def bf_gamma_x(dom: StateDomain, i: dict, universe: Universe) -> set[tuple]:
     """Transition concretisation: (s1, s2) is admitted iff every variable
-    that changes has s1 inside its write-condition."""
+    that changes has s1 inside its write-condition. i is sparse: a missing
+    variable's write-condition is bottom."""
     order = universe.var_order
-    gammas = {v: bf_gamma(dom, i[v], universe) for v in order}
+    gammas = {v: bf_gamma(dom, i.get(v, dom.bot()), universe) for v in order}
     states = bf_states(universe)
     pairs = set()
     for s1 in states:
@@ -109,7 +110,16 @@ def random_elem(rng: random.Random, dom, values=(0, 1)):
 
 
 def random_interference(rng: random.Random, dom, values=(0, 1)) -> dict:
-    return {v: random_elem(rng, dom, values) for v in dom.variables}
+    """A sparse interference: one random element drawn per variable, and
+    the bottom ones left out."""
+    return {v: wc for v in dom.variables
+            if not dom.is_bot(wc := random_elem(rng, dom, values))}
+
+
+def sparse(i: dict) -> dict:
+    """A total const interference without its CM_BOT write-conditions: the
+    sparse form the analyzer stores."""
+    return {v: wc for v, wc in i.items() if wc is not CM_BOT}
 
 
 def random_assign(rng: random.Random, variables, values=(0, 1)) -> Assign:

@@ -4,7 +4,8 @@ variable, so exploration over the {0,1} universe never escapes.
 
 By default a program has 2 threads over 1-3 variables; `threads` and
 `nvars` widen it without changing what any seed yields at the defaults.
-`bang_text` writes a program as text whose conditions use `!`."""
+`bang_text` writes a program as text whose conditions use `!`, and
+`format_program` prints a program as text that parses back to it."""
 
 from __future__ import annotations
 
@@ -13,11 +14,28 @@ import re
 
 from condwrites.lang import (
     CMP_OPS, Assign, BoolLit, Cmp, Ite, Lit, Program, Seq, Skip, Thread, VarRef, While,
-    format_program,
+    format_cond, format_inst,
 )
 
 VALUES = (0, 1)
 VARIABLES = ("x", "y", "z", "w", "v", "u")
+
+
+def format_program(p: Program) -> str:
+    lines = []
+    globals_ = [v for v in p.variables
+                if not any(v in vs for vs in p.locals.values())]
+    if globals_:
+        lines.append(f"vars {', '.join(globals_)};")
+    for tid, vs in p.locals.items():
+        lines.append(f"local {tid}: {', '.join(vs)};")
+    lines.append(f"pre {format_cond(p.pre)};")
+    lines.append(f"post {format_cond(p.post)};")
+    for t in p.threads:
+        lines.append(f"relyvars {t.tid}: {', '.join(sorted(t.rely_vars))};")
+    for t in p.threads:
+        lines.append(f"thread {t.tid} {{\n{format_inst(t.body, 1)}\n}}")
+    return "\n".join(lines) + "\n"
 
 
 class _Gen:

@@ -21,11 +21,13 @@ over a plan whose write-conditions a collapse has already widened, and
 capped inside every meet and join: its values are those of `stabilise_enum`
 with `b1` on the capped domain, and its ops those of the production pass.
 
-Only the tests use these. Most are written as functions of a `CondWrites`
-instance `self`, whose `dom`, `fuel` and `leq` they read, and walk
-`domains.subsets`; `stabilise_walk` and `stabilise_over_plan` take a
-powerset domain, a state and a plan of its `_write_sets`, the arguments of
-its `stabilise_plan`, and read the domain's n.
+Interferences are sparse, as in `condwrites.interference`: a variable
+missing from i reads as bottom. Only the tests use these. Most are written
+as functions of a `CondWrites` instance `self`, whose `dom`, `fuel` and
+`leq` they read, and walk `domains.subsets`; `stabilise_walk` and
+`stabilise_over_plan` take a powerset domain, a state and a plan of its
+`_write_sets`, the arguments of its `stabilise_plan`, and read the
+domain's n.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def stabilise_enum(self: CondWrites, i: Interference, d, n: int, *,
             continue
         wc = dom.top()
         for v in combo:
-            wc = dom.meet(wc, i[v])
+            wc = dom.meet(wc, i.get(v, dom.bot()))
         if dom.is_bot(wc):
             if b1:
                 blocked.append(vset)
@@ -116,7 +118,7 @@ def stabilise_over_plan(dom: ConstPowersetDomain, d, plan: dict):
 def close_one(self: CondWrites, i: Interference, v: str, *,
               b2a: bool = False, b2b: bool = False):
     dom = self.dom
-    iv = i[v]
+    iv = i.get(v, dom.bot())
     if b2a:
         candidates = sorted(
             u for u in dom.variables if dom.havoc(iv, frozenset((u,))) != iv
@@ -134,7 +136,7 @@ def close_one(self: CondWrites, i: Interference, v: str, *,
         h = dom.havoc(iv, vset)
         m = dom.top()
         for u in combo:
-            m = dom.meet(m, i[u])
+            m = dom.meet(m, i.get(u, dom.bot()))
         if b2b and dom.leq(m, h):
             dominated.append(vset)
             acc = dom.join(acc, m)
@@ -145,11 +147,12 @@ def close_one(self: CondWrites, i: Interference, v: str, *,
 
 def close(self: CondWrites, i: Interference, *, b2a: bool = False,
           b2b: bool = False) -> Interference:
-    """`CondWrites.close`'s fixpoint over `close_one`, without the memo."""
+    """`CondWrites.close`'s fixpoint over `close_one` for every variable,
+    without the memo, leaving out the write-conditions that stay bottom."""
     cur = i
     for _ in range(self.fuel):
-        nxt = {v: close_one(self, cur, v, b2a=b2a, b2b=b2b)
-               for v in self.dom.variables}
+        nxt = {v: wc for v in self.dom.variables if not self.dom.is_bot(
+            wc := close_one(self, cur, v, b2a=b2a, b2b=b2b))}
         if self.leq(nxt, cur):
             return nxt
         cur = nxt

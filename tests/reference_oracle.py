@@ -5,15 +5,17 @@ per-point soundness check before the grouped one, the reference for
 
 The explorer walks (program counters, store tuple) configurations, rebuilds
 a store dict and evaluates the AST at every step, and records the reachable
-sets per configuration as it discovers them. The check runs `dom.contains`
-on every (point, store) pair of the report. Only `tests/test_oracle.py` uses
-them.
+sets per configuration as it discovers them. Its initial stores come from
+`states`, which enumerates a universe. The check runs `dom.contains` on
+every (point, store) pair of the report. Only the tests use them.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from condwrites.lang import (
     Assign, Cond, Ite, Program, Seq, Skip, While,
@@ -24,6 +26,15 @@ from condwrites.engine import EXIT, AnalysisResult
 from condwrites.oracle import (
     Budget, OracleReport, UniverseEscape, Violation, default_universe,
 )
+
+
+def states(u: Universe) -> Iterator[dict]:
+    """Every store of the universe as a dict, last variable fastest: store i
+    is the one `oracle.explore` numbers i. Refuses a universe over the cap."""
+    u.check_size()
+    names = u.var_order
+    for combo in itertools.product(*(vals for _, vals in u.values)):
+        yield dict(zip(names, combo))
 
 
 # -- control-flow graphs -----------------------------------------------------
@@ -86,7 +97,7 @@ def explore(p: Program, universe: Universe | None = None,
     tids = [t.tid for t in p.threads]
 
     initial = []
-    for s in u.states():
+    for s in states(u):
         if eval_cond(p.pre, s):
             initial.append(tuple(s[v] for v in order))
 

@@ -1,10 +1,13 @@
+import collections
 import random
 
 import pytest
 
 from condwrites import engine
-from condwrites.corpus import CASES
-from condwrites.domains import CM_BOT, CM_TOP, ConstDomain, cm_make
+from condwrites.corpus import CASES, DOMAINS, MODES
+from condwrites.domains import (
+    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, cm_make,
+)
 from condwrites.engine import (
     EXIT, AnalysisConfig, analyse, check_post, collect,
     reduce_interference, rely, render_text, to_machine,
@@ -43,13 +46,12 @@ def test_flagged_write_golden_outlines():
 
 def test_flagged_write_golden_conditions():
     res = analyse_flagged()
+    # interferences are sparse: z (and T1's r) are written by nothing
     assert res.guarantees["T0"] == {
-        "x": cm_make({"r": 0, "z": 0}), "z": CM_BOT, "r": CM_TOP}
-    assert res.guarantees["T1"] == {
-        "x": cm_make({"z": 1}), "z": CM_BOT, "r": CM_BOT}
+        "x": cm_make({"r": 0, "z": 0}), "r": CM_TOP}
+    assert res.guarantees["T1"] == {"x": cm_make({"z": 1})}
     # T1's rely is the closure of T0's guarantee, which drops the r-binding
-    assert res.relies["T1"] == {
-        "x": cm_make({"z": 0}), "z": CM_BOT, "r": CM_TOP}
+    assert res.relies["T1"] == {"x": cm_make({"z": 0}), "r": CM_TOP}
     assert res.relies["T0"] == res.guarantees["T1"]
 
 
@@ -63,35 +65,39 @@ def test_flagged_write_all_cells_verify():
 def test_reduce_interference():
     dom = ConstDomain(("x", "z", "r"))
     cw = CondWrites(dom)
-    i = {"x": cm_make({"r": 0, "z": 0}), "z": cm_make({"x": 1}), "r": CM_BOT}
+    i = {"x": cm_make({"r": 0, "z": 0}), "z": cm_make({"x": 1})}  # r: ⊥
     out = reduce_interference(cw, i, frozenset({"x", "z"}))
     # r's own condition goes to top; r is havocked from the others
     assert out == {"x": cm_make({"z": 0}), "z": cm_make({"x": 1}), "r": CM_TOP}
+    # a missing write-condition outside the rely goes to top too, and one
+    # inside it stays missing (⊥)
+    out = reduce_interference(cw, i, frozenset({"x", "r"}))
+    assert out == {"x": cm_make({"r": 0}), "z": CM_TOP}
     # with every variable relied on, nothing is havocked: each
     # write-condition is kept as it is
     out = reduce_interference(cw, i, frozenset(dom.variables))
-    assert all(out[v] is i[v] for v in dom.variables)
+    assert out == i and all(out[v] is i[v] for v in i)
 
 
 def test_rely_joins_other_guarantees_only():
     dom = ConstDomain(("x", "z", "r"))
     cw = CondWrites(dom)
     gs = {
-        "A": {"x": cm_make({"z": 0}), "z": CM_BOT, "r": CM_BOT},
-        "B": {"x": CM_BOT, "z": cm_make({"x": 1}), "r": CM_BOT},
-        "C": {"x": CM_BOT, "z": CM_BOT, "r": CM_TOP},
+        "A": {"x": cm_make({"z": 0})},
+        "B": {"z": cm_make({"x": 1})},
+        "C": {"r": CM_TOP},
     }
     allv = frozenset({"x", "z", "r"})
     r_a = rely(cw, "A", gs, allv, transitive=False)
-    assert r_a == {"x": CM_BOT, "z": cm_make({"x": 1}), "r": CM_TOP}
+    assert r_a == {"z": cm_make({"x": 1}), "r": CM_TOP}
     r_c = rely(cw, "C", gs, allv, transitive=False)
-    assert r_c == {"x": cm_make({"z": 0}), "z": cm_make({"x": 1}), "r": CM_BOT}
+    assert r_c == {"x": cm_make({"z": 0}), "z": cm_make({"x": 1})}
 
 
 def test_rely_vars_override_weakens_to_top():
     res = analyse_flagged(rely_vars={"T0": frozenset()})
     # with no rely variables T0 assumes arbitrary interference everywhere
-    assert all(v == CM_TOP for v in res.relies["T0"].values())
+    assert res.relies["T0"] == dict.fromkeys(res.domain.variables, CM_TOP)
     assert res.verdict == "notVerified"
 
 
@@ -356,11 +362,11 @@ def chain_text(k: int, threads: int) -> str:
 
 def test_chain16_const_transitive_ops():
     # the const close visits one least write set per binding; a walk over
-    # the constrained variables' subsets would need 10,955 ops here
+    # the constrained variables' subsets would need 7,611 ops here
     result = analyse(parse_program(chain_text(16, 2)),
                      AnalysisConfig(mode="transitive", domain="const"))
     assert result.converged and result.verdict == "verified"
-    assert result.metrics.ops == 4_893
+    assert result.metrics.ops == 2_449
 
 
 def test_config_validation():
@@ -398,3 +404,54 @@ def test_outer_iteration_guarantees_grow_monotonically():
 def test_unconverged_run_is_not_verified():
     res = analyse_flagged(fuel_outer=1)
     assert not res.converged and res.verdict == "notVerified"
+
+
+# -- sparse interferences -------------------------------------------------------
+
+
+def test_interferences_are_sparse_and_joins_with_bottom_are_skipped(monkeypatch):
+    # No rely, guarantee, `close` result or `transitions` result stores a ⊥
+    # write-condition, and a domain join counts an op exactly when neither
+    # operand is ⊥: over every corpus cell and 50 random programs, in both
+    # domains and both modes
+    def assert_sparse(dom, i, what):
+        assert not [v for v, wc in i.items() if dom.is_bot(wc)], (what, i)
+        seen[what] += 1
+
+    def checking_join(real):
+        def join(self, d1, d2):
+            before = self.ops
+            out = real(self, d1, d2)
+            performed = not (self.is_bot(d1) or self.is_bot(d2))
+            assert self.ops - before == performed, (d1, d2)
+            seen["joins performed" if performed else "joins with ⊥"] += 1
+            return out
+        return join
+
+    def checking(real, what, result=lambda out: out):
+        def wrapper(owner, *args):
+            out = real(owner, *args)
+            assert_sparse(owner.dom, result(out), what)
+            return out
+        return wrapper
+
+    seen = collections.Counter()
+    for cls in (ConstDomain, ConstPowersetDomain):
+        monkeypatch.setattr(cls, "join", checking_join(cls.join))
+    monkeypatch.setattr(CondWrites, "close", checking(CondWrites.close, "close"))
+    monkeypatch.setattr(CondWrites, "transitions",
+                        checking(CondWrites.transitions, "transitions"))
+    monkeypatch.setattr(engine, "rely", checking(engine.rely, "rely"))
+    monkeypatch.setattr(engine, "collect", checking(
+        engine.collect, "guarantee", result=lambda out: out[0]))
+    programs = ([case.load() for case in CASES]
+                + [random_program(seed) for seed in range(1, 51)])
+    for p in programs:
+        for domain in DOMAINS:
+            for mode in MODES:
+                res = analyse(p, AnalysisConfig(mode=mode, domain=domain))
+                for i in (*res.relies.values(), *res.guarantees.values()):
+                    assert_sparse(res.domain, i, "result")
+    assert all(seen[what] for what in (
+        "close", "transitions", "rely", "guarantee", "result",
+        "joins performed", "joins with ⊥")), seen

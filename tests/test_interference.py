@@ -14,7 +14,7 @@ from condwrites.lang import Assign, Lit, VarRef
 from conftest import (
     bf_exec_assign, bf_gamma, bf_gamma_x, bf_is_transitive, bf_states,
     bf_step_image, random_assign, random_cm, random_elem, random_interference,
-    random_pw,
+    random_pw, sparse,
 )
 import reference_interference
 
@@ -37,6 +37,8 @@ def cw_pw(n: int | None = None, **kw) -> CondWrites:
 def test_bot_is_identity_top_is_everything():
     cw = cw_const()
     states = bf_states(U3)
+    # bottom is the empty interference: every write-condition is ⊥
+    assert cw.bot() == {}
     assert bf_gamma_x(cw.dom, cw.bot(), U3) == {(s, s) for s in states}
     top = {v: CM_TOP for v in VARS3}
     assert bf_gamma_x(cw.dom, top, U3) == {
@@ -72,18 +74,19 @@ def test_fmt():
 
 
 def g0() -> dict:
-    # guarantee of a thread that writes x under r=0,z=0 and writes nothing else
-    return {"x": cm_make({"r": 0, "z": 0}), "z": CM_BOT, "r": CM_TOP}
+    # guarantee of a thread that writes x under r=0,z=0, r anywhere, and
+    # never z (a missing variable's write-condition is ⊥)
+    return {"x": cm_make({"r": 0, "z": 0}), "r": CM_TOP}
 
 
 def test_stabilise_golden():
     cw = cw_const()
-    i = {"x": cm_make({"z": 0}), "z": CM_BOT, "r": CM_BOT}
+    i = {"x": cm_make({"z": 0})}
     d = cm_make({"r": 0, "z": 0, "x": 0})
     # one environment step may rewrite x (z=0 holds), losing x and r's link
     assert cw.stabilise(i, d) == cm_make({"z": 0, "r": 0})
     # with the write-condition on x unreachable nothing changes
-    i2 = {"x": cm_make({"z": 1}), "z": CM_BOT, "r": CM_BOT}
+    i2 = {"x": cm_make({"z": 1})}
     assert cw.stabilise(i2, d) == d
 
 
@@ -102,18 +105,19 @@ def test_stabilise_fix_golden():
 def test_close_golden():
     cw = cw_const()
     closed = cw.close(g0())
-    assert closed == {"x": cm_make({"z": 0}), "z": CM_BOT, "r": CM_TOP}
+    assert closed == {"x": cm_make({"z": 0}), "r": CM_TOP}
 
 
 def test_transitions():
     cw = cw_const()
     d = cm_make({"z": 1})
     a = Assign(1, ("x",), (Lit(1),))
+    # only the targets are present: every other write-condition is ⊥
     t = cw.transitions(d, a)
-    assert t == {"x": d, "z": CM_BOT, "r": CM_BOT}
-    assert cw.transitions(CM_BOT, a) == cw.bot()
+    assert t == {"x": d}
+    assert cw.transitions(CM_BOT, a) == cw.bot() == {}
     both = cw.transitions(d, Assign(1, ("x", "r"), (Lit(1), Lit(0))))
-    assert both == {"x": d, "r": d, "z": CM_BOT}
+    assert both == {"x": d, "r": d}
 
 
 # -- soundness properties ------------------------------------------------------
@@ -258,7 +262,7 @@ def test_const_closed_form_stabilise_exhaustive(pruned):
     # every write-condition map and every d over two {0,1} variables
     from test_domains import ALL_CMS, VARS
 
-    pairs = [(dict(zip(VARS, wcs)), d)
+    pairs = [(sparse(dict(zip(VARS, wcs))), d)
              for wcs in itertools.product(ALL_CMS, repeat=len(VARS))
              for d in ALL_CMS]
     assert_closed_form_matches_enumeration(VARS, pairs, pruned)
@@ -611,7 +615,7 @@ def test_const_close_one_exhaustive():
     from test_domains import ALL_CMS, VARS
 
     assert_close_one_matches_walks(
-        VARS, [dict(zip(VARS, wcs))
+        VARS, [sparse(dict(zip(VARS, wcs)))
                for wcs in itertools.product(ALL_CMS, repeat=len(VARS))])
 
 

@@ -5,11 +5,11 @@ from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
     Seq, Skip, VarRef, While,
     INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
-    format_cond, format_expr, format_program, leaves, negate, parse_program,
+    format_cond, format_expr, leaves, negate, parse_program,
     program_literals, statements,
 )
 
-from randprog import random_program
+from randprog import format_program, random_program
 
 FLAGGED = """
 vars x, z;

@@ -21,9 +21,9 @@ import pytest
 
 from condwrites.corpus import CASES, PROGRAMS_DIR
 from condwrites.domains import PW_TOP, ConstDomain, ConstPowersetDomain, cm_make
-from condwrites.lang import ParseError, eval_cond, format_program, negate, parse_program
+from condwrites.lang import ParseError, eval_cond, negate, parse_program
 
-from randprog import random_program
+from randprog import format_program, random_program
 from test_engine import chain_text
 import reference_lang
 
