@@ -510,11 +510,12 @@ class ConstPowersetDomain(StateDomain):
     def _write_sets(self, i: dict) -> dict:
         """The plan of the subset walk under i at precision n: each write set
         S of at most n + 1 variables with a non-bottom wc_S, as
-        `combo: (vset, wc_S)` in walk order, starting with the empty set and
-        its wc, top. Built once per domain object for each set of i's
-        write-conditions, keyed on i's items, so every `stabilise` under one
-        rely shares it, and a miss only meets d with each wc_S, havocs
-        and joins. A singleton's wc is i[v]; a larger set's is one meet of
+        `combo: (vset, wc_S, bound)` in walk order, starting with the empty
+        set and its wc, top; `bound` pairs each disjunct of wc_S with the
+        variables it binds, for `stabilise_plan`. Built once per domain
+        object for each set of i's write-conditions, keyed on i's items, so
+        every `stabilise` under one rely shares it, and a miss only meets d
+        with each wc_S, havocs and joins. A singleton's wc is i[v]; a larger set's is one meet of
         its prefix's wc with i[last]. A superset of a set with bottom wc is
         skipped unvisited: feasibility is downward closed, as wc_S only
         shrinks as S grows, so its exact wc is bottom too.
@@ -546,7 +547,7 @@ class ConstPowersetDomain(StateDomain):
             if self.is_bot(wc):
                 blocked.append(vset)
                 continue
-            plan[combo] = (vset, wc)
+            plan[combo] = (vset, wc, [(w, {v for v, _ in w}) for w in wc])
         return plan
 
     def stabilise_plan(self, d, plan):
@@ -590,6 +591,12 @@ class ConstPowersetDomain(StateDomain):
         every feasible coarse set, which can take bindings of m that S does
         not, so a term of m need not lie below m.
 
+        Whether S's join is counted can still depend on a skipped map m: it
+        is, unless m ⊓ w is ⊥ for every disjunct w of wc_S too. A map and a
+        disjunct that bind disjoint variables cannot disagree on one, so
+        their meet is not ⊥ and is not formed; the plan holds each
+        disjunct's variables for that test.
+
         The pass performs no counted operation but counts those of the
         enumeration: one meet per non-empty write set, one join per exact
         set whose meet with d is not ⊥, and one join per feasible (n+1)-set
@@ -608,7 +615,7 @@ class ConstPowersetDomain(StateDomain):
         coarse = []
         y_vars: set[str] = set()
         ops = 0
-        for vset, wc in itertools.islice(plan.values(), 1, None):
+        for vset, wc, wbound in itertools.islice(plan.values(), 1, None):
             if len(vset) <= self.n:
                 terms = [cm_havoc(x, vset) for m, mv in bound
                          if not vset.isdisjoint(mv) for w in wc
@@ -616,8 +623,9 @@ class ConstPowersetDomain(StateDomain):
                 maps += terms
                 # the meet, and the join unless every map's term is ⊥
                 feasible = terms or any(
-                    cm_meet(m, w) is not CM_BOT for m, mv in bound
-                    if vset.isdisjoint(mv) for w in wc)
+                    mv.isdisjoint(wv) or cm_meet(m, w) is not CM_BOT
+                    for m, mv in bound if vset.isdisjoint(mv)
+                    for w, wv in wbound)
                 ops += 2 if feasible else 1
                 continue
             met = [x for m in d for w in wc

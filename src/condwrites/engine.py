@@ -6,10 +6,21 @@ records its proof outline. The thread's guarantee is read off that outline
 afterwards: the join of the transitions of each assignment from its
 pre-assertion, as in the paper, in the preorder of the assignments' labels.
 
-The outer fixpoint runs Jacobi rounds and is driven by change: a round
-re-derives the rely of a thread only when another thread's guarantee changed
-in the previous round, and re-collects the thread only when that rely came
-out different. It has converged when a round changes no guarantee.
+The outer fixpoint sweeps the threads in program order, Gauss-Seidel style
+(Schwarz et al., "Improving thread-modular abstract interpretation", SAS
+2021), and is driven by change. A thread is dirty until its rely is derived,
+and again whenever another thread's guarantee changes; a sweep derives the
+rely of each dirty thread from the newest guarantees, those updated earlier
+in the same sweep included, and re-collects the thread only when that rely
+came out different. It has converged when no thread is dirty after a sweep.
+The values are those of Jacobi rounds, which derive every rely from the
+previous round's guarantees: rely derivation and collection are monotone, so
+both chaotic and Jacobi iteration from bottom reach the least fixpoint
+(Cousot & Cousot, POPL 1977). The powerset disjunct cap is the one
+non-monotone step; `tests/test_engine_reference.py` checks the values
+against the Jacobi reference at caps that collapse disjuncts too, and that
+no program takes more sweeps than the reference takes rounds. A sweep can
+form relies that Jacobi rounds never do, so one program's ops can rise.
 
 Every fold over guarantees, transitions or exit states starts from its first
 operand rather than from bottom or top: `join(bot, x)` and `meet(top, x)`
@@ -41,7 +52,7 @@ class AnalysisConfig:
     rely_vars: dict[str, frozenset[str]] | None = None  # overrides program
     max_disjuncts: int = 64
     fuel_inner: int = 1000
-    fuel_outer: int = 1000
+    fuel_outer: int = 1000       # outer sweeps over the threads
 
 
 @dataclass
@@ -187,7 +198,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     guarantees = {t.tid: cw.bot() for t in program.threads}
     relies: dict[str, Interference] = {}
     outlines: dict[str, Outline] = {}
-    changed = set(guarantees)  # the threads whose guarantee the last round changed
+    dirty = set(guarantees)  # the threads whose rely must be derived again
     converged = False
     rounds = collects = 0
 
@@ -195,24 +206,25 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         rounds += 1
         # A rely is a function of the other threads' guarantees and collect
         # a pure function of (body, d_pre, rely) under one `cw`, so a thread
-        # keeps its rely unless another thread's guarantee changed, and its
-        # guarantee and outline unless its rely changed. Values compare by
+        # keeps its rely until another thread's guarantee changes, and its
+        # guarantee and outline unless its rely changes. Values compare by
         # content (const maps are sets, powerset elements antichains), so
-        # `==` on interferences is lattice equality. The round reads only
-        # the previous round's guarantees (Jacobi).
-        new_g = dict(guarantees)
+        # `==` on interferences is lattice equality. A sweep reads the
+        # newest guarantees, those it has updated included (Gauss-Seidel).
         for t in program.threads:
-            if t.tid in relies and not changed - {t.tid}:
+            if t.tid not in dirty:
                 continue
+            dirty.discard(t.tid)
             r = rely(cw, t.tid, guarantees, rvars[t.tid], transitive)
             if r == relies.get(t.tid):
                 continue
             relies[t.tid] = r
             collects += 1
-            new_g[t.tid], outlines[t.tid] = collect(cw, t.body, d_pre, r, transitive)
-        changed = {tid for tid, g in new_g.items() if g != guarantees[tid]}
-        guarantees = new_g
-        if not changed:
+            g, outlines[t.tid] = collect(cw, t.body, d_pre, r, transitive)
+            if g != guarantees[t.tid]:
+                guarantees[t.tid] = g
+                dirty.update(tid for tid in guarantees if tid != t.tid)
+        if not dirty:
             converged = True
             break
 

@@ -6,9 +6,11 @@ It threads (state, guarantee) through every statement, joins the guarantee
 at each assignment, branch merge and loop pass, and runs one more loop pass
 whenever only the guarantee grew.
 
-`analyse` is the outer loop before it skipped unchanged relies: every round
-re-derives every thread's rely and re-runs `collect` (this module's) for
-every thread. Only `tests/test_engine_reference.py` uses them.
+`analyse` is the outer loop before it skipped unchanged relies and before
+it swept the threads Gauss-Seidel style: every Jacobi round re-derives every
+thread's rely from the previous round's guarantees and re-runs `collect`
+(this module's) for every thread. Only `tests/test_engine_reference.py` and
+one test of `tests/test_engine.py` use them.
 """
 
 from __future__ import annotations

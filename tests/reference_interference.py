@@ -94,7 +94,7 @@ def stabilise_walk(dom: ConstPowersetDomain, d, plan: dict):
     acc = d
     y_acc = None
     y_vars: set[str] = set()
-    for combo, (vset, wc) in itertools.islice(plan.items(), 1, None):
+    for combo, (vset, wc, _) in itertools.islice(plan.items(), 1, None):
         m = dom.meet(d, wc)
         if len(combo) <= dom.n:
             acc = dom.join(acc, dom.havoc(m, vset))

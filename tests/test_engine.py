@@ -16,6 +16,7 @@ from condwrites.interference import CondWrites
 from condwrites.lang import parse_program, statements
 
 from randprog import random_program
+import reference_engine
 from test_lang import FLAGGED
 
 
@@ -112,7 +113,8 @@ def test_single_thread_is_plain_constant_propagation():
     assert res.verdict == "verified"
     assert res.outlines["T"][EXIT] == cm_make({"x": 1, "y": 3})
     assert res.relies["T"] == res.cw.bot()
-    assert res.metrics.outer_iterations == 2  # one to build G, one to confirm
+    # one sweep builds G; no other thread reads it, so nothing is left dirty
+    assert res.metrics.outer_iterations == 1
 
 
 def test_loop_collecting_semantics():
@@ -246,8 +248,10 @@ def test_no_state_leaks_across_analyses():
 
 
 def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
-    # gate_chain needs 3 rounds, and some thread's rely is the same in two
-    # consecutive rounds: that thread keeps last round's guarantee and outline
+    # In transitive mode T1's first rely, the closure of T0's first
+    # guarantee, is already top. T1's own write changes T0's guarantee in
+    # sweep 2, so T1's rely is derived again and comes out the same: T1
+    # keeps its guarantee and outline, and 4 rely derivations take 3 collects
     calls = []
     real = engine.collect
 
@@ -256,11 +260,17 @@ def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
         return real(cw, body, d, r, *rest)
 
     monkeypatch.setattr(engine, "collect", counting)
-    program = next(c for c in CASES if c.name == "gate_chain").load()
-    res = analyse(program, AnalysisConfig(mode="nontransitive", domain="const"))
+    program = parse_program("""
+        vars x, y;
+        pre true;
+        post true;
+        thread T0 { x := 1; y := y; }
+        thread T1 { x := 1; }
+    """)
+    res = analyse(program, AnalysisConfig(mode="transitive", domain="const"))
     rounds, threads = res.metrics.outer_iterations, len(program.threads)
-    assert res.converged and rounds == 3
-    assert len(calls) == res.metrics.collects < rounds * threads
+    assert res.converged and rounds == 2
+    assert len(calls) == res.metrics.collects == 3 < rounds * threads
     assert to_machine(res)["stats"]["collects"] == len(calls)
     # no thread is collected again under the rely of its previous collect
     last = {}
@@ -270,31 +280,70 @@ def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
     # each skipped thread's outline is still the one its final rely gives
     d_pre = res.domain.filter(program.pre, res.domain.top())
     for t in program.threads:
-        g, outline = real(res.cw, t.body, d_pre, res.relies[t.tid], False)
+        g, outline = real(res.cw, t.body, d_pre, res.relies[t.tid], True)
         assert g == res.guarantees[t.tid]
         assert outline == res.outlines[t.tid]
 
 
+def mutex_flags_events(monkeypatch):
+    """Analyse mutex_flags, const non-transitive, recording each rely
+    derivation as ("rely", tid, the guarantees it reads) and each collect
+    as ("collect", tid, the guarantee it returns)."""
+    events = []
+    real_rely, real_collect = engine.rely, engine.collect
+    program = next(c for c in CASES if c.name == "mutex_flags").load()
+    tids = {id(t.body): t.tid for t in program.threads}
+
+    def rely_(cw, tid, guarantees, *rest):
+        events.append(("rely", tid, dict(guarantees)))
+        return real_rely(cw, tid, guarantees, *rest)
+
+    def collect_(cw, body, *rest):
+        g, outline = real_collect(cw, body, *rest)
+        events.append(("collect", tids[id(body)], g))
+        return g, outline
+
+    monkeypatch.setattr(engine, "rely", rely_)
+    monkeypatch.setattr(engine, "collect", collect_)
+    res = analyse(program, AnalysisConfig(mode="nontransitive", domain="const"))
+    return program, res, events
+
+
 def test_analyse_rederives_a_rely_only_after_another_guarantee_changed(monkeypatch):
-    # gate_chain converges in 3 rounds. Round 1 derives both relies. Under
-    # the empty rely T0 spins forever and guarantees nothing, so only T1's
-    # guarantee changes: round 2 derives T0's rely alone, and round 3 T1's
-    # alone, after T0's guarantee changed. Each of these relies differs
-    # from the last, so each is followed by a collect. Deriving every rely
-    # in every round would take 6 calls
-    calls = []
-    real = engine.rely
-
-    def counting(cw, tid, *rest):
-        calls.append(tid)
-        return real(cw, tid, *rest)
-
-    monkeypatch.setattr(engine, "rely", counting)
-    program = next(c for c in CASES if c.name == "gate_chain").load()
-    res = analyse(program, AnalysisConfig(mode="transitive", domain="const"))
+    # mutex_flags converges in 3 sweeps. Sweeps 1 and 2 derive T0's rely
+    # and then T1's, and each of those four collects changes its thread's
+    # guarantee. T1's change in sweep 2 leaves T0 dirty, so sweep 3 derives
+    # T0's rely; T0's guarantee stays, so T1's is not derived again. Each
+    # of these relies differs from the last, so each is followed by a
+    # collect. Deriving every rely in every sweep would take 6 calls
+    _, res, events = mutex_flags_events(monkeypatch)
+    calls = [tid for kind, tid, _ in events if kind == "rely"]
     assert res.converged and res.metrics.outer_iterations == 3
-    assert calls == ["T0", "T1", "T0", "T1"]
+    assert calls == ["T0", "T1", "T0", "T1", "T0"]
     assert res.metrics.collects == len(calls)
+
+
+def test_sweep_reads_guarantees_made_earlier_in_the_same_sweep(monkeypatch):
+    # Gauss-Seidel: every rely is derived from the newest guarantees, so T1's
+    # first rely already reads the guarantee T0's first collect made in the
+    # same sweep. The Jacobi rounds of `reference_engine` read only the
+    # previous round's guarantees, and take 4 rounds here (and 8 collects
+    # when they skip unchanged relies) where the sweeps take 3 and 5
+    program, res, events = mutex_flags_events(monkeypatch)
+    newest = {t.tid: res.cw.bot() for t in program.threads}
+    for kind, tid, value in events:
+        if kind == "rely":
+            assert value == newest
+        else:
+            newest[tid] = value
+    (_, first, g0), (_, second, read) = events[1:3]
+    assert (first, second) == ("T0", "T1")
+    assert g0 != res.cw.bot() and read["T0"] == g0
+    assert (res.metrics.outer_iterations, res.metrics.collects) == (3, 5)
+    ref = reference_engine.analyse(program, res.config)
+    assert ref.metrics.outer_iterations == 4
+    assert (ref.relies, ref.guarantees, ref.outlines) == (
+        res.relies, res.guarantees, res.outlines)
 
 
 def test_machine_report_fields():
@@ -312,7 +361,7 @@ def test_machine_report_fields():
 
 def test_cap_collapses_are_counted():
     # no corpus cell collapses at the default cap; at cap 2 the powerset
-    # cells collapse 16 elements in all, and one collapse costs reset_race
+    # cells collapse 14 elements in all, and one collapse costs reset_race
     # its non-transitive powerset verdict. Const has no cap.
     total = 0
     for case in CASES:
@@ -328,7 +377,7 @@ def test_cap_collapses_are_counted():
                 if domain == "const":
                     assert narrow.metrics.cap_collapses == 0
                 total += narrow.metrics.cap_collapses
-    assert total == 16
+    assert total == 14
     race = next(c for c in CASES if c.name == "reset_race").load()
     wide, narrow = (analyse(race, AnalysisConfig(domain="const-powerset",
                                                  max_disjuncts=cap))
@@ -362,11 +411,11 @@ def chain_text(k: int, threads: int) -> str:
 
 def test_chain16_const_transitive_ops():
     # the const close visits one least write set per binding; a walk over
-    # the constrained variables' subsets would need 7,611 ops here
+    # the constrained variables' subsets would need 3,974 ops here
     result = analyse(parse_program(chain_text(16, 2)),
                      AnalysisConfig(mode="transitive", domain="const"))
     assert result.converged and result.verdict == "verified"
-    assert result.metrics.ops == 2_449
+    assert result.metrics.ops == 1_393
 
 
 def test_config_validation():

@@ -131,6 +131,14 @@ if __name__ == "__main__":
     before_ops, after_ops = (sum(row["ops"] for row in ops_rows(d))
                              for d in (old, doc))
     print(f"corpus ops total: {before_ops} -> {after_ops}")
+    before_ops, after_ops = (sum(d[key]["machine"]["ops"] for key in d)
+                             for d in (old, doc))
+    rose = [key for key in doc
+            if key in old and doc[key]["machine"]["ops"] > old[key]["machine"]["ops"]]
+    print(f"ops total over all cells: {before_ops} -> {after_ops}; "
+          f"cells whose ops rose: {len(rose)}")
+    for key in rose:
+        print(f"  {key}")
     for name in stats(doc, next(iter(doc))):
         before_total, after_total = (sum(stats(d, key).get(name, 0) for key in d)
                                      for d in (old, doc))

@@ -6,7 +6,7 @@ import pytest
 
 from condwrites.domains import (
     CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, StateDomain, Universe,
-    cm_make, make_domain,
+    cm_make, cm_meet, make_domain,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -447,7 +447,8 @@ def test_second_stabilise_under_same_rely_reuses_plan():
          "r": pw({})}
     cw.stabilise(i, pw({"x": 0, "z": 1}))
     plan = cw.dom._write_sets(i)
-    assert next(iter(plan.items())) == ((), (frozenset(), cw.dom.top()))
+    assert next(iter(plan.items())) == (
+        (), (frozenset(), cw.dom.top(), [(CM_TOP, set())]))
     assert any(len(combo) > 1 for combo in plan)  # some wc took a meet
     meets = []
     meet = cw.dom.meet
@@ -559,13 +560,22 @@ def test_stabilise_plan_skips_only_dominated_terms(cap):
                     assert (got[0], got[2]) == (out, collapses)
                     seen["exact plan"] += 1
                 seen["capped"] += got[2]
-                for vset, wc in itertools.islice(plan.values(), 1, None):
+                for vset, wc, wbound in itertools.islice(plan.values(), 1, None):
+                    assert wbound == [(w, {v for v, _ in w}) for w in wc]
                     for m in d:
                         if (vset.isdisjoint(v for v, _ in m)
                                 and dom.meet(frozenset({m}), wc)):
                             kind = "exact" if len(vset) <= n else f"coarse at n={n}"
                             seen[kind] += 1
-    assert seen["exact plan"] and seen["exact"], seen
+                    # an exact set whose join only a skipped map decides,
+                    # through a disjunct binding none of the map's variables
+                    kept = [m for m in d if not vset.isdisjoint(v for v, _ in m)]
+                    if len(vset) <= n and not any(
+                            cm_meet(m, w) is not CM_BOT for m in kept for w in wc):
+                        seen["disjoint"] += any(
+                            wv.isdisjoint(v for v, _ in m)
+                            for m in d if m not in kept for _, wv in wbound)
+    assert seen["exact plan"] and seen["exact"] and seen["disjoint"], seen
     assert seen["coarse at n=0"] and seen["coarse at n=1"], seen
     assert (seen["capped"] > 0) == (cap < 64), seen
 
