@@ -27,13 +27,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thread-modular rely-guarantee analyzer for a small concurrent language",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    defaults = AnalysisConfig()
 
     a = sub.add_parser("analyze", help="analyze a program file")
     a.add_argument("input", help="program file")
-    a.add_argument("--domain", choices=["const", "const-powerset"], default="const")
+    a.add_argument("--domain", choices=["const", "const-powerset"],
+                   default=defaults.domain)
     a.add_argument("--mode", choices=["transitive", "nontransitive"],
-                   default="nontransitive")
-    a.add_argument("--n", type=int, default=None,
+                   default=defaults.mode)
+    a.add_argument("--n", type=int, default=defaults.n,
                    help="stabilise precision bound (default: number of "
                    "variables); no effect on const, whose stabilise is "
                    "closed form")
@@ -42,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--emit", choices=["text", "machine"], default="text")
     a.add_argument("--check-oracle", action="store_true",
                    help="run the interleaving oracle and verify outline soundness")
-    a.add_argument("--max-disjuncts", type=int, default=64)
-    a.add_argument("--fuel-inner", type=int, default=1000)
-    a.add_argument("--fuel-outer", type=int, default=1000)
+    a.add_argument("--max-disjuncts", type=int, default=defaults.max_disjuncts)
+    a.add_argument("--fuel-inner", type=int, default=defaults.fuel_inner)
+    a.add_argument("--fuel-outer", type=int, default=defaults.fuel_outer)
     a.add_argument("--ascii", action="store_true",
                    help="use |->, top, bot instead of unicode glyphs")
 

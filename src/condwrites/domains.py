@@ -9,9 +9,11 @@ by identity. A powerset element is a frozenset of non-bottom constant maps:
 bottom is the empty frozenset and top is `frozenset({CM_TOP})`. Domain
 objects carry the variable set and two plain int counters: `ops`, the
 join/meet count (the Ops metric), and `cap_collapses`, the powerset cap
-collapses. A join with a bottom operand returns the other operand and is not
-performed, so it counts no op; every meet is counted. Expressions are
-evaluated by the concrete semantics of `lang`.
+collapses. The powerset domain also holds its disjunct cap `max_disjuncts`,
+its `stabilise` precision `n` and `_plans`, a memo of write-set plans keyed
+on write-conditions. A join with a bottom operand returns the other operand
+and is not performed, so it counts no op; every meet is counted.
+Expressions are evaluated by the concrete semantics of `lang`.
 
 The interference steps take a sparse interference i (see `interference`):
 a variable missing from i has write-condition bottom, read as

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 from .lang import (
-    EXIT, Assign, Cond, Ite, Program, Seq, Skip, While, format_inst, negate,
+    EXIT, Assign, Block, Cond, Ite, Program, Skip, While, format_inst, negate,
 )
 from .domains import StateDomain, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
@@ -110,7 +110,7 @@ def rely(cw: CondWrites, tid: str, guarantees: dict[str, Interference],
     return acc
 
 
-def collect(cw: CondWrites, body, d, r: Interference,
+def collect(cw: CondWrites, body: Block, d, r: Interference,
             transitive: bool) -> tuple[Interference, Outline]:
     """Run one thread body from state d under rely r; return the guarantee
     it generates and its proof outline.
@@ -131,38 +131,35 @@ def collect(cw: CondWrites, body, d, r: Interference,
 
     stab = cw.stabiliser(r, transitive)
 
-    def run(inst, d):
-        if isinstance(inst, Seq):
-            for item in inst.items:
-                d = run(item, d)
-            return d
-        if isinstance(inst, Skip):
-            if inst.label is not None:
+    def run(block, d):
+        for inst in block:
+            if isinstance(inst, Skip):
                 outline[inst.label] = stab(d)
-            return d
-        if isinstance(inst, Assign):
-            assigns[inst.label] = inst
-            s = outline[inst.label] = stab(d)
-            return dom.post(inst, s)
-        if isinstance(inst, Ite):
-            s = outline[inst.label] = stab(d)
-            d1 = run(inst.then, dom.filter(inst.cond, s))
-            d2 = run(inst.els, dom.filter(negate(inst.cond), s))
-            return dom.join(d1, d2)
-        if isinstance(inst, While):
-            for _ in range(cw.fuel):
-                s = stab(d)
-                d_next = dom.join(d, run(inst.body, dom.filter(inst.cond, s)))
-                if dom.leq(d_next, d):
-                    break
-                d = d_next
+            elif isinstance(inst, Assign):
+                assigns[inst.label] = inst
+                s = outline[inst.label] = stab(d)
+                d = dom.post(inst, s)
+            elif isinstance(inst, Ite):
+                s = outline[inst.label] = stab(d)
+                d1 = run(inst.then, dom.filter(inst.cond, s))
+                d2 = run(inst.els, dom.filter(negate(inst.cond), s))
+                d = dom.join(d1, d2)
+            elif isinstance(inst, While):
+                for _ in range(cw.fuel):
+                    s = stab(d)
+                    d_next = dom.join(d, run(inst.body, dom.filter(inst.cond, s)))
+                    if dom.leq(d_next, d):
+                        break
+                    d = d_next
+                else:
+                    raise FuelExhausted(
+                        f"loop at point {inst.label} did not converge in {cw.fuel} passes")
+                # the converging pass left d unchanged, so s is its stabilisation
+                outline[inst.label] = s
+                d = dom.filter(negate(inst.cond), s)
             else:
-                raise FuelExhausted(
-                    f"loop at point {inst.label} did not converge in {cw.fuel} passes")
-            # the converging pass left d unchanged, so s is its stabilisation
-            outline[inst.label] = s
-            return dom.filter(negate(inst.cond), s)
-        raise TypeError(inst)
+                raise TypeError(inst)
+        return d
 
     outline[EXIT] = stab(run(body, d))
     writes = [cw.transitions(outline[label], a) for label, a in assigns.items()]

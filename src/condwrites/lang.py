@@ -1,10 +1,10 @@
 """Mini concurrent imperative language: AST, parser, and concrete semantics.
 
 Shared by the analyzer and the brute-force interleaving oracle. Programs are
-immutable after parsing. Every statement node carries a program-point label,
-numbered densely in preorder per thread from 1, so a label is also the
-statement's point in `control_flow`; desugared else-branches get an
-unlabeled synthetic skip that never appears in proof outlines. Conditions
+immutable after parsing. A block is a tuple of statements, and every
+statement carries a program-point label, numbered densely in preorder per
+thread from 1, so a label is also the statement's point in `control_flow`.
+An `if` without `else` has the empty block as its else-branch. Conditions
 are in negation normal form: the parser pushes each `!` through `&&` and
 `||` with `negate`, so no condition holds a negation node, and `negate` is
 the only code that handles negation.
@@ -94,7 +94,7 @@ Cond = Union[BoolLit, Cmp, And, Or]
 
 @dataclass(frozen=True)
 class Skip:
-    label: int | None  # None marks a synthetic (desugared) skip
+    label: int
 
 
 @dataclass(frozen=True)
@@ -108,29 +108,25 @@ class Assign:
 class Ite:
     label: int
     cond: Cond
-    then: "Inst"
-    els: "Inst"
+    then: "Block"
+    els: "Block"  # () for an if without else
 
 
 @dataclass(frozen=True)
 class While:
     label: int
     cond: Cond
-    body: "Inst"
+    body: "Block"
 
 
-@dataclass(frozen=True)
-class Seq:
-    items: tuple["Inst", ...]
-
-
-Inst = Union[Skip, Assign, Ite, While, Seq]
+Inst = Union[Skip, Assign, Ite, While]
+Block = tuple[Inst, ...]
 
 
 @dataclass(frozen=True)
 class Thread:
     tid: str
-    body: Inst
+    body: Block
     rely_vars: frozenset[str]
 
     @functools.cached_property
@@ -162,8 +158,7 @@ class ControlFlow:
     label i is point i and point 0 is EXIT. Every other point takes one
     atomic step. An assignment or skip moves to `succ[i]`. A guard
     (`Ite`/`While`) moves to `succ[i]` when its condition holds and to
-    `succ_false[i]` otherwise. Synthetic skips take no step and get no
-    point."""
+    `succ_false[i]` otherwise."""
 
     stmts: tuple   # point -> the statement labelled with it; None at EXIT
     succ: tuple[int, ...]
@@ -171,35 +166,32 @@ class ControlFlow:
     entry: int
 
 
-def control_flow(body: Inst) -> ControlFlow:
+def control_flow(body: Block) -> ControlFlow:
     nodes = {0: (None, 0, 0)}  # point -> (statement, succ, succ_false)
 
-    def link(inst: Inst, nxt: int) -> int:
-        """File `inst` under its label, linked to continue at `nxt`; returns
-        its entry point."""
-        if isinstance(inst, Seq):
-            for item in reversed(inst.items):
-                nxt = link(item, nxt)
-            return nxt
-        if isinstance(inst, Skip) and inst.label is None:
-            return nxt
-        if isinstance(inst, Ite):
-            edges = link(inst.then, nxt), link(inst.els, nxt)
-        elif isinstance(inst, While):
-            edges = link(inst.body, inst.label), nxt
-        else:
-            edges = nxt, 0
-        nodes[inst.label] = (inst, *edges)
-        return inst.label
+    def link(block: Block, nxt: int) -> int:
+        """File each statement of `block` under its label, linked to
+        continue at `nxt`; returns the block's entry point, `nxt` if it is
+        empty."""
+        for inst in reversed(block):
+            if isinstance(inst, Ite):
+                edges = link(inst.then, nxt), link(inst.els, nxt)
+            elif isinstance(inst, While):
+                edges = link(inst.body, inst.label), nxt
+            else:
+                edges = nxt, 0
+            nodes[inst.label] = (inst, *edges)
+            nxt = inst.label
+        return nxt
 
     entry = link(body, 0)
     stmts, succ, succ_false = zip(*(nodes[i] for i in range(len(nodes))))
     return ControlFlow(stmts, succ, succ_false, entry)
 
 
-def statements(inst: Inst) -> tuple[Inst, ...]:
-    """Every labelled statement of a thread body, in preorder."""
-    return control_flow(inst).stmts[1:]
+def statements(body: Block) -> tuple[Inst, ...]:
+    """Every statement of a thread body, in preorder."""
+    return control_flow(body).stmts[1:]
 
 
 def negate(c: Cond) -> Cond:
@@ -414,7 +406,7 @@ class _Parser:
         # each is reported at
         relyvars: dict[str, tuple[list[str], _Tok]] = {}
         local_decls: dict[str, _Tok] = {}
-        threads: list[tuple[str, Inst, _Tok]] = []
+        threads: list[tuple[str, Block, _Tok]] = []
 
         while self.peek().kind != "eof":
             t = self.peek()
@@ -516,7 +508,7 @@ class _Parser:
             raise self.error(f"program nests too deeply (over {MAX_DEPTH} levels)")
         return depth
 
-    def block(self) -> Inst:
+    def block(self) -> Block:
         self.depth = self.nest(self.depth + 2)  # the block and the statement in it
         self.expect("op", "{")
         items: list[Inst] = []
@@ -524,10 +516,8 @@ class _Parser:
             items.append(self.stmt())
         self.depth -= 2
         if not items:
-            return Skip(self.fresh_label())
-        if len(items) == 1:
-            return items[0]
-        return Seq(tuple(items))
+            return (Skip(self.fresh_label()),)
+        return tuple(items)
 
     def guard(self) -> Cond:
         """The keyword of an `if` or `while` and its parenthesised condition."""
@@ -545,9 +535,8 @@ class _Parser:
             self.expect("op", ";")
             return Skip(label)
         if t.kind == "kw" and t.text == "if":
-            # without else, a synthetic skip with no program point
             return Ite(label, self.guard(), self.block(),
-                       self.block() if self.accept("kw", "else") else Skip(None))
+                       self.block() if self.accept("kw", "else") else ())
         if t.kind == "kw" and t.text == "while":
             return While(label, self.guard(), self.block())
         if t.kind == "id":
@@ -675,33 +664,31 @@ def format_cond(c: Cond) -> str:
     raise TypeError(c)
 
 
-def format_inst(inst: Inst, indent: int = 0,
+def format_inst(block: Block, indent: int = 0,
                 note: Callable[[int], str] | None = None) -> str:
-    """Print a statement. With `note`, each labelled statement is preceded
-    by a line holding `note(label)` and prefixed with its label."""
+    """Print the statements of a block in order. With `note`, each statement
+    is preceded by a line holding `note(label)` and prefixed with its label."""
     pad = "    " * indent
-    if isinstance(inst, Seq):
-        # a loop, not a generator, so a nested statement costs one frame
-        lines = []
-        for item in inst.items:
-            lines.append(format_inst(item, indent, note))
-        return "\n".join(lines)
-    lead = pad
-    if note is not None and inst.label is not None:
-        lead = f"{pad}   {note(inst.label)}\n{pad}{inst.label}: "
-    if isinstance(inst, Skip):
-        return f"{lead}skip;"
-    if isinstance(inst, Assign):
-        lhs = ", ".join(inst.targets)
-        rhs = ", ".join(format_expr(e) for e in inst.exprs)
-        return f"{lead}{lhs} := {rhs};"
-    if isinstance(inst, Ite):
-        out = (f"{lead}if ({format_cond(inst.cond)}) {{\n"
-               f"{format_inst(inst.then, indent + 1, note)}\n{pad}}}")
-        if not (isinstance(inst.els, Skip) and inst.els.label is None):
-            out += f" else {{\n{format_inst(inst.els, indent + 1, note)}\n{pad}}}"
-        return out
-    if isinstance(inst, While):
-        return (f"{lead}while ({format_cond(inst.cond)}) {{\n"
-                f"{format_inst(inst.body, indent + 1, note)}\n{pad}}}")
-    raise TypeError(inst)
+    lines = []
+    for inst in block:
+        lead = pad
+        if note is not None:
+            lead = f"{pad}   {note(inst.label)}\n{pad}{inst.label}: "
+        if isinstance(inst, Skip):
+            lines.append(f"{lead}skip;")
+        elif isinstance(inst, Assign):
+            lhs = ", ".join(inst.targets)
+            rhs = ", ".join(format_expr(e) for e in inst.exprs)
+            lines.append(f"{lead}{lhs} := {rhs};")
+        elif isinstance(inst, Ite):
+            out = (f"{lead}if ({format_cond(inst.cond)}) {{\n"
+                   f"{format_inst(inst.then, indent + 1, note)}\n{pad}}}")
+            if inst.els:
+                out += f" else {{\n{format_inst(inst.els, indent + 1, note)}\n{pad}}}"
+            lines.append(out)
+        elif isinstance(inst, While):
+            lines.append(f"{lead}while ({format_cond(inst.cond)}) {{\n"
+                         f"{format_inst(inst.body, indent + 1, note)}\n{pad}}}")
+        else:
+            raise TypeError(inst)
+    return "\n".join(lines)

@@ -153,9 +153,9 @@ class OracleReport:
         }
 
 
-def default_universe(p: Program, extra: tuple[int, ...] = (0, 1)) -> Universe:
-    """Every variable ranges over the program's literals and `extra`."""
-    values = sorted(program_literals(p) | set(extra))
+def default_universe(p: Program) -> Universe:
+    """Every variable ranges over the program's literals, 0 and 1."""
+    values = sorted(program_literals(p) | {0, 1})
     return Universe.of({v: values for v in p.variables})
 
 

@@ -13,7 +13,7 @@ import random
 import re
 
 from condwrites.lang import (
-    CMP_OPS, Assign, BoolLit, Cmp, Ite, Lit, Program, Seq, Skip, Thread, VarRef, While,
+    CMP_OPS, Assign, BoolLit, Cmp, Ite, Lit, Program, Skip, Thread, VarRef, While,
     format_cond, format_inst,
 )
 
@@ -66,7 +66,7 @@ class _Gen:
         if depth > 0 and budget >= 2 and r < 0.25:
             label = self.fresh()
             body, used = self.body(budget - 1, depth - 1)
-            return Ite(label, self.guard(), body, Skip(None)), used + 1
+            return Ite(label, self.guard(), body, ()), used + 1
         if depth > 0 and budget >= 2 and r < 0.33:
             # loop whose guard a flag assignment can break: the body always
             # ends by writing a literal, so the state space stays finite
@@ -85,9 +85,7 @@ class _Gen:
             st, k = self.stmt(n - used, depth)
             items.append(st)
             used += k
-        if len(items) == 1:
-            return items[0], used
-        return Seq(tuple(items)), used
+        return tuple(items), used
 
 
 def random_program(seed: int, threads: int = 2,

@@ -1,5 +1,6 @@
 """Differential references for `condwrites.engine`, kept as written apart
-from the current signatures of `CondWrites` and `make_domain`.
+from the current signatures of `CondWrites` and `make_domain` and the AST's
+blocks, which are tuples of statements.
 
 `collect` is the collecting pass before it was reduced to the state alone.
 It threads (state, guarantee) through every statement, joins the guarantee
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from condwrites.lang import EXIT, Assign, Ite, Program, Seq, Skip, While, negate
+from condwrites.lang import EXIT, Assign, Ite, Program, Skip, While, negate
 from condwrites.domains import make_domain
 from condwrites.engine import (
     AnalysisConfig, AnalysisResult, Metrics, Outline, check_post, rely,
@@ -43,39 +44,36 @@ class _Collector:
             return self.cw.stabilise(self.r, d)
         return self.cw.stabilise_fix(self.r, d)
 
-    def run(self, inst, d, g: Interference) -> tuple[object, Interference]:
+    def run(self, block, d, g: Interference) -> tuple[object, Interference]:
         dom, cw, outline = self.dom, self.cw, self.outline
-        if isinstance(inst, Seq):
-            for item in inst.items:
-                d, g = self.run(item, d, g)
-            return d, g
-        if isinstance(inst, Skip):
-            if inst.label is not None:
+        for inst in block:
+            if isinstance(inst, Skip):
                 outline[inst.label] = self.stab(d)
-            return d, g
-        if isinstance(inst, Assign):
-            s = outline[inst.label] = self.stab(d)
-            return dom.post(inst, s), cw.join(g, cw.transitions(s, inst))
-        if isinstance(inst, Ite):
-            s = outline[inst.label] = self.stab(d)
-            d1, g1 = self.run(inst.then, dom.filter(inst.cond, s), g)
-            d2, g2 = self.run(inst.els, dom.filter(negate(inst.cond), s), g)
-            return dom.join(d1, d2), cw.join(g1, g2)
-        if isinstance(inst, While):
-            for _ in range(cw.fuel):
-                s = self.stab(d)
-                d_body, g_body = self.run(inst.body, dom.filter(inst.cond, s), g)
-                d_next, g_next = dom.join(d, d_body), cw.join(g, g_body)
-                if dom.leq(d_next, d) and cw.leq(g_next, g):
-                    break
-                d, g = d_next, g_next
+            elif isinstance(inst, Assign):
+                s = outline[inst.label] = self.stab(d)
+                d, g = dom.post(inst, s), cw.join(g, cw.transitions(s, inst))
+            elif isinstance(inst, Ite):
+                s = outline[inst.label] = self.stab(d)
+                d1, g1 = self.run(inst.then, dom.filter(inst.cond, s), g)
+                d2, g2 = self.run(inst.els, dom.filter(negate(inst.cond), s), g)
+                d, g = dom.join(d1, d2), cw.join(g1, g2)
+            elif isinstance(inst, While):
+                for _ in range(cw.fuel):
+                    s = self.stab(d)
+                    d_body, g_body = self.run(inst.body, dom.filter(inst.cond, s), g)
+                    d_next, g_next = dom.join(d, d_body), cw.join(g, g_body)
+                    if dom.leq(d_next, d) and cw.leq(g_next, g):
+                        break
+                    d, g = d_next, g_next
+                else:
+                    raise FuelExhausted(
+                        f"loop at point {inst.label} did not converge in {cw.fuel} passes")
+                # the converging pass left d unchanged, so s is its stabilisation
+                outline[inst.label] = s
+                d = dom.filter(negate(inst.cond), s)
             else:
-                raise FuelExhausted(
-                    f"loop at point {inst.label} did not converge in {cw.fuel} passes")
-            # the converging pass left d unchanged, so s is its stabilisation
-            outline[inst.label] = s
-            return dom.filter(negate(inst.cond), s), g
-        raise TypeError(inst)
+                raise TypeError(inst)
+        return d, g
 
 
 def collect(cw: CondWrites, body, d, r: Interference,

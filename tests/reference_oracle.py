@@ -1,5 +1,6 @@
-"""The interleaving explorer before the table-driven rewrite, kept verbatim as
-the differential reference for `condwrites.oracle.explore`, and the
+"""The interleaving explorer before the table-driven rewrite, kept as written
+apart from the AST's blocks, which are tuples of statements, as the
+differential reference for `condwrites.oracle.explore`, and the
 per-point soundness check before the grouped one, the reference for
 `condwrites.oracle.check_soundness`.
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from condwrites.lang import (
-    Assign, Cond, Ite, Program, Seq, Skip, While,
+    Assign, Cond, Ite, Program, Skip, While,
     eval_cond, exec_assign,
 )
 from condwrites.domains import Universe
@@ -50,33 +51,27 @@ class _Node:
     succ_false: object = None
 
 
-def _compile(inst, succ, nodes: dict) -> object:
-    """Link a body into nodes keyed by program point; returns the entry point."""
-    if isinstance(inst, Seq):
-        entry = succ
-        for item in reversed(inst.items):
-            entry = _compile(item, entry, nodes)
-        return entry
-    if isinstance(inst, Skip):
-        if inst.label is None:
-            return succ  # synthetic skip: no step, no point
-        nodes[inst.label] = _Node("skip", stmt=inst, succ=succ)
-        return inst.label
-    if isinstance(inst, Assign):
-        nodes[inst.label] = _Node("assign", stmt=inst, succ=succ)
-        return inst.label
-    if isinstance(inst, Ite):
-        t_entry = _compile(inst.then, succ, nodes)
-        f_entry = _compile(inst.els, succ, nodes)
-        nodes[inst.label] = _Node("branch", cond=inst.cond,
-                                  succ_true=t_entry, succ_false=f_entry)
-        return inst.label
-    if isinstance(inst, While):
-        body_entry = _compile(inst.body, inst.label, nodes)
-        nodes[inst.label] = _Node("loop", cond=inst.cond,
-                                  succ_true=body_entry, succ_false=succ)
-        return inst.label
-    raise TypeError(inst)
+def _compile(block, succ, nodes: dict) -> object:
+    """Link a block into nodes keyed by program point; returns the entry
+    point, `succ` for the empty block."""
+    for inst in reversed(block):
+        if isinstance(inst, Skip):
+            nodes[inst.label] = _Node("skip", stmt=inst, succ=succ)
+        elif isinstance(inst, Assign):
+            nodes[inst.label] = _Node("assign", stmt=inst, succ=succ)
+        elif isinstance(inst, Ite):
+            t_entry = _compile(inst.then, succ, nodes)
+            f_entry = _compile(inst.els, succ, nodes)
+            nodes[inst.label] = _Node("branch", cond=inst.cond,
+                                      succ_true=t_entry, succ_false=f_entry)
+        elif isinstance(inst, While):
+            body_entry = _compile(inst.body, inst.label, nodes)
+            nodes[inst.label] = _Node("loop", cond=inst.cond,
+                                      succ_true=body_entry, succ_false=succ)
+        else:
+            raise TypeError(inst)
+        succ = inst.label
+    return succ
 
 
 def explore(p: Program, universe: Universe | None = None,

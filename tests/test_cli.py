@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from condwrites import corpus, lang
+from condwrites import cli, corpus, lang
 from condwrites.cli import main
 from condwrites.corpus import PROGRAMS_DIR
 from condwrites.engine import AnalysisConfig
@@ -142,6 +142,15 @@ def test_rely_vars_unknown_thread_or_variable(capsys):
     assert code == 2 and "unknown thread 'T9'" in err
     code, _, err = run(capsys, "analyze", FLAGGED, "--rely-vars", "T0=x,nope")
     assert code == 2 and "undeclared variable 'nope'" in err
+
+
+def test_flagless_analyze_uses_config_defaults(capsys, monkeypatch):
+    # a run without flags analyses with the defaults of AnalysisConfig
+    configs = []
+    real = cli.analyse
+    monkeypatch.setattr(cli, "analyse", lambda p, c: configs.append(c) or real(p, c))
+    code, _, _ = run(capsys, "analyze", FLAGGED)
+    assert code == 0 and configs == [AnalysisConfig()]
 
 
 def test_opt_toggles_are_rejected(capsys):

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
-    Seq, Skip, VarRef, While,
+    Skip, VarRef, While,
     INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
     format_cond, format_expr, leaves, negate, parse_program,
     program_literals, statements,
@@ -30,10 +30,10 @@ def test_parse_flagged_write_structure():
     # labels assigned in preorder, per thread, starting at 1
     assert [s.label for s in statements(t0.body)] == [1, 2, 3, 4]
     assert [s.label for s in statements(t1.body)] == [1, 2]
-    ite = t0.body.items[1]
+    ite = t0.body[1]
     assert isinstance(ite, Ite)
-    # the synthetic else-skip has no program point
-    assert isinstance(ite.els, Skip) and ite.els.label is None
+    # an if without else has the empty block as its else-branch
+    assert ite.els == ()
     assert p.post == Cmp("==", VarRef("r"), Lit(0))
 
 
@@ -57,8 +57,8 @@ def test_parse_relyvars_and_explicit_else():
     """)
     (t,) = p.threads
     assert t.rely_vars == frozenset({"a"})
-    ite = t.body
-    assert isinstance(ite.els, Skip) and ite.els.label == 3  # explicit skip is a point
+    (ite,) = t.body
+    assert ite.els == (Skip(3),)  # explicit skip is a point
 
 
 def test_control_flow_dense_points_and_links():
@@ -77,7 +77,7 @@ def test_control_flow_dense_points_and_links():
     assert all(g.stmts[i].label == i for i in range(1, 9))
     assert g.stmts[1:] == statements(body)
     assert g.entry == 1
-    # if without else: the synthetic else-skip falls through to the loop
+    # if without else: the false edge falls through to the loop
     assert (g.succ[1], g.succ_false[1]) == (2, 3)
     assert g.succ[2] == 3
     # loop: body on true, the next if on false; the body's end loops back
@@ -88,17 +88,16 @@ def test_control_flow_dense_points_and_links():
     assert g.succ[7] == g.succ[8] == 0
 
 
-def preorder(inst):
-    """The labelled statements of a body by a direct preorder walk."""
-    if isinstance(inst, Seq):
-        return [st for item in inst.items for st in preorder(item)]
-    if isinstance(inst, Skip):
-        return [] if inst.label is None else [inst]
-    if isinstance(inst, Ite):
-        return [inst, *preorder(inst.then), *preorder(inst.els)]
-    if isinstance(inst, While):
-        return [inst, *preorder(inst.body)]
-    return [inst]
+def preorder(block):
+    """The statements of a block by a direct preorder walk."""
+    out = []
+    for inst in block:
+        out.append(inst)
+        if isinstance(inst, Ite):
+            out += preorder(inst.then) + preorder(inst.els)
+        elif isinstance(inst, While):
+            out += preorder(inst.body)
+    return out
 
 
 def test_statements_are_the_preorder_walk():
@@ -214,9 +213,9 @@ def test_deep_parentheses_parse():
     k = 320
     p = parse_program(f"vars x; thread T {{ if ({'(' * k}x == 1{')' * k}) "
                       f"{{ x := {'(' * k}x{')' * k}; }} }}")
-    ite = p.threads[0].body
+    (ite,) = p.threads[0].body
     assert ite.cond == Cmp("==", VarRef("x"), Lit(1))
-    assert ite.then.exprs == (VarRef("x"),)
+    assert ite.then[0].exprs == (VarRef("x"),)
 
 
 def test_parse_error_carries_position():
@@ -342,7 +341,8 @@ def test_var_and_literal_collection():
     FLAGGED,
     "vars x, y; pre x == 0; post x == y; thread A { while (x < y) { x := x + 1; } }",
     "vars a; local T: b; relyvars T: a; thread T { a, b := b, a; if (a > 0) { skip; } else { a := 0 - 1; } }",
-], ids=["flagged_write", "while_loop", "local_relyvars"])
+    "vars x; thread T { if (x == 0) { } else { } if (x == 1) { x := 0; } while (x < 1) { } }",
+], ids=["flagged_write", "while_loop", "local_relyvars", "empty_blocks"])
 def test_format_round_trip(src):
     p = parse_program(src)
     assert parse_program(format_program(p)) == p

@@ -153,7 +153,7 @@ def test_negation_matches_reference(context):
             continue
         got = parse_program(text)
         if context == "guard":
-            ref, got = ref.threads[0].body.cond, got.threads[0].body.cond
+            ref, got = ref.threads[0].body[0].cond, got.threads[0].body[0].cond
         else:
             ref, got = ref.pre, got.pre
         for r, c in ((ref, got), (reference_lang.negate(ref), negate(got))):
