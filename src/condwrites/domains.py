@@ -9,11 +9,12 @@ by identity. A powerset element is a frozenset of non-bottom constant maps:
 bottom is the empty frozenset and top is `frozenset({CM_TOP})`. Domain
 objects carry the variable set and two plain int counters: `ops`, the
 join/meet count (the Ops metric), and `cap_collapses`, the powerset cap
-collapses. The powerset domain also holds its disjunct cap `max_disjuncts`,
-its `stabilise` precision `n` and `_plans`, a memo of write-set plans keyed
-on write-conditions. A join with a bottom operand returns the other operand
-and is not performed, so it counts no op; every meet is counted.
-Expressions are evaluated by the concrete semantics of `lang`.
+collapses. The powerset domain also holds its disjunct cap `max_disjuncts`
+and its `stabilise` precision `n`. A domain is a plain lattice plus its
+algorithms and keeps no memo: `CondWrites` keeps every one. A join with a
+bottom operand returns the other operand and is not performed, so it
+counts no op; every meet is counted. Expressions are evaluated by the
+concrete semantics of `lang`.
 
 The interference steps take a sparse interference i (see `interference`):
 a variable missing from i has write-condition bottom, read as
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .lang import (
@@ -191,8 +193,9 @@ def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
 class StateDomain(ABC):
     """Lattice over sets of states plus abstract assignment post,
     condition filter, and havoc, and the two steps of the interference
-    layer (see `interference`): `stabilise(i, d)` answers a miss of the
-    `CondWrites.stabiliser` step and `close_one(i, v)` is one step of
+    layer (see `interference`): `stabiliser(i)` returns the function
+    d ↦ stabilise(i, d), which `CondWrites` builds once per rely and whose
+    results it memoises, and `close_one(i, v)` is one step of
     `CondWrites.close`. Precision parameters are fixed on the domain object.
 
     Elements are hashable and compare by content, not identity: an element
@@ -260,7 +263,7 @@ class StateDomain(ABC):
         raise TypeError(c)
 
     @abstractmethod
-    def stabilise(self, i: dict, d): ...
+    def stabiliser(self, i: dict): ...
 
     def close_one(self, i: dict, v: str):
         """One step of `CondWrites.close` for v by the pruned subset walk: it
@@ -363,7 +366,7 @@ class ConstDomain(StateDomain):
     def fmt(self, d, ascii_only: bool = False) -> str:
         return _fmt_cm(d, ascii_only)
 
-    def stabilise(self, i: dict, d):
+    def stabiliser(self, i: dict):
         """Drop from d every variable whose write-condition d meets: ⊥ stays
         ⊥, otherwise one counted meet per variable and one havoc. Equals the
         subset enumeration of `CondWrites.stabilise` for every bound n, so
@@ -379,11 +382,13 @@ class ConstDomain(StateDomain):
         and the flat join intersects bindings. So the join keeps exactly the
         bindings of d whose variable no write set feasible with d touches,
         and ⊥ stays ⊥."""
-        if d is CM_BOT:
-            return d
-        touched = frozenset(u for u in self.variables
-                            if self.meet(d, i.get(u, CM_BOT)) is not CM_BOT)
-        return self.havoc(d, touched)
+        def step(d):
+            if d is CM_BOT:
+                return d
+            touched = frozenset(u for u in self.variables
+                                if self.meet(d, i.get(u, CM_BOT)) is not CM_BOT)
+            return self.havoc(d, touched)
+        return step
 
     def close_one(self, i: dict, v: str):
         """Weaken i[v] by the one write set that decides each of its
@@ -482,7 +487,8 @@ def _pw_normalize(maps: Iterable) -> frozenset:
 class ConstPowersetDomain(StateDomain):
     """Disjunctive completion of the constant domain, with a disjunct cap:
     on overflow all disjuncts collapse to their flat join, and
-    `cap_collapses` counts one. `stabilise` is exact for write sets of ≤ n."""
+    `cap_collapses` counts one. `stabiliser(i)` is `stabilise_plan` over
+    i's write-set plan, exact for write sets of ≤ n."""
 
     name = "const-powerset"
 
@@ -495,7 +501,6 @@ class ConstPowersetDomain(StateDomain):
         self.n = len(self.variables) if n is None else n
         if not 0 <= self.n <= len(self.variables):
             raise ValueError(f"n must be within 0..{len(self.variables)}, got {self.n}")
-        self._plans: dict = {}  # write-conditions -> write-set plan
 
     def make(self, maps: Iterable):
         return self._cap(_pw_normalize(maps))
@@ -506,21 +511,22 @@ class ConstPowersetDomain(StateDomain):
         self.cap_collapses += 1
         return frozenset({frozenset.intersection(*d)})
 
-    def stabilise(self, i: dict, d):
-        return self.stabilise_plan(d, self._write_sets(i))
+    def stabiliser(self, i: dict):
+        return partial(self.stabilise_plan, plan=self._write_sets(i))
 
     def _write_sets(self, i: dict) -> dict:
         """The plan of the subset walk under i at precision n: each write set
         S of at most n + 1 variables with a non-bottom wc_S, as
         `combo: (vset, wc_S, bound)` in walk order, starting with the empty
         set and its wc, top; `bound` pairs each disjunct of wc_S with the
-        variables it binds, for `stabilise_plan`. Built once per domain
-        object for each set of i's write-conditions, keyed on i's items, so
-        every `stabilise` under one rely shares it, and a miss only meets d
-        with each wc_S, havocs and joins. A singleton's wc is i[v]; a larger set's is one meet of
-        its prefix's wc with i[last]. A superset of a set with bottom wc is
-        skipped unvisited: feasibility is downward closed, as wc_S only
-        shrinks as S grows, so its exact wc is bottom too.
+        variables it binds, for `stabilise_plan`. Not memoised: `CondWrites`
+        calls `stabiliser(i)`, and so this, once per rely, so every
+        `stabilise` under one rely shares the plan, and a miss only meets d
+        with each wc_S, havocs and joins. A singleton's wc is i[v]; a larger
+        set's is one meet of its prefix's wc with i[last]. A superset of a
+        set with bottom wc is skipped unvisited: feasibility is downward
+        closed, as wc_S only shrinks as S grows, so its exact wc is bottom
+        too.
 
         The walk yields each set after its prefix, the set minus its last
         variable. A kept set's prefix is in the plan: had the prefix been
@@ -531,12 +537,8 @@ class ConstPowersetDomain(StateDomain):
         walk's also where the powerset cap collapses disjuncts inside a
         meet, and meets no longer associate; only the ops of the repeated
         meets fall."""
-        key = frozenset(i.items())
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
         variables = sorted(self.variables)
-        plan = self._plans[key] = {}
+        plan: dict = {}
         blocked: list[frozenset[str]] = []
         for combo in subsets(variables, min(self.n + 1, len(variables))):
             vset = frozenset(combo)

@@ -17,33 +17,33 @@ or in non-transitive mode the step's least fixpoint. The step joins
 havoc(d ⊓ wc_S, S) over every feasible write set S of at most n variables,
 where wc_S is the meet of i[v] over v in S, and folds the feasible
 (n+1)-sets into one coarse havoc; n is a precision parameter of the domain.
-The enumeration walks up to 2^|V| subsets; a miss runs the domain's
-`stabilise(i, d)`, the const closed form or the powerset fused pass over a
-write-set plan. `stabilise` and `stabilise_fix`, the same per call, remain
-only for the tests and for the perfbench tracer, which patches them by name.
+The enumeration walks up to 2^|V| subsets; the domain's `stabiliser(i)`
+computes it as d ↦ stabilise(i, d), the const closed form or the powerset
+fused pass over a write-set plan built when it is called. `stabilise` and
+`stabilise_fix` are one-line applications of `stabiliser`, kept only for
+the tests and for the perfbench tracer, which patches them by name.
 
 `CondWrites.close(i)` repeats the domain's `close_one(i, v)` for every v
 until nothing grows. `close_one` joins into i[v] one term per write set S
 of the variables i[v] binds: with wc_S the meet of i[u] over S and
 h = havoc(i[v], S), the term is wc_S if wc_S ⊑ h, else h ⊓ wc_S.
 
-`stabilise` is memoised per `CondWrites` instance for every domain, in two
-levels: the write-conditions, as the frozenset of i's items, key one memo
-per rely, from d to the result, and the domain's `stabilise` runs only on a
-miss. `stabiliser` looks up i's memo once, `stabilise` on every call.
-`close` is memoised on the same key, and its fixpoint loop over the
-domain's `close_one` runs only on a miss. The keys hold values, not
-identities: lattice elements are frozensets (or the const bottom sentinel,
-equal only to itself), which hash by content and cache their hash, and
-equal sparse interferences have equal item sets. Looking up a rely's memo
-builds nothing in the domain: the powerset builds its write-set plan, with
-counted meets, on the first miss under that rely. Both memos are exact
-because the domain's `stabilise` and `close_one`, and so `close`, are pure
-functions of their arguments and of the instance's fixed `dom` and `fuel`;
-a `close` that runs out of fuel raises and stores nothing. `analyse` builds
-one domain and one `CondWrites` per call, so the memos, and the domain's
-write-set plans, live for one analysis. A hit performs no lattice operation
-and so counts no ops; `memo_hits` counts the hits of both memos.
+`CondWrites` owns every memo, and the domain keeps none. The key of a rely
+is its write-conditions, the frozenset of i's items. `stabiliser` keeps one
+step per key: on a new key it calls the domain's `stabiliser(i)` once, so
+the powerset builds its write-set plan once per rely, with counted meets,
+and wraps it in a memo from d to the result. `close` is memoised on the
+same key, and its fixpoint loop over the domain's `close_one` runs only on
+a miss. The keys hold values, not identities: lattice elements are
+frozensets (or the const bottom sentinel, equal only to itself), which
+hash by content and cache their hash, and equal sparse interferences have
+equal item sets. Both memos are exact because the domain's steps, and so
+`close`, are pure functions of their arguments and of the instance's fixed
+`dom` and `fuel`; a `close` that runs out of fuel raises and stores
+nothing. `analyse` builds one domain and one `CondWrites` per call, so the
+memos, and the write-set plans, live for one analysis. A hit performs no
+lattice operation and so counts no ops; `memo_hits` counts the hits of
+both memos.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class CondWrites:
     def __init__(self, dom: StateDomain, fuel: int = 1000):
         self.dom = dom
         self.fuel = fuel
-        self._stabilise_memo: dict = {}  # write-conditions -> {d -> result}
+        self._stabilisers: dict = {}  # write-conditions -> memoised step
         self._close_memo: dict = {}  # write-conditions -> closed interference
         self.memo_hits = 0  # stabilise and close calls answered from a memo
 
@@ -97,22 +97,6 @@ class CondWrites:
 
     # -- interference application and derivation ------------------------------
 
-    def _memo(self, i: Interference) -> dict:
-        """The stabilise memo of i's write-conditions: d -> result."""
-        key = frozenset(i.items())
-        memo = self._stabilise_memo.get(key)
-        if memo is None:
-            memo = self._stabilise_memo[key] = {}
-        return memo
-
-    def _stabilise(self, i: Interference, memo: dict, d):
-        out = memo.get(d)
-        if out is not None:
-            self.memo_hits += 1
-            return out
-        out = memo[d] = self.dom.stabilise(i, d)
-        return out
-
     def _fix(self, step, d):
         cur = d
         for _ in range(self.fuel):
@@ -123,24 +107,34 @@ class CondWrites:
         raise FuelExhausted(f"stabilise_fix did not converge in {self.fuel} steps")
 
     def stabilise(self, i: Interference, d):
-        """Weaken d to include every state reachable in one step of i, at
-        the domain's precision (see the module docstring). Memoised for the
-        lifetime of this instance on (i's write-conditions, d); a miss runs
-        the domain's `stabilise`, and a repeated input returns the stored
-        result without lattice operations.
-        """
-        return self._stabilise(i, self._memo(i), d)
+        """Weaken d to include every state reachable in one step of i."""
+        return self.stabiliser(i, True)(d)
 
     def stabilise_fix(self, i: Interference, d):
         """Least fixpoint of stabilise: closes d under any number of i-steps."""
-        return self._fix(lambda cur: self.stabilise(i, cur), d)
+        return self.stabiliser(i, False)(d)
 
     def stabiliser(self, i: Interference, transitive: bool):
-        """`stabilise(i, ·)` if transitive, else `stabilise_fix(i, ·)`, as a
-        function of d that shares the memo of i's write-conditions, looked
-        up once here rather than once per call. A collecting pass under one
-        rely applies it at every point."""
-        step = partial(self._stabilise, i, self._memo(i))
+        """d ↦ stabilise(i, d) if transitive, else its least fixpoint, at the
+        domain's precision (see the module docstring). Memoised for the
+        lifetime of this instance on (i's write-conditions, d): a miss runs
+        the domain's step, and a repeated input returns the stored result
+        without lattice operations. A collecting pass under one rely looks
+        it up once and applies it at every point."""
+        key = frozenset(i.items())
+        step = self._stabilisers.get(key)
+        if step is None:
+            stab, memo = self.dom.stabiliser(i), {}
+
+            def step(d):
+                out = memo.get(d)
+                if out is None:
+                    out = memo[d] = stab(d)
+                else:
+                    self.memo_hits += 1
+                return out
+
+            self._stabilisers[key] = step
         return step if transitive else partial(self._fix, step)
 
     def transitions(self, d, a: Assign) -> Interference:

@@ -76,15 +76,17 @@ search that can honour a cut, and it sets `bounded` when it does.
 
 Escapes. A step's new store index moves only by its written targets,
 `(position of the new value - position of the old) * stride` each, and the
-targets are checked for escape in their written order. The saturation sweep
-evaluates (point, store) pairs in another order than breadth first, so on a
-program with several reachable escaping writes it may meet another one
-first. On a `UniverseEscape` from `_saturate`, `explore` therefore replays
-`_breadth_first` over the same tables. No filled entry escapes (an escaping
+targets are checked for escape in their written order. A step raises when
+it writes outside the universe (`UniverseEscape`) or when its arithmetic
+overflows 64 bits (`lang.EvalOverflow`). The saturation sweep evaluates
+(point, store) pairs in another order than breadth first, so on a program
+with several reachable raising steps it may meet another one first. On
+either exception from `_saturate`, `explore` therefore replays
+`_breadth_first` over the same tables. No filled entry raises (a raising
 step raises before its entry is stored), and under the guard nothing can
-cut the replay, so it raises the escape a fresh breadth-first search meets
-first, as the reference explorer does; the original is re-raised only if
-the replay returns.
+cut the replay, so it raises the exception a fresh breadth-first search
+meets first, as the reference explorer does; the original is re-raised
+only if the replay returns.
 
 Canonical order. Both searches return the same report for the same
 reachable configurations. `reachable` lists the threads in program order,
@@ -115,8 +117,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .lang import (
-    EXIT, And, Assign, Cmp, Cond, Lit, Program, Skip, VarRef, eval_cond,
-    exec_assign, program_literals,
+    EXIT, And, Assign, Cmp, Cond, EvalOverflow, Lit, Program, Skip, VarRef,
+    eval_cond, exec_assign, program_literals,
 )
 from .domains import Universe
 from .engine import AnalysisResult
@@ -260,11 +262,11 @@ def explore(p: Program, universe: Universe | None = None,
         try:
             exits, bounded = _saturate(initial, start, size, weights, points,
                                        tables, step), False
-        except UniverseEscape as e:
+        except (UniverseEscape, EvalOverflow) as e:
             escape = e
     if exits is None:
-        # After an escape, the replay over the same tables meets the escape
-        # that breadth first meets first (see "Escapes" above).
+        # After an escape or overflow, the replay over the same tables meets
+        # the one that breadth first meets first (see "Escapes" above).
         exits, bounded = _breadth_first(initial, start, size, weights, points,
                                         tables, step, budget)
         if escape is not None:

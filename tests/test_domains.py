@@ -420,7 +420,7 @@ def test_n_and_the_write_set_plan_belong_to_the_powerset():
         assert res.domain.n == k and res.config.n == k
     assert analyse(p, AnalysisConfig(domain="const")).config.n == len(vs)
     const = make_domain("const", vs)
-    for name in ("n", "_write_sets", "_plans"):
+    for name in ("n", "_write_sets"):
         assert not hasattr(const, name) and not hasattr(ConstDomain, name)
         assert not hasattr(StateDomain, name)
     assert hasattr(ConstPowersetDomain, "_write_sets")
@@ -451,14 +451,18 @@ def test_cm_bot_copies_are_cm_bot(clone):
 
 
 def test_every_domain_defines_stabilise():
-    # a domain answers a `stabilise` miss itself: there is no default route
+    # a domain returns its own stabilise step for a rely, d ↦ stabilise(i, d):
+    # there is no default route, and no per-call `stabilise` in the contract
+    assert "stabiliser" in StateDomain.__abstractmethods__
+    assert not hasattr(StateDomain, "stabilise")
     primitives = {name: lambda self, *args: None
-                  for name in StateDomain.__abstractmethods__ - {"stabilise"}}
-    with pytest.raises(TypeError, match="stabilise"):
-        type("NoStabilise", (StateDomain,), primitives)(VARS)
-    full = type("WithStabilise", (StateDomain,),
-                {**primitives, "stabilise": lambda self, i, d: d})(VARS)
-    assert full.stabilise({}, CM_TOP) is CM_TOP
+                  for name in StateDomain.__abstractmethods__ - {"stabiliser"}}
+    with pytest.raises(TypeError, match="stabiliser"):
+        type("NoStabiliser", (StateDomain,), primitives)(VARS)
+    full = type("WithStabiliser", (StateDomain,),
+                {**primitives, "stabiliser": lambda self, i: lambda d: d})(VARS)
+    assert full.stabiliser({})(CM_TOP) is CM_TOP
+    assert CondWrites(full).stabilise({}, CM_TOP) is CM_TOP
 
 
 @given(st.dictionaries(st.sampled_from(VARS), st.integers(0, 1)),

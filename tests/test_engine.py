@@ -195,6 +195,28 @@ def test_collect_stabilises_each_point_once(monkeypatch):
     assert assigns == [3]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_powerset_builds_one_plan_per_rely(monkeypatch, mode):
+    # in every corpus powerset cell the write-set plan is built exactly once
+    # per distinct rely stabilised under: when CondWrites first looks up
+    # that rely's stabiliser, which it then keeps for the analysis
+    plans = []
+    real = ConstPowersetDomain._write_sets
+
+    def counted(self, i):
+        plans.append(frozenset(i.items()))
+        return real(self, i)
+
+    monkeypatch.setattr(ConstPowersetDomain, "_write_sets", counted)
+    for case in CASES:
+        plans.clear()
+        res = analyse(case.load(),
+                      AnalysisConfig(mode=mode, domain="const-powerset"))
+        assert plans, case.name
+        assert len(plans) == len(res.cw._stabilisers), case.name
+        assert set(plans) == set(res.cw._stabilisers), case.name
+
+
 def test_check_post():
     dom = ConstDomain(("x",))
     p = parse_program("vars x; post x == 1; thread T { x := 1; }")

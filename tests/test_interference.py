@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -223,19 +224,30 @@ def test_stabilise_pruning_equivalence(mk):
             cws[n].dom, d, cws[n].dom._write_sets(i)) == want
 
 
-def enumerating(cw: CondWrites, pruned: bool, n: int | None = None) -> CondWrites:
-    """cw with its stabilise, and so its stabilise_fix, bound to the subset
-    enumeration, the reference for a domain's closed form or fused pass:
-    for the powerset, at its n on an uncapped copy of the domain and capped
-    once; for the const domain, which takes no n, at bound n. pruned skips
-    the supersets of a write set whose wc is bottom."""
-    if isinstance(cw.dom, ConstPowersetDomain):
-        cw.stabilise = lambda i, d: reference_interference.stabilise_cap_once(
-            cw, i, d, b1=pruned)
-    else:
-        cw.stabilise = lambda i, d: reference_interference.stabilise_enum(
-            cw, i, d, n, b1=pruned)
+def memo_free(cw: CondWrites, step) -> CondWrites:
+    """cw with its stabiliser, and so its stabilise and stabilise_fix,
+    answered by step(i, d) through none of the CondWrites memos: each
+    look-up binds step to i afresh, so the reference side of a differential
+    shares no memo key or hit path with the side under test."""
+    def stabiliser(i, transitive):
+        bound = partial(step, i)
+        return bound if transitive else partial(cw._fix, bound)
+
+    cw.stabiliser = stabiliser
     return cw
+
+
+def enumerating(cw: CondWrites, pruned: bool, n: int | None = None) -> CondWrites:
+    """cw with its stabilise and stabilise_fix bound, memo-free, to the
+    subset enumeration, the reference for a domain's closed form or fused
+    pass: for the powerset, at its n on an uncapped copy of the domain and
+    capped once; for the const domain, which takes no n, at bound n. pruned
+    skips the supersets of a write set whose wc is bottom."""
+    if isinstance(cw.dom, ConstPowersetDomain):
+        return memo_free(cw, lambda i, d: reference_interference
+                         .stabilise_cap_once(cw, i, d, b1=pruned))
+    return memo_free(cw, lambda i, d: reference_interference
+                     .stabilise_enum(cw, i, d, n, b1=pruned))
 
 
 def assert_closed_form_matches_enumeration(variables, pairs, pruned):
@@ -269,11 +281,11 @@ def test_const_closed_form_stabilise_exhaustive(pruned):
 
 
 def over_plan(cw: CondWrites) -> CondWrites:
-    """cw with its stabilise bound to the cap-once spec over cw's own
-    write-set plan, whose write-conditions stay capped as built."""
-    cw.stabilise = lambda i, d: reference_interference.stabilise_over_plan(
-        cw.dom, d, cw.dom._write_sets(i))
-    return cw
+    """cw with its stabilise and stabilise_fix bound, memo-free, to the
+    cap-once spec over cw's own write-set plan, whose write-conditions stay
+    capped as built."""
+    return memo_free(cw, lambda i, d: reference_interference
+                     .stabilise_over_plan(cw.dom, d, cw.dom._write_sets(i)))
 
 
 @pytest.mark.parametrize("pruned", [True, False])
@@ -397,7 +409,7 @@ def with_ops(cw: CondWrites, fn, *args, **kwargs):
 
 def walk_plan(cw: CondWrites, i, d):
     """`reference_interference.stabilise_walk` over cw's write-set plan for
-    i, built on the first call, in cw's own domain."""
+    i, built afresh on each call, in cw's own domain."""
     return reference_interference.stabilise_walk(
         cw.dom, d, cw.dom._write_sets(i))
 
@@ -446,32 +458,45 @@ def test_second_stabilise_under_same_rely_reuses_plan():
     i = {"x": pw({"z": 0}, {"r": 1}), "z": pw({"x": 1}, {"r": 0}, {"r": 1}),
          "r": pw({})}
     cw.stabilise(i, pw({"x": 0, "z": 1}))
-    plan = cw.dom._write_sets(i)
+    plan = cw.dom._write_sets(i)  # an equal plan, built apart
     assert next(iter(plan.items())) == (
         (), (frozenset(), cw.dom.top(), [(CM_TOP, set())]))
     assert any(len(combo) > 1 for combo in plan)  # some wc took a meet
-    meets = []
-    meet = cw.dom.meet
+    meets, plans = [], []
+    meet, write_sets = cw.dom.meet, cw.dom._write_sets
 
     def recording(d1, d2):
         meets.append(d1)
         return meet(d1, d2)
 
-    cw.dom.meet = recording
-    # the fused pass calls no meet, and counts the enumeration's ops: one
-    # meet with d and one join per non-empty write set
+    def planning(i):
+        plans.append(i)
+        return write_sets(i)
+
+    cw.dom.meet, cw.dom._write_sets = recording, planning
+    # a second stabilise under the same rely, on a new state, builds no
+    # plan and so counts no plan meets: the fused pass calls no meet, and
+    # counts the enumeration's ops, one meet with d and one join per
+    # non-empty write set
     d = pw({"x": 1}, {"r": 0, "z": 0})
     before = cw.dom.ops
     cw.stabilise(i, d)
-    assert meets == []
+    assert plans == [] and meets == []
     assert cw.dom.ops - before == 2 * (len(plan) - 1)
     # the walk over the same plan, which caps inside every meet and join,
     # meets d with each wc and counts the same ops; no wc is re-met
     d = pw({"x": 0}, {"r": 1, "z": 0})
-    _, ops = with_ops(cw, walk_plan, cw, i, d)
+    _, ops = with_ops(
+        cw, reference_interference.stabilise_walk, cw.dom, d, plan)
     assert meets == [d] * (len(plan) - 1)
     assert ops == 2 * (len(plan) - 1)
-    assert cw.dom._write_sets(i) is plan
+    # a new rely builds its plan once, when its stabiliser is looked up
+    i2 = {**i, "r": pw({"x": 0})}
+    step = cw.stabiliser(i2, True)
+    assert plans == [i2]
+    step(d)
+    cw.stabilise(i2, pw({"z": 1}))
+    assert plans == [i2]
 
 
 # -- the fused powerset stabilise against the enumeration --------------------

@@ -5,7 +5,7 @@ import pytest
 from condwrites import corpus
 from condwrites.domains import CM_BOT, UNIVERSE_CAP, Universe, UniverseTooLarge, cm_make
 from condwrites.engine import EXIT, AnalysisConfig, analyse
-from condwrites.lang import control_flow, parse_program
+from condwrites.lang import EvalOverflow, control_flow, parse_program
 from condwrites.oracle import (
     Budget, OracleReport, UniverseEscape, check_soundness, default_universe, explore,
 )
@@ -432,6 +432,29 @@ def test_same_programs_escape_as_the_reference(searches, monkeypatch):
             assert searches == ["_saturate"], where
         searches.clear()
     assert 0 < raised < 1200
+
+
+OVERFLOWS = """
+    vars x;
+    thread A { skip; x := 9223372036854775807 * 2; }
+    thread B { x := 9223372036854775807 * 3; }
+    thread C { skip; }
+"""
+
+
+def test_same_overflow_as_the_reference(searches):
+    # the bitset search steps B's overflowing write after A's, breadth first
+    # before it: the replay over the same tables reports B's overflow, as
+    # the reference and a breadth-first search cut by the budget do
+    p = parse_program(OVERFLOWS)
+    messages = []
+    for fn in (explore, reference_explore,
+               lambda p: explore(p, budget=Budget(max_states=10))):
+        with pytest.raises(EvalOverflow) as overflow:
+            fn(p)
+        messages.append(str(overflow.value))
+    assert messages == ["integer overflow: 27670116110564327421"] * 3
+    assert searches == ["_saturate", "_breadth_first", "_breadth_first"]
 
 
 THREE = """
