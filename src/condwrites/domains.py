@@ -11,14 +11,14 @@ objects carry the variable set and two plain int counters: `ops`, the
 join/meet count (the Ops metric), and `cap_collapses`, the powerset cap
 collapses. The powerset domain also holds its disjunct cap `max_disjuncts`
 and its `stabilise` precision `n`. A domain is a plain lattice plus its
-algorithms and keeps no memo: `CondWrites` keeps every one. A join with a
-bottom operand returns the other operand and is not performed, so it
-counts no op; every meet is counted. Expressions are evaluated by the
+algorithms and keeps no memo: `CondWrites` keeps every one. A join or meet
+with a bottom operand is neither performed nor counted: the join returns
+the other operand and the meet bottom. Expressions are evaluated by the
 concrete semantics of `lang`.
 
 The interference steps take a sparse interference i (see `interference`):
-a variable missing from i has write-condition bottom, read as
-`i.get(v, bottom)`.
+a variable missing from i has write-condition bottom, so a write set with
+such a member meets to bottom, and the walks range over i's keys alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Iterator
 
 from .lang import (
@@ -245,8 +245,6 @@ class StateDomain(ABC):
 
     def filter(self, c: Cond, d):
         """Keep (an over-approximation of) the states in d satisfying c."""
-        if self.is_bot(d):
-            return self.bot()
         if isinstance(c, BoolLit):
             return d if c.value else self.bot()
         if isinstance(c, And):
@@ -254,8 +252,8 @@ class StateDomain(ABC):
                 d = self.filter(part, d)
             return d
         if isinstance(c, Or):
-            out = self.filter(c.parts[0], d)
-            for part in c.parts[1:]:
+            out = self.bot()
+            for part in c.parts:
                 out = self.join(out, self.filter(part, d))
             return out
         if isinstance(c, Cmp):
@@ -267,24 +265,22 @@ class StateDomain(ABC):
 
     def close_one(self, i: dict, v: str):
         """One step of `CondWrites.close` for v by the pruned subset walk: it
-        considers only the variables i[v] constrains, and skips the strict
-        supersets of a set whose meet its havoc already covers (a set whose
-        meet is ⊥ among them; its own term joins nothing and counts no
-        join). Each skipped term's exact value lies below a kept term's, so
-        where meets and joins are exact (the flat domain, and the powerset
-        while no result exceeds its cap) the pruning changes no value. When the cap collapses disjuncts inside a meet or
-        join, `close`'s pruned result can differ from the unpruned walk's;
-        on random inputs at caps 2-4 it then lay below it. The unpruned walk
-        is kept as the differential reference in
+        considers only the variables of i that i[v] constrains, and skips
+        the strict supersets of a set whose meet its havoc already covers
+        (a set whose meet is ⊥ among them). Each skipped term's exact value
+        lies below a kept term's, so where meets and joins are exact (the
+        flat domain, and the powerset while no result exceeds its cap) the
+        pruning changes no value. When the cap collapses disjuncts inside a
+        meet or join, `close`'s pruned result can differ from the unpruned
+        walk's; on random inputs at caps 2-4 it then lay below it. The
+        unpruned walk is kept as the differential reference in
         `tests/reference_interference.py`. A set's meet is one meet of its
         prefix's with i[last], as in `ConstPowersetDomain._write_sets`."""
-        bot = self.bot()
-        iv = i.get(v, bot)
-        # only variables iv constrains: adding another to a write set keeps
-        # its havoc and only shrinks its meet, so its term adds nothing
-        candidates = sorted(
-            u for u in self.variables if self.havoc(iv, frozenset((u,))) != iv
-        )
+        iv = i.get(v, self.bot())
+        # adding another variable to a write set keeps its havoc and only
+        # shrinks its meet (to ⊥ if i lacks it), so its term adds nothing
+        candidates = sorted(u for u in i
+                            if self.havoc(iv, frozenset((u,))) != iv)
         acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
         dominated: list[frozenset[str]] = []
         meets: dict[tuple[str, ...], object] = {}
@@ -299,11 +295,8 @@ class StateDomain(ABC):
             h = self.havoc(iv, vset)
             # a visited set's prefix was visited: a dominated set below the
             # prefix lies below the set too
-            if len(combo) == 1:
-                m = i.get(combo[0], bot)
-            else:
-                m = self.meet(meets[combo[:-1]], i.get(combo[-1], bot))
-            meets[combo] = m
+            m = meets[combo] = (self.meet(meets[combo[:-1]], i[combo[-1]])
+                                if len(combo) > 1 else i[combo[0]])
             if self.leq(m, h):
                 dominated.append(vset)
                 acc = self.join(acc, m)
@@ -344,11 +337,12 @@ class ConstDomain(StateDomain):
 
     def join(self, d1, d2):
         if d1 is not CM_BOT and d2 is not CM_BOT:
-            self.ops += 1  # a join with ⊥ is not performed
+            self.ops += 1
         return cm_join(d1, d2)
 
     def meet(self, d1, d2):
-        self.ops += 1
+        if d1 is not CM_BOT and d2 is not CM_BOT:
+            self.ops += 1
         return cm_meet(d1, d2)
 
     def havoc(self, d, drop: frozenset[str]):
@@ -367,10 +361,10 @@ class ConstDomain(StateDomain):
         return _fmt_cm(d, ascii_only)
 
     def stabiliser(self, i: dict):
-        """Drop from d every variable whose write-condition d meets: ⊥ stays
-        ⊥, otherwise one counted meet per variable and one havoc. Equals the
-        subset enumeration of `CondWrites.stabilise` for every bound n, so
-        the domain takes none:
+        """Drop from d every variable whose write-condition d meets, by one
+        meet per variable of i and one havoc; ⊥ stays ⊥ at no cost. Equals
+        the subset enumeration of `CondWrites.stabilise` for every bound n,
+        so the domain takes none:
 
             stabilise(i, d) = havoc(d, {u | d ⊓ i[u] ≠ ⊥})
 
@@ -383,10 +377,8 @@ class ConstDomain(StateDomain):
         bindings of d whose variable no write set feasible with d touches,
         and ⊥ stays ⊥."""
         def step(d):
-            if d is CM_BOT:
-                return d
-            touched = frozenset(u for u in self.variables
-                                if self.meet(d, i.get(u, CM_BOT)) is not CM_BOT)
+            touched = frozenset(u for u, wc in i.items()
+                                if self.meet(d, wc) is not CM_BOT)
             return self.havoc(d, touched)
         return step
 
@@ -419,9 +411,8 @@ class ConstDomain(StateDomain):
         of a set already found dominated (wc ⊑ h, ⊥ included) meets below
         that set's wc, which is joined in whole. A subset is smaller, so it
         is visited first, and what is skipped does not depend on the names.
-        Any other set costs |S| - 1 counted meets for wc_S, folded over all
-        its members in sorted order, then its term's join, plus one meet
-        when wc_S ⋢ h; the join is not performed when the term is ⊥. The
+        Any other set folds wc_S over its members in sorted order, |S| - 1
+        meets, then joins its term, plus one meet when wc_S ⋢ h. The
         closures, havocs and ⊑ tests are uncounted, like the walk's choice
         of candidate variables. On random inputs over up to 5 variables it
         never counts more ops than the pruned walk, and the tests check
@@ -450,10 +441,7 @@ class ConstDomain(StateDomain):
             vset = frozenset(names)
             if not vset <= i.keys() or any(d0 < vset for d0 in dominated):
                 continue
-            first, *rest = names
-            wc = i[first]
-            for u in rest:
-                wc = self.meet(wc, i[u])
+            wc = reduce(self.meet, [i[u] for u in names])
             h = cm_havoc(iv, vset)
             if cm_leq(wc, h):
                 dominated.append(vset)
@@ -526,7 +514,8 @@ class ConstPowersetDomain(StateDomain):
         set's is one meet of its prefix's wc with i[last]. A superset of a
         set with bottom wc is skipped unvisited: feasibility is downward
         closed, as wc_S only shrinks as S grows, so its exact wc is bottom
-        too.
+        too. A set with a member missing from i has bottom wc, so the walk
+        ranges over i's variables alone.
 
         The walk yields each set after its prefix, the set minus its last
         variable. A kept set's prefix is in the plan: had the prefix been
@@ -537,17 +526,16 @@ class ConstPowersetDomain(StateDomain):
         walk's also where the powerset cap collapses disjuncts inside a
         meet, and meets no longer associate; only the ops of the repeated
         meets fall."""
-        variables = sorted(self.variables)
         plan: dict = {}
         blocked: list[frozenset[str]] = []
-        for combo in subsets(variables, min(self.n + 1, len(variables))):
+        for combo in subsets(sorted(i), self.n + 1):
             vset = frozenset(combo)
             if any(b <= vset for b in blocked):
                 continue
             if len(combo) <= 1:
-                wc = i.get(combo[0], PW_BOT) if combo else self.top()
+                wc = i[combo[0]] if combo else self.top()
             else:
-                wc = self.meet(plan[combo[:-1]][1], i.get(combo[-1], PW_BOT))
+                wc = self.meet(plan[combo[:-1]][1], i[combo[-1]])
             if self.is_bot(wc):
                 blocked.append(vset)
                 continue
@@ -603,14 +591,14 @@ class ConstPowersetDomain(StateDomain):
 
         The pass performs no counted operation but counts those of the
         enumeration: one meet per non-empty write set, one join per exact
-        set whose meet with d is not ⊥, and one join per feasible (n+1)-set
-        (the coarse fold's joins plus its join into the result). A join with
-        ⊥ is not performed, so an exact set whose term is ⊥ for every map of
-        d, the skipped maps included, counts its meet alone. So ops do not
-        depend on the skipping or on whether a collapse fires. For d = ⊤ the
-        pass is not run: ⊤ meets every write-condition of the plan, which
-        are all non-⊥, so each write set counts a meet and a join, and every
-        term lies below ⊤, so the result is ⊤."""
+        set whose term is not ⊥ for some map of d, the skipped maps
+        included, and one join per feasible (n+1)-set (the coarse fold's
+        joins plus its join into the result). So ops do not depend on the
+        skipping or on whether a collapse fires. ⊥ stays ⊥ at no cost. For
+        d = ⊤ the pass is not run: every wc_S is non-⊥, so each write set
+        counts a meet and a join, and every term lies below ⊤."""
+        if not d:
+            return d
         if d == PW_TOP:
             self.ops += 2 * (len(plan) - 1)
             return d
@@ -661,7 +649,7 @@ class ConstPowersetDomain(StateDomain):
 
     def join(self, d1, d2):
         """`make(d1 ∪ d2)`, returned as is where one antichain holds the
-        other; a join with ⊥ is not performed and counts no op."""
+        other."""
         if not d1:
             return d2
         if not d2:
@@ -674,6 +662,8 @@ class ConstPowersetDomain(StateDomain):
         return self.make(d1 | d2)
 
     def meet(self, d1, d2):
+        if not d1 or not d2:
+            return PW_BOT
         self.ops += 1
         return self.make(cm_meet(m1, m2) for m1 in d1 for m2 in d2)
 

@@ -22,14 +22,13 @@ against the Jacobi reference at caps that collapse disjuncts too, and that
 no program takes more sweeps than the reference takes rounds. A sweep can
 form relies that Jacobi rounds never do, so one program's ops can rise.
 
-Every fold over guarantees, transitions or exit states starts from its first
-operand rather than from bottom or top: `join(bot, x)` and `meet(top, x)`
-are x itself in both domains, so only the op count changes. The same rule
-holds one level down: interferences are sparse (a missing variable's
+A join or meet with a bottom operand is neither performed nor counted (see
+`domains`), so the join folds over guarantees and transitions start from
+bottom at no cost. Interferences are sparse (a missing variable's
 write-condition is bottom), so joining guarantees joins only the
-write-conditions both hold, and the domains' `join` returns its other
-operand, uncounted, when one is bottom. A rely holds top for each variable
-outside the thread's rely variables."""
+write-conditions both hold. The meet fold over exit states in `check_post`
+starts from its first operand, as a meet with top is still counted. A rely
+holds top for each variable outside the thread's rely variables."""
 
 from __future__ import annotations
 
@@ -103,7 +102,7 @@ def reduce_interference(cw: CondWrites, i: Interference,
 def rely(cw: CondWrites, tid: str, guarantees: dict[str, Interference],
          rely_vars: frozenset[str], transitive: bool) -> Interference:
     others = [g for other, g in guarantees.items() if other != tid]
-    acc = reduce(cw.join, others) if others else cw.bot()
+    acc = reduce(cw.join, others, cw.bot())
     acc = reduce_interference(cw, acc, rely_vars)
     if transitive:
         acc = cw.close(acc)
@@ -124,10 +123,17 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
     the final ones, since loop states only grow and the semantics is
     monotone, and `transitions` is monotone too. Stopping a loop once its
     state is stable loses nothing: one more pass would recompute the same
-    outline."""
+    outline.
+
+    A loop entered again with the state of its last entry takes its last
+    exit and runs no pass: under one rely a loop's run is a function of its
+    entry, and that run wrote every label inside the loop. So nested loops
+    cost time linear in their depth. The test is equality, not order, as
+    the powerset cap is not monotone."""
     dom = cw.dom
     outline: Outline = {}
     assigns: dict[int, Assign] = {}
+    loops: dict[int, tuple] = {}  # loop label -> its last (entry, exit)
 
     stab = cw.stabiliser(r, transitive)
 
@@ -145,6 +151,10 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
                 d2 = run(inst.els, dom.filter(negate(inst.cond), s))
                 d = dom.join(d1, d2)
             elif isinstance(inst, While):
+                if inst.label in loops and loops[inst.label][0] == d:
+                    d = loops[inst.label][1]
+                    continue
+                entry = d
                 for _ in range(cw.fuel):
                     s = stab(d)
                     d_next = dom.join(d, run(inst.body, dom.filter(inst.cond, s)))
@@ -157,13 +167,14 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
                 # the converging pass left d unchanged, so s is its stabilisation
                 outline[inst.label] = s
                 d = dom.filter(negate(inst.cond), s)
+                loops[inst.label] = entry, d
             else:
                 raise TypeError(inst)
         return d
 
     outline[EXIT] = stab(run(body, d))
     writes = [cw.transitions(outline[label], a) for label, a in assigns.items()]
-    return (reduce(cw.join, writes) if writes else cw.bot()), outline
+    return reduce(cw.join, writes, cw.bot()), outline
 
 
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:

@@ -7,9 +7,9 @@ admitted only if its pre-state satisfies v's write-condition.
 Interferences are sparse: a variable missing from the dict has write-condition
 ⊥ (nothing writes it), and no ⊥ value is ever stored, so dict `==` is
 lattice equality. `bot()` is `{}`, `transitions` holds only the assignment's
-targets, and `join`, `leq` and `close` touch only the keys present. So no
-join with a ⊥ write-condition is performed: `join(⊥, x)` is x, the rule by
-which the engine starts no fold from bottom, applied per variable.
+targets, and `join`, `leq`, `close` and the domains' write-set walks touch
+only the keys present, as a join or meet with ⊥ is neither performed nor
+counted (see `domains`).
 
 The contract is `CondWrites.stabiliser(i, transitive)`, which
 `engine.collect` applies at each point of a pass under the rely i: one step,
@@ -24,9 +24,10 @@ fused pass over a write-set plan built when it is called. `stabilise` and
 the tests and for the perfbench tracer, which patches them by name.
 
 `CondWrites.close(i)` repeats the domain's `close_one(i, v)` for every v
-until nothing grows. `close_one` joins into i[v] one term per write set S
-of the variables i[v] binds: with wc_S the meet of i[u] over S and
-h = havoc(i[v], S), the term is wc_S if wc_S ⊑ h, else h ⊓ wc_S.
+until nothing grows, in the fuelled loop of `stabilise_fix`. `close_one`
+joins into i[v] one term per write set S of the variables i[v] binds: with
+wc_S the meet of i[u] over S and h = havoc(i[v], S), the term is wc_S if
+wc_S ⊑ h, else h ⊓ wc_S.
 
 `CondWrites` owns every memo, and the domain keeps none. The key of a rely
 is its write-conditions, the frozenset of i's items. `stabiliser` keeps one
@@ -97,14 +98,15 @@ class CondWrites:
 
     # -- interference application and derivation ------------------------------
 
-    def _fix(self, step, d):
+    def _fix(self, step, d, leq=None, name="stabilise_fix"):
+        # apply step from d until its result is leq (default dom.leq) its input
         cur = d
         for _ in range(self.fuel):
             nxt = step(cur)
-            if self.dom.leq(nxt, cur):
+            if (leq or self.dom.leq)(nxt, cur):
                 return nxt
             cur = nxt
-        raise FuelExhausted(f"stabilise_fix did not converge in {self.fuel} steps")
+        raise FuelExhausted(f"{name} did not converge in {self.fuel} steps")
 
     def stabilise(self, i: Interference, d):
         """Weaken d to include every state reachable in one step of i."""
@@ -153,11 +155,7 @@ class CondWrites:
         if out is not None:
             self.memo_hits += 1
             return out
-        cur = i
-        for _ in range(self.fuel):
-            nxt = {v: self.dom.close_one(cur, v) for v in cur}
-            if self.leq(nxt, cur):
-                self._close_memo[key] = nxt
-                return nxt
-            cur = nxt
-        raise FuelExhausted(f"close did not converge in {self.fuel} steps")
+        out = self._close_memo[key] = self._fix(
+            lambda cur: {v: self.dom.close_one(cur, v) for v in cur},
+            i, self.leq, "close")
+        return out

@@ -2,8 +2,9 @@
 programs: every assignment writes a literal in {0,1} or copies another
 variable, so exploration over the {0,1} universe never escapes.
 
-By default a program has 2 threads over 1-3 variables; `threads` and
-`nvars` widen it without changing what any seed yields at the defaults.
+By default a program has 2 threads over 1-3 variables and nests `if`s and
+`while`s 2 deep; `threads`, `nvars` and `depth` widen it without changing
+what any seed yields at the defaults.
 `bang_text` writes a program as text whose conditions use `!`, and
 `format_program` prints a program as text that parses back to it."""
 
@@ -89,14 +90,15 @@ class _Gen:
 
 
 def random_program(seed: int, threads: int = 2,
-                   nvars: tuple[int, int] = (1, 3)) -> Program:
-    """`nvars` is the inclusive range the variable count is drawn from."""
+                   nvars: tuple[int, int] = (1, 3), depth: int = 2) -> Program:
+    """`nvars` is the inclusive range the variable count is drawn from, and
+    `depth` bounds the nesting of `if`s and `while`s."""
     rng = random.Random(seed)
     variables = VARIABLES[:rng.randint(*nvars)]
     built = []
     for tid in (f"T{i}" for i in range(threads)):
         g = _Gen(rng, variables)
-        body, _ = g.body(budget=6, depth=2)
+        body, _ = g.body(budget=6, depth=depth)
         built.append(Thread(tid, body, frozenset(variables)))
     pre = BoolLit(True)
     if rng.random() < 0.5:

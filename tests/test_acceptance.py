@@ -23,6 +23,7 @@ from conftest import (
 )
 from corpus_helpers import corpus_rows
 import reference_interference
+from test_engine import nested_loops
 from test_lang import FLAGGED
 from randprog import random_program
 
@@ -245,6 +246,29 @@ def test_criterion_5_random_programs_vs_oracle():
     if failures:
         print(failures[:5], file=sys.stderr)
     report(f"5 end-to-end soundness on 100 random programs ({elapsed:.1f}s)", ok)
+
+
+def test_criterion_5_nested_random_programs_vs_oracle():
+    # nested loops re-enter inner loops, whose last run the collecting pass
+    # reuses when the entry state repeats
+    failures = []
+    programs = ([random_program(seed, depth=3) for seed in range(1, 401)]
+                + [random_program(seed, threads=4, depth=3)
+                   for seed in range(1, 101)]
+                + [parse_program(nested_loops(depth, shape)) for depth in (2, 5)
+                   for shape in ("plain", "reset", "marked")])
+    for program in programs:
+        report_ = explore(program)
+        if report_.bounded:
+            failures.append((program, "exploration cut by the budget"))
+            continue
+        for domain in ("const", "const-powerset"):
+            for mode in ("transitive", "nontransitive"):
+                res = analyse(program, AnalysisConfig(mode=mode, domain=domain))
+                if not res.converged or check_soundness(res, report_):
+                    failures.append((program, domain, mode))
+    report(f"5 end-to-end soundness on {len(programs)} programs with nested "
+           "loops", not failures)
 
 
 def test_criterion_5_wide_random_programs_vs_oracle():

@@ -335,6 +335,67 @@ def test_ops_counter_counts_join_meet_only():
     assert dom.ops == 2
 
 
+# -- the ⊥ rule: a join or meet with a ⊥ operand is neither performed nor counted
+
+DOMAINS3 = pytest.mark.parametrize(
+    "kind", [ConstDomain, ConstPowersetDomain], ids=["const", "powerset"])
+
+
+@DOMAINS3
+def test_join_and_meet_with_bottom_count_no_op(kind):
+    dom = kind(("a", "b", "c"))
+    rng = random.Random(53)
+    bot = dom.bot()
+    for _ in range(100):
+        d = random_elem(rng, dom, values=(0, 1, 2))
+        before = dom.ops
+        assert dom.join(bot, d) == d and dom.join(d, bot) == d
+        assert dom.is_bot(dom.meet(bot, d)) and dom.is_bot(dom.meet(d, bot))
+        assert dom.ops == before
+        if not dom.is_bot(d):
+            dom.join(d, d)
+            dom.meet(d, d)
+            assert dom.ops == before + 2
+
+
+@DOMAINS3
+def test_stabilising_bottom_counts_no_op(kind):
+    dom = kind(("a", "b", "c"))
+    rng = random.Random(54)
+    for _ in range(50):
+        step = dom.stabiliser(random_interference(rng, dom, values=(0, 1, 2)))
+        before = dom.ops
+        assert dom.is_bot(step(dom.bot()))
+        assert dom.ops == before
+
+
+@DOMAINS3
+def test_write_set_walks_meet_no_bottom(kind, monkeypatch):
+    # the walks range over the rely's variables, so none meets a missing
+    # (⊥) write-condition, and none meets a ⊥ it built itself; the const
+    # step meets d with each write-condition, so it is given a non-⊥ d
+    dom = kind(("a", "b", "c"))
+    rng = random.Random(55)
+    operands = []
+    meet = dom.meet
+
+    def spy(d1, d2):
+        operands.extend((d1, d2))
+        return meet(d1, d2)
+
+    monkeypatch.setattr(dom, "meet", spy)
+    for _ in range(200):
+        i = random_interference(rng, dom, values=(0, 1, 2))
+        d = random_elem(rng, dom, values=(0, 1, 2))
+        if kind is ConstPowersetDomain:
+            dom._write_sets(i)
+        elif not dom.is_bot(d):
+            dom.stabiliser(i)(d)
+        for v in i:
+            StateDomain.close_one(dom, i, v)
+    assert operands and not any(dom.is_bot(x) for x in operands)
+
+
 # -- abstract evaluation: the concrete evaluator on the known bindings -----------
 
 # INT_MAX + w overflows 64 bits once w is bound to 1

@@ -136,6 +136,66 @@ def test_loop_collecting_semantics():
         assert res.verdict == "verified"
 
 
+def nested_loops(depth: int, shape: str) -> str:
+    """`depth` nested `while (x == 0)` loops around `x := 1;`, so every
+    pass of a loop enters the loop inside it again. The "plain" shape and
+    the "reset" one, which puts `x := 0;` before each loop, enter it from
+    the same state each time. "marked" sets a fresh variable after each
+    inner loop, so the second pass of a loop enters the one inside it from
+    a larger state."""
+    body, names = "x := 1;", ["x"]
+    for k in range(depth):
+        loop = f"while (x == 0) {{ {body} }}"
+        if shape == "reset":
+            body = f"x := 0; {loop}"
+        elif shape == "marked" and k < depth - 1:
+            names.append(f"z{k}")
+            body = f"{loop} z{k} := 1;"
+        else:
+            body = loop
+    pre = " && ".join(f"{v} == 0" for v in names) if shape == "marked" else "true"
+    return f"vars {', '.join(names)}; pre {pre}; post true; thread A {{ {body} }}"
+
+
+@pytest.mark.parametrize("shape", ["plain", "reset"])
+def test_nested_loops_cost_ops_linear_in_depth(shape):
+    # a loop re-entered with its last entry state takes its last exit, so
+    # ops grow linearly up to the nesting bound of 398 loops, not as 2^depth
+    for domain in DOMAINS:
+        for mode in MODES:
+            config = AnalysisConfig(mode=mode, domain=domain)
+            for depth in (1, 2, 4, 8, 14, 398):
+                res = analyse(parse_program(nested_loops(depth, shape)), config)
+                assert res.converged and res.verdict == "verified"
+                want = 3 * depth if shape == "reset" else 2 * depth - 1
+                assert res.metrics.ops == want, (domain, mode, depth)
+
+
+def test_marked_nested_loops_cost_ops_polynomial_in_depth():
+    # each loop runs again only on its outer loop's passes whose entry grew
+    for domain in DOMAINS:
+        for mode in MODES:
+            config = AnalysisConfig(mode=mode, domain=domain)
+            for depth in (1, 2, 4, 8, 16, 40):
+                res = analyse(parse_program(nested_loops(depth, "marked")), config)
+                assert res.converged and res.verdict == "verified"
+                assert res.metrics.ops <= depth * (depth + 1), (domain, mode, depth)
+
+
+@pytest.mark.parametrize("shape", ["plain", "reset", "marked"])
+def test_reused_loop_runs_match_the_reference(shape):
+    # the reference collect re-runs every inner loop on every outer pass
+    for domain in DOMAINS:
+        for mode in MODES:
+            config = AnalysisConfig(mode=mode, domain=domain)
+            for depth in range(1, 7):
+                p = parse_program(nested_loops(depth, shape))
+                ours, ref = analyse(p, config), reference_engine.analyse(p, config)
+                assert ours.outlines == ref.outlines, (domain, mode, depth)
+                assert ours.guarantees == ref.guarantees, (domain, mode, depth)
+                assert ours.metrics.ops <= ref.metrics.ops, (domain, mode, depth)
+
+
 def test_collect_stabilises_each_point_once(monkeypatch):
     # collect looks up its rely's stabiliser once and applies it at every
     # point: count the stabiliser's applications, and the look-ups
@@ -433,11 +493,11 @@ def chain_text(k: int, threads: int) -> str:
 
 def test_chain16_const_transitive_ops():
     # the const close visits one least write set per binding; a walk over
-    # the constrained variables' subsets would need 3,974 ops here
+    # the constrained variables' subsets would need 3,686 ops here
     result = analyse(parse_program(chain_text(16, 2)),
                      AnalysisConfig(mode="transitive", domain="const"))
     assert result.converged and result.verdict == "verified"
-    assert result.metrics.ops == 1_393
+    assert result.metrics.ops == 1_105
 
 
 def test_config_validation():
@@ -482,22 +542,22 @@ def test_unconverged_run_is_not_verified():
 
 def test_interferences_are_sparse_and_joins_with_bottom_are_skipped(monkeypatch):
     # No rely, guarantee, `close` result or `transitions` result stores a ⊥
-    # write-condition, and a domain join counts an op exactly when neither
-    # operand is ⊥: over every corpus cell and 50 random programs, in both
-    # domains and both modes
+    # write-condition, and a domain join or meet counts an op exactly when
+    # neither operand is ⊥: over every corpus cell and 50 random programs,
+    # in both domains and both modes
     def assert_sparse(dom, i, what):
         assert not [v for v, wc in i.items() if dom.is_bot(wc)], (what, i)
         seen[what] += 1
 
-    def checking_join(real):
-        def join(self, d1, d2):
+    def checking_op(real, name):
+        def op(self, d1, d2):
             before = self.ops
             out = real(self, d1, d2)
             performed = not (self.is_bot(d1) or self.is_bot(d2))
-            assert self.ops - before == performed, (d1, d2)
-            seen["joins performed" if performed else "joins with ⊥"] += 1
+            assert self.ops - before == performed, (name, d1, d2)
+            seen[f"{name}s performed" if performed else f"{name}s with ⊥"] += 1
             return out
-        return join
+        return op
 
     def checking(real, what, result=lambda out: out):
         def wrapper(owner, *args):
@@ -508,7 +568,8 @@ def test_interferences_are_sparse_and_joins_with_bottom_are_skipped(monkeypatch)
 
     seen = collections.Counter()
     for cls in (ConstDomain, ConstPowersetDomain):
-        monkeypatch.setattr(cls, "join", checking_join(cls.join))
+        for name in ("join", "meet"):
+            monkeypatch.setattr(cls, name, checking_op(getattr(cls, name), name))
     monkeypatch.setattr(CondWrites, "close", checking(CondWrites.close, "close"))
     monkeypatch.setattr(CondWrites, "transitions",
                         checking(CondWrites.transitions, "transitions"))
@@ -525,4 +586,4 @@ def test_interferences_are_sparse_and_joins_with_bottom_are_skipped(monkeypatch)
                     assert_sparse(res.domain, i, "result")
     assert all(seen[what] for what in (
         "close", "transitions", "rely", "guarantee", "result",
-        "joins performed", "joins with ⊥")), seen
+        "joins performed", "joins with ⊥", "meets performed", "meets with ⊥")), seen

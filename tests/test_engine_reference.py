@@ -18,7 +18,10 @@ summed over each config's cells, ops must not exceed the reference's. The
 test prints how many cells cost more and the largest rise. Deriving a rely
 joins the other threads' guarantees, so only a thread with two or more
 other threads pays lattice operations for it: the 3-thread programs are
-where skipped derivations show in ops.
+where skipped derivations show in ops. The random programs at nesting
+depth 3 and the nested loops of `test_engine.nested_loops` re-enter inner
+loops, whose last run `engine.collect` reuses when the entry state repeats
+and the reference re-runs.
 
 `ConstPowersetDomain.stabiliser(i)` answers a miss by `stabilise_plan`, the
 fused pass over i's write-set plan at the domain's n, which caps its result
@@ -44,7 +47,7 @@ from condwrites.engine import AnalysisConfig, analyse, to_machine
 from condwrites.lang import parse_program
 
 from randprog import random_program
-from test_engine import chain_text
+from test_engine import chain_text, nested_loops
 import reference_engine
 import reference_interference
 
@@ -61,6 +64,14 @@ PROGRAMS = {
     **{f"3threads-seed{seed}":
        (lambda seed=seed: random_program(seed, threads=3, nvars=(3, 4)))
        for seed in range(1, 201)},
+    **{f"depth3-seed{seed}": (lambda seed=seed: random_program(seed, depth=3))
+       for seed in range(1, 401)},
+    **{f"4threads-depth3-seed{seed}":
+       (lambda seed=seed: random_program(seed, threads=4, depth=3))
+       for seed in range(1, 101)},
+    **{f"nested{depth}-{shape}":
+       (lambda depth=depth, shape=shape: parse_program(nested_loops(depth, shape)))
+       for depth in range(1, 7) for shape in ("plain", "reset", "marked")},
 }
 
 

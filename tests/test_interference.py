@@ -688,7 +688,8 @@ def test_const_close_never_walks(monkeypatch):
 def test_fuel_exhaustion_reported():
     cw = cw_const(fuel=0)
     top = {v: CM_TOP for v in VARS3}
-    with pytest.raises(FuelExhausted):
+    with pytest.raises(FuelExhausted, match="stabilise_fix did not converge in 0 steps"):
         cw.stabilise_fix(top, CM_TOP)
-    with pytest.raises(FuelExhausted):
+    with pytest.raises(FuelExhausted, match="close did not converge in 0 steps"):
         cw.close(top)
+    assert cw._close_memo == {}  # a close out of fuel stores nothing
