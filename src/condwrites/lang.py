@@ -204,8 +204,7 @@ def negate(c: Cond) -> Cond:
     if isinstance(c, (And, Or)):
         return (Or if isinstance(c, And) else And)(tuple(map(negate, c.parts)))
     if isinstance(c, Cmp):
-        flipped = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-        return Cmp(flipped[c.op], c.left, c.right)
+        return Cmp(FLIPPED_OPS[c.op], c.left, c.right)
     raise TypeError(c)
 
 
@@ -260,6 +259,8 @@ CMP_OPS = {
     "==": operator.eq, "!=": operator.ne, "<": operator.lt,
     "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+# Each comparison operator's negation, read by `negate`.
+FLIPPED_OPS = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
 def eval_expr(e: Expr, s: State) -> int:

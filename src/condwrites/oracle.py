@@ -24,8 +24,10 @@ with that (point, store) pair, by the concrete semantics (`exec_assign`,
 read; every later step from the pair is one lookup. Both searches
 below fill the tables this way, so only reached pairs are evaluated, no
 table spans the universe, and `UniverseEscape` is raised exactly when a
-reachable assignment writes outside the universe. Each table's keys end up
-as its thread's (point, store) projection of the reached configurations.
+reachable assignment writes outside the universe. Breadth first steps
+EXIT to None like any other point; saturation writes the EXIT entries once
+its search ends, from the final bitsets. Either way each table's keys end
+up as its thread's (point, store) projection of the reached configurations.
 
 The guard. A search reaches each configuration at most once and takes at
 most one step per thread from it, so with `configs < Budget.max_states` and
@@ -36,12 +38,13 @@ reach `max_steps`. Only then can `explore` run `_saturate`, and it does when
 masks (below) take at most 4 bits per configuration, `sum(P_k) <= 4 * S`.
 Bitset rounds gain by moving, in one operation, every vector that shares a
 thread's point, and with two threads few vectors do. Measured one program
-at a time with each search forced, breadth first was 1.1 to 1.4 times
-faster on the corpus, the two-thread `chain` programs and 100 random
-two-thread programs. On 100 random three-thread programs the two were at
-parity in all (from 1.25 times slower to 2 times faster with the bitsets);
-the bitsets were 1.5 to 8 times faster on the three- and four-thread
-programs of the `chain` and `oracle` perfbench workloads, and 2.2 times
+at a time with each search forced (best of 5 runs each), breadth first was
+faster in all on the corpus (1.6 against 1.9 ms), the two-thread `chain`
+programs (2.3 against 2.5 ms) and 100 random two-thread programs (10.5
+against 12.4 ms). On 100 random three-thread programs the bitsets were 1.2
+times faster in all (from 1.2 times slower to 2.3 times faster per
+program); they were 1.9 to 14 times faster on the three- and four-thread
+programs of the `chain` and `oracle` perfbench workloads, and 2.6 times
 faster in all on 100 random four-thread programs. The mask bound keeps a
 long thread, whose masks grow with the square of its length, on breadth
 first, and caps the masks at 4 * `max_states` bits.
@@ -54,20 +57,31 @@ that store, and a worklist of stores with new bits, first in first out.
 For each thread k and point pc, a mask holds the vectors with thread k at
 pc: a run of W_k ones repeated every W_k * P_k bits, built by multiplying
 the run by a repunit. A round over a store's new bits X takes `X & mask`
-for each (k, pc) pair, threads in order and points ascending, looks the
-pair's step up once and shifts those bits by the point change times W_k.
-What the round moves into each other store is ORed together, merged into
-that store's int once, and queues that store. Steps that keep the store are
-chained (Roig, Cortadella & Pastor, ICATPN 1995): their unreached bits join
-the store's int and X at once, so the pairs later in the sweep step them in
-the same round, and they are the next round's input, where the earlier pairs
-step them. Preorder labels make most edges forward, so a thread's run of
-store-keeping steps takes one sweep and a loop's back edge the next round.
-A store is dropped once a round adds nothing to it, the local-moves-first
-order of saturation (Ciardo, Luettgen & Siminiceanu, TACAS 2001). Bits are
-cleared with `x ^= x & bits`, not `x &= ~bits`: the complement of a positive
-int is a negative one, and ANDing it costs about 4 times a plain AND at the
-6,561 bits of the `oracle` perfbench workload's largest bitsets.
+for each (k, pc) pair, threads in order and points 1 to P_k - 1 ascending:
+a thread at EXIT takes no step, so its pairs are not swept, and once the
+search ends each reached store's int is ANDed once with each thread's EXIT
+mask to write the EXIT entries. The first time a pair is stepped, its
+(shift, target store) is cached next to its table entry, so a repeated pair
+costs one lookup; the bits are shifted by the point change times W_k. What
+the round moves into each other store is ORed together, merged into that
+store's int once, and queues that store. Steps that keep the store are
+chained (Roig, Cortadella & Pastor, ICATPN 1995): their bits are ORed into
+X, so the pairs later in the sweep step them in the same round. After the
+sweep the store's int becomes `before | X`, where `before` is its int at
+the round's start, and the next round's input is `int ^ before`: the
+chained bits not reached before, which the earlier pairs step then. This is
+exact because a store's new bits are already in its int, so X only adds
+chained bits to `before`. A chained vector that was reached already is
+swept again by the later pairs at no extra int length, and the XOR drops it
+from the next round. Preorder labels make most edges forward, so a thread's
+run of store-keeping steps takes one sweep and a loop's back edge the next
+round. A store is dropped once a round adds nothing to it, the
+local-moves-first order of saturation (Ciardo, Luettgen & Siminiceanu,
+TACAS 2001). Where moved bits are merged into another store, the bits
+already there are cleared with `x ^= x & old`, not `x &= ~old`: the
+complement of a positive int is a negative one, and ANDing it costs about 4
+times a plain AND at the 6,561 bits of the `oracle` perfbench workload's
+largest bitsets.
 
 Breadth first (`_breadth_first`) visits one configuration at a time, in
 discovery order and thread order, with the budget checks of a search over
@@ -274,9 +288,14 @@ def explore(p: Program, universe: Universe | None = None,
 
     reachable: dict = {}
     for t, table in zip(p.threads, tables):
+        end = 0  # the first key past the current point's
         for key in sorted(table):
-            pc, store = divmod(key, size)
-            reachable.setdefault((t.tid, pc or EXIT), set()).add(store_of(store))
+            if key >= end:  # the first key of the next reached point
+                pc = key // size
+                base = pc * size
+                end = base + size
+                states = reachable[t.tid, pc or EXIT] = set()
+            states.add(store_of(key - base))
     exit_states = {store_of(store) for store in exits}
     return OracleReport(universe=u, reachable=reachable, exit_states=exit_states,
                         bounded=bounded)
@@ -298,7 +317,10 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
     for table, w, n in zip(tables, weights, points):
         # a run of W_k ones per point, repeated every W_k * P_k vectors
         run = ((1 << w) - 1) * (full // ((1 << w * n) - 1))
-        threads.append((table, n, [run << w * pc for pc in range(n)]))
+        masks = [run << w * pc for pc in range(n)]
+        # the sweep skips EXIT (pc 0), where a thread takes no step; the dict
+        # maps a swept pair's key to its (shift, target store)
+        threads.append((table, {}, range(size, size * n, size), masks[1:], masks[0]))
     reached = dict.fromkeys(initial, 1 << start)  # store -> bitset of vectors
     pending = dict(reached)  # the bits a queued store has not yet stepped
     work = deque(initial)
@@ -308,29 +330,25 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
         bits = reached[s]  # held here while s is swept
         while new:
             moved = {}  # other target store -> the vectors `new` steps into it
-            fresh = 0  # the vectors this round adds to s: the next round's input
-            for k, (table, n, masks) in enumerate(threads):
-                for key, mask in zip(range(s, s + size * n, size), masks):
+            for k, (table, moves, offsets, masks, _) in enumerate(threads):
+                for offset, mask in zip(offsets, masks):
                     x = new & mask
                     if not x:
                         continue
-                    if key in table:
-                        delta = table[key]
-                    else:
+                    key = s + offset
+                    move = moves.get(key)
+                    if move is None:
                         delta = table[key] = step(k, key)
-                    if delta is not None:
-                        shift, target = divmod(s + delta, size)
-                        x = x << shift if shift >= 0 else x >> -shift
-                        if target == s:  # chained: the rest of the sweep reads it
-                            x ^= x & bits  # x & ~bits, without a negative int
-                            bits |= x
-                            new |= x
-                            fresh |= x
-                        else:
-                            moved[target] = moved.get(target, 0) | x
+                        move = moves[key] = divmod(s + delta, size)
+                    shift, target = move
+                    x = x << shift if shift >= 0 else x >> -shift
+                    if target == s:  # chained: the rest of the sweep reads it
+                        new |= x
+                    else:
+                        moved[target] = moved.get(target, 0) | x
             for target, x in moved.items():
                 old = reached.get(target, 0)
-                x ^= x & old
+                x ^= x & old  # x & ~old, without a negative int
                 if x:
                     reached[target] = old | x
                     if target in pending:
@@ -338,8 +356,13 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
                     else:
                         pending[target] = x
                         work.append(target)
-            new = fresh
+            before, bits = bits, bits | new
+            new = bits ^ before  # the chained vectors this round added
         reached[s] = bits
+    for table, _, _, _, exit_mask in threads:
+        for s, bits in reached.items():
+            if bits & exit_mask:
+                table[s] = None  # EXIT's key is the store itself
     return sorted(s for s, bits in reached.items() if bits & 1)
 
 

@@ -374,6 +374,38 @@ def test_searches_agree_below_the_guard(searches, monkeypatch):
         assert_identical(fast, slow, where)
 
 
+def test_searches_leave_equal_tables(monkeypatch):
+    # each table's keys are its thread's (point, store) projection of the
+    # reached configurations, with None at EXIT: the bitset search, which
+    # sweeps no EXIT pair and reads EXIT off its final bitsets, must leave
+    # the tables that breadth first, stepping every pair, leaves
+    from condwrites import oracle
+
+    left = []  # (search name, the tables it filled)
+    for name in ("_saturate", "_breadth_first"):
+        def spy(*args, _real=getattr(oracle, name), _name=name):
+            result = _real(*args)
+            left.append((_name, args[5]))
+            return result
+
+        monkeypatch.setattr(oracle, name, spy)
+    monkeypatch.setattr(oracle, "_bitsets_pay", lambda size, points: True)
+    programs = [(case.name, parse_program((corpus.PROGRAMS_DIR / case.filename).read_text()))
+                for case in corpus.CASES]
+    programs += [((seed, threads), random_program(seed, threads=threads))
+                 for threads in (3, 4) for seed in range(1, 101)]
+    exits = 0
+    for where, p in programs:
+        left.clear()
+        explore(p)
+        explore(p, budget=Budget(max_states=configs(p)))
+        [(fast, fast_tables), (slow, slow_tables)] = left
+        assert (fast, slow) == ("_saturate", "_breadth_first"), where
+        assert fast_tables == slow_tables, where
+        exits += sum(delta is None for table in fast_tables for delta in table.values())
+    assert exits > 0
+
+
 def test_explore_matches_reference_on_four_thread_programs(searches):
     # the shape of the `oracle` perfbench workload: about two in five of
     # these programs take the bitsets under the default budget
