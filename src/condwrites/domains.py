@@ -241,6 +241,10 @@ class StateDomain(ABC):
     def _filter_cmp(self, c: Cmp, d): ...
 
     @abstractmethod
+    def bound_vars(self, d) -> set[str]:
+        """The variables that some disjunct of d binds to a constant."""
+
+    @abstractmethod
     def fmt(self, d, ascii_only: bool = False) -> str: ...
 
     def filter(self, c: Cond, d):
@@ -265,22 +269,27 @@ class StateDomain(ABC):
 
     def close_one(self, i: dict, v: str):
         """One step of `CondWrites.close` for v by the pruned subset walk: it
-        considers only the variables of i that i[v] constrains, and skips
-        the strict supersets of a set whose meet its havoc already covers
-        (a set whose meet is ⊥ among them). Each skipped term's exact value
-        lies below a kept term's, so where meets and joins are exact (the
-        flat domain, and the powerset while no result exceeds its cap) the
-        pruning changes no value. When the cap collapses disjuncts inside a
-        meet or join, `close`'s pruned result can differ from the unpruned
-        walk's; on random inputs at caps 2-4 it then lay below it. The
-        unpruned walk is kept as the differential reference in
-        `tests/reference_interference.py`. A set's meet is one meet of its
-        prefix's with i[last], as in `ConstPowersetDomain._write_sets`."""
+        considers only the variables of i that some disjunct of i[v] binds
+        (`bound_vars`), and skips the strict supersets of a set whose meet
+        its havoc already covers (a set whose meet is ⊥ among them). Each
+        skipped term's exact value lies below a kept term's, so where meets
+        and joins are exact (the flat domain, and the powerset while no
+        result exceeds its cap) the pruning changes no value. When the cap
+        collapses disjuncts inside a meet or join, `close`'s pruned result
+        can differ from the unpruned walk's; on random inputs at caps 2-4 it
+        then lay below it. The unpruned walk is kept as the differential
+        reference in `tests/reference_interference.py`. A set's meet is one
+        meet of its prefix's with i[last], as in
+        `ConstPowersetDomain._write_sets`.
+
+        On a normalised i[v] the candidates are the variables u of i with
+        havoc(i[v], {u}) ≠ i[v], the rule the reference keeps: each disjunct
+        binding u loses that binding, no disjunct of the havoc binds u, and
+        a havoc by a variable no disjunct binds changes nothing."""
         iv = i.get(v, self.bot())
         # adding another variable to a write set keeps its havoc and only
         # shrinks its meet (to ⊥ if i lacks it), so its term adds nothing
-        candidates = sorted(u for u in i
-                            if self.havoc(iv, frozenset((u,))) != iv)
+        candidates = sorted(i.keys() & self.bound_vars(iv))
         acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
         dominated: list[frozenset[str]] = []
         meets: dict[tuple[str, ...], object] = {}
@@ -356,6 +365,9 @@ class ConstDomain(StateDomain):
 
     def _filter_cmp(self, c: Cmp, d):
         return cm_filter_cmp(c, d)
+
+    def bound_vars(self, d) -> set[str]:
+        return set() if d is CM_BOT else {v for v, _ in d}
 
     def fmt(self, d, ascii_only: bool = False) -> str:
         return _fmt_cm(d, ascii_only)
@@ -462,12 +474,16 @@ def _pw_normalize(maps: Iterable) -> frozenset:
     # Only a map with fewer bindings can be strictly contained, so a scan by
     # ascending binding count need only test the maps already kept: a dropped
     # map's bindings contain a kept map's, and containment is transitive.
-    uniq = {m for m in maps if m is not CM_BOT}
+    uniq = set(maps)
+    uniq.discard(CM_BOT)
     if len(uniq) < 2:
         return frozenset(uniq)
     kept: list[frozenset] = []
     for m in sorted(uniq, key=len):
-        if not any(k < m for k in kept):
+        for k in kept:
+            if k < m:
+                break
+        else:
             kept.append(m)
     return frozenset(kept)
 
@@ -476,7 +492,8 @@ class ConstPowersetDomain(StateDomain):
     """Disjunctive completion of the constant domain, with a disjunct cap:
     on overflow all disjuncts collapse to their flat join, and
     `cap_collapses` counts one. `stabiliser(i)` is `stabilise_plan` over
-    i's write-set plan, exact for write sets of ≤ n."""
+    i's write-set plan, grouped by write-condition and exact for write sets
+    of ≤ n."""
 
     name = "const-powerset"
 
@@ -502,45 +519,66 @@ class ConstPowersetDomain(StateDomain):
     def stabiliser(self, i: dict):
         return partial(self.stabilise_plan, plan=self._write_sets(i))
 
-    def _write_sets(self, i: dict) -> dict:
-        """The plan of the subset walk under i at precision n: each write set
-        S of at most n + 1 variables with a non-bottom wc_S, as
-        `combo: (vset, wc_S, bound)` in walk order, starting with the empty
-        set and its wc, top; `bound` pairs each disjunct of wc_S with the
-        variables it binds, for `stabilise_plan`. Not memoised: `CondWrites`
-        calls `stabiliser(i)`, and so this, once per rely, so every
-        `stabilise` under one rely shares the plan, and a miss only meets d
-        with each wc_S, havocs and joins. A singleton's wc is i[v]; a larger
-        set's is one meet of its prefix's wc with i[last]. A superset of a
-        set with bottom wc is skipped unvisited: feasibility is downward
-        closed, as wc_S only shrinks as S grows, so its exact wc is bottom
-        too. A set with a member missing from i has bottom wc, so the walk
-        ranges over i's variables alone.
+    def _write_sets(self, i: dict) -> tuple[list, list]:
+        """The plan of the subset walk under i at precision n, as
+        `(groups, coarse)`. The walk visits each write set S of at most
+        n + 1 variables with a non-bottom wc_S, by size, then by sorted
+        names; the plan leaves out the empty set, whose wc is top and whose
+        term is d itself. `coarse` lists the (n+1)-sets as `(vset, wc_S)` in
+        walk order. `groups` holds the exact sets (|S| ≤ n) by stored wc_S,
+        one `(wc, sets, heads)` per distinct wc in the order the walk first
+        meets it: `sets` are the group's write sets in walk order and
+        `heads` those with no one-larger exact superset S ∪ {u} in the plan
+        whose wc equals theirs, for `stabilise_plan`. Not memoised:
+        `CondWrites` calls `stabiliser(i)`, and so this, once per rely, so
+        every `stabilise` under one rely shares the plan, and a miss only
+        meets d with each group's wc, havocs and joins. A singleton's wc is
+        i[v]; a larger set's is one meet of its prefix's wc with i[last]. A
+        superset of a set with bottom wc is skipped unvisited: feasibility
+        is downward closed, as wc_S only shrinks as S grows, so its exact wc
+        is bottom too. A set with a member missing from i has bottom wc, so
+        the walk ranges over i's variables alone.
 
         The walk yields each set after its prefix, the set minus its last
-        variable. A kept set's prefix is in the plan: had the prefix been
+        variable. Every subset of a kept set is in the plan: had it been
         skipped or met bottom, the set would have been skipped as a
         superset. The plan computes the same left fold,
         top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-meets
         each set from top, because top ⊓ x = x. So each wc_S equals that
         walk's also where the powerset cap collapses disjuncts inside a
         meet, and meets no longer associate; only the ops of the repeated
-        meets fall."""
-        plan: dict = {}
+        meets fall. Each kept exact set compares its wc with that of each
+        subset one member smaller, so the heads cost no lattice operation;
+        the comparison is of stored values, capped as built."""
+        wcs = {(): self.top()}  # each kept set's wc, in walk order
         blocked: list[frozenset[str]] = []
         for combo in subsets(sorted(i), self.n + 1):
+            if not combo:
+                continue
             vset = frozenset(combo)
             if any(b <= vset for b in blocked):
                 continue
-            if len(combo) <= 1:
-                wc = i[combo[0]] if combo else self.top()
-            else:
-                wc = self.meet(plan[combo[:-1]][1], i[combo[-1]])
+            wc = (self.meet(wcs[combo[:-1]], i[combo[-1]])
+                  if len(combo) > 1 else i[combo[0]])
             if self.is_bot(wc):
                 blocked.append(vset)
                 continue
-            plan[combo] = (vset, wc, [(w, {v for v, _ in w}) for w in wc])
-        return plan
+            wcs[combo] = wc
+        dominated = set()  # exact sets below a one-larger set of equal wc
+        groups: dict = {}  # wc -> its exact sets, in walk order
+        coarse = []
+        for combo, wc in itertools.islice(wcs.items(), 1, None):
+            if len(combo) > self.n:
+                coarse.append((frozenset(combo), wc))
+                continue
+            groups.setdefault(wc, []).append(combo)
+            for j in range(len(combo)):
+                sub = combo[:j] + combo[j + 1:]
+                if wcs[sub] == wc:
+                    dominated.add(sub)
+        return [(wc, [frozenset(c) for c in combos],
+                 [frozenset(c) for c in combos if c not in dominated])
+                for wc, combos in groups.items()], coarse
 
     def stabilise_plan(self, d, plan):
         """The subset enumeration's result, normalised once and capped once:
@@ -572,65 +610,67 @@ class ConstPowersetDomain(StateDomain):
         `tests/reference_interference.py`. Where no cap fires at all, it
         also equals the enumeration that caps inside every meet and join.
 
-        An exact write set S (|S| ≤ n) skips every map m of d that binds no
-        variable of S. Such a term havoc(m ⊓ w, S) keeps all of m's
-        bindings, so it is m or lies below it, and m is in the pool: the
-        normalisation would drop the term. The normal form, the antichain of
-        the disjunctive completion (Cousot & Cousot, POPL 1979), is unique,
-        so the result, and whether the cap fires, do not change; ops count
-        per write set, not per term, so they do not either. The coarse
-        (n+1)-sets skip nothing: their terms are havocked by the union of
-        every feasible coarse set, which can take bindings of m that S does
-        not, so a term of m need not lie below m.
-
-        Whether S's join is counted can still depend on a skipped map m: it
-        is, unless m ⊓ w is ⊥ for every disjunct w of wc_S too. A map and a
-        disjunct that bind disjoint variables cannot disagree on one, so
-        their meet is not ⊥ and is not formed; the plan holds each
-        disjunct's variables for that test.
+        The pass builds no term that the normalisation would drop, and skips
+        two kinds. First, every exact set that is not its group's head:
+        such an S has a one-larger exact superset S ∪ {u} of equal wc, and
+        following such supersets ends at a head H ⊇ S of the same wc. For
+        each map m of d and disjunct w of that wc, havoc(m ⊓ w, H) binds a
+        subset of what havoc(m ⊓ w, S) binds, so S's term is H's or lies
+        below it. Second, for a head S, every map m of d that binds no
+        variable of S: the term havoc(m ⊓ w, S) keeps all of m's bindings,
+        so it is m or lies below it, and m is in the pool. The normal form,
+        the antichain of the disjunctive completion (Cousot & Cousot, POPL
+        1979), is unique, so the result, and whether the cap fires, do not
+        change. The coarse (n+1)-sets skip nothing: their terms are
+        havocked by the union of every feasible coarse set, which can take
+        bindings of m that S does not, so a term of m need not lie below m.
 
         The pass performs no counted operation but counts those of the
-        enumeration: one meet per non-empty write set, one join per exact
-        set whose term is not ⊥ for some map of d, the skipped maps
-        included, and one join per feasible (n+1)-set (the coarse fold's
-        joins plus its join into the result). So ops do not depend on the
-        skipping or on whether a collapse fires. ⊥ stays ⊥ at no cost. For
-        d = ⊤ the pass is not run: every wc_S is non-⊥, so each write set
-        counts a meet and a join, and every term lies below ⊤."""
+        enumeration, per write set, not per term, so the skipping changes
+        none: one meet per non-empty write set, one join per exact set that
+        is feasible with d, and one join per feasible (n+1)-set (the coarse
+        fold's joins plus its join into the result). An exact set is
+        feasible when some map of d meets some disjunct of wc_S to a non-⊥
+        map, which depends on (d, wc_S) alone: so each group meets every map
+        of d with every disjunct of its wc once, decides feasibility from
+        those meets, havocs them by each head, and counts its sets × 2 ops
+        if feasible, else × 1. So ops do not depend on the skipping or on
+        whether a collapse fires. ⊥ stays ⊥ at no cost. For d = ⊤ the pass
+        is not run: every wc_S is non-⊥, so each write set counts a meet and
+        a join, and every term lies below ⊤."""
         if not d:
             return d
+        groups, coarse = plan
         if d == PW_TOP:
-            self.ops += 2 * (len(plan) - 1)
+            self.ops += 2 * (sum(len(sets) for _, sets, _ in groups)
+                             + len(coarse))
             return d
         maps = list(d)
         bound = [(m, {v for v, _ in m}) for m in d]  # each map and its variables
-        coarse = []
-        y_vars: set[str] = set()
         ops = 0
-        for vset, wc, wbound in itertools.islice(plan.values(), 1, None):
-            if len(vset) <= self.n:
-                terms = [cm_havoc(x, vset) for m, mv in bound
-                         if not vset.isdisjoint(mv) for w in wc
-                         if (x := cm_meet(m, w)) is not CM_BOT]
-                maps += terms
-                # the meet, and the join unless every map's term is ⊥
-                feasible = terms or any(
-                    mv.isdisjoint(wv) or cm_meet(m, w) is not CM_BOT
-                    for m, mv in bound if vset.isdisjoint(mv)
-                    for w, wv in wbound)
-                ops += 2 if feasible else 1
-                continue
+        for wc, sets, heads in groups:
+            met = [(x, mv) for m, mv in bound for w in wc
+                   if (x := cm_meet(m, w)) is not CM_BOT]
+            if met:
+                maps += [cm_havoc(x, vset) for vset in heads for x, mv in met
+                         if not vset.isdisjoint(mv)]
+                ops += 2 * len(sets)
+            else:
+                ops += len(sets)
+        merged = []
+        y_vars: set[str] = set()
+        for vset, wc in coarse:
             met = [x for m in d for w in wc
                    if (x := cm_meet(m, w)) is not CM_BOT]
             if met:
-                coarse += met
+                merged += met
                 y_vars |= vset
                 ops += 2  # the meet and the coarse join of a feasible set
             else:
                 ops += 1
-        if coarse:
+        if merged:
             drop = frozenset(y_vars)
-            maps += [cm_havoc(x, drop) for x in coarse]
+            maps += [cm_havoc(x, drop) for x in merged]
         self.ops += ops
         return self.make(maps)
 
@@ -668,16 +708,19 @@ class ConstPowersetDomain(StateDomain):
         return self.make(cm_meet(m1, m2) for m1 in d1 for m2 in d2)
 
     def havoc(self, d, drop: frozenset[str]):
-        return self.make(cm_havoc(m, drop) for m in d)
+        return self.make(map(cm_havoc, d, itertools.repeat(drop)))
 
     def post(self, a: Assign, d):
-        return self.make(cm_post(a, m) for m in d)
+        return self.make(map(partial(cm_post, a), d))
 
     def contains(self, d, state: dict) -> bool:
         return any(cm_contains(m, state) for m in d)
 
     def _filter_cmp(self, c: Cmp, d):
-        return self.make(cm_filter_cmp(c, m) for m in d)
+        return self.make(map(partial(cm_filter_cmp, c), d))
+
+    def bound_vars(self, d) -> set[str]:
+        return {v for m in d for v, _ in m}
 
     def fmt(self, d, ascii_only: bool = False) -> str:
         bot, top, _ = GLYPHS[ascii_only]

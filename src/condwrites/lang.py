@@ -292,15 +292,6 @@ def eval_cond(c: Cond, s: State) -> bool:
     raise TypeError(c)
 
 
-def exec_assign(a: Assign, s: State) -> State:
-    """Simultaneous multi-assignment: all RHSs evaluated in the pre-state."""
-    values = [eval_expr(e, s) for e in a.exprs]
-    out = dict(s)
-    for v, n in zip(a.targets, values):
-        out[v] = n
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parser
 

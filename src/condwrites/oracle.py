@@ -19,9 +19,12 @@ Successor tables. A thread's step depends only on its own point and the
 store, so each thread keeps a dict from `pc * S + store` to the change its
 step makes to the configuration number (None at EXIT, where it takes no
 step). An entry is filled the first time the search reaches a configuration
-with that (point, store) pair, by the concrete semantics (`exec_assign`,
+with that (point, store) pair, by the concrete semantics (`eval_expr`,
 `eval_cond`) on the store's dict, which is built once per store and only
-read; every later step from the pair is one lookup. Both searches
+read; every later step from the pair is one lookup. Each point's
+statement, successor changes and `tid:pc` label are prepared once per
+`explore`, and a search passes `step` the point and store it already
+knows. Both searches
 below fill the tables this way, so only reached pairs are evaluated, no
 table spans the universe, and `UniverseEscape` is raised exactly when a
 reachable assignment writes outside the universe. Breadth first steps
@@ -132,7 +135,7 @@ from dataclasses import dataclass
 
 from .lang import (
     EXIT, And, Assign, Cmp, Cond, EvalOverflow, Lit, Program, Skip, VarRef,
-    eval_cond, exec_assign, program_literals,
+    eval_cond, eval_expr, program_literals,
 )
 from .domains import Universe
 from .engine import AnalysisResult
@@ -244,28 +247,29 @@ def explore(p: Program, universe: Universe | None = None,
         weights.append(vectors)
         vectors *= n
 
-    def step(k: int, key: int) -> int | None:
-        """The change thread k's step from `key` = (pc, store) makes to a
-        configuration; None when the thread is at EXIT and takes no step."""
-        pc, store = divmod(key, size)
-        if pc == 0:
-            return None
-        tid, flow = p.threads[k].tid, flows[k]
-        st = flow.stmts[pc]
-        new, nxt = store, flow.succ[pc]
+    # each thread's points 1..P_k-1 as (statement, the change of moving to
+    # succ, the change of moving to succ_false, `tid:pc`); EXIT takes no step
+    code = [[None] + [(f.stmts[pc], (f.succ[pc] - pc) * w * size,
+                       (f.succ_false[pc] - pc) * w * size, f"{t.tid}:{pc}")
+                      for pc in range(1, n)]
+            for t, f, w, n in zip(p.threads, flows, weights, points)]
+
+    def step(k: int, pc: int, store: int) -> int:
+        """The change thread k's step from point pc (not EXIT) and `store`
+        makes to a configuration."""
+        st, delta, delta_false, label = code[k][pc]
         if isinstance(st, Assign):
             env = env_of(store)
-            out = exec_assign(st, env)  # returns a copy
-            for v in st.targets:  # only the targets move the store index
+            values = [eval_expr(e, env) for e in st.exprs]
+            for v, n in zip(st.targets, values):  # only targets move the store
                 at = position[v]
-                if out[v] not in at:
+                if n not in at:
                     raise UniverseEscape(
-                        f"{tid}:{pc} wrote {v}={out[v]}, outside the universe")
-                new += (at[out[v]] - at[env[v]]) * stride_of[v]
-        elif not isinstance(st, Skip):  # a guard evaluation is one visible step
-            if not eval_cond(st.cond, env_of(store)):
-                nxt = flow.succ_false[pc]
-        return new - store + (nxt - pc) * weights[k] * size
+                        f"{label} wrote {v}={n}, outside the universe")
+                delta += (at[n] - at[env[v]]) * stride_of[v]
+        elif not isinstance(st, Skip) and not eval_cond(st.cond, env_of(store)):
+            delta = delta_false  # a guard evaluation is one visible step
+        return delta
 
     tables = [{} for _ in flows]
     start = sum(f.entry * w for f, w in zip(flows, weights))
@@ -320,7 +324,8 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
         masks = [run << w * pc for pc in range(n)]
         # the sweep skips EXIT (pc 0), where a thread takes no step; the dict
         # maps a swept pair's key to its (shift, target store)
-        threads.append((table, {}, range(size, size * n, size), masks[1:], masks[0]))
+        sweep = list(zip(range(1, n), range(size, size * n, size), masks[1:]))
+        threads.append((table, {}, sweep, masks[0]))
     reached = dict.fromkeys(initial, 1 << start)  # store -> bitset of vectors
     pending = dict(reached)  # the bits a queued store has not yet stepped
     work = deque(initial)
@@ -330,15 +335,15 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
         bits = reached[s]  # held here while s is swept
         while new:
             moved = {}  # other target store -> the vectors `new` steps into it
-            for k, (table, moves, offsets, masks, _) in enumerate(threads):
-                for offset, mask in zip(offsets, masks):
+            for k, (table, moves, sweep, _) in enumerate(threads):
+                for pc, offset, mask in sweep:
                     x = new & mask
                     if not x:
                         continue
                     key = s + offset
                     move = moves.get(key)
                     if move is None:
-                        delta = table[key] = step(k, key)
+                        delta = table[key] = step(k, pc, s)
                         move = moves[key] = divmod(s + delta, size)
                     shift, target = move
                     x = x << shift if shift >= 0 else x >> -shift
@@ -359,7 +364,7 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
             before, bits = bits, bits | new
             new = bits ^ before  # the chained vectors this round added
         reached[s] = bits
-    for table, _, _, _, exit_mask in threads:
+    for table, _, _, exit_mask in threads:
         for s, bits in reached.items():
             if bits & exit_mask:
                 table[s] = None  # EXIT's key is the store itself
@@ -380,11 +385,12 @@ def _breadth_first(initial, start, size, weights, points, tables, step,
     for cfg in queue:  # breadth first: the loop also visits what it appends
         store = cfg % size
         for k, m, n, table in threads:
-            key = cfg // m % n * size + store
+            pc = cfg // m % n
+            key = pc * size + store
             if key in table:
                 delta = table[key]
             else:
-                delta = table[key] = step(k, key)
+                delta = table[key] = step(k, pc, store) if pc else None
             if delta is None:
                 continue
             steps += 1

@@ -6,7 +6,8 @@ for `CondWrites.stabilise` and `StateDomain.close_one`.
 from `dom.top()`, and every call re-folds every subset's meets. The
 prunings are keyword arguments, all off by default: `b1` skips the
 supersets of a write set whose wc is bottom in `stabilise_enum`; `b2a`
-restricts `close_one` to the variables the write-condition constrains, and
+restricts `close_one` to the variables the write-condition constrains, by
+the one-havoc-per-variable test of `havoc_candidates`, and
 `b2b` skips the strict supersets of a set whose meet its havoc covers. The
 production walks always prune.
 
@@ -26,13 +27,13 @@ missing from i reads as bottom. Only the tests use these. Most are written
 as functions of a `CondWrites` instance `self`, whose `dom`, `fuel` and
 `leq` they read, and walk `domains.subsets`; `stabilise_walk` and
 `stabilise_over_plan` take a powerset domain, a state and a plan of its
-`_write_sets`, the arguments of its `stabilise_plan`, and read the
-domain's n.
+`_write_sets`, the arguments of its `stabilise_plan`, read the domain's
+n, and walk every write set of the plan in walk order (`plan_walk`),
+where the production pass builds terms only for its groups' heads.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 
 from condwrites.domains import ConstPowersetDomain, subsets
@@ -87,16 +88,26 @@ def stabilise_cap_once(self: CondWrites, i: Interference, d, *,
     return out
 
 
-def stabilise_walk(dom: ConstPowersetDomain, d, plan: dict):
+def plan_walk(plan) -> list:
+    """Every write set of a plan of `_write_sets`, as `(vset, wc_S)`, in the
+    walk's order: by size, then by sorted names. Its groups list each exact
+    set once, and the coarse (n+1)-sets, the largest, are in walk order."""
+    groups, coarse = plan
+    exact = [(vset, wc) for wc, sets, _ in groups for vset in sets]
+    return sorted(exact, key=lambda e: (len(e[0]), sorted(e[0]))) + coarse
+
+
+def stabilise_walk(dom: ConstPowersetDomain, d, plan):
     """The subset walk at dom's n over a write-set plan of dom's
-    `_write_sets`, through dom's meets, havocs and joins: it meets d with
-    each wc_S, and the coarse join starts from its first operand."""
+    `_write_sets`, every write set in walk order, its groups' heads or not,
+    through dom's meets, havocs and joins: it meets d with each wc_S, and
+    the coarse join starts from its first operand."""
     acc = d
     y_acc = None
     y_vars: set[str] = set()
-    for combo, (vset, wc, _) in itertools.islice(plan.items(), 1, None):
+    for vset, wc in plan_walk(plan):
         m = dom.meet(d, wc)
-        if len(combo) <= dom.n:
+        if len(vset) <= dom.n:
             acc = dom.join(acc, dom.havoc(m, vset))
         elif not dom.is_bot(m):
             y_acc = m if y_acc is None else dom.join(y_acc, m)
@@ -115,14 +126,19 @@ def stabilise_over_plan(dom: ConstPowersetDomain, d, plan: dict):
     return out
 
 
+def havoc_candidates(dom, d, variables) -> list[str]:
+    """The variables among `variables` whose one-variable havoc changes d:
+    the candidates of the pruned `close_one` walk for d = i[v], which
+    `StateDomain.close_one` now reads off the variables d binds."""
+    return sorted(u for u in variables if dom.havoc(d, frozenset((u,))) != d)
+
+
 def close_one(self: CondWrites, i: Interference, v: str, *,
               b2a: bool = False, b2b: bool = False):
     dom = self.dom
     iv = i.get(v, dom.bot())
     if b2a:
-        candidates = sorted(
-            u for u in dom.variables if dom.havoc(iv, frozenset((u,))) != iv
-        )
+        candidates = havoc_candidates(dom, iv, dom.variables)
     else:
         candidates = sorted(dom.variables)
     acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)

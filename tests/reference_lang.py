@@ -16,8 +16,12 @@ the rules that handled these nodes before the parser pushed every `!` with
 leaves `Not` nodes below it, `eval_cond` and `eval_expr`, and `filter`, the
 `StateDomain.filter` that re-entered `negate` at each `Not`. `push` turns a
 reference condition into the one `lang` parses, up to the grouping of a
-chain's first operand, which binary nodes do not record. Only
-`tests/test_lang_reference.py` uses it.
+chain's first operand, which binary nodes do not record.
+`tests/test_lang_reference.py` uses these.
+
+`exec_assign` is the store semantics of a `lang` assignment as a new store
+dict. `oracle.explore` reads only the targets' new values, and
+`tests/test_lang.py` and `reference_oracle` step by this reference.
 """
 
 from __future__ import annotations
@@ -63,6 +67,16 @@ def eval_expr(e, s) -> int:
     if isinstance(e, BinOp):
         return _check(ARITH_OPS[e.op](eval_expr(e.left, s), eval_expr(e.right, s)))
     raise TypeError(e)
+
+
+def exec_assign(a: lang.Assign, s: dict) -> dict:
+    """Simultaneous multi-assignment: every right-hand side is evaluated in
+    the pre-state s, by `lang.eval_expr`, then written into a copy of s."""
+    values = [lang.eval_expr(e, s) for e in a.exprs]
+    out = dict(s)
+    for v, n in zip(a.targets, values):
+        out[v] = n
+    return out
 
 
 def negate(c):

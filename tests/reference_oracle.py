@@ -20,13 +20,15 @@ from typing import Iterator
 
 from condwrites.lang import (
     Assign, Cond, Ite, Program, Skip, While,
-    eval_cond, exec_assign,
+    eval_cond,
 )
 from condwrites.domains import Universe
 from condwrites.engine import EXIT, AnalysisResult
 from condwrites.oracle import (
     Budget, OracleReport, UniverseEscape, Violation, default_universe,
 )
+
+from reference_lang import exec_assign
 
 
 def states(u: Universe) -> Iterator[dict]:

@@ -24,12 +24,13 @@ loops, whose last run `engine.collect` reuses when the entry state repeats
 and the reference re-runs.
 
 `ConstPowersetDomain.stabiliser(i)` answers a miss by `stabilise_plan`, the
-fused pass over i's write-set plan at the domain's n, which caps its result
-once. Whole analyses whose misses run the cap-once spec instead, the
-enumeration over the same plan on an uncapped copy of the domain and one
+fused pass over i's write-set plan at the domain's n, which builds terms
+only for the heads of the plan's groups and caps its result once. Whole
+analyses whose misses run the cap-once spec instead, the enumeration over
+every write set of the same plan on an uncapped copy of the domain and one
 cap, must give the same `--emit machine` output, ops and collapses
-included, at precisions n below |V| (where the coarse term runs) and at a
-cap that collapses results.
+included, at precisions n below |V| (where the coarse term runs) and at
+caps 2 and 1, which collapse results.
 
 The cap used to fire inside every meet and join of the enumeration. That
 placement stays as the precision reference: whole analyses whose misses
@@ -121,8 +122,8 @@ def machine(program, config) -> dict:
     return out
 
 
-@pytest.mark.parametrize("cap", [64, 2])
-@pytest.mark.parametrize("n", [None, 1, 0])
+@pytest.mark.parametrize("n,cap", [(None, 64), (1, 64), (0, 64), (None, 2),
+                                   (1, 2), (0, 2), (None, 1)])
 def test_fused_stabilise_matches_enumeration_end_to_end(n, cap, monkeypatch):
     fused = ConstPowersetDomain.stabilise_plan
     runs = collections.Counter()
@@ -131,7 +132,7 @@ def test_fused_stabilise_matches_enumeration_end_to_end(n, cap, monkeypatch):
         collapses = self.cap_collapses
         out = fused(self, d, plan)
         runs["capped"] += self.cap_collapses - collapses
-        runs["coarse"] += any(len(vset) > self.n for vset, *_ in plan.values())
+        runs["coarse"] += bool(plan[1])  # the plan's coarse (n+1)-sets
         return out
 
     configs = [AnalysisConfig(domain="const-powerset", mode=mode, n=n,
@@ -146,10 +147,10 @@ def test_fused_stabilise_matches_enumeration_end_to_end(n, cap, monkeypatch):
     for name, p in programs.items():
         for c in configs:
             assert ours[name, c.mode] == machine(p, c), (name, c.mode)
-    # cap 2 collapses results in this sample, except at n = 0, where one
-    # coarse havoc over every feasible variable leaves few maps; the coarse
-    # term runs at n < |V|
-    assert (runs["capped"] > 0) == (cap == 2 and n != 0), runs
+    # caps 2 and 1 collapse results in this sample, except at n = 0, where
+    # one coarse havoc over every feasible variable leaves few maps; the
+    # coarse term runs at n < |V|
+    assert (runs["capped"] > 0) == (cap < 64 and n != 0), runs
     assert (runs["coarse"] > 0) == (n is not None), runs
 
 

@@ -1,13 +1,14 @@
 import collections
 import itertools
 import random
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 
+from condwrites import domains
 from condwrites.domains import (
     CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, StateDomain, Universe,
-    cm_make, cm_meet, make_domain,
+    cm_make, make_domain, subsets,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -459,9 +460,9 @@ def test_second_stabilise_under_same_rely_reuses_plan():
          "r": pw({})}
     cw.stabilise(i, pw({"x": 0, "z": 1}))
     plan = cw.dom._write_sets(i)  # an equal plan, built apart
-    assert next(iter(plan.items())) == (
-        (), (frozenset(), cw.dom.top(), [(CM_TOP, set())]))
-    assert any(len(combo) > 1 for combo in plan)  # some wc took a meet
+    walk = reference_interference.plan_walk(plan)
+    assert all(vset for vset, _ in walk)  # the empty set takes no op
+    assert any(len(vset) > 1 for vset, _ in walk)  # some wc took a meet
     meets, plans = [], []
     meet, write_sets = cw.dom.meet, cw.dom._write_sets
 
@@ -482,14 +483,14 @@ def test_second_stabilise_under_same_rely_reuses_plan():
     before = cw.dom.ops
     cw.stabilise(i, d)
     assert plans == [] and meets == []
-    assert cw.dom.ops - before == 2 * (len(plan) - 1)
+    assert cw.dom.ops - before == 2 * len(walk)
     # the walk over the same plan, which caps inside every meet and join,
     # meets d with each wc and counts the same ops; no wc is re-met
     d = pw({"x": 0}, {"r": 1, "z": 0})
     _, ops = with_ops(
         cw, reference_interference.stabilise_walk, cw.dom, d, plan)
-    assert meets == [d] * (len(plan) - 1)
-    assert ops == 2 * (len(plan) - 1)
+    assert meets == [d] * len(walk)
+    assert ops == 2 * len(walk)
     # a new rely builds its plan once, when its stabiliser is looked up
     i2 = {**i, "r": pw({"x": 0})}
     step = cw.stabiliser(i2, True)
@@ -552,20 +553,27 @@ def test_fused_stabilise_matches_enumeration(cap):
 
 @pytest.mark.parametrize("cap", [64, 3, 2, 1])
 def test_stabilise_plan_skips_only_dominated_terms(cap):
-    # For an exact write set S, `stabilise_plan` skips each map of d that
-    # binds no variable of S: the map's term keeps all its bindings, so the
-    # map itself, already in the pool, dominates it. It must equal the walk
-    # over the same plan, which meets every map with every write set, in
-    # value, ops and cap collapses; where building the plan collapsed
-    # nothing, also the unpruned enumeration of i on an uncapped copy of the
-    # domain, capped once. A coarse (n+1)-set's terms are havocked by the
-    # union of every feasible coarse set, so a map that binds no variable of
-    # one may still lose the bindings of another: the inputs include such
-    # maps at n = 0 and n = 1, where the coarse sets are skipped by none
+    # `stabilise_plan` builds terms only for the heads of the plan's groups,
+    # the exact sets S (|S| ≤ n) with no one-larger exact superset S ∪ {u}
+    # of equal wc: havocking more variables drops more bindings, so
+    # S ∪ {u}'s term for a map and a disjunct dominates S's. For a head S it
+    # also skips each map of d that binds no variable of S: the map's term
+    # keeps all its bindings, so the map itself, already in the pool,
+    # dominates it. It must equal the walk over every write set of the same
+    # plan, which meets every map with every write set, in value, ops and
+    # cap collapses; where building the plan collapsed nothing, also the
+    # unpruned enumeration of i on an uncapped copy of the domain, capped
+    # once, and the plan must then list every set of at most n + 1
+    # variables whose wc is not ⊥, with that wc. A coarse (n+1)-set's terms
+    # are havocked by the union of every feasible coarse set, so a map that
+    # binds no variable of one may still lose the bindings of another: the
+    # inputs include such maps at n = 0 and n = 1, where the coarse sets are
+    # skipped by none
     rng = random.Random(52)
     seen = collections.Counter()
     for variables in (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")):
         shape = ConstPowersetDomain(variables, max_disjuncts=cap)
+        wide = reference_interference.uncapped(shape)
         for n in sorted({0, 1, len(variables)}):
             new = CondWrites(ConstPowersetDomain(variables, cap, n))
             dom = new.dom
@@ -579,30 +587,78 @@ def test_stabilise_plan_skips_only_dominated_terms(cap):
                              for _ in range(2))
                 assert got == with_counts(
                     spec, reference_interference.stabilise_over_plan, spec.dom, d, plan)
+                walk = reference_interference.plan_walk(plan)
                 if not plan_collapses:
                     out, _, collapses = with_counts(
                         ref, reference_interference.stabilise_cap_once, ref, i, d)
                     assert (got[0], got[2]) == (out, collapses)
+                    assert walk == [
+                        (frozenset(c), wc) for c in subsets(variables, n + 1)
+                        if c and (wc := reduce(
+                            wide.meet, [i[v] for v in c]))]
                     seen["exact plan"] += 1
                 seen["capped"] += got[2]
-                for vset, wc, wbound in itertools.islice(plan.values(), 1, None):
-                    assert wbound == [(w, {v for v, _ in w}) for w in wc]
+                wcs = dict(walk)
+                groups, coarse = plan
+                assert all(len(vset) > n for vset, _ in coarse)
+                for wc, sets, heads in groups:
+                    assert heads == [s for s in sets if len(s) == n or not any(
+                        wcs.get(s | {u}) == wc for u in variables if u not in s)]
+                    met = [m for m in d if dom.meet(frozenset({m}), wc)]
+                    for vset in sets:
+                        skipped = [m for m in met if vset.isdisjoint(v for v, _ in m)]
+                        if vset not in heads:
+                            seen["dominated set"] += len(met) > len(skipped)
+                        else:
+                            seen["dominated map"] += len(skipped) > 0
+                    # a group whose joins only maps that every head skips decide
+                    seen["decided by a skipped map"] += bool(met) and all(
+                        vset.isdisjoint(v for v, _ in m)
+                        for m in met for vset in heads)
+                for vset, wc in coarse:
                     for m in d:
                         if (vset.isdisjoint(v for v, _ in m)
                                 and dom.meet(frozenset({m}), wc)):
-                            kind = "exact" if len(vset) <= n else f"coarse at n={n}"
-                            seen[kind] += 1
-                    # an exact set whose join only a skipped map decides,
-                    # through a disjunct binding none of the map's variables
-                    kept = [m for m in d if not vset.isdisjoint(v for v, _ in m)]
-                    if len(vset) <= n and not any(
-                            cm_meet(m, w) is not CM_BOT for m in kept for w in wc):
-                        seen["disjoint"] += any(
-                            wv.isdisjoint(v for v, _ in m)
-                            for m in d if m not in kept for _, wv in wbound)
-    assert seen["exact plan"] and seen["exact"] and seen["disjoint"], seen
+                            seen[f"coarse at n={n}"] += 1
+    assert seen["exact plan"] and seen["dominated set"], seen
+    assert seen["dominated map"] and seen["decided by a skipped map"], seen
     assert seen["coarse at n=0"] and seen["coarse at n=1"], seen
     assert (seen["capped"] > 0) == (cap < 64), seen
+
+
+def test_top_write_condition_leaves_only_heads_with_it(monkeypatch):
+    # wc_{S ∪ {r}} = wc_S ⊓ ⊤ = wc_S when i[r] is ⊤, so at n = |V| every
+    # write set without r is dominated by the one with r, and each group's
+    # heads all hold r: the pass havocs by no other set, with the value, ops
+    # and collapses of the walk over every write set
+    dom = ConstPowersetDomain(VARS3)
+
+    def pw(*maps):
+        return dom.make(cm_make(m) for m in maps)
+
+    i = {"x": pw({"z": 0}, {"r": 1}), "z": pw({"x": 1}, {"z": 0}),
+         "r": dom.top()}
+    plan = dom._write_sets(i)
+    groups, coarse = plan
+    heads = [vset for _, _, hs in groups for vset in hs]
+    assert heads and all("r" in vset for vset in heads)
+    assert sum(len(sets) for _, sets, _ in groups) > len(heads)
+    assert coarse == []
+    drops = []
+    havoc = domains.cm_havoc
+
+    def recording(m, drop):
+        drops.append(drop)
+        return havoc(m, drop)
+
+    monkeypatch.setattr(domains, "cm_havoc", recording)
+    d = pw({"x": 0, "z": 0, "r": 0}, {"x": 1, "r": 1})
+    got = with_counts(CondWrites(dom), dom.stabilise_plan, d, plan)
+    assert drops and all("r" in drop for drop in drops)
+    monkeypatch.undo()
+    spec = CondWrites(ConstPowersetDomain(VARS3))
+    assert got == with_counts(
+        spec, reference_interference.stabilise_over_plan, spec.dom, d, plan)
 
 
 @pytest.mark.parametrize("mk", [cw_const, cw_pw])
@@ -615,6 +671,28 @@ def test_close_optimisation_equivalence(mk):
         out = cw.close(i)
         for a, b in itertools.product((False, True), repeat=2):
             assert out == reference_interference.close(cw, i, b2a=a, b2b=b)
+
+
+@pytest.mark.parametrize("kind", ["const", "const-powerset"])
+def test_close_candidates_are_the_bound_variables(kind):
+    # `StateDomain.close_one` walks the variables of i that some disjunct of
+    # i[v] binds. On a normalised element these are the variables whose
+    # one-variable havoc changes it, the rule it used before: a disjunct
+    # binding u loses that binding, and no disjunct of the havoc binds u. ⊥,
+    # ⊤ and elements a cap collapsed are included
+    rng = random.Random(56)
+    for cap in (64, 2, 1):
+        dom = make_domain(kind, VARS5, cap)
+        elems = [dom.bot(), dom.top()]
+        elems += [random_elem(rng, dom, (0, 1, 2)) for _ in range(300)]
+        if kind == "const-powerset":
+            elems += [dom.make(random_cm(rng, VARS5, (0, 1, 2))
+                               for _ in range(rng.randint(1, 5)))
+                      for _ in range(100)]
+            assert (dom.cap_collapses > 0) == (cap < 64)
+        for d in elems:
+            assert sorted(dom.bound_vars(d)) == (
+                reference_interference.havoc_candidates(dom, d, VARS5))
 
 
 # -- the closed-form const close against the subset walks ----------------------

@@ -4,12 +4,13 @@ from hypothesis import given, strategies as st
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
     Skip, VarRef, While,
-    INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr, exec_assign,
+    INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr,
     format_cond, format_expr, leaves, negate, parse_program,
     program_literals, statements,
 )
 
 from randprog import format_program, random_program
+from reference_lang import exec_assign
 
 FLAGGED = """
 vars x, z;
