@@ -14,7 +14,10 @@ and its `stabilise` precision `n`. A domain is a plain lattice plus its
 algorithms and keeps no memo: `CondWrites` keeps every one. A join or meet
 with a bottom operand is neither performed nor counted: the join returns
 the other operand and the meet bottom. Expressions are evaluated by the
-concrete semantics of `lang`.
+concrete semantics of `lang`. Every powerset element the domain hands out
+is normalised and within its cap, so an operation on operands of one map
+each computes the one result map directly, and only operands of several
+maps are renormalised through `make`.
 
 The interference steps take a sparse interference i (see `interference`):
 a variable missing from i has write-condition bottom, so a write set with
@@ -157,9 +160,14 @@ def cm_post(a: Assign, d):
     if d is CM_BOT:
         return CM_BOT
     s = dict(d)
+    # every right-hand side reads the old bindings; the targets are distinct
     values = [cm_eval(e, s) for e in a.exprs]
-    known = {(v, n) for v, n in zip(a.targets, values) if n is not None}
-    return cm_havoc(d, frozenset(a.targets)) | known
+    for v, n in zip(a.targets, values):
+        if n is None:
+            s.pop(v, None)
+        else:
+            s[v] = n
+    return frozenset(s.items())
 
 
 def cm_filter_cmp(c: Cmp, d):
@@ -493,7 +501,21 @@ class ConstPowersetDomain(StateDomain):
     on overflow all disjuncts collapse to their flat join, and
     `cap_collapses` counts one. `stabiliser(i)` is `stabilise_plan` over
     i's write-set plan, grouped by write-condition and exact for write sets
-    of ≤ n."""
+    of ≤ n.
+
+    Every element the domain hands out is normalised (no map's bindings
+    strictly contain another's) and within the cap, and the primitives rely
+    on it. A single non-bottom map is such an element at every cap, since
+    the cap is at least 1. So when every operand of `leq`, `join`, `meet`,
+    `havoc`, `post` or `_filter_cmp` holds one map, the method computes the
+    one result map with its `cm_*` primitive and wraps it, with no `make`:
+    a filter returns its operand where `cm_filter_cmp` leaves the map as it
+    is, a join returns the operand whose map has strictly fewer bindings,
+    and a join of two incomparable maps goes through `_cap`, which at cap 1
+    collapses it and counts the collapse as `make` would. Operands of
+    several maps take `make`, so values, ops and collapses are those of
+    renormalising every result; `tests/reference_domains.py` keeps those
+    bodies as the differential reference."""
 
     name = "const-powerset"
 
@@ -637,7 +659,10 @@ class ConstPowersetDomain(StateDomain):
         if feasible, else × 1. So ops do not depend on the skipping or on
         whether a collapse fires. ⊥ stays ⊥ at no cost. For d = ⊤ the pass
         is not run: every wc_S is non-⊥, so each write set counts a meet and
-        a join, and every term lies below ⊤."""
+        a join, and every term lies below ⊤. Where the pass pools no term,
+        the pool is d's own maps, already normalised and within the cap, so
+        `make` would return d: the pass returns d itself. Coarse terms alone
+        can change d, so they count as pooled."""
         if not d:
             return d
         groups, coarse = plan
@@ -672,6 +697,8 @@ class ConstPowersetDomain(StateDomain):
             drop = frozenset(y_vars)
             maps += [cm_havoc(x, drop) for x in merged]
         self.ops += ops
+        if len(maps) == len(d):  # no term pooled
+            return d
         return self.make(maps)
 
     def top(self):
@@ -685,11 +712,14 @@ class ConstPowersetDomain(StateDomain):
 
     def leq(self, d1, d2) -> bool:
         # Hoare order: sound, possibly incomplete
+        if len(d1) == 1 == len(d2):
+            (m1,), (m2,) = d1, d2
+            return m2 <= m1
         return all(any(m2 <= m1 for m2 in d2) for m1 in d1)
 
     def join(self, d1, d2):
         """`make(d1 ∪ d2)`, returned as is where one antichain holds the
-        other."""
+        other, or one map has strictly fewer bindings than the other."""
         if not d1:
             return d2
         if not d2:
@@ -699,24 +729,47 @@ class ConstPowersetDomain(StateDomain):
             return d2
         if d2 <= d1:
             return d1
+        if len(d1) == 1 == len(d2):
+            (m1,), (m2,) = d1, d2
+            if m1 < m2:
+                return d1
+            if m2 < m1:
+                return d2
+            return self._cap(d1 | d2)  # two incomparable maps
         return self.make(d1 | d2)
 
     def meet(self, d1, d2):
         if not d1 or not d2:
             return PW_BOT
         self.ops += 1
+        if len(d1) == 1 == len(d2):
+            (m1,), (m2,) = d1, d2
+            m = cm_meet(m1, m2)
+            return PW_BOT if m is CM_BOT else frozenset((m,))
         return self.make(cm_meet(m1, m2) for m1 in d1 for m2 in d2)
 
     def havoc(self, d, drop: frozenset[str]):
+        if len(d) == 1:
+            (m,) = d
+            return frozenset((cm_havoc(m, drop),))
         return self.make(map(cm_havoc, d, itertools.repeat(drop)))
 
     def post(self, a: Assign, d):
+        if len(d) == 1:
+            (m,) = d
+            return frozenset((cm_post(a, m),))
         return self.make(map(partial(cm_post, a), d))
 
     def contains(self, d, state: dict) -> bool:
         return any(cm_contains(m, state) for m in d)
 
     def _filter_cmp(self, c: Cmp, d):
+        if len(d) == 1:
+            (m,) = d
+            m1 = cm_filter_cmp(c, m)
+            if m1 is m:
+                return d
+            return PW_BOT if m1 is CM_BOT else frozenset((m1,))
         return self.make(map(partial(cm_filter_cmp, c), d))
 
     def bound_vars(self, d) -> set[str]:

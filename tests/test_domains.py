@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, UNIVERSE_CAP, ConstDomain, ConstPowersetDomain, StateDomain,
-    Universe, UniverseTooLarge, _pw_normalize, cm_eval, cm_filter_cmp, cm_havoc,
-    cm_leq, cm_make, cm_post, make_domain,
+    CM_BOT, CM_TOP, PW_BOT, PW_TOP, UNIVERSE_CAP, ConstDomain,
+    ConstPowersetDomain, StateDomain, Universe, UniverseTooLarge, _pw_normalize,
+    cm_eval, cm_filter_cmp, cm_havoc, cm_leq, cm_make, cm_post, make_domain,
 )
 from condwrites.interference import CondWrites
-from condwrites.lang import INT_MAX, Assign, BinOp, Cmp, Lit, VarRef, parse_program
+from condwrites.lang import (
+    CMP_OPS, INT_MAX, Assign, BinOp, Cmp, Lit, VarRef, parse_program,
+)
 
 from conftest import (
     bf_exec_assign, bf_gamma, bf_gamma_cm, bf_states, random_assign, random_cm,
     random_elem, random_interference, random_pw,
 )
+import reference_domains
 import reference_oracle
 
 VARS = ("x", "y")
@@ -290,6 +293,64 @@ def test_pw_join_of_antichains_is_make_of_union(max_disjuncts):
             d2 = dom.make(shared[:rng.randint(0, len(shared))] + list(d2))
         assert dom.join(d1, d2) == dom.make(d1 | d2)
         assert dom.join(d2, d1) == dom.join(d1, d2)
+
+
+# non-bottom constant maps over three variables (CM_TOP built apart among
+# them), and expressions, comparisons and assignments over them; INT_MAX
+# lets a sum or product overflow
+MAPS3 = st.dictionaries(st.sampled_from(("a", "b", "c")), st.integers(0, 2)).map(cm_make)
+LEAVES3 = st.one_of(st.sampled_from((0, 1, 2, INT_MAX)).map(Lit),
+                    st.sampled_from(("a", "b", "c")).map(VarRef))
+EXPRS3 = st.one_of(LEAVES3, st.builds(
+    lambda op, left, right: BinOp((op,), (left, right)),
+    st.sampled_from("+-*"), LEAVES3, LEAVES3))
+CMPS3 = st.builds(Cmp, st.sampled_from(sorted(CMP_OPS)), EXPRS3, EXPRS3)
+ASSIGNS3 = st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=3,
+                    unique=True).flatmap(lambda targets: st.lists(
+                        EXPRS3, min_size=len(targets), max_size=len(targets)).map(
+                            lambda exprs: Assign(1, tuple(targets), tuple(exprs))))
+
+
+def pw_elems(cap: int):
+    """Powerset elements within cap: ⊥, ⊤, one map, or several maps
+    normalised (which may leave one)."""
+    shapes = [st.just(PW_BOT), st.just(PW_TOP), MAPS3.map(lambda m: frozenset((m,)))]
+    if cap > 1:
+        shapes.append(st.lists(MAPS3, min_size=2, max_size=min(cap, 4))
+                      .map(_pw_normalize))
+    return st.one_of(shapes)
+
+
+def counted(dom, fn, *args):
+    """fn's result, with the ops and cap collapses it added to dom."""
+    ops, collapses = dom.ops, dom.cap_collapses
+    out = fn(*args)
+    return out, dom.ops - ops, dom.cap_collapses - collapses
+
+
+@pytest.mark.parametrize("cap", [64, 2, 1])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pw_fast_paths_match_the_make_path(cap, data):
+    # the one-disjunct paths against the method bodies that sent every
+    # result through `make`: the same value, ops and cap collapses on ⊥, ⊤,
+    # one map and several. At cap 1 a join of two incomparable maps must
+    # collapse to their flat join, and count the collapse
+    dom = ConstPowersetDomain(("a", "b", "c"), max_disjuncts=cap)
+    d1, d2 = data.draw(pw_elems(cap)), data.draw(pw_elems(cap))
+    drop = data.draw(st.frozensets(st.sampled_from(("a", "b", "c"))))
+    a, c = data.draw(ASSIGNS3), data.draw(CMPS3)
+    for name, args in [
+            ("leq", (d1, d2)), ("leq", (d2, d1)), ("join", (d1, d2)),
+            ("join", (d2, d1)), ("meet", (d1, d2)), ("havoc", (d1, drop)),
+            ("post", (a, d1)), ("_filter_cmp", (c, d1))]:
+        want = counted(dom, getattr(reference_domains, name.lstrip("_")), dom, *args)
+        assert counted(dom, getattr(dom, name), *args) == want, name
+
+
+@given(st.one_of(st.just(CM_BOT), MAPS3), ASSIGNS3)
+def test_cm_post_one_pass_matches_havoc_and_union(d, a):
+    assert cm_post(a, d) == reference_domains.cm_post(a, d)
 
 
 def test_pw_disjunct_cap_collapses_to_flat_join():

@@ -7,8 +7,8 @@ import pytest
 
 from condwrites import domains
 from condwrites.domains import (
-    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, StateDomain, Universe,
-    cm_make, make_domain, subsets,
+    CM_BOT, CM_TOP, PW_BOT, PW_TOP, ConstDomain, ConstPowersetDomain,
+    StateDomain, Universe, cm_make, make_domain, subsets,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -624,6 +624,57 @@ def test_stabilise_plan_skips_only_dominated_terms(cap):
     assert seen["dominated map"] and seen["decided by a skipped map"], seen
     assert seen["coarse at n=0"] and seen["coarse at n=1"], seen
     assert (seen["capped"] > 0) == (cap < 64), seen
+
+
+@pytest.mark.parametrize("cap", [64, 2, 1])
+def test_stabilise_plan_returns_d_when_it_pools_no_term(cap, monkeypatch):
+    # the pass pools d's own maps with the terms it builds, one `cm_havoc`
+    # each. Where it builds none, the pool is d, already normalised and
+    # within the cap, so `make` of it is d: the pass returns d itself. Terms
+    # of the coarse (n+1)-sets alone can change the result (at n = 0 they
+    # are the only terms), so they must not take that shortcut. The result
+    # equals the walk over every write set of the plan, capped once, in
+    # value, ops and cap collapses, and, where building the plan collapsed
+    # nothing, the unpruned enumeration of i on an uncapped copy, capped once
+    rng = random.Random(53)
+    seen = collections.Counter()
+    terms: list[frozenset[str]] = []
+    havoc = domains.cm_havoc
+
+    def recording(x, vset):
+        terms.append(vset)
+        return havoc(x, vset)
+
+    for variables in (("a", "b"), ("a", "b", "c")):
+        shape = ConstPowersetDomain(variables, max_disjuncts=cap)
+        for n in sorted({0, 1, len(variables)}):
+            new = CondWrites(ConstPowersetDomain(variables, cap, n))
+            dom = new.dom
+            for _ in range(80):
+                i = random_interference(rng, shape, (0, 1, 2))
+                d = random_pw(rng, shape, (0, 1, 2), 4)
+                plan, _, plan_collapses = with_counts(new, dom._write_sets, i)
+                terms.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(domains, "cm_havoc", recording)
+                    got = with_counts(new, dom.stabilise_plan, d, plan)
+                spec, ref = (CondWrites(ConstPowersetDomain(variables, cap, n))
+                             for _ in range(2))
+                assert got == with_counts(
+                    spec, reference_interference.stabilise_over_plan,
+                    spec.dom, d, plan)
+                if not plan_collapses:
+                    out, _, collapses = with_counts(
+                        ref, reference_interference.stabilise_cap_once, ref, i, d)
+                    assert (got[0], got[2]) == (out, collapses)
+                if not terms:
+                    assert got[0] is d
+                    seen["no term"] += d not in (PW_BOT, PW_TOP)
+                elif all(len(vset) > n for vset in terms):
+                    seen[f"coarse only, changed at n={n}"] += got[0] != d
+    # "no term" counts only the d that are neither ⊥ nor ⊤, which the pass
+    # returns before it starts
+    assert seen["no term"] and seen["coarse only, changed at n=0"], seen
 
 
 def test_top_write_condition_leaves_only_heads_with_it(monkeypatch):
