@@ -19,9 +19,15 @@ is normalised and within its cap, so an operation on operands of one map
 each computes the one result map directly, and only operands of several
 maps are renormalised through `make`.
 
+The domain contract, `StateDomain`, is the lattice and its primitives plus
+the two abstract steps of the interference layer, `stabiliser(i)` and
+`close_one(i, v)`. The const domain supplies both as closed forms. The
+powerset domain builds both on one subset walk, `_walk`: its write-set plan
+for `stabilise` and its pruned `close_one`.
+
 The interference steps take a sparse interference i (see `interference`):
 a variable missing from i has write-condition bottom, so a write set with
-such a member meets to bottom, and the walks range over i's keys alone.
+such a member meets to bottom, and the walk ranges over i's keys alone.
 """
 
 from __future__ import annotations
@@ -191,20 +197,14 @@ def cm_filter_cmp(c: Cmp, d):
 # Domain contract
 
 
-def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
-    # bottom-up, lexicographic within a cardinality: required by the
-    # superset skipping and keeps op counts reproducible
-    for k in range(0, max_card + 1):
-        yield from itertools.combinations(variables, k)
-
-
 class StateDomain(ABC):
     """Lattice over sets of states plus abstract assignment post,
-    condition filter, and havoc, and the two steps of the interference
-    layer (see `interference`): `stabiliser(i)` returns the function
-    d ↦ stabilise(i, d), which `CondWrites` builds once per rely and whose
-    results it memoises, and `close_one(i, v)` is one step of
-    `CondWrites.close`. Precision parameters are fixed on the domain object.
+    condition filter, and havoc, and the two abstract steps of the
+    interference layer (see `interference`), which every domain supplies:
+    `stabiliser(i)` returns the function d ↦ stabilise(i, d), which
+    `CondWrites` builds once per rely and whose results it memoises, and
+    `close_one(i, v)` is one step of `CondWrites.close`, i[v] weakened by
+    every write set. Precision parameters are fixed on the domain object.
 
     Elements are hashable and compare by content, not identity: an element
     rebuilt from new objects equals the original and hashes alike. The
@@ -249,10 +249,6 @@ class StateDomain(ABC):
     def _filter_cmp(self, c: Cmp, d): ...
 
     @abstractmethod
-    def bound_vars(self, d) -> set[str]:
-        """The variables that some disjunct of d binds to a constant."""
-
-    @abstractmethod
     def fmt(self, d, ascii_only: bool = False) -> str: ...
 
     def filter(self, c: Cond, d):
@@ -275,51 +271,8 @@ class StateDomain(ABC):
     @abstractmethod
     def stabiliser(self, i: dict): ...
 
-    def close_one(self, i: dict, v: str):
-        """One step of `CondWrites.close` for v by the pruned subset walk: it
-        considers only the variables of i that some disjunct of i[v] binds
-        (`bound_vars`), and skips the strict supersets of a set whose meet
-        its havoc already covers (a set whose meet is ⊥ among them). Each
-        skipped term's exact value lies below a kept term's, so where meets
-        and joins are exact (the flat domain, and the powerset while no
-        result exceeds its cap) the pruning changes no value. When the cap
-        collapses disjuncts inside a meet or join, `close`'s pruned result
-        can differ from the unpruned walk's; on random inputs at caps 2-4 it
-        then lay below it. The unpruned walk is kept as the differential
-        reference in `tests/reference_interference.py`. A set's meet is one
-        meet of its prefix's with i[last], as in
-        `ConstPowersetDomain._write_sets`.
-
-        On a normalised i[v] the candidates are the variables u of i with
-        havoc(i[v], {u}) ≠ i[v], the rule the reference keeps: each disjunct
-        binding u loses that binding, no disjunct of the havoc binds u, and
-        a havoc by a variable no disjunct binds changes nothing."""
-        iv = i.get(v, self.bot())
-        # adding another variable to a write set keeps its havoc and only
-        # shrinks its meet (to ⊥ if i lacks it), so its term adds nothing
-        candidates = sorted(i.keys() & self.bound_vars(iv))
-        acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
-        dominated: list[frozenset[str]] = []
-        meets: dict[tuple[str, ...], object] = {}
-        for combo in subsets(candidates, len(candidates)):
-            if not combo:
-                continue
-            vset = frozenset(combo)
-            # a strict superset of a dominated set meets below that set's
-            # meet, which is already joined in whole
-            if any(d0 < vset for d0 in dominated):
-                continue
-            h = self.havoc(iv, vset)
-            # a visited set's prefix was visited: a dominated set below the
-            # prefix lies below the set too
-            m = meets[combo] = (self.meet(meets[combo[:-1]], i[combo[-1]])
-                                if len(combo) > 1 else i[combo[0]])
-            if self.leq(m, h):
-                dominated.append(vset)
-                acc = self.join(acc, m)
-            else:
-                acc = self.join(acc, self.meet(h, m))
-        return acc
+    @abstractmethod
+    def close_one(self, i: dict, v: str): ...
 
 
 # (bottom, top, maps-to) as printed, indexed by `ascii_only`
@@ -374,9 +327,6 @@ class ConstDomain(StateDomain):
     def _filter_cmp(self, c: Cmp, d):
         return cm_filter_cmp(c, d)
 
-    def bound_vars(self, d) -> set[str]:
-        return set() if d is CM_BOT else {v for v, _ in d}
-
     def fmt(self, d, ascii_only: bool = False) -> str:
         return _fmt_cm(d, ascii_only)
 
@@ -406,7 +356,9 @@ class ConstDomain(StateDomain):
         """Weaken i[v] by the one write set that decides each of its
         bindings, the least set S ∋ x closed under "u ∈ S and i[u] binds a
         variable y of i[v] to another value ⇒ y ∈ S". ⊥ and ⊤ stay as they
-        are. Equals the walk `StateDomain.close_one`.
+        are. Equals the pruned subset walk of `ConstPowersetDomain.close_one`
+        on the flat domain, whose const copy `tests/reference_interference.py`
+        keeps.
 
         Call S closed if y ∈ S whenever some u ∈ S has i[u] binding a
         variable y of i[v] to a value other than i[v]'s. If S is not closed,
@@ -496,12 +448,19 @@ def _pw_normalize(maps: Iterable) -> frozenset:
     return frozenset(kept)
 
 
+def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
+    # bottom-up, lexicographic within a cardinality: required by the
+    # superset skipping and keeps op counts reproducible
+    for k in range(0, max_card + 1):
+        yield from itertools.combinations(variables, k)
+
+
 class ConstPowersetDomain(StateDomain):
     """Disjunctive completion of the constant domain, with a disjunct cap:
     on overflow all disjuncts collapse to their flat join, and
     `cap_collapses` counts one. `stabiliser(i)` is `stabilise_plan` over
     i's write-set plan, grouped by write-condition and exact for write sets
-    of ≤ n.
+    of ≤ n, and `close_one` is the pruned walk; both run on `_walk`.
 
     Every element the domain hands out is normalised (no map's bindings
     strictly contain another's) and within the cap, and the primitives rely
@@ -541,66 +500,108 @@ class ConstPowersetDomain(StateDomain):
     def stabiliser(self, i: dict):
         return partial(self.stabilise_plan, plan=self._write_sets(i))
 
+    def _walk(self, i: dict, names, max_card: int, skip: list):
+        """The subset walk: each non-empty write set S of at most max_card
+        of `names`, all keys of i, whose wc_S is not ⊥, as `(S, wc_S)`, in
+        `subsets` order over the sorted names. A singleton's wc is i[v]; a
+        larger set's is one meet of its prefix's wc, S minus its last name,
+        with i[last]. The walk skips every strict superset of a set in
+        `skip`, where it puts each set whose wc is ⊥ and its caller puts any
+        set whose supersets it does not want. Feasibility is downward
+        closed, as wc_S only shrinks as S grows, so a superset of a ⊥ set
+        has ⊥ wc too. A variable missing from i has wc ⊥, so a walk over
+        i's keys misses no set with a non-⊥ wc.
+
+        A set comes after all its subsets, and every subset of a yielded set
+        was yielded: had it been skipped or met ⊥, the set would have been
+        skipped as its superset. So its prefix's wc is at hand, and the walk
+        computes the same left fold, top ⊓ i[v1] ⊓ … ⊓ i[vk] in name order,
+        as a walk that re-meets each set from top, because top ⊓ x = x. So
+        each wc_S equals that walk's also where the powerset cap collapses
+        disjuncts inside a meet, and meets no longer associate; only the ops
+        of the repeated meets fall."""
+        wcs = {}  # each yielded set's wc, by its names in order
+        for combo in subsets(sorted(names), max_card):
+            if not combo:
+                continue
+            vset = frozenset(combo)
+            if any(b < vset for b in skip):
+                continue
+            wc = (self.meet(wcs[combo[:-1]], i[combo[-1]])
+                  if len(combo) > 1 else i[combo[0]])
+            if not wc:
+                skip.append(vset)
+                continue
+            wcs[combo] = wc
+            yield vset, wc
+
     def _write_sets(self, i: dict) -> tuple[list, list]:
-        """The plan of the subset walk under i at precision n, as
-        `(groups, coarse)`. The walk visits each write set S of at most
-        n + 1 variables with a non-bottom wc_S, by size, then by sorted
-        names; the plan leaves out the empty set, whose wc is top and whose
-        term is d itself. `coarse` lists the (n+1)-sets as `(vset, wc_S)` in
-        walk order. `groups` holds the exact sets (|S| ≤ n) by stored wc_S,
-        one `(wc, sets, heads)` per distinct wc in the order the walk first
-        meets it: `sets` are the group's write sets in walk order and
+        """The plan of `_walk` over i's variables at precision n, as
+        `(groups, coarse)`: every write set S of at most n + 1 variables
+        whose wc_S is not ⊥, in walk order, without the empty set, whose wc
+        is top and whose term is d itself. `coarse` lists the (n+1)-sets as
+        `(vset, wc_S)`. `groups` holds the exact sets (|S| ≤ n) by stored
+        wc_S, one `(wc, sets, heads)` per distinct wc in the order the walk
+        first meets it: `sets` are the group's write sets in walk order and
         `heads` those with no one-larger exact superset S ∪ {u} in the plan
         whose wc equals theirs, for `stabilise_plan`. Not memoised:
         `CondWrites` calls `stabiliser(i)`, and so this, once per rely, so
         every `stabilise` under one rely shares the plan, and a miss only
-        meets d with each group's wc, havocs and joins. A singleton's wc is
-        i[v]; a larger set's is one meet of its prefix's wc with i[last]. A
-        superset of a set with bottom wc is skipped unvisited: feasibility
-        is downward closed, as wc_S only shrinks as S grows, so its exact wc
-        is bottom too. A set with a member missing from i has bottom wc, so
-        the walk ranges over i's variables alone.
+        meets d with each group's wc, havocs and joins.
 
-        The walk yields each set after its prefix, the set minus its last
-        variable. Every subset of a kept set is in the plan: had it been
-        skipped or met bottom, the set would have been skipped as a
-        superset. The plan computes the same left fold,
-        top ⊓ i[v1] ⊓ … ⊓ i[vk] in variable order, as the walk that re-meets
-        each set from top, because top ⊓ x = x. So each wc_S equals that
-        walk's also where the powerset cap collapses disjuncts inside a
-        meet, and meets no longer associate; only the ops of the repeated
-        meets fall. Each kept exact set compares its wc with that of each
-        subset one member smaller, so the heads cost no lattice operation;
+        The subsets one member smaller of an exact set were yielded before
+        it, so as each set arrives it compares its wc with theirs and marks
+        those of equal wc as no head. The heads cost no lattice operation;
         the comparison is of stored values, capped as built."""
-        wcs = {(): self.top()}  # each kept set's wc, in walk order
-        blocked: list[frozenset[str]] = []
-        for combo in subsets(sorted(i), self.n + 1):
-            if not combo:
-                continue
-            vset = frozenset(combo)
-            if any(b <= vset for b in blocked):
-                continue
-            wc = (self.meet(wcs[combo[:-1]], i[combo[-1]])
-                  if len(combo) > 1 else i[combo[0]])
-            if self.is_bot(wc):
-                blocked.append(vset)
-                continue
-            wcs[combo] = wc
+        wcs = {frozenset(): self.top()}  # each exact set's wc
         dominated = set()  # exact sets below a one-larger set of equal wc
         groups: dict = {}  # wc -> its exact sets, in walk order
         coarse = []
-        for combo, wc in itertools.islice(wcs.items(), 1, None):
-            if len(combo) > self.n:
-                coarse.append((frozenset(combo), wc))
+        for vset, wc in self._walk(i, i.keys(), self.n + 1, []):
+            if len(vset) > self.n:
+                coarse.append((vset, wc))
                 continue
-            groups.setdefault(wc, []).append(combo)
-            for j in range(len(combo)):
-                sub = combo[:j] + combo[j + 1:]
-                if wcs[sub] == wc:
+            wcs[vset] = wc
+            groups.setdefault(wc, []).append(vset)
+            for u in vset:
+                if wcs[sub := vset - {u}] == wc:
                     dominated.add(sub)
-        return [(wc, [frozenset(c) for c in combos],
-                 [frozenset(c) for c in combos if c not in dominated])
-                for wc, combos in groups.items()], coarse
+        return [(wc, sets, [s for s in sets if s not in dominated])
+                for wc, sets in groups.items()], coarse
+
+    def close_one(self, i: dict, v: str):
+        """One step of `CondWrites.close` for v by the pruned subset walk: it
+        considers only the variables of i that some disjunct of i[v] binds
+        (`bound_vars`), and skips the strict supersets of a set whose meet
+        its havoc already covers (a set whose meet is ⊥ among them). Each
+        skipped term's exact value lies below a kept term's, so where meets
+        and joins are exact (the flat domain, and the powerset while no
+        result exceeds its cap) the pruning changes no value. When the cap
+        collapses disjuncts inside a meet or join, `close`'s pruned result
+        can differ from the unpruned walk's; on random inputs at caps 2-4 it
+        then lay below it. The unpruned walk is kept as the differential
+        reference in `tests/reference_interference.py`. A set's meet is one
+        meet of its prefix's with i[last], by `_walk`, as in `_write_sets`.
+
+        On a normalised i[v] the candidates are the variables u of i with
+        havoc(i[v], {u}) ≠ i[v], the rule the reference keeps: each disjunct
+        binding u loses that binding, no disjunct of the havoc binds u, and
+        a havoc by a variable no disjunct binds changes nothing."""
+        iv = i.get(v, PW_BOT)
+        # adding another variable to a write set keeps its havoc and only
+        # shrinks its meet (to ⊥ if i lacks it), so its term adds nothing
+        candidates = i.keys() & self.bound_vars(iv)
+        acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
+        dominated: list[frozenset[str]] = []
+        for vset, m in self._walk(i, candidates, len(candidates), dominated):
+            h = self.havoc(iv, vset)
+            if self.leq(m, h):
+                # a strict superset meets below m, which is joined in whole
+                dominated.append(vset)
+                acc = self.join(acc, m)
+            else:
+                acc = self.join(acc, self.meet(h, m))
+        return acc
 
     def stabilise_plan(self, d, plan):
         """The subset enumeration's result, normalised once and capped once:

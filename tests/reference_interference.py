@@ -1,6 +1,6 @@
 """The subset enumerations before the per-rely write-set plan, and the
 placements of the powerset disjunct cap, kept as the differential reference
-for `CondWrites.stabilise` and `StateDomain.close_one`.
+for `CondWrites.stabilise` and the domains' `close_one`.
 
 `stabilise_enum` and `close_one` start each subset's write-condition meet
 from `dom.top()`, and every call re-folds every subset's meets. The
@@ -10,6 +10,11 @@ restricts `close_one` to the variables the write-condition constrains, by
 the one-havoc-per-variable test of `havoc_candidates`, and
 `b2b` skips the strict supersets of a set whose meet its havoc covers. The
 production walks always prune.
+
+`pruned_close_one` is the walk of `ConstPowersetDomain.close_one` written
+for any domain, with both prunings and each set's meet one meet of its
+prefix's. The const domain's `close_one` is a closed form instead, and the
+tests check it against this walk: equal values, never more ops.
 
 `stabilise_enum` takes the precision bound n, as the const domain has none
 and its closed form equals the enumeration for every n. A powerset
@@ -25,11 +30,12 @@ with `b1` on the capped domain, and its ops those of the production pass.
 Interferences are sparse, as in `condwrites.interference`: a variable
 missing from i reads as bottom. Only the tests use these. Most are written
 as functions of a `CondWrites` instance `self`, whose `dom`, `fuel` and
-`leq` they read, and walk `domains.subsets`; `stabilise_walk` and
-`stabilise_over_plan` take a powerset domain, a state and a plan of its
-`_write_sets`, the arguments of its `stabilise_plan`, read the domain's
-n, and walk every write set of the plan in walk order (`plan_walk`),
-where the production pass builds terms only for its groups' heads.
+`leq` they read, and walk `domains.subsets`; `pruned_close_one` takes the
+domain itself. `stabilise_walk` and `stabilise_over_plan` take a powerset
+domain, a state and a plan of its `_write_sets`, the arguments of its
+`stabilise_plan`, read the domain's n, and walk every write set of the plan
+in walk order (`plan_walk`), where the production pass builds terms only
+for its groups' heads.
 """
 
 from __future__ import annotations
@@ -128,9 +134,44 @@ def stabilise_over_plan(dom: ConstPowersetDomain, d, plan: dict):
 
 def havoc_candidates(dom, d, variables) -> list[str]:
     """The variables among `variables` whose one-variable havoc changes d:
-    the candidates of the pruned `close_one` walk for d = i[v], which
-    `StateDomain.close_one` now reads off the variables d binds."""
+    the candidates of the pruned close walk for d = i[v]. `pruned_close_one`
+    takes them so; `ConstPowersetDomain.close_one` reads them off the
+    variables d binds (`bound_vars`)."""
     return sorted(u for u in variables if dom.havoc(d, frozenset((u,))) != d)
+
+
+def pruned_close_one(dom, i: Interference, v: str):
+    """One step of `CondWrites.close` for v by the pruned subset walk over
+    dom: the candidates are the variables of i whose havoc changes i[v],
+    and the walk skips the strict supersets of a set whose meet its havoc
+    already covers (a set whose meet is ⊥ among them). A set's meet is one
+    meet of its prefix's with i[last]."""
+    iv = i.get(v, dom.bot())
+    # adding another variable to a write set keeps its havoc and only
+    # shrinks its meet (to ⊥ if i lacks it), so its term adds nothing
+    candidates = havoc_candidates(dom, iv, i.keys())
+    acc = iv  # empty-set term: havoc by nothing meets the empty meet (top)
+    dominated: list[frozenset[str]] = []
+    meets: dict[tuple[str, ...], object] = {}
+    for combo in subsets(candidates, len(candidates)):
+        if not combo:
+            continue
+        vset = frozenset(combo)
+        # a strict superset of a dominated set meets below that set's
+        # meet, which is already joined in whole
+        if any(d0 < vset for d0 in dominated):
+            continue
+        h = dom.havoc(iv, vset)
+        # a visited set's prefix was visited: a dominated set below the
+        # prefix lies below the set too
+        m = meets[combo] = (dom.meet(meets[combo[:-1]], i[combo[-1]])
+                            if len(combo) > 1 else i[combo[0]])
+        if dom.leq(m, h):
+            dominated.append(vset)
+            acc = dom.join(acc, m)
+        else:
+            acc = dom.join(acc, dom.meet(h, m))
+    return acc
 
 
 def close_one(self: CondWrites, i: Interference, v: str, *,

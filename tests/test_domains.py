@@ -432,9 +432,10 @@ def test_stabilising_bottom_counts_no_op(kind):
 
 @DOMAINS3
 def test_write_set_walks_meet_no_bottom(kind, monkeypatch):
-    # the walks range over the rely's variables, so none meets a missing
-    # (⊥) write-condition, and none meets a ⊥ it built itself; the const
-    # step meets d with each write-condition, so it is given a non-⊥ d
+    # the powerset's subset walk and the const closed forms range over the
+    # rely's variables, so none meets a missing (⊥) write-condition, and
+    # none meets a ⊥ it built itself; the const stabilise step meets d with
+    # each write-condition, so it is given a non-⊥ d
     dom = kind(("a", "b", "c"))
     rng = random.Random(55)
     operands = []
@@ -453,7 +454,7 @@ def test_write_set_walks_meet_no_bottom(kind, monkeypatch):
         elif not dom.is_bot(d):
             dom.stabiliser(i)(d)
         for v in i:
-            StateDomain.close_one(dom, i, v)
+            dom.close_one(i, v)
     assert operands and not any(dom.is_bot(x) for x in operands)
 
 
@@ -585,6 +586,28 @@ def test_every_domain_defines_stabilise():
                 {**primitives, "stabiliser": lambda self, i: lambda d: d})(VARS)
     assert full.stabiliser({})(CM_TOP) is CM_TOP
     assert CondWrites(full).stabilise({}, CM_TOP) is CM_TOP
+
+
+def test_the_contract_is_the_two_interference_steps():
+    # each domain supplies both interference steps, `stabiliser` and
+    # `close_one`, with no default route for either; `bound_vars` is no part
+    # of the contract. No domain overrides a concrete method of the contract
+    # (the constructor aside, which takes the powerset's parameters)
+    abstract = StateDomain.__abstractmethods__
+    assert {"stabiliser", "close_one"} <= abstract
+    assert not hasattr(StateDomain, "bound_vars")
+    assert not hasattr(ConstDomain, "bound_vars")
+    primitives = {name: lambda self, *args: None
+                  for name in abstract - {"close_one"}}
+    with pytest.raises(TypeError, match="close_one"):
+        type("NoCloseOne", (StateDomain,), primitives)(VARS)
+    concrete = {name for name, f in vars(StateDomain).items()
+                if callable(f) and name not in abstract
+                and not name.startswith("__")}
+    assert "filter" in concrete
+    for dom in (ConstDomain, ConstPowersetDomain):
+        for name in concrete:
+            assert getattr(dom, name) is getattr(StateDomain, name), (dom, name)
 
 
 @given(st.dictionaries(st.sampled_from(VARS), st.integers(0, 1)),

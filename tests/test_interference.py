@@ -8,7 +8,7 @@ import pytest
 from condwrites import domains
 from condwrites.domains import (
     CM_BOT, CM_TOP, PW_BOT, PW_TOP, ConstDomain, ConstPowersetDomain,
-    StateDomain, Universe, cm_make, make_domain, subsets,
+    Universe, cm_make, make_domain, subsets,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -443,7 +443,7 @@ def test_plan_enumerations_match_reference(kind, cap):
                     b1=True)
                 assert got == want and ops <= ref_ops
             for v in variables:
-                got, ops = with_ops(new, StateDomain.close_one, new.dom, i, v)
+                got, ops = with_ops(new, new.dom.close_one, i, v)
                 want, ref_ops = with_ops(
                     ref, reference_interference.close_one, ref, i, v,
                     b2a=True, b2b=True)
@@ -724,23 +724,21 @@ def test_close_optimisation_equivalence(mk):
             assert out == reference_interference.close(cw, i, b2a=a, b2b=b)
 
 
-@pytest.mark.parametrize("kind", ["const", "const-powerset"])
-def test_close_candidates_are_the_bound_variables(kind):
-    # `StateDomain.close_one` walks the variables of i that some disjunct of
+def test_close_candidates_are_the_bound_variables():
+    # the powerset `close_one` walks the variables of i that some disjunct of
     # i[v] binds. On a normalised element these are the variables whose
     # one-variable havoc changes it, the rule it used before: a disjunct
     # binding u loses that binding, and no disjunct of the havoc binds u. ⊥,
     # ⊤ and elements a cap collapsed are included
     rng = random.Random(56)
     for cap in (64, 2, 1):
-        dom = make_domain(kind, VARS5, cap)
+        dom = ConstPowersetDomain(VARS5, cap)
         elems = [dom.bot(), dom.top()]
         elems += [random_elem(rng, dom, (0, 1, 2)) for _ in range(300)]
-        if kind == "const-powerset":
-            elems += [dom.make(random_cm(rng, VARS5, (0, 1, 2))
-                               for _ in range(rng.randint(1, 5)))
-                      for _ in range(100)]
-            assert (dom.cap_collapses > 0) == (cap < 64)
+        elems += [dom.make(random_cm(rng, VARS5, (0, 1, 2))
+                           for _ in range(rng.randint(1, 5)))
+                  for _ in range(100)]
+        assert (dom.cap_collapses > 0) == (cap < 64)
         for d in elems:
             assert sorted(dom.bound_vars(d)) == (
                 reference_interference.havoc_candidates(dom, d, VARS5))
@@ -760,7 +758,7 @@ def assert_close_one_matches_walks(variables, interferences):
         for v in variables:
             got, ops = with_ops(fast, fast.dom.close_one, i, v)
             want, walk_ops = with_ops(
-                walk, StateDomain.close_one, walk.dom, i, v)
+                walk, reference_interference.pruned_close_one, walk.dom, i, v)
             assert got == want and ops <= walk_ops
             assert got == reference_interference.close_one(ref, i, v)
 
@@ -793,14 +791,16 @@ def test_const_close_matches_reference():
 
 
 def test_const_close_never_walks(monkeypatch):
+    # the subset walk is the powerset's alone: const close takes its closed
+    # form and never reaches it, powerset close does
     calls = []
-    real = StateDomain.close_one
+    real = ConstPowersetDomain._walk
 
-    def counted(self, i, v):
-        calls.append(v)
-        return real(self, i, v)
+    def counted(self, i, names, max_card, skip):
+        calls.append(max_card)
+        return real(self, i, names, max_card, skip)
 
-    monkeypatch.setattr(StateDomain, "close_one", counted)
+    monkeypatch.setattr(ConstPowersetDomain, "_walk", counted)
     rng = random.Random(51)
     cw = cw_const()
     for _ in range(50):
