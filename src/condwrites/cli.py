@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes of `analyze`: 0 verified, 1 not verified, 2 analysis/parse/config
-error or resource limit, 3 oracle soundness violations.
+error or resource limit, 3 oracle soundness violations. `run_analyze` reads
+the file, then parses, analyses and (under --check-oracle) explores and
+checks in one `try`, whose one handler turns every error and resource
+limit, outer non-convergence included, into exit 2 with an `error:` line.
 Exit codes of `bench`: 0 every cell reproduced its frozen verdict, 1 a cell
 errored, its verdict drifted or it did not converge, 2 unknown --case name.
 `bench` reports verdicts and ops; timing lives in `perfbench`.
@@ -14,8 +17,8 @@ import json
 import sys
 
 from .lang import LangError, parse_program
-from .engine import AnalysisConfig, analyse, render_text, to_machine
-from .domains import UniverseTooLarge
+from .engine import MODES, AnalysisConfig, analyse, render_text, to_machine
+from .domains import DOMAINS, UniverseTooLarge
 from .interference import FuelExhausted
 from .oracle import Budget, UniverseEscape, check_soundness, explore
 from . import corpus
@@ -31,10 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="analyze a program file")
     a.add_argument("input", help="program file")
-    a.add_argument("--domain", choices=["const", "const-powerset"],
-                   default=defaults.domain)
-    a.add_argument("--mode", choices=["transitive", "nontransitive"],
-                   default=defaults.mode)
+    a.set_defaults(run=run_analyze)
+    a.add_argument("--domain", choices=DOMAINS, default=defaults.domain)
+    a.add_argument("--mode", choices=MODES, default=defaults.mode)
     a.add_argument("--n", type=int, default=defaults.n,
                    help="stabilise precision bound (default: number of "
                    "variables); no effect on const, whose stabilise is "
@@ -53,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run the benchmark corpus; exit 1 if a "
                        "cell errors, its verdict drifts or it does not "
                        "converge")
+    b.set_defaults(run=run_bench)
     b.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     b.add_argument("--case", action="append", default=[], metavar="NAME",
                    help="restrict to a named corpus program (repeatable)")
@@ -82,53 +85,42 @@ def run_analyze(args) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: {args.input} is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
+    report, violations = None, []
     try:
         program = parse_program(text)
-        overrides = _parse_rely_vars(args.rely_vars) if args.rely_vars else None
         config = AnalysisConfig(
             mode=args.mode,
             domain=args.domain,
             n=args.n,
-            rely_vars=overrides,
+            rely_vars=_parse_rely_vars(args.rely_vars) or None,
             max_disjuncts=args.max_disjuncts,
             fuel_inner=args.fuel_inner,
             fuel_outer=args.fuel_outer,
         )
         result = analyse(program, config)
         if not result.converged:
-            print("error: outer fixpoint did not converge within fuel", file=sys.stderr)
-            return 2
-    except (LangError, FuelExhausted, ValueError) as exc:
+            raise FuelExhausted("outer fixpoint did not converge within fuel")
+        if args.check_oracle:
+            report = explore(program, budget=Budget())
+            violations = check_soundness(result, report)
+    except (LangError, FuelExhausted, ValueError, UniverseEscape, UniverseTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    violations = None
-    report = None
-    if args.check_oracle:
-        try:
-            report = explore(program, budget=Budget())
-            violations = check_soundness(result, report)
-        except (LangError, UniverseEscape, UniverseTooLarge) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     if args.emit == "machine":
         payload = to_machine(result)
-        if report is not None:
+        if report:
             payload.update(report.to_machine())
             payload["violations"] = [str(v) for v in violations]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         sys.stdout.write(render_text(result, ascii_only=args.ascii))
-        if report is not None:
+        if report:
             print(f"oracle: {len(report.reachable)} points explored, "
-                  f"bounded={report.bounded}, violations={len(violations or [])}")
-            for v in violations or []:
+                  f"bounded={report.bounded}, violations={len(violations)}")
+            for v in violations:
                 print(f"  {v}")
-
-    if violations:
-        return 3
-    return 0 if result.verdict == "verified" else 1
+    return 3 if violations else (0 if result.verdict == "verified" else 1)
 
 
 def run_bench(args) -> int:
@@ -153,11 +145,7 @@ def run_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return run_analyze(args)
-    if args.command == "bench":
-        return run_bench(args)
-    raise AssertionError(args.command)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .lang import Program, parse_program
-from .engine import AnalysisConfig, analyse
+from .domains import DOMAINS
+from .engine import MODES, AnalysisConfig, analyse
 
 PROGRAMS_DIR = Path(__file__).parent / "programs"
-
-DOMAINS = ("const", "const-powerset")
-MODES = ("nontransitive", "transitive")
 
 
 @dataclass(frozen=True)

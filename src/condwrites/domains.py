@@ -211,8 +211,6 @@ class StateDomain(ABC):
     `CondWrites` memo keys and the grouping of `oracle.check_soundness`
     rely on this."""
 
-    name: str
-
     def __init__(self, variables: tuple[str, ...]):
         self.variables = tuple(variables)
         self.ops = 0  # counted joins and meets (the Ops metric)
@@ -290,8 +288,6 @@ def _fmt_cm(d, ascii_only: bool) -> str:
 
 class ConstDomain(StateDomain):
     """Flat constant-propagation maps."""
-
-    name = "const"
 
     def top(self):
         return CM_TOP
@@ -475,8 +471,6 @@ class ConstPowersetDomain(StateDomain):
     several maps take `make`, so values, ops and collapses are those of
     renormalising every result; `tests/reference_domains.py` keeps those
     bodies as the differential reference."""
-
-    name = "const-powerset"
 
     def __init__(self, variables, max_disjuncts: int = 64,
                  n: int | None = None):
@@ -784,6 +778,9 @@ class ConstPowersetDomain(StateDomain):
             return top
         maps = sorted(d, key=sorted)
         return "{" + "; ".join(_fmt_cm(m, ascii_only) for m in maps) + "}"
+
+
+DOMAINS = ("const", "const-powerset")  # the kinds make_domain builds
 
 
 def make_domain(kind: str, variables: tuple[str, ...],

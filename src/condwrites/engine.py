@@ -43,10 +43,13 @@ from .domains import StateDomain, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
 
 
+MODES = ("nontransitive", "transitive")
+
+
 @dataclass
 class AnalysisConfig:
-    mode: str = "nontransitive"  # or "transitive"
-    domain: str = "const"        # or "const-powerset"
+    mode: str = "nontransitive"  # one of MODES
+    domain: str = "const"        # one of domains.DOMAINS
     n: int | None = None         # powerset stabilise bound; default |V|
     rely_vars: dict[str, frozenset[str]] | None = None  # overrides program
     max_disjuncts: int = 64
@@ -190,7 +193,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     dom = make_domain(config.domain, program.variables, config.max_disjuncts, config.n)
     cw = CondWrites(dom, fuel=config.fuel_inner)
     transitive = config.mode == "transitive"
-    if config.mode not in ("transitive", "nontransitive"):
+    if config.mode not in MODES:
         raise ValueError(f"unknown mode {config.mode!r}")
 
     rvars = {t.tid: t.rely_vars for t in program.threads}

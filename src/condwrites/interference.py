@@ -21,7 +21,10 @@ The enumeration walks up to 2^|V| subsets; the domain's `stabiliser(i)`
 computes it as d ↦ stabilise(i, d), the const closed form or the powerset
 fused pass over a write-set plan built when it is called. `stabilise` and
 `stabilise_fix` are one-line applications of `stabiliser`, kept only for
-the tests and for the perfbench tracer, which patches them by name.
+the tests and for the perfbench tracer, which patches them by name. As
+`engine.collect` applies `stabiliser` and calls neither, the tracer's
+`interference.stabilise.*` and `interference.stabilise_fix.*` figures read
+0, and their time is billed to `engine.collect`'s self time.
 
 `CondWrites.close(i)` repeats the domain's `close_one(i, v)` for every v
 until nothing grows, in the fuelled loop of `stabilise_fix`. `close_one`

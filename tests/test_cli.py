@@ -167,6 +167,39 @@ def test_check_oracle_text_line(capsys):
     assert code == 0 and "violations=0" in out
 
 
+def test_soundness_violation_exit_code(capsys, monkeypatch):
+    # an outline asserting ⊥ at T0's point 1, which the oracle reaches
+    real = cli.analyse
+
+    def analyse(program, config):
+        result = real(program, config)
+        result.outlines["T0"][1] = result.domain.bot()
+        return result
+    monkeypatch.setattr(cli, "analyse", analyse)
+    violation = "T0@1: reachable state (1, 0, 1) outside outline assertion"
+    code, out, err = run(capsys, "analyze", FLAGGED, "--check-oracle")
+    assert code == 3 and err == ""
+    assert "violations=8" in out
+    assert f"  {violation}" in out.splitlines()
+    code, out, err = run(capsys, "analyze", FLAGGED, "--check-oracle",
+                         "--emit", "machine")
+    doc = json.loads(out)
+    assert code == 3 and err == ""
+    assert len(doc["violations"]) == 8 and violation in doc["violations"]
+
+
+@pytest.mark.parametrize("emit", ["text", "machine"])
+@pytest.mark.parametrize("domain", ["const", "const-powerset"])
+def test_loop_fuel_exhausted_exit_code(tmp_path, capsys, domain, emit):
+    # one pass of the loop's fixpoint is too few: x goes 0, 1, 2, 3
+    prog = tmp_path / "loop.cw"
+    prog.write_text("vars x; pre x == 0; thread T { while (x < 3) { x := x + 1; } }")
+    code, out, err = run(capsys, "analyze", str(prog), "--domain", domain,
+                         "--emit", emit, "--fuel-inner", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: loop at point 1 did not converge in 1 passes\n"
+
+
 def test_bench_table(capsys):
     code, out, _ = run(capsys, "bench")
     assert code == 0

@@ -150,6 +150,8 @@ def test_bang_parses_into_negation_normal_form():
     ("vars x; thread T { x := 1 + !x; }", "1:29: expected an expression, found '!'"),
     ("vars x; thread T { x := true; }", "1:25: expected an expression, found 'true'"),
     ("vars x; thread T { if (x == 1 == 1) { skip; } }", "1:31: expected ')', found '=='"),
+    ("vars x; skip; thread T { x := 1; }", "1:9: unexpected keyword 'skip'"),
+    ("vars x; thread T { 5; }", "1:20: expected a statement, found '5'"),
 ])
 def test_parse_errors(src, fragment):
     with pytest.raises(ParseError) as exc:

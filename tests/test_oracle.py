@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from condwrites import corpus
-from condwrites.domains import CM_BOT, UNIVERSE_CAP, Universe, UniverseTooLarge, cm_make
+from condwrites.domains import (
+    CM_BOT, UNIVERSE_CAP, ConstDomain, Universe, UniverseTooLarge, cm_make,
+)
 from condwrites.engine import EXIT, AnalysisConfig, analyse
 from condwrites.lang import EvalOverflow, control_flow, parse_program
 from condwrites.oracle import (
@@ -642,7 +644,7 @@ def corrupt(res, rep, rng):
         else:
             v = rng.choice(u.var_order)
             m = cm_make({v: rng.choice(u.domain_of(v))})
-            value = m if dom.name == "const" else dom.make([m])
+            value = m if isinstance(dom, ConstDomain) else dom.make([m])
         res.outlines[tid][pt] = value
 
 
