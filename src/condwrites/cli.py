@@ -7,6 +7,8 @@ checks in one `try`, whose one handler turns every error and resource
 limit, outer non-convergence included, into exit 2 with an `error:` line.
 Exit codes of `bench`: 0 every cell reproduced its frozen verdict, 1 a cell
 errored, its verdict drifted or it did not converge, 2 unknown --case name.
+Both commands exit 2 with an `error:` line when stdout's reader closes
+before the report is written out (`main` flushes stdout to find out).
 `bench` reports verdicts and ops; timing lives in `perfbench`.
 """
 
@@ -14,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .lang import LangError, parse_program
 from .engine import MODES, AnalysisConfig, analyse, render_text, to_machine
 from .domains import DOMAINS, UniverseTooLarge
 from .interference import FuelExhausted
-from .oracle import Budget, UniverseEscape, check_soundness, explore
+from .oracle import UniverseEscape, check_soundness, explore
 from . import corpus
 
 
@@ -101,7 +104,7 @@ def run_analyze(args) -> int:
         if not result.converged:
             raise FuelExhausted("outer fixpoint did not converge within fuel")
         if args.check_oracle:
-            report = explore(program, budget=Budget())
+            report = explore(program)
             violations = check_soundness(result, report)
     except (LangError, FuelExhausted, ValueError, UniverseEscape, UniverseTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -144,8 +147,19 @@ def run_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader closed early. Point stdout at devnull, so that the
+        # interpreter's flush at exit has nowhere left to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: standard output closed: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

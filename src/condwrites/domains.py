@@ -28,6 +28,12 @@ for `stabilise` and its pruned `close_one`.
 The interference steps take a sparse interference i (see `interference`):
 a variable missing from i has write-condition bottom, so a write set with
 such a member meets to bottom, and the walk ranges over i's keys alone.
+
+A domain's `fmt(d)` prints an element in the one form every report uses,
+with the glyphs ⊥ ⊤ ↦. This module is the only code that prints them,
+and `fmt_map` the only code that prints the map syntax `[k↦x, …]`, which
+the text report's rely and guarantee lines share. `ASCII` is the
+`str.translate` table that respells the glyphs as `bot`, `top`, `|->`.
 """
 
 from __future__ import annotations
@@ -247,7 +253,7 @@ class StateDomain(ABC):
     def _filter_cmp(self, c: Cmp, d): ...
 
     @abstractmethod
-    def fmt(self, d, ascii_only: bool = False) -> str: ...
+    def fmt(self, d) -> str: ...
 
     def filter(self, c: Cond, d):
         """Keep (an over-approximation of) the states in d satisfying c."""
@@ -273,17 +279,30 @@ class StateDomain(ABC):
     def close_one(self, i: dict, v: str): ...
 
 
-# (bottom, top, maps-to) as printed, indexed by `ascii_only`
-GLYPHS = (("⊥", "⊤", "↦"), ("bot", "top", "|->"))
+# ---------------------------------------------------------------------------
+# Printing: the only code that prints the glyphs ⊥ ⊤ ↦. `ASCII` respells
+# them in a finished report (`--ascii`).
+
+ASCII = str.maketrans({"⊥": "bot", "⊤": "top", "↦": "|->"})
 
 
-def _fmt_cm(d, ascii_only: bool) -> str:
-    bot, top, arrow = GLYPHS[ascii_only]
+def fmt_map(pairs) -> str:
+    """`[k↦x, …]`, the syntax of a constant map and of an interference."""
+    return "[" + ", ".join(f"{k}↦{x}" for k, x in pairs) + "]"
+
+
+def _fmt_cm(d) -> str:
     if d is CM_BOT:
-        return bot
+        return "⊥"
+    return fmt_map(sorted(d)) if d else "⊤"
+
+
+def _fmt_pw(d) -> str:
     if not d:
-        return top
-    return "[" + ", ".join(f"{v}{arrow}{n}" for v, n in sorted(d)) + "]"
+        return "⊥"
+    if d == PW_TOP:
+        return "⊤"
+    return "{" + "; ".join(map(_fmt_cm, sorted(d, key=sorted))) + "}"
 
 
 class ConstDomain(StateDomain):
@@ -323,8 +342,8 @@ class ConstDomain(StateDomain):
     def _filter_cmp(self, c: Cmp, d):
         return cm_filter_cmp(c, d)
 
-    def fmt(self, d, ascii_only: bool = False) -> str:
-        return _fmt_cm(d, ascii_only)
+    def fmt(self, d) -> str:
+        return _fmt_cm(d)
 
     def stabiliser(self, i: dict):
         """Drop from d every variable whose write-condition d meets, by one
@@ -770,14 +789,8 @@ class ConstPowersetDomain(StateDomain):
     def bound_vars(self, d) -> set[str]:
         return {v for m in d for v, _ in m}
 
-    def fmt(self, d, ascii_only: bool = False) -> str:
-        bot, top, _ = GLYPHS[ascii_only]
-        if not d:
-            return bot
-        if d == PW_TOP:
-            return top
-        maps = sorted(d, key=sorted)
-        return "{" + "; ".join(_fmt_cm(m, ascii_only) for m in maps) + "}"
+    def fmt(self, d) -> str:
+        return _fmt_pw(d)
 
 
 DOMAINS = ("const", "const-powerset")  # the kinds make_domain builds

@@ -28,7 +28,11 @@ bottom at no cost. Interferences are sparse (a missing variable's
 write-condition is bottom), so joining guarantees joins only the
 write-conditions both hold. The meet fold over exit states in `check_post`
 starts from its first operand, as a meet with top is still counted. A rely
-holds top for each variable outside the thread's rely variables."""
+holds top for each variable outside the thread's rely variables.
+
+The two reports are one document: `to_machine` formats every element once,
+with the domain's `fmt`, and `render_text` lays the document out around
+each thread's `lang.format_inst` body."""
 
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from functools import reduce
 from .lang import (
     EXIT, Assign, Block, Cond, Ite, Program, Skip, While, format_inst, negate,
 )
-from .domains import StateDomain, make_domain
+from .domains import ASCII, StateDomain, fmt_map, make_domain
 from .interference import CondWrites, FuelExhausted, Interference
 
 
@@ -299,19 +303,25 @@ def to_machine(result: AnalysisResult) -> dict:
 
 
 def render_text(result: AnalysisResult, ascii_only: bool = False) -> str:
-    dom, cw = result.domain, result.cw
+    """The text report: `to_machine`'s document laid out around each
+    thread's annotated body. With `ascii_only`, the finished report is
+    translated by `domains.ASCII`. That is exact: the tokenizer admits only
+    ASCII into identifiers and literals, and ⊥ ⊤ ↦ are the report's only
+    other characters outside ASCII."""
+    doc = to_machine(result)
     lines: list[str] = []
     for t in result.program.threads:
-        outline = result.outlines[t.tid]
+        thread = doc["threads"][t.tid]
+        outline = thread["outline"]
         lines.append(f"thread {t.tid}:")
-        lines.append(format_inst(
-            t.body, 1, lambda label: dom.fmt(outline[label], ascii_only)))
-        lines.append(f"       {dom.fmt(outline[EXIT], ascii_only)}  (exit)")
-        lines.append(f"    rely      = {cw.fmt(result.relies[t.tid], ascii_only)}")
-        lines.append(f"    guarantee = {cw.fmt(result.guarantees[t.tid], ascii_only)}")
+        lines.append(format_inst(t.body, 1, lambda label: outline[str(label)]))
+        lines.append(f"       {outline[EXIT]}  (exit)")
+        lines.append(f"    rely      = {fmt_map(thread['rely'].items())}")
+        lines.append(f"    guarantee = {fmt_map(thread['guarantee'].items())}")
         lines.append("")
-    lines.append(f"verdict:   {result.verdict}")
-    lines.append(f"converged: {result.converged}")
-    lines.append(f"ops:       {result.metrics.ops}")
-    lines.append(f"time_s:    {result.metrics.time_s:.4f}")
-    return "\n".join(lines) + "\n"
+    lines.append(f"verdict:   {doc['verdict']}")
+    lines.append(f"converged: {doc['converged']}")
+    lines.append(f"ops:       {doc['ops']}")
+    lines.append(f"time_s:    {doc['time_s']:.4f}")
+    text = "\n".join(lines) + "\n"
+    return text.translate(ASCII) if ascii_only else text

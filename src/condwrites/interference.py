@@ -48,6 +48,9 @@ nothing. `analyse` builds one domain and one `CondWrites` per call, so the
 memos, and the write-set plans, live for one analysis. A hit performs no
 lattice operation and so counts no ops; `memo_hits` counts the hits of
 both memos.
+
+This module formats nothing: an element prints through its domain's `fmt`,
+and `engine.to_machine` prints an interference's write-conditions.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from __future__ import annotations
 from functools import partial
 
 from .lang import Assign
-from .domains import GLYPHS, StateDomain
+from .domains import StateDomain
 
 # Interference elements are plain sparse dicts var -> non-bottom domain
 # element; a missing variable's write-condition is bottom. Treated as
@@ -89,15 +92,6 @@ class CondWrites:
 
     def leq(self, i1: Interference, i2: Interference) -> bool:
         return all(v in i2 and self.dom.leq(wc, i2[v]) for v, wc in i1.items())
-
-    def fmt(self, i: Interference, ascii_only: bool = False) -> str:
-        arrow = GLYPHS[ascii_only][2]
-        bot = self.dom.bot()
-        body = ", ".join(
-            f"{v}{arrow}{self.dom.fmt(i.get(v, bot), ascii_only)}"
-            for v in self.dom.variables
-        )
-        return f"[{body}]"
 
     # -- interference application and derivation ------------------------------
 

@@ -1,7 +1,11 @@
 import functools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,29 @@ def test_ascii_flag(capsys):
     _, out, _ = run(capsys, "analyze", FLAGGED, "--ascii")
     assert "|->" in out
     assert not any(ch in out for ch in "⊤⊥↦")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", str(PROGRAMS_DIR / "gate_chain.cw"), "--domain", "const-powerset",
+     "--emit", "machine"),
+    ("analyze", FLAGGED),
+    ("bench", "--case", "flagged_write"),
+], ids=["analyze-machine", "analyze-text", "bench"])
+def test_closed_stdout_exit_code(argv):
+    # a verified analysis and a passing bench whose stdout reader is gone
+    # before they start: exit 2 with one error line, not 1 with a traceback,
+    # and no second failure from the interpreter's flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "condwrites.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_rely_vars_flag(capsys):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condwrites.domains import (
-    CM_BOT, CM_TOP, PW_BOT, PW_TOP, UNIVERSE_CAP, ConstDomain,
+    ASCII, CM_BOT, CM_TOP, PW_BOT, PW_TOP, UNIVERSE_CAP, ConstDomain,
     ConstPowersetDomain, StateDomain, Universe, UniverseTooLarge, _pw_normalize,
-    cm_eval, cm_filter_cmp, cm_havoc, cm_leq, cm_make, cm_post, make_domain,
+    cm_eval, cm_filter_cmp, cm_havoc, cm_leq, cm_make, cm_post, fmt_map,
+    make_domain,
 )
 from condwrites.interference import CondWrites
 from condwrites.lang import (
@@ -499,20 +500,20 @@ def test_cm_filter_with_an_overflowing_side_keeps_d(op):
 
 def test_fmt():
     dom = ConstDomain(VARS)
-    assert dom.fmt(CM_TOP) == "⊤" and dom.fmt(CM_TOP, ascii_only=True) == "top"
-    assert dom.fmt(CM_BOT) == "⊥" and dom.fmt(CM_BOT, ascii_only=True) == "bot"
-    assert dom.fmt(cm_make({"x": 3})) == "[x↦3]"
-    assert dom.fmt(cm_make({"x": 3}), ascii_only=True) == "[x|->3]"
+    assert dom.fmt(CM_TOP) == "⊤" and dom.fmt(CM_BOT) == "⊥"
+    assert dom.fmt(cm_make({"y": 0, "x": 3})) == "[x↦3, y↦0]"
     pw = pw_dom()
-    two = pw.make([cm_make({"x": 0}), cm_make({"y": 1})])
+    two = pw.make([cm_make({"y": 1}), cm_make({"x": 0})])
     assert pw.fmt(two) == "{[x↦0]; [y↦1]}"
-    assert pw.fmt(pw.top()) == "⊤" and pw.fmt(pw.bot(), ascii_only=True) == "bot"
-    assert pw.fmt(pw.top(), ascii_only=True) == "top" and pw.fmt(pw.bot()) == "⊥"
-    assert pw.fmt(two, ascii_only=True) == "{[x|->0]; [y|->1]}"
-    cw = CondWrites(dom)
-    i = {**cw.bot(), "x": cm_make({"y": 1})}
-    assert cw.fmt(i) == "[x↦[y↦1], y↦⊥]"
-    assert cw.fmt(i, ascii_only=True) == "[x|->[y|->1], y|->bot]"
+    assert pw.fmt(pw.top()) == "⊤" and pw.fmt(pw.bot()) == "⊥"
+    # a constant map and an interference share the map syntax
+    assert fmt_map(sorted(cm_make({"x": 3}))) == dom.fmt(cm_make({"x": 3}))
+    assert fmt_map([("x", dom.fmt(cm_make({"y": 1}))), ("y", dom.fmt(CM_BOT))]) \
+        == "[x↦[y↦1], y↦⊥]"
+    assert fmt_map([]) == "[]"
+    # `ASCII` respells the three glyphs and nothing else
+    assert f"{pw.fmt(two)} {pw.fmt(pw.top())} {dom.fmt(CM_BOT)}".translate(ASCII) \
+        == "{[x|->0]; [y|->1]} top bot"
 
 
 def test_make_domain():

@@ -5,7 +5,8 @@ programs whose guards, `pre` and `post` use `!` (`randprog.bang_text`).
 
 Compares `to_machine` (without `time_s`) and, for the corpus, `render_text`
 (without its `time_s:` line), ops and stats included, against
-`golden/corpus_outputs.json`.
+`golden/corpus_outputs.json`; and, for the corpus, the `--ascii` text report
+against the golden text with ⊥ ⊤ ↦ spelled `bot`, `top`, `|->`.
 A change that alters outlines, relies, guarantees, op accounting or the run
 counters under `stats` must regenerate the file on purpose and report the
 difference (every cell's ops and their total, every changed `stats` field of
@@ -61,15 +62,22 @@ def cell_key(case, domain, mode, n) -> str:
     return key if n is None else f"{key}/n={n}"
 
 
-def cell_output(case, domain, mode, n) -> dict:
-    result = analyse(case.load(), AnalysisConfig(mode=mode, domain=domain, n=n))
+def text_report(result, ascii_only: bool = False) -> str:
+    """`render_text` without its `time_s:` line."""
+    lines = render_text(result, ascii_only).splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("time_s:"))
+
+
+def cell_result(case, domain, mode, n):
+    return analyse(case.load(), AnalysisConfig(mode=mode, domain=domain, n=n))
+
+
+def cell_output(case, result) -> dict:
     machine = to_machine(result)
     del machine["time_s"]
     if isinstance(case, BangCase):
         return {"machine": machine}
-    text = "".join(line for line in render_text(result).splitlines(keepends=True)
-                   if not line.startswith("time_s:"))
-    return {"machine": machine, "text": text}
+    return {"machine": machine, "text": text_report(result)}
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +91,15 @@ def test_golden_covers_every_cell(golden):
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: cell_key(*c))
 def test_output_matches_golden(golden, cell):
-    assert cell_output(*cell) == golden[cell_key(*cell)]
+    result = cell_result(*cell)
+    expected = golden[cell_key(*cell)]
+    assert cell_output(cell[0], result) == expected
+    if "text" in expected:
+        # the --ascii report is the golden text with its glyphs spelled out
+        ascii_text = text_report(result, ascii_only=True)
+        assert ascii_text == (expected["text"].replace("⊥", "bot")
+                              .replace("⊤", "top").replace("↦", "|->"))
+        assert ascii_text.isascii()
 
 
 def without_counts(output: dict) -> dict:
@@ -115,7 +131,7 @@ def stats(doc: dict, key: str) -> dict:
 
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    doc = {cell_key(*cell): cell_output(*cell) for cell in CELLS}
+    doc = {cell_key(*cell): cell_output(cell[0], cell_result(*cell)) for cell in CELLS}
     changed = []
     for key, output in doc.items():
         before = old[key]["machine"]["ops"] if key in old else None

@@ -7,8 +7,8 @@ import pytest
 
 from condwrites import domains
 from condwrites.domains import (
-    CM_BOT, CM_TOP, PW_BOT, PW_TOP, ConstDomain, ConstPowersetDomain,
-    Universe, cm_make, make_domain, subsets,
+    ASCII, CM_BOT, CM_TOP, PW_BOT, PW_TOP, ConstDomain, ConstPowersetDomain,
+    Universe, cm_make, fmt_map, make_domain, subsets,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -65,11 +65,13 @@ def test_join_leq_componentwise():
 
 
 def test_fmt():
+    # an interference prints as the report prints it: the shared map syntax
+    # over every variable in declaration order, a missing write-condition ⊥
     cw = cw_const()
-    i = cw.bot()
-    i["x"] = cm_make({"z": 0})
-    assert cw.fmt(i) == "[x↦[z↦0], z↦⊥, r↦⊥]"
-    assert cw.fmt(i, ascii_only=True) == "[x|->[z|->0], z|->bot, r|->bot]"
+    i = {**cw.bot(), "x": cm_make({"z": 0})}
+    line = fmt_map((v, cw.dom.fmt(i.get(v, cw.dom.bot()))) for v in cw.dom.variables)
+    assert line == "[x↦[z↦0], z↦⊥, r↦⊥]"
+    assert line.translate(ASCII) == "[x|->[z|->0], z|->bot, r|->bot]"
 
 
 # -- worked-example goldens ---------------------------------------------------
