@@ -300,7 +300,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>[ \t\r]+)
   | (?P<comment>\#[^\n]*)
   | (?P<nl>\n)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>:=|==|!=|<=|>=|&&|\|\||[{}();:,<>!+\-*=])
     """,

@@ -39,52 +39,65 @@ configurations seen never reach `max_states` and the steps taken never
 reach `max_steps`. Only then can `explore` run `_saturate`, and it does when
 `_bitsets_pay` also holds: the program has at least three threads, and its
 masks (below) take at most 4 bits per configuration, `sum(P_k) <= 4 * S`.
-Bitset rounds gain by moving, in one operation, every vector that shares a
+Bitset sweeps gain by moving, in one operation, every vector that shares a
 thread's point, and with two threads few vectors do. Measured one program
-at a time with each search forced (best of 5 runs each), breadth first was
-faster in all on the corpus (1.6 against 1.9 ms), the two-thread `chain`
-programs (2.3 against 2.5 ms) and 100 random two-thread programs (10.5
-against 12.4 ms). On 100 random three-thread programs the bitsets were 1.2
-times faster in all (from 1.2 times slower to 2.3 times faster per
-program); they were 1.9 to 14 times faster on the three- and four-thread
-programs of the `chain` and `oracle` perfbench workloads, and 2.6 times
-faster in all on 100 random four-thread programs. The mask bound keeps a
-long thread, whose masks grow with the square of its length, on breadth
-first, and caps the masks at 4 * `max_states` bits.
+at a time with each search forced (best of 5 runs each, two runs), breadth
+first was faster in all on the corpus (1.8 to 1.9 against 2.3 to 2.4 ms)
+and on 100 random two-thread programs (1.15 to 1.16 times faster); on the
+two-thread `chain` programs the bitsets were 1.05 times faster (2.7 to 2.9
+against 2.8 to 3.0 ms), too little to move the rule. On 100 random
+three-thread programs the bitsets were 1.2 times faster in all (from 1.3
+times slower to 2.8 times faster per program); they were 1.6 times faster
+in all on the three-thread `chain` programs, 11 to 12 times on the
+four-thread programs of the `oracle` perfbench workload (5 to 21 times per
+program), and 3.1 times faster in all on 100 random four-thread programs.
+The mask bound keeps a long thread, whose masks grow with the square of its
+length, on breadth first, and caps the masks at 4 * `max_states` bits.
 Every other program runs `_breadth_first`. The choice depends on the budget
 and the program alone.
 
 Saturation (`_saturate`) handles many configurations per operation. It keeps
 one int per reached store, whose bit v is set iff vector v is reached with
-that store, and a worklist of stores with new bits, first in first out.
-For each thread k and point pc, a mask holds the vectors with thread k at
-pc: a run of W_k ones repeated every W_k * P_k bits, built by multiplying
-the run by a repunit. A round over a store's new bits X takes `X & mask`
-for each (k, pc) pair, threads in order and points 1 to P_k - 1 ascending:
-a thread at EXIT takes no step, so its pairs are not swept, and once the
-search ends each reached store's int is ANDed once with each thread's EXIT
-mask to write the EXIT entries. The first time a pair is stepped, its
-(shift, target store) is cached next to its table entry, so a repeated pair
-costs one lookup; the bits are shifted by the point change times W_k. What
-the round moves into each other store is ORed together, merged into that
-store's int once, and queues that store. Steps that keep the store are
-chained (Roig, Cortadella & Pastor, ICATPN 1995): their bits are ORed into
-X, so the pairs later in the sweep step them in the same round. After the
-sweep the store's int becomes `before | X`, where `before` is its int at
-the round's start, and the next round's input is `int ^ before`: the
-chained bits not reached before, which the earlier pairs step then. This is
-exact because a store's new bits are already in its int, so X only adds
-chained bits to `before`. A chained vector that was reached already is
-swept again by the later pairs at no extra int length, and the XOR drops it
-from the next round. Preorder labels make most edges forward, so a thread's
-run of store-keeping steps takes one sweep and a loop's back edge the next
-round. A store is dropped once a round adds nothing to it, the
-local-moves-first order of saturation (Ciardo, Luettgen & Siminiceanu,
-TACAS 2001). Where moved bits are merged into another store, the bits
-already there are cleared with `x ^= x & old`, not `x &= ~old`: the
-complement of a positive int is a negative one, and ANDing it costs about 4
-times a plain AND at the 6,561 bits of the `oracle` perfbench workload's
-largest bitsets.
+that store, and a worklist of stores with bits not yet stepped, first in
+first out. For each thread k and point pc, a mask holds the vectors with
+thread k at pc: a run of W_k ones repeated every W_k * P_k bits, built by
+multiplying the run by a repunit. Each reached store has a plan, filled
+lazily: each thread's pairs, points 1 to P_k - 1 ascending (a thread at
+EXIT takes no step, so EXIT is not swept), and the store's change masks. A
+pair is stepped, and its table entry written, the first time its mask
+meets the bits being swept, so only reached pairs are evaluated, each once.
+A pair whose step keeps the store stays in its thread's list with its
+shift, the point change times W_k; a pair whose step changes the store
+leaves the list, and its mask is ORed into `changes[shift, target]`.
+
+A pop of store s is one pass of three steps. First it closes the pop's
+bits X under the store-keeping pairs, one thread at a time in thread order.
+Thread k sweeps all of X, the bits earlier threads added included, and ORs
+each step's shifted bits back into it, so one ascending sweep chains the
+forward steps (preorder labels make most edges forward); a step to EXIT
+adds bits that no mask of the thread meets. The bits of a back edge to a
+swept point are swept again once the sweep ends, and only those neither in
+X nor stepped by an earlier pop of s. This is exact: under one store a
+thread's step depends only on its own point and the store, so the
+store-keeping steps of different threads commute and never disable one
+another (Godefroid, Partial-Order Methods for the Verification of
+Concurrent Systems, LNCS 1032, 1996), and closing X under all of them is
+composing the per-thread closures in any order. Firing these local steps to
+a fixpoint before any other is the order of saturation (Ciardo, Luettgen &
+Siminiceanu, TACAS 2001). Second it drops from X the bits that earlier pops
+of s stepped: they are closed already, and their store-changing steps were
+taken. Third it steps the rest once per (shift, target store): one AND with
+the merged mask, one shift, and a merge into the target's int, which queues
+the target if it gained bits. Those merges clear the bits already there
+with `x ^= x & old`, not `x &= ~old`: the complement of a positive int is a
+negative one, and ANDing it costs about 4 times a plain AND at the 6,561
+bits of the `oracle` perfbench workload's largest bitsets. Once the search
+ends, each reached store's int is ANDed once with each thread's EXIT mask
+to write the EXIT entries. On that workload's 40 programs of seed 1, a
+program averages 64 pops and 459 step evaluations; it takes 2,165 mask ANDs
+and 1,385 non-empty moves, where chained rounds, which swept all threads'
+pairs again whenever a later thread's store-keeping step added vectors
+(125 rounds in the 64 pops), took 4,009 and 2,441.
 
 Breadth first (`_breadth_first`) visits one configuration at a time, in
 discovery order and thread order, with the budget checks of a search over
@@ -313,58 +326,82 @@ def _bitsets_pay(size: int, points: list[int]) -> bool:
 
 
 def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
-    """Fill `tables` by chained saturation over per-store bitsets of
-    vectors; return the exit stores in ascending index."""
+    """Fill `tables` by saturation over per-store bitsets of vectors, closing
+    each pop under one thread's store-keeping steps at a time; return the
+    exit stores in ascending index."""
     vectors = math.prod(points)
     full = (1 << vectors) - 1
-    threads = []
-    for table, w, n in zip(tables, weights, points):
+    sweeps = []  # each thread's pairs as (mask, pc, shift, back edge?)
+    exit_masks = []
+    for w, n in zip(weights, points):
         # a run of W_k ones per point, repeated every W_k * P_k vectors
         run = ((1 << w) - 1) * (full // ((1 << w * n) - 1))
-        masks = [run << w * pc for pc in range(n)]
-        # the sweep skips EXIT (pc 0), where a thread takes no step; the dict
-        # maps a swept pair's key to its (shift, target store)
-        sweep = list(zip(range(1, n), range(size, size * n, size), masks[1:]))
-        threads.append((table, {}, sweep, masks[0]))
+        # EXIT (pc 0) takes no step and is not swept; a shift of None marks a
+        # pair not yet stepped
+        sweeps.append([(run << w * pc, pc, None, False) for pc in range(1, n)])
+        exit_masks.append(run)
     reached = dict.fromkeys(initial, 1 << start)  # store -> bitset of vectors
     pending = dict(reached)  # the bits a queued store has not yet stepped
+    plans = {}  # store -> (each thread's store-keeping pairs, change masks)
     work = deque(initial)
     while work:
         s = work.popleft()
-        new = pending.pop(s)
-        bits = reached[s]  # held here while s is swept
-        while new:
-            moved = {}  # other target store -> the vectors `new` steps into it
-            for k, (table, moves, sweep, _) in enumerate(threads):
-                for pc, offset, mask in sweep:
-                    x = new & mask
+        bits = pending.pop(s)  # X, closed below
+        old = reached[s] ^ bits  # closed and stepped by earlier pops of s
+        plan = plans.get(s)
+        if plan is None:
+            plan = plans[s] = [sweep[:] for sweep in sweeps], {}
+        keeps, changes = plan
+        for k, (table, w, pairs) in enumerate(zip(tables, weights, keeps)):
+            swept = bits  # what the pop and the earlier threads hold
+            while swept:
+                back = 0  # what this sweep's back edges reach
+                dropped = False
+                for i, (mask, pc, shift, back_edge) in enumerate(pairs):
+                    x = swept & mask
                     if not x:
                         continue
-                    key = s + offset
-                    move = moves.get(key)
-                    if move is None:
+                    if shift is None:
+                        key = s + pc * size
                         delta = table[key] = step(k, pc, s)
-                        move = moves[key] = divmod(s + delta, size)
-                    shift, target = move
-                    x = x << shift if shift >= 0 else x >> -shift
-                    if target == s:  # chained: the rest of the sweep reads it
-                        new |= x
+                        shift, target = divmod(s + delta, size)
+                        if target != s:  # a store-changing pair leaves the list
+                            move = shift, target
+                            changes[move] = changes.get(move, 0) | mask
+                            pairs[i] = None
+                            dropped = True
+                            continue
+                        # a step back to a swept point; EXIT is not swept
+                        back_edge = -pc * w < shift < 0
+                        pairs[i] = mask, pc, shift, back_edge
+                    if back_edge:
+                        back |= x >> -shift
+                    elif shift >= 0:  # the rest of the sweep reads it
+                        swept |= x << shift
                     else:
-                        moved[target] = moved.get(target, 0) | x
-            for target, x in moved.items():
-                old = reached.get(target, 0)
-                x ^= x & old  # x & ~old, without a negative int
-                if x:
-                    reached[target] = old | x
-                    if target in pending:
-                        pending[target] |= x
-                    else:
-                        pending[target] = x
-                        work.append(target)
-            before, bits = bits, bits | new
-            new = bits ^ before  # the chained vectors this round added
-        reached[s] = bits
-    for table, _, _, exit_mask in threads:
+                        swept |= x >> -shift
+                if dropped:
+                    pairs[:] = filter(None, pairs)
+                bits |= swept
+                swept = back ^ (back & (bits | old)) if back else 0
+        reached[s] = old | bits
+        if old:
+            bits ^= bits & old  # X & ~old, without a negative int
+        for (shift, target), mask in changes.items():
+            x = bits & mask
+            if not x:
+                continue
+            x = x << shift if shift >= 0 else x >> -shift
+            have = reached.get(target, 0)
+            x ^= x & have
+            if x:
+                reached[target] = have | x
+                if target in pending:
+                    pending[target] |= x
+                else:
+                    pending[target] = x
+                    work.append(target)
+    for table, exit_mask in zip(tables, exit_masks):
         for s, bits in reached.items():
             if bits & exit_mask:
                 table[s] = None  # EXIT's key is the store itself

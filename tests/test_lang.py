@@ -152,6 +152,7 @@ def test_bang_parses_into_negation_normal_form():
     ("vars x; thread T { if (x == 1 == 1) { skip; } }", "1:31: expected ')', found '=='"),
     ("vars x; skip; thread T { x := 1; }", "1:9: unexpected keyword 'skip'"),
     ("vars x; thread T { 5; }", "1:20: expected a statement, found '5'"),
+    ("vars x; thread T { x := ٣; }", "unexpected character '٣'"),
 ])
 def test_parse_errors(src, fragment):
     with pytest.raises(ParseError) as exc:

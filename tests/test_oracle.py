@@ -418,7 +418,8 @@ def test_explore_matches_reference_on_four_thread_programs(searches):
 
 
 # A keeps the store through a run of writes and a loop whose body writes
-# nothing new (its back edge is a later round's step), then swaps x and y.
+# nothing new (its back edge leads to vectors A's sweep has already stepped),
+# then swaps x and y.
 CHAINED = """
     vars x, y, z;
     pre x == 0 && y == 1 && z == 0;
@@ -429,13 +430,72 @@ CHAINED = """
 
 
 def test_chained_rounds_match_reference(searches):
-    # steps that keep the store are taken in the round that finds them, and
-    # the swap reads each store's cached environment without writing to it
+    # steps that keep the store are closed over in the pop that reaches
+    # them, and the swap reads each store's cached environment without
+    # writing to it
     p = parse_program(CHAINED)
     got = explore(p)
     assert searches == ["_saturate"]
     assert_same_report(got, reference_explore(p), "chained")
     assert got.exit_states == {(1, 0, 1)}
+
+
+def assert_saturation_exact(p, searches, where):
+    """The bitset search on p reports what the reference and breadth first,
+    run at the budget guard, report."""
+    got = explore(p)
+    slow = explore(p, budget=Budget(max_states=configs(p)))
+    assert searches == ["_saturate", "_breadth_first"], where
+    assert_same_report(got, reference_explore(p), where)
+    assert_identical(got, slow, where)
+    return got
+
+
+# A and C each keep the store, then change it. Store (1, 1) follows only a
+# vector with both past their first step in the initial store, which C's
+# closure reaches from the vector that A's closure added, not from the pop's.
+JOINT = """
+    vars x, y;
+    pre x == 0 && y == 0;
+    thread A { x := 0; y := 1; }
+    thread B { skip; }
+    thread C { y := 0; x := 1; }
+"""
+
+
+def test_saturation_composes_the_threads_store_keeping_steps(searches):
+    got = assert_saturation_exact(parse_program(JOINT), searches, "joint")
+    assert got.exit_states == {(0, 1), (1, 0), (1, 1)}
+
+
+def test_saturation_sweeps_a_later_threads_back_edge_again(searches):
+    # B's write y := 1 moves it into the loop body under a new store, where
+    # the skip's back edge reaches the loop head as new vectors; only a second
+    # sweep of B steps them out of the loop to x := 1
+    p = parse_program("""
+        vars x, y;
+        pre x == 0 && y == 0;
+        thread A { skip; }
+        thread B { while (y == 0) { y := 1; skip; } x := 1; }
+        thread C { skip; }
+    """)
+    got = assert_saturation_exact(p, searches, "back edge")
+    assert got.exit_states == {(1, 1)}
+
+
+def test_escape_behind_composed_store_keeping_steps(searches):
+    # B's escaping write runs only in store (1, 1), which JOINT's A and C
+    # reach only through the composition of their store-keeping steps
+    p = parse_program(JOINT.replace("thread B { skip; }",
+                                    "thread B { if (x == 1 && y == 1) { x := x + 2; } }"))
+    errors = []
+    for fn in (explore, reference_explore,
+               lambda p: explore(p, budget=Budget(max_states=configs(p)))):
+        with pytest.raises(UniverseEscape) as info:
+            fn(p)
+        errors.append(str(info.value))
+    assert searches == ["_saturate", "_breadth_first", "_breadth_first"]
+    assert errors == ["B:2 wrote x=3, outside the universe"] * 3
 
 
 def test_same_programs_escape_as_the_reference(searches, monkeypatch):
