@@ -256,7 +256,10 @@ class StateDomain(ABC):
     def fmt(self, d) -> str: ...
 
     def filter(self, c: Cond, d):
-        """Keep (an over-approximation of) the states in d satisfying c."""
+        """Keep (an over-approximation of) the states in d satisfying c.
+        A comparison is tested first: most guards are one."""
+        if isinstance(c, Cmp):
+            return self._filter_cmp(c, d)
         if isinstance(c, BoolLit):
             return d if c.value else self.bot()
         if isinstance(c, And):
@@ -268,8 +271,6 @@ class StateDomain(ABC):
             for part in c.parts:
                 out = self.join(out, self.filter(part, d))
             return out
-        if isinstance(c, Cmp):
-            return self._filter_cmp(c, d)
         raise TypeError(c)
 
     @abstractmethod
@@ -347,9 +348,8 @@ class ConstDomain(StateDomain):
 
     def stabiliser(self, i: dict):
         """Drop from d every variable whose write-condition d meets, by one
-        meet per variable of i and one havoc; ⊥ stays ⊥ at no cost. Equals
-        the subset enumeration of `CondWrites.stabilise` for every bound n,
-        so the domain takes none:
+        havoc; ⊥ stays ⊥ at no cost. Equals the subset enumeration of
+        `CondWrites.stabilise` for every bound n, so the domain takes none:
 
             stabilise(i, d) = havoc(d, {u | d ⊓ i[u] ≠ ⊥})
 
@@ -360,11 +360,41 @@ class ConstDomain(StateDomain):
         wc_S's bindings, minus S; the empty write set contributes d itself,
         and the flat join intersects bindings. So the join keeps exactly the
         bindings of d whose variable no write set feasible with d touches,
-        and ⊥ stays ⊥."""
+        and ⊥ stays ⊥.
+
+        d ⊓ i[u] is ⊥ exactly when i[u] binds some variable x of d to a
+        value other than d's. So the meets are decided without being built,
+        from an index made once per rely: for each variable x that some
+        write-condition binds, each value c maps to the variables u whose
+        i[u] binds x to a value other than c, and a value that no
+        write-condition binds x to maps to all of x's binders. A step takes
+        `touched` as i's variables less the union of the index's entries for
+        d's bindings. A write-condition of ⊤ binds nothing, so its variable
+        is always touched. The ops are the closed form's meets, one per
+        variable of i whose write-condition is not ⊥, all counted, as every
+        such meet has two operands other than ⊥; a ⊥ entry, which a sparse
+        interference never stores, is never touched and counts nothing."""
+        live = [u for u, wc in i.items() if wc is not CM_BOT]
+        meets, keys = len(live), frozenset(live)
+        binders: dict[str, dict[int, set[str]]] = {}
+        for u in live:
+            for x, c in i[u]:
+                binders.setdefault(x, {}).setdefault(c, set()).add(u)
+        index = {}  # x -> (x's binders, value c -> binders of x to others)
+        for x, by_value in binders.items():
+            every = frozenset().union(*by_value.values())
+            index[x] = every, {c: every - us for c, us in by_value.items()}
+
         def step(d):
-            touched = frozenset(u for u, wc in i.items()
-                                if self.meet(d, wc) is not CM_BOT)
-            return self.havoc(d, touched)
+            if d is CM_BOT:
+                return CM_BOT
+            self.ops += meets
+            ruled_out = set()
+            for x, c in d:
+                if x in index:
+                    every, others = index[x]
+                    ruled_out |= others.get(c, every)
+            return self.havoc(d, keys - ruled_out)
         return step
 
     def close_one(self, i: dict, v: str):

@@ -122,15 +122,20 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
     it generates and its proof outline.
 
     The pass carries the state alone and stabilises each labelled point's
-    incoming state once; a loop stops when its state is stable. The
-    guarantee is the join of `cw.transitions(outline[a.label], a)` over
-    the assignments `a` of the body, in preorder, which is the order the
-    pass first reaches them in. That equals joining the transitions of
-    every pass as the pass runs: each pass's pre-assertions are at or below
-    the final ones, since loop states only grow and the semantics is
-    monotone, and `transitions` is monotone too. Stopping a loop once its
-    state is stable loses nothing: one more pass would recompute the same
-    outline.
+    incoming state once; a loop stops when its state is stable. At each
+    point it pays for the statement's transfer function and one stabiliser
+    look-up: statements dispatch on their exact type, the domain's
+    operations are bound once per pass, and a guard's negation is the
+    node's cached `neg`. The guarantee is the join of
+    `cw.transitions(outline[a.label], a)` over the assignments `a` of the
+    body, in preorder, which is the order the pass first reaches them in;
+    it is folded per target into one dict, the same per-variable left fold
+    as `reduce(cw.join, …)`, so every cap joins in the same order. That
+    equals joining the transitions of every pass as the pass runs: each
+    pass's pre-assertions are at or below the final ones, since loop
+    states only grow and the semantics is monotone, and `transitions` is
+    monotone too. Stopping a loop once its state is stable loses nothing:
+    one more pass would recompute the same outline.
 
     A loop entered again with the state of its last entry takes its last
     exit and runs no pass: under one rely a loop's run is a function of its
@@ -138,6 +143,7 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
     cost time linear in their depth. The test is equality, not order, as
     the powerset cap is not monotone."""
     dom = cw.dom
+    post, filter_, join, leq = dom.post, dom.filter, dom.join, dom.leq
     outline: Outline = {}
     assigns: dict[int, Assign] = {}
     loops: dict[int, tuple] = {}  # loop label -> its last (entry, exit)
@@ -146,26 +152,26 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
 
     def run(block, d):
         for inst in block:
-            if isinstance(inst, Skip):
-                outline[inst.label] = stab(d)
-            elif isinstance(inst, Assign):
+            kind = type(inst)
+            if kind is Assign:
                 assigns[inst.label] = inst
                 s = outline[inst.label] = stab(d)
-                d = dom.post(inst, s)
-            elif isinstance(inst, Ite):
+                d = post(inst, s)
+            elif kind is Skip:
+                outline[inst.label] = stab(d)
+            elif kind is Ite:
                 s = outline[inst.label] = stab(d)
-                d1 = run(inst.then, dom.filter(inst.cond, s))
-                d2 = run(inst.els, dom.filter(negate(inst.cond), s))
-                d = dom.join(d1, d2)
-            elif isinstance(inst, While):
+                d = join(run(inst.then, filter_(inst.cond, s)),
+                         run(inst.els, filter_(inst.neg, s)))
+            elif kind is While:
                 if inst.label in loops and loops[inst.label][0] == d:
                     d = loops[inst.label][1]
                     continue
                 entry = d
                 for _ in range(cw.fuel):
                     s = stab(d)
-                    d_next = dom.join(d, run(inst.body, dom.filter(inst.cond, s)))
-                    if dom.leq(d_next, d):
+                    d_next = join(d, run(inst.body, filter_(inst.cond, s)))
+                    if leq(d_next, d):
                         break
                     d = d_next
                 else:
@@ -173,15 +179,18 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
                         f"loop at point {inst.label} did not converge in {cw.fuel} passes")
                 # the converging pass left d unchanged, so s is its stabilisation
                 outline[inst.label] = s
-                d = dom.filter(negate(inst.cond), s)
+                d = filter_(inst.neg, s)
                 loops[inst.label] = entry, d
             else:
                 raise TypeError(inst)
         return d
 
     outline[EXIT] = stab(run(body, d))
-    writes = [cw.transitions(outline[label], a) for label, a in assigns.items()]
-    return reduce(cw.join, writes, cw.bot()), outline
+    guarantee: Interference = cw.bot()
+    for label, a in assigns.items():
+        for v, wc in cw.transitions(outline[label], a).items():
+            guarantee[v] = join(guarantee[v], wc) if v in guarantee else wc
+    return guarantee, outline
 
 
 def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:

@@ -111,12 +111,22 @@ class Ite:
     then: "Block"
     els: "Block"  # () for an if without else
 
+    @functools.cached_property
+    def neg(self) -> Cond:
+        """`negate(cond)`, built on first use."""
+        return negate(self.cond)
+
 
 @dataclass(frozen=True)
 class While:
     label: int
     cond: Cond
     body: "Block"
+
+    @functools.cached_property
+    def neg(self) -> Cond:
+        """`negate(cond)`, built on first use."""
+        return negate(self.cond)
 
 
 Inst = Union[Skip, Assign, Ite, While]

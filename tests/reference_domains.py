@@ -1,6 +1,6 @@
-"""The powerset primitives before their one-disjunct fast paths, and
-`cm_post` before its one-pass form, kept as the differential reference for
-`condwrites.domains`.
+"""The powerset primitives before their one-disjunct fast paths, `cm_post`
+before its one-pass form, and the const stabilise step before its index,
+kept as the differential reference for `condwrites.domains`.
 
 `leq`, `join`, `meet`, `havoc`, `post` and `filter_cmp` are the bodies of
 the `ConstPowersetDomain` methods of those names, written as functions of
@@ -8,7 +8,10 @@ the domain `self`: apart from the ⊥ operands of a join or meet and a join
 whose one antichain holds the other, every result goes through `make`, so
 it is normalised and capped whatever the operands' sizes. `post` maps this
 module's `cm_post`, which havocs the targets and adds the known values as a
-set union. Only the tests use these.
+set union. `const_stabiliser` is `ConstDomain.stabiliser` as the closed
+form reads: it builds and counts the meet of d with every write-condition
+of i, and havocs the variables whose meet is not ⊥. Only the tests use
+these.
 """
 
 from __future__ import annotations
@@ -66,3 +69,11 @@ def post(self, a: Assign, d):
 
 def filter_cmp(self, c: Cmp, d):
     return self.make(map(partial(cm_filter_cmp, c), d))
+
+
+def const_stabiliser(self, i: dict):
+    def step(d):
+        touched = frozenset(u for u, wc in i.items()
+                            if self.meet(d, wc) is not CM_BOT)
+        return self.havoc(d, touched)
+    return step

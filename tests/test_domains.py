@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -19,7 +20,7 @@ from condwrites.lang import (
 
 from conftest import (
     bf_exec_assign, bf_gamma, bf_gamma_cm, bf_states, random_assign, random_cm,
-    random_elem, random_interference, random_pw,
+    random_elem, random_interference, random_pw, sparse,
 )
 import reference_domains
 import reference_oracle
@@ -431,12 +432,62 @@ def test_stabilising_bottom_counts_no_op(kind):
         assert dom.ops == before
 
 
+def assert_indexed_step_matches_meets(dom, pairs):
+    """The indexed const step against the closed form's meets: the same
+    value and the same ops on each (i, d), with i applied as given, ⊥
+    entries included. Returns how often the cases that an index can get
+    wrong came up."""
+    seen = collections.Counter()
+    for i, d in pairs:
+        want = counted(dom, reference_domains.const_stabiliser(dom, i), d)
+        assert counted(dom, dom.stabiliser(i), d) == want, (i, d)
+        if d is CM_BOT:
+            seen["⊥ d"] += 1
+            continue
+        seen["⊤ write-condition"] += CM_TOP in i.values()
+        seen["⊥ write-condition"] += CM_BOT in i.values()
+        # d binds x to a value that no write-condition binds x to, while
+        # some write-condition binds x: every binder of x is ruled out
+        used = {b for wc in i.values() if wc is not CM_BOT for b in wc}
+        bound = {x for x, _ in used}
+        seen["unused value"] += any(x in bound and (x, c) not in used for x, c in d)
+    return seen
+
+
+def test_const_indexed_stabilise_matches_meets_random():
+    # sparse interferences over three variables with values {0, 1}, and
+    # states that also bind 2, which no write-condition uses
+    rng = random.Random(56)
+    dom = ConstDomain(("a", "b", "c"))
+    pairs = [(random_interference(rng, dom), random_cm(rng, dom.variables, (0, 1, 2)))
+             for _ in range(5_000)]
+    seen = assert_indexed_step_matches_meets(dom, pairs)
+    assert all(seen[what] for what in ("⊥ d", "⊤ write-condition", "unused value")), seen
+
+
+def test_const_indexed_stabilise_matches_meets_exhaustive():
+    # every write-condition map over two {0,1} variables, sparse and with
+    # its ⊥ entries kept, against every d over the values {0, 1, 2}
+    dom = ConstDomain(VARS)
+    states = [CM_BOT] + [cm_make(dict(zip(keys, vals)))
+                         for k in range(len(VARS) + 1)
+                         for keys in itertools.combinations(VARS, k)
+                         for vals in itertools.product((0, 1, 2), repeat=k)]
+    pairs = [(i, d)
+             for wcs in itertools.product(ALL_CMS, repeat=len(VARS))
+             for i in (dict(zip(VARS, wcs)), sparse(dict(zip(VARS, wcs))))
+             for d in states]
+    seen = assert_indexed_step_matches_meets(dom, pairs)
+    assert all(seen[what] for what in (
+        "⊥ d", "⊤ write-condition", "⊥ write-condition", "unused value")), seen
+
+
 @DOMAINS3
 def test_write_set_walks_meet_no_bottom(kind, monkeypatch):
     # the powerset's subset walk and the const closed forms range over the
     # rely's variables, so none meets a missing (⊥) write-condition, and
-    # none meets a ⊥ it built itself; the const stabilise step meets d with
-    # each write-condition, so it is given a non-⊥ d
+    # none meets a ⊥ it built itself; the const stabilise step decides its
+    # meets from its index and performs none
     dom = kind(("a", "b", "c"))
     rng = random.Random(55)
     operands = []

@@ -1,5 +1,7 @@
 import collections
+import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -13,7 +15,7 @@ from condwrites.engine import (
     reduce_interference, rely, render_text, to_machine,
 )
 from condwrites.interference import CondWrites
-from condwrites.lang import parse_program, statements
+from condwrites.lang import Assign, parse_program, statements
 
 from randprog import random_program
 import reference_engine
@@ -253,6 +255,50 @@ def test_collect_stabilises_each_point_once(monkeypatch):
     assert passes == 2
     assert len(stab_calls) == 1 + 2 * passes + 1
     assert assigns == [3]
+
+
+@pytest.mark.parametrize("domain,cap", [
+    ("const", 64), ("const-powerset", 64), ("const-powerset", 2), ("const-powerset", 1)])
+def test_guarantee_fold_matches_the_reduce_over_transitions(domain, cap):
+    # collect folds each assignment's transitions into the guarantee per
+    # target, in preorder: the same per-variable left fold as
+    # reduce(cw.join, ...), so it adds the same value, ops and cap collapses,
+    # also at caps where joins collapse and so do not associate. In `staged`
+    # v is written from three pairwise incomparable states, so at cap 2 the
+    # fold's second join collapses; random programs collapse only at cap 1
+    staged = parse_program("""
+        vars a, b, v; pre a == 0 && b == 0;
+        thread T { v := 1; a := 1; v := 0; b, v := 1, 1; }
+        thread U { if (v == 1) { skip; } }
+    """)
+    programs = [staged] + [random_program(seed, threads, (2, 3))
+                           for seed in range(1, 31) for threads in (2, 3)]
+    seen = collections.Counter()
+    for p, mode in itertools.product(programs, MODES):
+        res = analyse(p, AnalysisConfig(mode=mode, domain=domain, max_disjuncts=cap))
+        cw, dom = res.cw, res.domain
+        d_pre = dom.filter(p.pre, dom.top())
+        for t in p.threads:
+            counts = []  # (ops, collapses) when the fold starts
+
+            def transitions(d, a, real=cw.transitions):
+                if not counts:
+                    counts.append((dom.ops, dom.cap_collapses))
+                return real(d, a)
+
+            cw.transitions = transitions
+            g, outline = collect(cw, t.body, d_pre, res.relies[t.tid], mode == "transitive")
+            del cw.transitions
+            ops, collapses = counts[0] if counts else (dom.ops, dom.cap_collapses)
+            fold = g, dom.ops - ops, dom.cap_collapses - collapses
+            writes = [cw.transitions(outline[a.label], a)
+                      for a in statements(t.body) if isinstance(a, Assign)]
+            ops, collapses = dom.ops, dom.cap_collapses
+            want = reduce(cw.join, writes, cw.bot())
+            assert fold == (want, dom.ops - ops, dom.cap_collapses - collapses)
+            seen["joins"] += fold[1]
+            seen["collapses"] += fold[2]
+    assert seen["joins"] and (cap == 64 or seen["collapses"]), seen
 
 
 @pytest.mark.parametrize("mode", MODES)

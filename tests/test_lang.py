@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from condwrites import lang
 from condwrites.lang import (
     And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
     Skip, VarRef, While,
     INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr,
-    format_cond, format_expr, leaves, negate, parse_program,
+    format_cond, format_expr, format_inst, leaves, negate, parse_program,
     program_literals, statements,
 )
 
@@ -269,6 +270,29 @@ def test_eval_cond_and_negate_agree():
         assert eval_cond(negate(c), s) == (not eval_cond(c, s))
         # the push is an involution
         assert negate(negate(c)) == c
+
+
+def test_guard_negation_is_cached_on_the_node(monkeypatch):
+    # `Ite.neg` and `While.neg` are `negate(cond)`, built on first use and
+    # kept on the node, whose fields, equality, hash, repr and printed form
+    # stay as they were
+    src = ("vars x, y; thread T { if (x == 0 && y != 1) { x := 1; } else { skip; } "
+           "while (x < y || y > 1) { y := y + 1; } }")
+    p, fresh = parse_program(src), parse_program(src)
+    body = p.threads[0].body
+    guards = [s for s in statements(body) if isinstance(s, (Ite, While))]
+    assert {type(g) for g in guards} == {Ite, While}
+    printed, shown = format_inst(body, 1), repr(p)
+    calls = []
+    monkeypatch.setattr(lang, "negate", lambda c: calls.append(c) or negate(c))
+    first = [g.neg for g in guards]
+    assert first == [negate(g.cond) for g in guards]
+    built = len(calls)
+    assert built >= len(guards)
+    assert all(g.neg is neg for g, neg in zip(guards, first))
+    assert len(calls) == built  # a repeat reads the stored negation
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == shown
+    assert format_inst(body, 1) == printed
 
 
 def test_chains_are_walked_left_to_right():
