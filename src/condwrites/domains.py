@@ -1,11 +1,26 @@
 """Abstract state domains: the shared contract, the constant-map domain,
 and its disjunctive (powerset) completion.
 
-Elements are bare immutable sets, so every lattice operation is a set
-operation and hashing an element (as the `interference` memo keys do) reads
-a cached hash. A constant map is a frozenset of `(var, value)` bindings:
-`CM_TOP` is the empty frozenset and bottom is the sentinel `CM_BOT`, checked
-by identity. A powerset element is a frozenset of non-bottom constant maps:
+A constant map is an int bitset over a process-wide intern table (hash
+consing, after Filliâtre & Conchon, "Type-safe modular hash-consing", ML
+Workshop 2006): on first use each variable gets the next even bit and each
+binding `(var, value)` the next odd bit, and a map is the OR of its
+bindings' bits and their variables' bits. `CM_TOP` is 0 and bottom is the
+sentinel `CM_BOT`, checked by identity. The invariant, which every
+primitive keeps: a variable's bit is set iff exactly one of its binding
+bits is. So a map binds a variable of a set S iff it shares a bit with S's
+variables' masks, and the lattice operations are a few int operations:
+meet is `a | b`, which is ⊥ iff some variable ends with two binding bits,
+that is iff its bit count is not twice its count of variable bits; join is
+`a & b`, whose variable bits are repaired, by that same count test, only
+when the operands bind a variable to different values; leq is
+`a & b == b`; havoc clears the dropped variables' masks, cached per drop
+set until the next binding is interned. The table is never cleared, so
+equal maps are equal ints, and hash alike, across analyses in one process:
+the `CondWrites` memos, the tests and the grouping of
+`oracle.check_soundness` rely on it. An int means nothing to another
+process. `cm_items(d)`, cached, is the one decoder, to the bindings sorted
+by variable. A powerset element is a frozenset of non-bottom constant maps:
 bottom is the empty frozenset and top is `frozenset({CM_TOP})`. Domain
 objects carry the variable set and two plain int counters: `ops`, the
 join/meet count (the Ops metric), and `cap_collapses`, the powerset cap
@@ -42,6 +57,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .lang import (
@@ -95,7 +111,9 @@ class Universe:
 # ---------------------------------------------------------------------------
 # Constant maps (pure value-level operations, uncounted). An unbound variable
 # is unconstrained. More bindings means fewer states, so the order is reversed
-# set inclusion: leq is superset, join is intersection, meet is union.
+# inclusion of binding sets: leq is superset, join is intersection, meet is
+# union. A map is an int bitset over the intern table below (see the module
+# docstring).
 
 
 class _Bottom:
@@ -111,12 +129,88 @@ class _Bottom:
         return "CM_BOT"
 
 
-CM_TOP = frozenset()
+CM_TOP = 0
 CM_BOT = _Bottom()
 
+# The intern table, shared by every analysis in the process and never
+# cleared. On first use a variable gets the next even bit and a binding
+# (var, value) the next odd bit.
+_VARS = 0  # the bits of every interned variable
+_VAR_MASK: dict[str, int] = {}  # var -> its bit and its bindings' bits
+_PAIR: dict[tuple[str, int], int] = {}  # (var, value) -> var's bit | its bit
+_VALUE: dict[int, int] = {}  # var's bit | binding's bit -> the value
+_BINDING: dict[int, tuple[str, int]] = {}  # binding's bit -> (var, value)
+# drop set -> its variables' masks, cleared whenever a binding is interned,
+# as the new binding's bit widens its variable's mask
+_DROP_MASK: dict = {}
 
-def cm_make(bindings: dict[str, int]) -> frozenset:
-    return frozenset(bindings.items())
+
+def _intern(var: str, value: int) -> int:
+    global _VARS
+    if var not in _VAR_MASK:
+        _VAR_MASK[var] = 1 << 2 * len(_VAR_MASK)
+        _VARS |= _VAR_MASK[var]
+    bit = 1 << 2 * len(_BINDING) + 1
+    pair = _PAIR[var, value] = _VAR_MASK[var] & _VARS | bit
+    _VAR_MASK[var] |= bit
+    _BINDING[bit], _VALUE[pair] = (var, value), value
+    _DROP_MASK.clear()
+    return pair
+
+
+def _pair(var: str, value: int) -> int:
+    """The bits of the one-binding map {var ↦ value}."""
+    pair = _PAIR.get((var, value))
+    return _intern(var, value) if pair is None else pair
+
+
+def _drop_mask(drop) -> int:
+    """The bits of the variables in `drop` and of all their bindings."""
+    mask = _DROP_MASK.get(drop)
+    if mask is None:
+        mask = _DROP_MASK[drop] = reduce(
+            or_, [_VAR_MASK.get(v, 0) for v in drop], 0)
+    return mask
+
+
+class _Decoded(dict):
+    """map -> its bindings as a tuple sorted by variable, decoded once."""
+
+    def __missing__(self, d: int) -> tuple:
+        bindings = []
+        bits = d & ~_VARS
+        while bits:
+            low = bits & -bits
+            bindings.append(_BINDING[low])
+            bits ^= low
+        out = self[d] = tuple(sorted(bindings))
+        return out
+
+
+class _BindingSets(dict):
+    """map -> the frozenset of its bindings, which `contains` tests
+    against a store's items at C level."""
+
+    def __missing__(self, d: int) -> frozenset:
+        out = self[d] = frozenset(_ITEMS[d])
+        return out
+
+
+_ITEMS = _Decoded()
+_BINDING_SETS = _BindingSets()
+
+
+def cm_items(d) -> tuple[tuple[str, int], ...]:
+    """The bindings of a non-bottom map, sorted by variable: the one
+    decoder, which `fmt`, `close_one`, `bound_vars` and the tests use."""
+    return _ITEMS[d]
+
+
+def cm_make(bindings: dict[str, int]) -> int:
+    d = CM_TOP
+    for var, value in bindings.items():
+        d |= _pair(var, value)
+    return d
 
 
 def cm_leq(d1, d2) -> bool:
@@ -124,7 +218,7 @@ def cm_leq(d1, d2) -> bool:
         return True
     if d2 is CM_BOT:
         return False
-    return d2 <= d1
+    return d1 & d2 == d2
 
 
 def cm_join(d1, d2):
@@ -132,26 +226,30 @@ def cm_join(d1, d2):
         return d2
     if d2 is CM_BOT:
         return d1
-    return d1 & d2
+    j = d1 & d2
+    if j.bit_count() != 2 * (j & _VARS).bit_count():
+        # some variable is bound in both to different values: clear its bit
+        only = d1 & ~d2 & ~_VARS
+        while only:
+            low = only & -only
+            j &= ~_VAR_MASK[_BINDING[low][0]]
+            only ^= low
+    return j
 
 
 def cm_meet(d1, d2):
     if d1 is CM_BOT or d2 is CM_BOT:
         return CM_BOT
-    merged = d1 | d2
-    if len(dict(merged)) != len(merged):  # some variable bound to two values
-        return CM_BOT
-    return merged
+    m = d1 | d2
+    if m.bit_count() != 2 * (m & _VARS).bit_count():
+        return CM_BOT  # some variable bound to two values
+    return m
 
 
 def cm_havoc(d, drop: frozenset[str]):
     if d is CM_BOT:
         return CM_BOT
-    return frozenset([b for b in d if b[0] not in drop])
-
-
-def cm_contains(d, state: dict) -> bool:
-    return d is not CM_BOT and d <= state.items()
+    return d & ~_drop_mask(drop)
 
 
 def cm_eval(e: Expr, s: dict) -> int | None:
@@ -168,34 +266,42 @@ def cm_eval(e: Expr, s: dict) -> int | None:
         return None
 
 
+def _eval(e: Expr, d: int) -> int | None:
+    """`cm_eval` over the map d: a variable's value is read by masking, and
+    anything larger is evaluated on d's decoded bindings."""
+    if type(e) is Lit:
+        return e.n
+    if type(e) is VarRef:
+        return _VALUE.get(d & _VAR_MASK.get(e.name, 0))
+    return cm_eval(e, dict(_ITEMS[d]))
+
+
 def cm_post(a: Assign, d):
     if d is CM_BOT:
         return CM_BOT
-    s = dict(d)
     # every right-hand side reads the old bindings; the targets are distinct
-    values = [cm_eval(e, s) for e in a.exprs]
+    values = [_eval(e, d) for e in a.exprs]
+    d &= ~_drop_mask(a.targets)
     for v, n in zip(a.targets, values):
-        if n is None:
-            s.pop(v, None)
-        else:
-            s[v] = n
-    return frozenset(s.items())
+        if n is not None:
+            d |= _pair(v, n)
+    return d
 
 
 def cm_filter_cmp(c: Cmp, d):
     if d is CM_BOT:
         return CM_BOT
-    s = dict(d)
-    lv = cm_eval(c.left, s)
-    rv = cm_eval(c.right, s)
+    lv = _eval(c.left, d)
+    rv = _eval(c.right, d)
     if lv is not None and rv is not None:
         return d if CMP_OPS[c.op](lv, rv) else CM_BOT
     if c.op == "==":
-        # refine an unbound variable compared against a known constant
+        # refine an unbound variable compared against a known constant: the
+        # meet with {var ↦ value}, which cannot be ⊥, adds the binding
         if isinstance(c.left, VarRef) and lv is None and rv is not None:
-            return cm_meet(d, cm_make({c.left.name: rv}))
+            return d | cm_make({c.left.name: rv})
         if isinstance(c.right, VarRef) and rv is None and lv is not None:
-            return cm_meet(d, cm_make({c.right.name: lv}))
+            return d | cm_make({c.right.name: lv})
     return d
 
 
@@ -295,7 +401,7 @@ def fmt_map(pairs) -> str:
 def _fmt_cm(d) -> str:
     if d is CM_BOT:
         return "⊥"
-    return fmt_map(sorted(d)) if d else "⊤"
+    return fmt_map(_ITEMS[d]) if d else "⊤"
 
 
 def _fmt_pw(d) -> str:
@@ -303,7 +409,7 @@ def _fmt_pw(d) -> str:
         return "⊥"
     if d == PW_TOP:
         return "⊤"
-    return "{" + "; ".join(map(_fmt_cm, sorted(d, key=sorted))) + "}"
+    return "{" + "; ".join(map(_fmt_cm, sorted(d, key=cm_items))) + "}"
 
 
 class ConstDomain(StateDomain):
@@ -338,7 +444,7 @@ class ConstDomain(StateDomain):
         return cm_post(a, d)
 
     def contains(self, d, state: dict) -> bool:
-        return cm_contains(d, state)
+        return d is not CM_BOT and _BINDING_SETS[d] <= state.items()
 
     def _filter_cmp(self, c: Cmp, d):
         return cm_filter_cmp(c, d)
@@ -362,39 +468,27 @@ class ConstDomain(StateDomain):
         bindings of d whose variable no write set feasible with d touches,
         and ⊥ stays ⊥.
 
-        d ⊓ i[u] is ⊥ exactly when i[u] binds some variable x of d to a
-        value other than d's. So the meets are decided without being built,
-        from an index made once per rely: for each variable x that some
-        write-condition binds, each value c maps to the variables u whose
-        i[u] binds x to a value other than c, and a value that no
-        write-condition binds x to maps to all of x's binders. A step takes
-        `touched` as i's variables less the union of the index's entries for
-        d's bindings. A write-condition of ⊤ binds nothing, so its variable
-        is always touched. The ops are the closed form's meets, one per
-        variable of i whose write-condition is not ⊥, all counted, as every
-        such meet has two operands other than ⊥; a ⊥ entry, which a sparse
-        interference never stores, is never touched and counts nothing."""
-        live = [u for u, wc in i.items() if wc is not CM_BOT]
-        meets, keys = len(live), frozenset(live)
-        binders: dict[str, dict[int, set[str]]] = {}
-        for u in live:
-            for x, c in i[u]:
-                binders.setdefault(x, {}).setdefault(c, set()).add(u)
-        index = {}  # x -> (x's binders, value c -> binders of x to others)
-        for x, by_value in binders.items():
-            every = frozenset().union(*by_value.values())
-            index[x] = every, {c: every - us for c, us in by_value.items()}
+        Each meet d ⊓ i[u] is decided by the count test of `cm_meet` on
+        d | i[u], without building the map, and each touched variable's bits
+        are cleared from d by its current mask. A write-condition of ⊤ binds
+        nothing, so its variable is always touched. The ops are the closed
+        form's meets, one per variable of i whose write-condition is not ⊥,
+        all counted, as every such meet has two operands other than ⊥; a ⊥
+        entry, which a sparse interference never stores, is never touched
+        and counts nothing."""
+        live = [(u, wc) for u, wc in i.items() if wc is not CM_BOT]
+        meets = len(live)
 
         def step(d):
             if d is CM_BOT:
                 return CM_BOT
             self.ops += meets
-            ruled_out = set()
-            for x, c in d:
-                if x in index:
-                    every, others = index[x]
-                    ruled_out |= others.get(c, every)
-            return self.havoc(d, keys - ruled_out)
+            drop, var_bits = 0, _VARS
+            for u, wc in live:
+                m = d | wc
+                if m.bit_count() == 2 * (m & var_bits).bit_count():
+                    drop |= _VAR_MASK.get(u, 0)
+            return d & ~drop
         return step
 
     def close_one(self, i: dict, v: str):
@@ -437,9 +531,10 @@ class ConstDomain(StateDomain):
         iv = i.get(v, CM_BOT)
         if iv is CM_BOT or not iv:
             return iv
-        bound = dict(iv)
+        bound = dict(_ITEMS[iv])
         # the closure rule's edges, uncounted like the walk's candidates
-        clashes = {u: [y for y, c in i.get(u, ()) if bound.get(y, c) != c]
+        clashes = {u: [y for y, c in _ITEMS[i.get(u, CM_TOP)]
+                       if bound.get(y, c) != c]
                    for u in bound}
         least_sets: set[frozenset[str]] = set()
         for x in bound:
@@ -477,16 +572,18 @@ PW_TOP = frozenset({CM_TOP})
 def _pw_normalize(maps: Iterable) -> frozenset:
     # keep the maximal maps: those whose bindings strictly contain no other's.
     # Only a map with fewer bindings can be strictly contained, so a scan by
-    # ascending binding count need only test the maps already kept: a dropped
-    # map's bindings contain a kept map's, and containment is transitive.
+    # ascending binding count (half the bit count) need only test the maps
+    # already kept: a dropped map's bindings contain a kept map's, and
+    # containment is transitive. The maps are distinct, so k's bits within
+    # m's is strict containment.
     uniq = set(maps)
     uniq.discard(CM_BOT)
     if len(uniq) < 2:
         return frozenset(uniq)
-    kept: list[frozenset] = []
-    for m in sorted(uniq, key=len):
+    kept: list[int] = []
+    for m in sorted(uniq, key=int.bit_count):
         for k in kept:
-            if k < m:
+            if k & m == k:
                 break
         else:
             kept.append(m)
@@ -519,7 +616,7 @@ class ConstPowersetDomain(StateDomain):
     collapses it and counts the collapse as `make` would. Operands of
     several maps take `make`, so values, ops and collapses are those of
     renormalising every result; `tests/reference_domains.py` keeps those
-    bodies as the differential reference."""
+    bodies, over frozenset maps, as the differential reference."""
 
     def __init__(self, variables, max_disjuncts: int = 64,
                  n: int | None = None):
@@ -538,7 +635,7 @@ class ConstPowersetDomain(StateDomain):
         if len(d) <= self.max_disjuncts:
             return d
         self.cap_collapses += 1
-        return frozenset({frozenset.intersection(*d)})
+        return frozenset({reduce(cm_join, d)})
 
     def stabiliser(self, i: dict):
         return partial(self.stabilise_plan, plan=self._write_sets(i))
@@ -715,14 +812,15 @@ class ConstPowersetDomain(StateDomain):
                              + len(coarse))
             return d
         maps = list(d)
-        bound = [(m, {v for v, _ in m}) for m in d]  # each map and its variables
         ops = 0
         for wc, sets, heads in groups:
-            met = [(x, mv) for m, mv in bound for w in wc
+            met = [(x, m) for m in d for w in wc
                    if (x := cm_meet(m, w)) is not CM_BOT]
             if met:
-                maps += [cm_havoc(x, vset) for vset in heads for x, mv in met
-                         if not vset.isdisjoint(mv)]
+                for vset in heads:
+                    # m binds a variable of S iff it shares a bit with S's mask
+                    mask = _drop_mask(vset)
+                    maps += [cm_havoc(x, vset) for x, m in met if m & mask]
                 ops += 2 * len(sets)
             else:
                 ops += len(sets)
@@ -758,8 +856,8 @@ class ConstPowersetDomain(StateDomain):
         # Hoare order: sound, possibly incomplete
         if len(d1) == 1 == len(d2):
             (m1,), (m2,) = d1, d2
-            return m2 <= m1
-        return all(any(m2 <= m1 for m2 in d2) for m1 in d1)
+            return m1 & m2 == m2
+        return all(any(m1 & m2 == m2 for m2 in d2) for m1 in d1)
 
     def join(self, d1, d2):
         """`make(d1 ∪ d2)`, returned as is where one antichain holds the
@@ -774,10 +872,10 @@ class ConstPowersetDomain(StateDomain):
         if d2 <= d1:
             return d1
         if len(d1) == 1 == len(d2):
-            (m1,), (m2,) = d1, d2
-            if m1 < m2:
+            (m1,), (m2,) = d1, d2  # distinct, as d1 ⊄ d2
+            if m1 & m2 == m1:
                 return d1
-            if m2 < m1:
+            if m1 & m2 == m2:
                 return d2
             return self._cap(d1 | d2)  # two incomparable maps
         return self.make(d1 | d2)
@@ -805,7 +903,11 @@ class ConstPowersetDomain(StateDomain):
         return self.make(map(partial(cm_post, a), d))
 
     def contains(self, d, state: dict) -> bool:
-        return any(cm_contains(m, state) for m in d)
+        items = state.items()
+        for m in d:
+            if _BINDING_SETS[m] <= items:
+                return True
+        return False
 
     def _filter_cmp(self, c: Cmp, d):
         if len(d) == 1:
@@ -817,7 +919,7 @@ class ConstPowersetDomain(StateDomain):
         return self.make(map(partial(cm_filter_cmp, c), d))
 
     def bound_vars(self, d) -> set[str]:
-        return {v for m in d for v, _ in m}
+        return {v for m in d for v, _ in _ITEMS[m]}
 
     def fmt(self, d) -> str:
         return _fmt_pw(d)

@@ -232,7 +232,8 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         # a pure function of (body, d_pre, rely) under one `cw`, so a thread
         # keeps its rely until another thread's guarantee changes, and its
         # guarantee and outline unless its rely changes. Values compare by
-        # content (const maps are sets, powerset elements antichains), so
+        # content (const maps are interned bitsets, powerset elements
+        # antichains of them), so
         # `==` on interferences is lattice equality. A sweep reads the
         # newest guarantees, those it has updated included (Gauss-Seidel).
         for t in program.threads:

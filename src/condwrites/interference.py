@@ -40,9 +40,9 @@ the powerset builds its write-set plan once per rely, with counted meets,
 and wraps it in a memo from d to the result. `close` is memoised on the
 same key, and its fixpoint loop over the domain's `close_one` runs only on
 a miss. The keys hold values, not identities: lattice elements are
-frozensets (or the const bottom sentinel, equal only to itself), which
-hash by content and cache their hash, and equal sparse interferences have
-equal item sets. Both memos are exact because the domain's steps, and so
+interned bitsets, frozensets of them, or the const bottom sentinel, equal
+only to itself (see `domains`), which hash by content, and equal sparse
+interferences have equal item sets. Both memos are exact because the domain's steps, and so
 `close`, are pure functions of their arguments and of the instance's fixed
 `dom` and `fuel`; a `close` that runs out of fuel raises and stores
 nothing. `analyse` builds one domain and one `CondWrites` per call, so the

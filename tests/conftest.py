@@ -9,7 +9,7 @@ import random
 
 from condwrites.domains import (
     CM_BOT, ConstPowersetDomain, StateDomain, Universe, _pw_normalize,
-    cm_make,
+    cm_items, cm_make,
 )
 from condwrites.lang import Assign, Lit, VarRef, eval_expr
 
@@ -24,11 +24,12 @@ def bf_states(universe: Universe) -> list[tuple]:
 
 
 def bf_gamma_cm(d, universe: Universe) -> set[tuple]:
-    """Concretisation of a constant map: a frozenset of bindings, or CM_BOT."""
+    """Concretisation of a constant map: a bitset read through `cm_items`,
+    or CM_BOT."""
     if d is CM_BOT:
         return set()
     order = universe.var_order
-    bind = dict(d)
+    bind = dict(cm_items(d))
     return {
         s for s in bf_states(universe)
         if all(bind.get(v) is None or s[i] == bind[v] for i, v in enumerate(order))
@@ -36,9 +37,9 @@ def bf_gamma_cm(d, universe: Universe) -> set[tuple]:
 
 
 def bf_gamma(dom: StateDomain, d, universe: Universe) -> set[tuple]:
-    """Concretisation of an element of `dom`. Both domains' elements are
-    frozensets, and the empty one is const's top but powerset's bottom, so
-    the domain says how to read d."""
+    """Concretisation of an element of `dom`. A const element is a bitset
+    and a powerset element a frozenset of them, so the domain says how to
+    read d."""
     if isinstance(dom, ConstPowersetDomain):
         out: set[tuple] = set()
         for m in d:

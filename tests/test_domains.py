@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from condwrites.domains import (
     ASCII, CM_BOT, CM_TOP, PW_BOT, PW_TOP, UNIVERSE_CAP, ConstDomain,
     ConstPowersetDomain, StateDomain, Universe, UniverseTooLarge, _pw_normalize,
-    cm_eval, cm_filter_cmp, cm_havoc, cm_leq, cm_make, cm_post, fmt_map,
-    make_domain,
+    cm_eval, cm_filter_cmp, cm_havoc, cm_items, cm_join, cm_leq, cm_make,
+    cm_meet, cm_post, fmt_map, make_domain,
 )
+from condwrites import domains
 from condwrites.interference import CondWrites
 from condwrites.lang import (
     CMP_OPS, INT_MAX, Assign, BinOp, Cmp, Lit, VarRef, parse_program,
@@ -244,9 +245,11 @@ def test_pw_lattice_soundness_randomized():
 
 def maximal_maps(maps) -> frozenset:
     """The definition `_pw_normalize` implements: the non-bottom maps whose
-    bindings strictly contain no other's, by comparing every pair."""
-    uniq = {m for m in maps if m is not CM_BOT}
-    return frozenset(m for m in uniq if not any(m2 < m for m2 in uniq))
+    bindings strictly contain no other's, by comparing every pair of
+    decoded binding sets."""
+    uniq = {m: set(cm_items(m)) for m in maps if m is not CM_BOT}
+    return frozenset(m for m, b in uniq.items()
+                     if not any(b2 < b for b2 in uniq.values()))
 
 
 def test_pw_normalize_matches_pairwise_definition():
@@ -291,7 +294,7 @@ def test_pw_join_of_antichains_is_make_of_union(max_disjuncts):
         d1, d2 = (random_pw(rng, dom, values=(0, 1, 2), max_disjuncts=5)
                   for _ in range(2))
         if rng.random() < 0.3:  # antichains sharing maps, or nested ones
-            shared = sorted(d1, key=sorted)
+            shared = sorted(d1, key=cm_items)
             d2 = dom.make(shared[:rng.randint(0, len(shared))] + list(d2))
         assert dom.join(d1, d2) == dom.make(d1 | d2)
         assert dom.join(d2, d1) == dom.join(d1, d2)
@@ -342,17 +345,38 @@ def test_pw_fast_paths_match_the_make_path(cap, data):
     d1, d2 = data.draw(pw_elems(cap)), data.draw(pw_elems(cap))
     drop = data.draw(st.frozensets(st.sampled_from(("a", "b", "c"))))
     a, c = data.draw(ASSIGNS3), data.draw(CMPS3)
-    for name, args in [
-            ("leq", (d1, d2)), ("leq", (d2, d1)), ("join", (d1, d2)),
-            ("join", (d2, d1)), ("meet", (d1, d2)), ("havoc", (d1, drop)),
-            ("post", (a, d1)), ("_filter_cmp", (c, d1))]:
-        want = counted(dom, getattr(reference_domains, name.lstrip("_")), dom, *args)
-        assert counted(dom, getattr(dom, name), *args) == want, name
+    assert_powerset_matches_reference(dom, d1, d2, drop, a, c)
+
+
+def assert_powerset_matches_reference(dom, d1, d2, drop, a, c, state=None):
+    """Each powerset primitive against its make-path body over the
+    frozenset maps of `reference_domains`: the same value, read through
+    `cm_items`, the same ops and the same cap collapses."""
+    r1, r2 = reference_domains.ref_pw(d1), reference_domains.ref_pw(d2)
+    cases = [
+        ("leq", (d1, d2), (r1, r2)), ("leq", (d2, d1), (r2, r1)),
+        ("join", (d1, d2), (r1, r2)), ("join", (d2, d1), (r2, r1)),
+        ("meet", (d1, d2), (r1, r2)), ("havoc", (d1, drop), (r1, drop)),
+        ("post", (a, d1), (a, r1)), ("_filter_cmp", (c, d1), (c, r1))]
+    if state is not None:
+        cases.append(("contains", (d1, state), (r1, state)))
+    for name, args, ref_args in cases:
+        want = counted(dom, getattr(reference_domains, name.lstrip("_")),
+                       dom, *ref_args)
+        out, ops, collapses = counted(dom, getattr(dom, name), *args)
+        if isinstance(out, frozenset):
+            assert is_elem(dom, out), (name, out)
+            out = reference_domains.ref_pw(out)
+        assert (out, ops, collapses) == want, name
+    assert dom.fmt(d1) == reference_domains.fmt_pw(r1)
 
 
 @given(st.one_of(st.just(CM_BOT), MAPS3), ASSIGNS3)
 def test_cm_post_one_pass_matches_havoc_and_union(d, a):
-    assert cm_post(a, d) == reference_domains.cm_post(a, d)
+    # the bitset post clears the targets and ORs in the known bindings; the
+    # reference is the frozenset body that rebuilt the bindings as a dict
+    assert (reference_domains.ref(cm_post(a, d))
+            == reference_domains.cm_post(a, reference_domains.ref(d)))
 
 
 def test_pw_disjunct_cap_collapses_to_flat_join():
@@ -432,11 +456,12 @@ def test_stabilising_bottom_counts_no_op(kind):
         assert dom.ops == before
 
 
-def assert_indexed_step_matches_meets(dom, pairs):
-    """The indexed const step against the closed form's meets: the same
-    value and the same ops on each (i, d), with i applied as given, ⊥
-    entries included. Returns how often the cases that an index can get
-    wrong came up."""
+def assert_step_matches_meets(dom, pairs):
+    """The const step, which decides each meet by a bit count, against the
+    closed form's built meets: the same value and the same ops on each
+    (i, d), with i applied as given, ⊥ entries included. Returns how often
+    the edge cases came up: ⊥ d, ⊤ and ⊥ write-conditions, and d binding a
+    variable to a value that no write-condition binds it to."""
     seen = collections.Counter()
     for i, d in pairs:
         want = counted(dom, reference_domains.const_stabiliser(dom, i), d)
@@ -448,9 +473,10 @@ def assert_indexed_step_matches_meets(dom, pairs):
         seen["⊥ write-condition"] += CM_BOT in i.values()
         # d binds x to a value that no write-condition binds x to, while
         # some write-condition binds x: every binder of x is ruled out
-        used = {b for wc in i.values() if wc is not CM_BOT for b in wc}
+        used = {b for wc in i.values() if wc is not CM_BOT for b in cm_items(wc)}
         bound = {x for x, _ in used}
-        seen["unused value"] += any(x in bound and (x, c) not in used for x, c in d)
+        seen["unused value"] += any(x in bound and (x, c) not in used
+                                    for x, c in cm_items(d))
     return seen
 
 
@@ -461,7 +487,7 @@ def test_const_indexed_stabilise_matches_meets_random():
     dom = ConstDomain(("a", "b", "c"))
     pairs = [(random_interference(rng, dom), random_cm(rng, dom.variables, (0, 1, 2)))
              for _ in range(5_000)]
-    seen = assert_indexed_step_matches_meets(dom, pairs)
+    seen = assert_step_matches_meets(dom, pairs)
     assert all(seen[what] for what in ("⊥ d", "⊤ write-condition", "unused value")), seen
 
 
@@ -477,7 +503,7 @@ def test_const_indexed_stabilise_matches_meets_exhaustive():
              for wcs in itertools.product(ALL_CMS, repeat=len(VARS))
              for i in (dict(zip(VARS, wcs)), sparse(dict(zip(VARS, wcs))))
              for d in states]
-    seen = assert_indexed_step_matches_meets(dom, pairs)
+    seen = assert_step_matches_meets(dom, pairs)
     assert all(seen[what] for what in (
         "⊥ d", "⊤ write-condition", "⊥ write-condition", "unused value")), seen
 
@@ -487,7 +513,7 @@ def test_write_set_walks_meet_no_bottom(kind, monkeypatch):
     # the powerset's subset walk and the const closed forms range over the
     # rely's variables, so none meets a missing (⊥) write-condition, and
     # none meets a ⊥ it built itself; the const stabilise step decides its
-    # meets from its index and performs none
+    # meets by bit counts and performs none
     dom = kind(("a", "b", "c"))
     rng = random.Random(55)
     operands = []
@@ -558,7 +584,7 @@ def test_fmt():
     assert pw.fmt(two) == "{[x↦0]; [y↦1]}"
     assert pw.fmt(pw.top()) == "⊤" and pw.fmt(pw.bot()) == "⊥"
     # a constant map and an interference share the map syntax
-    assert fmt_map(sorted(cm_make({"x": 3}))) == dom.fmt(cm_make({"x": 3}))
+    assert fmt_map(cm_items(cm_make({"x": 3}))) == dom.fmt(cm_make({"x": 3}))
     assert fmt_map([("x", dom.fmt(cm_make({"y": 1}))), ("y", dom.fmt(CM_BOT))]) \
         == "[x↦[y↦1], y↦⊥]"
     assert fmt_map([]) == "[]"
@@ -681,10 +707,33 @@ CONTRACT_CONDS = [
                 "z == x", "true", "false")]
 
 
+def bits_ok(d) -> bool:
+    """The bitset invariant, read off the intern table without `cm_items`:
+    d is a non-negative int of interned bits, and a variable's bit is set
+    iff exactly one of its binding bits is. A variable with two binding
+    bits would be a second, unrecognised bottom, and one with a variable
+    bit and no binding bit would make a later meet or join wrong."""
+    if type(d) is not int or d < 0:
+        return False
+    var_bits, owners = [], []
+    for p, bit in enumerate(reversed(bin(d)[2:])):
+        if bit == "0":
+            continue
+        if p % 2 == 0:
+            if p // 2 >= len(domains._VAR_MASK):
+                return False
+            var_bits.append(1 << p)
+        else:
+            if 1 << p not in domains._BINDING:
+                return False
+            var, _ = domains._BINDING[1 << p]
+            owners.append(domains._VAR_MASK[var] & domains._VARS)
+    return sorted(owners) == sorted(var_bits)
+
+
 def is_cm(d) -> bool:
-    """CM_BOT itself, or a frozenset binding each variable at most once (a
-    variable bound twice would be a second, unrecognised bottom)."""
-    return d is CM_BOT or (type(d) is frozenset and len(dict(d)) == len(d))
+    """CM_BOT itself, or a bitset that keeps the invariant."""
+    return d is CM_BOT or bits_ok(d)
 
 
 def is_elem(dom, d) -> bool:
@@ -704,7 +753,8 @@ def bottom_only_by_identity(d) -> bool:
     ConstPowersetDomain(CONTRACT_VARS, max_disjuncts=2),
 ], ids=["const", "powerset", "powerset-cap2"])
 def test_primitives_keep_the_representation(dom):
-    # every result is a frozenset (const: or the CM_BOT sentinel), no result
+    # every const result is the CM_BOT sentinel or a bitset that keeps the
+    # invariant, every powerset result a frozenset of such bitsets, no result
     # or disjunct merely equals CM_BOT, and no powerset element holds CM_BOT
     rng = random.Random(9)
     values = (0, 1, 2)
@@ -716,6 +766,9 @@ def test_primitives_keep_the_representation(dom):
             dom.post(random_assign(rng, CONTRACT_VARS, values), d1),
             dom.filter(rng.choice(CONTRACT_CONDS), d1), dom.top(), dom.bot(),
         ]
+        i = random_interference(rng, dom, values)
+        results.append(dom.stabiliser(i)(d1))
+        results += [dom.close_one(i, v) for v in i]
         if isinstance(dom, ConstPowersetDomain):
             maps = [random_cm(rng, CONTRACT_VARS, values)
                     for _ in range(rng.randint(0, 6))]
@@ -728,10 +781,13 @@ def test_primitives_keep_the_representation(dom):
 
 
 def rebuilt(d):
-    """An element equal to d made of new set objects."""
+    """An element equal to d built anew: a map encoded again from its
+    decoded bindings, a powerset element as a new set of such maps."""
     if d is CM_BOT:
         return d
-    return frozenset([rebuilt(m) if isinstance(m, frozenset) else m for m in d])
+    if isinstance(d, frozenset):
+        return frozenset([rebuilt(m) for m in d])
+    return cm_make(dict(cm_items(d)))
 
 
 @pytest.mark.parametrize("powerset", [False, True], ids=["const", "powerset"])
@@ -744,7 +800,9 @@ def test_equal_elements_built_apart_share_a_stabilise_memo_entry(powerset):
     if powerset:
         d = dom.make([d, cm_make({"z": 2})])
     d2, i2 = rebuilt(d), {v: rebuilt(w) for v, w in i.items()}
-    assert d2 == d and d2 is not d
+    assert d2 == d
+    if powerset:  # a new set object; a small int is one object in CPython
+        assert d2 is not d
     out = cw.stabilise(i, d)
     hits = cw.memo_hits
     assert cw.stabilise(i2, d2) is out
@@ -754,8 +812,8 @@ def test_equal_elements_built_apart_share_a_stabilise_memo_entry(powerset):
 @pytest.mark.parametrize("domain", ["const", "const-powerset"])
 def test_corpus_outline_values_hash_by_content(domain):
     # the interference memos and the oracle's grouped soundness check key
-    # dicts on outline values: each must hash, and a copy of it built from
-    # new set objects must hash and compare alike
+    # dicts on outline values: each must hash, and a copy of it built anew
+    # from its decoded bindings must hash and compare alike
     from condwrites.corpus import CASES, PROGRAMS_DIR
     from condwrites.engine import AnalysisConfig, analyse
 
@@ -771,3 +829,184 @@ def test_corpus_outline_values_hash_by_content(domain):
                 values += 1
     # one value per control-flow point of the corpus, 74 in all
     assert values == points == 74
+
+
+# -- the bitset maps against the frozenset reference --------------------------------
+
+# values that include a negative one and one past 32 bits; literals also draw
+# values no map has bound, so post and filter intern bindings as they go
+DIFF_VALUES = (0, 1, 2, -3, 2**62)
+
+
+def fresh_variables(rng: random.Random, batch: int) -> tuple[str, ...]:
+    """Two to four variables that nothing has interned yet."""
+    return tuple(f"fresh{batch}_{k}" for k in range(rng.randint(2, 4)))
+
+
+def random_ref_map(rng: random.Random, variables):
+    """A map of `reference_domains` (a frozenset of bindings), or CM_BOT."""
+    if rng.random() < 0.05:
+        return CM_BOT
+    return frozenset((v, rng.choice(DIFF_VALUES)) for v in variables
+                     if rng.random() < 0.6)
+
+
+def encoded(m):
+    """A reference map as a bitset."""
+    return m if m is CM_BOT else cm_make(dict(m))
+
+
+def random_leaf(rng: random.Random, variables):
+    if rng.random() < 0.5:
+        return VarRef(rng.choice(variables))
+    return Lit(rng.choice(DIFF_VALUES) if rng.random() < 0.7
+               else rng.randint(3, 10**6))
+
+
+def random_expr(rng: random.Random, variables):
+    if rng.random() < 0.7:
+        return random_leaf(rng, variables)
+    return BinOp((rng.choice("+-*"),),
+                 (random_leaf(rng, variables), random_leaf(rng, variables)))
+
+
+def random_diff_case(rng: random.Random, variables):
+    """An assignment, a comparison, a drop set and a total store."""
+    targets = tuple(rng.sample(variables, rng.randint(1, min(2, len(variables)))))
+    a = Assign(1, targets, tuple(random_expr(rng, variables) for _ in targets))
+    c = Cmp(rng.choice(sorted(CMP_OPS)), random_expr(rng, variables),
+            random_expr(rng, variables))
+    drop = frozenset(rng.sample(variables, rng.randint(0, len(variables))))
+    state = {v: rng.choice(DIFF_VALUES) for v in variables}
+    return a, c, drop, state
+
+
+def test_const_primitives_match_the_frozenset_reference():
+    # every const primitive, and compositions that feed a result back as an
+    # operand, against the frozenset bodies, read through `cm_items`; each
+    # result keeps the bit invariant. A join of maps binding a variable to
+    # two values must repair that variable's bit, or the meets after it go
+    # wrong; post and filter intern new bindings, after which every cached
+    # havoc mask must cover them
+    R = reference_domains
+    rng = random.Random(61)
+    dom = ConstDomain(VARS)
+    seen = collections.Counter()
+    for batch in range(60):
+        variables = fresh_variables(rng, batch)
+        for _ in range(50):
+            r1, r2, r3 = (random_ref_map(rng, variables) for _ in range(3))
+            d1, d2, d3 = map(encoded, (r1, r2, r3))
+            a, c, drop, state = random_diff_case(rng, variables)
+            interned = len(domains._BINDING)
+            post, ref_post = dom.post(a, d1), R.cm_post(a, r1)
+            seen["post interned"] += len(domains._BINDING) > interned
+            interned = len(domains._BINDING)
+            filtered, ref_filtered = dom._filter_cmp(c, d1), R.cm_filter_cmp(c, r1)
+            seen["filter interned"] += len(domains._BINDING) > interned
+            j, ref_j = dom.join(d1, d2), R.cm_join(r1, r2)
+            seen["join repaired"] += (
+                r1 is not CM_BOT and r2 is not CM_BOT
+                and len(dict(r1 | r2)) < len(r1 | r2))
+            for got, want in [
+                    (dom.meet(d1, d2), R.cm_meet(r1, r2)), (j, ref_j),
+                    (dom.meet(j, d3), R.cm_meet(ref_j, r3)),
+                    (dom.join(j, d3), R.cm_join(ref_j, r3)),
+                    (dom.join(dom.meet(d1, d2), d3),
+                     R.cm_join(R.cm_meet(r1, r2), r3)),
+                    (dom.havoc(d1, drop), R.cm_havoc(r1, drop)),
+                    (post, ref_post), (filtered, ref_filtered),
+                    (dom.havoc(post, drop), R.cm_havoc(ref_post, drop)),
+                    (dom.meet(post, d2), R.cm_meet(ref_post, r2)),
+                    (dom.join(filtered, d2), R.cm_join(ref_filtered, r2))]:
+                assert is_cm(got) and bottom_only_by_identity(got), got
+                assert R.ref(got) == want, (got, want)
+            for x, y, rx, ry in [(d1, d2, r1, r2), (j, d3, ref_j, r3),
+                                 (post, d1, ref_post, r1)]:
+                assert dom.leq(x, y) == R.cm_leq(rx, ry)
+            assert dom.contains(d1, state) == R.cm_contains(r1, state)
+            assert dom.contains(post, state) == R.cm_contains(ref_post, state)
+            for d, r in [(d1, r1), (j, ref_j), (post, ref_post)]:
+                assert dom.fmt(d) == R.fmt_cm(r)
+    assert all(seen[what] for what in (
+        "post interned", "filter interned", "join repaired")), seen
+
+
+def test_a_join_of_two_values_unbinds_the_variable():
+    # {x↦0} ⊔ {x↦1} binds nothing: x's variable bit must go with its
+    # binding bits, or a later meet counts x as bound with no value
+    x0, x1, y0 = cm_make({"x": 0}), cm_make({"x": 1}), cm_make({"y": 0})
+    j = cm_join(x0, x1)
+    assert j == CM_TOP and cm_join(x0, cm_join(x1, y0)) == CM_TOP
+    assert cm_meet(j, y0) == y0 and cm_meet(j, x1) == x1
+
+
+@pytest.mark.parametrize("cap", [64, 2, 1])
+def test_powerset_primitives_match_the_frozenset_reference(cap):
+    # the powerset primitives and `make` over bitset maps against their
+    # make-path bodies over frozenset maps: value, ops and cap collapses
+    R = reference_domains
+    rng = random.Random(62)
+    dom = ConstPowersetDomain(VARS, max_disjuncts=cap)
+    for batch in range(40):
+        variables = fresh_variables(rng, batch)
+        for _ in range(25):
+            d1, d2 = (frozenset(map(encoded, R.pw_normalize(
+                random_ref_map(rng, variables)
+                for _ in range(rng.randint(0, min(cap, 4))))))
+                for _ in range(2))
+            a, c, drop, state = random_diff_case(rng, variables)
+            assert_powerset_matches_reference(dom, d1, d2, drop, a, c, state)
+            maps = [random_ref_map(rng, variables) for _ in range(rng.randint(0, 6))]
+            out, ops, collapses = counted(dom, dom.make, map(encoded, maps))
+            assert is_elem(dom, out)
+            assert (R.ref_pw(out), ops, collapses) == counted(dom, R.make, dom, maps)
+
+
+# -- the intern table ---------------------------------------------------------------
+
+
+def interned() -> tuple[int, int]:
+    return len(domains._VAR_MASK), len(domains._BINDING)
+
+
+def test_a_second_analysis_interns_nothing():
+    # the table grows with the distinct variables and bindings an analysis
+    # meets, and only once: analysing the same program again, in every
+    # cell, interns nothing new
+    from condwrites.engine import AnalysisConfig, analyse
+
+    names = [f"grow{k}" for k in range(4)]
+    p = parse_program(
+        f"vars {', '.join(names)}; pre {names[0]} == 7;\n"
+        + "".join(f"thread T{t} {{ if ({names[t]} == {t + 7}) "
+                  f"{{ {names[t + 1]} := {names[t]} + 1; }} }}\n"
+                  for t in range(3)))
+    configs = [AnalysisConfig(mode=mode, domain=domain)
+               for mode in ("nontransitive", "transitive")
+               for domain in ("const", "const-powerset")]
+    before = interned()
+    for config in configs:
+        analyse(p, config)
+    after = interned()
+    assert after[0] > before[0] and after[1] > before[1]
+    for config in configs:
+        analyse(p, config)
+    assert interned() == after
+
+
+@pytest.mark.parametrize("domain", ["const", "const-powerset"])
+def test_equal_maps_from_two_analyses_are_equal_and_hash_alike(domain):
+    # the table is process-wide, so two analyses of one program hand out
+    # equal elements, which hash alike, at every point
+    from condwrites.corpus import CASES, PROGRAMS_DIR
+    from condwrites.engine import AnalysisConfig, analyse
+
+    for case in CASES:
+        p = parse_program((PROGRAMS_DIR / case.filename).read_text())
+        first, second = (analyse(p, AnalysisConfig(domain=domain))
+                         for _ in range(2))
+        assert first.outlines == second.outlines
+        for tid, outline in first.outlines.items():
+            for point, d in outline.items():
+                assert hash(second.outlines[tid][point]) == hash(d)

@@ -8,7 +8,7 @@ import pytest
 from condwrites import domains
 from condwrites.domains import (
     ASCII, CM_BOT, CM_TOP, PW_BOT, PW_TOP, ConstDomain, ConstPowersetDomain,
-    Universe, cm_make, fmt_map, make_domain, subsets,
+    Universe, cm_items, cm_make, fmt_map, make_domain, subsets,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -608,18 +608,19 @@ def test_stabilise_plan_skips_only_dominated_terms(cap):
                         wcs.get(s | {u}) == wc for u in variables if u not in s)]
                     met = [m for m in d if dom.meet(frozenset({m}), wc)]
                     for vset in sets:
-                        skipped = [m for m in met if vset.isdisjoint(v for v, _ in m)]
+                        skipped = [m for m in met if vset.isdisjoint(
+                            v for v, _ in cm_items(m))]
                         if vset not in heads:
                             seen["dominated set"] += len(met) > len(skipped)
                         else:
                             seen["dominated map"] += len(skipped) > 0
                     # a group whose joins only maps that every head skips decide
                     seen["decided by a skipped map"] += bool(met) and all(
-                        vset.isdisjoint(v for v, _ in m)
+                        vset.isdisjoint(v for v, _ in cm_items(m))
                         for m in met for vset in heads)
                 for vset, wc in coarse:
                     for m in d:
-                        if (vset.isdisjoint(v for v, _ in m)
+                        if (vset.isdisjoint(v for v, _ in cm_items(m))
                                 and dom.meet(frozenset({m}), wc)):
                             seen[f"coarse at n={n}"] += 1
     assert seen["exact plan"] and seen["dominated set"], seen
