@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the interleaving oracle and verify outline soundness")
     a.add_argument("--max-disjuncts", type=int, default=defaults.max_disjuncts)
     a.add_argument("--fuel-inner", type=int, default=defaults.fuel_inner)
-    a.add_argument("--fuel-outer", type=int, default=defaults.fuel_outer)
+    a.add_argument("--fuel-outer", type=int, default=defaults.fuel_outer,
+                   help="bound on the outer fixpoint's rely derivations, one "
+                   "per thread taken off its worklist")
     a.add_argument("--ascii", action="store_true",
                    help="use |->, top, bot instead of unicode glyphs")
 

@@ -252,28 +252,19 @@ def cm_havoc(d, drop: frozenset[str]):
     return d & ~_drop_mask(drop)
 
 
-def cm_eval(e: Expr, s: dict) -> int | None:
-    """Abstract expression evaluation over s, a constant map's bindings as a
-    dict: the concrete value, or None (unknown) when e reads an unbound
-    variable or overflows 64 bits."""
-    if isinstance(e, Lit):
-        return e.n
-    if isinstance(e, VarRef):
-        return s.get(e.name)
-    try:
-        return eval_expr(e, s)
-    except (KeyError, EvalOverflow):
-        return None
-
-
 def _eval(e: Expr, d: int) -> int | None:
-    """`cm_eval` over the map d: a variable's value is read by masking, and
-    anything larger is evaluated on d's decoded bindings."""
+    """Abstract expression evaluation over the map d: the concrete value,
+    or None (unknown) when e reads an unbound variable or overflows 64 bits.
+    A variable's value is read by masking, and anything larger is evaluated
+    by `lang.eval_expr` on d's decoded bindings."""
     if type(e) is Lit:
         return e.n
     if type(e) is VarRef:
         return _VALUE.get(d & _VAR_MASK.get(e.name, 0))
-    return cm_eval(e, dict(_ITEMS[d]))
+    try:
+        return eval_expr(e, dict(_ITEMS[d]))
+    except (KeyError, EvalOverflow):
+        return None
 
 
 def cm_post(a: Assign, d):

@@ -6,21 +6,22 @@ records its proof outline. The thread's guarantee is read off that outline
 afterwards: the join of the transitions of each assignment from its
 pre-assertion, as in the paper, in the preorder of the assignments' labels.
 
-The outer fixpoint sweeps the threads in program order, Gauss-Seidel style
-(Schwarz et al., "Improving thread-modular abstract interpretation", SAS
-2021), and is driven by change. A thread is dirty until its rely is derived,
-and again whenever another thread's guarantee changes; a sweep derives the
-rely of each dirty thread from the newest guarantees, those updated earlier
-in the same sweep included, and re-collects the thread only when that rely
-came out different. It has converged when no thread is dirty after a sweep.
-The values are those of Jacobi rounds, which derive every rely from the
-previous round's guarantees: rely derivation and collection are monotone, so
-both chaotic and Jacobi iteration from bottom reach the least fixpoint
-(Cousot & Cousot, POPL 1977). The powerset disjunct cap is the one
+The outer fixpoint is chaotic iteration over one FIFO worklist of threads
+(Cousot & Cousot, POPL 1977; Schwarz et al., "Improving thread-modular
+abstract interpretation", SAS 2021). The worklist starts with every thread
+in program order. A popped thread's rely is derived from the newest
+guarantees, and the thread is collected again only when that rely changed:
+collect is a pure function of the body, the initial state and the rely
+under one `CondWrites`, and interferences compare by content. When a
+thread's guarantee changes, every other thread not yet queued is appended
+in program order. The fixpoint has converged when the worklist is empty.
+Rely derivation and collection are monotone, so any fair order from bottom
+reaches the least fixpoint, the values of the Jacobi rounds of
+`tests/reference_engine.py`. The powerset disjunct cap is the one
 non-monotone step; `tests/test_engine_reference.py` checks the values
-against the Jacobi reference at caps that collapse disjuncts too, and that
-no program takes more sweeps than the reference takes rounds. A sweep can
-form relies that Jacobi rounds never do, so one program's ops can rise.
+against that reference at caps that collapse disjuncts too. The order forms
+relies that Jacobi rounds never do, so ops depend on it, and so on the
+order in which the threads are declared.
 
 A join or meet with a bottom operand is neither performed nor counted (see
 `domains`), so the join folds over guarantees and transitions start from
@@ -37,6 +38,7 @@ each thread's `lang.format_inst` body."""
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -58,14 +60,14 @@ class AnalysisConfig:
     rely_vars: dict[str, frozenset[str]] | None = None  # overrides program
     max_disjuncts: int = 64
     fuel_inner: int = 1000
-    fuel_outer: int = 1000       # outer sweeps over the threads
+    fuel_outer: int = 1000       # rely derivations of the outer fixpoint
 
 
 @dataclass
 class Metrics:
     ops: int = 0
     time_s: float = 0.0
-    outer_iterations: int = 0
+    outer_iterations: int = 0  # rely derivations, one per worklist pop
     collects: int = 0   # collecting passes run, one per thread body
     memo_hits: int = 0  # stabilise and close calls answered from a memo
     cap_collapses: int = 0  # powerset elements collapsed to their flat join
@@ -85,9 +87,10 @@ class AnalysisResult:
     outlines: dict[str, Outline]
     metrics: Metrics
     verdict: str  # "verified" | "notVerified"
+    # when False, `relies` and `outlines` hold only the threads the worklist
+    # reached, so the reports are for converged results
     converged: bool
     domain: StateDomain
-    cw: CondWrites
 
 
 def reduce_interference(cw: CondWrites, i: Interference,
@@ -219,45 +222,32 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         rvars[tid] = names
 
     d_pre = dom.filter(program.pre, dom.top())
-    guarantees = {t.tid: cw.bot() for t in program.threads}
+    bodies = {t.tid: t.body for t in program.threads}
+    guarantees = {tid: cw.bot() for tid in bodies}
     relies: dict[str, Interference] = {}
     outlines: dict[str, Outline] = {}
-    dirty = set(guarantees)  # the threads whose rely must be derived again
-    converged = False
-    rounds = collects = 0
+    work = deque(guarantees)  # the threads whose rely must be derived again
+    pops = collects = 0
 
-    for _ in range(config.fuel_outer):
-        rounds += 1
-        # A rely is a function of the other threads' guarantees and collect
-        # a pure function of (body, d_pre, rely) under one `cw`, so a thread
-        # keeps its rely until another thread's guarantee changes, and its
-        # guarantee and outline unless its rely changes. Values compare by
-        # content (const maps are interned bitsets, powerset elements
-        # antichains of them), so
-        # `==` on interferences is lattice equality. A sweep reads the
-        # newest guarantees, those it has updated included (Gauss-Seidel).
-        for t in program.threads:
-            if t.tid not in dirty:
-                continue
-            dirty.discard(t.tid)
-            r = rely(cw, t.tid, guarantees, rvars[t.tid], transitive)
-            if r == relies.get(t.tid):
-                continue
-            relies[t.tid] = r
-            collects += 1
-            g, outlines[t.tid] = collect(cw, t.body, d_pre, r, transitive)
-            if g != guarantees[t.tid]:
-                guarantees[t.tid] = g
-                dirty.update(tid for tid in guarantees if tid != t.tid)
-        if not dirty:
-            converged = True
-            break
+    while work and pops < config.fuel_outer:
+        pops += 1
+        tid = work.popleft()
+        r = rely(cw, tid, guarantees, rvars[tid], transitive)
+        if r == relies.get(tid):
+            continue
+        relies[tid] = r
+        collects += 1
+        g, outlines[tid] = collect(cw, bodies[tid], d_pre, r, transitive)
+        if g != guarantees[tid]:
+            guarantees[tid] = g
+            work.extend(o for o in guarantees if o != tid and o not in work)
+    converged = not work
 
     verdict = check_post(dom, outlines, program.post) if converged else "notVerified"
     metrics = Metrics(
         ops=dom.ops,
         time_s=time.perf_counter() - started,
-        outer_iterations=rounds,
+        outer_iterations=pops,
         collects=collects,
         memo_hits=cw.memo_hits,
         cap_collapses=dom.cap_collapses,
@@ -265,7 +255,7 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     return AnalysisResult(
         program=program, config=config, relies=relies, guarantees=guarantees,
         outlines=outlines, metrics=metrics, verdict=verdict,
-        converged=converged, domain=dom, cw=cw,
+        converged=converged, domain=dom,
     )
 
 
@@ -304,7 +294,7 @@ def to_machine(result: AnalysisResult) -> dict:
         "n": result.config.n,
         "threads": threads,
         "stats": {
-            "outer_rounds": result.metrics.outer_iterations,
+            "outer_iterations": result.metrics.outer_iterations,
             "collects": result.metrics.collects,
             "memo_hits": result.metrics.memo_hits,
             "cap_collapses": result.metrics.cap_collapses,

@@ -8,6 +8,8 @@ analyzer ran before constant maps became interned bitsets. A map here is a
 frozenset binding each variable at most once: `CM_TOP` is the empty
 frozenset and bottom is the analyzer's own sentinel `CM_BOT`, so `ref`
 turns an analyzer element into this module's form through `cm_items`.
+`cm_eval` evaluates an expression over such a map's bindings, the rule the
+analyzer's `domains._eval` applies to its own maps.
 
 `leq`, `join`, `meet`, `havoc`, `post` and `filter_cmp` are the bodies of
 the `ConstPowersetDomain` methods of those names over these maps, written
@@ -27,8 +29,10 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from condwrites.domains import CM_BOT, cm_eval, cm_items, fmt_map
-from condwrites.lang import CMP_OPS, Assign, Cmp, VarRef
+from condwrites.domains import CM_BOT, cm_items, fmt_map
+from condwrites.lang import (
+    CMP_OPS, Assign, Cmp, EvalOverflow, Expr, Lit, VarRef, eval_expr,
+)
 
 CM_TOP = frozenset()
 PW_BOT = frozenset()
@@ -85,6 +89,20 @@ def cm_havoc(d, drop: frozenset[str]):
 
 def cm_contains(d, state: dict) -> bool:
     return d is not CM_BOT and d <= state.items()
+
+
+def cm_eval(e: Expr, s: dict) -> int | None:
+    """Abstract expression evaluation over s, a constant map's bindings as a
+    dict: the concrete value, or None (unknown) when e reads an unbound
+    variable or overflows 64 bits."""
+    if isinstance(e, Lit):
+        return e.n
+    if isinstance(e, VarRef):
+        return s.get(e.name)
+    try:
+        return eval_expr(e, s)
+    except (KeyError, EvalOverflow):
+        return None
 
 
 def cm_post(a: Assign, d):

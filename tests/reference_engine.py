@@ -1,6 +1,7 @@
 """Differential references for `condwrites.engine`, kept as written apart
 from the current signatures of `CondWrites` and `make_domain` and the AST's
-blocks, which are tuples of statements.
+blocks, which are tuples of statements, and the result without the dropped
+`cw` field.
 
 `collect` is the collecting pass before it was reduced to the state alone.
 It threads (state, guarantee) through every statement, joins the guarantee
@@ -8,7 +9,7 @@ at each assignment, branch merge and loop pass, and runs one more loop pass
 whenever only the guarantee grew.
 
 `analyse` is the outer loop before it skipped unchanged relies and before
-it swept the threads Gauss-Seidel style: every Jacobi round re-derives every
+it drove the threads off a worklist: every Jacobi round re-derives every
 thread's rely from the previous round's guarantees and re-runs `collect`
 (this module's) for every thread. Only `tests/test_engine_reference.py` and
 one test of `tests/test_engine.py` use them.
@@ -141,5 +142,5 @@ def analyse(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
     return AnalysisResult(
         program=program, config=config, relies=relies, guarantees=guarantees,
         outlines=outlines, metrics=metrics, verdict=verdict,
-        converged=converged, domain=dom, cw=cw,
+        converged=converged, domain=dom,
     )

@@ -350,8 +350,9 @@ def test_criterion_7_fixpoint_contracts():
             if not res.converged:
                 bad += 1
                 continue
+            cw = CondWrites(res.domain)
             for tid, r in res.relies.items():
-                if res.cw.close(r) != r:
+                if cw.close(r) != r:
                     bad += 1
     report("7 stabilise_fix is a fixpoint; transitive relies are closed",
            bad == 0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from condwrites.domains import (
     ASCII, CM_BOT, CM_TOP, PW_BOT, PW_TOP, UNIVERSE_CAP, ConstDomain,
     ConstPowersetDomain, StateDomain, Universe, UniverseTooLarge, _pw_normalize,
-    cm_eval, cm_filter_cmp, cm_havoc, cm_items, cm_join, cm_leq, cm_make,
+    cm_filter_cmp, cm_havoc, cm_items, cm_join, cm_leq, cm_make,
     cm_meet, cm_post, fmt_map, make_domain,
 )
 from condwrites import domains
@@ -542,18 +542,20 @@ def test_write_set_walks_meet_no_bottom(kind, monkeypatch):
 OVERFLOW = BinOp(("+",), (Lit(INT_MAX), VarRef("w")))
 
 
-def test_cm_eval_unknown_on_unbound_or_overflow():
-    s = {"w": 1}
-    assert cm_eval(BinOp(("*",), (VarRef("w"), Lit(3))), s) == 3
-    assert cm_eval(VarRef("z"), s) is None
-    assert cm_eval(OVERFLOW, s) is None
+def test_eval_unknown_on_unbound_or_overflow():
+    d = cm_make({"w": 1})
+    assert domains._eval(BinOp(("*",), (VarRef("w"), Lit(3))), d) == 3
+    assert domains._eval(VarRef("z"), d) is None
+    assert domains._eval(OVERFLOW, d) is None
     # an intermediate overflow is unknown even when the final value fits
-    assert cm_eval(BinOp(("-",), (OVERFLOW, Lit(1))), s) is None
+    assert domains._eval(BinOp(("-",), (OVERFLOW, Lit(1))), d) is None
     # and so is one inside a spine, applied left to right
-    assert cm_eval(BinOp(("+", "-"), (Lit(INT_MAX), VarRef("w"), Lit(1))), s) is None
-    assert cm_eval(BinOp(("-", "+"), (Lit(INT_MAX), VarRef("w"), Lit(1))), s) == INT_MAX
+    assert domains._eval(
+        BinOp(("+", "-"), (Lit(INT_MAX), VarRef("w"), Lit(1))), d) is None
+    assert domains._eval(
+        BinOp(("-", "+"), (Lit(INT_MAX), VarRef("w"), Lit(1))), d) == INT_MAX
     # no algebraic short cut: x * 0 with x unbound stays unknown
-    assert cm_eval(BinOp(("*",), (VarRef("x"), Lit(0))), s) is None
+    assert domains._eval(BinOp(("*",), (VarRef("x"), Lit(0))), d) is None
 
 
 def test_cm_post_drops_only_the_unknown_targets():

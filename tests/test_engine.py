@@ -114,8 +114,8 @@ def test_single_thread_is_plain_constant_propagation():
     res = analyse(p, AnalysisConfig())
     assert res.verdict == "verified"
     assert res.outlines["T"][EXIT] == cm_make({"x": 1, "y": 3})
-    assert res.relies["T"] == res.cw.bot()
-    # one sweep builds G; no other thread reads it, so nothing is left dirty
+    assert res.relies["T"] == {}
+    # one pop builds G; no other thread reads it, so nothing is queued again
     assert res.metrics.outer_iterations == 1
 
 
@@ -227,7 +227,7 @@ def test_collect_stabilises_each_point_once(monkeypatch):
     monkeypatch.setattr(CondWrites, "transitions", transitions)
     for domain in ("const", "const-powerset"):
         res = analyse_flagged(domain=domain, mode="nontransitive")
-        cw = res.cw
+        cw = CondWrites(res.domain)
         for t in res.program.threads:
             stab_calls.clear()
             stabilisers.clear()
@@ -276,7 +276,8 @@ def test_guarantee_fold_matches_the_reduce_over_transitions(domain, cap):
     seen = collections.Counter()
     for p, mode in itertools.product(programs, MODES):
         res = analyse(p, AnalysisConfig(mode=mode, domain=domain, max_disjuncts=cap))
-        cw, dom = res.cw, res.domain
+        dom = res.domain
+        cw = CondWrites(dom)
         d_pre = dom.filter(p.pre, dom.top())
         for t in p.threads:
             counts = []  # (ops, collapses) when the fold starts
@@ -306,21 +307,28 @@ def test_powerset_builds_one_plan_per_rely(monkeypatch, mode):
     # in every corpus powerset cell the write-set plan is built exactly once
     # per distinct rely stabilised under: when CondWrites first looks up
     # that rely's stabiliser, which it then keeps for the analysis
-    plans = []
+    plans, made = [], []
     real = ConstPowersetDomain._write_sets
 
     def counted(self, i):
         plans.append(frozenset(i.items()))
         return real(self, i)
 
+    class Recorded(CondWrites):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
     monkeypatch.setattr(ConstPowersetDomain, "_write_sets", counted)
+    monkeypatch.setattr(engine, "CondWrites", Recorded)
     for case in CASES:
         plans.clear()
-        res = analyse(case.load(),
-                      AnalysisConfig(mode=mode, domain="const-powerset"))
+        made.clear()
+        analyse(case.load(), AnalysisConfig(mode=mode, domain="const-powerset"))
+        (cw,) = made
         assert plans, case.name
-        assert len(plans) == len(res.cw._stabilisers), case.name
-        assert set(plans) == set(res.cw._stabilisers), case.name
+        assert len(plans) == len(cw._stabilisers), case.name
+        assert set(plans) == set(cw._stabilisers), case.name
 
 
 def test_check_post():
@@ -377,9 +385,10 @@ def test_no_state_leaks_across_analyses():
 
 def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
     # In transitive mode T1's first rely, the closure of T0's first
-    # guarantee, is already top. T1's own write changes T0's guarantee in
-    # sweep 2, so T1's rely is derived again and comes out the same: T1
-    # keeps its guarantee and outline, and 4 rely derivations take 3 collects
+    # guarantee, is already top. T1's own write changes T0's guarantee, so
+    # T0 is queued again, and its new guarantee queues T1, whose rely comes
+    # out the same: T1 keeps its guarantee and outline, and 4 rely
+    # derivations (pops T0, T1, T0, T1) take 3 collects
     calls = []
     real = engine.collect
 
@@ -396,9 +405,10 @@ def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
         thread T1 { x := 1; }
     """)
     res = analyse(program, AnalysisConfig(mode="transitive", domain="const"))
-    rounds, threads = res.metrics.outer_iterations, len(program.threads)
-    assert res.converged and rounds == 2
-    assert len(calls) == res.metrics.collects == 3 < rounds * threads
+    assert res.converged and res.metrics.outer_iterations == 4
+    assert len(calls) == res.metrics.collects == 3
+    assert [b for b, _ in calls] == [t.body for t in program.threads] + [
+        program.threads[0].body]
     assert to_machine(res)["stats"]["collects"] == len(calls)
     # no thread is collected again under the rely of its previous collect
     last = {}
@@ -408,7 +418,8 @@ def test_analyse_skips_collect_under_an_unchanged_rely(monkeypatch):
     # each skipped thread's outline is still the one its final rely gives
     d_pre = res.domain.filter(program.pre, res.domain.top())
     for t in program.threads:
-        g, outline = real(res.cw, t.body, d_pre, res.relies[t.tid], True)
+        g, outline = real(CondWrites(res.domain), t.body, d_pre,
+                          res.relies[t.tid], True)
         assert g == res.guarantees[t.tid]
         assert outline == res.outlines[t.tid]
 
@@ -438,27 +449,28 @@ def mutex_flags_events(monkeypatch):
 
 
 def test_analyse_rederives_a_rely_only_after_another_guarantee_changed(monkeypatch):
-    # mutex_flags converges in 3 sweeps. Sweeps 1 and 2 derive T0's rely
-    # and then T1's, and each of those four collects changes its thread's
-    # guarantee. T1's change in sweep 2 leaves T0 dirty, so sweep 3 derives
-    # T0's rely; T0's guarantee stays, so T1's is not derived again. Each
-    # of these relies differs from the last, so each is followed by a
-    # collect. Deriving every rely in every sweep would take 6 calls
+    # mutex_flags converges in 5 pops. The first four take T0, T1, T0 and
+    # T1, and each of those four collects changes its thread's
+    # guarantee, so it queues the other thread; T0's first change finds T1
+    # queued already, and does not queue it twice. T1's second change
+    # queues T0 once more; T0's guarantee then stays, so T1's rely is not
+    # derived again and the worklist empties. Each of these relies differs
+    # from the last, so each is followed by a collect
     _, res, events = mutex_flags_events(monkeypatch)
     calls = [tid for kind, tid, _ in events if kind == "rely"]
-    assert res.converged and res.metrics.outer_iterations == 3
+    assert res.converged and res.metrics.outer_iterations == len(calls)
     assert calls == ["T0", "T1", "T0", "T1", "T0"]
     assert res.metrics.collects == len(calls)
 
 
-def test_sweep_reads_guarantees_made_earlier_in_the_same_sweep(monkeypatch):
-    # Gauss-Seidel: every rely is derived from the newest guarantees, so T1's
-    # first rely already reads the guarantee T0's first collect made in the
-    # same sweep. The Jacobi rounds of `reference_engine` read only the
-    # previous round's guarantees, and take 4 rounds here (and 8 collects
-    # when they skip unchanged relies) where the sweeps take 3 and 5
+def test_rely_reads_the_newest_guarantees(monkeypatch):
+    # Chaotic iteration: every rely is derived from the newest guarantees,
+    # so T1's first rely already reads the guarantee T0's first collect
+    # made. The Jacobi rounds of `reference_engine` read only the previous
+    # round's guarantees, and take 4 rounds here, 8 collects when they skip
+    # unchanged relies, where the worklist takes 5 pops and 5 collects
     program, res, events = mutex_flags_events(monkeypatch)
-    newest = {t.tid: res.cw.bot() for t in program.threads}
+    newest = {t.tid: {} for t in program.threads}
     for kind, tid, value in events:
         if kind == "rely":
             assert value == newest
@@ -466,8 +478,8 @@ def test_sweep_reads_guarantees_made_earlier_in_the_same_sweep(monkeypatch):
             newest[tid] = value
     (_, first, g0), (_, second, read) = events[1:3]
     assert (first, second) == ("T0", "T1")
-    assert g0 != res.cw.bot() and read["T0"] == g0
-    assert (res.metrics.outer_iterations, res.metrics.collects) == (3, 5)
+    assert g0 != {} and read["T0"] == g0
+    assert (res.metrics.outer_iterations, res.metrics.collects) == (5, 5)
     ref = reference_engine.analyse(program, res.config)
     assert ref.metrics.outer_iterations == 4
     assert (ref.relies, ref.guarantees, ref.outlines) == (
@@ -557,7 +569,8 @@ def test_config_validation():
 
 
 def test_outer_iteration_guarantees_grow_monotonically():
-    # guarantees rebuilt from bottom each round still grow towards the fixpoint
+    # the guarantees after 1, 2 and 3 rely derivations grow towards the
+    # fixpoint, which flagged_write reaches in 3
     p = parse_program(FLAGGED)
     cfgs = [AnalysisConfig(mode=m, domain=d, fuel_outer=k)
             for m in ("transitive", "nontransitive")
@@ -572,15 +585,18 @@ def test_outer_iteration_guarantees_grow_monotonically():
             g1 = by_key[(m, d, 1)]
             g2 = by_key[(m, d, 2)]
             g3 = by_key[(m, d, 3)]
+            cw = CondWrites(g3.domain)
             for tid in ("T0", "T1"):
-                assert g1.cw.leq(g1.guarantees[tid], g2.guarantees[tid])
-                assert g2.cw.leq(g2.guarantees[tid], g3.guarantees[tid])
+                assert cw.leq(g1.guarantees[tid], g2.guarantees[tid])
+                assert cw.leq(g2.guarantees[tid], g3.guarantees[tid])
             assert g3.converged
 
 
 def test_unconverged_run_is_not_verified():
     res = analyse_flagged(fuel_outer=1)
     assert not res.converged and res.verdict == "notVerified"
+    # the one rely derivation reached T0 alone
+    assert set(res.relies) == set(res.outlines) == {"T0"}
 
 
 # -- sparse interferences -------------------------------------------------------

@@ -3,12 +3,12 @@ re-collects every thread in every Jacobi round, driving the collecting pass
 that threaded the guarantee through every statement
 (`reference_engine.analyse` and `reference_engine.collect`).
 
-`engine.analyse` sweeps the threads Gauss-Seidel style: a thread's rely is
-derived from the newest guarantees, those updated earlier in the same sweep
-included, only after another thread's guarantee changed, and the thread is
-re-collected only when that rely changed; each guarantee is derived from the
-final proof outline. It must give the same outlines, relies, guarantees,
-verdict and convergence, in no more outer rounds. Rely derivation and
+`engine.analyse` pops threads off one FIFO worklist: a thread's rely is
+derived from the newest guarantees only after another thread's guarantee
+changed, and the thread is re-collected only when that rely changed; each
+guarantee is derived from the final proof outline. It must give the same
+outlines, relies, guarantees, verdict and convergence, in no more collects
+than the reference runs, one per thread in each round. Rely derivation and
 collection are monotone, so chaotic and Jacobi iteration reach the same
 least fixpoint (Cousot & Cousot, POPL 1977); the powerset cap is the one
 non-monotone step, and caps 2 and 1 are where the cells show that it does
@@ -95,7 +95,8 @@ def test_collect_matches_reference(config):
         p = load()
         ours, ref = analyse(p, config), reference_engine.analyse(p, config)
         assert observed(ours) == observed(ref), name
-        assert ours.metrics.outer_iterations <= ref.metrics.outer_iterations, name
+        assert ours.metrics.collects <= (
+            ref.metrics.outer_iterations * len(p.threads)), name
         ops["ours"] += ours.metrics.ops
         ops["ref"] += ref.metrics.ops
         if ours.metrics.ops > ref.metrics.ops:
