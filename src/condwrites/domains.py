@@ -138,7 +138,6 @@ CM_BOT = _Bottom()
 _VARS = 0  # the bits of every interned variable
 _VAR_MASK: dict[str, int] = {}  # var -> its bit and its bindings' bits
 _PAIR: dict[tuple[str, int], int] = {}  # (var, value) -> var's bit | its bit
-_VALUE: dict[int, int] = {}  # var's bit | binding's bit -> the value
 _BINDING: dict[int, tuple[str, int]] = {}  # binding's bit -> (var, value)
 # drop set -> its variables' masks, cleared whenever a binding is interned,
 # as the new binding's bit widens its variable's mask
@@ -153,7 +152,7 @@ def _intern(var: str, value: int) -> int:
     bit = 1 << 2 * len(_BINDING) + 1
     pair = _PAIR[var, value] = _VAR_MASK[var] & _VARS | bit
     _VAR_MASK[var] |= bit
-    _BINDING[bit], _VALUE[pair] = (var, value), value
+    _BINDING[bit] = var, value
     _DROP_MASK.clear()
     return pair
 
@@ -260,7 +259,10 @@ def _eval(e: Expr, d: int) -> int | None:
     if type(e) is Lit:
         return e.n
     if type(e) is VarRef:
-        return _VALUE.get(d & _VAR_MASK.get(e.name, 0))
+        # d's bits of the variable: its bit and its binding's bit, or none
+        bits = d & _VAR_MASK.get(e.name, 0)
+        binding = _BINDING.get(bits ^ (bits & _VARS))
+        return None if binding is None else binding[1]
     try:
         return eval_expr(e, dict(_ITEMS[d]))
     except (KeyError, EvalOverflow):
@@ -520,7 +522,7 @@ class ConstDomain(StateDomain):
         never counts more ops than the pruned walk, and the tests check
         that."""
         iv = i.get(v, CM_BOT)
-        if iv is CM_BOT or not iv:
+        if iv is CM_BOT:
             return iv
         bound = dict(_ITEMS[iv])
         # the closure rule's edges, uncounted like the walk's candidates
@@ -789,19 +791,13 @@ class ConstPowersetDomain(StateDomain):
         of d with every disjunct of its wc once, decides feasibility from
         those meets, havocs them by each head, and counts its sets × 2 ops
         if feasible, else × 1. So ops do not depend on the skipping or on
-        whether a collapse fires. ⊥ stays ⊥ at no cost. For d = ⊤ the pass
-        is not run: every wc_S is non-⊥, so each write set counts a meet and
-        a join, and every term lies below ⊤. Where the pass pools no term,
-        the pool is d's own maps, already normalised and within the cap, so
-        `make` would return d: the pass returns d itself. Coarse terms alone
-        can change d, so they count as pooled."""
+        whether a collapse fires. ⊥ stays ⊥ at no cost. Where the pass pools
+        no term, the pool is d's own maps, already normalised and within the
+        cap, so `make` would return d: the pass returns d itself. Coarse
+        terms alone can change d, so they count as pooled."""
         if not d:
             return d
         groups, coarse = plan
-        if d == PW_TOP:
-            self.ops += 2 * (sum(len(sets) for _, sets, _ in groups)
-                             + len(coarse))
-            return d
         maps = list(d)
         ops = 0
         for wc, sets, heads in groups:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 
 from .lang import (
@@ -284,6 +284,9 @@ def to_machine(result: AnalysisResult) -> dict:
             "guarantee": {v: dom.fmt(g.get(v, bot)) for v in dom.variables},
             "outline": {str(k): dom.fmt(d) for k, d in result.outlines[t.tid].items()},
         }
+    # every counter of `Metrics` but ops and time_s, which lead the document
+    stats = asdict(result.metrics)
+    del stats["ops"], stats["time_s"]
     return {
         "verdict": result.verdict,
         "ops": result.metrics.ops,
@@ -293,12 +296,7 @@ def to_machine(result: AnalysisResult) -> dict:
         "domain": result.config.domain,
         "n": result.config.n,
         "threads": threads,
-        "stats": {
-            "outer_iterations": result.metrics.outer_iterations,
-            "collects": result.metrics.collects,
-            "memo_hits": result.metrics.memo_hits,
-            "cap_collapses": result.metrics.cap_collapses,
-        },
+        "stats": stats,
     }
 
 

@@ -18,9 +18,9 @@ havoc(d ⊓ wc_S, S) over every feasible write set S of at most n variables,
 where wc_S is the meet of i[v] over v in S, and folds the feasible
 (n+1)-sets into one coarse havoc; n is a precision parameter of the domain.
 The enumeration walks up to 2^|V| subsets; the domain's `stabiliser(i)`
-computes it as d ↦ stabilise(i, d), the const closed form over an index of
-i or the powerset fused pass over a write-set plan, each built when it is
-called. `stabilise` and
+computes it as d ↦ stabilise(i, d): the const closed form, which decides
+each meet by the count test on d | i[u], or the powerset fused pass over a
+write-set plan built when it is called. `stabilise` and
 `stabilise_fix` are one-line applications of `stabiliser`, kept only for
 the tests and for the perfbench tracer, which patches them by name. As
 `engine.collect` applies `stabiliser` and calls neither, the tracer's

@@ -95,9 +95,7 @@ bits of the `oracle` perfbench workload's largest bitsets. Once the search
 ends, each reached store's int is ANDed once with each thread's EXIT mask
 to write the EXIT entries. On that workload's 40 programs of seed 1, a
 program averages 64 pops and 459 step evaluations; it takes 2,165 mask ANDs
-and 1,385 non-empty moves, where chained rounds, which swept all threads'
-pairs again whenever a later thread's store-keeping step added vectors
-(125 rounds in the 64 pops), took 4,009 and 2,441.
+and 1,385 non-empty moves.
 
 Breadth first (`_breadth_first`) visits one configuration at a time, in
 discovery order and thread order, with the budget checks of a search over

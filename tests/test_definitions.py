@@ -1,10 +1,12 @@
 """Every definition in `src/condwrites` is used by the package itself.
 
 A `def` or `class` whose name the package never reads, as a name, an
-attribute or an import, runs on no production path. The few that only an
-outside caller reaches are listed in `OUTSIDE_CALLERS`, each with that
+attribute or an import, runs on no production path, and neither does a
+module-level assignment such as a table or a constant. The few that only
+an outside caller reaches are listed in `OUTSIDE_CALLERS`, each with that
 caller; the scan must flag exactly those, so the list can only shrink.
-Dunder methods are called by the language and are not scanned.
+Dunder names are read by the language and are not scanned. Writing a name
+or into it, as an assignment target does, is not reading it.
 """
 
 import ast
@@ -34,18 +36,35 @@ def unreferenced(sources=None) -> dict[str, list[str]]:
     defined: dict[str, list[str]] = {}
     used: set[str] = set()
     for name, text in sources:
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        # the names bound by module-level assignments, and every def and class
+        targets = [target for stmt in tree.body
+                   if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                   for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                                  else [stmt.target])]
+        definitions = [(node.id, node.lineno) for target in targets
+                       for node in ast.walk(target)
+                       if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Store)]
+        stored = set()  # the names a subscript writes into, by node id
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, []).append(
-                        f"{name}:{node.lineno}")
+                definitions.append((node.name, node.lineno))
+            elif isinstance(node, ast.Subscript):
+                if not isinstance(node.ctx, ast.Load):
+                    stored.add(id(node.value))
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                if isinstance(node.ctx, ast.Load) and id(node) not in stored:
+                    used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+        for defined_name, line in definitions:
+            if not (defined_name.startswith("__")
+                    and defined_name.endswith("__")):
+                defined.setdefault(defined_name, []).append(f"{name}:{line}")
     return {name: where for name, where in defined.items() if name not in used}
 
 
@@ -55,7 +74,8 @@ def test_every_definition_is_referenced():
 
 def test_the_scan_sees_names_attributes_and_imports():
     # a reference by name, as an attribute or in an import keeps a
-    # definition alive, in the same module or another; dunders are skipped
+    # definition alive, in the same module or another; dunders are skipped,
+    # and a module-level name that is only written is flagged
     a = """
 class Box:
     def __init__(self): ...
@@ -65,7 +85,12 @@ def by_name(): ...
 def imported(): ...
 def dead(): ...
 by_name(Box().attr())
+__all__ = ["by_name"]
+TABLE: dict = {}
+WRITTEN, READ = {}, {}
+WRITTEN[1] = READ.get(1)
 """
     b = "from a import imported\n"
     assert unreferenced([("a.py", a), ("b.py", b)]) == {
-        "dead_method": ["a.py:5"], "dead": ["a.py:8"]}
+        "dead_method": ["a.py:5"], "dead": ["a.py:8"],
+        "TABLE": ["a.py:11"], "WRITTEN": ["a.py:12"]}

@@ -638,7 +638,9 @@ def test_stabilise_plan_returns_d_when_it_pools_no_term(cap, monkeypatch):
     # are the only terms), so they must not take that shortcut. The result
     # equals the walk over every write set of the plan, capped once, in
     # value, ops and cap collapses, and, where building the plan collapsed
-    # nothing, the unpruned enumeration of i on an uncapped copy, capped once
+    # nothing, the unpruned enumeration of i on an uncapped copy, capped once.
+    # ⊤ takes the same pass under every i: its one map binds nothing, so it
+    # pools only coarse terms, which normalise back to ⊤
     rng = random.Random(53)
     seen = collections.Counter()
     terms: list[frozenset[str]] = []
@@ -655,29 +657,37 @@ def test_stabilise_plan_returns_d_when_it_pools_no_term(cap, monkeypatch):
             dom = new.dom
             for _ in range(80):
                 i = random_interference(rng, shape, (0, 1, 2))
-                d = random_pw(rng, shape, (0, 1, 2), 4)
+                drawn = random_pw(rng, shape, (0, 1, 2), 4)
                 plan, _, plan_collapses = with_counts(new, dom._write_sets, i)
-                terms.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(domains, "cm_havoc", recording)
-                    got = with_counts(new, dom.stabilise_plan, d, plan)
-                spec, ref = (CondWrites(ConstPowersetDomain(variables, cap, n))
-                             for _ in range(2))
-                assert got == with_counts(
-                    spec, reference_interference.stabilise_over_plan,
-                    spec.dom, d, plan)
-                if not plan_collapses:
-                    out, _, collapses = with_counts(
-                        ref, reference_interference.stabilise_cap_once, ref, i, d)
-                    assert (got[0], got[2]) == (out, collapses)
-                if not terms:
-                    assert got[0] is d
-                    seen["no term"] += d not in (PW_BOT, PW_TOP)
-                elif all(len(vset) > n for vset in terms):
-                    seen[f"coarse only, changed at n={n}"] += got[0] != d
-    # "no term" counts only the d that are neither ⊥ nor ⊤, which the pass
-    # returns before it starts
+                for d in (drawn, PW_TOP):
+                    terms.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(domains, "cm_havoc", recording)
+                        got = with_counts(new, dom.stabilise_plan, d, plan)
+                    spec, ref = (
+                        CondWrites(ConstPowersetDomain(variables, cap, n))
+                        for _ in range(2))
+                    assert got == with_counts(
+                        spec, reference_interference.stabilise_over_plan,
+                        spec.dom, d, plan)
+                    if not plan_collapses:
+                        out, _, collapses = with_counts(
+                            ref, reference_interference.stabilise_cap_once,
+                            ref, i, d)
+                        assert (got[0], got[2]) == (out, collapses)
+                    if not terms:
+                        assert got[0] is d
+                        seen["no term"] += d not in (PW_BOT, PW_TOP)
+                    elif d == PW_TOP:
+                        assert got[0] == d
+                        seen[f"top, coarse terms at n={n}"] += 1
+                    elif all(len(vset) > n for vset in terms):
+                        seen[f"coarse only, changed at n={n}"] += got[0] != d
+    # "no term" leaves out ⊥, which the pass returns before it starts, and
+    # ⊤, which every i adds, so that the drawn d must reach it
     assert seen["no term"] and seen["coarse only, changed at n=0"], seen
+    assert seen["top, coarse terms at n=0"], seen
+    assert seen["top, coarse terms at n=1"], seen
 
 
 def test_top_write_condition_leaves_only_heads_with_it(monkeypatch):
