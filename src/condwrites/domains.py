@@ -54,6 +54,7 @@ the text report's rely and guarantee lines share. `ASCII` is the
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -98,14 +99,12 @@ class Universe:
         raise KeyError(var)
 
     def size(self) -> int:
-        n = 1
-        for _, vals in self.values:
-            n *= len(vals)
-        return n
+        return math.prod(len(vals) for _, vals in self.values)
 
     def check_size(self) -> None:
-        if self.size() > UNIVERSE_CAP:
-            raise UniverseTooLarge(f"{self.size()} states exceeds cap {UNIVERSE_CAP}")
+        size = self.size()
+        if size > UNIVERSE_CAP:
+            raise UniverseTooLarge(f"{size} states exceeds cap {UNIVERSE_CAP}")
 
 
 # ---------------------------------------------------------------------------

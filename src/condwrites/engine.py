@@ -264,7 +264,7 @@ def check_post(dom: StateDomain, outlines: dict[str, Outline],
     """The postcondition holds if no state in the meet of all thread exit
     assertions can satisfy its negation."""
     exits = [outline[EXIT] for outline in outlines.values()]
-    d_final = reduce(dom.meet, exits) if exits else dom.top()
+    d_final = reduce(dom.meet, exits)
     violating = dom.filter(negate(post), d_final)
     return "verified" if dom.is_bot(violating) else "notVerified"
 

@@ -105,11 +105,11 @@ class Assign:
 
 
 @dataclass(frozen=True)
-class Ite:
+class Guard:
+    """The fields an `Ite` and a `While` share: each branches on `cond`."""
+
     label: int
     cond: Cond
-    then: "Block"
-    els: "Block"  # () for an if without else
 
     @functools.cached_property
     def neg(self) -> Cond:
@@ -118,15 +118,14 @@ class Ite:
 
 
 @dataclass(frozen=True)
-class While:
-    label: int
-    cond: Cond
-    body: "Block"
+class Ite(Guard):
+    then: "Block"
+    els: "Block"  # () for an if without else
 
-    @functools.cached_property
-    def neg(self) -> Cond:
-        """`negate(cond)`, built on first use."""
-        return negate(self.cond)
+
+@dataclass(frozen=True)
+class While(Guard):
+    body: "Block"
 
 
 Inst = Union[Skip, Assign, Ite, While]
@@ -241,7 +240,7 @@ def operands(p: Program) -> Iterator[Expr | Cond]:
         for st in t.flow.stmts[1:]:
             if isinstance(st, Assign):
                 yield from st.exprs
-            elif isinstance(st, (Ite, While)):
+            elif isinstance(st, Guard):
                 yield st.cond
 
 
@@ -313,6 +312,7 @@ _TOKEN_RE = re.compile(
   | (?P<int>[0-9]+)
   | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>:=|==|!=|<=|>=|&&|\|\||[{}();:,<>!+\-*=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -330,29 +330,28 @@ class _Tok:
     line: int
     col: int
 
+    @property
+    def name(self) -> str:
+        """The token as an error message names it."""
+        return self.text or "end of input"
+
 
 def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of `text`, each at its line and column, then an `eof`
+    token. Every character, a tab or carriage return too, is one column."""
     toks: list[_Tok] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - line_start + 1
         if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            k = kind
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        elif kind not in ("ws", "comment"):
             if kind == "id" and lexeme in _KEYWORDS:
-                k = "kw"
-            toks.append(_Tok(k, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+                kind = "kw"
+            toks.append(_Tok(kind, lexeme, line, col))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -390,7 +389,7 @@ class _Parser:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
             want = text if text is not None else kind
-            raise self.error(f"expected {want!r}, found {t.text or 'end of input'!r}")
+            raise self.error(f"expected {want!r}, found {t.name!r}")
         return self.next()
 
     def accept(self, kind: str, text: str | None = None) -> _Tok | None:
@@ -522,25 +521,23 @@ class _Parser:
         return tuple(items)
 
     def guard(self) -> Cond:
-        """The keyword of an `if` or `while` and its parenthesised condition."""
-        self.next()
+        """The parenthesised condition of an `if` or `while`."""
         self.expect("op", "(")
         c = self.cond()
         self.expect("op", ")")
         return c
 
     def stmt(self) -> Inst:
-        t = self.peek()
         label = self.fresh_label()
-        if t.kind == "kw" and t.text == "skip":
-            self.next()
+        if self.accept("kw", "skip"):
             self.expect("op", ";")
             return Skip(label)
-        if t.kind == "kw" and t.text == "if":
+        if self.accept("kw", "if"):
             return Ite(label, self.guard(), self.block(),
                        self.block() if self.accept("kw", "else") else ())
-        if t.kind == "kw" and t.text == "while":
+        if self.accept("kw", "while"):
             return While(label, self.guard(), self.block())
+        t = self.peek()
         if t.kind == "id":
             targets: list[str] = []
             for target in self.idlist():
@@ -554,7 +551,7 @@ class _Parser:
                 raise self.error(f"assignment arity mismatch: {len(targets)} targets, "
                                  f"{len(exprs)} expressions", assign)
             return Assign(label, tuple(targets), tuple(exprs))
-        raise self.error(f"expected a statement, found {t.text!r}")
+        raise self.error(f"expected a statement, found {t.name!r}")
 
     # -- conditions and expressions -------------------------------------------
     #
@@ -602,7 +599,7 @@ class _Parser:
         if want == "cond" and not isinstance(node, _CONDS):
             raise self.error("expected a comparison operator")
         if want == "expr" and isinstance(node, _CONDS):
-            raise self.error(f"expected an expression, found {first.text!r}", first)
+            raise self.error(f"expected an expression, found {first.name!r}", first)
         return node
 
     def in_range(self, e: Expr | Cond) -> Expr | Cond:
@@ -630,7 +627,7 @@ class _Parser:
             inner = self.operand(0, None, depth + 1)
             self.expect("op", ")")
             return inner
-        raise self.error(f"expected an expression, found {t.text!r}", t)
+        raise self.error(f"expected an expression, found {t.name!r}", t)
 
 
 def parse_program(text: str) -> Program:

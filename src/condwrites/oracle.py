@@ -216,12 +216,9 @@ def explore(p: Program, universe: Universe | None = None,
     order = u.var_order
     domains = [u.domain_of(v) for v in order]
     position = {v: {n: i for i, n in enumerate(vals)} for v, vals in zip(order, domains)}
-    strides = []
-    size = 1
-    for vals in reversed(domains):
-        strides.append(size)
-        size *= len(vals)
-    strides.reverse()
+    sizes = [len(vals) for vals in domains]
+    size = math.prod(sizes)
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     stride_of = dict(zip(order, strides))
     # The initial stores are those satisfying pre, in ascending store index.
     # Only stores agreeing with pre's top-level `v == c` conjuncts can, so
@@ -252,11 +249,8 @@ def explore(p: Program, universe: Universe | None = None,
         return env
 
     points = [len(f.stmts) for f in flows]
-    weights = []  # W_k, the weight of thread k's point in a vector
-    vectors = 1
-    for n in points:
-        weights.append(vectors)
-        vectors *= n
+    # W_k, the weight of thread k's point in a vector
+    weights = [math.prod(points[:k]) for k in range(len(points))]
 
     # each thread's points 1..P_k-1 as (statement, the change of moving to
     # succ, the change of moving to succ_false, `tid:pc`); EXIT takes no step
@@ -284,7 +278,7 @@ def explore(p: Program, universe: Universe | None = None,
 
     tables = [{} for _ in flows]
     start = sum(f.entry * w for f, w in zip(flows, weights))
-    configs = size * vectors
+    configs = size * math.prod(points)
     exits = escape = None
     if (configs < budget.max_states and configs * len(flows) < budget.max_steps
             and _bitsets_pay(size, points)):

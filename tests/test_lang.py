@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
 from condwrites import lang
 from condwrites.lang import (
-    And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Ite, Lit, Or, ParseError,
+    And, Assign, BinOp, BoolLit, Cmp, EvalOverflow, Guard, Ite, Lit, Or, ParseError,
     Skip, VarRef, While,
     INT_MAX, INT_MIN, control_flow, eval_cond, eval_expr,
     format_cond, format_expr, format_inst, leaves, negate, parse_program,
@@ -154,6 +156,12 @@ def test_bang_parses_into_negation_normal_form():
     ("vars x; skip; thread T { x := 1; }", "1:9: unexpected keyword 'skip'"),
     ("vars x; thread T { 5; }", "1:20: expected a statement, found '5'"),
     ("vars x; thread T { x := ٣; }", "unexpected character '٣'"),
+    # every message names the end of input the same way
+    ("vars x; thread T { x := 1;", "1:27: expected a statement, found 'end of input'"),
+    ("vars x; thread T { x := ", "1:25: expected an expression, found 'end of input'"),
+    ("vars x; thread T { x := -", "1:26: expected an expression, found 'end of input'"),
+    ("vars x; pre", "1:12: expected an expression, found 'end of input'"),
+    ("vars x; thread T { if (x == 1", "1:30: expected ')', found 'end of input'"),
 ])
 def test_parse_errors(src, fragment):
     with pytest.raises(ParseError) as exc:
@@ -191,13 +199,23 @@ def test_parse_errors(src, fragment):
      "assignment targets must be pairwise distinct", (3, 9)),
     ("vars x, y;\nthread T {\n  x, y := 1;\n  skip;\n}",
      "assignment arity mismatch: 2 targets, 1 expressions", (3, 8)),
+    # a tab and a carriage return are one column each, and a line ends at
+    # its newline alone
+    ("vars x;\r\nthread T {\r\n\tx := 1;\r\n\ty := 2;\r\n}",
+     "undeclared variable 'y'", (4, 2)),
+    ("vars x;\r\nthread\tT { x :=\t1 }", "expected ';'", (2, 19)),
+    ("vars x; # a comment\nthread T { x := 1 @ 2; }", "unexpected character '@'", (2, 19)),
+    # the end of input is where the text ends, on its last line
+    ("vars x;\nthread T { x := 1;", "expected a statement", (2, 19)),
+    ("vars x;\nthread T { x := 1; # done\n", "expected a statement", (3, 1)),
 ], ids=["pre_twice", "post_twice", "relyvars_twice", "local_unknown_thread",
         "relyvars_unknown_thread", "relyvars_undeclared", "use_in_body", "use_in_pre",
         "use_as_target", "use_in_backtracked_cond", "first_use_in_source_order",
         "other_threads_local_written", "other_threads_local_read",
         "other_threads_local_before_undeclared", "var_declared_twice",
         "var_declared_twice_on_next_line", "local_declared_twice", "target_repeated",
-        "arity_mismatch"])
+        "arity_mismatch", "tab_and_crlf", "tab_mid_line", "after_comment",
+        "end_of_input", "end_of_input_after_newline"])
 def test_declaration_errors_at_the_declaration(src, fragment, pos):
     with pytest.raises(ParseError) as exc:
         parse_program(src)
@@ -273,9 +291,9 @@ def test_eval_cond_and_negate_agree():
 
 
 def test_guard_negation_is_cached_on_the_node(monkeypatch):
-    # `Ite.neg` and `While.neg` are `negate(cond)`, built on first use and
-    # kept on the node, whose fields, equality, hash, repr and printed form
-    # stay as they were
+    # `Guard.neg`, which `Ite` and `While` share, is `negate(cond)`, built
+    # on first use and kept on the node, whose fields, equality, hash, repr
+    # and printed form stay as they were
     src = ("vars x, y; thread T { if (x == 0 && y != 1) { x := 1; } else { skip; } "
            "while (x < y || y > 1) { y := y + 1; } }")
     p, fresh = parse_program(src), parse_program(src)
@@ -293,6 +311,19 @@ def test_guard_negation_is_cached_on_the_node(monkeypatch):
     assert len(calls) == built  # a repeat reads the stored negation
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == shown
     assert format_inst(body, 1) == printed
+
+
+def test_ite_and_while_are_guards_with_their_own_fields():
+    # both take `label, cond` first, positionally, and compare and hash as
+    # their own type, so an `Ite` never equals a `While`
+    c, body = Cmp("==", VarRef("x"), Lit(0)), (Skip(2),)
+    ite, loop = Ite(1, c, body, ()), While(1, c, body)
+    assert [f.name for f in fields(Ite)] == ["label", "cond", "then", "els"]
+    assert [f.name for f in fields(While)] == ["label", "cond", "body"]
+    assert isinstance(ite, Guard) and isinstance(loop, Guard)
+    assert ite == Ite(1, c, body, ()) and hash(ite) == hash(Ite(1, c, body, ()))
+    assert ite != loop and type(ite) is Ite and type(loop) is While
+    assert ite.neg == loop.neg == negate(c)
 
 
 def test_chains_are_walked_left_to_right():
