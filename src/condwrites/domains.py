@@ -524,24 +524,21 @@ class ConstDomain(StateDomain):
         if iv is CM_BOT:
             return iv
         bound = dict(_ITEMS[iv])
-        # the closure rule's edges, uncounted like the walk's candidates
-        clashes = {u: [y for y, c in _ITEMS[i.get(u, CM_TOP)]
-                       if bound.get(y, c) != c]
-                   for u in bound}
-        least_sets: set[frozenset[str]] = set()
+        # each least set as (size, sorted names), found along the closure
+        # rule's edges, uncounted like the walk's candidates
+        least_sets: set[tuple[int, tuple[str, ...]]] = set()
         for x in bound:
             least = {x}
             todo = [x]
             while todo:
-                for y in clashes[todo.pop()]:
-                    if y not in least:
+                for y, c in _ITEMS[i.get(todo.pop(), CM_TOP)]:
+                    if y not in least and bound.get(y, c) != c:
                         least.add(y)
                         todo.append(y)
-            least_sets.add(frozenset(least))
+            least_sets.add((len(least), tuple(sorted(least))))
         acc = iv
         dominated: list[frozenset[str]] = []
-        for names in sorted((sorted(s) for s in least_sets),
-                            key=lambda names: (len(names), names)):
+        for _, names in sorted(least_sets):
             vset = frozenset(names)
             if not vset <= i.keys() or any(d0 < vset for d0 in dominated):
                 continue

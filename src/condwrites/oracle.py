@@ -18,19 +18,30 @@ and there are `configs = S * P_0 * P_1 * ...` of them.
 Successor tables. A thread's step depends only on its own point and the
 store, so each thread keeps a dict from `pc * S + store` to the change its
 step makes to the configuration number (None at EXIT, where it takes no
-step). An entry is filled the first time the search reaches a configuration
-with that (point, store) pair, by the concrete semantics (`eval_expr`,
-`eval_cond`) on the store's dict, which is built once per store and only
-read; every later step from the pair is one lookup. Each point's
-statement, successor changes and `tid:pc` label are prepared once per
-`explore`, and a search passes `step` the point and store it already
-knows. Both searches
-below fill the tables this way, so only reached pairs are evaluated, no
-table spans the universe, and `UniverseEscape` is raised exactly when a
-reachable assignment writes outside the universe. Breadth first steps
-EXIT to None like any other point; saturation writes the EXIT entries once
-its search ends, from the final bitsets. Either way each table's keys end
-up as its thread's (point, store) projection of the reached configurations.
+step). Before either search, `explore` compiles each point's step once into
+a function of the store index (closure compilation: Feeley & Lapalme, "Using
+closures for code generation", Computer Languages 1987). Variable v's value
+in store i is `values[i // stride % count]`, read off v's slot, and a
+literal n reads alike from the slot ((n,), 1, 1). A skip returns its
+constant change. A write of a literal or of one variable to one target
+reads the value and moves the store by the target's position change times
+its stride. A guard that compares two literals or variables reads both and
+applies `lang.CMP_OPS`. Every other statement (arithmetic, `&&`/`||`, a
+multi-target write) falls back to `eval_expr`/`eval_cond` on the store's
+dict, built at most once per store and only read, so arithmetic and its
+64-bit overflow rule keep one copy, in `lang`. A table entry is filled the
+first time the search reaches a configuration with that (point, store)
+pair, by calling the compiled step; every later step from the pair is one
+lookup. Both searches below fill the tables this way, so only reached pairs
+are evaluated and no table spans the universe. A compiled write checks for
+escape when it is called, not when it is built, so `UniverseEscape` is
+raised exactly when a reachable assignment writes outside the universe.
+Every variable of the program must range over the universe: `explore`
+checks that up front and raises `ValueError` naming the
+first one missing, in declaration order. Breadth first steps EXIT to None
+like any other point; saturation writes the EXIT entries once its search
+ends, from the final bitsets. Either way each table's keys end up as its
+thread's (point, store) projection of the reached configurations.
 
 The guard. A search reaches each configuration at most once and takes at
 most one step per thread from it, so with `configs < Budget.max_states` and
@@ -93,9 +104,10 @@ with `x ^= x & old`, not `x &= ~old`: the complement of a positive int is a
 negative one, and ANDing it costs about 4 times a plain AND at the 6,561
 bits of the `oracle` perfbench workload's largest bitsets. Once the search
 ends, each reached store's int is ANDed once with each thread's EXIT mask
-to write the EXIT entries. On that workload's 40 programs of seed 1, a
-program averages 64 pops and 459 step evaluations; it takes 2,165 mask ANDs
-and 1,385 non-empty moves.
+to write the EXIT entries. On that workload's 120 programs of seeds 1 to
+3, all of which it saturates, a program averages 63.3 pops and 461 step
+evaluations; its sweeps take 1,730 mask ANDs, and its store-changing steps
+404 more, 308 of them non-empty.
 
 Breadth first (`_breadth_first`) visits one configuration at a time, in
 discovery order and thread order, with the budget checks of a search over
@@ -145,8 +157,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .lang import (
-    EXIT, And, Assign, Cmp, Cond, EvalOverflow, Lit, Program, Skip, VarRef,
-    eval_cond, eval_expr, program_literals,
+    CMP_OPS, EXIT, And, Assign, Cmp, Cond, EvalOverflow, Lit, Program, Skip,
+    VarRef, eval_cond, eval_expr, program_literals,
 )
 from .domains import Universe
 from .engine import AnalysisResult
@@ -214,12 +226,18 @@ def explore(p: Program, universe: Universe | None = None,
     flows = [t.flow for t in p.threads]
     u = universe or default_universe(p)
     order = u.var_order
+    missing = next((v for v in p.variables if v not in order), None)
+    if missing is not None:
+        raise ValueError(f"universe lacks program variable {missing!r}")
     domains = [u.domain_of(v) for v in order]
     position = {v: {n: i for i, n in enumerate(vals)} for v, vals in zip(order, domains)}
     sizes = [len(vals) for vals in domains]
     size = math.prod(sizes)
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-    stride_of = dict(zip(order, strides))
+    # each variable's (values, stride, value count): its value in store i is
+    # values[i // stride % count]
+    slot = {v: (vals, stride, len(vals))
+            for v, vals, stride in zip(order, domains, strides)}
     # The initial stores are those satisfying pre, in ascending store index.
     # Only stores agreeing with pre's top-level `v == c` conjuncts can, so
     # only they are enumerated, and pre is still evaluated on each.
@@ -233,7 +251,7 @@ def explore(p: Program, universe: Universe | None = None,
             initial.append(sum(k * stride for k, stride in zip(combo, strides)))
 
     store_tuples: dict = {}
-    envs: dict = {}  # store index -> its store dict, read by the semantics
+    envs: dict = {}  # store index -> its store dict, read by the fallback steps
 
     def store_of(i: int) -> tuple:
         s = store_tuples.get(i)
@@ -248,33 +266,62 @@ def explore(p: Program, universe: Universe | None = None,
             env = envs[i] = dict(zip(order, store_of(i)))
         return env
 
+    def read(e: Lit | VarRef) -> tuple:
+        """The slot a leaf reads; a literal n is the one-value slot ((n,), 1, 1)."""
+        return slot[e.name] if isinstance(e, VarRef) else ((e.n,), 1, 1)
+
+    def compile_step(st, delta: int, delta_false: int, label: str):
+        """The change a step of st makes to a configuration, as a function
+        of the store index (see "Successor tables" above)."""
+        if isinstance(st, Skip):
+            return lambda store: delta
+        if isinstance(st, Assign):
+            if len(st.targets) == 1 and isinstance(st.exprs[0], (Lit, VarRef)):
+                v = st.targets[0]
+                at = position[v]
+                _, stride, count = slot[v]
+                vals, from_stride, from_count = read(st.exprs[0])
+
+                def write(store: int) -> int:
+                    n = vals[store // from_stride % from_count]
+                    if n not in at:
+                        raise UniverseEscape(
+                            f"{label} wrote {v}={n}, outside the universe")
+                    return delta + (at[n] - store // stride % count) * stride
+                return write
+
+            def assign(store: int) -> int:
+                env = env_of(store)
+                values = [eval_expr(e, env) for e in st.exprs]
+                change = delta
+                for v, n in zip(st.targets, values):  # only targets move the store
+                    at = position[v]
+                    if n not in at:
+                        raise UniverseEscape(
+                            f"{label} wrote {v}={n}, outside the universe")
+                    change += (at[n] - at[env[v]]) * slot[v][1]
+                return change
+            return assign
+        c = st.cond  # a guard evaluation is one visible step
+        if (isinstance(c, Cmp) and isinstance(c.left, (Lit, VarRef))
+                and isinstance(c.right, (Lit, VarRef))):
+            holds = CMP_OPS[c.op]
+            lvals, lstride, lcount = read(c.left)
+            rvals, rstride, rcount = read(c.right)
+            return lambda store: (
+                delta if holds(lvals[store // lstride % lcount],
+                               rvals[store // rstride % rcount])
+                else delta_false)
+        return lambda store: delta if eval_cond(c, env_of(store)) else delta_false
+
     points = [len(f.stmts) for f in flows]
     # W_k, the weight of thread k's point in a vector
     weights = [math.prod(points[:k]) for k in range(len(points))]
-
-    # each thread's points 1..P_k-1 as (statement, the change of moving to
-    # succ, the change of moving to succ_false, `tid:pc`); EXIT takes no step
-    code = [[None] + [(f.stmts[pc], (f.succ[pc] - pc) * w * size,
-                       (f.succ_false[pc] - pc) * w * size, f"{t.tid}:{pc}")
-                      for pc in range(1, n)]
-            for t, f, w, n in zip(p.threads, flows, weights, points)]
-
-    def step(k: int, pc: int, store: int) -> int:
-        """The change thread k's step from point pc (not EXIT) and `store`
-        makes to a configuration."""
-        st, delta, delta_false, label = code[k][pc]
-        if isinstance(st, Assign):
-            env = env_of(store)
-            values = [eval_expr(e, env) for e in st.exprs]
-            for v, n in zip(st.targets, values):  # only targets move the store
-                at = position[v]
-                if n not in at:
-                    raise UniverseEscape(
-                        f"{label} wrote {v}={n}, outside the universe")
-                delta += (at[n] - at[env[v]]) * stride_of[v]
-        elif not isinstance(st, Skip) and not eval_cond(st.cond, env_of(store)):
-            delta = delta_false  # a guard evaluation is one visible step
-        return delta
+    # each thread's compiled steps at points 1..P_k-1; EXIT takes no step
+    steps = [[None] + [compile_step(f.stmts[pc], (f.succ[pc] - pc) * w * size,
+                                    (f.succ_false[pc] - pc) * w * size, f"{t.tid}:{pc}")
+                       for pc in range(1, n)]
+             for t, f, w, n in zip(p.threads, flows, weights, points)]
 
     tables = [{} for _ in flows]
     start = sum(f.entry * w for f, w in zip(flows, weights))
@@ -284,14 +331,14 @@ def explore(p: Program, universe: Universe | None = None,
             and _bitsets_pay(size, points)):
         try:
             exits, bounded = _saturate(initial, start, size, weights, points,
-                                       tables, step), False
+                                       tables, steps), False
         except (UniverseEscape, EvalOverflow) as e:
             escape = e
     if exits is None:
         # After an escape or overflow, the replay over the same tables meets
         # the one that breadth first meets first (see "Escapes" above).
         exits, bounded = _breadth_first(initial, start, size, weights, points,
-                                        tables, step, budget)
+                                        tables, steps, budget)
         if escape is not None:
             raise escape
 
@@ -317,7 +364,7 @@ def _bitsets_pay(size: int, points: list[int]) -> bool:
     return len(points) >= 3 and sum(points) <= 4 * size
 
 
-def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
+def _saturate(initial, start, size, weights, points, tables, steps) -> list[int]:
     """Fill `tables` by saturation over per-store bitsets of vectors, closing
     each pop under one thread's store-keeping steps at a time; return the
     exit stores in ascending index."""
@@ -344,7 +391,7 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
         if plan is None:
             plan = plans[s] = [sweep[:] for sweep in sweeps], {}
         keeps, changes = plan
-        for k, (table, w, pairs) in enumerate(zip(tables, weights, keeps)):
+        for table, w, pairs, thread_steps in zip(tables, weights, keeps, steps):
             swept = bits  # what the pop and the earlier threads hold
             while swept:
                 back = 0  # what this sweep's back edges reach
@@ -355,7 +402,7 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
                         continue
                     if shift is None:
                         key = s + pc * size
-                        delta = table[key] = step(k, pc, s)
+                        delta = table[key] = thread_steps[pc](s)
                         shift, target = divmod(s + delta, size)
                         if target != s:  # a store-changing pair leaves the list
                             move = shift, target
@@ -400,26 +447,25 @@ def _saturate(initial, start, size, weights, points, tables, step) -> list[int]:
     return sorted(s for s, bits in reached.items() if bits & 1)
 
 
-def _breadth_first(initial, start, size, weights, points, tables, step,
+def _breadth_first(initial, start, size, weights, points, tables, steps,
                    budget: Budget) -> tuple[list[int], bool]:
     """Fill `tables` by a breadth-first search over single configurations,
     cut by `budget`; return the exit stores in ascending index and whether
     the budget cut the search."""
-    threads = [(k, w * size, n, table)
-               for k, (w, n, table) in enumerate(zip(weights, points, tables))]
+    threads = list(zip([w * size for w in weights], points, tables, steps))
     queue = [start * size + store for store in initial]  # discovery order
     seen = set(queue)
     steps = 0
     bounded = False
     for cfg in queue:  # breadth first: the loop also visits what it appends
         store = cfg % size
-        for k, m, n, table in threads:
+        for m, n, table, thread_steps in threads:
             pc = cfg // m % n
             key = pc * size + store
             if key in table:
                 delta = table[key]
             else:
-                delta = table[key] = step(k, pc, store) if pc else None
+                delta = table[key] = thread_steps[pc](store) if pc else None
             if delta is None:
                 continue
             steps += 1

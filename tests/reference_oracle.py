@@ -1,5 +1,6 @@
 """The interleaving explorer before the table-driven rewrite, kept as written
-apart from the AST's blocks, which are tuples of statements, as the
+apart from the AST's blocks, which are tuples of statements, and the
+up-front refusal of a universe that misses a program variable, as the
 differential reference for `condwrites.oracle.explore`, and the
 per-point soundness check before the grouped one, the reference for
 `condwrites.oracle.check_soundness`.
@@ -83,6 +84,9 @@ def explore(p: Program, universe: Universe | None = None,
         raise ValueError("budgets must be positive")
     u = universe or default_universe(p)
     order = u.var_order
+    for v in p.variables:
+        if v not in order:
+            raise ValueError(f"universe lacks program variable {v!r}")
     allowed = {v: set(u.domain_of(v)) for v in order}
 
     cfgs = {}

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,14 +8,18 @@ from condwrites.domains import (
     CM_BOT, UNIVERSE_CAP, ConstDomain, Universe, UniverseTooLarge, cm_make,
 )
 from condwrites.engine import EXIT, AnalysisConfig, analyse
-from condwrites.lang import EvalOverflow, control_flow, parse_program
+from condwrites.lang import (
+    Assign, EvalOverflow, Skip, control_flow, eval_cond, parse_program,
+)
 from condwrites.oracle import (
     Budget, OracleReport, UniverseEscape, check_soundness, default_universe, explore,
 )
 
 from randprog import random_program
+from reference_lang import exec_assign
 from reference_oracle import (
     check_soundness as reference_check_soundness, explore as reference_explore,
+    states as reference_states,
 )
 from test_lang import FLAGGED
 
@@ -675,6 +680,197 @@ def test_multi_target_writes_match_reference(searches, monkeypatch, case, bitset
     else:
         assert_same_report(explore(p, u), reference_explore(p, u), case)
         assert searches == (["_saturate"] if bitsets else ["_breadth_first"])
+
+
+# -- compiled steps ----------------------------------------------------------------
+
+
+def compiled_steps(p, u, monkeypatch):
+    """The steps table `explore(p, u)` builds, taken from its search call;
+    the search itself is skipped."""
+    from condwrites import oracle
+
+    built = []
+
+    def capture(initial, start, size, weights, points, tables, steps, budget):
+        built.append(steps)
+        return [], False
+
+    monkeypatch.setattr(oracle, "_bitsets_pay", lambda size, points: False)
+    monkeypatch.setattr(oracle, "_breadth_first", capture)
+    explore(p, u)
+    monkeypatch.undo()
+    return built[0]
+
+
+def outcome(step, *args):
+    """What `step(*args)` returns, or the type and message of what it raises."""
+    try:
+        return step(*args)
+    except (UniverseEscape, EvalOverflow) as e:
+        return type(e), str(e)
+
+
+def interpreted_delta(p, u, stores, k, pc, i):
+    """The change thread k's step from point pc and store i makes to a
+    configuration, by the concrete semantics on the store's dict; raises as
+    `reference_oracle.explore` does."""
+    order = u.var_order
+    flows = [t.flow for t in p.threads]
+    weight = math.prod(len(f.stmts) for f in flows[:k])
+    f = flows[k]
+    st = f.stmts[pc]
+    env = dict(zip(order, stores[i]))
+    nxt, after = f.succ[pc], i
+    if isinstance(st, Assign):
+        out = exec_assign(st, env)
+        for v in st.targets:
+            if out[v] not in u.domain_of(v):
+                raise UniverseEscape(
+                    f"{p.threads[k].tid}:{pc} wrote {v}={out[v]}, outside the universe")
+        after = stores.index(tuple(out[v] for v in order))
+    elif not isinstance(st, Skip) and not eval_cond(st.cond, env):
+        nxt = f.succ_false[pc]
+    return after - i + (nxt - pc) * weight * len(stores)
+
+
+def assert_steps_interpret(p, u, monkeypatch, where):
+    """Every compiled step, from every point but EXIT and every store,
+    changes the configuration as the concrete semantics does, or raises
+    alike; returns how many raised."""
+    u = u or default_universe(p)
+    steps = compiled_steps(p, u, monkeypatch)
+    stores = [tuple(s.values()) for s in reference_states(u)]
+    raised = 0
+    for k, thread_steps in enumerate(steps):
+        assert thread_steps[0] is None, where  # EXIT takes no step
+        for pc in range(1, len(thread_steps)):
+            for i in range(len(stores)):
+                got = outcome(thread_steps[pc], i)
+                want = outcome(interpreted_delta, p, u, stores, k, pc, i)
+                assert got == want, (where, k, pc, stores[i])
+                raised += isinstance(want, tuple)
+    return raised
+
+
+def three_values(p):
+    return Universe.of({v: (-1, 0, 2) for v in p.variables})
+
+
+@pytest.mark.parametrize("values", ["default", "three"])
+def test_compiled_steps_interpret_the_corpus(monkeypatch, values):
+    for case in corpus.CASES:
+        p = parse_program((corpus.PROGRAMS_DIR / case.filename).read_text())
+        u = three_values(p) if values == "three" else None
+        assert_steps_interpret(p, u, monkeypatch, case.name)
+
+
+@pytest.mark.parametrize("values", ["default", "three"])
+def test_compiled_steps_interpret_random_programs(monkeypatch, values):
+    raised = 0
+    for seed, threads in itertools.product(range(1, 31), (2, 3, 4)):
+        p = random_program(seed, threads=threads)
+        u = three_values(p) if values == "three" else None
+        raised += assert_steps_interpret(p, u, monkeypatch, (seed, threads))
+    # every write of 1 escapes {-1, 0, 2}; nothing escapes {0, 1}
+    assert (raised > 0) == (values == "three")
+
+
+# One row per shape: the compiled ones (skip, a literal or one variable
+# written to one target, a comparison of literals and variables) and the
+# ones that fall back to the store dict (arithmetic, && and ||, multi-target
+# writes, a boolean guard, overflow).
+STEP_SHAPES = {
+    "skip": "thread A { skip; }",
+    "literal": "thread A { x := 1; y := 0; x := 7; }",
+    "copy": "thread A { x := y; y := y; x := z; }",
+    "compare": "thread A { if (x < y) { skip; } while (1 >= x) { skip; } "
+               "if (0 != 1) { skip; } if (z == 2) { skip; } }",
+    "arithmetic": "thread A { x := x + 1; y := x * y - z; if (x + y == 1) { skip; } }",
+    "and_or": "thread A { if (x == 0 && y == 1) { skip; } "
+              "while (x < y || z == 0 && y == 0) { skip; } }",
+    "multi_target": "thread A { x, y := y, x; x, z := 1, x + z; y, z := 2, 0; }",
+    "boolean": "thread A { while (true) { skip; } if (false) { skip; } }",
+    "overflow": "thread A { x := 9223372036854775807 * x; "
+                "if (x * 9223372036854775807 * 2 == 0) { skip; } }",
+}
+
+
+@pytest.mark.parametrize("shape", STEP_SHAPES)
+def test_compiled_steps_interpret_each_shape(monkeypatch, shape):
+    p = parse_program(f"vars x, y, z; {STEP_SHAPES[shape]} thread B {{ z := 2; }}")
+    raised = 0
+    for values in ((0, 1), (-1, 0, 2), (0, 1, 2, 3)):
+        raised += assert_steps_interpret(
+            p, Universe.of({"x": values, "y": values, "z": (0, 2)}), monkeypatch, shape)
+    # x := 7 and x := z, with z = 2, leave x's values (0, 1); arithmetic
+    # leaves every universe
+    escapes = ("literal", "copy", "arithmetic", "multi_target", "overflow")
+    assert (raised > 0) == (shape in escapes)
+
+
+def test_compiled_shapes_read_no_store_dict(monkeypatch):
+    # skips, one-target writes of a literal or a variable and comparisons of
+    # leaves never evaluate through `lang`: only pre is evaluated
+    from condwrites import oracle
+
+    p = parse_program("""
+        vars x, y;
+        pre x == 0 && y == 0;
+        thread A { x := 1; while (x != y) { y := x; } }
+        thread B { if (1 == x) { skip; } x := 0; }
+        thread C { y := 0; }
+    """)
+    calls = []
+    for name in ("eval_expr", "eval_cond"):
+        def counted(node, s, _real=getattr(oracle, name)):
+            calls.append(node)
+            return _real(node, s)
+
+        monkeypatch.setattr(oracle, name, counted)
+    rep = explore(p)
+    assert calls == [p.pre]
+    assert_same_report(rep, reference_explore(p), "compiled shapes")
+
+
+@pytest.mark.parametrize("bitsets", [True, False], ids=["saturate", "breadth_first"])
+def test_compiled_escape_is_raised_only_when_reached(searches, monkeypatch, bitsets):
+    from condwrites import oracle
+
+    monkeypatch.setattr(oracle, "_bitsets_pay", lambda size, points: bitsets)
+    u = Universe.of({"x": (0, 1)})
+    unreachable = parse_program("vars x; pre x == 0; "
+                                "thread A { if (x == 1) { x := 5; } } "
+                                "thread B { skip; } thread C { x := x; }")
+    assert_same_report(explore(unreachable, u), reference_explore(unreachable, u),
+                       "unreachable")
+    reachable = parse_program("vars x; pre x == 0; thread A { skip; x := 5; } "
+                              "thread B { skip; } thread C { x := x; }")
+    errors = []
+    for fn in (explore, reference_explore):
+        with pytest.raises(UniverseEscape) as info:
+            fn(reachable, u)
+        errors.append(str(info.value))
+    assert errors == ["A:2 wrote x=5, outside the universe"] * 2
+
+
+# -- a universe missing a program variable -----------------------------------------
+
+
+@pytest.mark.parametrize("fn", [explore, reference_explore], ids=["explore", "reference"])
+def test_universe_missing_a_program_variable(fn):
+    # y's only write is never reached, yet no search starts: the first
+    # missing variable in declaration order is named up front
+    p = parse_program("vars x, y, z; pre x == 0; "
+                      "thread T { if (x == 1) { y := 1; } } thread U { x := z; }")
+    with pytest.raises(ValueError, match="^universe lacks program variable 'y'$"):
+        fn(p, Universe.of({"x": (0, 1)}))
+    reached = parse_program("vars x, y; pre x == 0; thread T { y := 1; } thread U { x := 1; }")
+    with pytest.raises(ValueError, match="^universe lacks program variable 'y'$"):
+        fn(reached, Universe.of({"x": (0, 1)}))
+    # a universe may range over variables the program does not declare
+    rep = fn(reached, Universe.of({"w": (0,), "x": (0, 1), "y": (0, 1)}))
+    assert rep.exit_states == {(0, 1, 1)}
 
 
 # -- the grouped soundness check ---------------------------------------------------
