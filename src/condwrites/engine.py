@@ -144,7 +144,15 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
     exit and runs no pass: under one rely a loop's run is a function of its
     entry, and that run wrote every label inside the loop. So nested loops
     cost time linear in their depth. The test is equality, not order, as
-    the powerset cap is not monotone."""
+    the powerset cap is not monotone.
+
+    The recursive `run` holds itself, and with it the outline and the
+    stabiliser, through its closure cell, so it is cleared when the pass
+    ends or `FuelExhausted` escapes a loop. With the `CondWrites` memos
+    cycle-free too (see `interference`), an analysis holds no reference
+    cycle: its memos and plans are freed by reference counting when
+    `analyse` returns, where the cyclic collector's gen-0 collections used
+    to run every two or three analyses to free them."""
     dom = cw.dom
     post, filter_, join, leq = dom.post, dom.filter, dom.join, dom.leq
     outline: Outline = {}
@@ -188,7 +196,10 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
                 raise TypeError(inst)
         return d
 
-    outline[EXIT] = stab(run(body, d))
+    try:
+        outline[EXIT] = stab(run(body, d))
+    finally:
+        run = None  # run holds itself through its closure cell
     guarantee: Interference = cw.bot()
     for label, a in assigns.items():
         for v, wc in cw.transitions(outline[label], a).items():

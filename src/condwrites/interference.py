@@ -48,7 +48,13 @@ interferences have equal item sets. Both memos are exact because the domain's st
 nothing. `analyse` builds one domain and one `CondWrites` per call, so the
 memos, and the write-set plans, live for one analysis. A hit performs no
 lattice operation and so counts no ops; `memo_hits` counts the hits of
-both memos.
+both memos, in a one-element list that the memoised steps share instead of
+`self`. So no step refers back to its `CondWrites`, an analysis holds no
+reference cycle, and its memos and plans are freed by reference counting
+when `analyse` returns and its result is dropped. When each step counted
+into `self`, every analysis left its whole state behind as cyclic garbage,
+and a gen-0 collection ran every two or three analyses, inside whichever
+timed call was active.
 
 This module formats nothing: an element prints through its domain's `fmt`,
 and `engine.to_machine` prints an interference's write-conditions.
@@ -78,7 +84,13 @@ class CondWrites:
         self.fuel = fuel
         self._stabilisers: dict = {}  # write-conditions -> memoised step
         self._close_memo: dict = {}  # write-conditions -> closed interference
-        self.memo_hits = 0  # stabilise and close calls answered from a memo
+        # stabilise and close calls answered from a memo; the memoised steps
+        # count into this list, not into self, so they hold no cycle
+        self._hits = [0]
+
+    @property
+    def memo_hits(self) -> int:
+        return self._hits[0]
 
     # -- lattice ------------------------------------------------------------
 
@@ -124,14 +136,14 @@ class CondWrites:
         key = frozenset(i.items())
         step = self._stabilisers.get(key)
         if step is None:
-            stab, memo = self.dom.stabiliser(i), {}
+            stab, memo, hits = self.dom.stabiliser(i), {}, self._hits
 
             def step(d):
                 out = memo.get(d)
                 if out is None:
                     out = memo[d] = stab(d)
                 else:
-                    self.memo_hits += 1
+                    hits[0] += 1
                 return out
 
             self._stabilisers[key] = step
@@ -151,7 +163,7 @@ class CondWrites:
         key = frozenset(i.items())
         out = self._close_memo.get(key)
         if out is not None:
-            self.memo_hits += 1
+            self._hits[0] += 1
             return out
         out = self._close_memo[key] = self._fix(
             lambda cur: {v: self.dom.close_one(cur, v) for v in cur},

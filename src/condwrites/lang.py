@@ -193,7 +193,10 @@ def control_flow(body: Block) -> ControlFlow:
             nxt = inst.label
         return nxt
 
-    entry = link(body, 0)
+    try:
+        entry = link(body, 0)
+    finally:
+        link = None  # link holds itself through its closure cell
     stmts, succ, succ_false = zip(*(nodes[i] for i in range(len(nodes))))
     return ControlFlow(stmts, succ, succ_false, entry)
 

@@ -337,10 +337,13 @@ def explore(p: Program, universe: Universe | None = None,
     if exits is None:
         # After an escape or overflow, the replay over the same tables meets
         # the one that breadth first meets first (see "Escapes" above).
-        exits, bounded = _breadth_first(initial, start, size, weights, points,
-                                        tables, steps, budget)
-        if escape is not None:
-            raise escape
+        try:
+            exits, bounded = _breadth_first(initial, start, size, weights, points,
+                                            tables, steps, budget)
+            if escape is not None:
+                raise escape
+        finally:
+            escape = None  # its traceback holds this frame
 
     reachable: dict = {}
     for t, table in zip(p.threads, tables):
