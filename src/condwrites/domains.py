@@ -19,20 +19,23 @@ set until the next binding is interned. The table is never cleared, so
 equal maps are equal ints, and hash alike, across analyses in one process:
 the `CondWrites` memos, the tests and the grouping of
 `oracle.check_soundness` rely on it. An int means nothing to another
-process. `cm_items(d)`, cached, is the one decoder, to the bindings sorted
-by variable. A powerset element is a frozenset of non-bottom constant maps:
-bottom is the empty frozenset and top is `frozenset({CM_TOP})`. Domain
-objects carry the variable set and two plain int counters: `ops`, the
-join/meet count (the Ops metric), and `cap_collapses`, the powerset cap
-collapses. The powerset domain also holds its disjunct cap `max_disjuncts`
-and its `stabilise` precision `n`. A domain is a plain lattice plus its
-algorithms and keeps no memo: `CondWrites` keeps every one. A join or meet
-with a bottom operand is neither performed nor counted: the join returns
-the other operand and the meet bottom. Expressions are evaluated by the
-concrete semantics of `lang`. Every powerset element the domain hands out
-is normalised and within its cap, so an operation on operands of one map
-each computes the one result map directly, and only operands of several
-maps are renormalised through `make`.
+process. A map is decoded once, into the frozenset of its bindings
+(`_BINDING_SETS`), its one decoded form: `contains`, `bound_vars`,
+`close_one` and `_eval`'s arithmetic fallback read it, and `cm_items(d)`
+sorts it by variable on demand, for `fmt` and the tests. A powerset element
+is a frozenset of non-bottom constant maps: bottom is the empty frozenset
+and top is `frozenset({CM_TOP})`. Domain objects carry the variable set and
+two plain int counters: `ops`, the join/meet count (the Ops metric), and
+`cap_collapses`, the powerset cap collapses. The powerset domain also holds
+its disjunct cap `max_disjuncts` and its `stabilise` precision `n`. A
+domain is a plain lattice plus its algorithms and keeps no memo:
+`CondWrites` keeps every one. A join or meet with a bottom operand is
+neither performed nor counted: the join returns the other operand and the
+meet bottom. Expressions are evaluated by the concrete semantics of `lang`.
+Every powerset element the domain hands out is normalised and within its
+cap, so an operation on operands of one map each computes the one result
+map directly, and only operands of several maps are renormalised through
+`make`.
 
 The domain contract, `StateDomain`, is the lattice and its primitives plus
 the two abstract steps of the interference layer, `stabiliser(i)` and
@@ -171,37 +174,28 @@ def _drop_mask(drop) -> int:
     return mask
 
 
-class _Decoded(dict):
-    """map -> its bindings as a tuple sorted by variable, decoded once."""
+class _BindingSets(dict):
+    """map -> the frozenset of its bindings, decoded once: the one decoded
+    form, which `contains` tests against a store's items at C level."""
 
-    def __missing__(self, d: int) -> tuple:
+    def __missing__(self, d: int) -> frozenset:
         bindings = []
         bits = d & ~_VARS
         while bits:
             low = bits & -bits
             bindings.append(_BINDING[low])
             bits ^= low
-        out = self[d] = tuple(sorted(bindings))
+        out = self[d] = frozenset(bindings)
         return out
 
 
-class _BindingSets(dict):
-    """map -> the frozenset of its bindings, which `contains` tests
-    against a store's items at C level."""
-
-    def __missing__(self, d: int) -> frozenset:
-        out = self[d] = frozenset(_ITEMS[d])
-        return out
-
-
-_ITEMS = _Decoded()
 _BINDING_SETS = _BindingSets()
 
 
 def cm_items(d) -> tuple[tuple[str, int], ...]:
-    """The bindings of a non-bottom map, sorted by variable: the one
-    decoder, which `fmt`, `close_one`, `bound_vars` and the tests use."""
-    return _ITEMS[d]
+    """The bindings of a non-bottom map, sorted by variable, for `fmt` and
+    the tests."""
+    return tuple(sorted(_BINDING_SETS[d]))
 
 
 def cm_make(bindings: dict[str, int]) -> int:
@@ -263,7 +257,7 @@ def _eval(e: Expr, d: int) -> int | None:
         binding = _BINDING.get(bits ^ (bits & _VARS))
         return None if binding is None else binding[1]
     try:
-        return eval_expr(e, dict(_ITEMS[d]))
+        return eval_expr(e, dict(_BINDING_SETS[d]))
     except (KeyError, EvalOverflow):
         return None
 
@@ -393,7 +387,7 @@ def fmt_map(pairs) -> str:
 def _fmt_cm(d) -> str:
     if d is CM_BOT:
         return "⊥"
-    return fmt_map(_ITEMS[d]) if d else "⊤"
+    return fmt_map(cm_items(d)) if d else "⊤"
 
 
 def _fmt_pw(d) -> str:
@@ -523,7 +517,7 @@ class ConstDomain(StateDomain):
         iv = i.get(v, CM_BOT)
         if iv is CM_BOT:
             return iv
-        bound = dict(_ITEMS[iv])
+        bound = dict(_BINDING_SETS[iv])
         # each least set as (size, sorted names), found along the closure
         # rule's edges, uncounted like the walk's candidates
         least_sets: set[tuple[int, tuple[str, ...]]] = set()
@@ -531,7 +525,7 @@ class ConstDomain(StateDomain):
             least = {x}
             todo = [x]
             while todo:
-                for y, c in _ITEMS[i.get(todo.pop(), CM_TOP)]:
+                for y, c in _BINDING_SETS[i.get(todo.pop(), CM_TOP)]:
                     if y not in least and bound.get(y, c) != c:
                         least.add(y)
                         todo.append(y)
@@ -902,7 +896,7 @@ class ConstPowersetDomain(StateDomain):
         return self.make(map(partial(cm_filter_cmp, c), d))
 
     def bound_vars(self, d) -> set[str]:
-        return {v for m in d for v, _ in _ITEMS[m]}
+        return {v for m in d for v, _ in _BINDING_SETS[m]}
 
     def fmt(self, d) -> str:
         return _fmt_pw(d)

@@ -151,8 +151,7 @@ def collect(cw: CondWrites, body: Block, d, r: Interference,
     ends or `FuelExhausted` escapes a loop. With the `CondWrites` memos
     cycle-free too (see `interference`), an analysis holds no reference
     cycle: its memos and plans are freed by reference counting when
-    `analyse` returns, where the cyclic collector's gen-0 collections used
-    to run every two or three analyses to free them."""
+    `analyse` returns."""
     dom = cw.dom
     post, filter_, join, leq = dom.post, dom.filter, dom.join, dom.leq
     outline: Outline = {}

@@ -51,10 +51,7 @@ lattice operation and so counts no ops; `memo_hits` counts the hits of
 both memos, in a one-element list that the memoised steps share instead of
 `self`. So no step refers back to its `CondWrites`, an analysis holds no
 reference cycle, and its memos and plans are freed by reference counting
-when `analyse` returns and its result is dropped. When each step counted
-into `self`, every analysis left its whole state behind as cyclic garbage,
-and a gen-0 collection ran every two or three analyses, inside whichever
-timed call was active.
+when `analyse` returns and its result is dropped.
 
 This module formats nothing: an element prints through its domain's `fmt`,
 and `engine.to_machine` prints an interference's write-conditions.

@@ -52,16 +52,15 @@ reach `max_steps`. Only then can `explore` run `_saturate`, and it does when
 masks (below) take at most 4 bits per configuration, `sum(P_k) <= 4 * S`.
 Bitset sweeps gain by moving, in one operation, every vector that shares a
 thread's point, and with two threads few vectors do. Measured one program
-at a time with each search forced (best of 5 runs each, two runs), breadth
-first was faster in all on the corpus (1.8 to 1.9 against 2.3 to 2.4 ms)
-and on 100 random two-thread programs (1.15 to 1.16 times faster); on the
-two-thread `chain` programs the bitsets were 1.05 times faster (2.7 to 2.9
-against 2.8 to 3.0 ms), too little to move the rule. On 100 random
-three-thread programs the bitsets were 1.2 times faster in all (from 1.3
-times slower to 2.8 times faster per program); they were 1.6 times faster
-in all on the three-thread `chain` programs, 11 to 12 times on the
-four-thread programs of the `oracle` perfbench workload (5 to 21 times per
-program), and 3.1 times faster in all on 100 random four-thread programs.
+at a time with each search forced on a shared 2-vCPU VM (best of 5 runs
+per program, summed per family; medians of six runs, three for the
+three-thread random programs), breadth first was faster on the corpus (1.01
+against 1.32 ms) and on 40 random two-thread programs (13.9 against 14.6
+ms, faster in four runs of six), and the two-thread `chain` programs for
+K = 3 to 7 were a tie (1.48 against 1.47 ms). The bitsets were 3.2 times faster on 40 random three-thread
+programs (97 against 30 ms), 1.7 times on the three-thread `chain` programs
+(16.5 against 9.9 ms) and 13 times on the 40 four-thread programs of the
+`oracle` perfbench workload (873 against 66 ms, seed 1).
 The mask bound keeps a long thread, whose masks grow with the square of its
 length, on breadth first, and caps the masks at 4 * `max_states` bits.
 Every other program runs `_breadth_first`. The choice depends on the budget
@@ -121,12 +120,13 @@ it writes outside the universe (`UniverseEscape`) or when its arithmetic
 overflows 64 bits (`lang.EvalOverflow`). The saturation sweep evaluates
 (point, store) pairs in another order than breadth first, so on a program
 with several reachable raising steps it may meet another one first. On
-either exception from `_saturate`, `explore` therefore replays
-`_breadth_first` over the same tables. No filled entry raises (a raising
-step raises before its entry is stored), and under the guard nothing can
-cut the replay, so it raises the exception a fresh breadth-first search
-meets first, as the reference explorer does; the original is re-raised
-only if the replay returns.
+either exception from `_saturate`, `explore` therefore drops it and replays
+`_breadth_first` over the same tables, which raises by construction: under
+the guard nothing can cut the replay, the pair that saturation failed on is
+reachable, and no table stores a raising step (it raises before its entry
+is written). So breadth first evaluates that pair, or raises on an earlier
+one: the exception a fresh breadth-first search meets first, as the
+reference explorer does. Nothing is saved or re-raised.
 
 Canonical order. Both searches return the same report for the same
 reachable configurations. `reachable` lists the threads in program order,
@@ -326,24 +326,17 @@ def explore(p: Program, universe: Universe | None = None,
     tables = [{} for _ in flows]
     start = sum(f.entry * w for f, w in zip(flows, weights))
     configs = size * math.prod(points)
-    exits = escape = None
+    exits = None
     if (configs < budget.max_states and configs * len(flows) < budget.max_steps
             and _bitsets_pay(size, points)):
         try:
             exits, bounded = _saturate(initial, start, size, weights, points,
                                        tables, steps), False
-        except (UniverseEscape, EvalOverflow) as e:
-            escape = e
+        except (UniverseEscape, EvalOverflow):
+            pass  # breadth first raises the one it meets first (see "Escapes")
     if exits is None:
-        # After an escape or overflow, the replay over the same tables meets
-        # the one that breadth first meets first (see "Escapes" above).
-        try:
-            exits, bounded = _breadth_first(initial, start, size, weights, points,
-                                            tables, steps, budget)
-            if escape is not None:
-                raise escape
-        finally:
-            escape = None  # its traceback holds this frame
+        exits, bounded = _breadth_first(initial, start, size, weights, points,
+                                        tables, steps, budget)
 
     reachable: dict = {}
     for t, table in zip(p.threads, tables):
@@ -458,7 +451,7 @@ def _breadth_first(initial, start, size, weights, points, tables, steps,
     threads = list(zip([w * size for w in weights], points, tables, steps))
     queue = [start * size + store for store in initial]  # discovery order
     seen = set(queue)
-    steps = 0
+    taken = 0  # steps taken, against budget.max_steps
     bounded = False
     for cfg in queue:  # breadth first: the loop also visits what it appends
         store = cfg % size
@@ -471,10 +464,10 @@ def _breadth_first(initial, start, size, weights, points, tables, steps,
                 delta = table[key] = thread_steps[pc](store) if pc else None
             if delta is None:
                 continue
-            steps += 1
+            taken += 1
             nxt = cfg + delta
             if nxt not in seen:
-                if len(seen) >= budget.max_states or steps >= budget.max_steps:
+                if len(seen) >= budget.max_states or taken >= budget.max_steps:
                     bounded = True
                     continue
                 seen.add(nxt)

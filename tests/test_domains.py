@@ -590,6 +590,12 @@ def test_fmt():
     assert fmt_map([("x", dom.fmt(cm_make({"y": 1}))), ("y", dom.fmt(CM_BOT))]) \
         == "[x↦[y↦1], y↦⊥]"
     assert fmt_map([]) == "[]"
+    # names new to the intern table, interned in reverse name order, so
+    # neither their bits nor the decoded frozenset list them sorted
+    names = [f"rev_{c}" for c in "hgfedcba"]
+    d = cm_make({v: k for k, v in enumerate(names)})
+    want = tuple(sorted((v, k) for k, v in enumerate(names)))
+    assert cm_items(d) == want and dom.fmt(d) == fmt_map(want)
     # `ASCII` respells the three glyphs and nothing else
     assert f"{pw.fmt(two)} {pw.fmt(pw.top())} {dom.fmt(CM_BOT)}".translate(ASCII) \
         == "{[x|->0]; [y|->1]} top bot"
