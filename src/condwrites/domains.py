@@ -41,7 +41,10 @@ The domain contract, `StateDomain`, is the lattice and its primitives plus
 the two abstract steps of the interference layer, `stabiliser(i)` and
 `close_one(i, v)`. The const domain supplies both as closed forms. The
 powerset domain builds both on one subset walk, `_walk`: its write-set plan
-for `stabilise` and its pruned `close_one`.
+for `stabilise` and its pruned `close_one`. The walk is level-wise, as
+Apriori's candidate generation: it builds a write set, and meets its
+write-condition, only when every subset one member smaller is live, that
+is yielded with a non-⊥ write-condition and not dropped by the caller.
 
 The interference steps take a sparse interference i (see `interference`):
 a variable missing from i has write-condition bottom, so a write set with
@@ -62,7 +65,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .lang import (
     And, Assign, BoolLit, Cmp, Cond, Expr, Lit, Or, VarRef,
@@ -573,13 +576,6 @@ def _pw_normalize(maps: Iterable) -> frozenset:
     return frozenset(kept)
 
 
-def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
-    # bottom-up, lexicographic within a cardinality: required by the
-    # superset skipping and keeps op counts reproducible
-    for k in range(0, max_card + 1):
-        yield from itertools.combinations(variables, k)
-
-
 class ConstPowersetDomain(StateDomain):
     """Disjunctive completion of the constant domain, with a disjunct cap:
     on overflow all disjuncts collapse to their flat join, and
@@ -625,38 +621,67 @@ class ConstPowersetDomain(StateDomain):
 
     def _walk(self, i: dict, names, max_card: int, skip: list):
         """The subset walk: each non-empty write set S of at most max_card
-        of `names`, all keys of i, whose wc_S is not ⊥, as `(S, wc_S)`, in
-        `subsets` order over the sorted names. A singleton's wc is i[v]; a
-        larger set's is one meet of its prefix's wc, S minus its last name,
-        with i[last]. The walk skips every strict superset of a set in
-        `skip`, where it puts each set whose wc is ⊥ and its caller puts any
-        set whose supersets it does not want. Feasibility is downward
-        closed, as wc_S only shrinks as S grows, so a superset of a ⊥ set
-        has ⊥ wc too. A variable missing from i has wc ⊥, so a walk over
-        i's keys misses no set with a non-⊥ wc.
+        of `names`, all keys of i, whose wc_S is not ⊥ and whose subsets one
+        member smaller are all live, as `(S, wc_S)`: by size, then in
+        lexicographic order of the sorted names. A set is live when it was
+        yielded and the caller did not append to `skip` before taking the
+        next set; appending is how a caller says it wants none of the set's
+        supersets. A singleton's wc is i[v]; a larger set's is one meet of
+        its prefix's wc, S minus its last name, with i[last]. Feasibility is
+        downward closed, as wc_S only shrinks as S grows, so a superset of a
+        ⊥ set has ⊥ wc too. A variable missing from i has wc ⊥, so a walk
+        over i's keys misses no set with a non-⊥ wc.
 
-        A set comes after all its subsets, and every subset of a yielded set
-        was yielded: had it been skipped or met ⊥, the set would have been
-        skipped as its superset. So its prefix's wc is at hand, and the walk
-        computes the same left fold, top ⊓ i[v1] ⊓ … ⊓ i[vk] in name order,
-        as a walk that re-meets each set from top, because top ⊓ x = x. So
-        each wc_S equals that walk's also where the powerset cap collapses
-        disjuncts inside a meet, and meets no longer associate; only the ops
-        of the repeated meets fall."""
-        wcs = {}  # each yielded set's wc, by its names in order
-        for combo in subsets(sorted(names), max_card):
-            if not combo:
-                continue
-            vset = frozenset(combo)
-            if any(b < vset for b in skip):
-                continue
-            wc = (self.meet(wcs[combo[:-1]], i[combo[-1]])
-                  if len(combo) > 1 else i[combo[0]])
-            if not wc:
-                skip.append(vset)
-                continue
-            wcs[combo] = wc
-            yield vset, wc
+        The walk is level-wise, as Apriori generates its candidates
+        (Agrawal & Srikant, "Fast algorithms for mining association rules",
+        VLDB 1994): a level maps each live set of one size, as its sorted
+        names, to its wc and the position after its last name. A set is
+        built only by extending a live prefix with a later name, and only
+        if its other one-smaller subsets are live too; that test is left
+        out while every set walked so far has been live, since then each
+        level holds every set of its size. So a set is built, and its meet
+        counted, iff no strict subset of it is ⊥ or dropped by the caller:
+        had one been, some one-smaller subset would not be live. Neither a
+        ⊥ set nor a rejected candidate is made into a frozenset, and no
+        skip list is scanned.
+
+        A yielded set's prefix was yielded, so its wc is at hand, and the
+        walk computes the same left fold, top ⊓ i[v1] ⊓ … ⊓ i[vk] in name
+        order, as a walk that re-meets each set from top, because
+        top ⊓ x = x. So each wc_S equals that walk's also where the powerset
+        cap collapses disjuncts inside a meet, and meets no longer
+        associate; only the ops of the repeated meets fall.
+        `tests/reference_interference.py` keeps the walk that enumerates
+        every combination and skips the strict supersets of a listed set,
+        as the differential reference."""
+        names = sorted(names)
+        count = len(names)
+        meet = self.meet
+        level = {(): (None, 0)}  # the live sets of the last size walked
+        all_live = True  # every set walked so far is live
+        for k in range(1, max_card + 1):
+            check = not all_live
+            nxt = {}
+            for prefix, (prefix_wc, start) in level.items():
+                for j in range(start, count):
+                    last = names[j]
+                    combo = prefix + (last,)
+                    if check and any(combo[:p] + combo[p + 1:] not in level
+                                     for p in range(k - 1)):
+                        continue
+                    wc = meet(prefix_wc, i[last]) if prefix else i[last]
+                    if not wc:
+                        all_live = False
+                        continue
+                    dropped = len(skip)
+                    yield frozenset(combo), wc
+                    if len(skip) == dropped:
+                        nxt[combo] = wc, j + 1
+                    else:
+                        all_live = False
+            if not nxt:
+                return
+            level = nxt
 
     def _write_sets(self, i: dict) -> tuple[list, list]:
         """The plan of `_walk` over i's variables at precision n, as
@@ -672,8 +697,9 @@ class ConstPowersetDomain(StateDomain):
         every `stabilise` under one rely shares the plan, and a miss only
         meets d with each group's wc, havocs and joins.
 
-        The subsets one member smaller of an exact set were yielded before
-        it, so as each set arrives it compares its wc with theirs and marks
+        This walk drops no set, so `_walk` yields a set only after all its
+        subsets one member smaller, and only when each of them was yielded.
+        So as each set arrives it compares its wc with theirs and marks
         those of equal wc as no head. The heads cost no lattice operation;
         the comparison is of stored values, capped as built."""
         wcs = {frozenset(): self.top()}  # each exact set's wc

@@ -229,6 +229,7 @@ def explore(p: Program, universe: Universe | None = None,
     missing = next((v for v in p.variables if v not in order), None)
     if missing is not None:
         raise ValueError(f"universe lacks program variable {missing!r}")
+    u.check_size()
     domains = [u.domain_of(v) for v in order]
     position = {v: {n: i for i, n in enumerate(vals)} for v, vals in zip(order, domains)}
     sizes = [len(vals) for vals in domains]
@@ -241,7 +242,6 @@ def explore(p: Program, universe: Universe | None = None,
     # The initial stores are those satisfying pre, in ascending store index.
     # Only stores agreeing with pre's top-level `v == c` conjuncts can, so
     # only they are enumerated, and pre is still evaluated on each.
-    u.check_size()
     pins = _pinned_values(p.pre)
     positions = [[k for k, n in enumerate(vals) if v not in pins or n in pins[v]]
                  for v, vals in zip(order, domains)]

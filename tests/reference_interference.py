@@ -30,20 +30,59 @@ with `b1` on the capped domain, and its ops those of the production pass.
 Interferences are sparse, as in `condwrites.interference`: a variable
 missing from i reads as bottom. Only the tests use these. Most are written
 as functions of a `CondWrites` instance `self`, whose `dom`, `fuel` and
-`leq` they read, and walk `domains.subsets`; `pruned_close_one` takes the
+`leq` they read, and walk `subsets`; `pruned_close_one` takes the
 domain itself. `stabilise_walk` and `stabilise_over_plan` take a powerset
 domain, a state and a plan of its `_write_sets`, the arguments of its
 `stabilise_plan`, read the domain's n, and walk every write set of the plan
 in walk order (`plan_walk`), where the production pass builds terms only
 for its groups' heads.
+
+`reference_walk` is `ConstPowersetDomain._walk` as it was before the walk
+went level by level: it enumerates every combination in `subsets` order
+and skips the strict supersets of each set in its skip list, where it puts
+the sets whose wc is ⊥ and its caller the sets it drops.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
+from typing import Iterator
 
-from condwrites.domains import ConstPowersetDomain, subsets
+from condwrites.domains import ConstPowersetDomain
 from condwrites.interference import CondWrites, FuelExhausted, Interference
+
+
+def subsets(variables, max_card: int) -> Iterator[tuple[str, ...]]:
+    # bottom-up, lexicographic within a cardinality: required by the
+    # superset skipping and keeps op counts reproducible
+    for k in range(0, max_card + 1):
+        yield from itertools.combinations(variables, k)
+
+
+def reference_walk(dom: ConstPowersetDomain, i: Interference, names,
+                   max_card: int, skip: list):
+    """The subset walk of `ConstPowersetDomain._walk` by enumeration: each
+    non-empty write set S of at most max_card of `names`, all keys of i,
+    whose wc_S is not ⊥, as `(S, wc_S)`, in `subsets` order over the sorted
+    names, skipping every strict superset of a set in `skip`. It appends
+    each set whose wc is ⊥ to `skip`; its caller appends any set whose
+    supersets it does not want. A set's wc is one meet of its prefix's
+    with i[last]."""
+    wcs = {}  # each yielded set's wc, by its names in order
+    for combo in subsets(sorted(names), max_card):
+        if not combo:
+            continue
+        vset = frozenset(combo)
+        if any(b < vset for b in skip):
+            continue
+        wc = (dom.meet(wcs[combo[:-1]], i[combo[-1]])
+              if len(combo) > 1 else i[combo[0]])
+        if not wc:
+            skip.append(vset)
+            continue
+        wcs[combo] = wc
+        yield vset, wc
 
 
 def uncapped(dom: ConstPowersetDomain) -> ConstPowersetDomain:

@@ -8,7 +8,7 @@ import pytest
 from condwrites import domains
 from condwrites.domains import (
     ASCII, CM_BOT, CM_TOP, PW_BOT, PW_TOP, ConstDomain, ConstPowersetDomain,
-    Universe, cm_items, cm_make, fmt_map, make_domain, subsets,
+    Universe, cm_items, cm_make, fmt_map, make_domain,
 )
 from condwrites.interference import CondWrites, FuelExhausted
 from condwrites.lang import Assign, Lit, VarRef
@@ -19,6 +19,7 @@ from conftest import (
     random_pw, sparse,
 )
 import reference_interference
+from reference_interference import reference_walk, subsets
 
 VARS3 = ("x", "z", "r")
 U3 = Universe.of({v: (0, 1) for v in VARS3})
@@ -755,6 +756,70 @@ def test_close_candidates_are_the_bound_variables():
         for d in elems:
             assert sorted(dom.bound_vars(d)) == (
                 reference_interference.havoc_candidates(dom, d, VARS5))
+
+
+# -- the level-wise subset walk against the enumerating walk --------------------
+
+
+WALK_VARS = ("a", "b", "c", "d", "e", "f")
+
+
+def random_walk_interference(rng: random.Random, dom: ConstPowersetDomain) -> dict:
+    """A sparse interference over dom with ⊥ and ⊤ write-conditions among
+    random ones of up to 4 disjuncts and at most dom's cap, so that meets
+    can collapse at cap 2."""
+    i = {}
+    for v in dom.variables:
+        r = rng.random()
+        if r < 0.15:
+            continue  # missing: ⊥ by sparseness
+        i[v] = (PW_BOT if r < 0.25 else PW_TOP if r < 0.4
+                else random_pw(rng, dom, (0, 1, 2), 4))
+    return i
+
+
+def drive_walk(walk, dom, i, names, max_card, drop: float, seed: int):
+    """The sets a walk yields to a caller that drops each yielded set with
+    probability `drop`, by appending it to the skip list before it takes
+    the next set, as `close_one` does, with the domain's ops and
+    collapses."""
+    rng = random.Random(seed)
+    skip: list = []
+    ops, collapses = dom.ops, dom.cap_collapses
+    out = []
+    for vset, wc in walk(i, names, max_card, skip):
+        out.append((vset, wc))
+        if rng.random() < drop:
+            skip.append(vset)
+    return out, dom.ops - ops, dom.cap_collapses - collapses
+
+
+@pytest.mark.parametrize("cap", [64, 2, 1])
+def test_level_wise_walk_matches_enumerating_walk(cap):
+    # the same sets and wcs, in the same order, by the same meets, with no
+    # caller drops and with seeded random ones, over every max_card
+    rng = random.Random(4800 + cap)
+    seen = collections.Counter()
+    for k in range(1, len(WALK_VARS) + 1):
+        variables = WALK_VARS[:k]
+        fast, ref = (ConstPowersetDomain(variables, cap) for _ in range(2))
+        for _ in range(40):
+            i = random_walk_interference(rng, fast)
+            names = rng.sample(sorted(i), rng.randint(0, len(i)))
+            for max_card in range(len(names) + 2):
+                for drop in (0.0, 0.3, 0.7):
+                    seed = rng.randrange(1 << 30)
+                    got = drive_walk(fast._walk, fast, i, names, max_card,
+                                     drop, seed)
+                    want = drive_walk(partial(reference_walk, ref), ref, i,
+                                      names, max_card, drop, seed)
+                    assert got == want, (i, names, max_card, drop)
+                    full = [c for c in subsets(sorted(names), max_card) if c]
+                    seen["pruned" if len(got[0]) < len(full) else "full"] += 1
+                    seen["collapsed"] += got[2] > 0
+                    seen["⊤ set"] += any(wc == PW_TOP for _, wc in got[0])
+    assert all(seen[what] for what in ("pruned", "full", "⊤ set")), seen
+    assert (cap == 2) <= (seen["collapsed"] > 0), seen
 
 
 # -- the closed-form const close against the subset walks ----------------------

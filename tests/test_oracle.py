@@ -333,6 +333,23 @@ def test_initial_stores_keep_the_universe_cap():
         explore(p, u)
 
 
+def test_oversized_universe_is_refused_before_it_is_indexed(monkeypatch):
+    # the cap is checked before any per-value table is built, so refusing a
+    # universe costs no time or memory in its size; a missing variable is
+    # still reported first
+    p = parse_program("vars x; thread T { x := 1; }")
+    u = Universe.of({"x": range(UNIVERSE_CAP + 1)})
+
+    def unread(self, var):
+        raise AssertionError(f"read the values of {var!r}")
+
+    monkeypatch.setattr(Universe, "domain_of", unread)
+    with pytest.raises(UniverseTooLarge):
+        explore(p, u)
+    with pytest.raises(ValueError, match="lacks program variable 'y'"):
+        explore(parse_program("vars x, y; thread T { y := 1; }"), u)
+
+
 # -- the two searches --------------------------------------------------------------
 
 
