@@ -504,40 +504,55 @@ class ConstDomain(StateDomain):
         wc_{S_x}. So the terms of the distinct least sets, joined into
         i[v], drop exactly what the walk drops.
 
-        The distinct least sets are visited by ascending size, then name,
-        and two kinds are skipped with no op, as the walk skips them. A set
-        with a member whose write-condition is ⊥ has wc_S = ⊥, so its term
-        joins nothing; this depends on membership alone. A strict superset
-        of a set already found dominated (wc ⊑ h, ⊥ included) meets below
-        that set's wc, which is joined in whole. A subset is smaller, so it
-        is visited first, and what is skipped does not depend on the names.
-        Any other set folds wc_S over its members in sorted order, |S| - 1
-        meets, then joins its term, plus one meet when wc_S ⋢ h. The
-        closures, havocs and ⊑ tests are uncounted, like the walk's choice
-        of candidate variables. On random inputs over up to 5 variables it
-        never counts more ops than the pruned walk, and the tests check
-        that."""
+        A least set with a member whose write-condition is ⊥ (missing from
+        i) has wc_S = ⊥, so its term joins nothing, and it depends on
+        membership alone. So the closure rule's edges are listed once per
+        call, as each written variable's clash list: the variables of i[v]
+        that its write-condition binds to another value. Least sets grow
+        only from written variables, along these lists, and a set is
+        dropped as soon as it reaches a variable without a write-condition.
+        When no set survives, i[v] is returned as it is.
+
+        The surviving least sets are visited by ascending size, then name,
+        and a strict superset of a set already found dominated (wc ⊑ h, ⊥
+        included) is skipped with no op, as the walk skips it: it meets
+        below that set's wc, which is joined in whole. A subset is smaller,
+        so it is visited first, and what is skipped does not depend on the
+        names. Any other set folds wc_S over its members in sorted order,
+        |S| - 1 meets, then joins its term, plus one meet when wc_S ⋢ h.
+        The clash lists, closures, havocs and ⊑ tests are uncounted, like
+        the walk's choice of candidate variables. On random inputs over up
+        to 5 variables it never counts more ops than the pruned walk, and
+        the tests check that."""
         iv = i.get(v, CM_BOT)
-        if iv is CM_BOT:
+        if iv is CM_BOT or iv == CM_TOP:
             return iv
         bound = dict(_BINDING_SETS[iv])
-        # each least set as (size, sorted names), found along the closure
-        # rule's edges, uncounted like the walk's candidates
+        # each written variable of i[v] -> the variables of i[v] that its
+        # write-condition binds to another value
+        clash = {u: [y for y, c in _BINDING_SETS[i[u]] if bound.get(y, c) != c]
+                 for u in bound if u in i}
+        # each surviving least set as (size, sorted names)
         least_sets: set[tuple[int, tuple[str, ...]]] = set()
-        for x in bound:
-            least = {x}
-            todo = [x]
+        for x in clash:
+            least, todo = {x}, [x]
             while todo:
-                for y, c in _BINDING_SETS[i.get(todo.pop(), CM_TOP)]:
-                    if y not in least and bound.get(y, c) != c:
+                ys = clash.get(todo.pop())
+                if ys is None:
+                    break  # a member without a write-condition: wc_S = ⊥
+                for y in ys:
+                    if y not in least:
                         least.add(y)
                         todo.append(y)
-            least_sets.add((len(least), tuple(sorted(least))))
+            else:
+                least_sets.add((len(least), tuple(sorted(least))))
+        if not least_sets:
+            return iv
         acc = iv
         dominated: list[frozenset[str]] = []
         for _, names in sorted(least_sets):
             vset = frozenset(names)
-            if not vset <= i.keys() or any(d0 < vset for d0 in dominated):
+            if any(d0 < vset for d0 in dominated):
                 continue
             wc = reduce(self.meet, [i[u] for u in names])
             h = cm_havoc(iv, vset)

@@ -27,8 +27,9 @@ the tests and for the perfbench tracer, which patches them by name. As
 `interference.stabilise.*` and `interference.stabilise_fix.*` figures read
 0, and their time is billed to `engine.collect`'s self time.
 
-`CondWrites.close(i)` repeats the domain's `close_one(i, v)` for every v
-until nothing grows, in the fuelled loop of `stabilise_fix`. `close_one`
+`CondWrites.close(i)` runs its own fuelled loop of rounds: each round
+applies the domain's `close_one(i, v)` to every v of the round's input,
+and the loop stops at the first round that returns its input. `close_one`
 joins into i[v] one term per write set S of the variables i[v] binds: with
 wc_S the meet of i[u] over S and h = havoc(i[v], S), the term is wc_S if
 wc_S ⊑ h, else h ⊓ wc_S.
@@ -105,15 +106,15 @@ class CondWrites:
 
     # -- interference application and derivation ------------------------------
 
-    def _fix(self, step, d, leq=None, name="stabilise_fix"):
-        # apply step from d until its result is leq (default dom.leq) its input
+    def _fix(self, step, d):
+        # apply step from d until its result is ⊑ its input
         cur = d
         for _ in range(self.fuel):
             nxt = step(cur)
-            if (leq or self.dom.leq)(nxt, cur):
+            if self.dom.leq(nxt, cur):
                 return nxt
             cur = nxt
-        raise FuelExhausted(f"{name} did not converge in {self.fuel} steps")
+        raise FuelExhausted(f"stabilise_fix did not converge in {self.fuel} steps")
 
     def stabilise(self, i: Interference, d):
         """Weaken d to include every state reachable in one step of i."""
@@ -153,16 +154,25 @@ class CondWrites:
 
     def close(self, i: Interference) -> Interference:
         """Weaken write-conditions until the concretisation is transitive.
-        Each step runs the domain's `close_one`. Memoised for the lifetime
-        of this instance on i's write-conditions; a repeated input returns
-        the stored result without lattice operations. Only the present keys
-        are weakened: `close_one` keeps a ⊥ write-condition ⊥."""
+        Each round applies the domain's `close_one` to every variable of
+        the round's input, and the loop stops at the first round that
+        returns its input. Testing `==` is exact: `close_one` is extensive,
+        so a round's result is ⊒ its input, and ⊑ is antisymmetric on
+        normalised elements. Memoised for the lifetime of this instance on
+        i's write-conditions; a repeated input returns the stored result
+        without lattice operations, and a close out of fuel stores nothing.
+        Only the present keys are weakened: `close_one` keeps a ⊥
+        write-condition ⊥."""
         key = frozenset(i.items())
         out = self._close_memo.get(key)
         if out is not None:
             self._hits[0] += 1
             return out
-        out = self._close_memo[key] = self._fix(
-            lambda cur: {v: self.dom.close_one(cur, v) for v in cur},
-            i, self.leq, "close")
-        return out
+        close_one, cur = self.dom.close_one, i
+        for _ in range(self.fuel):
+            nxt = {v: close_one(cur, v) for v in cur}
+            if nxt == cur:
+                self._close_memo[key] = nxt
+                return nxt
+            cur = nxt
+        raise FuelExhausted(f"close did not converge in {self.fuel} steps")

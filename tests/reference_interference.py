@@ -37,6 +37,16 @@ domain, a state and a plan of its `_write_sets`, the arguments of its
 in walk order (`plan_walk`), where the production pass builds terms only
 for its groups' heads.
 
+`const_close_one` is the least-set closed form of `ConstDomain.close_one`
+without its clash lists: it grows a least set from every variable i[v]
+binds, through members without a write-condition too, and only then drops
+the sets that have such a member. The tests require equal values and
+equal ops of the production form. `close_rounds` is `CondWrites.close`
+without the memo, by rounds of the domain's own `close_one` over every
+variable, stopping at the first round that is ⊑ its input; the tests
+require equal values, ops and cap collapses of the production loop, which
+stops on `==`.
+
 `reference_walk` is `ConstPowersetDomain._walk` as it was before the walk
 went level by level: it enumerates every combination in `subsets` order
 and skips the strict supersets of each set in its skip list, where it puts
@@ -47,9 +57,13 @@ from __future__ import annotations
 
 import itertools
 import sys
+from functools import reduce
 from typing import Iterator
 
-from condwrites.domains import ConstPowersetDomain
+from condwrites.domains import (
+    CM_BOT, CM_TOP, ConstDomain, ConstPowersetDomain, _BINDING_SETS, cm_havoc,
+    cm_leq,
+)
 from condwrites.interference import CondWrites, FuelExhausted, Interference
 
 
@@ -213,6 +227,43 @@ def pruned_close_one(dom, i: Interference, v: str):
     return acc
 
 
+def const_close_one(dom: ConstDomain, i: Interference, v: str):
+    """The least-set closed form of `ConstDomain.close_one`, through dom's
+    counted meets and joins: the least set S_x of every binding x of i[v],
+    grown along i[u] for each member u (⊤ for a member missing from i),
+    then the sets with a member missing from i dropped, and the rest
+    visited by size, then names, skipping the strict supersets of a
+    dominated set."""
+    iv = i.get(v, CM_BOT)
+    if iv is CM_BOT:
+        return iv
+    bound = dict(_BINDING_SETS[iv])
+    least_sets: set[tuple[int, tuple[str, ...]]] = set()
+    for x in bound:
+        least = {x}
+        todo = [x]
+        while todo:
+            for y, c in _BINDING_SETS[i.get(todo.pop(), CM_TOP)]:
+                if y not in least and bound.get(y, c) != c:
+                    least.add(y)
+                    todo.append(y)
+        least_sets.add((len(least), tuple(sorted(least))))
+    acc = iv
+    dominated: list[frozenset[str]] = []
+    for _, names in sorted(least_sets):
+        vset = frozenset(names)
+        if not vset <= i.keys() or any(d0 < vset for d0 in dominated):
+            continue
+        wc = reduce(dom.meet, [i[u] for u in names])
+        h = cm_havoc(iv, vset)
+        if cm_leq(wc, h):
+            dominated.append(vset)
+            acc = dom.join(acc, wc)
+        else:
+            acc = dom.join(acc, dom.meet(h, wc))
+    return acc
+
+
 def close_one(self: CondWrites, i: Interference, v: str, *,
               b2a: bool = False, b2b: bool = False):
     dom = self.dom
@@ -249,6 +300,19 @@ def close(self: CondWrites, i: Interference, *, b2a: bool = False,
     for _ in range(self.fuel):
         nxt = {v: wc for v in self.dom.variables if not self.dom.is_bot(
             wc := close_one(self, cur, v, b2a=b2a, b2b=b2b))}
+        if self.leq(nxt, cur):
+            return nxt
+        cur = nxt
+    raise FuelExhausted(f"close did not converge in {self.fuel} steps")
+
+
+def close_rounds(self: CondWrites, i: Interference) -> Interference:
+    """`CondWrites.close` without the memo: rounds of self's domain's
+    `close_one` over every variable of the round's input, until a round is
+    ⊑ its input."""
+    cur = i
+    for _ in range(self.fuel):
+        nxt = {v: self.dom.close_one(cur, v) for v in cur}
         if self.leq(nxt, cur):
             return nxt
         cur = nxt

@@ -829,12 +829,16 @@ VARS5 = ("a", "b", "c", "d", "e")
 
 
 def assert_close_one_matches_walks(variables, interferences):
-    # same values as the pruned walk and the unpruned reference walk, and
-    # never more ops than the pruned walk
-    fast, walk, ref = (CondWrites(ConstDomain(variables)) for _ in range(3))
+    # same values and ops as the least-set form without clash lists, same
+    # values as the pruned walk and the unpruned reference walk, and never
+    # more ops than the pruned walk
+    fast, least, walk, ref = (
+        CondWrites(ConstDomain(variables)) for _ in range(4))
     for i in interferences:
         for v in variables:
             got, ops = with_ops(fast, fast.dom.close_one, i, v)
+            assert (got, ops) == with_ops(
+                least, reference_interference.const_close_one, least.dom, i, v)
             want, walk_ops = with_ops(
                 walk, reference_interference.pruned_close_one, walk.dom, i, v)
             assert got == want and ops <= walk_ops
@@ -887,6 +891,28 @@ def test_const_close_never_walks(monkeypatch):
     pw = cw_pw()
     pw.close(random_interference(rng, pw.dom))
     assert calls  # the powerset close still walks
+
+
+@pytest.mark.parametrize("cap", [None, 64, 4, 2, 1])
+def test_close_loop_matches_rounds(cap):
+    # the loop that stops when a round returns its input against rounds
+    # that stop when a round is ⊑ its input, for const (cap None) and the
+    # powerset: the same value, ops and cap collapses on random relies over
+    # 1-5 variables, each close on a fresh instance so that no memo answers
+    rng = random.Random(4900 + (cap or 0))
+    collapses = 0
+    for k in range(1, len(VARS5) + 1):
+        variables = VARS5[:k]
+        doms = [ConstDomain(variables) if cap is None
+                else ConstPowersetDomain(variables, cap) for _ in range(2)]
+        for _ in range(60):
+            fast, ref = map(CondWrites, doms)
+            i = random_interference(rng, fast.dom, values=(0, 1, 2))
+            got = with_counts(fast, fast.close, i)
+            assert got == with_counts(
+                ref, reference_interference.close_rounds, ref, i), i
+            collapses += got[2]
+    assert (collapses > 0) == (cap in (4, 2, 1)), collapses
 
 
 # -- fuel -------------------------------------------------------------------------
