@@ -50,7 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--check-oracle", action="store_true",
                    help="run the interleaving oracle and verify outline soundness")
     a.add_argument("--max-disjuncts", type=int, default=defaults.max_disjuncts)
-    a.add_argument("--fuel-inner", type=int, default=defaults.fuel_inner)
+    a.add_argument("--fuel-inner", type=int, default=defaults.fuel_inner,
+                   help="bound on the steps of each non-transitive "
+                   "stabilisation, steps answered from a memo included, on "
+                   "the rounds of each rely's close and on the passes of "
+                   "each loop")
     a.add_argument("--fuel-outer", type=int, default=defaults.fuel_outer,
                    help="bound on the outer fixpoint's rely derivations, one "
                    "per thread taken off its worklist")

@@ -59,6 +59,8 @@ class AnalysisConfig:
     n: int | None = None         # powerset stabilise bound; default |V|
     rely_vars: dict[str, frozenset[str]] | None = None  # overrides program
     max_disjuncts: int = 64
+    # bounds each non-transitive stabilisation's steps (memo-answered steps
+    # included), each close's rounds and each loop's passes
     fuel_inner: int = 1000
     fuel_outer: int = 1000       # rely derivations of the outer fixpoint
 
@@ -69,7 +71,9 @@ class Metrics:
     time_s: float = 0.0
     outer_iterations: int = 0  # rely derivations, one per worklist pop
     collects: int = 0   # collecting passes run, one per thread body
-    memo_hits: int = 0  # stabilise and close calls answered from a memo
+    # domain steps and close calls answered from a memo, each step counted
+    # as a loop of memoised steps would have looked it up
+    memo_hits: int = 0
     cap_collapses: int = 0  # powerset elements collapsed to their flat join
 
 

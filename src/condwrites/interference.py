@@ -36,31 +36,36 @@ wc_S ⊑ h, else h ⊓ wc_S.
 
 `CondWrites` owns every memo, and the domain keeps none. The key of a rely
 is its write-conditions, the frozenset of i's items. `stabiliser` keeps one
-step per key: on a new key it calls the domain's `stabiliser(i)` once, so
-the powerset builds its write-set plan once per rely, with counted meets,
-and wraps it in a memo from d to the result. `close` is memoised on the
-same key, and its fixpoint loop over the domain's `close_one` runs only on
-a miss. The keys hold values, not identities: lattice elements are
-interned bitsets, frozensets of them, or the const bottom sentinel, equal
-only to itself (see `domains`), which hash by content, and equal sparse
-interferences have equal item sets. Both memos are exact because the domain's steps, and so
-`close`, are pure functions of their arguments and of the instance's fixed
-`dom` and `fuel`; a `close` that runs out of fuel raises and stores
+memoised function per key and mode: on a new key it calls the domain's
+`stabiliser(i)` once, so the powerset builds its write-set plan once per
+rely, with counted meets. Transitive mode wraps that step in a memo from d
+to the step's result. Non-transitive mode wraps it in a memo from d to d's
+fixpoint, which stores every element of each chain of steps it runs, as
+path compression does in union-find (Tarjan, JACM 1975), so a point's
+stabilisation is one look-up once its chain is known (see `stabiliser`).
+`close` is memoised on the same key, and its fixpoint loop over the
+domain's `close_one` runs only on a miss. The keys hold values, not
+identities: lattice elements are interned bitsets, frozensets of them, or
+the const bottom sentinel, equal only to itself (see `domains`), which
+hash by content, and equal sparse interferences have equal item sets. The
+memos are exact because the domain's steps, and so `close`, are pure
+functions of their arguments and of the instance's fixed `dom` and
+`fuel`; a fixpoint or a `close` that runs out of fuel raises and stores
 nothing. `analyse` builds one domain and one `CondWrites` per call, so the
 memos, and the write-set plans, live for one analysis. A hit performs no
-lattice operation and so counts no ops; `memo_hits` counts the hits of
-both memos, in a one-element list that the memoised steps share instead of
-`self`. So no step refers back to its `CondWrites`, an analysis holds no
-reference cycle, and its memos and plans are freed by reference counting
-when `analyse` returns and its result is dropped.
+lattice operation and so counts no ops. `memo_hits` counts the domain
+steps and `close` calls answered from a memo, each fixpoint hit as the
+steps that a loop of memoised steps would have looked up. It is a
+one-element list that the memoised functions share instead of `self`. So
+none refers back to its `CondWrites`, an analysis holds no reference
+cycle, and its memos and plans are freed by reference counting when
+`analyse` returns and its result is dropped.
 
 This module formats nothing: an element prints through its domain's `fmt`,
 and `engine.to_machine` prints an interference's write-conditions.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .lang import Assign
 from .domains import StateDomain
@@ -81,9 +86,10 @@ class CondWrites:
         self.dom = dom
         self.fuel = fuel
         self._stabilisers: dict = {}  # write-conditions -> memoised step
+        self._fixpoints: dict = {}  # write-conditions -> memoised fixpoint
         self._close_memo: dict = {}  # write-conditions -> closed interference
-        # stabilise and close calls answered from a memo; the memoised steps
-        # count into this list, not into self, so they hold no cycle
+        # domain steps and close calls answered from a memo; the memoised
+        # functions count into this list, not into self, so they hold no cycle
         self._hits = [0]
 
     @property
@@ -106,16 +112,6 @@ class CondWrites:
 
     # -- interference application and derivation ------------------------------
 
-    def _fix(self, step, d):
-        # apply step from d until its result is ⊑ its input
-        cur = d
-        for _ in range(self.fuel):
-            nxt = step(cur)
-            if self.dom.leq(nxt, cur):
-                return nxt
-            cur = nxt
-        raise FuelExhausted(f"stabilise_fix did not converge in {self.fuel} steps")
-
     def stabilise(self, i: Interference, d):
         """Weaken d to include every state reachable in one step of i."""
         return self.stabiliser(i, True)(d)
@@ -127,25 +123,74 @@ class CondWrites:
     def stabiliser(self, i: Interference, transitive: bool):
         """d ↦ stabilise(i, d) if transitive, else its least fixpoint, at the
         domain's precision (see the module docstring). Memoised for the
-        lifetime of this instance on (i's write-conditions, d): a miss runs
-        the domain's step, and a repeated input returns the stored result
-        without lattice operations. A collecting pass under one rely looks
-        it up once and applies it at every point."""
-        key = frozenset(i.items())
-        step = self._stabilisers.get(key)
-        if step is None:
-            stab, memo, hits = self.dom.stabiliser(i), {}, self._hits
+        lifetime of this instance on (i's write-conditions, d), and a
+        repeated input returns the stored result without lattice
+        operations. A collecting pass under one rely looks it up once and
+        applies it at every point.
 
-            def step(d):
-                out = memo.get(d)
-                if out is None:
-                    out = memo[d] = stab(d)
-                else:
-                    hits[0] += 1
+        Transitive mode memoises the domain's step. Non-transitive mode
+        memoises fixpoints: a miss steps from d until a step returns its
+        input or reaches an element already in the memo, whose fixpoint it
+        takes, and stores every element of that chain under the fixpoint
+        with its own step count, the steps a loop of memoised steps would
+        take from it. A hit adds that count to `memo_hits`, one hit per
+        step such a loop would have looked up, and a miss adds the count of
+        the memoised element it reached. So the domain steps the same
+        inputs as that loop, and the ops, cap collapses and `memo_hits`
+        are the same. Stopping on `==` is exact: the step is extensive, and
+        ⊑ is antisymmetric on normalised elements. The fuel bounds the
+        steps of a fixpoint, those its memoised remainder counts included,
+        and a fixpoint out of fuel raises and stores nothing."""
+        key = frozenset(i.items())
+        if transitive:
+            step = self._stabilisers.get(key)
+            if step is None:
+                stab, memo, hits = self.dom.stabiliser(i), {}, self._hits
+
+                def step(d):
+                    out = memo.get(d)
+                    if out is None:
+                        out = memo[d] = stab(d)
+                    else:
+                        hits[0] += 1
+                    return out
+
+                self._stabilisers[key] = step
+            return step
+        fix = self._fixpoints.get(key)
+        if fix is None:
+            stab, memo, hits, fuel = self.dom.stabiliser(i), {}, self._hits, self.fuel
+
+            def fix(d):
+                got = memo.get(d)
+                if got is not None:
+                    hits[0] += got[1]
+                    return got[0]
+                # the chain of inputs stepped; a loop that ends on its
+                # condition has run out of fuel, as its steps are then > fuel
+                chain, rest = [d], 0
+                while len(chain) <= fuel:
+                    out = stab(d)
+                    if out == d:
+                        break
+                    got = memo.get(out)
+                    if got is not None:
+                        out, rest = got
+                        break
+                    chain.append(out)
+                    d = out
+                steps = len(chain) + rest
+                if steps > fuel:
+                    raise FuelExhausted(
+                        f"stabilise_fix did not converge in {fuel} steps")
+                hits[0] += rest
+                for e in chain:
+                    memo[e] = (out, steps)
+                    steps -= 1
                 return out
 
-            self._stabilisers[key] = step
-        return step if transitive else partial(self._fix, step)
+            self._fixpoints[key] = fix
+        return fix
 
     def transitions(self, d, a: Assign) -> Interference:
         """Interference induced by one assignment from pre-states in d: d

@@ -47,6 +47,14 @@ variable, stopping at the first round that is ⊑ its input; the tests
 require equal values, ops and cap collapses of the production loop, which
 stops on `==`.
 
+`StepMemo` is `CondWrites` as it stabilised before the fixpoint memo: one
+memoised step per rely, shared by both modes, and in non-transitive mode
+`fix_loop`, which applies that step from d until its result is ⊑ its
+input, each step a look-up that counts a memo hit when it answers. The
+tests require equal values, ops, cap collapses, `memo_hits` and
+`FuelExhausted` messages of the production fixpoint memo. `fix_loop` is
+also the memo-free fixpoint of the tests' reference steps.
+
 `reference_walk` is `ConstPowersetDomain._walk` as it was before the walk
 went level by level: it enumerates every combination in `subsets` order
 and skips the strict supersets of each set in its skip list, where it puts
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterator
 
 from condwrites.domains import (
@@ -317,3 +325,38 @@ def close_rounds(self: CondWrites, i: Interference) -> Interference:
             return nxt
         cur = nxt
     raise FuelExhausted(f"close did not converge in {self.fuel} steps")
+
+
+def fix_loop(self: CondWrites, step, d):
+    # apply step from d until its result is ⊑ its input
+    cur = d
+    for _ in range(self.fuel):
+        nxt = step(cur)
+        if self.dom.leq(nxt, cur):
+            return nxt
+        cur = nxt
+    raise FuelExhausted(f"stabilise_fix did not converge in {self.fuel} steps")
+
+
+class StepMemo(CondWrites):
+    """`CondWrites` with the step memo and step loop that the fixpoint memo
+    replaced."""
+
+    _fix = fix_loop
+
+    def stabiliser(self, i: Interference, transitive: bool):
+        key = frozenset(i.items())
+        step = self._stabilisers.get(key)
+        if step is None:
+            stab, memo, hits = self.dom.stabiliser(i), {}, self._hits
+
+            def step(d):
+                out = memo.get(d)
+                if out is None:
+                    out = memo[d] = stab(d)
+                else:
+                    hits[0] += 1
+                return out
+
+            self._stabilisers[key] = step
+        return step if transitive else partial(self._fix, step)

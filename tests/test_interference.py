@@ -235,7 +235,8 @@ def memo_free(cw: CondWrites, step) -> CondWrites:
     shares no memo key or hit path with the side under test."""
     def stabiliser(i, transitive):
         bound = partial(step, i)
-        return bound if transitive else partial(cw._fix, bound)
+        return bound if transitive else partial(
+            reference_interference.fix_loop, cw, bound)
 
     cw.stabiliser = stabiliser
     return cw
@@ -926,3 +927,144 @@ def test_fuel_exhaustion_reported():
     with pytest.raises(FuelExhausted, match="close did not converge in 0 steps"):
         cw.close(top)
     assert cw._close_memo == {}  # a close out of fuel stores nothing
+
+
+@pytest.mark.parametrize("mk", [cw_const, cw_pw])
+def test_fixpoint_out_of_fuel_stores_nothing(mk):
+    # d steps to ⊤ and ⊤ to itself: 2 steps, one more than the fuel. Each
+    # try steps d again, as no element of its chain was stored, and with
+    # the fuel for 2 steps the fixpoint is found and then answered
+    cw = mk(fuel=1)
+    i = {v: cw.dom.top() for v in VARS3}
+    d = cm_make({"x": 0})
+    d = d if mk is cw_const else cw.dom.make([d])
+    calls = count_steps(cw)
+    for tries in (1, 2):
+        with pytest.raises(FuelExhausted, match="converge in 1 steps"):
+            cw.stabilise_fix(i, d)
+        assert calls == [tries] and cw.memo_hits == 0
+    cw = mk(fuel=2)
+    calls = count_steps(cw)
+    assert cw.stabilise_fix(i, d) == cw.stabilise_fix(i, d) == cw.dom.top()
+    assert calls == [2] and cw.memo_hits == 2
+
+
+# -- the fixpoint memo against the loop of memoised steps ---------------------
+
+FIX_VARS = VARS5[:4]
+
+FIX_DOMAINS = {"const": partial(ConstDomain, FIX_VARS)} | {
+    f"pw-cap{cap}-n{n}": partial(ConstPowersetDomain, FIX_VARS, cap, n)
+    for cap in (64, 4, 2, 1) for n in (None, 0, 1)}
+
+
+def ring_rely(rng: random.Random, dom) -> dict:
+    """A rely over dom's variables in which most write-conditions bind the
+    previous variable of the ring, and some one more: a step that havocs
+    one variable can let the next be written, so chains run long."""
+    names, i = dom.variables, {}
+    for k, v in enumerate(names):
+        if rng.random() < 0.15:
+            continue  # ⊥: nothing writes v
+        bind = {names[k - 1]: rng.randint(0, 1)}
+        if rng.random() < 0.3:
+            bind[rng.choice(names)] = rng.randint(0, 1)
+        wc = cm_make(bind)
+        i[v] = dom.make([wc]) if isinstance(dom, ConstPowersetDomain) else wc
+    return i
+
+
+def fix_inputs(rng: random.Random, mk, count: int) -> list:
+    """About count (rely, d, steps) triples over four ring relies and a
+    random one, steps the number of steps a loop takes from d to its
+    fixpoint. A third of the ds are inputs stepped from an earlier d under
+    the same rely, so that the whole chain a miss stores is looked up
+    again. Half of the others come after a later input of their own chain,
+    so that their chain runs into a memoised element."""
+    dom = mk()
+    relies = [*(ring_rely(rng, dom) for _ in range(4)),
+              random_interference(rng, dom, values=(0, 1, 2))]
+    stabs = [dom.stabiliser(i) for i in relies]
+    stepped: list[list] = [[] for _ in relies]
+    out = []
+    while len(out) < count:
+        k = rng.randrange(len(relies))
+        if stepped[k] and rng.random() < 1 / 3:
+            out.append((relies[k], *rng.choice(stepped[k])))
+            continue
+        chain = [random_elem(rng, dom)]
+        while (nxt := stabs[k](chain[-1])) != chain[-1]:
+            chain.append(nxt)
+        steps = [(d, len(chain) - j) for j, d in enumerate(chain)]
+        stepped[k] += steps
+        if len(chain) > 1 and rng.random() < 1 / 2:
+            out.append((relies[k], *rng.choice(steps[1:])))
+        out.append((relies[k], *steps[0]))
+    return out
+
+
+def count_steps(cw: CondWrites) -> list:
+    """A one-element list that counts the domain steps cw runs from now on."""
+    calls, stabiliser = [0], cw.dom.stabiliser
+
+    def counted(i):
+        stab = stabiliser(i)
+
+        def step(d):
+            calls[0] += 1
+            return stab(d)
+        return step
+
+    cw.dom.stabiliser = counted
+    return calls
+
+
+def fix_outcome(cw: CondWrites, i, d) -> tuple:
+    """stabilise_fix(i, d), or its FuelExhausted message, with the ops, cap
+    collapses and memo hits it added."""
+    ops, collapses, hits = cw.dom.ops, cw.dom.cap_collapses, cw.memo_hits
+    try:
+        out = cw.stabilise_fix(i, d)
+    except FuelExhausted as exc:
+        out = str(exc)
+    return (out, cw.dom.ops - ops, cw.dom.cap_collapses - collapses,
+            cw.memo_hits - hits)
+
+
+@pytest.mark.parametrize("mk", FIX_DOMAINS.values(), ids=FIX_DOMAINS)
+def test_fixpoint_memo_matches_step_loop(mk):
+    # one instance per side serves the whole sequence, so that chains run
+    # into the memoised elements of earlier ones: the same values, ops, cap
+    # collapses and memo hits as the loop of memoised steps, and at every
+    # fuel from 0 to the longest chain + 1 the same FuelExhausted messages.
+    # A fixpoint out of fuel stores nothing and counts no hit, where the
+    # loop keeps its steps and counts the hits it made before it ran out;
+    # an analysis ends at its first raise, so the raising call's hits and,
+    # after it, all but values and messages are left uncompared
+    rng = random.Random(5000)
+    inputs = fix_inputs(rng, mk, 200)
+    longest = max(steps for _, _, steps in inputs)
+    seen = collections.Counter()
+    for fuel in [1000, *range(longest + 2)]:
+        fast = CondWrites(mk(), fuel)
+        ref = reference_interference.StepMemo(mk(), fuel)
+        calls = count_steps(fast)
+        raised = False
+        for i, d, steps in inputs:
+            before = calls[0]
+            got, want = fix_outcome(fast, i, d), fix_outcome(ref, i, d)
+            assert got[0] == want[0], (fuel, i, d)
+            assert isinstance(got[0], str) == (steps > fuel), (fuel, steps)
+            if not raised:
+                assert got[:3] == want[:3], (fuel, i, d)
+                assert isinstance(got[0], str) or got[3] == want[3], (fuel, i, d)
+            raised = raised or isinstance(got[0], str)
+            stepped, hits = calls[0] - before, got[3]
+            if isinstance(got[0], str):
+                seen["raised"] += 1
+                seen["raised on a memoised rest"] += 0 < stepped < fuel
+            else:
+                seen["hit"] += not stepped
+                seen["ran into the memo"] += stepped > 0 and hits > 0
+    assert longest > 1 and all(seen[k] for k in (
+        "raised", "raised on a memoised rest", "hit", "ran into the memo")), seen
